@@ -774,11 +774,6 @@ class LaurentFraction:
         den = normalize(den, tower)
         return LaurentFraction(num, den)
 
-    def eq_mod_tower(self, other, tower: Sequence[RadicalRelation]) -> bool:
-        o = self._lift(other)
-        diff = (self - o).reduce_radicals(tower)
-        return normalize(diff.num, tower).is_zero()
-
     def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
         den = self.den.eval_mod_p(point, p)
         if den.is_zero():

@@ -35,10 +35,6 @@ def letter_of_var(n: int) -> dict[str, str]:
     return dict(zip(x_vars(n), coordinate_letters(n)))
 
 
-def var_of_letter(n: int) -> dict[str, str]:
-    return dict(zip(coordinate_letters(n), x_vars(n)))
-
-
 @dataclass(frozen=True)
 class WitnessConstraint:
     """Equality constraint on the coordinates of a general member, written in
@@ -81,9 +77,6 @@ class OrbitRecord:
 
     def witness_repairs(self) -> list[str]:
         return [n["note"] for n in self.notes if n.get("field") == "witness"]
-
-    def set_repairs(self) -> list[str]:
-        return [n["note"] for n in self.notes if n.get("field") == "sets"]
 
     def linear_zero_vars(self) -> list[str]:
         out = []

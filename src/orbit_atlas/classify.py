@@ -16,7 +16,7 @@ import numpy as np
 from .arith import Fp, is_prime
 from .catalog import Catalog, OrbitRecord, load_catalog, x_vars
 from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
-                     SchemaError, ShapeError)
+                     InternalInconsistencyError, SchemaError, ShapeError)
 from .lie import NilElement, nil_dim, pos_roots
 
 CENSUS_BUDGET = 10_000_000
@@ -46,8 +46,7 @@ def member(rec: OrbitRecord, m: NilElement) -> bool:
     """Exact membership in Z(zero_set) intersected with V(nonzero_set)."""
     if rec.rank != m.rank:
         raise ShapeError(f"record rank {rec.rank} != element rank {m.rank}")
-    env = _point_env(m)
-    ps = {k: (v if isinstance(v, (int, Fraction, Fp)) else v) for k, v in env.items()}
+    ps = _point_env(m)
     for v in ps.values():
         if not isinstance(v, (int, Fraction, Fp)):
             raise SchemaError("membership requires field scalars, not symbols")
@@ -199,5 +198,9 @@ def partition_census(n: int, q: int, budget: int = CENSUS_BUDGET,
         matched = match_table(cat, digits, q)
         for idx, cnt in zip(*np.unique(matched, return_counts=True)):
             counts[ids[int(idx)]] += int(cnt)
-    assert sum(counts.values()) == total
+    counted = sum(counts.values())
+    if counted != total:
+        raise InternalInconsistencyError(
+            f"rank {n} q={q}: census counted {counted} points, "
+            f"expected {total}")
     return counts

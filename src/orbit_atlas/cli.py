@@ -19,7 +19,8 @@ from .arith import Fp, is_prime
 from .catalog import load_catalog, record_to_json, validate_catalog
 from .classify import CENSUS_BUDGET, classify, partition_census
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
-                     ExhaustionError, SchemaError, UnsupportedRankError)
+                     ExhaustionError, InternalInconsistencyError, SchemaError,
+                     UnsupportedRankError)
 from .lie import NilElement, nil_dim
 from .oracle import (BFS_BUDGET, enumerate_borel_orbits, jacobian_rank_dim,
                      refine_check, stability_check)
@@ -44,11 +45,24 @@ def _parse_point(text: str, n: int, mod: int | None) -> NilElement:
     if len(parts) != nil_dim(n):
         raise SchemaError(
             f"point needs {nil_dim(n)} comma-separated coordinates")
-    if mod is not None:
-        vals = [Fp(int(p), mod) for p in parts]
-    else:
-        vals = [Fraction(p) for p in parts]
+    try:
+        if mod is not None:
+            vals = [Fp(int(p), mod) for p in parts]
+        else:
+            vals = [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        kind = "integers" if mod is not None else "rationals"
+        raise SchemaError(f"--point coordinates must be {kind}: {exc}") from exc
     return NilElement.from_vector(n, vals)
+
+
+def _field_list(q: int | None, defaults) -> list[int]:
+    """The --q field, checked before any output, or the rank's defaults."""
+    if q is None:
+        return list(defaults)
+    if not is_prime(q):
+        raise SchemaError(f"--q {q} is not prime")
+    return [q]
 
 
 def cmd_orbits(args) -> int:
@@ -92,7 +106,7 @@ def cmd_classify(args) -> int:
 
 def cmd_census(args) -> int:
     n = _rank(args)
-    qs = [args.q] if args.q else list(CENSUS_DEFAULT_QS[n])
+    qs = _field_list(args.q, CENSUS_DEFAULT_QS[n])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["orbit_id", "q", "count"])
     ok = True
@@ -111,7 +125,7 @@ def cmd_census(args) -> int:
 
 def cmd_oracle(args) -> int:
     n = _rank(args)
-    qs = [args.q] if args.q else list(ORACLE_DEFAULT_QS[n])
+    qs = _field_list(args.q, ORACLE_DEFAULT_QS[n])
     ok = True
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["class_id", "q", "count", "orbit_id"])
@@ -268,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", required=True, help="A1|A2|A3|A4")
         p.add_argument("--budget", type=int, default=budget_default,
                        help="point-count ceiling for enumerations")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (results are thread-count independent)")
 
     p = sub.add_parser("orbits", help="dump the catalog with validation")
     common(p, CENSUS_BUDGET)
@@ -326,7 +338,8 @@ def main(argv=None) -> int:
     except (UnsupportedRankError, SchemaError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExhaustionError, DisjointnessError, CatalogError) as exc:
+    except (ExhaustionError, DisjointnessError, CatalogError,
+            InternalInconsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
 

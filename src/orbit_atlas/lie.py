@@ -2,9 +2,12 @@
 
 Elements of the nilradical are strictly upper-triangular (n+1)x(n+1)
 matrices; the coordinate of the positive root (i, j) sits at matrix entry
-(i, j+1).  Borel elements act by literal matrix conjugation, one code path
-for every coefficient ring (prime fields, rationals, Laurent polynomials
-and fractions).
+(i, j+1).  ``adjoint`` applies a Borel word as a sparse root-group update
+(one bracket step per factor, then the torus weights), for every
+coefficient ring (prime fields, rationals, Laurent polynomials and
+fractions).  Literal matrix conjugation (``conjugate_nil`` with the word's
+matrices) is kept as the reference the tests compare it against, and serves
+callers that hold a generic group element as a matrix.
 """
 
 from __future__ import annotations
@@ -261,23 +264,61 @@ def conjugate_nil(g: list[list], g_inv: list[list], x: NilElement) -> NilElement
     return NilElement.from_matrix(x.rank, m)
 
 
+def _bracket(root: tuple[int, int], coords: dict) -> list:
+    """[x_root, x] for x given by its coordinates, as (root, value) terms on
+    distinct roots: with root = (a, b), x_(b+1,j) moves to (a, j) and
+    -x_(i,a-1) to (i, b)."""
+    a, b = root
+    out = []
+    for (i, j), v in coords.items():
+        if i == b + 1:
+            out.append(((a, j), v))
+        elif j == a - 1:
+            out.append(((i, b), -v))
+    return out
+
+
+def _sparse_element(rank: int, coords: dict) -> NilElement:
+    """NilElement in matrix order, zero coordinates dropped as
+    ``NilElement.from_matrix`` drops them."""
+    return NilElement(rank, {r: coords[r] for r in sorted(coords)
+                             if not is_zero_elem(coords[r])})
+
+
 def adjoint(b: BorelWord, x: NilElement) -> NilElement:
-    """Exact adjoint action: g x g^{-1} read back as a NilElement."""
+    """Exact adjoint action g x g^{-1}, g = T F_1 ... F_k, as a NilElement.
+
+    The factors act right to left, each U_root(c) as x -> x + c [x_root, x]
+    (the quadratic term vanishes on strictly upper-triangular x; see
+    ``fixing_root_groups``); the torus then scales each coordinate by its
+    weight.  ``conjugate_nil`` on the word's matrices is the literal
+    reference the tests compare against.
+    """
     if b.rank != x.rank:
         raise ShapeError(f"word rank {b.rank} != element rank {x.rank}")
-    return conjugate_nil(b.to_matrix(), b.inverse_matrix(), x)
+    coords = dict(x.coords)
+    for f in reversed(b.factors):
+        c = f.param
+        if is_zero_elem(c):
+            continue
+        for root, v in _bracket(f.root, coords):
+            d = c * v
+            coords[root] = coords[root] + d if root in coords else d
+    if b.torus is not None:
+        # root (i, j) has weight t_i / t_(j+1), and 1 / t_(n+1) = t_1 ... t_n
+        t = b.torus.diag
+        prod = t[0]
+        for s in t[1:]:
+            prod = prod * s
+        inv = [inv_elem(s) for s in t[1:]] + [prod]
+        coords = {(i, j): (t[i - 1] * inv[j - 1]) * v
+                  for (i, j), v in coords.items()}
+    return _sparse_element(x.rank, coords)
 
 
 def commutator_nil(rank: int, root: tuple[int, int], x: NilElement) -> NilElement:
     """[x_root, x] as a NilElement (structure transport for root-group moves)."""
-    size = rank + 1
-    e = [[0] * size for _ in range(size)]
-    e[root[0] - 1][root[1]] = 1
-    xm = x.to_matrix()
-    lhs = mat_mul(e, xm)
-    rhs = mat_mul(xm, e)
-    m = [[lhs[i][j] - rhs[i][j] for j in range(size)] for i in range(size)]
-    return NilElement.from_matrix(rank, m)
+    return _sparse_element(rank, dict(_bracket(root, x.coords)))
 
 
 def fixing_root_groups(x: NilElement) -> set[tuple[int, int]]:

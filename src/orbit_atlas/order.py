@@ -12,6 +12,11 @@ zero after substituting S_i's dense parametrization, so the symbolic layer
 is decisive; the finite-field layer certifies every answer, producing an
 explicit counterexample point for every non-relation and re-checking every
 asserted relation on all rational points.
+
+``hasse`` decides every ordered pair through ``closure_leq`` with a
+``PullbackMemo`` that lives only for that call: each record's dense
+parametrization and each (record, generator) pullback zero test is
+computed once per call, not once per pair.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -87,23 +92,45 @@ def _closure_subs(rec: OrbitRecord) -> dict:
     return subs
 
 
+class PullbackMemo:
+    """Closure-order pullbacks of one catalog, each computed once: a
+    record's ``_closure_subs`` and the zero test of a generator pulled back
+    along it.  Records are keyed by id, so one memo serves one catalog; hasse()
+    makes a fresh one per call."""
+
+    def __init__(self):
+        self._subs: dict = {}          # record id -> substitutions
+        self._zero: dict = {}          # (record id, generator) -> bool
+
+    def vanish_on(self, rec: OrbitRecord, gens) -> bool:
+        """True when every polynomial of ``gens`` vanishes identically on
+        S_rec; stops at the first one that does not."""
+        if rec.id not in self._subs:
+            self._subs[rec.id] = _closure_subs(rec)
+        subs = self._subs[rec.id]
+        for g in gens:
+            key = (rec.id, g)
+            if key not in self._zero:
+                self._zero[key] = g.subs(subs).is_zero()
+            if not self._zero[key]:
+                return False
+        return True
+
+
 def closure_leq(rec_i: OrbitRecord, rec_j: OrbitRecord,
-                j_generators=None) -> bool:
+                j_generators=None, memo: PullbackMemo | None = None) -> bool:
     """True when every certified vanishing polynomial of j's orbit closure
     vanishes identically on S_i.  Without an explicit generator list the
     record's own zero set is used (sufficient wherever that set cuts out the
-    closure exactly; hasse() always passes the augmented list)."""
+    closure exactly; hasse() always passes the augmented list).  ``memo``
+    reuses pullbacks already computed for the same catalog."""
     if rec_i.rank != rec_j.rank:
         raise SchemaError("rank mismatch")
     if rec_i.id == rec_j.id:
         return True
     gens = ([g for g, _ in j_generators] if j_generators is not None
             else rec_j.zero_set)
-    subs = _closure_subs(rec_i)
-    for g in gens:
-        if not g.subs(subs).is_zero():
-            return False
-    return True
+    return (memo if memo is not None else PullbackMemo()).vanish_on(rec_i, gens)
 
 
 @dataclass
@@ -215,10 +242,11 @@ def hasse(n: int, catalog: Catalog | None = None, qs=None,
     dims = {r.id: r.dim for r in recs}
     by_id = {r.id: r for r in recs}
     generators = closure_generators(cat)
+    memo = PullbackMemo()
     leq = {}
     for a in ids:
         for b in ids:
-            leq[(a, b)] = (closure_leq(by_id[a], by_id[b], generators[b])
+            leq[(a, b)] = (closure_leq(by_id[a], by_id[b], generators[b], memo)
                            if a != b else True)
     # order sanity: antisymmetry, transitivity, dimension monotonicity
     for a in ids:

@@ -4,12 +4,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from orbit_atlas import classify as classify_mod
 from orbit_atlas.arith import Fp
 from orbit_atlas.classify import classify, member, partition_census
 from orbit_atlas.errors import (BudgetExceededError, DisjointnessError,
-                                ExhaustionError, SchemaError, ShapeError)
+                                ExhaustionError, InternalInconsistencyError,
+                                SchemaError, ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, pos_roots)
 
@@ -134,3 +137,13 @@ def test_borel_invariance(catalogs):
                     for c in moved.as_vector()])
             assert (classify(n, m, cat).orbit_id
                     == classify(n, moved, cat).orbit_id)
+
+
+def test_census_total_mismatch_is_raised(monkeypatch):
+    # a lost point must fail loudly, also under python -O
+    monkeypatch.setattr(classify_mod, "match_table",
+                        lambda cat, digits, q: np.zeros(0, dtype=np.int32))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"rank 2 q=3: census counted 0 points, "
+                             r"expected 27"):
+        classify_mod.partition_census(2, 3)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from orbit_atlas.cli import main
+from orbit_atlas.errors import InternalInconsistencyError
 
 
 def run(capsys, *argv):
@@ -114,3 +115,37 @@ def test_check_all_rank1(capsys):
     assert code == 0
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("point, mod", [("1/2,x,3", None), ("1/2,0,3", "5"),
+                                        ("1/0,0,3", None)])
+def test_classify_malformed_coordinate_is_usage_error(capsys, point, mod):
+    argv = ["classify", "--type", "A2", "--point", point]
+    code, out, err = run(capsys, *argv, *(["--mod", mod] if mod else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --point coordinates must be")
+
+
+@pytest.mark.parametrize("command", ["census", "oracle"])
+@pytest.mark.parametrize("q", ["0", "4", "-3"])
+def test_field_flag_must_be_prime(capsys, command, q):
+    code, out, err = run(capsys, command, "--type", "A2", "--q", q)
+    assert code == 2
+    assert out == ""                # no CSV header before the refusal
+    assert f"--q {q} is not prime" in err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["hasse", "--type", "A1"], "orbit_atlas.order._certify"),
+    (["oracle", "--type", "A1", "--q", "3"], "orbit_atlas.cli.stability_check"),
+])
+def test_internal_inconsistency_is_check_failure(capsys, monkeypatch, argv,
+                                                 target):
+    def disagree(*args, **kwargs):
+        raise InternalInconsistencyError("layers disagree at F_3")
+
+    monkeypatch.setattr(target, disagree)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "check failed: layers disagree at F_3" in err

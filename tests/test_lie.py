@@ -1,16 +1,19 @@
 """Structural data and adjoint-action tests, pinned to the worked examples."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
+from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
 from orbit_atlas.errors import ShapeError, UnsupportedRankError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, adjoint, conjugate_nil,
-                             coordinate_letters, fixing_root_groups,
-                             generic_unipotent, mat_mul, nil_dim, pos_roots,
-                             root_height, torus_weight, unipotent_inverse)
+                             TorusElement, adjoint, commutator_nil,
+                             conjugate_nil, coordinate_letters,
+                             fixing_root_groups, generic_unipotent, mat_mul,
+                             nil_dim, pos_roots, root_height, torus_weight,
+                             unipotent_inverse)
 
 V = LaurentPoly.var
 
@@ -118,6 +121,18 @@ def _coords_equal(a, b, n, p):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commutator_matches_matrix_commutator(n):
+    rng = random.Random(30 + n)
+    x = _random_nil(n, 101, rng)
+    for root in pos_roots(n):
+        e = NilElement(n, {root: 1}).to_matrix()
+        lhs, rhs = mat_mul(e, x.to_matrix()), mat_mul(x.to_matrix(), e)
+        literal = NilElement.from_matrix(n, [
+            [u - v for u, v in zip(lr, rr)] for lr, rr in zip(lhs, rhs)])
+        assert commutator_nil(n, root, x).coords == literal.coords
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_action_composition_and_inverse(n):
     p = 101
     rng = random.Random(n)
@@ -191,3 +206,64 @@ def test_nil_element_round_trip_and_dims():
         assert back.coords == x.coords
         vec = x.as_vector()
         assert NilElement.from_vector(n, vec).coords == x.coords
+
+
+# ---------------------------------------------------------------------------
+# sparse adjoint against literal conjugation, over every coefficient ring
+
+
+def _monomial(c, i, j):
+    return LaurentPoly(("a", "b"), {(i, j): c})
+
+
+_small = st.integers(-3, 3)
+_nonzero = _small.filter(bool)
+_mono = st.builds(_monomial, _small, st.integers(-2, 2), st.integers(-2, 2))
+_unit_mono = st.builds(_monomial, _nonzero, st.integers(-2, 2),
+                       st.integers(-2, 2))
+
+
+def _ring(name, p):
+    """(scalar, unit) strategies of one coefficient ring.  Symbolic torus
+    entries are Laurent monomials: a LaurentPoly entry must be a unit, and
+    rational-function entries make the literal reference's dense products
+    too slow for a property test."""
+    if name == "Q":
+        return (st.builds(Fraction, _small, st.integers(1, 4)),
+                st.builds(Fraction, _nonzero, st.integers(1, 4)))
+    if name == "F_p":
+        return (st.builds(Fp, st.integers(0, p - 1), st.just(p)),
+                st.builds(Fp, st.integers(1, p - 1), st.just(p)))
+    if name == "poly":
+        return st.builds(lambda m1, m2: m1 + m2, _mono, _mono), _unit_mono
+    nonconst = st.builds(_monomial, _nonzero, st.integers(1, 2),
+                         st.integers(-2, 2))
+    return (st.builds(lambda m, u, c: LaurentFraction(m, u + c),
+                      _mono, nonconst, _nonzero),
+            st.builds(LaurentFraction, _unit_mono, _unit_mono))
+
+
+@st.composite
+def _word_and_element(draw):
+    n = draw(st.integers(1, 4))
+    ring = draw(st.sampled_from(("Q", "F_p", "poly", "frac")))
+    scalar, unit = _ring(ring, draw(st.sampled_from((2, 7, 101))))
+    torus = None
+    if draw(st.booleans()):
+        torus = TorusElement(n, tuple(draw(unit) for _ in range(n)))
+    factors = tuple(
+        RootGroupFactor(draw(st.sampled_from(pos_roots(n))), draw(scalar))
+        for _ in range(draw(st.integers(0, 4))))
+    # integer coordinates, as in the catalog's representatives; kept within
+    # -1..1 so that none is a nonzero integer that vanishes in F_p
+    coords = {r: draw(st.one_of(st.integers(-1, 1), scalar))
+              for r in draw(st.sets(st.sampled_from(pos_roots(n))))}
+    return BorelWord(n, torus, factors), NilElement(n, coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word_and_element())
+def test_sparse_adjoint_matches_literal_conjugation(case):
+    word, x = case
+    literal = conjugate_nil(word.to_matrix(), word.inverse_matrix(), x)
+    assert adjoint(word, x).coords == literal.coords

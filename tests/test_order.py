@@ -44,6 +44,16 @@ def test_rank3_prose_edge(posets):
     assert posets[3].less("x12+x23", "x11+x33")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_memoised_hasse_matches_per_pair_tests(n, catalogs, posets):
+    cat = catalogs[n]
+    gens = closure_generators(cat)
+    recs = {rec.id: rec for rec in cat.orbits}
+    unmemoised = {(a, b): closure_leq(recs[a], recs[b], gens[b])
+                  for a in recs for b in recs}
+    assert posets[n].leq == unmemoised
+
+
 def test_closure_leq_rank3_example(catalogs):
     cat = catalogs[3]
     gens = closure_generators(cat)
