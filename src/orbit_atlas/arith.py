@@ -17,6 +17,7 @@ point, which makes normal forms independent of the rewrite order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -747,8 +748,9 @@ class LaurentFraction:
             return NotImplemented
         return (self.num * o.den - o.num * self.den).is_zero()
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # Equal fractions need not share a canonical form (no gcd is taken), so
+    # no hash can agree with __eq__: the type is unhashable.
+    __hash__ = None
 
     # -- radical handling
 
@@ -1008,10 +1010,19 @@ def _rational_root(c: Fraction, e: Fraction) -> Fraction:
             if k % 2 == 0:
                 raise SchemaError(f"even root of negative constant {n}")
             return -int_root(-n)
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == n:
-                return cand
+        if k == 2:
+            r = math.isqrt(n)
+        else:
+            lo, hi = 0, 1 << (n.bit_length() // k + 1)     # hi**k > n
+            while lo < hi:                                 # largest r, r**k <= n
+                mid = (lo + hi + 1) // 2
+                if mid**k <= n:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            r = lo
+        if r**k == n:
+            return r
         raise SchemaError(f"constant {n} has no exact {k}-th root")
 
     root = Fraction(int_root(c.numerator), int_root(c.denominator))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .arith import LaurentPoly, inv_elem, is_zero_elem
 from .errors import ShapeError, UnsupportedRankError
@@ -252,11 +254,21 @@ class BorelWord:
 # operations
 
 
+def _torus_weights(t: TorusElement, roots) -> dict:
+    """Scaling factor of each root coordinate under conjugation by t: root
+    (i, j) has weight t_i / t_(j+1), and 1 / t_(n+1) = t_1 ... t_n.  Each
+    1 / t_(j+1) is computed once, and only when some root needs it."""
+    d = t.diag
+    inv = {}
+    for _, j in roots:
+        if j not in inv:
+            inv[j] = inv_elem(d[j]) if j < t.rank else reduce(mul, d)
+    return {(i, j): d[i - 1] * inv[j] for i, j in roots}
+
+
 def torus_weight(t: TorusElement, root: tuple[int, int]):
     """Scaling factor of the root coordinate under conjugation by t."""
-    i, j = root
-    full = t.full_diag()
-    return full[i - 1] * inv_elem(full[j])
+    return _torus_weights(t, (root,))[root]
 
 
 def conjugate_nil(g: list[list], g_inv: list[list], x: NilElement) -> NilElement:
@@ -305,14 +317,8 @@ def adjoint(b: BorelWord, x: NilElement) -> NilElement:
             d = c * v
             coords[root] = coords[root] + d if root in coords else d
     if b.torus is not None:
-        # root (i, j) has weight t_i / t_(j+1), and 1 / t_(n+1) = t_1 ... t_n
-        t = b.torus.diag
-        prod = t[0]
-        for s in t[1:]:
-            prod = prod * s
-        inv = [inv_elem(s) for s in t[1:]] + [prod]
-        coords = {(i, j): (t[i - 1] * inv[j - 1]) * v
-                  for (i, j), v in coords.items()}
+        weights = _torus_weights(b.torus, coords)
+        coords = {root: weights[root] * v for root, v in coords.items()}
     return _sparse_element(x.rank, coords)
 
 

@@ -6,6 +6,11 @@ certifies that generator set by checking every class is stable under every
 one-parameter subgroup element and the full torus.  ``refine_check``
 confronts the partition with the catalog's defining sets.  Dimensions are
 audited independently through Jacobian ranks in ``jacobian_rank_dim``.
+
+Every group element is a ``lie.BorelWord`` over ``Fp``, and acts through
+``lie.adjoint``: the linear maps the BFS and the stability pass apply to
+whole point arrays are read off ``adjoint`` on the coordinate basis, and
+orbit sample points are ``adjoint`` images of the representative.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -21,10 +27,12 @@ from .catalog import Catalog, OrbitRecord, load_catalog, x_vars
 from .classify import decode_points, encode_points, match_table
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError)
-from .lie import (NilElement, mat_identity, mat_mul, nil_dim, pos_roots,
-                  unipotent_inverse)
+from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
+                  adjoint, nil_dim, pos_roots)
 
 BFS_BUDGET = 2_000_000
+#: stability_check adds every full torus element when there are at most this many
+FULL_TORUS_CAP = 4096
 JACOBIAN_PRIME = 101
 
 
@@ -32,74 +40,50 @@ JACOBIAN_PRIME = 101
 # linear maps of group elements on nilradical coordinates
 
 
-def _conj_matrix_modq(g: list[list], g_inv: list[list], n: int, q: int) -> np.ndarray:
-    """Matrix (over F_q) of x -> g x g^{-1} in the coordinate basis."""
-    d = nil_dim(n)
-    roots = pos_roots(n)
-    out = np.zeros((d, d), dtype=np.int64)
-    for col, beta in enumerate(roots):
-        basis = NilElement(n, {beta: 1})
-        m = mat_mul(mat_mul(g, basis.to_matrix()), g_inv)
-        for row, (i, j) in enumerate(roots):
-            out[row, col] = m[i - 1][j] % q
-    return out
+def _coords_mod(x: NilElement) -> list[int]:
+    """Coordinates of an F_q element as integers in [0, q), in root order."""
+    return [x.coords[r].v if r in x.coords else 0 for r in pos_roots(x.rank)]
 
 
-def _torus_matrices(n: int, diag: list[int], q: int):
-    size = n + 1
-    inv_prod = 1
-    for t in diag:
-        inv_prod = (inv_prod * t) % q
-    last = pow(inv_prod, -1, q)
-    full = list(diag) + [last]
-    g = [[full[i] if i == j else 0 for j in range(size)] for i in range(size)]
-    gi = [[pow(full[i], -1, q) if i == j else 0 for j in range(size)]
-          for i in range(size)]
-    return g, gi
+def _word_map(word: BorelWord, q: int) -> np.ndarray:
+    """Matrix (over F_q) of x -> g x g^{-1} in the coordinate basis, read
+    column by column from ``adjoint`` on the basis elements."""
+    n = word.rank
+    cols = [_coords_mod(adjoint(word, NilElement(n, {beta: Fp(1, q)})))
+            for beta in pos_roots(n)]
+    return np.array(cols, dtype=np.int64).T
 
 
-def _root_group_matrices(n: int, root, c: int, q: int):
-    size = n + 1
-    g = mat_identity(size)
-    gi = mat_identity(size)
-    g[root[0] - 1][root[1]] = c % q
-    gi[root[0] - 1][root[1]] = (-c) % q
-    return g, gi
+def _torus_word(n: int, diag, q: int) -> BorelWord:
+    return BorelWord(n, TorusElement(n, tuple(Fp(t, q) for t in diag)))
+
+
+def _slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
+    """The torus with entry c in one simple slot and 1 elsewhere."""
+    return _torus_word(n, [c if k == slot else 1 for k in range(n)], q)
+
+
+def _root_word(n: int, root, c: int, q: int) -> BorelWord:
+    return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
+
+
+def _random_word(n: int, q: int, rng: random.Random) -> BorelWord:
+    """Uniform element of B(F_q): a random torus times one random U_root
+    factor per positive root (for a fixed root order this product is a
+    bijection onto B(F_q))."""
+    torus = TorusElement(n, tuple(Fp(rng.randrange(1, q), q) for _ in range(n)))
+    factors = tuple(RootGroupFactor(root, Fp(rng.randrange(q), q))
+                    for root in pos_roots(n))
+    return BorelWord(n, torus, factors)
 
 
 def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
     and U_root(g) for every positive root."""
     g0 = primitive_root(q)
-    maps = []
-    for slot in range(n):
-        diag = [1] * n
-        diag[slot] = g0
-        maps.append(_conj_matrix_modq(*_torus_matrices(n, diag, q), n, q))
-    for root in pos_roots(n):
-        for c in {1, g0}:
-            maps.append(_conj_matrix_modq(*_root_group_matrices(n, root, c, q), n, q))
-    return maps
-
-
-def random_borel_maps(n: int, q: int, count: int, seed: int = 0) -> list[np.ndarray]:
-    rng = random.Random(repr((seed, n, q)))
-    size = n + 1
-    maps = []
-    for _ in range(count):
-        diag = [rng.randrange(1, q) for _ in range(n)]
-        tg, tgi = _torus_matrices(n, diag, q)
-        u = mat_identity(size)
-        for i in range(size):
-            for j in range(i + 1, size):
-                u[i][j] = rng.randrange(q)
-        ui = [[x % q for x in row] for row in unipotent_inverse(u, size)]
-        g = mat_mul(tg, u)
-        gi = mat_mul(ui, tgi)
-        g = [[x % q for x in row] for row in g]
-        gi = [[x % q for x in row] for row in gi]
-        maps.append(_conj_matrix_modq(g, gi, n, q))
-    return maps
+    words = [_slot_word(n, slot, g0, q) for slot in range(n)]
+    words += [_root_word(n, root, c, q) for root in pos_roots(n) for c in {1, g0}]
+    return [_word_map(word, q) for word in words]
 
 
 # ---------------------------------------------------------------------------
@@ -169,37 +153,28 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
                           generators="slot-torus(g), U_root(1), U_root(g)")
 
 
-def stability_check(part: OrbitPartition, full_torus_cap: int = 4096) -> dict:
+def stability_check(part: OrbitPartition) -> dict:
     """Certify the partition: every class stable under U_root(c) for every
-    root and c, under every single-slot torus, and (when small enough) under
-    every full torus element.  Raises on any violation."""
+    root and c, under every single-slot torus, and (when at most
+    ``FULL_TORUS_CAP`` elements) under every full torus element.  Raises on
+    any violation."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     total = q**d
     digits = decode_points(np.arange(total, dtype=np.int64), d, q)
-    maps = []
-    for root in pos_roots(n):
-        for c in range(q):
-            maps.append(_conj_matrix_modq(*_root_group_matrices(n, root, c, q), n, q))
-    for slot in range(n):
-        for c in range(1, q):
-            diag = [1] * n
-            diag[slot] = c
-            maps.append(_conj_matrix_modq(*_torus_matrices(n, diag, q), n, q))
-    full_torus = (q - 1) ** n
-    if full_torus <= full_torus_cap:
-        from itertools import product
-        for diag in product(range(1, q), repeat=n):
-            maps.append(_conj_matrix_modq(*_torus_matrices(n, list(diag), q), n, q))
-    checked = 0
-    for g in maps:
-        codes = encode_points((digits @ g.T) % q, q)
+    words = [_root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
+    words += [_slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
+    with_full_torus = (q - 1) ** n <= FULL_TORUS_CAP
+    if with_full_torus:
+        words += [_torus_word(n, diag, q)
+                  for diag in product(range(1, q), repeat=n)]
+    for word in words:
+        codes = encode_points((digits @ _word_map(word, q).T) % q, q)
         if not (part.class_of[codes] == part.class_of).all():
             bad = int(np.argmax(part.class_of[codes] != part.class_of))
             raise InternalInconsistencyError(
                 f"class not stable at point code {bad} over F_{q}")
-        checked += 1
-    return {"maps_checked": checked, "full_torus_included": full_torus <= full_torus_cap}
+    return {"maps_checked": len(words), "full_torus_included": with_full_torus}
 
 
 def generator_sufficiency_check(part: OrbitPartition, extra: int = 100,
@@ -208,7 +183,9 @@ def generator_sufficiency_check(part: OrbitPartition, extra: int = 100,
     n, q = part.rank, part.q
     d = nil_dim(n)
     digits = decode_points(np.arange(q**d, dtype=np.int64), d, q)
-    for g in random_borel_maps(n, q, extra, seed):
+    rng = random.Random(repr((seed, n, q)))
+    for _ in range(extra):
+        g = _word_map(_random_word(n, q, rng), q)
         codes = encode_points((digits @ g.T) % q, q)
         if not (part.class_of[codes] == part.class_of).all():
             return False
@@ -323,25 +300,9 @@ def orbit_sample_points(rec: OrbitRecord, count: int, p: int,
     random Borel elements (hence inside the defining set by containment)."""
     n = rec.rank
     rng = random.Random(repr((seed, rec.id, p)))
-    size = n + 1
-    points = []
-    rep_m = rec.representative.to_matrix()
-    for _ in range(count):
-        diag = [rng.randrange(1, p) for _ in range(n)]
-        tg, tgi = _torus_matrices(n, diag, p)
-        u = mat_identity(size)
-        for i in range(size):
-            for j in range(i + 1, size):
-                u[i][j] = rng.randrange(p)
-        ui = [[x % p for x in row] for row in unipotent_inverse(u, size)]
-        g = [[x % p for x in row] for row in mat_mul(tg, u)]
-        gi = [[x % p for x in row] for row in mat_mul(ui, tgi)]
-        m = mat_mul(mat_mul(g, rep_m), gi)
-        env = {}
-        for (i, j), var in zip(pos_roots(n), x_vars(n)):
-            env[var] = m[i - 1][j] % p
-        points.append(env)
-    return points
+    rep = NilElement(n, {r: Fp(c, p) for r, c in rec.representative.coords.items()})
+    return [dict(zip(x_vars(n), _coords_mod(adjoint(_random_word(n, p, rng), rep))))
+            for _ in range(count)]
 
 
 def jacobian_rank_dim(rec: OrbitRecord, samples: int = 20,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly,
-                               RadicalRelation, eval_expr, kth_roots,
-                               normalize, parse_expr, parse_poly, poly_to_str,
-                               primitive_root)
+                               RadicalRelation, _rational_root, eval_expr,
+                               kth_roots, normalize, parse_expr, parse_poly,
+                               poly_to_str, primitive_root)
 from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
 
 V = LaurentPoly.var
@@ -212,3 +212,26 @@ def test_fp_arithmetic():
     assert a ** -1 * a == Fp(1, 7)
     with pytest.raises(DomainError):
         Fp(0, 7).inv()
+
+
+def test_fraction_equal_values_are_unhashable():
+    # equal values need not share a canonical form, so the type has no hash
+    # (one that agrees with == would need a gcd)
+    x, y = V("x"), V("y")
+    a = LaurentFraction((x + 1) * (y + 1), (x - 1) * (y + 1))
+    b = LaurentFraction(x + 1, x - 1)
+    assert a == b
+    for f in (a, b):
+        with pytest.raises(TypeError):
+            hash(f)
+
+
+def test_rational_root_is_exact_on_large_integers():
+    assert _rational_root(Fraction(10**400), Fraction(1, 2)) == 10**200
+    assert _rational_root(Fraction(10**600, 7**9), Fraction(1, 3)) == Fraction(10**200, 7**3)
+    assert _rational_root(Fraction(-(3**505)), Fraction(2, 5)) == 3**202
+    for c, e in ((Fraction(10**400 + 1), Fraction(1, 2)),
+                 (Fraction(2**300 + 1), Fraction(1, 3)),
+                 (Fraction(-4), Fraction(1, 2))):
+        with pytest.raises(SchemaError):
+            _rational_root(c, e)

@@ -267,3 +267,22 @@ def test_sparse_adjoint_matches_literal_conjugation(case):
     word, x = case
     literal = conjugate_nil(word.to_matrix(), word.inverse_matrix(), x)
     assert adjoint(word, x).coords == literal.coords
+
+
+@st.composite
+def _torus_and_root(draw):
+    n = draw(st.integers(1, 4))
+    _, unit = _ring(draw(st.sampled_from(("Q", "F_p", "poly", "frac"))),
+                    draw(st.sampled_from((2, 7, 101))))
+    return (TorusElement(n, tuple(draw(unit) for _ in range(n))),
+            draw(st.sampled_from(pos_roots(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_torus_and_root())
+def test_torus_weight_matches_literal_conjugation(case):
+    t, root = case
+    literal = conjugate_nil(t.to_matrix(), t.inverse_matrix(),
+                            NilElement(t.rank, {root: 1}))
+    assert set(literal.coords) == {root}
+    assert torus_weight(t, root) == literal.coord(root)

@@ -1,11 +1,18 @@
 """Brute-force orbit enumeration, refinement, and dimension audits."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbit_atlas.arith import Fp
+from orbit_atlas.catalog import x_vars
+from orbit_atlas.classify import member
 from orbit_atlas.errors import BudgetExceededError, InternalInconsistencyError
-from orbit_atlas.oracle import (enumerate_borel_orbits,
+from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
+                             TorusElement, conjugate_nil, pos_roots)
+from orbit_atlas.oracle import (_word_map, enumerate_borel_orbits,
                                 generator_sufficiency_check, jacobian_rank_dim,
-                                refine_check, stability_check)
+                                orbit_sample_points, refine_check,
+                                stability_check)
 
 
 def test_rank1_rational_splitting():
@@ -107,3 +114,40 @@ def test_stability_check_detects_corruption():
     part.class_of[moved] = 2
     with pytest.raises(InternalInconsistencyError):
         stability_check(part)
+
+
+@st.composite
+def _word_over_fq(draw):
+    n = draw(st.integers(1, 4))
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    torus = None
+    if draw(st.booleans()):
+        torus = TorusElement(n, tuple(Fp(draw(st.integers(1, q - 1)), q)
+                                      for _ in range(n)))
+    factors = tuple(
+        RootGroupFactor(draw(st.sampled_from(pos_roots(n))),
+                        Fp(draw(st.integers(0, q - 1)), q))
+        for _ in range(draw(st.integers(0, 6))))
+    return BorelWord(n, torus, factors), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word_over_fq())
+def test_word_map_matches_literal_conjugation(case):
+    word, q = case
+    g, g_inv = word.to_matrix(), word.inverse_matrix()
+    roots = pos_roots(word.rank)
+    columns = [conjugate_nil(g, g_inv, NilElement(word.rank, {beta: Fp(1, q)}))
+               for beta in roots]
+    assert _word_map(word, q).tolist() == [
+        [x.coords.get(r, Fp(0, q)).v for x in columns] for r in roots]
+
+
+def test_orbit_sample_points_lie_in_their_orbit(catalogs):
+    p = 101
+    for n, cat in catalogs.items():
+        for rec in cat.orbits:
+            for env in orbit_sample_points(rec, 5, p):
+                point = NilElement.from_vector(
+                    n, [Fp(env[v], p) for v in x_vars(n)])
+                assert member(rec, point), (rec.id, env)
