@@ -35,6 +35,25 @@ def letter_of_var(n: int) -> dict[str, str]:
     return dict(zip(x_vars(n), coordinate_letters(n)))
 
 
+def root_weight_homogeneous(poly: LaurentPoly, n: int) -> bool:
+    """True when every term of poly has one torus weight, X_ij weighing
+    alpha_i + ... + alpha_j.  Such a polynomial is a torus weight vector, so
+    whether it vanishes at x does not change under x_ij -> (s_i...s_j) x_ij
+    for any nonzero scalars s_1, ..., s_n."""
+    roots = dict(zip(x_vars(n), pos_roots(n)))
+    weights = set()
+    for exps in poly.terms:
+        weight = [0] * n
+        for var, e in zip(poly.vars, exps):
+            if e == 0:
+                continue
+            i, j = roots[var]
+            for k in range(i - 1, j):
+                weight[k] += e
+        weights.add(tuple(weight))
+    return len(weights) <= 1
+
+
 @dataclass(frozen=True)
 class WitnessConstraint:
     """Equality constraint on the coordinates of a general member, written in
@@ -415,13 +434,14 @@ def _rep_member(rec: OrbitRecord) -> bool:
 
 
 def validate_catalog(cat: Catalog) -> CatalogReport:
-    """Self-check layer: representative membership, homogeneity, Z/V variable
-    sanity, and as_printed-vs-normalized diffs.  Failures are carried in the
-    report, not raised."""
+    """Self-check layer: representative membership, total-degree and
+    root-weight homogeneity, Z/V variable sanity, and as_printed-vs-normalized
+    diffs.  Failures are carried in the report, not raised."""
     reports = []
     for rec in cat.orbits:
         notes = [n["note"] for n in rec.notes]
         homogeneous = all(p.is_homogeneous()
+                          and root_weight_homogeneous(p, cat.rank)
                           for p in rec.zero_set + rec.nonzero_set)
         zero_lin = {next(iter(p.used_vars())) for p in rec.zero_set
                     if p.is_monomial() and p.total_degrees() == {1}}

@@ -220,7 +220,7 @@ def cmd_check_all(args) -> int:
         expected = catalog_mod.ORBIT_COUNTS[n]
         seen = []
         for q in CENSUS_DEFAULT_QS[n]:
-            counts = partition_census(n, q, budget=args.budget)
+            counts = partition_census(n, q, budget=args.budget, catalog=cat)
             nonempty = sum(1 for v in counts.values() if v)
             seen.append(f"q={q}:{nonempty}")
             if nonempty != expected:

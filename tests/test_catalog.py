@@ -1,12 +1,15 @@
 """Catalog integrity: counts, round-trips, provenance layer, repairs."""
 
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog, serialize_catalog,
+from orbit_atlas.arith import parse_poly
+from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog,
+                                 root_weight_homogeneous, serialize_catalog,
                                  validate_catalog, x_vars)
 from orbit_atlas.errors import CatalogError
 
@@ -157,3 +160,26 @@ def test_env_override_data_dir(tmp_path, monkeypatch, catalogs):
 def test_x_vars_order(catalogs):
     assert x_vars(4) == ["X11", "X22", "X33", "X44", "X12", "X23", "X34",
                          "X13", "X24", "X14"]
+
+
+def test_root_weight_homogeneity_examples():
+    def weight_homogeneous(text, n):
+        return root_weight_homogeneous(parse_poly(text, x_vars(n)), n)
+
+    assert weight_homogeneous("X11*X22 - X12", 2)      # two total degrees
+    assert weight_homogeneous("X11*X23 - X12*X33", 3)
+    assert weight_homogeneous("X12^2", 2)
+    assert not weight_homogeneous("X11 + X12", 2)      # one total degree
+    assert not weight_homogeneous("X11*X22 - X12*X22", 3)
+
+
+def test_validate_flags_weight_inhomogeneous_polynomial(catalogs):
+    cat = catalogs[2]
+    rec = cat.by_id("x22")
+    bad = dataclasses.replace(
+        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+    bad_cat = dataclasses.replace(
+        cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
+    report = validate_catalog(bad_cat)
+    assert [r.orbit_id for r in report.records if not r.homogeneous] == ["x22"]
+    assert not report.ok

@@ -1,20 +1,25 @@
 """Membership, classification, and census tests."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import classify as classify_mod
-from orbit_atlas.arith import Fp
-from orbit_atlas.classify import classify, member, partition_census
+from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
+from orbit_atlas.catalog import x_vars
+from orbit_atlas.classify import (classify, decode_points,
+                                  eval_poly_on_columns, match_table, member,
+                                  partition_census)
 from orbit_atlas.errors import (BudgetExceededError, DisjointnessError,
                                 ExhaustionError, InternalInconsistencyError,
                                 SchemaError, ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, adjoint, pos_roots)
+                             TorusElement, adjoint, nil_dim, pos_roots)
 
 
 def test_member_examples(catalogs):
@@ -147,3 +152,86 @@ def test_census_total_mismatch_is_raised(monkeypatch):
                        match=r"rank 2 q=3: census counted 0 points, "
                              r"expected 27"):
         classify_mod.partition_census(2, 3)
+
+
+def test_eval_kernel_reduces_fraction_coefficients():
+    # 1/2 is 3 mod 5, not int(1/2) = 0
+    poly = (Fraction(1, 2) * LaurentPoly.var("X11") * LaurentPoly.var("X22")
+            + Fraction(-7, 3) * LaurentPoly.var("X12") ** 2
+            + LaurentPoly.var("X11"))
+    q = 5
+    vecs = list(itertools.product(range(q), repeat=3))
+    digits = np.array(vecs, dtype=np.int64)
+    cols = {var: digits[:, i] for i, var in enumerate(x_vars(2))}
+    kernel = eval_poly_on_columns(poly, cols, q)
+    for vec, got in zip(vecs, kernel.tolist()):
+        point = {var: Fp(v, q) for var, v in zip(x_vars(2), vec)}
+        assert got == poly.eval_mod_p(point, q).v
+
+
+def test_eval_kernel_rejects_coefficient_undefined_mod_q():
+    poly = Fraction(1, 2) * LaurentPoly.var("X11")
+    cols = {"X11": np.arange(2, dtype=np.int64)}
+    with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
+        eval_poly_on_columns(poly, cols, 2)
+
+
+def _full_enumeration_census(cat, n, q):
+    # reference: classify every one of the q^d points, no torus slicing
+    d = nil_dim(n)
+    digits = decode_points(np.arange(q**d, dtype=np.int64), d, q)
+    matched = match_table(cat, digits, q)
+    counts = {rec.id: 0 for rec in cat.orbits}
+    for idx, cnt in zip(*np.unique(matched, return_counts=True)):
+        counts[cat.orbits[int(idx)].id] += int(cnt)
+    return counts
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3)
+                                 for q in (2, 3, 5, 7)] + [(4, 2), (4, 3)])
+def test_sliced_census_equals_full_enumeration(catalogs, n, q):
+    sliced = partition_census(n, q, catalog=catalogs[n])
+    assert sliced == _full_enumeration_census(catalogs[n], n, q)
+    assert list(sliced) == [rec.id for rec in catalogs[n].orbits]
+
+
+def test_census_refuses_weight_inhomogeneous_catalog(catalogs):
+    # X11 + X12 has one total degree but two root weights (a1, a1 + a2):
+    # scaling X11 alone changes whether it vanishes, so slicing would miscount
+    cat = catalogs[2]
+    rec = cat.by_id("x22")
+    bad = dataclasses.replace(
+        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+    bad_cat = dataclasses.replace(
+        cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"record x22 polynomial X11 \+ X12 is not "
+                             r"root-weight homogeneous"):
+        partition_census(2, 3, catalog=bad_cat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classify_invariant_under_simple_root_scaling(catalogs, data):
+    # the invariant the sliced census rests on, through the scalar path:
+    # x_ij -> (s_i...s_j) x_ij moves no point to another catalog set
+    n = data.draw(st.sampled_from((3, 4)))
+    q = data.draw(st.sampled_from((7, 11)))
+    coord = st.one_of(st.just(0), st.integers(1, q - 1))
+    vec = [data.draw(coord) for _ in pos_roots(n)]
+    s = [data.draw(st.integers(1, q - 1)) for _ in range(n)]
+    scaled = []
+    for (i, j), v in zip(pos_roots(n), vec):
+        for k in range(i - 1, j):
+            v = v * s[k] % q
+        scaled.append(v)
+    m = NilElement.from_vector(n, [Fp(v, q) for v in vec])
+    m_scaled = NilElement.from_vector(n, [Fp(v, q) for v in scaled])
+    assert (classify(n, m, catalogs[n]).orbit_id
+            == classify(n, m_scaled, catalogs[n]).orbit_id)
+
+
+def test_census_rank4_q7_covers_every_orbit(catalogs):
+    counts = partition_census(4, 7, budget=7**10, catalog=catalogs[4])
+    assert sum(1 for v in counts.values() if v) == 61
+    assert sum(counts.values()) == 7**10
