@@ -411,7 +411,8 @@ class LaurentPoly:
         return total
 
     def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
-        """Exact F_p evaluation; negative exponent at zero raises EvaluationError."""
+        """Exact F_p evaluation; negative exponent at zero raises
+        EvaluationError, a coefficient undefined mod p SchemaError."""
         missing = self.used_vars() - set(point)
         if missing:
             raise SchemaError(f"unbound variables {sorted(missing)}")
@@ -432,6 +433,8 @@ class LaurentPoly:
                     x = pow(x, -1, p)
                     e = -e
                 t = (t * pow(x, e, p)) % p
+            if c.denominator % p == 0:
+                raise SchemaError(f"coefficient {c} is undefined mod {p}")
             cm = (c.numerator * pow(c.denominator, -1, p)) % p
             acc = (acc + t * cm) % p
         return Fp(acc, p)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
 
-from .arith import LaurentFraction, LaurentPoly, parse_poly
-from .errors import CatalogError
+from .arith import LaurentPoly, parse_poly
+from .errors import CatalogError, SchemaError
 from .lie import (NilElement, coordinate_letters, nil_dim, parse_root_token,
                   pos_roots, root_token)
 
@@ -380,13 +380,14 @@ def _parse_printed_set(text: str, n: int):
         if cur.strip():
             target.append(cur)
     allowed = set(x_vars(n)) | set(_PRINTED_ALIASES)
-    alias_env = dict(_PRINTED_ALIASES)
 
     def norm(s: str) -> LaurentPoly:
+        # rename the aliases the polynomial uses; a constant evaluates to a
+        # Fraction
         poly = parse_poly(s, allowed)
-        sub = {a: LaurentFraction(LaurentPoly.var(v))
-               for a, v in alias_env.items()}
-        return poly.subs(sub).num
+        out = poly.eval({v: LaurentPoly.var(_PRINTED_ALIASES.get(v, v))
+                         for v in poly.used_vars()})
+        return out if isinstance(out, LaurentPoly) else LaurentPoly.const(out)
 
     return [norm(s) for s in zero_part], [norm(s) for s in nonzero_part]
 
@@ -454,7 +455,7 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
         else:
             try:
                 pz, pnz = _parse_printed_set(printed, cat.rank)
-            except Exception:
+            except (CatalogError, SchemaError):
                 status = "unparseable"
             else:
                 def signset(polys):

@@ -5,14 +5,19 @@ field (rationals or F_q).  ``partition_census`` counts every catalog set over
 n(F_q) with vectorized evaluation and certifies the exhaustion and
 disjointness of the catalog's defining sets while counting.
 
-The census rests on one invariant, checked before it counts: every catalog
-polynomial is root-weight homogeneous (X_ij weighs alpha_i + ... + alpha_j),
-so which sets contain x does not change under the torus scaling
-x_ij -> (s_i...s_j) x_ij, s in (F_q^*)^n.  A point whose simple coordinates
+The census rests on one invariant, checked before any point is enumerated:
+every catalog polynomial is root-weight homogeneous (X_ij weighs
+alpha_i + ... + alpha_j), so which sets contain x does not change under the
+torus scaling x_ij -> (s_i...s_j) x_ij, s in (F_q^*)^n.  A point whose simple coordinates
 are nonzero exactly on S is the scaling (s_i = x_ii for i in S) of exactly
 one slice point, whose simple coordinates are the indicator of S.  So the
 census classifies the 2^n * q^(d-n) slice points and weights each by
 (q-1)^|S|; the counts are exact, and every point of n(F_q) is still covered.
+
+``torus_slices`` checks the invariant and yields the slice points;
+``match_table`` classifies them.  The census and the closure-order
+certifier (``order._certify``) both enumerate points through that pair and
+nothing else.
 """
 
 from __future__ import annotations
@@ -142,42 +147,24 @@ def eval_poly_on_columns(poly, cols: dict, q: int) -> np.ndarray:
     return acc
 
 
-def record_mask(rec: OrbitRecord, cols: dict, q: int,
-                cache: dict | None = None) -> np.ndarray:
-    """Boolean mask of points satisfying the record's defining conditions."""
-
-    def values(poly):
-        if cache is None:
-            return eval_poly_on_columns(poly, cols, q)
-        key = poly
-        if key not in cache:
-            cache[key] = eval_poly_on_columns(poly, cols, q)
-        return cache[key]
-
-    n_points = next(iter(cols.values())).shape[0]
-    mask = np.ones(n_points, dtype=bool)
-    for poly in rec.zero_set:
-        mask &= values(poly) == 0
-        if not mask.any():
-            return mask
-    for poly in rec.nonzero_set:
-        mask &= values(poly) != 0
-        if not mask.any():
-            return mask
-    return mask
-
-
 def match_table(cat: Catalog, digits: np.ndarray, q: int) -> np.ndarray:
     """Index of the unique matching record for every point (rows of digits);
     raises on unmatched or doubly matched points."""
     cols = {var: digits[:, i].astype(np.int64)
             for i, var in enumerate(x_vars(cat.rank))}
-    cache: dict = {}
+    nonzero: dict = {}                  # polynomial -> value != 0 per point
     n_points = digits.shape[0]
     matched = np.full(n_points, -1, dtype=np.int32)
     count = np.zeros(n_points, dtype=np.int8)
     for idx, rec in enumerate(cat.orbits):
-        mask = record_mask(rec, cols, q, cache)
+        mask = np.ones(n_points, dtype=bool)
+        for poly, want_nonzero in ([(p, False) for p in rec.zero_set]
+                                   + [(p, True) for p in rec.nonzero_set]):
+            if poly not in nonzero:
+                nonzero[poly] = eval_poly_on_columns(poly, cols, q) != 0
+            mask &= nonzero[poly] == want_nonzero
+            if not mask.any():
+                break
         count += mask
         matched[mask] = idx
     if (count == 0).any():
@@ -189,6 +176,35 @@ def match_table(cat: Catalog, digits: np.ndarray, q: int) -> np.ndarray:
         raise DisjointnessError(
             f"point {digits[code].tolist()} over F_{q} matched several records")
     return matched
+
+
+def torus_slices(cat: Catalog, q: int, chunk: int = 1 << 19):
+    """Yield (digits, |S|) blocks covering the torus slices of n(F_q): the
+    points whose simple coordinates are the indicator of a support S, with
+    every non-simple coordinate free (see the module docstring).  First
+    checks that every catalog polynomial is root-weight homogeneous, the
+    invariant that makes a slice point stand for its (q-1)^|S| scalings.
+    ``chunk`` bounds the non-simple coordinate codes per block; the digits
+    array is reused, so a caller must be done with a block before the next."""
+    n = cat.rank
+    for rec in cat.orbits:
+        for poly in rec.zero_set + rec.nonzero_set:
+            if not root_weight_homogeneous(poly, n):
+                raise InternalInconsistencyError(
+                    f"rank {n}: record {rec.id} polynomial "
+                    f"{poly_to_str(poly)} is not root-weight homogeneous, "
+                    f"so torus slicing does not apply")
+    d = nil_dim(n)
+    slice_total = q**(d - n)
+    supports = list(itertools.product((0, 1), repeat=n))
+    for start in range(0, slice_total, chunk):
+        codes = np.arange(start, min(start + chunk, slice_total),
+                          dtype=np.int64)
+        digits = np.empty((codes.shape[0], d), dtype=np.int64)
+        digits[:, n:] = decode_points(codes, d - n, q)
+        for support in supports:
+            digits[:, :n] = support      # pos_roots lists simple roots first
+            yield digits, sum(support)
 
 
 def partition_census(n: int, q: int, budget: int = CENSUS_BUDGET,
@@ -206,28 +222,12 @@ def partition_census(n: int, q: int, budget: int = CENSUS_BUDGET,
     total = q**d
     if total > budget:
         raise BudgetExceededError(total, budget)
-    for rec in cat.orbits:
-        for poly in rec.zero_set + rec.nonzero_set:
-            if not root_weight_homogeneous(poly, n):
-                raise InternalInconsistencyError(
-                    f"rank {n}: record {rec.id} polynomial "
-                    f"{poly_to_str(poly)} is not root-weight homogeneous, "
-                    f"so the torus-sliced census does not apply")
     counts = {rec.id: 0 for rec in cat.orbits}
     ids = [rec.id for rec in cat.orbits]
-    supports = list(itertools.product((0, 1), repeat=n))
-    slice_total = q**(d - n)
-    for start in range(0, slice_total, chunk):
-        codes = np.arange(start, min(start + chunk, slice_total),
-                          dtype=np.int64)
-        digits = np.empty((codes.shape[0], d), dtype=np.int64)
-        digits[:, n:] = decode_points(codes, d - n, q)
-        for support in supports:
-            digits[:, :n] = support      # pos_roots lists simple roots first
-            weight = (q - 1) ** sum(support)
-            matched = match_table(cat, digits, q)
-            for idx, cnt in zip(*np.unique(matched, return_counts=True)):
-                counts[ids[int(idx)]] += int(cnt) * weight
+    for digits, size in torus_slices(cat, q, chunk):
+        matched = match_table(cat, digits, q)
+        for idx, cnt in zip(*np.unique(matched, return_counts=True)):
+            counts[ids[int(idx)]] += int(cnt) * (q - 1) ** size
     counted = sum(counts.values())
     if counted != total:
         raise InternalInconsistencyError(

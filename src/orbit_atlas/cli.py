@@ -278,18 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "Borel-orbit decompositions of nilradicals, types A1-A4.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, budget_default):
+    def common(p, budget_default=None):
         p.add_argument("--type", required=True, help="A1|A2|A3|A4")
-        p.add_argument("--budget", type=int, default=budget_default,
-                       help="point-count ceiling for enumerations")
+        if budget_default is not None:
+            p.add_argument("--budget", type=int, default=budget_default,
+                           help="point-count ceiling for enumerations")
 
     p = sub.add_parser("orbits", help="dump the catalog with validation")
-    common(p, CENSUS_BUDGET)
+    common(p)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_orbits)
 
     p = sub.add_parser("classify", help="classify one point")
-    common(p, CENSUS_BUDGET)
+    common(p)
     p.add_argument("--point", required=True,
                    help="comma-separated coordinates in canonical root order")
     p.add_argument("--mod", type=int, default=None,
@@ -307,17 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("dims", help="Jacobian dimension audit")
-    common(p, CENSUS_BUDGET)
+    common(p)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("hasse", help="closure order and DOT diagram")
-    common(p, CENSUS_BUDGET)
+    common(p)
     p.add_argument("--dot", default=None, help="write DOT to this file")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
     p.set_defaults(fn=cmd_hasse)
 
     p = sub.add_parser("verify", help="forward containment and witnesses")
-    common(p, CENSUS_BUDGET)
+    common(p)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_verify)
 

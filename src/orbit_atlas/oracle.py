@@ -103,12 +103,6 @@ class OrbitPartition:
     def class_count(self) -> int:
         return len(self.reps)
 
-    def rep_element(self, class_idx: int) -> NilElement:
-        digits = decode_points(np.array([self.reps[class_idx]]),
-                               nil_dim(self.rank), self.q)[0]
-        return NilElement.from_vector(
-            self.rank, [Fp(int(v), self.q) for v in digits])
-
 
 def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPartition:
     """BFS closure of every point under the generator maps; classes are

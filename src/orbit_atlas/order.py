@@ -9,9 +9,13 @@ set describes the closure only up to extra components, and for a handful of
 records a dependent quadratic that vanishes on the orbit separates those
 components.)  A generator vanishes on S_i exactly when its normal form is
 zero after substituting S_i's dense parametrization, so the symbolic layer
-is decisive; the finite-field layer certifies every answer, producing an
-explicit counterexample point for every non-relation and re-checking every
-asserted relation on all rational points.
+is decisive.  The finite-field layer certifies every answer on the census's
+torus slices (``classify.torus_slices``, classified by
+``classify.match_table``) as one per-point equality: j's certified
+generators all vanish at x exactly when x's record lies below j.  That
+re-checks every asserted relation, guards every generating set against
+missing components, and yields an explicit counterexample point for every
+non-relation.
 
 ``hasse`` decides every ordered pair through ``closure_leq`` with a
 ``PullbackMemo`` that lives only for that call: each record's dense
@@ -28,9 +32,9 @@ import numpy as np
 
 from .arith import LaurentFraction, LaurentPoly
 from .catalog import Catalog, OrbitRecord, letter_of_var, load_catalog, x_vars
-from .classify import decode_points, record_mask, eval_poly_on_columns
+from .classify import eval_poly_on_columns, match_table, torus_slices
 from .errors import CatalogError, InternalInconsistencyError, SchemaError
-from .lie import conjugate_nil, generic_borel_matrices, nil_dim, pos_roots
+from .lie import conjugate_nil, generic_borel_matrices, pos_roots
 
 CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
@@ -160,74 +164,68 @@ class HassePoset:
 def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     """Finite-field certification of the relation matrix.
 
-    For every asserted relation a <= b, no rational point of S_a may violate
-    a certified vanishing polynomial of b; every non-relation must exhibit a
-    violating point in some tested field.  Additionally every rational point
-    of Z(b's certified generators) must belong to some S_a with a <= b, which
-    guards against an insufficiently augmented generating set."""
-    counterexamples: dict = {}
+    At every torus-slice point x of n(F_q) (see ``classify.torus_slices``),
+    with m(x) the record whose set contains x, the certified generators of b
+    must all vanish at x exactly when m(x) <= b.  That one equality holds
+    three checks at once: b's generators vanish on S_a for every a <= b, a
+    point of S_a with a not <= b violates one of them, and Z(b's generators)
+    lies in the union of the S_a with a <= b, which guards against an
+    insufficiently augmented generating set.  Both sides are constant on
+    torus orbits (every generator is a catalog polynomial, whose weights
+    ``torus_slices`` checks), so the slices cover every point.  Each
+    non-relation (a, b) takes the first slice point of S_a over the first
+    field where S_a has one, and the first generator of b nonzero there."""
     ids = [rec.id for rec in cat.orbits]
-    idx_of = {rid: k for k, rid in enumerate(ids)}
-    d = nil_dim(cat.rank)
-    want = {(a, b) for a in ids for b in ids if a != b and not leq[(a, b)]}
+    below = np.array([[leq[(a, b)] for b in ids] for a in ids])
+    pool = list(dict.fromkeys(p for b in ids for p, _ in generators[b]))
+    col = {p: k for k, p in enumerate(pool)}
+    gen_cols = [[col[p] for p, _ in generators[b]] for b in ids]
+    uses = np.zeros((len(ids), len(pool)), dtype=bool)
+    for b, ks in enumerate(gen_cols):
+        uses[b, ks] = True
+
+    def first_nonzero(b, nonzero_row):
+        k = next(i for i, c in enumerate(gen_cols[b]) if nonzero_row[c])
+        return generators[ids[b]][k][1]
+
+    counterexamples: dict = {}
+    witnessed = np.zeros(len(ids), dtype=bool)
     for q in qs:
-        total = q**d
-        digits = decode_points(np.arange(total, dtype=np.int64), d, q)
-        cols = {var: digits[:, k].astype(np.int64)
-                for k, var in enumerate(x_vars(cat.rank))}
-        cache: dict = {}
-        masks = {rec.id: record_mask(rec, cols, q, cache) for rec in cat.orbits}
-        zero_vals = {}
-        zset_mask = {}
-        for rec in cat.orbits:
-            zs = []
-            zmask = np.ones(total, dtype=bool)
-            for poly, s in generators[rec.id]:
-                if poly not in cache:
-                    cache[poly] = eval_poly_on_columns(poly, cols, q)
-                zs.append((cache[poly], s))
-                zmask &= cache[poly] == 0
-            zero_vals[rec.id] = zs
-            zset_mask[rec.id] = zmask
-        for a in ids:
-            mask_a = masks[a]
-            if not mask_a.any():
-                continue
-            for b in ids:
-                if a == b:
-                    continue
-                if leq[(a, b)]:
-                    for vals, s in zero_vals[b]:
-                        if (vals[mask_a] != 0).any():
-                            raise InternalInconsistencyError(
-                                f"{a} <= {b} symbolically but generator {s} "
-                                f"is nonzero on S_{a}(F_{q})")
-                elif (a, b) in want:
-                    for vals, s in zero_vals[b]:
-                        viol = mask_a & (vals != 0)
-                        if viol.any():
-                            pt = digits[int(np.argmax(viol))].tolist()
-                            counterexamples[(a, b)] = (q, pt, s)
-                            want.discard((a, b))
-                            break
-        # sufficiency guard: Z(certified generators of b) splits into exactly
-        # the defining sets of the records below b
-        for b in ids:
-            allowed = np.zeros(total, dtype=bool)
-            for a in ids:
-                if leq[(a, b)]:
-                    allowed |= masks[a]
-            stray = zset_mask[b] & ~allowed
-            if stray.any():
-                pt = digits[int(np.argmax(stray))].tolist()
+        for digits, _ in torus_slices(cat, q):
+            matched = match_table(cat, digits, q)
+            cols = dict(zip(x_vars(cat.rank), digits.T))
+            nonzero = np.stack([eval_poly_on_columns(p, cols, q) != 0
+                                for p in pool], axis=1)
+            vanish = ~(nonzero @ uses.T)            # points x records
+            mismatch = vanish != below[matched]
+            if mismatch.any():
+                row, b = (int(i) for i in np.argwhere(mismatch)[0])
+                a, pt = ids[matched[row]], digits[row].tolist()
+                if vanish[row, b]:
+                    raise InternalInconsistencyError(
+                        f"every certified generator of {ids[b]} vanishes at "
+                        f"point {pt} of S_{a}(F_{q}), but {a} <= {ids[b]} is "
+                        f"not asserted: the relation is missing or the "
+                        f"closure generating set for {ids[b]} is incomplete")
                 raise InternalInconsistencyError(
-                    f"point {pt} of F_{q} lies in the certified zero set of "
-                    f"{b} but in no orbit below it; the closure generating "
-                    f"set for {b} is incomplete")
-    if want:
+                    f"{a} <= {ids[b]} symbolically but generator "
+                    f"{first_nonzero(b, nonzero[row])} is nonzero at point "
+                    f"{pt} of S_{a}(F_{q})")
+            records, rows = np.unique(matched, return_index=True)
+            for a, row in zip(records.tolist(), rows.tolist()):
+                if witnessed[a]:
+                    continue
+                witnessed[a] = True
+                pt = digits[row].tolist()
+                for b in np.flatnonzero(~below[a]).tolist():
+                    counterexamples[(ids[a], ids[b])] = (
+                        q, pt, first_nonzero(b, nonzero[row]))
+    unwitnessed = [ids[a] for a in np.flatnonzero(~witnessed
+                                                   & ~below.all(axis=1))]
+    if unwitnessed:
         raise InternalInconsistencyError(
-            f"no finite-field counterexample found for non-relations: "
-            f"{sorted(want)[:5]}")
+            f"no finite-field counterexample found for the non-relations of "
+            f"{unwitnessed[:5]}: no point over F_q for q in {tuple(qs)}")
     return counterexamples
 
 

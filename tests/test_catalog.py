@@ -183,3 +183,17 @@ def test_validate_flags_weight_inhomogeneous_polynomial(catalogs):
     report = validate_catalog(bad_cat)
     assert [r.orbit_id for r in report.records if not r.homogeneous] == ["x22"]
     assert not report.ok
+
+
+@pytest.mark.parametrize("garbled", ["Z(X11 +* X22) & V(X12)",
+                                     "W(X11)", "Z(X11, Y7) & V(X22)"])
+def test_garbled_printed_set_reports_unparseable(catalogs, garbled):
+    cat = catalogs[2]
+    rec = cat.by_id("x22")
+    bad = dataclasses.replace(rec, as_printed={**rec.as_printed,
+                                               "set": garbled})
+    bad_cat = dataclasses.replace(
+        cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
+    report = validate_catalog(bad_cat)
+    status = {r.orbit_id: r.printed_set_status for r in report.records}
+    assert status["x22"] == "unparseable"

@@ -176,6 +176,17 @@ def test_eval_kernel_rejects_coefficient_undefined_mod_q():
         eval_poly_on_columns(poly, cols, 2)
 
 
+def test_coefficient_undefined_mod_q_is_schema_error_on_both_paths(catalogs):
+    # the scalar member path and the vectorised kernel refuse alike
+    poly = Fraction(1, 2) * LaurentPoly.var("X11")
+    rec = dataclasses.replace(catalogs[1].by_id("x11"), zero_set=(poly,),
+                              nonzero_set=())
+    with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
+        member(rec, NilElement.from_vector(1, [Fp(1, 2)]))
+    with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
+        eval_poly_on_columns(poly, {"X11": np.arange(2, dtype=np.int64)}, 2)
+
+
 def _full_enumeration_census(cat, n, q):
     # reference: classify every one of the q^d points, no torus slicing
     d = nil_dim(n)

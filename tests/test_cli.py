@@ -149,3 +149,12 @@ def test_internal_inconsistency_is_check_failure(capsys, monkeypatch, argv,
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "check failed: layers disagree at F_3" in err
+
+
+@pytest.mark.parametrize("argv", [["orbits"], ["classify", "--point", "0"],
+                                  ["dims"], ["hasse"], ["verify"]])
+def test_budget_flag_only_where_points_are_enumerated(capsys, argv):
+    code, out, err = run(capsys, *argv, "--type", "A1", "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --budget 5" in err

@@ -2,8 +2,13 @@
 
 import pytest
 
-from orbit_atlas.order import (closure_generators, closure_leq, emit_dot,
-                               hasse, poset_json)
+from orbit_atlas.arith import Fp
+from orbit_atlas.catalog import x_vars
+from orbit_atlas.classify import member
+from orbit_atlas.errors import InternalInconsistencyError
+from orbit_atlas.lie import NilElement
+from orbit_atlas.order import (CERT_FIELDS, _certify, closure_generators,
+                               closure_leq, emit_dot, hasse, poset_json)
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +132,55 @@ def test_derived_poset_shapes_are_stable(posets):
     relations3 = sum(1 for a in posets[3].nodes for b in posets[3].nodes
                      if posets[3].less(a, b))
     assert relations3 == 16 * 15 - 153      # 153 certified non-relations
+
+
+def _uncertified(n, cat):
+    poset = hasse(n, cat, certify=False)
+    return dict(poset.leq), closure_generators(cat)
+
+
+@pytest.mark.parametrize("a, b, flipped_to, message", [
+    # an asserted relation denied
+    ("x12+x23", "x11+x33", False,
+     r"every certified generator of x11\+x33 vanishes at point "
+     r"\[0, 0, 0, 1, 1, 0\] of S_x12\+x23\(F_3\)"),
+    # a non-relation asserted
+    ("x11", "x33", True,
+     r"x11 <= x33 symbolically but generator X11 is nonzero at point "
+     r"\[1, 0, 0, 0, 0, 0\] of S_x11\(F_3\)"),
+])
+def test_certify_rejects_flipped_relation_rank3(catalogs, a, b, flipped_to,
+                                                message):
+    cat = catalogs[3]
+    leq, gens = _uncertified(3, cat)
+    assert leq[(a, b)] is not flipped_to
+    leq[(a, b)] = flipped_to
+    with pytest.raises(InternalInconsistencyError, match=message):
+        _certify(cat, leq, gens, CERT_FIELDS[3])
+
+
+def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
+    cat = catalogs[4]
+    leq, gens = _uncertified(4, cat)
+    kept = [(p, s) for p, s in gens["x22"] if s != "X13*X24 - X23*X14"]
+    assert len(kept) == len(gens["x22"]) - 1
+    gens["x22"] = kept
+    with pytest.raises(InternalInconsistencyError):
+        _certify(cat, leq, gens, CERT_FIELDS[4])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_counterexamples_sound_through_scalar_path(n, catalogs):
+    cat = catalogs[n]
+    poset = hasse(n, cat)
+    gens = closure_generators(cat)
+    non_relations = {(a, b) for a in poset.nodes for b in poset.nodes
+                     if a != b and not poset.leq[(a, b)]}
+    assert set(poset.counterexamples) == non_relations
+    for (a, b), (q, pt, s) in poset.counterexamples.items():
+        m = NilElement.from_vector(n, [Fp(v, q) for v in pt])
+        assert member(cat.by_id(a), m)
+        poly = next(p for p, ps in gens[b] if ps == s)
+        env = {var: Fp(v, q) for var, v in zip(x_vars(n), pt)}
+        assert not poly.eval_mod_p(env, q).is_zero()
+
