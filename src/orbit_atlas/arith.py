@@ -573,45 +573,51 @@ def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
 # fractions
 
 
-_DIV_TERM_CAP = 512
-
-
 def _exact_divide(num: LaurentPoly, den: LaurentPoly):
-    """num / den when the division is exact, else None.  Lead-term division in
-    lexicographic order; iteration-capped so pathological inputs fall back to
-    fraction form instead of diverging."""
+    """num / den when den divides num, else None: decided exactly.
+
+    If num = q*den, then per variable v the highest and the lowest v-degrees
+    add (Newt(fg) = Newt(f) + Newt(g) in one variable), so every term of q
+    lies in the box [min_v(num) - min_v(den), max_v(num) - max_v(den)].  Lex
+    lead-term division of an exact multiple yields exactly q's terms, so a
+    quotient term outside the box proves den does not divide num.  Quotient
+    terms fall strictly in lex order inside the finite box: the loop ends."""
     if den.is_zero():
         return None
     if den.is_monomial():
         return num * den.monomial_inverse()
-    if len(num.terms) > _DIV_TERM_CAP:
-        return None
     vars, a, b = num._aligned(den)
-    num = LaurentPoly(vars, a)
-    den = LaurentPoly(vars, b)
-    lead_den = max(den.terms)
-    cd = den.terms[lead_den]
+    if not a:
+        return LaurentPoly(vars)
+    lo = [min(e[i] for e in a) - min(e[i] for e in b) for i in range(len(vars))]
+    hi = [max(e[i] for e in a) - max(e[i] for e in b) for i in range(len(vars))]
+    lead_den = max(b)
+    cd = b[lead_den]
     quo: dict[tuple[int, ...], Fraction] = {}
-    rem = num
-    steps = len(num.terms) * len(den.terms) + 64
-    while not rem.is_zero() and steps > 0:
-        steps -= 1
-        lead = max(rem.terms)
+    rem = dict(a)
+    while rem:
+        lead = max(rem)
         t_exp = tuple(x - y for x, y in zip(lead, lead_den))
-        t_c = rem.terms[lead] / cd
-        quo[t_exp] = quo.get(t_exp, Fraction(0)) + t_c
-        rem = rem - LaurentPoly(vars, {t_exp: t_c}) * den
-    if rem.is_zero():
-        return LaurentPoly(vars, quo)
-    return None
+        if not all(l <= t <= h for l, t, h in zip(lo, t_exp, hi)):
+            return None
+        t_c = rem[lead] / cd
+        quo[t_exp] = t_c
+        for e, c in b.items():
+            key = tuple(x + y for x, y in zip(t_exp, e))
+            s = rem.pop(key, 0) - t_c * c
+            if s:
+                rem[key] = s
+    return LaurentPoly(vars, quo)
 
 
 class LaurentFraction:
     """Quotient of Laurent polynomials in canonical form.
 
     Canonicalization: zero numerator forces denominator 1; common monomial
-    content is moved into the numerator; an exact-division attempt clears
-    removable denominators; the denominator's leading coefficient is scaled
+    content is moved into the numerator; a denominator that divides the
+    numerator is divided out (``_exact_divide`` decides this exactly, so a
+    non-constant denominator left standing does not divide the numerator,
+    though no gcd is taken); the denominator's leading coefficient is scaled
     to 1.  Equality is decided by cross-multiplication.
     """
 

@@ -244,14 +244,14 @@ def cmd_check_all(args) -> int:
         for q in ORACLE_DEFAULT_QS[n]:
             part = enumerate_borel_orbits(n, q, budget=args.budget)
             stability_check(part)
-            report = refine_check(n, q, partition=part)
+            report = refine_check(n, q, catalog=cat, partition=part)
             if not report.ok:
                 return False, report.violations[0]
             notes.append(f"q={q}:{part.class_count}cls")
         return True, " ".join(notes)
 
     def order_check():
-        poset = hasse(n)
+        poset = hasse(n, cat)
         return True, f"{len(poset.covers)} cover edges"
 
     def witness_check():

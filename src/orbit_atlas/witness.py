@@ -9,7 +9,10 @@ member m, with adjoint(word, representative) required to equal m exactly.
 Coordinate letters inside templates denote 60th powers: a general member's
 free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
 fractional power of a coordinate into an integral Laurent exponent.
-Composite radicands get formal radical variables from the record's tower.
+Composite (never monomial) radicands get formal radical variables from the
+record's tower.  Every factorization runs through one exact trial-division
+loop, ``_peel``.  ``verify_witness_numeric`` (random points over F_p) is a
+cross-check; no verdict of ``verify_rank`` rests on it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
-                    _exact_divide, _rational_root, eval_expr, kth_roots,
-                    parse_expr, parse_poly, poly_to_str)
+                    _exact_divide, _frac_pow, _rational_root, eval_expr,
+                    kth_roots, parse_expr, parse_poly, poly_to_str)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, WitnessRadical,
                       WitnessTemplate, letter_of_var, parse_printed_word,
                       x_vars)
@@ -97,6 +100,9 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
         if not val.is_poly():
             raise SchemaError(
                 f"radicand {rad.radicand!r} is not polynomial after constraints")
+        if val.num.is_monomial():       # a unit: peeling it would never end
+            raise SchemaError(f"record {rec.id}: radicand {rad.radicand!r} of "
+                              f"radical {rad.name} is a monomial")
         tower.append(RadicalRelation(rad.name, rad.order, val.num))
         env[rad.name] = LaurentFraction(LaurentPoly.var(rad.name))
     target = {}
@@ -112,13 +118,10 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
         else:
             protected_polys.append(num)
     for rel in tower:
-        if not rel.radicand.is_monomial():
-            # radicands are nonvanishing on the domain by the template contract
-            if all(rel.radicand.items() != q.items() and
-                   (-rel.radicand).items() != q.items() for q in protected_polys):
-                protected_polys.append(rel.radicand)
-        else:
-            protected_letters |= rel.radicand.used_vars()
+        # radicands are nonvanishing on the domain by the template contract
+        if all(rel.radicand.items() != q.items() and
+               (-rel.radicand).items() != q.items() for q in protected_polys):
+            protected_polys.append(rel.radicand)
     return MemberEnv(rec, env, tower, target, free, solved,
                      protected_polys, protected_letters)
 
@@ -127,22 +130,29 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
 # tower-aware fractional powers
 
 
+def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
+    """(cofactor, multiplicities): each divisor divided out of p as often as
+    it goes, in list order.  A divisor that has stopped dividing p divides no
+    p/d either, so restarting from the first divisor changes nothing.  p must
+    be nonzero and the divisors non-monomial (a unit divides everything)."""
+    mults = []
+    for d in divisors:
+        mult = 0
+        while (q := _exact_divide(p, d)) is not None:
+            p, mult = q, mult + 1
+        mults.append(mult)
+    return p, mults
+
+
 def make_frac_pow(tower):
     """Fractional-power hook that peels tower radicands off composite bases."""
 
     def poly_power(p: LaurentPoly, e: Fraction) -> LaurentFraction:
-        from .arith import _frac_pow
         if p.is_zero():
             raise SchemaError("fractional power of zero")
+        p, mults = _peel(p, [rel.radicand for rel in tower])
         factors = LaurentFraction(1)
-        for rel in tower:
-            mult = 0
-            while True:
-                q = _exact_divide(p, rel.radicand)
-                if q is None:
-                    break
-                p = q
-                mult += 1
+        for rel, mult in zip(tower, mults):
             if mult:
                 total = Fraction(rel.order * mult) * e
                 if total.denominator != 1:
@@ -225,7 +235,12 @@ def verify_witness_symbolic(rec: OrbitRecord, use_printed: bool = False,
     ``power`` may be any common multiple of the occurring root orders; the
     result must not depend on it.
     """
-    menv = build_member_env(rec, power=power)
+    return _verify_layer(rec, build_member_env(rec, power=power), use_printed)
+
+
+def _verify_layer(rec: OrbitRecord, menv: MemberEnv,
+                  use_printed: bool) -> WitnessVerdict:
+    """One layer of ``verify_witness_symbolic`` against a built member."""
     if use_printed:
         text = rec.as_printed.get("word", "")
         if not text:
@@ -266,9 +281,11 @@ def verify_witness_symbolic(rec: OrbitRecord, use_printed: bool = False,
 
 
 def classify_verdict(rec: OrbitRecord) -> WitnessVerdict:
-    """Full per-record verdict: printed layer, normalized layer, repair notes."""
-    printed = verify_witness_symbolic(rec, use_printed=True)
-    normalized = verify_witness_symbolic(rec)
+    """Full per-record verdict: printed layer, normalized layer, repair notes.
+    Both layers are checked against one general member."""
+    menv = build_member_env(rec)
+    printed = _verify_layer(rec, menv, use_printed=True)
+    normalized = _verify_layer(rec, menv, use_printed=False)
     repairs = rec.witness_repairs()
     if normalized.status != VERIFIED_SYMBOLIC:
         return WitnessVerdict(rec.id, normalized.status,
@@ -459,22 +476,11 @@ def forward_containment(rec: OrbitRecord, p: int = 101) -> ForwardReport:
 def _unit_factor(num: LaurentPoly, menv: MemberEnv) -> bool:
     """True when num factors as sign * monomial(protected letters/radicals)
     * product of protected polynomials."""
-    p = num
-    if p.is_zero():
+    if num.is_zero():
         return False
-    progress = True
-    while progress and not p.is_monomial():
-        progress = False
-        for prot in menv.protected_polys:
-            q = _exact_divide(p, prot)
-            if q is not None:
-                p = q
-                progress = True
-                break
-    if not p.is_monomial():
-        return False
+    p, _ = _peel(num, menv.protected_polys)
     allowed = set(menv.protected_letters) | {r.new_var for r in menv.tower}
-    return p.used_vars() <= allowed
+    return p.is_monomial() and p.used_vars() <= allowed
 
 
 def witness_domain_sound(rec: OrbitRecord) -> bool:
@@ -567,26 +573,15 @@ def _fraction_to_template(frac: LaurentFraction, menv: MemberEnv) -> str:
 def _unit_decompose(value: LaurentFraction, menv: MemberEnv):
     """Write a domain unit as coeff * prod(letter^e) * prod(protected_poly^m);
     returns (coeff, {letter: e}, {poly index: m}) or None."""
-    num, den = value.num, value.den
-    if num.is_zero():
+    if value.num.is_zero():
         return None
+    num, num_mults = _peel(value.num, menv.protected_polys)
+    den, den_mults = _peel(value.den, menv.protected_polys)
     powers = {}
-
-    def peel(p: LaurentPoly, sign: int):
-        changed = True
-        while changed and not p.is_monomial():
-            changed = False
-            for idx, prot in enumerate(menv.protected_polys):
-                q = _exact_divide(p, prot)
-                if q is not None:
-                    powers[idx] = powers.get(idx, 0) + sign
-                    p = q
-                    changed = True
-                    break
-        return p
-
-    num = peel(num, +1)
-    den = peel(den, -1)
+    for sign, mults in ((1, num_mults), (-1, den_mults)):
+        for idx, m in enumerate(mults):
+            if m:
+                powers[idx] = powers.get(idx, 0) + sign * m
     if not (num.is_monomial() and den.is_monomial()):
         return None
     mono = num * den.monomial_inverse()
@@ -836,21 +831,11 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def verify_rank(cat: Catalog, numeric_fallback: bool = True,
-                numeric_primes=(61, 181), numeric_trials: int = 100) -> WitnessReport:
+def verify_rank(cat: Catalog) -> WitnessReport:
+    """Forward containment and the symbolic verdict of every record."""
     verdicts = []
     forward = []
     for rec in cat.orbits:
         forward.append(forward_containment(rec))
-        v = classify_verdict(rec)
-        if not v.certified and numeric_fallback:
-            numeric = [verify_witness_numeric(rec, p, numeric_trials)
-                       for p in numeric_primes]
-            if all(x.status == VERIFIED_NUMERIC for x in numeric):
-                v = WitnessVerdict(rec.id, VERIFIED_NUMERIC,
-                                   as_printed=v.as_printed,
-                                   detail=f"{numeric_trials} points at each of "
-                                          f"{list(numeric_primes)}",
-                                   repairs=v.repairs)
-        verdicts.append(v)
+        verdicts.append(classify_verdict(rec))
     return WitnessReport(cat.rank, verdicts, forward)

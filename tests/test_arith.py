@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly,
-                               RadicalRelation, _rational_root, eval_expr,
+                               RadicalRelation, _exact_divide, _rational_root,
+                               eval_expr,
                                kth_roots, normalize, parse_expr, parse_poly,
                                poly_to_str, primitive_root)
 from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
@@ -235,3 +236,44 @@ def test_rational_root_is_exact_on_large_integers():
                  (Fraction(-4), Fraction(1, 2))):
         with pytest.raises(SchemaError):
             _rational_root(c, e)
+
+
+# ---------------------------------------------------------------------------
+# exact division decided by the degree box
+
+
+def test_exact_divide_returns_large_quotients():
+    # 680 quotient terms: more than any term cap, and still exact
+    q = parse_poly("a + b + c + 1") ** 14
+    d = parse_poly("a + 1")
+    assert len(q.terms) == 680
+    assert _exact_divide(q * d, d) == q
+
+
+def test_exact_divide_empty_box():
+    # deg_x(num) - deg_x(den) = -1: no quotient term can exist
+    assert _exact_divide(parse_poly("x^2 + 1"), parse_poly("x^3 + 1")) is None
+
+
+def test_exact_divide_first_quotient_term_leaves_box():
+    # box: x in [0, 0], y in [0, 1]; the first lex quotient term x/(x*y)
+    # has y-degree -1
+    assert _exact_divide(parse_poly("x + y^2"), parse_poly("x*y + 1")) is None
+
+
+def test_exact_divide_laurent_and_monomial_divisors():
+    x, y = V("x"), V("y")
+    num = (x * V("y", -2) + 3) * (V("x", -1) - y)
+    assert _exact_divide(num, V("x", -1) - y) == x * V("y", -2) + 3
+    assert _exact_divide(num, V("y", 5)) == num * V("y", -5)
+    assert _exact_divide(num, LaurentPoly()) is None
+    assert _exact_divide(LaurentPoly(), x + y) == LaurentPoly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_strategy, poly_strategy, poly_strategy)
+def test_exact_divide_decides_divisibility(p, d, n):
+    assume(not d.is_zero())
+    assert _exact_divide(p * d, d) == p
+    q = _exact_divide(n, d)
+    assert q is None or q * d == n

@@ -158,3 +158,17 @@ def test_budget_flag_only_where_points_are_enumerated(capsys, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --budget 5" in err
+
+
+def test_check_all_loads_the_catalog_once(capsys, monkeypatch):
+    code, want, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 0
+
+    def reload(*args, **kwargs):
+        raise AssertionError("catalog reloaded")
+
+    for module in ("classify", "oracle", "order"):
+        monkeypatch.setattr(f"orbit_atlas.{module}.load_catalog", reload)
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 0
+    assert out == want

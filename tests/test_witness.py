@@ -1,13 +1,19 @@
 """Witness verification: forward containment, symbolic and numeric checks,
 repairs, and the solver."""
 
+import dataclasses
+import json
+
 import pytest
 
-from orbit_atlas.catalog import WitnessTemplate
-from orbit_atlas.errors import DomainError
+from orbit_atlas import witness
+from orbit_atlas.arith import parse_poly
+from orbit_atlas.catalog import WitnessRadical, WitnessTemplate, serialize_catalog
+from orbit_atlas.cli import main
+from orbit_atlas.errors import DomainError, SchemaError
 from orbit_atlas.lie import fixing_root_groups, pos_roots
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
-                                 VERIFIED_NUMERIC, VERIFIED_SYMBOLIC,
+                                 VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
                                  build_member_env, classify_verdict,
                                  forward_containment, solve_witness,
                                  template_power, verify_witness_numeric,
@@ -169,3 +175,54 @@ def test_member_env_solves_constraints(catalogs):
                      "X13", "X24", "X14"),
                     ("q", "r", "s", "t", "u", "v", "w", "x", "y", "z"))}
         assert poly.subs(subs).is_zero()
+
+
+def test_peel_exhausts_divisors_in_list_order():
+    a1, b1, c2 = (parse_poly(t) for t in ("a + 1", "b + 1", "c + 2"))
+    shared = a1 * b1                   # shares the factor a + 1 with a1
+    p = shared * a1 ** 2 * c2
+    assert _peel(p, [shared, a1]) == (c2, [1, 2])
+    assert _peel(p, [a1, shared]) == (b1 * c2, [3, 0])
+    assert _peel(c2, [shared, a1]) == (c2, [0, 0])
+
+
+def _with_monomial_radicand(rec):
+    radical = WitnessRadical("R", 2, "z")
+    return dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, radicals=rec.witness.radicals + (radical,)))
+
+
+def test_monomial_radicand_is_rejected(catalogs):
+    # peeling the unit z^60 off a base would never end
+    rec = _with_monomial_radicand(catalogs[2].by_id("x11+x22"))
+    with pytest.raises(SchemaError, match=r"x11\+x22.*radical R"):
+        build_member_env(rec)
+
+
+def test_monomial_radicand_fails_verify_and_check_all(tmp_path, monkeypatch,
+                                                      capsys, catalogs):
+    cat = catalogs[2]
+    orbits = tuple(_with_monomial_radicand(r) if r.id == "x11+x22" else r
+                   for r in cat.orbits)
+    doc = serialize_catalog(dataclasses.replace(cat, orbits=orbits))
+    assert json.loads(doc)["orbits"][-1]["witness"]["radicals"]
+    (tmp_path / "a2.json").write_text(doc, encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert main(["verify", "--type", "A2"]) == 2
+    assert "radical R is a monomial" in capsys.readouterr().err
+    assert main(["check-all", "--type", "A2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL witnesses: SchemaError: record x11+x22" in out
+
+
+def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
+    built = []
+
+    def counting(rec, *args, **kwargs):
+        built.append(rec.id)
+        return build_member_env(rec, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "build_member_env", counting)
+    for rec in catalogs[3].orbits:
+        classify_verdict(rec)
+    assert built == [rec.id for rec in catalogs[3].orbits]
