@@ -78,14 +78,10 @@ def member(rec: OrbitRecord, m: NilElement) -> bool:
     return True
 
 
-def classify(n: int, m: NilElement, catalog: Catalog | None = None,
-             strict: bool = True) -> ClassificationResult:
-    """Locate the unique catalog record whose defining set contains m.
-
-    ``strict`` scans every record and certifies uniqueness; with it off the
-    scan stops at the first match (legitimate only once the partition
-    invariant has been certified for this rank and field).
-    """
+def classify(n: int, m: NilElement,
+             catalog: Catalog | None = None) -> ClassificationResult:
+    """Locate the unique catalog record whose defining set contains m: every
+    record is scanned, so a second match is a disjointness failure."""
     cat = catalog if catalog is not None else load_catalog(n)
     matches = []
     zero_checked = nonzero_checked = 0
@@ -94,8 +90,6 @@ def classify(n: int, m: NilElement, catalog: Catalog | None = None,
             matches.append(rec)
             zero_checked += len(rec.zero_set)
             nonzero_checked += len(rec.nonzero_set)
-            if not strict:
-                break
     if not matches:
         raise ExhaustionError(f"point {m.as_vector()} matched no record")
     if len(matches) > 1:

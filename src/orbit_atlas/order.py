@@ -1,26 +1,25 @@
 """Closure order on orbits and Hasse diagram emission.
 
-i <= j means the i-th orbit lies in the Zariski closure of the j-th.  The
-symbolic test works with a certified generating set for the functions
-vanishing on each orbit closure: the record's own zero set, augmented by
-every catalog polynomial of the rank whose pullback along the fully generic
-orbit parametrization is identically zero.  (Augmentation matters: a zero
-set describes the closure only up to extra components, and for a handful of
-records a dependent quadratic that vanishes on the orbit separates those
-components.)  A generator vanishes on S_i exactly when its normal form is
-zero after substituting S_i's dense parametrization, so the symbolic layer
-is decisive.  The finite-field layer certifies every answer on the census's
-torus slices (``classify.torus_slices``, classified by
-``classify.match_table``) as one per-point equality: j's certified
-generators all vanish at x exactly when x's record lies below j.  That
-re-checks every asserted relation, guards every generating set against
-missing components, and yields an explicit counterexample point for every
-non-relation.
+a <= b means the orbit O_a lies in the Zariski closure of O_b.  Each record
+b gets a certified generating set V_b for the functions vanishing on its
+orbit closure (``closure_generators``): every catalog polynomial of the rank
+whose pullback along the fully generic orbit parametrization of O_b is
+identically zero.  That is the record's own zero set, which must vanish
+there, augmented by the other such polynomials.  (Augmentation matters: a
+zero set describes the closure only up to extra components, and for a
+handful of records a dependent quadratic that vanishes on the orbit
+separates those components.)
 
-``hasse`` decides every ordered pair through ``closure_leq`` with a
-``PullbackMemo`` that lives only for that call: each record's dense
-parametrization and each (record, generator) pullback zero test is
-computed once per call, not once per pair.  Nothing is cached across calls.
+The symbolic order is set inclusion, a <= b exactly when V_b is a subset of
+V_a (``closure_leq``).  It assumes that V_b cuts out closure(O_b): then O_a
+lies in closure(O_b) = Z(V_b) exactly when every polynomial of V_b vanishes
+on O_a, that is, lies in V_a.  The finite-field layer checks that
+assumption and every answer on the census's torus slices
+(``classify.torus_slices``, classified by ``classify.match_table``) as one
+per-point equality: b's certified generators all vanish at x exactly when
+x's record lies below b.  That re-checks every asserted relation, guards
+every generating set against missing components, and yields an explicit
+counterexample point for every non-relation.
 """
 
 from __future__ import annotations
@@ -30,19 +29,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import LaurentFraction, LaurentPoly
-from .catalog import Catalog, OrbitRecord, letter_of_var, load_catalog, x_vars
+from .arith import LaurentPoly
+from .catalog import Catalog, load_catalog, x_vars
 from .classify import eval_poly_on_columns, match_table, torus_slices
-from .errors import CatalogError, InternalInconsistencyError, SchemaError
+from .errors import CatalogError, InternalInconsistencyError
 from .lie import conjugate_nil, generic_borel_matrices, pos_roots
 
 CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
 
 def closure_generators(cat: Catalog) -> dict:
-    """Certified vanishing polynomials per record: the record's zero set plus
-    every catalog polynomial of this rank that vanishes identically on the
-    fully generic orbit (an exact pullback computation)."""
+    """Certified vanishing polynomials per record: every catalog polynomial
+    of this rank that vanishes identically on the fully generic orbit (an
+    exact pullback computation), the record's zero set first.  A zero-set
+    polynomial that does not vanish there is a catalog inconsistency."""
     pool = []
     seen = set()
     for rec in cat.orbits:
@@ -60,81 +60,27 @@ def closure_generators(cat: Catalog) -> dict:
             c = moved.coord(root)
             coords[var] = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
         gens = list(zip(rec.zero_set, rec.zero_strs))
-        have = set(rec.zero_set)
+        own = dict(gens)
         for poly, s in pool:
-            if poly in have:
-                continue
             value = poly.eval(coords)
             if isinstance(value, Fraction):
                 value = LaurentPoly.const(value)
-            if value.is_zero():
+            if not value.is_zero():
+                if poly in own:
+                    raise InternalInconsistencyError(
+                        f"zero-set polynomial {own[poly]} of record {rec.id} "
+                        f"does not vanish on its generic orbit")
+            elif poly not in own:
                 gens.append((poly, s))
-                have.add(poly)
         out[rec.id] = gens
     return out
 
 
-def _closure_subs(rec: OrbitRecord) -> dict:
-    """X-variable substitutions parametrizing a dense subset of S_rec: linear
-    zero variables go to 0, each nonlinear generator's solve variable to its
-    solution in the remaining coordinates."""
-    subs: dict[str, LaurentFraction] = {}
-    for v in rec.linear_zero_vars():
-        subs[v] = LaurentFraction(0)
-    l_of_v = letter_of_var(rec.rank)
-    v_of_l = {l: v for v, l in l_of_v.items()}
-    for c, poly in zip(rec.witness.constraints, rec.nonlinear_zero()):
-        solve_var = v_of_l[c.solve]
-        lin = poly.derivative(solve_var)
-        if solve_var in lin.used_vars():
-            raise SchemaError(f"{rec.id}: generator not linear in {solve_var}")
-        rest = poly.subs({solve_var: LaurentFraction(0)}).num
-        coeff = lin.subs(subs)
-        if coeff.is_zero():
-            raise SchemaError(f"{rec.id}: solve coefficient vanishes")
-        subs[solve_var] = -(rest.subs(subs)) / coeff
-    return subs
-
-
-class PullbackMemo:
-    """Closure-order pullbacks of one catalog, each computed once: a
-    record's ``_closure_subs`` and the zero test of a generator pulled back
-    along it.  Records are keyed by id, so one memo serves one catalog; hasse()
-    makes a fresh one per call."""
-
-    def __init__(self):
-        self._subs: dict = {}          # record id -> substitutions
-        self._zero: dict = {}          # (record id, generator) -> bool
-
-    def vanish_on(self, rec: OrbitRecord, gens) -> bool:
-        """True when every polynomial of ``gens`` vanishes identically on
-        S_rec; stops at the first one that does not."""
-        if rec.id not in self._subs:
-            self._subs[rec.id] = _closure_subs(rec)
-        subs = self._subs[rec.id]
-        for g in gens:
-            key = (rec.id, g)
-            if key not in self._zero:
-                self._zero[key] = g.subs(subs).is_zero()
-            if not self._zero[key]:
-                return False
-        return True
-
-
-def closure_leq(rec_i: OrbitRecord, rec_j: OrbitRecord,
-                j_generators=None, memo: PullbackMemo | None = None) -> bool:
-    """True when every certified vanishing polynomial of j's orbit closure
-    vanishes identically on S_i.  Without an explicit generator list the
-    record's own zero set is used (sufficient wherever that set cuts out the
-    closure exactly; hasse() always passes the augmented list).  ``memo``
-    reuses pullbacks already computed for the same catalog."""
-    if rec_i.rank != rec_j.rank:
-        raise SchemaError("rank mismatch")
-    if rec_i.id == rec_j.id:
-        return True
-    gens = ([g for g, _ in j_generators] if j_generators is not None
-            else rec_j.zero_set)
-    return (memo if memo is not None else PullbackMemo()).vanish_on(rec_i, gens)
+def closure_leq(vanish_a: frozenset, vanish_b: frozenset) -> bool:
+    """a <= b: every certified generator of b vanishes on the generic orbit
+    of a.  Each argument is the set of pool polynomials vanishing on that
+    record's generic orbit, the generators of ``closure_generators``."""
+    return vanish_b <= vanish_a
 
 
 @dataclass
@@ -229,24 +175,19 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     return counterexamples
 
 
-def hasse(n: int, catalog: Catalog | None = None, qs=None,
-          certify: bool = True) -> HassePoset:
-    """Full closure order from pairwise symbolic tests, certified over the
-    configured finite fields, reduced to cover edges."""
+def hasse(n: int, catalog: Catalog | None = None) -> HassePoset:
+    """Full closure order from pairwise generator-set inclusions, certified
+    over the fields of ``CERT_FIELDS``, reduced to cover edges."""
     cat = catalog if catalog is not None else load_catalog(n)
-    qs = qs if qs is not None else CERT_FIELDS[n]
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
-    by_id = {r.id: r for r in recs}
     generators = closure_generators(cat)
-    memo = PullbackMemo()
-    leq = {}
-    for a in ids:
-        for b in ids:
-            leq[(a, b)] = (closure_leq(by_id[a], by_id[b], generators[b], memo)
-                           if a != b else True)
-    # order sanity: antisymmetry, transitivity, dimension monotonicity
+    vanish = {a: frozenset(p for p, _ in gens) for a, gens in generators.items()}
+    leq = {(a, b): a == b or closure_leq(vanish[a], vanish[b])
+           for a in ids for b in ids}
+    # order sanity (set inclusion is transitive by construction):
+    # antisymmetry and dimension monotonicity
     for a in ids:
         for b in ids:
             if a != b and leq[(a, b)]:
@@ -255,15 +196,7 @@ def hasse(n: int, catalog: Catalog | None = None, qs=None,
                 if dims[a] >= dims[b]:
                     raise CatalogError(
                         f"{a} < {b} but dim {dims[a]} >= {dims[b]}")
-    for a in ids:
-        for b in ids:
-            if not (a != b and leq[(a, b)]):
-                continue
-            for c in ids:
-                if c != a and c != b and leq[(b, c)] and not leq[(a, c)]:
-                    raise CatalogError(
-                        f"closure order not transitive at {a} < {b} < {c}")
-    counterexamples = _certify(cat, leq, generators, qs) if certify else {}
+    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[n])
     covers = []
     for a in ids:
         for b in ids:

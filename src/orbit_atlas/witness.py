@@ -693,12 +693,10 @@ def solve_witness(rec: OrbitRecord):
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, m):
-        if any(aug[i][n:]):
-            if all(x == 0 for x in aug[i][:n]):
-                # dependent relation between support weights; must also hold
-                # between the c_beta, which the move stage has arranged
-                pass
+    # Rows past r are dependent relations between the support weights.  They
+    # must also hold between the c_beta; this solver does not check that,
+    # and the final verify_witness_symbolic acceptance check rejects a
+    # template where one fails.
     exps = {}
     for row_idx, col in enumerate(pivots):
         exps[col] = aug[row_idx][n:]

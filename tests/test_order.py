@@ -1,9 +1,13 @@
 """Closure order reconstruction and Hasse diagram output."""
 
+import dataclasses
+import re
+
 import pytest
 
-from orbit_atlas.arith import Fp
-from orbit_atlas.catalog import x_vars
+from orbit_atlas import order
+from orbit_atlas.arith import Fp, LaurentFraction
+from orbit_atlas.catalog import letter_of_var, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.errors import InternalInconsistencyError
 from orbit_atlas.lie import NilElement
@@ -13,7 +17,26 @@ from orbit_atlas.order import (CERT_FIELDS, _certify, closure_generators,
 
 @pytest.fixture(scope="module")
 def posets(catalogs):
-    return {n: hasse(n, catalogs[n]) for n in (1, 2, 3)}
+    return {n: hasse(n, catalogs[n]) for n in (1, 2, 3, 4)}
+
+
+def _vanish_sets(cat):
+    return {a: frozenset(p for p, _ in gens)
+            for a, gens in closure_generators(cat).items()}
+
+
+def _dense_subs(rec):
+    """X-variable substitutions parametrizing a dense subset of S_rec: linear
+    zero variables go to 0, each nonlinear generator's solve variable to its
+    solution in the remaining coordinates."""
+    subs = {v: LaurentFraction(0) for v in rec.linear_zero_vars()}
+    v_of_l = {l: v for v, l in letter_of_var(rec.rank).items()}
+    for c, poly in zip(rec.witness.constraints, rec.nonlinear_zero()):
+        solve_var = v_of_l[c.solve]
+        rest = poly.subs({solve_var: LaurentFraction(0)}).num
+        coeff = poly.derivative(solve_var).subs(subs)
+        subs[solve_var] = -(rest.subs(subs)) / coeff
+    return subs
 
 
 def test_rank1_two_chain(posets):
@@ -51,20 +74,60 @@ def test_rank3_prose_edge(posets):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoised_hasse_matches_per_pair_tests(n, catalogs, posets):
+    vanish = _vanish_sets(catalogs[n])
+    per_pair = {(a, b): closure_leq(vanish[a], vanish[b])
+                for a in vanish for b in vanish}
+    assert posets[n].leq == per_pair
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hasse_matches_dense_parametrization_pullback(n, catalogs, posets):
+    # reference: b's generators pulled back along a dense parametrization of
+    # S_a, one zero test per (record, pool polynomial)
     cat = catalogs[n]
     gens = closure_generators(cat)
-    recs = {rec.id: rec for rec in cat.orbits}
-    unmemoised = {(a, b): closure_leq(recs[a], recs[b], gens[b])
-                  for a in recs for b in recs}
-    assert posets[n].leq == unmemoised
+    pool = {p for g in gens.values() for p, _ in g}
+    zero = {}
+    for rec in cat.orbits:
+        subs = _dense_subs(rec)
+        zero[rec.id] = {p for p in pool if p.subs(subs).is_zero()}
+    reference = {(a, b): all(p in zero[a] for p, _ in gens[b])
+                 for a in gens for b in gens}
+    assert posets[n].leq == reference
+
+
+def test_hasse_tests_each_ordered_pair_once(catalogs, monkeypatch):
+    calls = []
+
+    def counting(vanish_a, vanish_b):
+        calls.append((vanish_a, vanish_b))
+        return vanish_b <= vanish_a
+
+    monkeypatch.setattr(order, "closure_leq", counting)
+    hasse(3, catalogs[3])
+    assert len(calls) == 16 * 15
+
+
+def test_closure_generators_rejects_nonvanishing_zero_set(catalogs):
+    cat = catalogs[2]
+    rec = cat.by_id("x11")
+    moved = dataclasses.replace(
+        rec, zero_set=rec.zero_set + rec.nonzero_set[:1],
+        zero_strs=rec.zero_strs + rec.nonzero_strs[:1],
+        nonzero_set=rec.nonzero_set[1:], nonzero_strs=rec.nonzero_strs[1:])
+    broken = dataclasses.replace(
+        cat, orbits=tuple(moved if r is rec else r for r in cat.orbits))
+    with pytest.raises(InternalInconsistencyError,
+                       match=re.escape(f"zero-set polynomial "
+                                       f"{rec.nonzero_strs[0]} of record x11 "
+                                       f"does not vanish")):
+        closure_generators(broken)
 
 
 def test_closure_leq_rank3_example(catalogs):
-    cat = catalogs[3]
-    gens = closure_generators(cat)
-    assert closure_leq(cat.by_id("x12+x23"), cat.by_id("x11+x33"),
-                       gens["x11+x33"])
-    assert not closure_leq(cat.by_id("x11"), cat.by_id("x33"), gens["x33"])
+    vanish = _vanish_sets(catalogs[3])
+    assert closure_leq(vanish["x12+x23"], vanish["x11+x33"])
+    assert not closure_leq(vanish["x11"], vanish["x33"])
 
 
 def test_dimension_monotone_and_minmax(posets):
@@ -92,13 +155,10 @@ def test_transitive_reduction_minimal(posets):
 
 
 def test_equal_dimension_orbits_incomparable_rank4(catalogs):
-    cat = catalogs[4]
-    gens = closure_generators(cat)
+    vanish = _vanish_sets(catalogs[4])
     # the dependent quadratic separates these equal-dimension sets
-    assert not closure_leq(cat.by_id("x23+x14"), cat.by_id("x22"),
-                           gens["x22"])
-    assert not closure_leq(cat.by_id("x13+x24"), cat.by_id("x22"),
-                           gens["x22"])
+    assert not closure_leq(vanish["x23+x14"], vanish["x22"])
+    assert not closure_leq(vanish["x13+x24"], vanish["x22"])
 
 
 def test_closure_generator_augmentation(catalogs):
@@ -109,7 +169,7 @@ def test_closure_generator_augmentation(catalogs):
 
 def test_dot_output_deterministic_and_wellformed(posets):
     a = emit_dot(posets[2])
-    b = emit_dot(hasse(2, certify=False))
+    b = emit_dot(hasse(2))
     assert a == b
     assert a.startswith("digraph closure_order {")
     assert a.endswith("}\n")
@@ -134,9 +194,12 @@ def test_derived_poset_shapes_are_stable(posets):
     assert relations3 == 16 * 15 - 153      # 153 certified non-relations
 
 
-def _uncertified(n, cat):
-    poset = hasse(n, cat, certify=False)
-    return dict(poset.leq), closure_generators(cat)
+def _uncertified(cat):
+    gens = closure_generators(cat)
+    vanish = _vanish_sets(cat)
+    leq = {(a, b): closure_leq(vanish[a], vanish[b])
+           for a in vanish for b in vanish}
+    return leq, gens
 
 
 @pytest.mark.parametrize("a, b, flipped_to, message", [
@@ -152,7 +215,7 @@ def _uncertified(n, cat):
 def test_certify_rejects_flipped_relation_rank3(catalogs, a, b, flipped_to,
                                                 message):
     cat = catalogs[3]
-    leq, gens = _uncertified(3, cat)
+    leq, gens = _uncertified(cat)
     assert leq[(a, b)] is not flipped_to
     leq[(a, b)] = flipped_to
     with pytest.raises(InternalInconsistencyError, match=message):
@@ -161,7 +224,7 @@ def test_certify_rejects_flipped_relation_rank3(catalogs, a, b, flipped_to,
 
 def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
     cat = catalogs[4]
-    leq, gens = _uncertified(4, cat)
+    leq, gens = _uncertified(cat)
     kept = [(p, s) for p, s in gens["x22"] if s != "X13*X24 - X23*X14"]
     assert len(kept) == len(gens["x22"]) - 1
     gens["x22"] = kept
@@ -170,9 +233,9 @@ def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_counterexamples_sound_through_scalar_path(n, catalogs):
+def test_counterexamples_sound_through_scalar_path(n, catalogs, posets):
     cat = catalogs[n]
-    poset = hasse(n, cat)
+    poset = posets[n]
     gens = closure_generators(cat)
     non_relations = {(a, b) for a in poset.nodes for b in poset.nodes
                      if a != b and not poset.leq[(a, b)]}
