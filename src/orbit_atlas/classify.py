@@ -113,13 +113,6 @@ def decode_points(codes: np.ndarray, d: int, q: int) -> np.ndarray:
     return out
 
 
-def encode_points(digits: np.ndarray, q: int) -> np.ndarray:
-    codes = np.zeros(digits.shape[0], dtype=np.int64)
-    for i in range(digits.shape[1]):
-        codes = codes * q + digits[:, i]
-    return codes
-
-
 def eval_poly_on_columns(poly, cols: dict, q: int) -> np.ndarray:
     """Evaluate a catalog polynomial on per-variable value arrays mod q."""
     n_points = next(iter(cols.values())).shape[0]

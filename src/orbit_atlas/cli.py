@@ -107,11 +107,12 @@ def cmd_classify(args) -> int:
 def cmd_census(args) -> int:
     n = _rank(args)
     qs = _field_list(args.q, CENSUS_DEFAULT_QS[n])
+    cat = load_catalog(n)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["orbit_id", "q", "count"])
     ok = True
     for q in qs:
-        counts = partition_census(n, q, budget=args.budget)
+        counts = partition_census(n, q, budget=args.budget, catalog=cat)
         for rid, cnt in counts.items():
             writer.writerow([rid, q, cnt])
         nonempty = sum(1 for v in counts.values() if v)
@@ -126,13 +127,14 @@ def cmd_census(args) -> int:
 def cmd_oracle(args) -> int:
     n = _rank(args)
     qs = _field_list(args.q, ORACLE_DEFAULT_QS[n])
+    cat = load_catalog(n)
     ok = True
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["class_id", "q", "count", "orbit_id"])
     for q in qs:
         part = enumerate_borel_orbits(n, q, budget=args.budget)
         stability_check(part)
-        report = refine_check(n, q, partition=part)
+        report = refine_check(n, q, catalog=cat, partition=part)
         class_to_record = {}
         for rid, classes in report.classes_per_record.items():
             for cls in classes:

@@ -8,9 +8,13 @@ confronts the partition with the catalog's defining sets.  Dimensions are
 audited independently through Jacobian ranks in ``jacobian_rank_dim``.
 
 Every group element is a ``lie.BorelWord`` over ``Fp``, and acts through
-``lie.adjoint``: the linear maps the BFS and the stability pass apply to
-whole point arrays are read off ``adjoint`` on the coordinate basis, and
-orbit sample points are ``adjoint`` images of the representative.
+``lie.adjoint``: its linear map on coordinates is read off ``adjoint`` on
+the coordinate basis, and orbit sample points are ``adjoint`` images of the
+representative.  The BFS, the stability pass and the sufficiency check
+apply a map to the whole space only through ``image_codes``, which builds
+the code of every image point digit by digit with integer broadcasts,
+without decoding the q^d points; the BFS turns each generator into one
+code table and steps a frontier by indexing it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ import numpy as np
 
 from .arith import Fp, is_prime, primitive_root
 from .catalog import Catalog, OrbitRecord, load_catalog, x_vars
-from .classify import decode_points, encode_points, match_table
+from .classify import decode_points, match_table
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
-                  adjoint, nil_dim, pos_roots)
+                  adjoint, nil_dim, pos_roots, root_token)
 
 BFS_BUDGET = 2_000_000
 #: stability_check adds every full torus element when there are at most this many
@@ -52,6 +56,34 @@ def _word_map(word: BorelWord, q: int) -> np.ndarray:
     cols = [_coords_mod(adjoint(word, NilElement(n, {beta: Fp(1, q)})))
             for beta in pos_roots(n)]
     return np.array(cols, dtype=np.int64).T
+
+
+def image_codes(m: np.ndarray, q: int) -> np.ndarray:
+    """Code of m x mod q for every x in F_q^d, in code order (digit 0 most
+    significant, as in ``decode_points``).
+
+    Walks the input digits once: each output digit keeps the partial sum of
+    its row over the digits read so far, broadcast over the next digit's q
+    values, and is folded into the codes after its row's last nonzero
+    column.  Every product is reduced below q, so a partial sum stays below
+    d q and needs one ``% q`` at the fold.  Exact for any integer matrix;
+    the group maps are lower triangular in root order (ad e_alpha raises
+    height), so digit j folds by step j and the widest steps carry few
+    digits."""
+    d = m.shape[0]
+    m = np.asarray(m, dtype=np.int64) % q
+    steps = np.arange(q, dtype=np.int64)
+    last = {j: int(np.flatnonzero(m[j])[-1]) for j in range(d) if m[j].any()}
+    pend = {j: np.zeros(1, dtype=np.int32) for j in last}
+    codes = np.zeros(1, dtype=np.int64)
+    for i in range(d):
+        codes = np.repeat(codes, q)
+        for j in list(pend):
+            col = (m[j, i] * steps % q).astype(np.int32)
+            pend[j] = (pend[j][:, None] + col).ravel()
+            if last[j] == i:
+                codes += (pend.pop(j) % q) * q**(d - 1 - j)
+    return codes
 
 
 def _torus_word(n: int, diag, q: int) -> BorelWord:
@@ -114,7 +146,8 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
     total = q**d
     if total > budget:
         raise BudgetExceededError(total, budget)
-    maps = borel_generator_maps(n, q)
+    tables = [image_codes(g, q).astype(np.int32)
+              for g in borel_generator_maps(n, q)]
     class_of = np.full(total, -1, dtype=np.int32)
     reps: list[int] = []
     sizes: list[int] = []
@@ -127,13 +160,12 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
         cls = len(reps)
         reps.append(cursor)
         class_of[cursor] = cls
-        frontier = np.array([cursor], dtype=np.int64)
+        frontier = np.array([cursor], dtype=np.int32)
         size = 1
         while frontier.size:
-            digits = decode_points(frontier, d, q)
             nxt = []
-            for g in maps:
-                codes = encode_points((digits @ g.T) % q, q)
+            for table in tables:
+                codes = table[frontier]
                 fresh = codes[class_of[codes] < 0]
                 if fresh.size:
                     fresh = np.unique(fresh)
@@ -141,46 +173,53 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
                     class_of[fresh] = cls
                     size += fresh.size
                     nxt.append(fresh)
-            frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
+            frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int32)
         sizes.append(size)
     return OrbitPartition(n, q, class_of, reps, sizes,
                           generators="slot-torus(g), U_root(1), U_root(g)")
+
+
+def _describe_word(word: BorelWord) -> str:
+    if word.factors:
+        (factor,) = word.factors
+        return f"U_{root_token(factor.root)}({factor.param.v})"
+    return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
 
 
 def stability_check(part: OrbitPartition) -> dict:
     """Certify the partition: every class stable under U_root(c) for every
     root and c, under every single-slot torus, and (when at most
     ``FULL_TORUS_CAP`` elements) under every full torus element.  Raises on
-    any violation."""
+    the first violation, naming the group element, the point and both
+    classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
-    total = q**d
-    digits = decode_points(np.arange(total, dtype=np.int64), d, q)
     words = [_root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
     words += [_slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
-    with_full_torus = (q - 1) ** n <= FULL_TORUS_CAP
-    if with_full_torus:
+    if (q - 1) ** n <= FULL_TORUS_CAP:
         words += [_torus_word(n, diag, q)
                   for diag in product(range(1, q), repeat=n)]
     for word in words:
-        codes = encode_points((digits @ _word_map(word, q).T) % q, q)
-        if not (part.class_of[codes] == part.class_of).all():
-            bad = int(np.argmax(part.class_of[codes] != part.class_of))
+        codes = image_codes(_word_map(word, q), q)
+        moved = part.class_of[codes] != part.class_of
+        if moved.any():
+            bad = int(np.argmax(moved))
+            point = decode_points(np.array([bad]), d, q)[0].tolist()
             raise InternalInconsistencyError(
-                f"class not stable at point code {bad} over F_{q}")
-    return {"maps_checked": len(words), "full_torus_included": with_full_torus}
+                f"rank {n} F_{q}: class not stable under "
+                f"{_describe_word(word)}: point {point} in class "
+                f"{int(part.class_of[bad])} maps to class "
+                f"{int(part.class_of[codes[bad]])}")
+    return {"maps_checked": len(words)}
 
 
 def generator_sufficiency_check(part: OrbitPartition, extra: int = 100,
                                 seed: int = 0) -> bool:
     """Adding random Borel elements must never merge classes."""
     n, q = part.rank, part.q
-    d = nil_dim(n)
-    digits = decode_points(np.arange(q**d, dtype=np.int64), d, q)
     rng = random.Random(repr((seed, n, q)))
     for _ in range(extra):
-        g = _word_map(_random_word(n, q, rng), q)
-        codes = encode_points((digits @ g.T) % q, q)
+        codes = image_codes(_word_map(_random_word(n, q, rng), q), q)
         if not (part.class_of[codes] == part.class_of).all():
             return False
     return True

@@ -172,3 +172,19 @@ def test_check_all_loads_the_catalog_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "check-all", "--type", "A2")
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("command", ["census", "oracle"])
+def test_census_and_oracle_load_the_catalog_once(capsys, monkeypatch,
+                                                  command):
+    code, want, _ = run(capsys, command, "--type", "A2")
+    assert code == 0
+
+    def reload(*args, **kwargs):
+        raise AssertionError("catalog reloaded")
+
+    for module in ("classify", "oracle"):
+        monkeypatch.setattr(f"orbit_atlas.{module}.load_catalog", reload)
+    code, out, _ = run(capsys, command, "--type", "A2")
+    assert code == 0
+    assert out == want

@@ -1,18 +1,76 @@
 """Brute-force orbit enumeration, refinement, and dimension audits."""
 
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas.arith import Fp
 from orbit_atlas.catalog import x_vars
-from orbit_atlas.classify import member
+from orbit_atlas.classify import decode_points, member
+from orbit_atlas.cli import ORACLE_DEFAULT_QS
 from orbit_atlas.errors import BudgetExceededError, InternalInconsistencyError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, conjugate_nil, pos_roots)
-from orbit_atlas.oracle import (_word_map, enumerate_borel_orbits,
-                                generator_sufficiency_check, jacobian_rank_dim,
-                                orbit_sample_points, refine_check,
-                                stability_check)
+                             TorusElement, conjugate_nil, nil_dim, pos_roots)
+from orbit_atlas.oracle import (_word_map, borel_generator_maps,
+                                enumerate_borel_orbits,
+                                generator_sufficiency_check, image_codes,
+                                jacobian_rank_dim, orbit_sample_points,
+                                refine_check, stability_check)
+
+
+def _encode_points(digits, q):
+    codes = np.zeros(digits.shape[0], dtype=np.int64)
+    for i in range(digits.shape[1]):
+        codes = codes * q + digits[:, i]
+    return codes
+
+
+def _reference_image_codes(m, q):
+    # reference: decode all q^d points, multiply, reduce and encode
+    d = m.shape[0]
+    digits = decode_points(np.arange(q**d, dtype=np.int64), d, q)
+    return _encode_points((digits @ m.T) % q, q)
+
+
+def _reference_bfs(n, q):
+    """Reference BFS without code tables: decode the frontier, multiply by
+    every generator map, reduce and encode, layer by layer."""
+    d = nil_dim(n)
+    total = q**d
+    maps = borel_generator_maps(n, q)
+    class_of = np.full(total, -1, dtype=np.int32)
+    reps, sizes = [], []
+    for cursor in range(total):
+        if class_of[cursor] >= 0:
+            continue
+        cls = len(reps)
+        reps.append(cursor)
+        class_of[cursor] = cls
+        frontier = np.array([cursor], dtype=np.int64)
+        size = 1
+        while frontier.size:
+            digits = decode_points(frontier, d, q)
+            nxt = []
+            for g in maps:
+                codes = _encode_points((digits @ g.T) % q, q)
+                fresh = np.unique(codes[class_of[codes] < 0])
+                class_of[fresh] = cls
+                size += fresh.size
+                nxt.append(fresh)
+            frontier = np.concatenate(nxt)
+        sizes.append(size)
+    return class_of, reps, sizes
+
+
+ORACLE_CASES = [(n, q) for n, qs in ORACLE_DEFAULT_QS.items() for q in qs]
+
+
+@pytest.fixture(scope="module")
+def partitions():
+    return {case: enumerate_borel_orbits(*case) for case in ORACLE_CASES}
 
 
 def test_rank1_rational_splitting():
@@ -112,8 +170,79 @@ def test_stability_check_detects_corruption():
     # split one orbit across two labels: stability must catch it
     moved = int([c for c in range(5) if part.class_of[c] == 1][-1])
     part.class_of[moved] = 2
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "rank 1 F_5: class not stable under torus diag(2): "
+            "point [1] in class 1 maps to class 2")):
         stability_check(part)
+
+
+def test_stability_failure_names_its_counterexample(partitions):
+    part = partitions[(3, 7)]
+    part = replace(part, class_of=part.class_of.copy())
+    # relabel one point of the largest class as the zero orbit's class
+    moved = int(np.flatnonzero(
+        part.class_of == int(np.argmax(part.sizes)))[-1])
+    part.class_of[moved] = part.class_of[0]
+    with pytest.raises(InternalInconsistencyError) as info:
+        stability_check(part)
+    found = re.fullmatch(
+        r"rank 3 F_7: class not stable under "
+        r"(U_x[1-3][1-3]\([0-6]\)|torus diag\([1-6](, [1-6]){2}\)): "
+        r"point \[([0-6](, [0-6]){5})\] in class (\d+) maps to class (\d+)",
+        str(info.value))
+    assert found, str(info.value)
+    digits = [int(v) for v in found.group(3).split(", ")]
+    code = sum(v * 7**(5 - i) for i, v in enumerate(digits))
+    assert int(found.group(5)) == part.class_of[code]
+    assert int(found.group(5)) != int(found.group(6))
+    assert moved in (code, int(image_codes(
+        _word_map(_described_word(found.group(1)), 7), 7)[code]))
+
+
+def _described_word(text):
+    # inverse of the element names in stability messages, at rank 3 over F_7
+    if text.startswith("U_"):
+        root = (int(text[3]), int(text[4]))
+        return BorelWord(3, None, (RootGroupFactor(root, Fp(int(text[6]), 7)),))
+    diag = tuple(Fp(int(v), 7) for v in text[len("torus diag("):-1].split(", "))
+    return BorelWord(3, TorusElement(3, diag))
+
+
+def test_bfs_matches_frontier_matmul_reference(partitions):
+    for (n, q), part in partitions.items():
+        class_of, reps, sizes = _reference_bfs(n, q)
+        assert (part.class_of == class_of).all(), (n, q)
+        assert part.reps == reps, (n, q)
+        assert part.sizes == sizes, (n, q)
+
+
+def test_stability_maps_per_rank(partitions):
+    maps = {n: 0 for n in ORACLE_DEFAULT_QS}
+    for (n, _), part in partitions.items():
+        maps[n] += stability_check(part)["maps_checked"]
+    assert maps == {1: 43, 2: 134, 3: 430, 4: 79}
+
+
+@st.composite
+def _matrix_over_fq(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    d = draw(st.integers(1, max(k for k in range(1, 11) if q**k <= 60_000)))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero")))
+    entry = {"dense": st.integers(-2 * q, 2 * q),
+             "sparse": st.sampled_from((0, 0, 0, 1, q - 1, q + 1, -1)),
+             "zero": st.just(0)}[kind]
+    m = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)),
+                 dtype=np.int64).reshape(d, d)
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        m[j] = 0
+    return m, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_over_fq())
+def test_image_codes_match_decode_matmul_reference(case):
+    m, q = case
+    assert image_codes(m, q).tolist() == _reference_image_codes(m, q).tolist()
 
 
 @st.composite
