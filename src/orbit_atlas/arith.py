@@ -5,7 +5,10 @@ Three layers, all exact:
 * ``Fp`` -- prime-field scalars with canonical representatives in [0, p).
 * ``LaurentPoly`` -- sparse multivariate Laurent polynomials over Q
   (exponents may be negative), canonical form enforced after every
-  operation.
+  operation.  A canonical coefficient is an ``int``, or a ``Fraction`` with
+  denominator > 1: never zero and never a float.  Coefficient divisions go
+  through ``Fraction`` (``_quo``); constant values (``const_value``, a
+  constant ``eval``) are returned as ``Fraction``.
 * ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
   cross-multiplication, never by floating point.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, EvaluationError, SchemaError
@@ -34,7 +38,7 @@ Rational = Union[int, Fraction]
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for d in range(2, int(n**0.5) + 1):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return False
     return True
@@ -147,53 +151,99 @@ def kth_roots(a: Fp, k: int) -> list[Fp]:
 # Laurent polynomials
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _canon(c) -> Rational:
+    """Canonical form of a rational coefficient: an ``int`` when integral,
+    else a ``Fraction`` with denominator > 1."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise SchemaError(f"coefficient {c!r} is not rational")
 
 
+def _quo(a: Rational, b: Rational) -> Rational:
+    """a / b for rational coefficients, canonical (two ints never give a
+    float)."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    return _canon(Fraction(a, b))
+
+
+def _canon_values(terms: dict) -> dict:
+    """Rewrite the integral ``Fraction`` values of a fresh term map as ints."""
+    for exps, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[exps] = c.numerator
+    return terms
+
+
+def _pad(terms: dict, width: int) -> dict:
+    """Extend every exponent vector by ``width`` zero exponents."""
+    if not width:
+        return terms
+    zeros = (0,) * width
+    return {exps + zeros: c for exps, c in terms.items()}
+
+
+def _scale(terms: dict, exps: tuple, c: Rational) -> dict:
+    """Term map times the monomial c * x^exps over the same registry."""
+    if any(exps):
+        return _canon_values({tuple(map(add, e, exps)): x * c
+                              for e, x in terms.items()})
+    if c == 1:
+        return terms
+    return _canon_values({e: x * c for e, x in terms.items()})
+
+
 class LaurentPoly:
-    """Sparse Laurent polynomial: map from exponent vector to nonzero Fraction.
+    """Sparse Laurent polynomial: map from exponent vector to nonzero
+    coefficient.  Coefficients are canonical: an ``int`` when integral, else
+    a ``Fraction`` with denominator > 1, never zero and never a float.
 
     ``vars`` fixes the variable order (registration order); exponent vectors
     align with it.  Values are immutable by convention: no method mutates an
-    existing instance.
+    existing instance, so results may share term maps with their operands.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: tuple[str, ...] = (), terms: dict | None = None):
         self.vars = tuple(vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Rational] = {}
         if terms:
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = _canon(c)
                 if c != 0:
                     clean[tuple(exps)] = c
         self.terms = clean
+
+    @staticmethod
+    def _make(vars: tuple[str, ...], terms: dict) -> "LaurentPoly":
+        """Trusted constructor for clean terms: tuple keys of length
+        ``len(vars)`` and canonical nonzero coefficients.  Nothing is copied
+        or checked."""
+        p = object.__new__(LaurentPoly)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     # -- constructors
 
     @staticmethod
     def const(c: Rational) -> "LaurentPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return LaurentPoly()
-        return LaurentPoly((), {(): c})
+        c = _canon(c)
+        return LaurentPoly._make((), {(): c} if c else {})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        return LaurentPoly((name,), {(exp,): Fraction(1)})
+        return LaurentPoly._make((name,), {(exp,): 1})
 
     zero = None  # assigned after class body
     one = None
 
     # -- canonical, registry-independent view
 
-    def items(self) -> list[tuple[tuple[tuple[str, int], ...], Fraction]]:
+    def items(self) -> list[tuple[tuple[tuple[str, int], ...], Rational]]:
         """Terms keyed by sorted (var, exp!=0) pairs; independent of registry."""
         out = []
         for exps, c in self.terms.items():
@@ -203,10 +253,12 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
+        if self.vars == other.vars:
+            return self.terms == other.terms
         return self.items() == other.items()
 
     def __hash__(self):
@@ -221,12 +273,20 @@ class LaurentPoly:
     def is_const(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
+    def _scalar(self):
+        """The coefficient of a scalar (one term, every exponent 0), else None."""
+        if len(self.terms) == 1:
+            (exps, c), = self.terms.items()
+            if not any(exps):
+                return c
+        return None
+
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_const():
             raise SchemaError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def used_vars(self) -> set[str]:
         used = set()
@@ -239,47 +299,35 @@ class LaurentPoly:
     # -- registry alignment
 
     def _aligned(self, other: "LaurentPoly"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
-        merged_t = tuple(merged)
-
-        def remap(poly: LaurentPoly):
-            idx = [merged.index(v) for v in poly.vars]
-            out = {}
-            for exps, c in poly.terms.items():
-                vec = [0] * len(merged)
-                for i, e in zip(idx, exps):
-                    vec[i] = e
-                out[tuple(vec)] = c
-            return out
-
-        return merged_t, remap(self), remap(other)
-
-    def in_vars(self, vars: Sequence[str]) -> "LaurentPoly":
-        """Re-express over the given registry (must cover all used variables)."""
-        vars = tuple(vars)
-        missing = self.used_vars() - set(vars)
-        if missing:
-            raise SchemaError(f"variables {sorted(missing)} missing from registry")
-        pos = {v: i for i, v in enumerate(vars)}
-        out = {}
-        for exps, c in self.terms.items():
-            vec = [0] * len(vars)
-            for v, e in zip(self.vars, exps):
-                if e != 0:
-                    vec[pos[v]] = e
-            key = tuple(vec)
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentPoly(vars, out)
+        """(vars, a, b): both term maps over the merged registry, self's
+        variables then other's new ones.  A registry that is a prefix of the
+        merged one is padded with zero exponents; only an interleaved
+        registry is remapped."""
+        sv, ov = self.vars, other.vars
+        if sv == ov:
+            return sv, self.terms, other.terms
+        ns, no = len(sv), len(ov)
+        if ns < no and ov[:ns] == sv:
+            return ov, _pad(self.terms, no - ns), other.terms
+        if no < ns and sv[:no] == ov:
+            return sv, self.terms, _pad(other.terms, ns - no)
+        merged = sv + tuple(v for v in ov if v not in sv)
+        idx = [merged.index(v) for v in ov]
+        b = {}
+        for exps, c in other.terms.items():
+            vec = [0] * len(merged)
+            for i, e in zip(idx, exps):
+                vec[i] = e
+            b[tuple(vec)] = c
+        return merged, _pad(self.terms, len(merged) - ns), b
 
     # -- arithmetic
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
             return other
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.const(other)
         return None
 
     def __add__(self, other):
@@ -287,19 +335,25 @@ class LaurentPoly:
         if o is None:
             return NotImplemented
         vars, a, b = self._aligned(o)
+        if not b:
+            return LaurentPoly._make(vars, a)
+        if not a:
+            return LaurentPoly._make(vars, b)
         out = dict(a)
         for exps, c in b.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
+            s = out.get(exps, 0) + c
+            if not s:
+                del out[exps]
+            elif s.__class__ is not int and s.denominator == 1:
+                out[exps] = s.numerator
             else:
                 out[exps] = s
-        return LaurentPoly(vars, out)
+        return LaurentPoly._make(vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -318,16 +372,24 @@ class LaurentPoly:
         if o is None:
             return NotImplemented
         vars, a, b = self._aligned(o)
-        out: dict[tuple[int, ...], Fraction] = {}
+        if not a or not b:
+            return LaurentPoly._make(vars, {})
+        if len(b) == 1:
+            (exps, c), = b.items()
+            return LaurentPoly._make(vars, _scale(a, exps, c))
+        if len(a) == 1:
+            (exps, c), = a.items()
+            return LaurentPoly._make(vars, _scale(b, exps, c))
+        out: dict[tuple[int, ...], Rational] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
+                key = tuple(map(add, e1, e2))
+                s = out.get(key, 0) + c1 * c2
+                if s:
                     out[key] = s
-        return LaurentPoly(vars, out)
+                else:
+                    del out[key]
+        return LaurentPoly._make(vars, _canon_values(out))
 
     __rmul__ = __mul__
 
@@ -336,20 +398,21 @@ class LaurentPoly:
             return NotImplemented
         if e < 0:
             return self.monomial_inverse() ** (-e)
-        result = LaurentPoly.const(1)
+        result = LaurentPoly.one
         base = self
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def monomial_inverse(self) -> "LaurentPoly":
         if not self.is_monomial():
             raise DomainError("only monomials are invertible as Laurent polynomials")
         (exps, c), = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-e for e in exps): Fraction(1) / c})
+        return LaurentPoly._make(self.vars, {tuple(-e for e in exps): _quo(1, c)})
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -379,7 +442,7 @@ class LaurentPoly:
             if e == 0:
                 continue
             key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e
+            out[key] = out.get(key, 0) + c * e
         return LaurentPoly(self.vars, out)
 
     def total_degrees(self) -> set[int]:
@@ -408,6 +471,8 @@ class LaurentPoly:
             total = term if total is None else total + term
         if total is None:
             return Fraction(0)
+        if isinstance(total, int):
+            return Fraction(total)
         return total
 
     def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
@@ -559,12 +624,12 @@ def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
         i = p.vars.index(hot)
         acc = LaurentPoly()
         for exps, c in p.terms.items():
-            term = LaurentPoly(p.vars, {exps: c})
+            term = LaurentPoly._make(p.vars, {exps: c})
             e = exps[i]
             if e >= rel.order:
                 q, r = divmod(e, rel.order)
                 base = exps[:i] + (r,) + exps[i + 1:]
-                term = LaurentPoly(p.vars, {base: c}) * rel.radicand ** q
+                term = LaurentPoly._make(p.vars, {base: c}) * rel.radicand ** q
             acc = acc + term
         p = acc
 
@@ -588,81 +653,77 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
         return num * den.monomial_inverse()
     vars, a, b = num._aligned(den)
     if not a:
-        return LaurentPoly(vars)
-    lo = [min(e[i] for e in a) - min(e[i] for e in b) for i in range(len(vars))]
-    hi = [max(e[i] for e in a) - max(e[i] for e in b) for i in range(len(vars))]
+        return LaurentPoly._make(vars, {})
+    lo = list(map(sub, map(min, zip(*a)), map(min, zip(*b))))
+    hi = list(map(sub, map(max, zip(*a)), map(max, zip(*b))))
     lead_den = max(b)
     cd = b[lead_den]
-    quo: dict[tuple[int, ...], Fraction] = {}
+    quo: dict[tuple[int, ...], Rational] = {}
     rem = dict(a)
     while rem:
         lead = max(rem)
-        t_exp = tuple(x - y for x, y in zip(lead, lead_den))
+        t_exp = tuple(map(sub, lead, lead_den))
         if not all(l <= t <= h for l, t, h in zip(lo, t_exp, hi)):
             return None
-        t_c = rem[lead] / cd
+        t_c = _quo(rem[lead], cd)
         quo[t_exp] = t_c
         for e, c in b.items():
-            key = tuple(x + y for x, y in zip(t_exp, e))
+            key = tuple(map(add, t_exp, e))
             s = rem.pop(key, 0) - t_c * c
             if s:
                 rem[key] = s
-    return LaurentPoly(vars, quo)
+    return LaurentPoly._make(vars, quo)
 
 
 class LaurentFraction:
     """Quotient of Laurent polynomials in canonical form.
 
-    Canonicalization: zero numerator forces denominator 1; common monomial
-    content is moved into the numerator; a denominator that divides the
-    numerator is divided out (``_exact_divide`` decides this exactly, so a
-    non-constant denominator left standing does not divide the numerator,
-    though no gcd is taken); the denominator's leading coefficient is scaled
-    to 1.  Equality is decided by cross-multiplication.
+    Canonicalization: zero numerator forces denominator 1; a monomial
+    denominator (a scalar included) is divided into the numerator; otherwise
+    common monomial content is moved into the numerator, a denominator that
+    divides the numerator is divided out (``_exact_divide`` decides this
+    exactly, so a denominator left standing does not divide the numerator,
+    though no gcd is taken), and the denominator's leading coefficient is
+    scaled to 1.  Equality is decided by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
         if den is None:
             den = LaurentPoly.one
-        elif isinstance(den, (int, Fraction)):
+        elif not isinstance(den, LaurentPoly):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise DomainError("zero denominator")
         if num.is_zero():
             self.num, self.den = LaurentPoly.zero, LaurentPoly.one
             return
+        if den is LaurentPoly.one:
+            self.num, self.den = num, den
+            return
+        if den.is_monomial():       # a scalar denominator included
+            self.num, self.den = num * den.monomial_inverse(), LaurentPoly.one
+            return
         # strip common monomial content (always legal for Laurent polynomials)
-        num = num.in_vars(tuple(num.vars))
         vars, a, b = num._aligned(den)
-        nv = len(vars)
-        content = []
-        for i in range(nv):
-            m = min(min(e[i] for e in a), min(e[i] for e in b))
-            content.append(m)
+        content = tuple(map(min, zip(*a, *b)))
         if any(content):
-            shift = tuple(-c for c in content)
-            a = {tuple(x + s for x, s in zip(e, shift)): c for e, c in a.items()}
-            b = {tuple(x + s for x, s in zip(e, shift)): c for e, c in b.items()}
-        num = LaurentPoly(vars, a)
-        den = LaurentPoly(vars, b)
-        if not den.is_const():
-            q = _exact_divide(num, den)
-            if q is not None:
-                num, den = q, LaurentPoly.one
-        if den.is_const():
-            num = num * (Fraction(1) / den.const_value())
-            den = LaurentPoly.one
-        else:
-            lead = max(den.terms)
-            c = den.terms[lead]
-            if c != 1:
-                inv = Fraction(1) / c
-                num = num * inv
-                den = den * inv
+            a = {tuple(map(sub, e, content)): c for e, c in a.items()}
+            b = {tuple(map(sub, e, content)): c for e, c in b.items()}
+        num = LaurentPoly._make(vars, a)
+        den = LaurentPoly._make(vars, b)
+        q = _exact_divide(num, den)
+        if q is not None:
+            self.num, self.den = q, LaurentPoly.one
+            return
+        c = b[max(b)]
+        if c != 1:
+            inv = _quo(1, c)
+            num = num * inv
+            den = den * inv
         self.num, self.den = num, den
 
     # -- coercion helpers
@@ -671,17 +732,17 @@ class LaurentFraction:
     def _lift(x):
         if isinstance(x, LaurentFraction):
             return x
-        if isinstance(x, (int, Fraction)):
-            return LaurentFraction(LaurentPoly.const(x))
         if isinstance(x, LaurentPoly):
             return LaurentFraction(x)
+        if isinstance(x, (int, Fraction)):
+            return LaurentFraction(LaurentPoly.const(x))
         return None
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den == LaurentPoly.one
+        return self.den._scalar() == 1
 
     # -- arithmetic
 
@@ -806,26 +867,22 @@ def inv_elem(x):
         if x == 0:
             raise DomainError("inverse of integer 0")
         return Fraction(1, x)
+    if isinstance(x, (Fp, LaurentFraction)):
+        return x.inv()
+    if isinstance(x, LaurentPoly):
+        return x.monomial_inverse()
     if isinstance(x, Fraction):
         if x == 0:
             raise DomainError("inverse of rational 0")
         return Fraction(1) / x
-    if isinstance(x, Fp):
-        return x.inv()
-    if isinstance(x, LaurentPoly):
-        return x.monomial_inverse()
-    if isinstance(x, LaurentFraction):
-        return x.inv()
     raise SchemaError(f"no inverse for {type(x).__name__}")
 
 
 def is_zero_elem(x) -> bool:
-    if isinstance(x, int):
-        return x == 0
-    if isinstance(x, Fraction):
-        return x == 0
     if isinstance(x, (Fp, LaurentPoly, LaurentFraction)):
         return x.is_zero()
+    if isinstance(x, (int, Fraction)):
+        return x == 0
     raise SchemaError(f"no zero test for {type(x).__name__}")
 
 

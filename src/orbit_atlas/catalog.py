@@ -18,17 +18,23 @@ from typing import Iterable
 
 from .arith import LaurentPoly, parse_poly
 from .errors import CatalogError, SchemaError
-from .lie import (NilElement, coordinate_letters, nil_dim, parse_root_token,
-                  pos_roots, root_token)
+from .lie import (MAX_RANK, NilElement, check_rank, coordinate_letters,
+                  nil_dim, parse_root_token, pos_roots, root_token)
 
 SCHEMA_VERSION = 1
 
 ORBIT_COUNTS = {1: 2, 2: 5, 3: 16, 4: 61}
 
 
+_X_VARS = {n: tuple(f"X{i}{j}" for (i, j) in pos_roots(n))
+           for n in range(1, MAX_RANK + 1)}
+
+
 def x_vars(n: int) -> list[str]:
-    """Coordinate-function names in canonical root order: X11, X22, ..."""
-    return [f"X{i}{j}" for (i, j) in pos_roots(n)]
+    """Coordinate-function names in canonical root order: X11, X22, ...
+    A fresh list."""
+    check_rank(n)
+    return list(_X_VARS[n])
 
 
 def letter_of_var(n: int) -> dict[str, str]:

@@ -18,7 +18,7 @@ from functools import reduce
 from operator import mul
 
 from .arith import LaurentPoly, inv_elem, is_zero_elem
-from .errors import ShapeError, UnsupportedRankError
+from .errors import SchemaError, ShapeError, UnsupportedRankError
 
 MAX_RANK = 4
 
@@ -41,15 +41,19 @@ def check_rank(n: int) -> None:
         raise UnsupportedRankError(f"rank {n} outside 1..{MAX_RANK}")
 
 
+#: Positive roots (i, j), 1 <= i <= j <= n, per rank, listed by height then
+#: start: simple roots first, then height 2, and so on.
+_ROOTS = {n: tuple((i, i + h - 1) for h in range(1, n + 1)
+                   for i in range(1, n - h + 2))
+          for n in range(1, MAX_RANK + 1)}
+_ROOT_SETS = {n: frozenset(roots) for n, roots in _ROOTS.items()}
+
+
 def pos_roots(n: int) -> list[tuple[int, int]]:
     """Positive roots (i, j), 1 <= i <= j <= n, listed by height then start:
-    simple roots first, then height 2, and so on."""
+    simple roots first, then height 2, and so on.  A fresh list."""
     check_rank(n)
-    out = []
-    for h in range(1, n + 1):
-        for i in range(1, n - h + 2):
-            out.append((i, i + h - 1))
-    return out
+    return list(_ROOTS[n])
 
 
 def root_height(root: tuple[int, int]) -> int:
@@ -109,9 +113,9 @@ class NilElement:
 
     def __post_init__(self):
         check_rank(self.rank)
-        roots = set(pos_roots(self.rank))
-        bad = set(self.coords) - roots
-        if bad:
+        roots = _ROOT_SETS[self.rank]
+        if not roots.issuperset(self.coords):
+            bad = set(self.coords) - roots
             raise ShapeError(f"coordinates {sorted(bad)} are not rank-{self.rank} roots")
 
     def coord(self, root: tuple[int, int]):
@@ -140,11 +144,12 @@ class NilElement:
         return NilElement(rank, coords)
 
     def as_vector(self) -> list:
-        return [self.coord(r) for r in pos_roots(self.rank)]
+        return [self.coord(r) for r in _ROOTS[self.rank]]
 
     @staticmethod
     def from_vector(rank: int, values) -> "NilElement":
-        roots = pos_roots(rank)
+        check_rank(rank)
+        roots = _ROOTS[rank]
         values = list(values)
         if len(values) != len(roots):
             raise ShapeError(f"expected {len(roots)} coordinates, got {len(values)}")
@@ -153,13 +158,13 @@ class NilElement:
             try:
                 if is_zero_elem(v):
                     continue
-            except Exception:
+            except SchemaError:     # no zero test for this scalar type
                 pass
             coords[r] = v
         return NilElement(rank, coords)
 
     def support(self) -> list[tuple[int, int]]:
-        return [r for r in pos_roots(self.rank)
+        return [r for r in _ROOTS[self.rank]
                 if not is_zero_elem(self.coord(r))]
 
 

@@ -136,6 +136,20 @@ class OrbitPartition:
         return len(self.reps)
 
 
+def _next_unlabelled(class_of: np.ndarray, start: int) -> int:
+    """Least index >= start whose class is unset (len(class_of) if none).
+    Windows double in width from ``start``, so a search that skips k labelled
+    points reads O(k) entries in O(log k) numpy calls."""
+    width = 1
+    while start < class_of.size:
+        hits = np.flatnonzero(class_of[start:start + width] < 0)
+        if hits.size:
+            return start + int(hits[0])
+        start += width
+        width *= 2
+    return class_of.size
+
+
 def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPartition:
     """BFS closure of every point under the generator maps; classes are
     labeled by their lexicographically least point, so the partition is
@@ -153,8 +167,7 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
     sizes: list[int] = []
     cursor = 0
     while True:
-        while cursor < total and class_of[cursor] >= 0:
-            cursor += 1
+        cursor = _next_unlabelled(class_of, cursor)
         if cursor >= total:
             break
         cls = len(reps)

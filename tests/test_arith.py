@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly,
                                RadicalRelation, _exact_divide, _rational_root,
-                               eval_expr,
+                               eval_expr, is_prime,
                                kth_roots, normalize, parse_expr, parse_poly,
                                poly_to_str, primitive_root)
 from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
@@ -277,3 +277,127 @@ def test_exact_divide_decides_divisibility(p, d, n):
     assert _exact_divide(p * d, d) == p
     q = _exact_divide(n, d)
     assert q is None or q * d == n
+
+
+def test_is_prime_is_exact_on_huge_integers():
+    assert not is_prime(10**400)
+    assert not is_prime(3**300)
+    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17,
+                                                     19, 23, 29]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against a reference: dicts keyed by sorted (var, exp) pairs
+
+
+# equal, prefix, disjoint and interleaved registries, and the constants' ()
+REGISTRIES = (("a", "b", "c"), ("a", "b"), ("a", "b", "c", "d"), ("d", "e"),
+              ("c", "a", "b"), ())
+
+
+@st.composite
+def mixed_poly(draw):
+    reg = draw(st.sampled_from(REGISTRIES))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * len(reg)),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+        max_size=4))
+    return LaurentPoly(reg, terms)
+
+
+def ref(p: LaurentPoly) -> dict:
+    out = {}
+    for exps, c in p.terms.items():
+        key = tuple(sorted((v, e) for v, e in zip(p.vars, exps) if e))
+        out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_add(x: dict, y: dict, sign: int = 1) -> dict:
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, Fraction(0)) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            exps = dict(k1)
+            for v, e in k2:
+                exps[v] = exps.get(v, 0) + e
+            key = tuple(sorted((v, e) for v, e in exps.items() if e))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def assert_canonical(p: LaurentPoly):
+    assert isinstance(p.vars, tuple)
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(p.vars)
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert c != 0
+
+
+@settings(max_examples=250, deadline=None)
+@given(mixed_poly(), mixed_poly(), st.integers(0, 3))
+def test_kernel_matches_reference(p, d, k):
+    rp, rd = ref(p), ref(d)
+    for got, want in ((p + d, ref_add(rp, rd)), (p - d, ref_add(rp, rd, -1)),
+                      (-p, ref_add({}, rp, -1)), (p * d, ref_mul(rp, rd)),
+                      (d * p, ref_mul(rp, rd))):
+        assert_canonical(got)
+        assert ref(got) == want
+    power, want = p ** k, {(): Fraction(1)}
+    for _ in range(k):
+        want = ref_mul(want, rp)
+    assert_canonical(power)
+    assert ref(power) == want
+    if d.is_zero():
+        return
+    q = _exact_divide(p * d, d)
+    assert_canonical(q)
+    assert ref(q) == rp
+    f = LaurentFraction(p, d)
+    assert_canonical(f.num)
+    assert_canonical(f.den)
+    assert ref_mul(ref(f.num), rd) == ref_mul(rp, ref(f.den))
+    if d.is_const():
+        assert f.is_poly()
+    if not f.is_poly():
+        assert f.den.terms[max(f.den.terms)] == 1
+
+
+def test_integral_coefficients_are_ints():
+    p = LaurentPoly(("a",), {(1,): Fraction(4, 2), (0,): Fraction(1, 2)})
+    assert p.terms == {(1,): 2, (0,): Fraction(1, 2)}
+    assert type(p.terms[(1,)]) is int
+    twice = p + p
+    assert twice.terms == {(1,): 4, (0,): 1}
+    assert all(type(c) is int for c in twice.terms.values())
+    # 3/2 divided by 3 through the lex division loop: never a float
+    q = _exact_divide(V("a") * 3 + Fraction(3, 2), V("a") * 2 + 1)
+    assert q.terms == {(0,): Fraction(3, 2)}
+    assert_canonical(q)
+
+
+def test_equal_constants_share_a_hash():
+    half = LaurentPoly.const(Fraction(4, 2))
+    assert half == LaurentPoly.const(2)
+    assert hash(half) == hash(LaurentPoly.const(2))
+    # registry-independent: a constant over ("a",) equals one over ()
+    c = LaurentPoly(("a",), {(0,): Fraction(6, 3)})
+    assert c == LaurentPoly.const(2) and hash(c) == hash(LaurentPoly.const(2))
+
+
+def test_constant_values_are_fractions():
+    for value in (LaurentPoly.const(3).const_value(),
+                  LaurentPoly.const(Fraction(1, 2)).const_value(),
+                  LaurentPoly().const_value(),
+                  LaurentPoly.const(3).eval({}),
+                  LaurentPoly().eval({}),
+                  V("x").eval({"x": 2}),
+                  (V("x") * 2 - 1).eval({"x": 3})):
+        assert type(value) is Fraction
+    assert V("x").eval({"x": 2}) == 2

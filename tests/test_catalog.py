@@ -11,7 +11,7 @@ from orbit_atlas.arith import parse_poly
 from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog,
                                  root_weight_homogeneous, serialize_catalog,
                                  validate_catalog, x_vars)
-from orbit_atlas.errors import CatalogError
+from orbit_atlas.errors import CatalogError, UnsupportedRankError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
 
@@ -160,6 +160,11 @@ def test_env_override_data_dir(tmp_path, monkeypatch, catalogs):
 def test_x_vars_order(catalogs):
     assert x_vars(4) == ["X11", "X22", "X33", "X44", "X12", "X23", "X34",
                          "X13", "X24", "X14"]
+    mine = x_vars(2)
+    mine.append("X99")              # a fresh list: the table is untouched
+    assert x_vars(2) == ["X11", "X22", "X12"]
+    with pytest.raises(UnsupportedRankError):
+        x_vars(5)
 
 
 def test_root_weight_homogeneity_examples():

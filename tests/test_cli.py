@@ -136,6 +136,17 @@ def test_field_flag_must_be_prime(capsys, command, q):
     assert f"--q {q} is not prime" in err
 
 
+def test_huge_composite_field_is_a_usage_error(capsys):
+    q = str(10**400)
+    code, out, err = run(capsys, "census", "--type", "A2", "--q", q)
+    assert (code, out) == (2, "")
+    assert f"--q {q} is not prime" in err
+    code, out, err = run(capsys, "classify", "--type", "A2", "--point", "1,0,1",
+                         "--mod", q)
+    assert (code, out) == (2, "")
+    assert f"--mod {q} is not prime" in err
+
+
 @pytest.mark.parametrize("argv, target", [
     (["hasse", "--type", "A1"], "orbit_atlas.order._certify"),
     (["oracle", "--type", "A1", "--q", "3"], "orbit_atlas.cli.stability_check"),

@@ -21,6 +21,9 @@ V = LaurentPoly.var
 def test_pos_roots_examples():
     assert pos_roots(1) == [(1, 1)]
     assert pos_roots(2) == [(1, 1), (2, 2), (1, 2)]
+    mine = pos_roots(2)
+    mine.clear()                    # a fresh list: the table is untouched
+    assert pos_roots(2) == [(1, 1), (2, 2), (1, 2)]
     r4 = pos_roots(4)
     assert len(r4) == 10
     assert r4[-3:] == [(1, 3), (2, 4), (1, 4)]
@@ -286,3 +289,15 @@ def test_torus_weight_matches_literal_conjugation(case):
                             NilElement(t.rank, {root: 1}))
     assert set(literal.coords) == {root}
     assert torus_weight(t, root) == literal.coord(root)
+
+
+def test_from_vector_stores_unknown_scalars_and_surfaces_bugs():
+    token = object()                # no zero test: kept as a coordinate
+    assert NilElement.from_vector(1, [token]).coords == {(1, 1): token}
+
+    class Broken(Fp):
+        def is_zero(self):
+            raise RuntimeError("bug in a zero test")
+
+    with pytest.raises(RuntimeError):
+        NilElement.from_vector(1, [Broken(1, 5)])

@@ -14,7 +14,8 @@ from orbit_atlas.cli import ORACLE_DEFAULT_QS
 from orbit_atlas.errors import BudgetExceededError, InternalInconsistencyError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, conjugate_nil, nil_dim, pos_roots)
-from orbit_atlas.oracle import (_word_map, borel_generator_maps,
+from orbit_atlas.oracle import (_next_unlabelled, _word_map,
+                                borel_generator_maps,
                                 enumerate_borel_orbits,
                                 generator_sufficiency_check, image_codes,
                                 jacobian_rank_dim, orbit_sample_points,
@@ -214,6 +215,18 @@ def test_bfs_matches_frontier_matmul_reference(partitions):
         assert (part.class_of == class_of).all(), (n, q)
         assert part.reps == reps, (n, q)
         assert part.sizes == sizes, (n, q)
+
+
+def test_next_unlabelled_scans_forward():
+    class_of = np.array([0, 0, -1, 1, 1, 1, 1, 1, 1, -1, 2], dtype=np.int32)
+    assert _next_unlabelled(class_of, 0) == 2
+    assert _next_unlabelled(class_of, 2) == 2
+    assert _next_unlabelled(class_of, 3) == 9
+    assert _next_unlabelled(class_of, 10) == class_of.size
+    assert _next_unlabelled(class_of, class_of.size) == class_of.size
+    for start in range(class_of.size + 1):
+        rest = [i for i in range(start, class_of.size) if class_of[i] < 0]
+        assert _next_unlabelled(class_of, start) == (rest or [class_of.size])[0]
 
 
 def test_stability_maps_per_rank(partitions):
