@@ -35,11 +35,39 @@ Rational = Union[int, Fraction]
 # prime fields
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases _SMALL_PRIMES decides primality exactly below
+# this bound (Sorenson and Webster, 2015).
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: trial division by the primes up to 41, then
+    Miller-Rabin with those primes as bases, which is deterministic below
+    3,317,044,064,679,887,385,961,981.  A number above that bound with no
+    small factor raises ``SchemaError``."""
     if n < 2:
         return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= _MILLER_RABIN_BOUND:
+        raise SchemaError(f"{n} is too large for an exact primality test "
+                          f"(the limit is {_MILLER_RABIN_BOUND})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -205,7 +233,7 @@ class LaurentPoly:
     existing instance, so results may share term maps with their operands.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, vars: tuple[str, ...] = (), terms: dict | None = None):
         self.vars = tuple(vars)
@@ -262,7 +290,13 @@ class LaurentPoly:
         return self.items() == other.items()
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        """Hash of the registry-independent ``items()``, computed on first
+        use and kept in a slot (the type is immutable)."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(tuple(self.items()))
+            return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms

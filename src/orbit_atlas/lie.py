@@ -5,9 +5,12 @@ matrices; the coordinate of the positive root (i, j) sits at matrix entry
 (i, j+1).  ``adjoint`` applies a Borel word as a sparse root-group update
 (one bracket step per factor, then the torus weights), for every
 coefficient ring (prime fields, rationals, Laurent polynomials and
-fractions).  Literal matrix conjugation (``conjugate_nil`` with the word's
-matrices) is kept as the reference the tests compare it against, and serves
-callers that hold a generic group element as a matrix.
+fractions).  It is the one path for every group action in the package: the
+finite-field maps of the oracle, the witness words, and the generic orbit
+``adjoint(generic_borel_word(n), x)`` that forward containment and the
+closure generators pull polynomials back along.  Literal matrix conjugation
+(``conjugate_nil`` with the word's matrices) is kept as the reference the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -54,11 +57,6 @@ def pos_roots(n: int) -> list[tuple[int, int]]:
     simple roots first, then height 2, and so on.  A fresh list."""
     check_rank(n)
     return list(_ROOTS[n])
-
-
-def root_height(root: tuple[int, int]) -> int:
-    i, j = root
-    return j - i + 1
 
 
 def root_token(root: tuple[int, int]) -> str:
@@ -271,11 +269,6 @@ def _torus_weights(t: TorusElement, roots) -> dict:
     return {(i, j): d[i - 1] * inv[j] for i, j in roots}
 
 
-def torus_weight(t: TorusElement, root: tuple[int, int]):
-    """Scaling factor of the root coordinate under conjugation by t."""
-    return _torus_weights(t, (root,))[root]
-
-
 def conjugate_nil(g: list[list], g_inv: list[list], x: NilElement) -> NilElement:
     m = mat_mul(mat_mul(g, x.to_matrix()), g_inv)
     return NilElement.from_matrix(x.rank, m)
@@ -306,8 +299,8 @@ def adjoint(b: BorelWord, x: NilElement) -> NilElement:
     """Exact adjoint action g x g^{-1}, g = T F_1 ... F_k, as a NilElement.
 
     The factors act right to left, each U_root(c) as x -> x + c [x_root, x]
-    (the quadratic term vanishes on strictly upper-triangular x; see
-    ``fixing_root_groups``); the torus then scales each coordinate by its
+    (the quadratic term -c^2 x_root x x_root vanishes on strictly
+    upper-triangular x); the torus then scales each coordinate by its
     weight.  ``conjugate_nil`` on the word's matrices is the literal
     reference the tests compare against.
     """
@@ -332,69 +325,17 @@ def commutator_nil(rank: int, root: tuple[int, int], x: NilElement) -> NilElemen
     return _sparse_element(rank, dict(_bracket(root, x.coords)))
 
 
-def fixing_root_groups(x: NilElement) -> set[tuple[int, int]]:
-    """Roots whose one-parameter group fixes x identically in the parameter.
-
-    U_root(c) x U_root(-c) = x + c [x_root, x] - c^2 x_root x x_root, and the
-    quadratic term vanishes identically on strictly upper-triangular x, so the
-    condition is exactly [x_root, x] = 0 -- a polynomial identity, decided
-    coefficient by coefficient in any ring.
-    """
-    out = set()
-    for root in pos_roots(x.rank):
-        if all(is_zero_elem(c) for c in commutator_nil(x.rank, root, x).coords.values()):
-            out.add(root)
-    return out
-
-
-def generic_unipotent(n: int, prefix: str = "f") -> tuple[list[list], list[str]]:
-    """Upper unitriangular matrix with fresh polynomial entries.
-
-    Entries are numbered along superdiagonals: f1..fn on the first, then the
-    second, and so on (for n = 4: rows read f1 f5 f8 f10 / f2 f6 f9 / f3 f7 / f4).
-    Returns the matrix and the variable names in index order.
+def generic_borel_word(n: int) -> BorelWord:
+    """The generic Borel element over Laurent polynomials: the torus
+    diag(t1, ..., tn, (t1 ... tn)^-1) followed by one factor U_root(f_k) per
+    positive root, the k-th root of ``pos_roots`` taking f_k.  For a fixed
+    root order the product of the root groups is a bijection onto U, so
+    ``adjoint(generic_borel_word(n), x)`` is the generic point of the orbit
+    of x: a polynomial vanishes on the orbit exactly when it vanishes there.
     """
     check_rank(n)
-    size = n + 1
-    m = mat_identity(size)
-    names = []
-    k = 0
-    for diag in range(1, size):
-        for i in range(size - diag):
-            k += 1
-            name = f"{prefix}{k}"
-            names.append(name)
-            m[i][i + diag] = LaurentPoly.var(name)
-    return m, names
-
-
-def unipotent_inverse(m: list[list], size: int) -> list[list]:
-    """(I + N)^{-1} = I - N + N^2 - ... for strictly upper N; exact, no division."""
-    n_part = [[m[i][j] if j > i else 0 for j in range(size)] for i in range(size)]
-    out = mat_identity(size)
-    power = mat_identity(size)
-    sign = 1
-    for _ in range(size - 1):
-        power = mat_mul(power, n_part)
-        sign = -sign
-        out = [[out[i][j] + sign * power[i][j] for j in range(size)]
-               for i in range(size)]
-    return out
-
-
-def generic_borel_matrices(n: int, torus_prefix: str = "t",
-                           unip_prefix: str = "f"):
-    """Fully generic Borel element T(t1..tn) * U_arb over Laurent polynomials.
-
-    Returns (g, g_inv, torus_vars, unipotent_vars); the determinant-completing
-    torus entry is the Laurent monomial (t1...tn)^{-1}.
-    """
-    check_rank(n)
-    size = n + 1
-    tvars = [f"{torus_prefix}{i}" for i in range(1, n + 1)]
-    diag = [LaurentPoly.var(v) for v in tvars]
-    torus = TorusElement(n, tuple(diag))
-    u, fvars = generic_unipotent(n, unip_prefix)
-    g = mat_mul(torus.to_matrix(), u)
-    g_inv = mat_mul(unipotent_inverse(u, size), torus.inverse_matrix())
-    return g, g_inv, tvars, fvars
+    torus = TorusElement(n, tuple(LaurentPoly.var(f"t{k}")
+                                  for k in range(1, n + 1)))
+    factors = tuple(RootGroupFactor(root, LaurentPoly.var(f"f{k}"))
+                    for k, root in enumerate(_ROOTS[n], 1))
+    return BorelWord(n, torus, factors)

@@ -1,25 +1,28 @@
-"""Brute-force ground truth over finite fields.
+"""Brute-force ground truth over finite fields, and the dimension
+certificate.
 
 ``enumerate_borel_orbits`` computes the actual B(F_q)-orbit partition of the
 nilradical by breadth-first closure under a small generator set, then
 certifies that generator set by checking every class is stable under every
 one-parameter subgroup element and the full torus.  ``refine_check``
-confronts the partition with the catalog's defining sets.  Dimensions are
-audited independently through Jacobian ranks in ``jacobian_rank_dim``.
+confronts the partition with the catalog's defining sets.
 
 Every group element is a ``lie.BorelWord`` over ``Fp``, and acts through
 ``lie.adjoint``: its linear map on coordinates is read off ``adjoint`` on
-the coordinate basis, and orbit sample points are ``adjoint`` images of the
-representative.  The BFS, the stability pass and the sufficiency check
-apply a map to the whole space only through ``image_codes``, which builds
-the code of every image point digit by digit with integer broadcasts,
-without decoding the q^d points; the BFS turns each generator into one
-code table and steps a frontier by indexing it.
+the coordinate basis.  The BFS and the stability pass apply a map to the
+whole space only through ``image_codes``, which builds the code of every
+image point digit by digit with integer broadcasts, without decoding the q^d
+points; the BFS turns each generator into one code table and steps a
+frontier by indexing it.
+
+``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
+its representative, with no sampled points: the tangent space [b, rep] of
+the orbit must have the dimension d - r that the zero-set Jacobian rank r
+leaves there.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -32,12 +35,11 @@ from .classify import decode_points, match_table
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
-                  adjoint, nil_dim, pos_roots, root_token)
+                  adjoint, commutator_nil, nil_dim, pos_roots, root_token)
 
 BFS_BUDGET = 2_000_000
 #: stability_check adds every full torus element when there are at most this many
 FULL_TORUS_CAP = 4096
-JACOBIAN_PRIME = 101
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +99,6 @@ def _slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
 
 def _root_word(n: int, root, c: int, q: int) -> BorelWord:
     return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
-
-
-def _random_word(n: int, q: int, rng: random.Random) -> BorelWord:
-    """Uniform element of B(F_q): a random torus times one random U_root
-    factor per positive root (for a fixed root order this product is a
-    bijection onto B(F_q))."""
-    torus = TorusElement(n, tuple(Fp(rng.randrange(1, q), q) for _ in range(n)))
-    factors = tuple(RootGroupFactor(root, Fp(rng.randrange(q), q))
-                    for root in pos_roots(n))
-    return BorelWord(n, torus, factors)
 
 
 def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
@@ -226,18 +218,6 @@ def stability_check(part: OrbitPartition) -> dict:
     return {"maps_checked": len(words)}
 
 
-def generator_sufficiency_check(part: OrbitPartition, extra: int = 100,
-                                seed: int = 0) -> bool:
-    """Adding random Borel elements must never merge classes."""
-    n, q = part.rank, part.q
-    rng = random.Random(repr((seed, n, q)))
-    for _ in range(extra):
-        codes = image_codes(_word_map(_random_word(n, q, rng), q), q)
-        if not (part.class_of[codes] == part.class_of).all():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # refinement against the catalog
 
@@ -293,29 +273,7 @@ def refine_check(n: int, q: int, catalog: Catalog | None = None,
 
 
 # ---------------------------------------------------------------------------
-# dimension audit
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    a = [[x % p for x in row] for row in rows]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, m) if a[i][col] % p), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+# dimension certificate
 
 
 def _rank_exact(rows: list[list[Fraction]]) -> int:
@@ -340,47 +298,43 @@ def _rank_exact(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def orbit_sample_points(rec: OrbitRecord, count: int, p: int,
-                        seed: int = 0) -> list[dict]:
-    """Points of the orbit over F_p, as images of the representative under
-    random Borel elements (hence inside the defining set by containment)."""
-    n = rec.rank
-    rng = random.Random(repr((seed, rec.id, p)))
-    rep = NilElement(n, {r: Fp(c, p) for r, c in rec.representative.coords.items()})
-    return [dict(zip(x_vars(n), _coords_mod(adjoint(_random_word(n, p, rng), rep))))
-            for _ in range(count)]
+def _bracket_rows(rep: NilElement) -> list[list]:
+    """Matrix of y -> [y, rep] from b to n, one row per basis element of b:
+    the simple coroots h_k, then the positive roots.  h_k scales the
+    coordinate of root (i, j), that is of alpha_i + ... + alpha_j, by
+    <alpha_(i..j), h_k> = d_ik - d_i,k+1 - d_j+1,k + d_j+1,k+1."""
+    n = rep.rank
+    roots = pos_roots(n)
+    rows = [[((i == k) - (i == k + 1) - (j + 1 == k) + (j == k))
+             * rep.coord((i, j)) for i, j in roots]
+            for k in range(1, n + 1)]
+    rows += [commutator_nil(n, root, rep).as_vector() for root in roots]
+    return rows
 
 
-def jacobian_rank_dim(rec: OrbitRecord, samples: int = 20,
-                      p: int = JACOBIAN_PRIME, seed: int = 0) -> int:
-    """Dimension as (nilradical dimension) - (Jacobian rank of the zero set),
-    the rank maximized over the representative and random orbit points, with
-    the representative cross-checked over the rationals."""
+def jacobian_rank_dim(rec: OrbitRecord) -> int:
+    """Dimension d - r, r the rank over Q of the zero-set Jacobian at the
+    representative, certified by t, the rank of y -> [y, rep] from b to n.
+
+    In characteristic 0 the tangent space of the orbit at rep is [b, rep],
+    so the orbit has dimension t.  Every component of V(zero set) through
+    rep has dimension at most d - r, and forward containment puts the orbit
+    in V(zero set).  So t = d - r makes the orbit closure a component of
+    V(zero set) of that dimension, with rep a smooth point of it.  Raises
+    when t != d - r, naming the record and both numbers."""
     n = rec.rank
     d = nil_dim(n)
-    if not rec.zero_set:
-        return d
-    vars_ = x_vars(n)
-    jac = [[poly.derivative(v) for v in vars_] for poly in rec.zero_set]
-    rep_env = {var: rec.representative.coord(root)
-               for root, var in zip(pos_roots(n), vars_)}
     if len(rec.zero_set) > d:
         raise InternalInconsistencyError(
             f"{rec.id}: more zero-set generators than coordinates")
-
-    def eval_rows_mod(env):
-        return [[int(cell.eval_mod_p(env, p).v) for cell in row] for row in jac]
-
-    rep_rows_exact = [[Fraction(cell.eval(rep_env)) for cell in row] for row in jac]
-    rank_rep_exact = _rank_exact(rep_rows_exact)
-    rank_rep_mod = _rank_mod_p(eval_rows_mod(rep_env), p)
-    if rank_rep_exact != rank_rep_mod:
+    rep = rec.representative
+    env = dict(zip(x_vars(n), rep.as_vector()))
+    r = _rank_exact([[poly.derivative(v).eval(env) for v in x_vars(n)]
+                     for poly in rec.zero_set])
+    t = _rank_exact(_bracket_rows(rep))
+    if t != d - r:
         raise InternalInconsistencyError(
-            f"{rec.id}: rational and mod-{p} Jacobian ranks differ at the "
-            f"representative")
-    best = rank_rep_mod
-    for env in orbit_sample_points(rec, samples, p, seed):
-        best = max(best, _rank_mod_p(eval_rows_mod(env), p))
-        if best == len(rec.zero_set):
-            break
-    return d - best
+            f"{rec.id}: orbit dimension {t} (rank of [b, rep]) != {d - r} "
+            f"(nilradical dimension {d} minus zero-set Jacobian rank {r} at "
+            f"the representative)")
+    return d - r

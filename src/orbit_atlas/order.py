@@ -3,9 +3,11 @@
 a <= b means the orbit O_a lies in the Zariski closure of O_b.  Each record
 b gets a certified generating set V_b for the functions vanishing on its
 orbit closure (``closure_generators``): every catalog polynomial of the rank
-whose pullback along the fully generic orbit parametrization of O_b is
-identically zero.  That is the record's own zero set, which must vanish
-there, augmented by the other such polynomials.  (Augmentation matters: a
+whose pullback along the generic orbit adjoint(g, representative), g the
+one generic Borel word of ``lie.generic_borel_word``, is identically zero
+(``witness.generic_pullbacks``, shared with forward containment).  That is
+the record's own zero set, which must vanish there, augmented by the other
+such polynomials.  (Augmentation matters: a
 zero set describes the closure only up to extra components, and for a
 handful of records a dependent quadratic that vanishes on the orbit
 separates those components.)
@@ -25,15 +27,13 @@ counterexample point for every non-relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .arith import LaurentPoly
 from .catalog import Catalog, load_catalog, x_vars
 from .classify import eval_poly_on_columns, match_table, torus_slices
 from .errors import CatalogError, InternalInconsistencyError
-from .lie import conjugate_nil, generic_borel_matrices, pos_roots
+from .witness import generic_pullbacks
 
 CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
@@ -51,20 +51,13 @@ def closure_generators(cat: Catalog) -> dict:
             if poly not in seen:
                 seen.add(poly)
                 pool.append((poly, s))
+    polys = [poly for poly, _ in pool]
     out = {}
-    g, g_inv, _, _ = generic_borel_matrices(cat.rank)
     for rec in cat.orbits:
-        moved = conjugate_nil(g, g_inv, rec.representative)
-        coords = {}
-        for root, var in zip(pos_roots(cat.rank), x_vars(cat.rank)):
-            c = moved.coord(root)
-            coords[var] = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+        values = generic_pullbacks(rec.representative, polys)
         gens = list(zip(rec.zero_set, rec.zero_strs))
         own = dict(gens)
-        for poly, s in pool:
-            value = poly.eval(coords)
-            if isinstance(value, Fraction):
-                value = LaurentPoly.const(value)
+        for (poly, s), value in zip(pool, values):
             if not value.is_zero():
                 if poly in own:
                     raise InternalInconsistencyError(

@@ -1,7 +1,10 @@
 """Witness verification: the proof that each catalog set equals its orbit.
 
-Forward containment checks the inclusion orbit <= set as a polynomial
-identity in fully generic Borel parameters.  The reverse inclusion is
+Forward containment checks the inclusion orbit <= set as polynomial
+identities in fully generic Borel parameters: ``generic_pullbacks`` evaluates
+the catalog polynomials at adjoint(g, representative) for the one generic
+word g of ``lie.generic_borel_word``, the same pullback the closure
+generators of ``order`` are read from.  The reverse inclusion is
 certified by the catalog's witness templates: a Borel word whose parameters
 are rational (and radical) expressions in the coordinates of a general
 member m, with adjoint(word, representative) required to equal m exactly.
@@ -22,16 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
-                    _exact_divide, _frac_pow, _rational_root, eval_expr,
-                    kth_roots, parse_expr, parse_poly, poly_to_str)
-from .catalog import (Catalog, OrbitRecord, WitnessParseError, WitnessRadical,
-                      WitnessTemplate, letter_of_var, parse_printed_word,
-                      x_vars)
+                    _exact_divide, _frac_pow, eval_expr, kth_roots,
+                    parse_expr, parse_poly)
+from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
+                      parse_printed_word, x_vars)
 from .errors import DomainError, EvaluationError, SchemaError
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
-                  adjoint, commutator_nil, coordinate_letters, conjugate_nil,
-                  fixing_root_groups, generic_borel_matrices, pos_roots,
-                  torus_weight)
+                  adjoint, coordinate_letters, generic_borel_word, pos_roots)
 
 POWER = 60  # lcm of the radical orders 2..5
 
@@ -58,10 +58,6 @@ class MemberEnv:
     solved_letters: list
     protected_polys: list           # evaluated non-monomial nonzero conditions
     protected_letters: set
-
-    def member_element(self) -> NilElement:
-        coords = {r: v for r, v in self.target.items() if not v.is_zero()}
-        return NilElement(self.rec.rank, coords)
 
 
 def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
@@ -410,63 +406,49 @@ def verify_witness_numeric(rec: OrbitRecord, p: int, trials: int,
 # forward containment
 
 
+def generic_pullbacks(rep: NilElement, polys) -> list[LaurentPoly]:
+    """Each polynomial in X11, X22, ... evaluated at the generic point
+    ``adjoint(generic_borel_word(n), rep)`` of the orbit of rep: a Laurent
+    polynomial in t1..tn, f1..fd that is zero exactly when the polynomial
+    vanishes on the whole orbit."""
+    moved = adjoint(generic_borel_word(rep.rank), rep)
+    env = {var: _lift(moved.coord(root))
+           for root, var in zip(pos_roots(rep.rank), x_vars(rep.rank))}
+    return [_lift(poly.eval(env)) for poly in polys]
+
+
+def _lift(c) -> LaurentPoly:
+    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+
+
 @dataclass
 class ForwardReport:
     orbit_id: str
     ok: bool
     zero_identities: int
     nonzero_nonvanishing: int
-    sample_point: dict | None
     detail: str = ""
 
 
-def forward_containment(rec: OrbitRecord, p: int = 101) -> ForwardReport:
-    """Containment of the full orbit in its defining set, as an identity in
-    generic torus and unipotent parameters."""
-    n = rec.rank
-    g, g_inv, tvars, fvars = generic_borel_matrices(n)
-    moved = conjugate_nil(g, g_inv, rec.representative)
-    coords = {}
-    for root, var in zip(pos_roots(n), x_vars(n)):
-        c = moved.coord(root)
-        coords[var] = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-    zero_ok = 0
-    for poly, s in zip(rec.zero_set, rec.zero_strs):
-        value = poly.eval(coords)
-        if isinstance(value, Fraction):
-            value = LaurentPoly.const(value)
+def forward_containment(rec: OrbitRecord) -> ForwardReport:
+    """Containment of the orbit in its defining set, as identities in the
+    generic torus and unipotent parameters: every zero-set generator pulls
+    back to zero and every nonzero-set generator to a nonzero Laurent
+    polynomial.  The Laurent ring over Q is a domain, so the nonzero
+    pullbacks have a nonzero product and one generic point meets every
+    nonzero condition at once."""
+    values = generic_pullbacks(rec.representative,
+                               rec.zero_set + rec.nonzero_set)
+    zeros, nonzeros = values[:len(rec.zero_set)], values[len(rec.zero_set):]
+    for k, (value, s) in enumerate(zip(zeros, rec.zero_strs)):
         if not value.is_zero():
-            return ForwardReport(rec.id, False, zero_ok, 0, None,
+            return ForwardReport(rec.id, False, k, 0,
                                  f"zero-set generator {s} has nonzero normal form")
-        zero_ok += 1
-    nz_values = []
-    for poly, s in zip(rec.nonzero_set, rec.nonzero_strs):
-        value = poly.eval(coords)
-        if isinstance(value, Fraction):
-            value = LaurentPoly.const(value)
+    for k, (value, s) in enumerate(zip(nonzeros, rec.nonzero_strs)):
         if value.is_zero():
-            return ForwardReport(rec.id, False, zero_ok, len(nz_values), None,
+            return ForwardReport(rec.id, False, len(zeros), k,
                                  f"nonzero-set generator {s} vanishes identically")
-        nz_values.append(value)
-    sample = None
-    for seed in range(200):
-        point = {}
-        for i, v in enumerate(tvars):
-            point[v] = (pow(3, seed + i + 1, p)) % p
-        for i, v in enumerate(fvars):
-            point[v] = (seed * 37 + 11 * i + 7) % p
-        if any(x == 0 for k, x in point.items() if k in tvars):
-            continue
-        try:
-            if all(val.eval_mod_p(point, p).v != 0 for val in nz_values):
-                sample = point
-                break
-        except EvaluationError:
-            continue
-    if nz_values and sample is None:
-        return ForwardReport(rec.id, False, zero_ok, len(nz_values), None,
-                             "no parameter point with all nonzero conditions met")
-    return ForwardReport(rec.id, True, zero_ok, len(nz_values), sample)
+    return ForwardReport(rec.id, True, len(zeros), len(nonzeros))
 
 
 # ---------------------------------------------------------------------------
@@ -506,292 +488,6 @@ def witness_domain_sound(rec: OrbitRecord) -> bool:
                             .reduce_radicals(menv.tower).num, menv):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# witness solver
-
-
-def _descale_poly(p: LaurentPoly, radical_names: set, power: int = POWER) -> LaurentPoly:
-    terms = {}
-    for exps, c in p.terms.items():
-        new = []
-        for v, e in zip(p.vars, exps):
-            if v in radical_names:
-                new.append(e)
-            else:
-                if e % power:
-                    raise SchemaError(f"exponent {e} of {v} not a multiple of {power}")
-                new.append(e // power)
-        terms[tuple(new)] = c
-    return LaurentPoly(p.vars, terms)
-
-
-def _mono_to_template(p: LaurentPoly, radical_names: set,
-                      power: int = POWER) -> str:
-    """Monomial to template text; letter exponents may descale fractionally."""
-    (exps, c), = p.terms.items()
-    parts = []
-    for v, e in zip(p.vars, exps):
-        if e == 0:
-            continue
-        if v in radical_names:
-            q = Fraction(e)
-        else:
-            q = Fraction(e, power)
-        if q == 1:
-            parts.append(v)
-        elif q.denominator == 1:
-            exp = f"{q.numerator}" if q.numerator >= 0 else f"(-{-q.numerator})"
-            parts.append(f"{v}^{exp}")
-        else:
-            parts.append(f"{v}^({q.numerator}/{q.denominator})")
-    body = "*".join(parts)
-    if not body:
-        return str(c)
-    if c == 1:
-        return body
-    if c == -1:
-        return f"-{body}"
-    return f"{c}*{body}"
-
-
-def _fraction_to_template(frac: LaurentFraction, menv: MemberEnv) -> str:
-    radical_names = {r.new_var for r in menv.tower}
-    f = frac.reduce_radicals(menv.tower)
-
-    def side(p: LaurentPoly) -> str:
-        if p.is_monomial():
-            return _mono_to_template(p, radical_names)
-        return poly_to_str(_descale_poly(p, radical_names))
-
-    if f.den == LaurentPoly.one:
-        return side(f.num)
-    return f"({side(f.num)})/({side(f.den)})"
-
-
-def _unit_decompose(value: LaurentFraction, menv: MemberEnv):
-    """Write a domain unit as coeff * prod(letter^e) * prod(protected_poly^m);
-    returns (coeff, {letter: e}, {poly index: m}) or None."""
-    if value.num.is_zero():
-        return None
-    num, num_mults = _peel(value.num, menv.protected_polys)
-    den, den_mults = _peel(value.den, menv.protected_polys)
-    powers = {}
-    for sign, mults in ((1, num_mults), (-1, den_mults)):
-        for idx, m in enumerate(mults):
-            if m:
-                powers[idx] = powers.get(idx, 0) + sign * m
-    if not (num.is_monomial() and den.is_monomial()):
-        return None
-    mono = num * den.monomial_inverse()
-    (exps, coeff), = mono.terms.items()
-    letters = {}
-    for v, e in zip(mono.vars, exps):
-        if e:
-            letters[v] = e
-    return coeff, letters, powers
-
-
-def solve_witness(rec: OrbitRecord):
-    """Best-effort witness solver.
-
-    Peels the non-support coordinates of a general member with root-group
-    moves taken in increasing root height, solves the torus from the support
-    coordinates through the weight-exponent lattice (adjoining radical
-    variables where the lattice requires k-th roots), and returns a template
-    that verify_witness_symbolic accepts, or None when stuck.
-    """
-    menv = build_member_env(rec)
-    n = rec.rank
-    rep = rec.representative
-    supp = set(rep.support())
-    movable = [r for r in pos_roots(n) if r not in fixing_root_groups(rep)]
-    current = menv.member_element()
-    moves: list[tuple[tuple[int, int], LaurentFraction]] = []
-    used = set()
-    cleared: list[tuple[int, int]] = []
-
-    def coord(elem, root):
-        c = elem.coord(root)
-        return c if isinstance(c, LaurentFraction) else LaurentFraction._lift(c)
-
-    for gamma in pos_roots(n):
-        if gamma in supp:
-            continue
-        val = coord(current, gamma).reduce_radicals(menv.tower)
-        if val.is_zero():
-            cleared.append(gamma)
-            continue
-        applied = False
-        for delta in movable:
-            if delta in used:
-                continue
-            bracket = commutator_nil(n, delta, current)
-            k = coord(bracket, gamma)
-            if k.is_zero():
-                continue
-            kd = _unit_decompose(k.reduce_radicals(menv.tower), menv)
-            if kd is None:
-                continue
-            c = -val / k
-            word = BorelWord(n, None, (RootGroupFactor(delta, c),))
-            candidate = adjoint(word, current)
-            bad = False
-            for prev in cleared:
-                if not coord(candidate, prev).reduce_radicals(menv.tower).is_zero():
-                    bad = True
-                    break
-            if bad or not coord(candidate, gamma).reduce_radicals(menv.tower).is_zero():
-                continue
-            for beta in supp:
-                if _unit_decompose(coord(candidate, beta)
-                                   .reduce_radicals(menv.tower), menv) is None:
-                    bad = True
-                    break
-            if bad:
-                continue
-            current = candidate
-            moves.append((delta, c))
-            used.add(delta)
-            applied = True
-            break
-        if not applied:
-            return None
-        cleared.append(gamma)
-
-    # torus from the support coordinates: solve prod t_i^E[beta][i] = c_beta
-    supp_list = [r for r in pos_roots(n) if r in supp]
-    rows = []
-    for (i, j) in supp_list:
-        e = [0] * n
-        e[i - 1] += 1
-        if j + 1 <= n:
-            e[j] -= 1
-        else:
-            # t_{n+1}^{-1} = t_1 ... t_n
-            for k2 in range(n):
-                e[k2] += 1
-        rows.append(e)
-    # Gaussian elimination over Q, tracking rhs as formal combinations of c_beta
-    m = len(rows)
-    aug = [[Fraction(x) for x in rows[b]] +
-           [Fraction(1) if k == b else Fraction(0) for k in range(m)]
-           for b in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][col]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    # Rows past r are dependent relations between the support weights.  They
-    # must also hold between the c_beta; this solver does not check that,
-    # and the final verify_witness_symbolic acceptance check rejects a
-    # template where one fails.
-    exps = {}
-    for row_idx, col in enumerate(pivots):
-        exps[col] = aug[row_idx][n:]
-
-    c_values = [coord(current, b).reduce_radicals(menv.tower) for b in supp_list]
-    decomposed = []
-    for cv in c_values:
-        d = _unit_decompose(cv, menv)
-        if d is None:
-            return None
-        decomposed.append(d)
-
-    new_radicals: list[WitnessRadical] = list(rec.witness.radicals)
-    tower_map = {r.new_var: r for r in menv.tower}
-
-    def unit_power(idx_weights) -> LaurentFraction:
-        """prod_beta c_beta ^ w_beta with rational weights."""
-        coeff = Fraction(1)
-        letter_exp: dict[str, Fraction] = {}
-        poly_exp: dict[int, Fraction] = {}
-        for (c0, letters, polys), w in zip(decomposed, idx_weights):
-            if w == 0:
-                continue
-            if c0 != 1:
-                coeff *= _rational_root(c0, w)
-            for v, e in letters.items():
-                letter_exp[v] = letter_exp.get(v, Fraction(0)) + Fraction(e) * w
-            for i2, e in polys.items():
-                poly_exp[i2] = poly_exp.get(i2, Fraction(0)) + Fraction(e) * w
-        out = LaurentFraction(LaurentPoly.const(coeff))
-        for v, e in letter_exp.items():
-            if e.denominator != 1:
-                raise SchemaError("letter exponent not integral")
-            out = out * LaurentFraction(LaurentPoly.var(v, int(e)))
-        for i2, e in poly_exp.items():
-            prot = menv.protected_polys[i2]
-            if e.denominator == 1:
-                out = out * LaurentFraction(prot) ** int(e)
-            else:
-                order = e.denominator
-                if order not in (2, 3, 4, 5):
-                    raise SchemaError(f"needs an order-{order} radical")
-                name = None
-                for rel in menv.tower:
-                    if rel.order == order and rel.radicand == prot:
-                        name = rel.new_var
-                        break
-                if name is None:
-                    name = f"W{len(new_radicals) + 1}"
-                    radical_names = {x.new_var for x in tower_map.values()}
-                    new_radicals.append(WitnessRadical(
-                        name, order,
-                        poly_to_str(_descale_poly(prot, radical_names))))
-                    rel = RadicalRelation(name, order, prot)
-                    menv.tower.append(rel)
-                    tower_map[name] = rel
-                    menv.env[name] = LaurentFraction(LaurentPoly.var(name))
-                out = out * LaurentFraction(LaurentPoly.var(name)) ** int(e * order)
-        return out.reduce_radicals(menv.tower)
-
-    try:
-        torus_vals = []
-        for i in range(n):
-            if i in exps:
-                torus_vals.append(unit_power(exps[i]))
-            else:
-                torus_vals.append(LaurentFraction(1))
-    except SchemaError:
-        return None
-
-    torus = TorusElement(n, tuple(torus_vals))
-    # b = u^{-1} T rewritten torus-first: parameters scale by inverse weights
-    factor_list = []
-    for delta, c in moves:
-        weight = torus_weight(torus, delta)
-        factor_list.append((delta, (-c) / weight))
-
-    torus_strs = tuple(_fraction_to_template(t, menv) for t in torus_vals)
-    factor_strs = tuple((d, _fraction_to_template(v, menv)) for d, v in factor_list)
-    template = WitnessTemplate(
-        constraints=rec.witness.constraints,
-        radicals=tuple(new_radicals),
-        torus=torus_strs,
-        factors=factor_strs)
-    # acceptance check before returning
-    trial = OrbitRecord(
-        id=rec.id, rank=rec.rank, representative=rec.representative,
-        zero_set=rec.zero_set, nonzero_set=rec.nonzero_set,
-        zero_strs=rec.zero_strs, nonzero_strs=rec.nonzero_strs,
-        dim=rec.dim, witness=template, as_printed=rec.as_printed,
-        notes=rec.notes)
-    verdict = verify_witness_symbolic(trial)
-    if verdict.status != VERIFIED_SYMBOLIC:
-        return None
-    return template
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Coefficient-ring tests: canonical forms, radical rewriting, evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,25 @@ def test_is_prime_is_exact_on_huge_integers():
                                                      19, 23, 29]
 
 
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial(n)]
+
+
+def test_is_prime_is_fast_below_the_miller_rabin_bound():
+    assert is_prime(1000000000000000003)          # 10^18 + 3
+    assert not is_prime(1000000007 * 998244353)
+    # composites that pass Miller-Rabin for every prime base up to 31, and
+    # up to 37: only the later bases reject them
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(SchemaError, match="too large"):
+        is_prime(2**89 - 1)                        # prime, above the bound
+
+
 # ---------------------------------------------------------------------------
 # the kernel against a reference: dicts keyed by sorted (var, exp) pairs
 
@@ -380,6 +400,19 @@ def test_integral_coefficients_are_ints():
     q = _exact_divide(V("a") * 3 + Fraction(3, 2), V("a") * 2 + 1)
     assert q.terms == {(0,): Fraction(3, 2)}
     assert_canonical(q)
+
+
+def test_equal_polynomials_hash_equal_across_registries():
+    a, b = V("a"), V("b")
+    p = a * b + 2
+    prefix = LaurentPoly(("a", "b", "c"), {(1, 1, 0): 1, (0, 0, 0): 2})
+    interleaved = LaurentPoly(("b", "c", "a"), {(1, 0, 1): 1, (0, 0, 0): 2})
+    assert p == prefix == interleaved
+    assert hash(p) == hash(prefix) == hash(interleaved) == hash(p)
+    zero = LaurentPoly(("a",), {})
+    assert zero == LaurentPoly() and hash(zero) == hash(LaurentPoly())
+    # the cached hash of one operand never leaks into a result
+    assert hash(p * a) == hash(LaurentPoly(("a", "b"), {(2, 1): 1, (1, 0): 2}))
 
 
 def test_equal_constants_share_a_hash():

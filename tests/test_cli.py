@@ -199,3 +199,16 @@ def test_census_and_oracle_load_the_catalog_once(capsys, monkeypatch,
     code, out, _ = run(capsys, command, "--type", "A2")
     assert code == 0
     assert out == want
+
+
+def test_large_prime_fields_are_decided_quickly(capsys):
+    q = "1000000000000000003"               # prime: 10^18 + 3
+    code, _, err = run(capsys, "census", "--type", "A2", "--q", q)
+    assert code == 2 and "budget" in err
+    code, out, _ = run(capsys, "classify", "--type", "A2", "--point", "1,0,1",
+                       "--mod", q)
+    assert (code, out) == (0, "x11\n")
+    code, out, err = run(capsys, "classify", "--type", "A2", "--point",
+                         "1,0,1", "--mod", str(2**89 - 1))
+    assert (code, out) == (2, "")
+    assert "too large for an exact primality test" in err

@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
 from orbit_atlas.errors import ShapeError, UnsupportedRankError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, adjoint, commutator_nil,
-                             conjugate_nil, coordinate_letters,
-                             fixing_root_groups, generic_unipotent, mat_mul,
-                             nil_dim, pos_roots, root_height, torus_weight,
-                             unipotent_inverse)
+                             TorusElement, _torus_weights, adjoint,
+                             commutator_nil, conjugate_nil,
+                             coordinate_letters, generic_borel_word,
+                             mat_identity, mat_mul, nil_dim, pos_roots)
 
 V = LaurentPoly.var
+
+
+def torus_weight(t, root):
+    return _torus_weights(t, (root,))[root]
 
 
 def test_pos_roots_examples():
@@ -79,6 +82,37 @@ def test_adjoint_matches_rank3_conjugation_display():
     assert moved.coord((1, 3)) == -(a * c * r ** 2 * s * t)
 
 
+def generic_unipotent(n):
+    """Upper unitriangular matrix with fresh polynomial entries, numbered
+    along superdiagonals: f1..fn on the first, then the second, and so on
+    (for n = 4: rows read f1 f5 f8 f10 / f2 f6 f9 / f3 f7 / f4).  Returns the
+    matrix and the variable names in index order."""
+    size = n + 1
+    m = mat_identity(size)
+    names = []
+    for diag in range(1, size):
+        for i in range(size - diag):
+            names.append(f"f{len(names) + 1}")
+            m[i][i + diag] = V(names[-1])
+    return m, names
+
+
+def unipotent_inverse(m, size):
+    """(I + N)^{-1} = I - N + N^2 - ... for strictly upper N; exact, no
+    division."""
+    n_part = [[m[i][j] if j > i else 0 for j in range(size)]
+              for i in range(size)]
+    out = mat_identity(size)
+    power = mat_identity(size)
+    sign = 1
+    for _ in range(size - 1):
+        power = mat_mul(power, n_part)
+        sign = -sign
+        out = [[out[i][j] + sign * power[i][j] for j in range(size)]
+               for i in range(size)]
+    return out
+
+
 def test_adjoint_generic_unipotent_on_x2():
     u, names = generic_unipotent(4)
     ui = unipotent_inverse(u, 5)
@@ -93,11 +127,31 @@ def test_adjoint_generic_unipotent_on_x2():
                                    - f["f1"] * f["f7"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generic_borel_word_matches_literal_conjugation(n):
+    word = generic_borel_word(n)
+    assert [t.used_vars() for t in word.torus.diag] == [
+        {f"t{k}"} for k in range(1, n + 1)]
+    assert [(f.root, f.param) for f in word.factors] == [
+        (root, V(f"f{k}")) for k, root in enumerate(pos_roots(n), 1)]
+    x = NilElement(n, {r: k + 1 for k, r in enumerate(pos_roots(n))})
+    literal = conjugate_nil(word.to_matrix(), word.inverse_matrix(), x)
+    assert adjoint(word, x).coords == literal.coords
+
+
+def _fixing_roots(x):
+    """Roots whose one-parameter group fixes x identically in the parameter:
+    U_root(c) x U_root(-c) = x + c [x_root, x] on strictly upper-triangular
+    x, so exactly the roots with [x_root, x] = 0."""
+    return {root for root in pos_roots(x.rank)
+            if not commutator_nil(x.rank, root, x).coords}
+
+
 def test_fixing_root_groups_examples():
-    assert fixing_root_groups(NilElement(2, {(1, 2): 1})) == set(pos_roots(2))
-    assert fixing_root_groups(NilElement(2, {(1, 1): 1})) == {(1, 1), (1, 2)}
+    assert _fixing_roots(NilElement(2, {(1, 2): 1})) == set(pos_roots(2))
+    assert _fixing_roots(NilElement(2, {(1, 1): 1})) == {(1, 1), (1, 2)}
     for n in (1, 2, 3, 4):
-        assert fixing_root_groups(NilElement(n, {})) == set(pos_roots(n))
+        assert _fixing_roots(NilElement(n, {})) == set(pos_roots(n))
 
 
 def _random_word(n, p, rng, length=3):
@@ -181,8 +235,8 @@ def test_unipotent_action_raises_height(n):
         for root in pos_roots(n):
             diff = moved.coord(root) - x.coord(root)
             diff = diff if isinstance(diff, Fp) else Fp(int(diff), p)
-            if not diff.is_zero():
-                assert root_height(root) > root_height(gamma)
+            if not diff.is_zero():     # heights are j - i + 1
+                assert root[1] - root[0] > gamma[1] - gamma[0]
 
 
 def test_determinant_one():

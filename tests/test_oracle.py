@@ -1,5 +1,7 @@
-"""Brute-force orbit enumeration, refinement, and dimension audits."""
+"""Brute-force orbit enumeration, refinement, and the dimension certificate."""
 
+import json
+import random
 import re
 from dataclasses import replace
 
@@ -8,18 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas.arith import Fp
-from orbit_atlas.catalog import x_vars
+from orbit_atlas.catalog import serialize_catalog
 from orbit_atlas.classify import decode_points, member
-from orbit_atlas.cli import ORACLE_DEFAULT_QS
+from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
 from orbit_atlas.errors import BudgetExceededError, InternalInconsistencyError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, conjugate_nil, nil_dim, pos_roots)
+                             TorusElement, adjoint, conjugate_nil, nil_dim,
+                             pos_roots)
 from orbit_atlas.oracle import (_next_unlabelled, _word_map,
                                 borel_generator_maps,
-                                enumerate_borel_orbits,
-                                generator_sufficiency_check, image_codes,
-                                jacobian_rank_dim, orbit_sample_points,
-                                refine_check, stability_check)
+                                enumerate_borel_orbits, image_codes,
+                                jacobian_rank_dim, refine_check,
+                                stability_check)
 
 
 def _encode_points(digits, q):
@@ -92,13 +94,27 @@ def test_rank1_refinement():
         report.classes_per_record["0"]) == 1
 
 
+def _uniform_word(n, q, rng):
+    """Uniform element of B(F_q): a random torus times one random U_root
+    factor per positive root (for a fixed root order this product is a
+    bijection onto B(F_q))."""
+    torus = TorusElement(n, tuple(Fp(rng.randrange(1, q), q) for _ in range(n)))
+    factors = tuple(RootGroupFactor(root, Fp(rng.randrange(q), q))
+                    for root in pos_roots(n))
+    return BorelWord(n, torus, factors)
+
+
 def test_rank2_q3_classes_refine_catalog():
     part = enumerate_borel_orbits(2, 3)
     report = refine_check(2, 3, partition=part)
     assert report.ok
     assert report.nonempty_record_count() == 5
     stability_check(part)
-    assert generator_sufficiency_check(part, extra=100)
+    # adding uniform random Borel elements never merges classes
+    rng = random.Random(0)
+    for _ in range(100):
+        codes = image_codes(_word_map(_uniform_word(2, 3, rng), 3), 3)
+        assert (part.class_of[codes] == part.class_of).all()
 
 
 def test_rank3_q3_sixteen_sets_nonempty():
@@ -164,6 +180,38 @@ def test_jacobian_rank_values_at_special_records(catalogs):
     assert jacobian_rank_dim(rec) == 4
     assert jacobian_rank_dim(catalogs[1].by_id("0")) == 0
     assert jacobian_rank_dim(catalogs[2].by_id("x11+x22")) == 3
+
+
+def test_dims_certificate_rejects_a_dropped_zero_generator(
+        tmp_path, monkeypatch, capsys, catalogs):
+    # without X11 the zero set of x12 leaves 6 - 3 = 3 coordinates at the
+    # representative, but the orbit [b, rep] has dimension 2.  The loader
+    # requires dim = 6 - (generator count), so the copy also claims dim 3,
+    # which the Jacobian rank alone would accept.
+    doc = json.loads(serialize_catalog(catalogs[3]))
+    row = next(r for r in doc["orbits"] if r["id"] == "x12")
+    assert row["zero_set"][0] == "X11" and row["dim"] == 2
+    del row["zero_set"][0]
+    row["dim"] = 3
+    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert main(["dims", "--type", "A3"]) == 1
+    err = capsys.readouterr().err
+    assert "check failed: x12: orbit dimension 2 (rank of [b, rep]) != 3" in err
+    assert main(["check-all", "--type", "A3"]) == 1
+    assert "FAIL dimensions: InternalInconsistencyError: x12" in (
+        capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dims_certificate_needs_every_first_zero_generator(catalogs, n):
+    for rec in catalogs[n].orbits:
+        if rec.zero_set:
+            cut = replace(rec, zero_set=rec.zero_set[1:],
+                          zero_strs=rec.zero_strs[1:])
+            with pytest.raises(InternalInconsistencyError,
+                               match=re.escape(f"{rec.id}: orbit dimension")):
+                jacobian_rank_dim(cut)
 
 
 def test_stability_check_detects_corruption():
@@ -287,9 +335,11 @@ def test_word_map_matches_literal_conjugation(case):
 
 def test_orbit_sample_points_lie_in_their_orbit(catalogs):
     p = 101
+    rng = random.Random(0)
     for n, cat in catalogs.items():
         for rec in cat.orbits:
-            for env in orbit_sample_points(rec, 5, p):
-                point = NilElement.from_vector(
-                    n, [Fp(env[v], p) for v in x_vars(n)])
-                assert member(rec, point), (rec.id, env)
+            rep = NilElement(n, {r: Fp(c, p) for r, c
+                                 in rec.representative.coords.items()})
+            for _ in range(5):
+                point = adjoint(_uniform_word(n, p, rng), rep)
+                assert member(rec, point), (rec.id, point.as_vector())
