@@ -422,10 +422,6 @@ class CatalogReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def diffs(self) -> list[RecordReport]:
-        return [r for r in self.records
-                if r.printed_set_status not in ("match", "absent") or r.notes]
-
 
 def _rep_member(rec: OrbitRecord) -> bool:
     point = {}

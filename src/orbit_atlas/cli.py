@@ -108,11 +108,12 @@ def cmd_census(args) -> int:
     n = _rank(args)
     qs = _field_list(args.q, CENSUS_DEFAULT_QS[n])
     cat = load_catalog(n)
+    census = [(q, partition_census(n, q, budget=args.budget, catalog=cat))
+              for q in qs]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["orbit_id", "q", "count"])
     ok = True
-    for q in qs:
-        counts = partition_census(n, q, budget=args.budget, catalog=cat)
+    for q, counts in census:
         for rid, cnt in counts.items():
             writer.writerow([rid, q, cnt])
         nonempty = sum(1 for v in counts.values() if v)
@@ -128,20 +129,22 @@ def cmd_oracle(args) -> int:
     n = _rank(args)
     qs = _field_list(args.q, ORACLE_DEFAULT_QS[n])
     cat = load_catalog(n)
-    ok = True
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["class_id", "q", "count", "orbit_id"])
+    fields = []
     for q in qs:
         part = enumerate_borel_orbits(n, q, budget=args.budget)
         stability_check(part)
         report = refine_check(n, q, catalog=cat, partition=part)
+        fields.append((q, part.sizes, report))
+    ok = True
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["class_id", "q", "count", "orbit_id"])
+    for q, sizes, report in fields:
         class_to_record = {}
         for rid, classes in report.classes_per_record.items():
             for cls in classes:
                 class_to_record[cls] = rid
-        for cls in range(part.class_count):
-            writer.writerow([cls, q, part.sizes[cls],
-                             class_to_record.get(cls, "")])
+        for cls, size in enumerate(sizes):
+            writer.writerow([cls, q, size, class_to_record.get(cls, "")])
         if not report.ok:
             for v in report.violations:
                 print(f"# FAIL q={q}: {v}", file=sys.stderr)
@@ -304,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(fn=cmd_census)
 
-    p = sub.add_parser("oracle", help="BFS orbit enumeration and refinement")
+    p = sub.add_parser("oracle", help="orbit partition as a min-label "
+                                      "fixpoint, with refinement")
     common(p, BFS_BUDGET)
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(fn=cmd_oracle)

@@ -2,18 +2,19 @@
 certificate.
 
 ``enumerate_borel_orbits`` computes the actual B(F_q)-orbit partition of the
-nilradical by breadth-first closure under a small generator set, then
+nilradical as a min-label fixpoint under a small generator set (U_root(1)
+for every positive root and one primitive-root torus per simple slot), then
 certifies that generator set by checking every class is stable under every
 one-parameter subgroup element and the full torus.  ``refine_check``
 confronts the partition with the catalog's defining sets.
 
 Every group element is a ``lie.BorelWord`` over ``Fp``, and acts through
 ``lie.adjoint``: its linear map on coordinates is read off ``adjoint`` on
-the coordinate basis.  The BFS and the stability pass apply a map to the
-whole space only through ``image_codes``, which builds the code of every
+the coordinate basis.  The fixpoint and the stability pass apply a map to
+the whole space only through ``image_codes``, which builds the code of every
 image point digit by digit with integer broadcasts, without decoding the q^d
-points; the BFS turns each generator into one code table and steps a
-frontier by indexing it.
+points; the fixpoint turns each generator into one code table and lowers
+every point's label through it.
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
@@ -103,10 +104,10 @@ def _root_word(n: int, root, c: int, q: int) -> BorelWord:
 
 def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
-    and U_root(g) for every positive root."""
+    for every positive root (U_root(1)^c = U_root(c) over a prime field)."""
     g0 = primitive_root(q)
     words = [_slot_word(n, slot, g0, q) for slot in range(n)]
-    words += [_root_word(n, root, c, q) for root in pos_roots(n) for c in {1, g0}]
+    words += [_root_word(n, root, 1, q) for root in pos_roots(n)]
     return [_word_map(word, q) for word in words]
 
 
@@ -121,31 +122,19 @@ class OrbitPartition:
     class_of: np.ndarray           # point code -> class index
     reps: list                     # class index -> least point code
     sizes: list
-    generators: str = ""
 
     @property
     def class_count(self) -> int:
         return len(self.reps)
 
 
-def _next_unlabelled(class_of: np.ndarray, start: int) -> int:
-    """Least index >= start whose class is unset (len(class_of) if none).
-    Windows double in width from ``start``, so a search that skips k labelled
-    points reads O(k) entries in O(log k) numpy calls."""
-    width = 1
-    while start < class_of.size:
-        hits = np.flatnonzero(class_of[start:start + width] < 0)
-        if hits.size:
-            return start + int(hits[0])
-        start += width
-        width *= 2
-    return class_of.size
-
-
 def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPartition:
-    """BFS closure of every point under the generator maps; classes are
-    labeled by their lexicographically least point, so the partition is
-    canonical regardless of traversal order."""
+    """Min-label fixpoint: every point starts labelled by its own code, and
+    each round lowers it to the least label of its generator images, then
+    to its label's label, until a round changes nothing.  Each generator is
+    a bijection and a label is always a point of the same class, so at the
+    fixpoint every point carries the least point of its class.  Classes are
+    numbered by that least point, so the partition is canonical."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)
@@ -154,34 +143,20 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
         raise BudgetExceededError(total, budget)
     tables = [image_codes(g, q).astype(np.int32)
               for g in borel_generator_maps(n, q)]
-    class_of = np.full(total, -1, dtype=np.int32)
-    reps: list[int] = []
-    sizes: list[int] = []
-    cursor = 0
+    codes = np.arange(total, dtype=np.int32)
+    label = codes
     while True:
-        cursor = _next_unlabelled(class_of, cursor)
-        if cursor >= total:
+        new = label
+        for table in tables:
+            new = np.minimum(new, new[table])
+        new = new[new]
+        if (new == label).all():
             break
-        cls = len(reps)
-        reps.append(cursor)
-        class_of[cursor] = cls
-        frontier = np.array([cursor], dtype=np.int32)
-        size = 1
-        while frontier.size:
-            nxt = []
-            for table in tables:
-                codes = table[frontier]
-                fresh = codes[class_of[codes] < 0]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    fresh = fresh[class_of[fresh] < 0]
-                    class_of[fresh] = cls
-                    size += fresh.size
-                    nxt.append(fresh)
-            frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int32)
-        sizes.append(size)
-    return OrbitPartition(n, q, class_of, reps, sizes,
-                          generators="slot-torus(g), U_root(1), U_root(g)")
+        label = new
+    is_rep = label == codes
+    class_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+    return OrbitPartition(n, q, class_of, np.flatnonzero(is_rep).tolist(),
+                          np.bincount(class_of).tolist())
 
 
 def _describe_word(word: BorelWord) -> str:
@@ -242,7 +217,7 @@ class RefineReport:
 def refine_check(n: int, q: int, catalog: Catalog | None = None,
                  budget: int = BFS_BUDGET,
                  partition: OrbitPartition | None = None) -> RefineReport:
-    """Certify that rational orbits refine the catalog partition: every BFS
+    """Certify that rational orbits refine the catalog partition: every
     class sits inside exactly one defining set, every defining set is a union
     of whole classes, and empties are reported rather than failed."""
     cat = catalog if catalog is not None else load_catalog(n)
@@ -253,20 +228,17 @@ def refine_check(n: int, q: int, catalog: Catalog | None = None,
     matched = match_table(cat, digits, q)       # certifies exhaustion too
     violations = []
     classes_per_record: dict = {rec.id: [] for rec in cat.orbits}
-    order = np.argsort(part.class_of, kind="stable")
-    sorted_classes = part.class_of[order]
-    sorted_matches = matched[order]
-    boundaries = np.searchsorted(sorted_classes, np.arange(part.class_count + 1))
-    for cls in range(part.class_count):
-        lo, hi = boundaries[cls], boundaries[cls + 1]
-        recs = np.unique(sorted_matches[lo:hi])
-        if recs.size != 1:
-            pt = decode_points(np.array([order[lo]]), d, q)[0].tolist()
+    rep_match = matched[part.reps]
+    split = set(part.class_of[matched != rep_match[part.class_of]].tolist())
+    for cls, rec in enumerate(rep_match.tolist()):
+        if cls in split:
+            pt = decode_points(np.array([part.reps[cls]]), d, q)[0].tolist()
+            recs = np.unique(matched[part.class_of == cls])
             violations.append(
                 f"class {cls} (rep point {pt}) meets records "
                 f"{[cat.orbits[int(r)].id for r in recs]}")
             continue
-        classes_per_record[cat.orbits[int(recs[0])].id].append(cls)
+        classes_per_record[cat.orbits[rec].id].append(cls)
     empty = [rid for rid, v in classes_per_record.items() if not v]
     return RefineReport(n, q, part.class_count, classes_per_record, empty,
                         violations)

@@ -201,6 +201,17 @@ def test_census_and_oracle_load_the_catalog_once(capsys, monkeypatch,
     assert out == want
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--type", "A4", "--budget", "100000"],      # refuses q = 5
+    ["oracle", "--type", "A4", "--budget", "10000"],       # refuses q = 3
+    ["census", "--type", "A2", "--q", "1000000000000000003"],
+])
+def test_budget_refusal_leaves_stdout_empty(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")           # no header and no partial rows
+    assert "budget" in err
+
+
 def test_large_prime_fields_are_decided_quickly(capsys):
     q = "1000000000000000003"               # prime: 10^18 + 3
     code, _, err = run(capsys, "census", "--type", "A2", "--q", q)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbit_atlas import cli, oracle
 from orbit_atlas.arith import Fp
 from orbit_atlas.catalog import serialize_catalog
 from orbit_atlas.classify import decode_points, member
@@ -17,7 +18,7 @@ from orbit_atlas.errors import BudgetExceededError, InternalInconsistencyError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, conjugate_nil, nil_dim,
                              pos_roots)
-from orbit_atlas.oracle import (_next_unlabelled, _word_map,
+from orbit_atlas.oracle import (OrbitPartition, _word_map,
                                 borel_generator_maps,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
@@ -265,16 +266,73 @@ def test_bfs_matches_frontier_matmul_reference(partitions):
         assert part.sizes == sizes, (n, q)
 
 
-def test_next_unlabelled_scans_forward():
-    class_of = np.array([0, 0, -1, 1, 1, 1, 1, 1, 1, -1, 2], dtype=np.int32)
-    assert _next_unlabelled(class_of, 0) == 2
-    assert _next_unlabelled(class_of, 2) == 2
-    assert _next_unlabelled(class_of, 3) == 9
-    assert _next_unlabelled(class_of, 10) == class_of.size
-    assert _next_unlabelled(class_of, class_of.size) == class_of.size
-    for start in range(class_of.size + 1):
-        rest = [i for i in range(start, class_of.size) if class_of[i] < 0]
-        assert _next_unlabelled(class_of, start) == (rest or [class_of.size])[0]
+def test_stability_catches_a_generator_set_without_the_slot_tori(monkeypatch):
+    # U_root(1) alone gives the unipotent orbits, a finer partition that
+    # every U_root(c) keeps but the torus does not
+    full = borel_generator_maps
+
+    def no_tori(n, q):
+        return [m for m in full(n, q) if (np.diag(m) == 1).all()]
+
+    monkeypatch.setattr(oracle, "borel_generator_maps", no_tori)
+    part = enumerate_borel_orbits(2, 5)
+    assert part.class_count > 5
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"rank 2 F_5: class not stable under "
+                             r"torus diag\([1-4], [1-4]\): point "):
+        stability_check(part)
+
+
+def _join_classes(part, a, b):
+    """``part`` with classes a and b joined, classes renumbered by least
+    point: a union of orbits, so still stable, but it may span records."""
+    label = np.array(part.reps)[part.class_of]
+    label[(part.class_of == a) | (part.class_of == b)] = min(part.reps[a],
+                                                              part.reps[b])
+    reps = np.unique(label)
+    class_of = np.searchsorted(reps, label).astype(np.int32)
+    return OrbitPartition(part.rank, part.q, class_of, reps.tolist(),
+                          np.bincount(class_of).tolist())
+
+
+def _join_x12_with_generic(monkeypatch):
+    # at rank 2 over F_2 and F_3, class 1 is x12 (rep point [0, 0, 1]) and
+    # the last class is x11+x22
+    def joined(n, q, *args, **kwargs):
+        part = enumerate_borel_orbits(n, q, *args, **kwargs)
+        return _join_classes(part, 1, part.class_count - 1)
+
+    monkeypatch.setattr(cli, "enumerate_borel_orbits", joined)
+
+
+SPLIT_CLASS = "class 1 (rep point [0, 0, 1]) meets records ['x12', 'x11+x22']"
+
+
+def test_refine_names_a_class_that_spans_two_records():
+    part = enumerate_borel_orbits(2, 3)
+    assert refine_check(2, 3, partition=part).classes_per_record["x12"] == [1]
+    joined = _join_classes(part, 1, part.class_count - 1)
+    report = refine_check(2, 3, partition=joined)
+    assert not report.ok
+    assert report.violations == [SPLIT_CLASS]
+    assert report.class_count == 4
+    # classes within one record are still assigned, after renumbering
+    assert report.classes_per_record == {"0": [0], "x12": [], "x11": [3],
+                                         "x22": [2], "x11+x22": []}
+
+
+def test_oracle_command_fails_on_a_class_that_spans_two_records(
+        monkeypatch, capsys):
+    _join_x12_with_generic(monkeypatch)
+    assert main(["oracle", "--type", "A2", "--q", "3"]) == 1
+    assert f"# FAIL q=3: {SPLIT_CLASS}\n" in capsys.readouterr().err
+
+
+def test_check_all_fails_on_a_class_that_spans_two_records(
+        monkeypatch, capsys):
+    _join_x12_with_generic(monkeypatch)
+    assert main(["check-all", "--type", "A2"]) == 1
+    assert f"FAIL oracle: {SPLIT_CLASS}\n" in capsys.readouterr().out
 
 
 def test_stability_maps_per_rank(partitions):
