@@ -29,8 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import Fp, is_prime, poly_to_str
-from .catalog import (Catalog, OrbitRecord, load_catalog,
-                      root_weight_homogeneous, x_vars)
+from .catalog import Catalog, OrbitRecord, root_weight_homogeneous, x_vars
 from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
                      InternalInconsistencyError, SchemaError, ShapeError)
 from .lie import NilElement, nil_dim, pos_roots
@@ -78,11 +77,10 @@ def member(rec: OrbitRecord, m: NilElement) -> bool:
     return True
 
 
-def classify(n: int, m: NilElement,
-             catalog: Catalog | None = None) -> ClassificationResult:
-    """Locate the unique catalog record whose defining set contains m: every
-    record is scanned, so a second match is a disjointness failure."""
-    cat = catalog if catalog is not None else load_catalog(n)
+def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
+    """Locate the unique record of the rank-n catalog whose defining set
+    contains m: every record is scanned, so a second match is a disjointness
+    failure."""
     matches = []
     zero_checked = nonzero_checked = 0
     for rec in cat.ordered_by_dim():
@@ -194,9 +192,8 @@ def torus_slices(cat: Catalog, q: int, chunk: int = 1 << 19):
             yield digits, sum(support)
 
 
-def partition_census(n: int, q: int, budget: int = CENSUS_BUDGET,
-                     catalog: Catalog | None = None,
-                     chunk: int = 1 << 19) -> dict:
+def partition_census(n: int, q: int, cat: Catalog,
+                     budget: int = CENSUS_BUDGET, chunk: int = 1 << 19) -> dict:
     """Counts of every catalog set over F_q, with exhaustion and disjointness
     certified on every torus-slice point (see the module docstring); the
     scaling covers all q^d points.  Zero counts are reported, not dropped.
@@ -204,7 +201,6 @@ def partition_census(n: int, q: int, budget: int = CENSUS_BUDGET,
     classified per slice at once."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
-    cat = catalog if catalog is not None else load_catalog(n)
     d = nil_dim(n)
     total = q**d
     if total > budget:

@@ -14,9 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog as catalog_mod
 from .arith import Fp, is_prime
-from .catalog import load_catalog, record_to_json, validate_catalog
+from .catalog import (ORBIT_COUNTS, Catalog, load_catalog, record_to_json,
+                      validate_catalog)
 from .classify import CENSUS_BUDGET, classify, partition_census
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
@@ -65,12 +65,27 @@ def _field_list(q: int | None, defaults) -> list[int]:
     return [q]
 
 
-def cmd_orbits(args) -> int:
-    n = _rank(args)
-    cat = load_catalog(n)
+def census_fields(cat: Catalog, qs, budget: int):
+    """(q, counts, nonempty records) for each field in turn: the census
+    counts, certified exhaustive and disjoint over F_q."""
+    for q in qs:
+        counts = partition_census(cat.rank, q, cat, budget)
+        yield q, counts, sum(1 for v in counts.values() if v)
+
+
+def oracle_fields(cat: Catalog, qs, budget: int):
+    """(partition, refine report) for each field in turn: the orbit
+    partition over F_q, certified stable, confronted with the catalog."""
+    for q in qs:
+        part = enumerate_borel_orbits(cat.rank, q, budget)
+        stability_check(part)
+        yield part, refine_check(cat, part)
+
+
+def cmd_orbits(args, cat: Catalog) -> int:
     report = validate_catalog(cat)
     if args.format == "json":
-        doc = {"type": f"A{n}", "schema_version": cat.schema_version,
+        doc = {"type": f"A{cat.rank}", "schema_version": cat.schema_version,
                "orbits": [record_to_json(r) for r in cat.orbits],
                "validation": {
                    "ok": report.ok,
@@ -94,56 +109,44 @@ def cmd_orbits(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_classify(args) -> int:
-    n = _rank(args)
+def cmd_classify(args, cat: Catalog) -> int:
     if args.mod is not None and not is_prime(args.mod):
         raise SchemaError(f"--mod {args.mod} is not prime")
-    m = _parse_point(args.point, n, args.mod)
-    result = classify(n, m)
-    print(result.orbit_id)
+    m = _parse_point(args.point, cat.rank, args.mod)
+    print(classify(cat.rank, m, cat).orbit_id)
     return 0
 
 
-def cmd_census(args) -> int:
-    n = _rank(args)
-    qs = _field_list(args.q, CENSUS_DEFAULT_QS[n])
-    cat = load_catalog(n)
-    census = [(q, partition_census(n, q, budget=args.budget, catalog=cat))
-              for q in qs]
+def cmd_census(args, cat: Catalog) -> int:
+    n = cat.rank
+    fields = list(census_fields(
+        cat, _field_list(args.q, CENSUS_DEFAULT_QS[n]), args.budget))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["orbit_id", "q", "count"])
     ok = True
-    for q, counts in census:
+    for q, counts, nonempty in fields:
         for rid, cnt in counts.items():
             writer.writerow([rid, q, cnt])
-        nonempty = sum(1 for v in counts.values() if v)
-        expected = catalog_mod.ORBIT_COUNTS[n]
-        if q > 2 and nonempty != expected:
+        if nonempty != ORBIT_COUNTS[n]:
             print(f"# FAIL: rank {n} q={q}: {nonempty} nonempty classes, "
-                  f"expected {expected}", file=sys.stderr)
+                  f"expected {ORBIT_COUNTS[n]}", file=sys.stderr)
             ok = False
     return 0 if ok else 1
 
 
-def cmd_oracle(args) -> int:
-    n = _rank(args)
-    qs = _field_list(args.q, ORACLE_DEFAULT_QS[n])
-    cat = load_catalog(n)
-    fields = []
-    for q in qs:
-        part = enumerate_borel_orbits(n, q, budget=args.budget)
-        stability_check(part)
-        report = refine_check(n, q, catalog=cat, partition=part)
-        fields.append((q, part.sizes, report))
+def cmd_oracle(args, cat: Catalog) -> int:
+    fields = list(oracle_fields(
+        cat, _field_list(args.q, ORACLE_DEFAULT_QS[cat.rank]), args.budget))
     ok = True
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["class_id", "q", "count", "orbit_id"])
-    for q, sizes, report in fields:
+    for part, report in fields:
+        q = part.q
         class_to_record = {}
         for rid, classes in report.classes_per_record.items():
             for cls in classes:
                 class_to_record[cls] = rid
-        for cls, size in enumerate(sizes):
+        for cls, size in enumerate(part.sizes):
             writer.writerow([cls, q, size, class_to_record.get(cls, "")])
         if not report.ok:
             for v in report.violations:
@@ -155,9 +158,7 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_dims(args) -> int:
-    n = _rank(args)
-    cat = load_catalog(n)
+def cmd_dims(args, cat: Catalog) -> int:
     ok = True
     print(f"{'id':<24} {'catalog':>7} {'jacobian':>8}")
     for rec in cat.orbits:
@@ -169,14 +170,18 @@ def cmd_dims(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_hasse(args) -> int:
-    n = _rank(args)
-    poset = hasse(n)
+def cmd_hasse(args, cat: Catalog) -> int:
+    poset = hasse(cat)
     dot = emit_dot(poset)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dot)
-        print(f"wrote {args.dot}")
+        try:
+            with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            print(f"error: cannot write {args.dot}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        print(f"wrote {args.dot}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(poset_json(poset), indent=2))
     elif not args.dot:
@@ -184,9 +189,7 @@ def cmd_hasse(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    n = _rank(args)
-    cat = load_catalog(n)
+def cmd_verify(args, cat: Catalog) -> int:
     report = verify_rank(cat)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
@@ -203,9 +206,11 @@ def cmd_verify(args) -> int:
     return 0 if not bad and not bad_forward else 1
 
 
-def cmd_check_all(args) -> int:
-    n = _rank(args)
-    cat = load_catalog(n)
+def cmd_check_all(args, cat: Catalog) -> int:
+    n = cat.rank
+    needed = max(CENSUS_DEFAULT_QS[n] + ORACLE_DEFAULT_QS[n]) ** nil_dim(n)
+    if needed > args.budget:
+        raise BudgetExceededError(needed, args.budget)
     failures = []
 
     def check(name, fn):
@@ -222,14 +227,12 @@ def cmd_check_all(args) -> int:
         return report.ok, f"{len(cat.orbits)} records"
 
     def census_check():
-        expected = catalog_mod.ORBIT_COUNTS[n]
         seen = []
-        for q in CENSUS_DEFAULT_QS[n]:
-            counts = partition_census(n, q, budget=args.budget, catalog=cat)
-            nonempty = sum(1 for v in counts.values() if v)
+        for q, _, nonempty in census_fields(cat, CENSUS_DEFAULT_QS[n],
+                                            args.budget):
             seen.append(f"q={q}:{nonempty}")
-            if nonempty != expected:
-                return False, f"q={q} gave {nonempty} != {expected}"
+            if nonempty != ORBIT_COUNTS[n]:
+                return False, f"q={q} gave {nonempty} != {ORBIT_COUNTS[n]}"
         return True, " ".join(seen)
 
     def rep_check():
@@ -246,17 +249,15 @@ def cmd_check_all(args) -> int:
 
     def oracle_check():
         notes = []
-        for q in ORACLE_DEFAULT_QS[n]:
-            part = enumerate_borel_orbits(n, q, budget=args.budget)
-            stability_check(part)
-            report = refine_check(n, q, catalog=cat, partition=part)
+        for part, report in oracle_fields(cat, ORACLE_DEFAULT_QS[n],
+                                          args.budget):
             if not report.ok:
                 return False, report.violations[0]
-            notes.append(f"q={q}:{part.class_count}cls")
+            notes.append(f"q={part.q}:{part.class_count}cls")
         return True, " ".join(notes)
 
     def order_check():
-        poset = hasse(n, cat)
+        poset = hasse(cat)
         return True, f"{len(poset.covers)} cover edges"
 
     def witness_check():
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return args.fn(args, load_catalog(_rank(args)))
     except (UnsupportedRankError, SchemaError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,10 +161,6 @@ class NilElement:
             coords[r] = v
         return NilElement(rank, coords)
 
-    def support(self) -> list[tuple[int, int]]:
-        return [r for r in _ROOTS[self.rank]
-                if not is_zero_elem(self.coord(r))]
-
 
 @dataclass(frozen=True)
 class TorusElement:

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .arith import Fp, is_prime, primitive_root
-from .catalog import Catalog, OrbitRecord, load_catalog, x_vars
+from .catalog import Catalog, OrbitRecord, x_vars
 from .classify import decode_points, match_table
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError)
@@ -214,14 +214,11 @@ class RefineReport:
         return sum(1 for v in self.classes_per_record.values() if v)
 
 
-def refine_check(n: int, q: int, catalog: Catalog | None = None,
-                 budget: int = BFS_BUDGET,
-                 partition: OrbitPartition | None = None) -> RefineReport:
+def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
     """Certify that rational orbits refine the catalog partition: every
     class sits inside exactly one defining set, every defining set is a union
     of whole classes, and empties are reported rather than failed."""
-    cat = catalog if catalog is not None else load_catalog(n)
-    part = partition if partition is not None else enumerate_borel_orbits(n, q, budget)
+    n, q = part.rank, part.q
     d = nil_dim(n)
     total = q**d
     digits = decode_points(np.arange(total, dtype=np.int64), d, q)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Catalog, load_catalog, x_vars
+from .catalog import Catalog, x_vars
 from .classify import eval_poly_on_columns, match_table, torus_slices
 from .errors import CatalogError, InternalInconsistencyError
 from .witness import generic_pullbacks
@@ -168,10 +168,9 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     return counterexamples
 
 
-def hasse(n: int, catalog: Catalog | None = None) -> HassePoset:
+def hasse(cat: Catalog) -> HassePoset:
     """Full closure order from pairwise generator-set inclusions, certified
     over the fields of ``CERT_FIELDS``, reduced to cover edges."""
-    cat = catalog if catalog is not None else load_catalog(n)
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
@@ -189,7 +188,7 @@ def hasse(n: int, catalog: Catalog | None = None) -> HassePoset:
                 if dims[a] >= dims[b]:
                     raise CatalogError(
                         f"{a} < {b} but dim {dims[a]} >= {dims[b]}")
-    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[n])
+    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank])
     covers = []
     for a in ids:
         for b in ids:
@@ -200,7 +199,7 @@ def hasse(n: int, catalog: Catalog | None = None) -> HassePoset:
                 continue
             covers.append((a, b))
     covers.sort(key=lambda e: (dims[e[0]], e[0], dims[e[1]], e[1]))
-    poset = HassePoset(n, ids, dims, leq, covers, counterexamples)
+    poset = HassePoset(cat.rank, ids, dims, leq, covers, counterexamples)
     if poset.minimum() == "" or poset.maximum() == "":
         raise CatalogError("closure order lacks a unique minimum or maximum")
     return poset

@@ -261,12 +261,6 @@ def _verify_layer(rec: OrbitRecord, menv: MemberEnv,
                 detail="as-printed word does not reproduce the member")
         return WitnessVerdict(rec.id, VERIFIED_SYMBOLIC, as_printed="verified")
     w = rec.witness
-    if not w.torus and not w.factors:
-        # the zero orbit: any group element fixes the representative
-        residuals = _coord_residuals(rec, menv, BorelWord(rec.rank))
-        status = VERIFIED_SYMBOLIC if not residuals else FAILED_AS_PRINTED
-        return WitnessVerdict(rec.id, status,
-                              residual=[(r, repr(d)) for r, d in residuals])
     word = template_word(rec, menv, w.torus, w.factors)
     residuals = _coord_residuals(rec, menv, word)
     if residuals:
@@ -341,8 +335,7 @@ def verify_witness_numeric(rec: OrbitRecord, p: int, trials: int,
     menv = build_member_env(rec, power=template_power(rec))
     w = rec.witness
     try:
-        word = (template_word(rec, menv, w.torus, w.factors)
-                if (w.torus or w.factors) else BorelWord(rec.rank))
+        word = template_word(rec, menv, w.torus, w.factors)
     except (SchemaError, DomainError) as exc:
         return WitnessVerdict(rec.id, FAILED_AS_PRINTED, detail=str(exc))
     rng = random.Random(repr((seed, p, rec.id)))

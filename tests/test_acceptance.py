@@ -40,7 +40,7 @@ def test_criterion_1_and_2_orbit_counts_and_partition(catalogs):
     for n, qs in CENSUS_PLAN.items():
         for q in qs:
             t0 = time.perf_counter()
-            counts = partition_census(n, q, catalog=catalogs[n])
+            counts = partition_census(n, q, catalogs[n])
             dt = time.perf_counter() - t0
             timings[(n, q)] = dt
             if n <= 3:
@@ -48,7 +48,7 @@ def test_criterion_1_and_2_orbit_counts_and_partition(catalogs):
             nonempty = sum(1 for v in counts.values() if v)
             assert nonempty == ORBIT_COUNTS[n], (n, q, nonempty)
     # rank 4 over F_2: exhaustion must hold; empty classes are reported
-    counts = partition_census(4, 2, catalog=catalogs[4])
+    counts = partition_census(4, 2, catalogs[4])
     empty = [k for k, v in counts.items() if v == 0]
     assert t_small < 5.0, f"ranks 1-3 census took {t_small:.1f}s"
     assert timings[(4, 3)] < 1.0
@@ -72,7 +72,7 @@ def test_criterion_3_oracle_agreement(catalogs):
             if (n, q) == (4, 3):
                 bfs_a4_q3 = dt
             stability_check(part)
-            rep = refine_check(n, q, catalog=catalogs[n], partition=part)
+            rep = refine_check(catalogs[n], part)
             assert rep.ok, (n, q, rep.violations)
             if q >= 3:
                 assert rep.nonempty_record_count() == ORBIT_COUNTS[n]
@@ -107,13 +107,13 @@ def test_criterion_5_representative_fidelity(catalogs):
 
 
 def test_criterion_6_closure_order(catalogs):
-    p1 = hasse(1, catalogs[1])
+    p1 = hasse(catalogs[1])
     assert p1.covers == [("0", "x11")]
-    p2 = hasse(2, catalogs[2])
+    p2 = hasse(catalogs[2])
     assert set(p2.covers) == {("0", "x12"), ("x12", "x11"), ("x12", "x22"),
                               ("x11", "x11+x22"), ("x22", "x11+x22")}
-    p3 = hasse(3, catalogs[3])
-    p4 = hasse(4, catalogs[4])
+    p3 = hasse(catalogs[3])
+    p4 = hasse(catalogs[4])
     for p in (p3, p4):
         assert p.minimum() == "0"
         assert p.dims[p.maximum()] == max(p.dims.values())

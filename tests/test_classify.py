@@ -58,14 +58,14 @@ def test_classify_representatives(catalogs):
             assert classify(n, rec.representative, cat).orbit_id == rec.id
 
 
-def test_census_rank1():
+def test_census_rank1(catalogs):
     for q in (3, 5, 7):
-        counts = partition_census(1, q)
+        counts = partition_census(1, q, catalogs[1])
         assert counts == {"0": 1, "x11": q - 1}
 
 
-def test_census_rank2_q3_frozen():
-    counts = partition_census(2, 3)
+def test_census_rank2_q3_frozen(catalogs):
+    counts = partition_census(2, 3, catalogs[2])
     assert counts == {"0": 1, "x12": 2, "x11": 6, "x22": 6, "x11+x22": 12}
     assert sum(counts.values()) == 27
 
@@ -80,31 +80,31 @@ def test_census_matches_pure_python_enumeration(catalogs):
         hits = [rec.id for rec in cat.orbits if member(rec, m)]
         assert len(hits) == 1
         brute[hits[0]] += 1
-    assert brute == partition_census(2, 3)
+    assert brute == partition_census(2, 3, cat)
 
 
 def test_census_rank3_q2(catalogs):
-    counts = partition_census(3, 2)
+    counts = partition_census(3, 2, catalogs[3])
     assert sum(counts.values()) == 64
     assert sum(1 for v in counts.values() if v) == 16
 
 
-def test_census_budget_refusal():
+def test_census_budget_refusal(catalogs):
     with pytest.raises(BudgetExceededError) as exc:
-        partition_census(4, 7, budget=1000)
+        partition_census(4, 7, catalogs[4], budget=1000)
     assert exc.value.needed == 7**10
 
 
-def test_census_chunking_invariance():
+def test_census_chunking_invariance(catalogs):
     # splitting the point space differently must not change any count
-    whole = partition_census(3, 3)
-    assert partition_census(3, 3, chunk=97) == whole
-    assert partition_census(3, 3, chunk=64) == whole
+    whole = partition_census(3, 3, catalogs[3])
+    assert partition_census(3, 3, catalogs[3], chunk=97) == whole
+    assert partition_census(3, 3, catalogs[3], chunk=64) == whole
 
 
-def test_census_rejects_composite_q():
+def test_census_rejects_composite_q(catalogs):
     with pytest.raises(SchemaError):
-        partition_census(2, 4)
+        partition_census(2, 4, catalogs[2])
 
 
 def test_scaling_invariance(catalogs):
@@ -144,14 +144,14 @@ def test_borel_invariance(catalogs):
                     == classify(n, moved, cat).orbit_id)
 
 
-def test_census_total_mismatch_is_raised(monkeypatch):
+def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
     # a lost point must fail loudly, also under python -O
     monkeypatch.setattr(classify_mod, "match_table",
                         lambda cat, digits, q: np.zeros(0, dtype=np.int32))
     with pytest.raises(InternalInconsistencyError,
                        match=r"rank 2 q=3: census counted 0 points, "
                              r"expected 27"):
-        classify_mod.partition_census(2, 3)
+        classify_mod.partition_census(2, 3, catalogs[2])
 
 
 def test_eval_kernel_reduces_fraction_coefficients():
@@ -201,7 +201,7 @@ def _full_enumeration_census(cat, n, q):
 @pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3)
                                  for q in (2, 3, 5, 7)] + [(4, 2), (4, 3)])
 def test_sliced_census_equals_full_enumeration(catalogs, n, q):
-    sliced = partition_census(n, q, catalog=catalogs[n])
+    sliced = partition_census(n, q, catalogs[n])
     assert sliced == _full_enumeration_census(catalogs[n], n, q)
     assert list(sliced) == [rec.id for rec in catalogs[n].orbits]
 
@@ -218,7 +218,7 @@ def test_census_refuses_weight_inhomogeneous_catalog(catalogs):
     with pytest.raises(InternalInconsistencyError,
                        match=r"record x22 polynomial X11 \+ X12 is not "
                              r"root-weight homogeneous"):
-        partition_census(2, 3, catalog=bad_cat)
+        partition_census(2, 3, bad_cat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,6 +243,6 @@ def test_classify_invariant_under_simple_root_scaling(catalogs, data):
 
 
 def test_census_rank4_q7_covers_every_orbit(catalogs):
-    counts = partition_census(4, 7, budget=7**10, catalog=catalogs[4])
+    counts = partition_census(4, 7, catalogs[4], budget=7**10)
     assert sum(1 for v in counts.values() if v) == 61
     assert sum(counts.values()) == 7**10

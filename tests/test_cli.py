@@ -1,9 +1,13 @@
 """CLI surface: dispatch, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import orbit_atlas
+from orbit_atlas import cli
+from orbit_atlas.catalog import load_catalog
 from orbit_atlas.cli import main
 from orbit_atlas.errors import InternalInconsistencyError
 
@@ -78,6 +82,25 @@ def test_hasse_dot_file(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("digraph closure_order {")
     assert text.count("->") == 5
+
+
+@pytest.mark.parametrize("where", ["missing/x.dot", "."])
+def test_hasse_unwritable_dot_is_usage_error(tmp_path, capsys, where):
+    # a path under a missing directory, and a directory
+    target = tmp_path / where
+    code, out, err = run(capsys, "hasse", "--type", "A1", "--dot", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_hasse_json_with_dot_file_keeps_stdout_json(tmp_path, capsys):
+    target = tmp_path / "a1.dot"
+    code, out, err = run(capsys, "hasse", "--type", "A1", "--format", "json",
+                         "--dot", str(target))
+    assert code == 0
+    assert json.loads(out)["covers"] == [["0", "x11"]]
+    assert err == f"wrote {target}\n"
+    assert target.read_text(encoding="utf-8").startswith("digraph")
 
 
 def test_hasse_json(capsys):
@@ -171,45 +194,53 @@ def test_budget_flag_only_where_points_are_enumerated(capsys, argv):
     assert "unrecognized arguments: --budget 5" in err
 
 
-def test_check_all_loads_the_catalog_once(capsys, monkeypatch):
-    code, want, _ = run(capsys, "check-all", "--type", "A2")
-    assert code == 0
-
-    def reload(*args, **kwargs):
-        raise AssertionError("catalog reloaded")
-
-    for module in ("classify", "oracle", "order"):
-        monkeypatch.setattr(f"orbit_atlas.{module}.load_catalog", reload)
-    code, out, _ = run(capsys, "check-all", "--type", "A2")
-    assert code == 0
-    assert out == want
+def test_only_catalog_and_cli_reference_load_catalog():
+    # every layer takes a loaded Catalog; loading is the CLI's job alone
+    package = Path(orbit_atlas.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if "load_catalog" in path.read_text(encoding="utf-8"))
+    assert users == ["catalog.py", "cli.py"]
 
 
-@pytest.mark.parametrize("command", ["census", "oracle"])
-def test_census_and_oracle_load_the_catalog_once(capsys, monkeypatch,
-                                                  command):
-    code, want, _ = run(capsys, command, "--type", "A2")
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--type", "A2"],
+    ["classify", "--type", "A2", "--point", "0,0,1"],
+    ["census", "--type", "A2"],
+    ["oracle", "--type", "A2"],
+    ["dims", "--type", "A2"],
+    ["hasse", "--type", "A2"],
+    ["verify", "--type", "A2"],
+    ["check-all", "--type", "A2"],
+], ids=lambda argv: argv[0])
+def test_each_command_loads_the_catalog_once(capsys, monkeypatch, argv):
+    loads = []
 
-    def reload(*args, **kwargs):
-        raise AssertionError("catalog reloaded")
+    def counting(n, *args, **kwargs):
+        loads.append(n)
+        return load_catalog(n, *args, **kwargs)
 
-    for module in ("classify", "oracle"):
-        monkeypatch.setattr(f"orbit_atlas.{module}.load_catalog", reload)
-    code, out, _ = run(capsys, command, "--type", "A2")
-    assert code == 0
-    assert out == want
+    monkeypatch.setattr(cli, "load_catalog", counting)
+    code, _, _ = run(capsys, *argv)
+    assert (code, loads) == (0, [2])
 
 
 @pytest.mark.parametrize("argv", [
     ["census", "--type", "A4", "--budget", "100000"],      # refuses q = 5
     ["oracle", "--type", "A4", "--budget", "10000"],       # refuses q = 3
     ["census", "--type", "A2", "--q", "1000000000000000003"],
+    ["check-all", "--type", "A4", "--budget", "100000"],   # census q = 5
+    ["check-all", "--type", "A1", "--budget", "10"],       # census q = 11
 ])
 def test_budget_refusal_leaves_stdout_empty(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")           # no header and no partial rows
     assert "budget" in err
+
+
+def test_check_all_runs_at_the_exact_budget(capsys):
+    code, out, _ = run(capsys, "check-all", "--type", "A1", "--budget", "11")
+    assert code == 0
+    assert out.count("PASS") == 7
 
 
 def test_large_prime_fields_are_decided_quickly(capsys):

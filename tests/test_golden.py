@@ -24,7 +24,7 @@ def test_outputs_match_goldens(n, catalogs, capsys):
     cat = catalogs[n]
     verify = json.dumps(verify_rank(cat).to_json(), indent=2) + "\n"
     assert verify == (golden / "verify.json").read_text()
-    assert emit_dot(hasse(n, cat)) == (golden / "hasse.dot").read_text()
+    assert emit_dot(hasse(cat)) == (golden / "hasse.dot").read_text()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -37,6 +37,6 @@ def test_oracle_and_census_match_goldens(n, catalogs):
     assert "\n".join(rows) + "\n" == (golden / "oracle.csv").read_text()
     rows = ["q,orbit_id,count"]
     for q in CENSUS_DEFAULT_QS[n]:
-        counts = partition_census(n, q, catalog=catalogs[n])
+        counts = partition_census(n, q, catalogs[n])
         rows += [f"{q},{rid},{cnt}" for rid, cnt in counts.items()]
     assert "\n".join(rows) + "\n" == (golden / "census.csv").read_text()

@@ -86,8 +86,8 @@ def test_rank1_rational_splitting():
     assert part.class_count == 2
 
 
-def test_rank1_refinement():
-    report = refine_check(1, 3)
+def test_rank1_refinement(catalogs):
+    report = refine_check(catalogs[1], enumerate_borel_orbits(1, 3))
     assert report.ok
     assert report.classes_per_record["x11"] and len(
         report.classes_per_record["x11"]) == 2
@@ -105,9 +105,9 @@ def _uniform_word(n, q, rng):
     return BorelWord(n, torus, factors)
 
 
-def test_rank2_q3_classes_refine_catalog():
+def test_rank2_q3_classes_refine_catalog(catalogs):
     part = enumerate_borel_orbits(2, 3)
-    report = refine_check(2, 3, partition=part)
+    report = refine_check(catalogs[2], part)
     assert report.ok
     assert report.nonempty_record_count() == 5
     stability_check(part)
@@ -118,14 +118,14 @@ def test_rank2_q3_classes_refine_catalog():
         assert (part.class_of[codes] == part.class_of).all()
 
 
-def test_rank3_q3_sixteen_sets_nonempty():
-    report = refine_check(3, 3)
+def test_rank3_q3_sixteen_sets_nonempty(catalogs):
+    report = refine_check(catalogs[3], enumerate_borel_orbits(3, 3))
     assert report.ok
     assert report.nonempty_record_count() == 16
 
 
-def test_rank4_q2_union_property():
-    report = refine_check(4, 2)
+def test_rank4_q2_union_property(catalogs):
+    report = refine_check(catalogs[4], enumerate_borel_orbits(4, 2))
     assert report.ok          # emptiness over F_2 would be reported, not failed
     assert not report.violations
 
@@ -157,8 +157,8 @@ def test_point_count_growth_sanity(catalogs):
     from orbit_atlas.classify import partition_census
     q1, q2 = 3, 5
     for n in (2, 3):
-        c1 = partition_census(n, q1)
-        c2 = partition_census(n, q2)
+        c1 = partition_census(n, q1, catalogs[n])
+        c2 = partition_census(n, q2, catalogs[n])
         for rec in catalogs[n].orbits:
             if rec.dim == 0:
                 continue
@@ -308,11 +308,11 @@ def _join_x12_with_generic(monkeypatch):
 SPLIT_CLASS = "class 1 (rep point [0, 0, 1]) meets records ['x12', 'x11+x22']"
 
 
-def test_refine_names_a_class_that_spans_two_records():
+def test_refine_names_a_class_that_spans_two_records(catalogs):
     part = enumerate_borel_orbits(2, 3)
-    assert refine_check(2, 3, partition=part).classes_per_record["x12"] == [1]
+    assert refine_check(catalogs[2], part).classes_per_record["x12"] == [1]
     joined = _join_classes(part, 1, part.class_count - 1)
-    report = refine_check(2, 3, partition=joined)
+    report = refine_check(catalogs[2], joined)
     assert not report.ok
     assert report.violations == [SPLIT_CLASS]
     assert report.class_count == 4

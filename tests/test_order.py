@@ -7,7 +7,7 @@ import pytest
 
 from orbit_atlas import order
 from orbit_atlas.arith import Fp, LaurentFraction
-from orbit_atlas.catalog import letter_of_var, x_vars
+from orbit_atlas.catalog import letter_of_var, load_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.errors import InternalInconsistencyError
 from orbit_atlas.lie import NilElement
@@ -17,7 +17,7 @@ from orbit_atlas.order import (CERT_FIELDS, _certify, closure_generators,
 
 @pytest.fixture(scope="module")
 def posets(catalogs):
-    return {n: hasse(n, catalogs[n]) for n in (1, 2, 3, 4)}
+    return {n: hasse(catalogs[n]) for n in (1, 2, 3, 4)}
 
 
 def _vanish_sets(cat):
@@ -104,7 +104,7 @@ def test_hasse_tests_each_ordered_pair_once(catalogs, monkeypatch):
         return vanish_b <= vanish_a
 
     monkeypatch.setattr(order, "closure_leq", counting)
-    hasse(3, catalogs[3])
+    hasse(catalogs[3])
     assert len(calls) == 16 * 15
 
 
@@ -169,7 +169,7 @@ def test_closure_generator_augmentation(catalogs):
 
 def test_dot_output_deterministic_and_wellformed(posets):
     a = emit_dot(posets[2])
-    b = emit_dot(hasse(2))
+    b = emit_dot(hasse(load_catalog(2)))   # a fresh load, a fresh poset
     assert a == b
     assert a.startswith("digraph closure_order {")
     assert a.endswith("}\n")
