@@ -81,6 +81,8 @@ def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
     """Locate the unique record of the rank-n catalog whose defining set
     contains m: every record is scanned, so a second match is a disjointness
     failure."""
+    if n != cat.rank:
+        raise ShapeError(f"classify rank {n} != catalog rank {cat.rank}")
     matches = []
     zero_checked = nonzero_checked = 0
     for rec in cat.ordered_by_dim():
@@ -199,6 +201,8 @@ def partition_census(n: int, q: int, cat: Catalog,
     scaling covers all q^d points.  Zero counts are reported, not dropped.
     ``budget`` bounds q^d; ``chunk`` bounds the non-simple coordinate codes
     classified per slice at once."""
+    if n != cat.rank:
+        raise ShapeError(f"census rank {n} != catalog rank {cat.rank}")
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)

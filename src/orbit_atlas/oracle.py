@@ -3,14 +3,16 @@ certificate.
 
 ``enumerate_borel_orbits`` computes the actual B(F_q)-orbit partition of the
 nilradical as a min-label fixpoint under a small generator set (U_root(1)
-for every positive root and one primitive-root torus per simple slot), then
-certifies that generator set by checking every class is stable under every
-one-parameter subgroup element and the full torus.  ``refine_check``
-confronts the partition with the catalog's defining sets.
+for every positive root and one primitive-root torus per simple slot).
+``stability_check`` certifies it: every class is stable under those
+generators, checked over the whole space, and every one-parameter subgroup
+element and full torus element is a product of them, checked as an exact
+identity of F_q matrices.  ``refine_check`` confronts the partition with the
+catalog's defining sets.
 
 Every group element is a ``lie.BorelWord`` over ``Fp``, and acts through
 ``lie.adjoint``: its linear map on coordinates is read off ``adjoint`` on
-the coordinate basis.  The fixpoint and the stability pass apply a map to
+the coordinate basis.  The fixpoint and the stability passes apply a map to
 the whole space only through ``image_codes``, which builds the code of every
 image point digit by digit with integer broadcasts, without decoding the q^d
 points; the fixpoint turns each generator into one code table and lowers
@@ -34,12 +36,13 @@ from .arith import Fp, is_prime, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
 from .classify import decode_points, match_table
 from .errors import (BudgetExceededError, InternalInconsistencyError,
-                     SchemaError)
+                     SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, commutator_nil, nil_dim, pos_roots, root_token)
 
 BFS_BUDGET = 2_000_000
-#: stability_check adds every full torus element when there are at most this many
+#: stability_check certifies every full torus element, as the product of its
+#: slot tori, when there are at most this many
 FULL_TORUS_CAP = 4096
 
 
@@ -166,21 +169,71 @@ def _describe_word(word: BorelWord) -> str:
     return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
 
 
+def _powers(m: np.ndarray, count: int, q: int) -> list[np.ndarray]:
+    """m^0, ..., m^(count - 1) over F_q, as matrices of Python ints, so the
+    products are exact at any q."""
+    m = m.astype(object)
+    pows = [np.identity(m.shape[0], dtype=object)]
+    for _ in range(count - 1):
+        pows.append(pows[-1] @ m % q)
+    return pows
+
+
 def stability_check(part: OrbitPartition) -> dict:
-    """Certify the partition: every class stable under U_root(c) for every
-    root and c, under every single-slot torus, and (when at most
-    ``FULL_TORUS_CAP`` elements) under every full torus element.  Raises on
-    the first violation, naming the group element, the point and both
-    classes."""
+    """Certify the partition: every class is stable under every U_root(c),
+    every single-slot torus and (when at most ``FULL_TORUS_CAP`` elements)
+    every full torus element.
+
+    Only the generators reach the whole space: U_root(1) for every positive
+    root, in ``pos_roots`` order, then the n slot tori at g =
+    ``primitive_root(q)``.  Every other element is certified as a product of
+    generators by an exact identity of F_q matrices: U_root(c) is
+    U_root(1)^c (q is prime), the slot torus at c is the slot torus at g to
+    the power e with g^e = c (the powers of g are checked to reach all q - 1
+    units), and a full torus element is the product of its slot tori.  A
+    class stable under every generator is stable under every product of
+    them.  The generator words are built here, not taken from
+    ``borel_generator_maps``, so the fixpoint's generator set is certified
+    independently.  Raises on the first failure, naming the group element,
+    and for a whole-space pass the point and both classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
-    words = [_root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
-    words += [_slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
+    g = primitive_root(q)
+    log = {pow(g, e, q): e for e in range(q - 1)}
+    if len(log) != q - 1:
+        c = min(set(range(1, q)) - log.keys())
+        raise InternalInconsistencyError(
+            f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
+            f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
+            f"primitive root, its powers reach {len(log)} of the {q - 1} units")
+    roots = pos_roots(n)
+    root_gens = [_root_word(n, root, 1, q) for root in roots]
+    slot_gens = [_slot_word(n, slot, g, q) for slot in range(n)]
+    gens = root_gens + slot_gens
+    gen_maps = [_word_map(word, q) for word in gens]
+    root_pows = [_powers(m, q, q) for m in gen_maps[:len(roots)]]
+    slot_pows = [_powers(m, q - 1, q) for m in gen_maps[len(roots):]]
+    # (element, its map as a product of generator maps, that product's name)
+    words = [(_root_word(n, root, c, q), root_pows[k][c],
+              f"{_describe_word(root_gens[k])}^{c}")
+             for k, root in enumerate(roots) for c in range(q)]
+    words += [(_slot_word(n, slot, c, q), slot_pows[slot][log[c]],
+               f"{_describe_word(slot_gens[slot])}^{log[c]}")
+              for slot in range(n) for c in range(1, q)]
     if (q - 1) ** n <= FULL_TORUS_CAP:
-        words += [_torus_word(n, diag, q)
-                  for diag in product(range(1, q), repeat=n)]
-    for word in words:
-        codes = image_codes(_word_map(word, q), q)
+        for diag in product(range(1, q), repeat=n):
+            prod = slot_pows[0][log[diag[0]]]
+            for slot in range(1, n):
+                prod = prod @ slot_pows[slot][log[diag[slot]]] % q
+            words.append((_torus_word(n, diag, q), prod,
+                          "the product of its slot tori"))
+    for word, prod, name in words:
+        if not np.array_equal(_word_map(word, q), prod):
+            raise InternalInconsistencyError(
+                f"rank {n} F_{q}: {_describe_word(word)} is not {name} "
+                f"over F_{q}")
+    for word, m in zip(gens, gen_maps):
+        codes = image_codes(m, q)
         moved = part.class_of[codes] != part.class_of
         if moved.any():
             bad = int(np.argmax(moved))
@@ -190,7 +243,7 @@ def stability_check(part: OrbitPartition) -> dict:
                 f"{_describe_word(word)}: point {point} in class "
                 f"{int(part.class_of[bad])} maps to class "
                 f"{int(part.class_of[codes[bad]])}")
-    return {"maps_checked": len(words)}
+    return {"maps_checked": len(words), "maps_applied": len(gens)}
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +272,8 @@ def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
     class sits inside exactly one defining set, every defining set is a union
     of whole classes, and empties are reported rather than failed."""
     n, q = part.rank, part.q
+    if n != cat.rank:
+        raise ShapeError(f"catalog rank {cat.rank} != partition rank {n}")
     d = nil_dim(n)
     total = q**d
     digits = decode_points(np.arange(total, dtype=np.int64), d, q)

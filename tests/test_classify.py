@@ -37,6 +37,17 @@ def test_member_rank_mismatch(catalogs):
         member(catalogs[2].by_id("x11"), NilElement(3, {}))
 
 
+def test_classify_rank_must_match_the_catalog(catalogs):
+    # the point matches the catalog, so only the stated rank is wrong
+    with pytest.raises(ShapeError, match="classify rank 3 != catalog rank 4"):
+        classify(3, NilElement(4, {}), catalogs[4])
+
+
+def test_census_rank_must_match_the_catalog(catalogs):
+    with pytest.raises(ShapeError, match="census rank 3 != catalog rank 4"):
+        partition_census(3, 3, catalogs[4])
+
+
 def test_member_rejects_symbolic_points(catalogs):
     from orbit_atlas.arith import LaurentPoly
     m = NilElement.from_vector(2, [LaurentPoly.var("a"), 0, 0])

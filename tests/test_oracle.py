@@ -4,6 +4,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from orbit_atlas.arith import Fp
 from orbit_atlas.catalog import serialize_catalog
 from orbit_atlas.classify import decode_points, member
 from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
-from orbit_atlas.errors import BudgetExceededError, InternalInconsistencyError
+from orbit_atlas.errors import (BudgetExceededError,
+                                InternalInconsistencyError, ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, conjugate_nil, nil_dim,
                              pos_roots)
-from orbit_atlas.oracle import (OrbitPartition, _word_map,
-                                borel_generator_maps,
+from orbit_atlas.oracle import (FULL_TORUS_CAP, OrbitPartition,
+                                _describe_word, _root_word, _slot_word,
+                                _torus_word, _word_map, borel_generator_maps,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
@@ -67,6 +70,32 @@ def _reference_bfs(n, q):
             frontier = np.concatenate(nxt)
         sizes.append(size)
     return class_of, reps, sizes
+
+
+def _reference_stability_check(part):
+    """Reference stability certificate: apply every U_root(c), every slot
+    torus and (when at most ``FULL_TORUS_CAP`` elements) every full torus
+    element to the whole space, and compare classes.  Returns the number of
+    elements checked."""
+    n, q = part.rank, part.q
+    d = nil_dim(n)
+    words = [_root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
+    words += [_slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
+    if (q - 1) ** n <= FULL_TORUS_CAP:
+        words += [_torus_word(n, diag, q)
+                  for diag in product(range(1, q), repeat=n)]
+    for word in words:
+        codes = image_codes(_word_map(word, q), q)
+        moved = part.class_of[codes] != part.class_of
+        if moved.any():
+            bad = int(np.argmax(moved))
+            point = decode_points(np.array([bad]), d, q)[0].tolist()
+            raise InternalInconsistencyError(
+                f"rank {n} F_{q}: class not stable under "
+                f"{_describe_word(word)}: point {point} in class "
+                f"{int(part.class_of[bad])} maps to class "
+                f"{int(part.class_of[codes[bad]])}")
+    return len(words)
 
 
 ORACLE_CASES = [(n, q) for n, qs in ORACLE_DEFAULT_QS.items() for q in qs]
@@ -215,11 +244,43 @@ def test_dims_certificate_needs_every_first_zero_generator(catalogs, n):
                 jacobian_rank_dim(cut)
 
 
-def test_stability_check_detects_corruption():
+def _split_rank1_orbit():
     part = enumerate_borel_orbits(1, 5)
     # split one orbit across two labels: stability must catch it
     moved = int([c for c in range(5) if part.class_of[c] == 1][-1])
     part.class_of[moved] = 2
+    return part
+
+
+def _relabel_into_zero_class(part):
+    """A copy of ``part`` with the last point of its largest class
+    relabelled as the zero orbit's class, and that point."""
+    part = replace(part, class_of=part.class_of.copy())
+    moved = int(np.flatnonzero(
+        part.class_of == int(np.argmax(part.sizes)))[-1])
+    part.class_of[moved] = part.class_of[0]
+    return part, moved
+
+
+def _fixpoint_without(monkeypatch, n, q, drop):
+    """The fixpoint partition with the generators at the indices ``drop``
+    of ``borel_generator_maps`` left out: stable under every other one."""
+    full = borel_generator_maps
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "borel_generator_maps", lambda n, q: [
+            m for k, m in enumerate(full(n, q)) if k not in drop])
+        return enumerate_borel_orbits(n, q)
+
+
+def _fixpoint_at_root(monkeypatch, n, q, g):
+    """The fixpoint partition with the slot tori taken at g."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "primitive_root", lambda q: g)
+        return enumerate_borel_orbits(n, q)
+
+
+def test_stability_check_detects_corruption():
+    part = _split_rank1_orbit()
     with pytest.raises(InternalInconsistencyError, match=re.escape(
             "rank 1 F_5: class not stable under torus diag(2): "
             "point [1] in class 1 maps to class 2")):
@@ -227,12 +288,7 @@ def test_stability_check_detects_corruption():
 
 
 def test_stability_failure_names_its_counterexample(partitions):
-    part = partitions[(3, 7)]
-    part = replace(part, class_of=part.class_of.copy())
-    # relabel one point of the largest class as the zero orbit's class
-    moved = int(np.flatnonzero(
-        part.class_of == int(np.argmax(part.sizes)))[-1])
-    part.class_of[moved] = part.class_of[0]
+    part, moved = _relabel_into_zero_class(partitions[(3, 7)])
     with pytest.raises(InternalInconsistencyError) as info:
         stability_check(part)
     found = re.fullmatch(
@@ -337,9 +393,97 @@ def test_check_all_fails_on_a_class_that_spans_two_records(
 
 def test_stability_maps_per_rank(partitions):
     maps = {n: 0 for n in ORACLE_DEFAULT_QS}
+    applied = {n: 0 for n in ORACLE_DEFAULT_QS}
     for (n, _), part in partitions.items():
-        maps[n] += stability_check(part)["maps_checked"]
+        result = stability_check(part)
+        maps[n] += result["maps_checked"]
+        applied[n] += result["maps_applied"]
     assert maps == {1: 43, 2: 134, 3: 430, 4: 79}
+    # |pos_roots| + n whole-space passes per field
+    assert applied == {1: 8, 2: 20, 3: 36, 4: 28}
+
+
+def test_stability_check_agrees_with_the_reference(partitions):
+    for case, part in partitions.items():
+        assert stability_check(part)["maps_checked"] == (
+            _reference_stability_check(part)), case
+
+
+CORRUPTED = {
+    "split rank 1 over F_5": lambda patch, parts: _split_rank1_orbit(),
+    "relabelled A3 over F_7":
+        lambda patch, parts: _relabel_into_zero_class(parts[(3, 7)])[0],
+    "A2 over F_5 without slot tori":
+        lambda patch, parts: _fixpoint_without(patch, 2, 5, {0, 1}),
+    "A2 over F_5 with tori at 4":
+        lambda patch, parts: _fixpoint_at_root(patch, 2, 5, 4),
+    **{f"A2 over F_5 without generator {k}":
+       lambda patch, parts, k=k: _fixpoint_without(patch, 2, 5, {k})
+       for k in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTED)
+def test_stability_check_and_reference_both_reject(monkeypatch, partitions,
+                                                   case):
+    part = CORRUPTED[case](monkeypatch, partitions)
+    with pytest.raises(InternalInconsistencyError):
+        _reference_stability_check(part)
+    with pytest.raises(InternalInconsistencyError):
+        stability_check(part)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_stability_names_each_generator_the_partition_needs(monkeypatch, q):
+    # every rank-2 generator but U_x12(1), a commutator of U_x11(1) and
+    # U_x22(1), is needed: without it the fixpoint splits an orbit, and only
+    # that generator's whole-space pass can see the split
+    full = enumerate_borel_orbits(2, q)
+    needed = ["torus diag(2, 1)", "torus diag(1, 2)", "U_x11(1)", "U_x22(1)"]
+    for k, name in enumerate(needed):
+        part = _fixpoint_without(monkeypatch, 2, q, {k})
+        assert part.class_count > full.class_count, name
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+                f"rank 2 F_{q}: class not stable under {name}: point ")):
+            stability_check(part)
+    redundant = _fixpoint_without(monkeypatch, 2, q, {4})
+    assert (redundant.class_of == full.class_of).all()
+
+
+def test_stability_rejects_an_element_off_its_generator_power(
+        monkeypatch, partitions):
+    word_map = oracle._word_map
+
+    def wrong_at_x12_3(word, q):
+        m = word_map(word, q)
+        if _describe_word(word) == "U_x12(3)":
+            m = m.copy()
+            m[-1, 0] = (m[-1, 0] + 1) % q
+        return m
+
+    monkeypatch.setattr(oracle, "_word_map", wrong_at_x12_3)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "rank 2 F_5: U_x12(3) is not U_x12(1)^3 over F_5")):
+        stability_check(partitions[(2, 5)])
+
+
+def test_stability_refuses_a_non_primitive_root(monkeypatch):
+    # the slot tori at 4 = -1 reach only half of each slot torus: the
+    # fixpoint at 4 splits orbits, and every class is stable under the
+    # generators at 4, so only the order of g stands in the way
+    monkeypatch.setattr(oracle, "primitive_root", lambda q: 4)
+    part = enumerate_borel_orbits(2, 5)
+    assert part.class_count > 5
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "rank 2 F_5: torus diag(2, 1) is no power of torus diag(4, 1): "
+            "4 is not a primitive root, its powers reach 2 of the 4 units")):
+        stability_check(part)
+
+
+def test_refine_rank_must_match_the_catalog(catalogs):
+    with pytest.raises(ShapeError, match=re.escape(
+            "catalog rank 3 != partition rank 2")):
+        refine_check(catalogs[3], enumerate_borel_orbits(2, 3))
 
 
 @st.composite
