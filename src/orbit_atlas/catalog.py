@@ -166,11 +166,11 @@ def orbit_id_for(rep: NilElement) -> str:
     return "+".join(toks) if toks else "0"
 
 
-def load_catalog(n: int, path=None) -> Catalog:
-    """Load and structurally validate the rank-n catalog."""
-    src = path if path is not None else _data_path(n)
+def load_catalog(n: int) -> Catalog:
+    """Load and structurally validate the rank-n catalog, from the directory
+    ``ORBIT_ATLAS_DATA`` names when it is set."""
     try:
-        raw = json.loads(_read_text(src))
+        raw = json.loads(_read_text(_data_path(n)))
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"cannot read catalog for rank {n}: {exc}") from exc
     if raw.get("type") != f"A{n}":
@@ -294,6 +294,21 @@ class WitnessParseError(CatalogError):
 _PRINTED_FACTOR = re.compile(r"\s*U_?(\d{1,2})\s*")
 
 
+def _split_top_level(body: str) -> list[str]:
+    """The parts of body between its commas outside parentheses."""
+    parts, depth, cur = [], 0, ""
+    for ch in body:
+        if ch == "," and depth == 0:
+            parts.append(cur)
+            cur = ""
+            continue
+        depth += ch == "("
+        depth -= ch == ")"
+        cur += ch
+    parts.append(cur)
+    return parts
+
+
 def _scan_parens(text: str, pos: int):
     if pos >= len(text) or text[pos] != "(":
         raise WitnessParseError(text, pos, "expected '('")
@@ -318,16 +333,7 @@ def parse_printed_word(text: str, rank: int):
     torus = None
     if s.startswith("T"):
         body, pos = _scan_parens(s, 1)
-        parts, depth, cur = [], 0, ""
-        for ch in body:
-            if ch == "," and depth == 0:
-                parts.append(cur)
-                cur = ""
-                continue
-            depth += ch == "("
-            depth -= ch == ")"
-            cur += ch
-        parts.append(cur)
+        parts = _split_top_level(body)
         if len(parts) != rank:
             raise WitnessParseError(text, 0, f"torus needs {rank} entries")
         torus = tuple(p.strip() for p in parts)
@@ -373,18 +379,10 @@ def _parse_printed_set(text: str, n: int):
             body, target = chunk[2:-1], nonzero_part
         else:
             raise CatalogError(f"bad set chunk {chunk!r}")
-        depth = 0
-        cur = ""
-        for ch in body:
-            if ch == "," and depth == 0:
-                target.append(cur)
-                cur = ""
-                continue
-            depth += ch == "("
-            depth -= ch == ")"
-            cur += ch
-        if cur.strip():
-            target.append(cur)
+        parts = _split_top_level(body)
+        if not parts[-1].strip():       # a trailing comma or an empty body
+            parts.pop()
+        target.extend(parts)
     allowed = set(x_vars(n)) | set(_PRINTED_ALIASES)
 
     def norm(s: str) -> LaurentPoly:

@@ -35,13 +35,12 @@ from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
 from .lie import NilElement, nil_dim, pos_roots
 
 CENSUS_BUDGET = 10_000_000
+SLICE_CHUNK = 1 << 19   # non-simple coordinate codes per census block
 
 
 @dataclass(frozen=True)
 class ClassificationResult:
     orbit_id: str
-    zero_checked: int
-    nonzero_checked: int
 
 
 def _point_env(m: NilElement) -> dict:
@@ -83,19 +82,13 @@ def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
     failure."""
     if n != cat.rank:
         raise ShapeError(f"classify rank {n} != catalog rank {cat.rank}")
-    matches = []
-    zero_checked = nonzero_checked = 0
-    for rec in cat.ordered_by_dim():
-        if member(rec, m):
-            matches.append(rec)
-            zero_checked += len(rec.zero_set)
-            nonzero_checked += len(rec.nonzero_set)
+    matches = [rec for rec in cat.ordered_by_dim() if member(rec, m)]
     if not matches:
         raise ExhaustionError(f"point {m.as_vector()} matched no record")
     if len(matches) > 1:
         raise DisjointnessError(
             f"point {m.as_vector()} matched {[r.id for r in matches]}")
-    return ClassificationResult(matches[0].id, zero_checked, nonzero_checked)
+    return ClassificationResult(matches[0].id)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +158,15 @@ def match_table(cat: Catalog, digits: np.ndarray, q: int) -> np.ndarray:
     return matched
 
 
-def torus_slices(cat: Catalog, q: int, chunk: int = 1 << 19):
+def torus_slices(cat: Catalog, q: int):
     """Yield (digits, |S|) blocks covering the torus slices of n(F_q): the
     points whose simple coordinates are the indicator of a support S, with
     every non-simple coordinate free (see the module docstring).  First
     checks that every catalog polynomial is root-weight homogeneous, the
     invariant that makes a slice point stand for its (q-1)^|S| scalings.
-    ``chunk`` bounds the non-simple coordinate codes per block; the digits
-    array is reused, so a caller must be done with a block before the next."""
+    ``SLICE_CHUNK`` bounds the non-simple coordinate codes per block; the
+    digits array is reused, so a caller must be done with a block before the
+    next."""
     n = cat.rank
     for rec in cat.orbits:
         for poly in rec.zero_set + rec.nonzero_set:
@@ -184,8 +178,8 @@ def torus_slices(cat: Catalog, q: int, chunk: int = 1 << 19):
     d = nil_dim(n)
     slice_total = q**(d - n)
     supports = list(itertools.product((0, 1), repeat=n))
-    for start in range(0, slice_total, chunk):
-        codes = np.arange(start, min(start + chunk, slice_total),
+    for start in range(0, slice_total, SLICE_CHUNK):
+        codes = np.arange(start, min(start + SLICE_CHUNK, slice_total),
                           dtype=np.int64)
         digits = np.empty((codes.shape[0], d), dtype=np.int64)
         digits[:, n:] = decode_points(codes, d - n, q)
@@ -195,12 +189,11 @@ def torus_slices(cat: Catalog, q: int, chunk: int = 1 << 19):
 
 
 def partition_census(n: int, q: int, cat: Catalog,
-                     budget: int = CENSUS_BUDGET, chunk: int = 1 << 19) -> dict:
+                     budget: int = CENSUS_BUDGET) -> dict:
     """Counts of every catalog set over F_q, with exhaustion and disjointness
     certified on every torus-slice point (see the module docstring); the
     scaling covers all q^d points.  Zero counts are reported, not dropped.
-    ``budget`` bounds q^d; ``chunk`` bounds the non-simple coordinate codes
-    classified per slice at once."""
+    ``budget`` bounds q^d."""
     if n != cat.rank:
         raise ShapeError(f"census rank {n} != catalog rank {cat.rank}")
     if not is_prime(q):
@@ -211,7 +204,7 @@ def partition_census(n: int, q: int, cat: Catalog,
         raise BudgetExceededError(total, budget)
     counts = {rec.id: 0 for rec in cat.orbits}
     ids = [rec.id for rec in cat.orbits]
-    for digits, size in torus_slices(cat, q, chunk):
+    for digits, size in torus_slices(cat, q):
         matched = match_table(cat, digits, q)
         for idx, cnt in zip(*np.unique(matched, return_counts=True)):
             counts[ids[int(idx)]] += int(cnt) * (q - 1) ** size

@@ -188,15 +188,14 @@ def template_word(rec: OrbitRecord, menv: MemberEnv,
     return BorelWord(n, torus, factors)
 
 
-def _coord_residuals(rec, menv, word):
-    """Coordinatewise differences adjoint(word, rep) - m, radical-reduced."""
-    result = adjoint(word, rec.representative)
+def word_residuals(rec, menv, torus_strs, factor_list):
+    """Coordinatewise differences adjoint(word, rep) - m of the word built by
+    ``template_word``, radical-reduced; empty when the word reproduces m."""
+    result = adjoint(template_word(rec, menv, torus_strs, factor_list),
+                     rec.representative)
     residuals = []
     for root in pos_roots(rec.rank):
-        got = result.coord(root)
-        want = menv.target[root]
-        diff = (LaurentFraction._lift(got) if not isinstance(got, LaurentFraction)
-                else got) - want
+        diff = LaurentFraction._lift(result.coord(root)) - menv.target[root]
         if not diff.is_zero():
             diff = diff.reduce_radicals(menv.tower)
         if not diff.is_zero():
@@ -219,75 +218,48 @@ class WitnessVerdict:
         return self.status in (VERIFIED_SYMBOLIC, VERIFIED_NUMERIC, REPAIRED)
 
 
-# the as-printed word grammar lives in catalog.parse_printed_word
-
-
-def verify_witness_symbolic(rec: OrbitRecord, use_printed: bool = False,
-                            power: int = POWER) -> WitnessVerdict:
-    """Symbolic verification of the witness word against a general member.
-
-    With ``use_printed`` the as-printed transcription is parsed and checked
-    instead of the normalized template; corrupted rows yield FailedAsPrinted.
-    ``power`` may be any common multiple of the occurring root orders; the
-    result must not depend on it.
-    """
-    return _verify_layer(rec, build_member_env(rec, power=power), use_printed)
-
-
-def _verify_layer(rec: OrbitRecord, menv: MemberEnv,
-                  use_printed: bool) -> WitnessVerdict:
-    """One layer of ``verify_witness_symbolic`` against a built member."""
-    if use_printed:
-        text = rec.as_printed.get("word", "")
-        if not text:
-            return WitnessVerdict(rec.id, INCONCLUSIVE, as_printed="absent",
-                                  detail="no as-printed word")
-        try:
-            torus, factors = parse_printed_word(text, rec.rank)
-        except WitnessParseError as exc:
-            return WitnessVerdict(rec.id, FAILED_AS_PRINTED,
-                                  as_printed=f"parse-error@{exc.pos}",
-                                  detail=str(exc))
-        try:
-            word = template_word(rec, menv, torus, factors)
-            residuals = _coord_residuals(rec, menv, word)
-        except (SchemaError, DomainError, EvaluationError) as exc:
-            return WitnessVerdict(rec.id, FAILED_AS_PRINTED,
-                                  as_printed="eval-error", detail=str(exc))
-        if residuals:
-            return WitnessVerdict(
-                rec.id, FAILED_AS_PRINTED, as_printed="mismatch",
-                residual=[(r, repr(d)) for r, d in residuals],
-                detail="as-printed word does not reproduce the member")
-        return WitnessVerdict(rec.id, VERIFIED_SYMBOLIC, as_printed="verified")
+def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
+                   template_residuals: list) -> tuple[str, str]:
+    """(as_printed, detail) of the transcribed word, whose grammar lives in
+    ``catalog.parse_printed_word``.  A printed word that parses to the
+    template has the template's residuals and is not evaluated again."""
+    text = rec.as_printed.get("word", "")
+    if not text:
+        return "absent", "no as-printed word"
+    try:
+        torus, factors = parse_printed_word(text, rec.rank)
+    except WitnessParseError as exc:
+        return f"parse-error@{exc.pos}", str(exc)
     w = rec.witness
-    word = template_word(rec, menv, w.torus, w.factors)
-    residuals = _coord_residuals(rec, menv, word)
+    if (tuple(torus or ()), tuple(factors)) == (w.torus, w.factors):
+        residuals = template_residuals
+    else:
+        try:
+            residuals = word_residuals(rec, menv, torus, factors)
+        except (SchemaError, DomainError, EvaluationError) as exc:
+            return "eval-error", str(exc)
     if residuals:
-        return WitnessVerdict(rec.id, FAILED_AS_PRINTED,
-                              residual=[(r, repr(d)) for r, d in residuals],
-                              detail="normalized template failed")
-    return WitnessVerdict(rec.id, VERIFIED_SYMBOLIC)
+        return "mismatch", "as-printed word does not reproduce the member"
+    return "verified", ""
 
 
 def classify_verdict(rec: OrbitRecord) -> WitnessVerdict:
-    """Full per-record verdict: printed layer, normalized layer, repair notes.
-    Both layers are checked against one general member."""
+    """Full per-record verdict: the normalized template against a general
+    member, the as-printed layer against the same member, repair notes."""
     menv = build_member_env(rec)
-    printed = _verify_layer(rec, menv, use_printed=True)
-    normalized = _verify_layer(rec, menv, use_printed=False)
+    w = rec.witness
+    residuals = word_residuals(rec, menv, w.torus, w.factors)
+    as_printed, printed_detail = _printed_layer(rec, menv, residuals)
     repairs = rec.witness_repairs()
-    if normalized.status != VERIFIED_SYMBOLIC:
-        return WitnessVerdict(rec.id, normalized.status,
-                              as_printed=printed.as_printed,
-                              residual=normalized.residual,
-                              detail=normalized.detail, repairs=repairs)
-    printed_ok = printed.as_printed in ("verified", "absent")
-    if repairs or not printed_ok:
-        return WitnessVerdict(rec.id, REPAIRED, as_printed=printed.as_printed,
-                              detail=printed.detail, repairs=repairs)
-    return WitnessVerdict(rec.id, VERIFIED_SYMBOLIC,
-                          as_printed=printed.as_printed)
+    if residuals:
+        return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
+                              residual=[(r, repr(d)) for r, d in residuals],
+                              detail="normalized template failed",
+                              repairs=repairs)
+    if repairs or as_printed not in ("verified", "absent"):
+        return WitnessVerdict(rec.id, REPAIRED, as_printed=as_printed,
+                              detail=printed_detail, repairs=repairs)
+    return WitnessVerdict(rec.id, VERIFIED_SYMBOLIC, as_printed=as_printed)
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +431,17 @@ def _unit_factor(num: LaurentPoly, menv: MemberEnv) -> bool:
 
 
 def witness_domain_sound(rec: OrbitRecord) -> bool:
-    """Every denominator and radicand in the template is a unit on the set."""
+    """Every denominator and radicand in the template is a unit on the set,
+    and so is every torus entry."""
     menv = build_member_env(rec)
     w = rec.witness
-    values = []
-    for s in w.torus:
-        values.append(eval_template_expr(s, menv))
-    for _, s in w.factors:
-        values.append(eval_template_expr(s, menv))
-    for letter in menv.solved_letters:
-        values.append(menv.env[letter])
-    for frac in values:
-        f = frac.reduce_radicals(menv.tower)
-        if not _unit_factor(f.den, menv):
-            return False
-    for rel in menv.tower:
-        if not _unit_factor(rel.radicand, menv):
-            return False
-    for s in w.torus:
-        if not _unit_factor(eval_template_expr(s, menv)
-                            .reduce_radicals(menv.tower).num, menv):
-            return False
-    return True
+    values = [eval_template_expr(s, menv) for s in w.torus]
+    values += [eval_template_expr(s, menv) for _, s in w.factors]
+    values += [menv.env[letter] for letter in menv.solved_letters]
+    reduced = [frac.reduce_radicals(menv.tower) for frac in values]
+    return (all(_unit_factor(f.den, menv) for f in reduced)
+            and all(_unit_factor(rel.radicand, menv) for rel in menv.tower)
+            and all(_unit_factor(f.num, menv) for f in reduced[:len(w.torus)]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from orbit_atlas.oracle import (enumerate_borel_orbits, jacobian_rank_dim,
 from orbit_atlas.order import hasse
 from orbit_atlas.witness import (REPAIRED, VERIFIED_NUMERIC,
                                  VERIFIED_SYMBOLIC, classify_verdict,
-                                 forward_containment, verify_witness_numeric,
-                                 verify_witness_symbolic)
+                                 build_member_env, forward_containment,
+                                 verify_witness_numeric, word_residuals)
 
 CENSUS_PLAN = {1: (3, 5, 7, 11), 2: (3, 5, 7, 11), 3: (3, 5, 7, 11),
                4: (3, 5)}
@@ -158,17 +158,21 @@ def test_criterion_8_witness_certification(catalogs):
                for v in a4), [v.orbit_id for v in a4 if not v.certified]
     unrepaired = sum(1 for v in a4 if v.status == VERIFIED_SYMBOLIC)
     assert unrepaired >= 50
-    detection = verify_witness_symbolic(catalogs[4].by_id("x22+x44"),
-                                        use_printed=True)
-    assert detection.status == "FailedAsPrinted"
+    corrupted = catalogs[4].by_id("x22+x44")
+    detection = classify_verdict(corrupted)
+    assert detection.as_printed.startswith("parse-error@")
+    assert detection.status == REPAIRED
+    w = corrupted.witness
+    assert word_residuals(corrupted, build_member_env(corrupted),
+                          w.torus, w.factors) == []
     for p in (61, 181):
         v = verify_witness_numeric(catalogs[4].by_id("x22+x44"), p, 100)
         assert v.status == VERIFIED_NUMERIC
     report(f"PASS criterion-8 witnesses: 7/7 ranks 1-2 as printed, 16/16 "
            f"rank 3 after documented normalization, 61/61 rank 4 certified "
-           f"({unrepaired} without repair, corrupted row detected as "
-           f"FailedAsPrinted and re-verified at 100 points over F_61 and "
-           f"F_181)")
+           f"({unrepaired} without repair, corrupted row's printed word "
+           f"detected as {detection.as_printed}, repaired word re-verified at "
+           f"100 points over F_61 and F_181)")
 
 
 def test_criterion_9_identity_suites(catalogs):

@@ -119,32 +119,33 @@ def test_rank2_validation_clean(catalogs):
                    for r in report.records)
 
 
-def test_catalog_count_mismatch_detected(tmp_path, catalogs):
+def test_catalog_count_mismatch_detected(tmp_path, monkeypatch, catalogs):
     doc = json.loads(serialize_catalog(catalogs[1]))
     doc["orbits"] = doc["orbits"][:1]
-    path = tmp_path / "a1.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
     with pytest.raises(CatalogError):
-        load_catalog(1, path=str(path))
+        load_catalog(1)
 
 
-def test_catalog_duplicate_id_detected(tmp_path, catalogs):
+def test_catalog_duplicate_id_detected(tmp_path, monkeypatch, catalogs):
     doc = json.loads(serialize_catalog(catalogs[1]))
     doc["orbits"].append(doc["orbits"][-1])
-    path = tmp_path / "a1.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
     with pytest.raises(CatalogError) as exc:
-        load_catalog(1, path=str(path))
+        load_catalog(1)
     assert "duplicate" in str(exc.value)
 
 
-def test_catalog_parse_failure_names_offending_row(tmp_path, catalogs):
+def test_catalog_parse_failure_names_offending_row(tmp_path, monkeypatch,
+                                                   catalogs):
     doc = json.loads(serialize_catalog(catalogs[1]))
     doc["orbits"][1]["zero_set"] = ["X99 + ur"]
-    path = tmp_path / "a1.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
     with pytest.raises(CatalogError) as exc:
-        load_catalog(1, path=str(path))
+        load_catalog(1)
     assert "x11" in str(exc.value)
 
 

@@ -8,16 +8,18 @@ import pytest
 
 from orbit_atlas import witness
 from orbit_atlas.arith import parse_poly
-from orbit_atlas.catalog import WitnessRadical, WitnessTemplate, serialize_catalog
+from orbit_atlas.catalog import (WitnessRadical, parse_printed_word,
+                                serialize_catalog)
 from orbit_atlas.cli import main
 from orbit_atlas.errors import DomainError, SchemaError
 from orbit_atlas.lie import commutator_nil
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
                                  build_member_env, classify_verdict,
-                                 forward_containment,
-                                 template_power, verify_witness_numeric,
-                                 verify_witness_symbolic, witness_domain_sound)
+                                 forward_containment, template_power,
+                                 template_word, verify_rank,
+                                 verify_witness_numeric, witness_domain_sound,
+                                 word_residuals)
 
 
 def test_forward_containment_all_records(catalogs):
@@ -64,21 +66,28 @@ def test_rank4_certification(catalogs):
     assert len(statuses) == 61
 
 
+def _template_verifies(rec, **kwargs) -> bool:
+    w = rec.witness
+    return word_residuals(rec, build_member_env(rec, **kwargs),
+                          w.torus, w.factors) == []
+
+
 def test_corrupted_row_detected_as_failed_as_printed(catalogs):
     rec = catalogs[4].by_id("x22+x44")
-    v = verify_witness_symbolic(rec, use_printed=True)
-    assert v.status == FAILED_AS_PRINTED
-    assert v.as_printed.startswith("parse-error")
+    v = classify_verdict(rec)
+    assert v.as_printed.startswith("parse-error@")
+    assert v.status == REPAIRED
     # and the repaired word verifies
-    assert verify_witness_symbolic(rec).status == VERIFIED_SYMBOLIC
+    assert _template_verifies(rec)
 
 
 def test_repaired_rows_fail_as_printed(catalogs):
     for rid in ("x13", "x24", "x34", "x12+x34"):
         rec = catalogs[4].by_id(rid)
-        printed = verify_witness_symbolic(rec, use_printed=True)
-        assert printed.status == FAILED_AS_PRINTED, rid
-        assert verify_witness_symbolic(rec).status == VERIFIED_SYMBOLIC, rid
+        v = classify_verdict(rec)
+        assert v.as_printed == "mismatch", rid
+        assert v.status == REPAIRED, rid
+        assert _template_verifies(rec), rid
 
 
 def test_numeric_verification(catalogs):
@@ -106,7 +115,7 @@ def test_reparametrization_power_invariance(catalogs):
     # replacing 60 by another common multiple of the root orders changes nothing
     for rid in ("x22+x14", "x11+x33+x24", "x11+x22+x33+x44"):
         rec = catalogs[4].by_id(rid)
-        assert verify_witness_symbolic(rec, power=120).status == VERIFIED_SYMBOLIC
+        assert _template_verifies(rec, power=120), rid
 
 
 def test_witness_domain_soundness(catalogs):
@@ -192,3 +201,32 @@ def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
     for rec in catalogs[3].orbits:
         classify_verdict(rec)
     assert built == [rec.id for rec in catalogs[3].orbits]
+
+
+@pytest.mark.parametrize("n, words", [(1, 3), (2, 6), (3, 30), (4, 79)])
+def test_verify_rank_builds_each_distinct_word_once(catalogs, monkeypatch,
+                                                    n, words):
+    # a printed word that parses to the template reuses its residuals
+    built = []
+
+    def counting(rec, *args, **kwargs):
+        built.append(rec.id)
+        return template_word(rec, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "template_word", counting)
+    assert verify_rank(catalogs[n]).all_certified
+    assert len(built) == words
+
+
+def test_failed_template_fails_the_verdict(catalogs):
+    # x13's printed word as its template: the template fails, and the
+    # printed word, now equal to it, shares its residuals
+    rec = catalogs[4].by_id("x13")
+    torus, factors = parse_printed_word(rec.as_printed["word"], 4)
+    bad = dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, torus=tuple(torus or ()), factors=tuple(factors)))
+    v = classify_verdict(bad)
+    assert v.status == FAILED_AS_PRINTED and not v.certified
+    assert v.as_printed == "mismatch"
+    assert v.detail == "normalized template failed"
+    assert v.residual and v.repairs == rec.witness_repairs()
