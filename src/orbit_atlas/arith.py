@@ -8,7 +8,11 @@ Three layers, all exact:
   operation.  A canonical coefficient is an ``int``, or a ``Fraction`` with
   denominator > 1: never zero and never a float.  Coefficient divisions go
   through ``Fraction`` (``_quo``); constant values (``const_value``, a
-  constant ``eval``) are returned as ``Fraction``.
+  constant ``eval``) are returned as ``Fraction``.  Each monomial is one
+  int over a process-wide interned variable registry, so a monomial
+  product is an int addition; ``vars`` keeps only a polynomial's display
+  order, and an exponent bound raises ``DomainError`` before any exponent
+  passes ``EXP_LIMIT`` (see the Laurent polynomial section).
 * ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
   cross-multiplication, never by floating point.
 
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, EvaluationError, SchemaError
@@ -177,6 +180,74 @@ def kth_roots(a: Fp, k: int) -> list[Fp]:
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
+#
+# A monomial is one int, sum_k e_k * 2^(_WIDTH * k), where k is its
+# variable's slot in the process-wide registry ``_SHIFT``.  Slots are
+# appended on first use and never reused or reordered, so a key means the
+# same monomial in every polynomial of the process.  Digits are signed
+# (|e_k| <= EXP_LIMIT): the product of two monomials is the sum of their
+# keys, an inverse is a negation, and int order is a lex term order with the
+# highest slot most significant.  Every polynomial carries an upper bound on
+# its |exponents|, and each operation checks the bound of its result against
+# EXP_LIMIT before it packs a key, so no digit ever leaves its slot.
+
+
+_WIDTH = 24                 # bits per variable slot
+_HALF = 1 << (_WIDTH - 1)
+_MASK = (1 << _WIDTH) - 1
+#: largest |exponent| a polynomial may hold: a quarter of a slot's range, so
+#: the division loop can compare box corners digit by digit (``_in_box``)
+EXP_LIMIT = (_HALF >> 2) - 1
+
+_SHIFT: dict[str, int] = {}     # variable name -> bit offset of its slot
+_BIAS = 0                       # _HALF in every registered slot
+
+
+def _shift(name: str) -> int:
+    """Bit offset of name's slot, appending a slot on first use."""
+    s = _SHIFT.get(name)
+    if s is None:
+        global _BIAS
+        s = _SHIFT[name] = _WIDTH * len(_SHIFT)
+        _BIAS |= _HALF << s
+    return s
+
+
+def _unpack(key: int, shifts) -> tuple[int, ...]:
+    """Exponent tuple of a packed monomial over the slots at ``shifts``."""
+    y = key + _BIAS
+    return tuple([(y >> s & _MASK) - _HALF for s in shifts])
+
+
+def _in_box(key: int, lo: int, hi: int) -> bool:
+    """Every digit of key lies between those of lo and hi.  Digit
+    differences stay below _HALF (exponents are at most EXP_LIMIT), so a
+    nonnegative difference has a negative digit exactly when a slot's top
+    bit is set."""
+    x, y = key - lo, hi - key
+    return x >= 0 and y >= 0 and not (x | y) & _BIAS
+
+
+def _check_bound(b: int) -> int:
+    if b > EXP_LIMIT:
+        raise DomainError(f"an exponent of {b} would leave its slot "
+                          f"(the limit is {EXP_LIMIT})")
+    return b
+
+
+def _merged(sv: tuple, ov: tuple) -> tuple:
+    """Display order of a result: sv's variables, then ov's new ones."""
+    if sv is ov or not ov:
+        return sv
+    if not sv:
+        return ov
+    ns, no = len(sv), len(ov)
+    if ns < no:
+        if ov[:ns] == sv:
+            return ov
+    elif sv[:no] == ov:
+        return sv
+    return sv + tuple([v for v in ov if v not in sv])
 
 
 def _canon(c) -> Rational:
@@ -199,161 +270,160 @@ def _quo(a: Rational, b: Rational) -> Rational:
 
 def _canon_values(terms: dict) -> dict:
     """Rewrite the integral ``Fraction`` values of a fresh term map as ints."""
-    for exps, c in terms.items():
+    for key, c in terms.items():
         if c.__class__ is not int and c.denominator == 1:
-            terms[exps] = c.numerator
+            terms[key] = c.numerator
     return terms
 
 
-def _pad(terms: dict, width: int) -> dict:
-    """Extend every exponent vector by ``width`` zero exponents."""
-    if not width:
-        return terms
-    zeros = (0,) * width
-    return {exps + zeros: c for exps, c in terms.items()}
-
-
-def _scale(terms: dict, exps: tuple, c: Rational) -> dict:
-    """Term map times the monomial c * x^exps over the same registry."""
-    if any(exps):
-        return _canon_values({tuple(map(add, e, exps)): x * c
-                              for e, x in terms.items()})
+def _scale(terms: dict, key: int, c: Rational) -> dict:
+    """Packed term map times the monomial c * x^key."""
+    if key:
+        return _canon_values({k + key: x * c for k, x in terms.items()})
     if c == 1:
         return terms
-    return _canon_values({e: x * c for e, x in terms.items()})
+    return _canon_values({k: x * c for k, x in terms.items()})
+
+
+_new = object.__new__
+
+
+def _poly(vars: tuple, t: dict, b: int) -> "LaurentPoly":
+    """Trusted constructor: a packed map with canonical nonzero
+    coefficients, display order ``vars`` (which names every variable the
+    keys use) and exponent bound b.  Nothing is copied or checked."""
+    p = _new(LaurentPoly)
+    p.vars, p._t, p._b = vars, t, b
+    return p
+
+
+def _degree_boxes(p: "LaurentPoly", q: "LaurentPoly"):
+    """(var, (least, greatest) exponent of var in p, the same in q) for
+    every variable of p and q, in the display order of p*q."""
+    pbox = {v: (min(c), max(c)) for v, c in zip(p.vars, zip(*p.terms))}
+    qbox = {v: (min(c), max(c)) for v, c in zip(q.vars, zip(*q.terms))}
+    for v in _merged(p.vars, q.vars):
+        yield v, pbox.get(v, (0, 0)), qbox.get(v, (0, 0))
+
+
+def _product_bound(p: "LaurentPoly", q: "LaurentPoly") -> int:
+    """The largest |exponent| of p*q, exactly: per variable, the least and
+    the greatest exponents of the factors add (the ring is a domain)."""
+    return _check_bound(max((max(abs(plo + qlo), abs(phi + qhi))
+                             for _, (plo, phi), (qlo, qhi)
+                             in _degree_boxes(p, q)), default=0))
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: map from exponent vector to nonzero
-    coefficient.  Coefficients are canonical: an ``int`` when integral, else
-    a ``Fraction`` with denominator > 1, never zero and never a float.
+    """Sparse Laurent polynomial over Q.  Coefficients are canonical: an
+    ``int`` when integral, else a ``Fraction`` with denominator > 1, never
+    zero and never a float.
 
-    ``vars`` fixes the variable order (registration order); exponent vectors
-    align with it.  Values are immutable by convention: no method mutates an
-    existing instance, so results may share term maps with their operands.
+    Terms live in a map from packed monomial (see above) to coefficient, so
+    equality, hashing and arithmetic never align variable lists; the
+    exponent bound ``_b`` travels with the map.  ``vars`` is only the
+    display order (a result lists self's variables, then the other
+    operand's new ones), as ``poly_to_str``, ``sorted_terms``, the
+    ``LaurentFraction`` normalisation and ``normalize`` read it.  ``terms``
+    decodes the map into exponent tuples aligned with ``vars``; it and
+    ``used_vars`` are computed on first use and kept.  Values are immutable
+    by convention: no method mutates an existing instance, so results may
+    share term maps with their operands.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "_t", "_b", "_hash", "_terms", "_used")
 
     def __init__(self, vars: tuple[str, ...] = (), terms: dict | None = None):
         self.vars = tuple(vars)
-        clean: dict[tuple[int, ...], Rational] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _canon(c)
-                if c != 0:
-                    clean[tuple(exps)] = c
-        self.terms = clean
-
-    @staticmethod
-    def _make(vars: tuple[str, ...], terms: dict) -> "LaurentPoly":
-        """Trusted constructor for clean terms: tuple keys of length
-        ``len(vars)`` and canonical nonzero coefficients.  Nothing is copied
-        or checked."""
-        p = object.__new__(LaurentPoly)
-        p.vars = vars
-        p.terms = terms
-        return p
+        if len(set(self.vars)) != len(self.vars):
+            raise SchemaError(f"repeated variable in {self.vars}")
+        shifts = [_shift(v) for v in self.vars]
+        t: dict[int, Rational] = {}
+        b = 0
+        for exps, c in (terms or {}).items():
+            c = _canon(c)
+            if c == 0:
+                continue
+            exps = tuple(exps)
+            if len(exps) != len(shifts):
+                raise SchemaError(f"exponents {exps} do not match {self.vars}")
+            b = max(b, max(map(abs, exps), default=0))
+            t[sum(e << s for e, s in zip(exps, shifts))] = c
+        self._t, self._b = t, _check_bound(b)
 
     # -- constructors
 
     @staticmethod
     def const(c: Rational) -> "LaurentPoly":
         c = _canon(c)
-        return LaurentPoly._make((), {(): c} if c else {})
+        return _poly((), {0: c} if c else {}, 0)
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        return LaurentPoly._make((name,), {(exp,): 1})
+        return _poly((name,), {exp << _shift(name): 1}, _check_bound(abs(exp)))
 
     zero = None  # assigned after class body
     one = None
 
-    # -- canonical, registry-independent view
+    # -- decoded views
 
-    def items(self) -> list[tuple[tuple[tuple[str, int], ...], Rational]]:
-        """Terms keyed by sorted (var, exp!=0) pairs; independent of registry."""
-        out = []
-        for exps, c in self.terms.items():
-            key = tuple(sorted((v, e) for v, e in zip(self.vars, exps) if e != 0))
-            out.append((key, c))
-        out.sort()
-        return out
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple (aligned with ``vars``) -> coefficient."""
+        try:
+            return self._terms
+        except AttributeError:
+            shifts = [_SHIFT[v] for v in self.vars]
+            self._terms = {_unpack(k, shifts): c for k, c in self._t.items()}
+            return self._terms
+
+    def used_vars(self) -> frozenset[str]:
+        try:
+            return self._used
+        except AttributeError:
+            nonzero = 0                 # digit != 0 exactly where a term uses v
+            for k in self._t:
+                nonzero |= (k + _BIAS) ^ _BIAS
+            self._used = frozenset(v for v in self.vars
+                                   if nonzero >> _SHIFT[v] & _MASK)
+            return self._used
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
+        if other.__class__ is not LaurentPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = LaurentPoly.const(other)
-        if self.vars == other.vars:
-            return self.terms == other.terms
-        return self.items() == other.items()
+        return self._t == other._t
 
     def __hash__(self):
-        """Hash of the registry-independent ``items()``, computed on first
-        use and kept in a slot (the type is immutable)."""
+        """Hash of the packed term map, computed on first use and kept in a
+        slot (the type is immutable)."""
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(tuple(self.items()))
+            self._hash = hash(frozenset(self._t.items()))
             return self._hash
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._t) == 1
 
     def is_const(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return self._t.keys() <= {0}
 
     def _scalar(self):
         """The coefficient of a scalar (one term, every exponent 0), else None."""
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if not any(exps):
-                return c
-        return None
+        t = self._t
+        return t[0] if len(t) == 1 and 0 in t else None
 
     def const_value(self) -> Fraction:
-        if not self.terms:
+        if not self._t:
             return Fraction(0)
         if not self.is_const():
             raise SchemaError("not a constant polynomial")
-        return Fraction(next(iter(self.terms.values())))
-
-    def used_vars(self) -> set[str]:
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.vars, exps):
-                if e != 0:
-                    used.add(v)
-        return used
-
-    # -- registry alignment
-
-    def _aligned(self, other: "LaurentPoly"):
-        """(vars, a, b): both term maps over the merged registry, self's
-        variables then other's new ones.  A registry that is a prefix of the
-        merged one is padded with zero exponents; only an interleaved
-        registry is remapped."""
-        sv, ov = self.vars, other.vars
-        if sv == ov:
-            return sv, self.terms, other.terms
-        ns, no = len(sv), len(ov)
-        if ns < no and ov[:ns] == sv:
-            return ov, _pad(self.terms, no - ns), other.terms
-        if no < ns and sv[:no] == ov:
-            return sv, self.terms, _pad(other.terms, ns - no)
-        merged = sv + tuple(v for v in ov if v not in sv)
-        idx = [merged.index(v) for v in ov]
-        b = {}
-        for exps, c in other.terms.items():
-            vec = [0] * len(merged)
-            for i, e in zip(idx, exps):
-                vec[i] = e
-            b[tuple(vec)] = c
-        return merged, _pad(self.terms, len(merged) - ns), b
+        return Fraction(self._t[0])
 
     # -- arithmetic
 
@@ -368,26 +438,27 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        vars, a, b = self._aligned(o)
+        vars = _merged(self.vars, o.vars)
+        a, b = self._t, o._t
         if not b:
-            return LaurentPoly._make(vars, a)
+            return _poly(vars, a, self._b)
         if not a:
-            return LaurentPoly._make(vars, b)
+            return _poly(vars, b, o._b)
         out = dict(a)
-        for exps, c in b.items():
-            s = out.get(exps, 0) + c
+        for k, c in b.items():
+            s = out.get(k, 0) + c
             if not s:
-                del out[exps]
+                del out[k]
             elif s.__class__ is not int and s.denominator == 1:
-                out[exps] = s.numerator
+                out[k] = s.numerator
             else:
-                out[exps] = s
-        return LaurentPoly._make(vars, out)
+                out[k] = s
+        return _poly(vars, out, max(self._b, o._b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {k: -c for k, c in self._t.items()}, self._b)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -405,25 +476,29 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        vars, a, b = self._aligned(o)
+        vars = _merged(self.vars, o.vars)
+        a, b = self._t, o._t
         if not a or not b:
-            return LaurentPoly._make(vars, {})
+            return _poly(vars, {}, 0)
+        bound = self._b + o._b
+        if bound > EXP_LIMIT:
+            bound = _product_bound(self, o)
         if len(b) == 1:
-            (exps, c), = b.items()
-            return LaurentPoly._make(vars, _scale(a, exps, c))
+            (k, c), = b.items()
+            return _poly(vars, _scale(a, k, c), bound)
         if len(a) == 1:
-            (exps, c), = a.items()
-            return LaurentPoly._make(vars, _scale(b, exps, c))
-        out: dict[tuple[int, ...], Rational] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(add, e1, e2))
-                s = out.get(key, 0) + c1 * c2
+            (k, c), = a.items()
+            return _poly(vars, _scale(b, k, c), bound)
+        out: dict[int, Rational] = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                s = out.get(k, 0) + c1 * c2
                 if s:
-                    out[key] = s
+                    out[k] = s
                 else:
-                    del out[key]
-        return LaurentPoly._make(vars, _canon_values(out))
+                    del out[k]
+        return _poly(vars, _canon_values(out), bound)
 
     __rmul__ = __mul__
 
@@ -445,8 +520,8 @@ class LaurentPoly:
     def monomial_inverse(self) -> "LaurentPoly":
         if not self.is_monomial():
             raise DomainError("only monomials are invertible as Laurent polynomials")
-        (exps, c), = self.terms.items()
-        return LaurentPoly._make(self.vars, {tuple(-e for e in exps): _quo(1, c)})
+        (k, c), = self._t.items()
+        return _poly(self.vars, {-k: _quo(1, c)}, self._b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -468,16 +543,13 @@ class LaurentPoly:
 
     def derivative(self, var: str) -> "LaurentPoly":
         if var not in self.vars:
-            return LaurentPoly()
-        i = self.vars.index(var)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, 0) + c * e
-        return LaurentPoly(self.vars, out)
+            return LaurentPoly.zero
+        i, unit = self.vars.index(var), 1 << _SHIFT[var]
+        out = {k - unit: c * exps[i]
+               for (exps, c), k in zip(self.terms.items(), self._t) if exps[i]}
+        low = min((exps[i] for exps in self.terms), default=0)
+        return _poly(self.vars, _canon_values(out),
+                     _check_bound(max(self._b, 1 - low)))
 
     def total_degrees(self) -> set[int]:
         return {sum(exps) for exps in self.terms}
@@ -489,7 +561,7 @@ class LaurentPoly:
 
     def eval(self, env: Mapping[str, object]):
         """Evaluate with ring-valued bindings; unbound variables are an error."""
-        missing = self.used_vars() - set(env)
+        missing = [v for v in self.used_vars() if v not in env]
         if missing:
             raise SchemaError(f"unbound variables {sorted(missing)}")
         total = None
@@ -499,9 +571,10 @@ class LaurentPoly:
                 if e == 0:
                     continue
                 val = env[v]
-                factor = val ** e if e > 0 else inv_elem(val) ** (-e)
+                factor = (val if e == 1 else val ** e if e > 0
+                          else inv_elem(val) ** (-e))
                 prod = factor if prod is None else prod * factor
-            term = c if prod is None else prod * c
+            term = c if prod is None else prod if c == 1 else prod * c
             total = term if total is None else total + term
         if total is None:
             return Fraction(0)
@@ -512,11 +585,12 @@ class LaurentPoly:
     def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
         """Exact F_p evaluation; negative exponent at zero raises
         EvaluationError, a coefficient undefined mod p SchemaError."""
-        missing = self.used_vars() - set(point)
+        used = self.used_vars()
+        missing = [v for v in used if v not in point]
         if missing:
             raise SchemaError(f"unbound variables {sorted(missing)}")
         vals = {}
-        for v in self.used_vars():
+        for v in used:
             x = point[v]
             vals[v] = x.v if isinstance(x, Fp) else int(x) % p
         acc = 0
@@ -655,16 +729,12 @@ def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
         if hot is None:
             return p
         rel = rules[hot]
-        i = p.vars.index(hot)
+        i, s = p.vars.index(hot), _SHIFT[hot]
         acc = LaurentPoly()
-        for exps, c in p.terms.items():
-            term = LaurentPoly._make(p.vars, {exps: c})
-            e = exps[i]
-            if e >= rel.order:
-                q, r = divmod(e, rel.order)
-                base = exps[:i] + (r,) + exps[i + 1:]
-                term = LaurentPoly._make(p.vars, {base: c}) * rel.radicand ** q
-            acc = acc + term
+        for (exps, c), k in zip(p.terms.items(), p._t):
+            q = max(exps[i], 0) // rel.order
+            term = _poly(p.vars, {k - (q * rel.order << s): c}, p._b)
+            acc = acc + (term * rel.radicand ** q if q else term)
         p = acc
 
 
@@ -677,36 +747,48 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
 
     If num = q*den, then per variable v the highest and the lowest v-degrees
     add (Newt(fg) = Newt(f) + Newt(g) in one variable), so every term of q
-    lies in the box [min_v(num) - min_v(den), max_v(num) - max_v(den)].  Lex
-    lead-term division of an exact multiple yields exactly q's terms, so a
-    quotient term outside the box proves den does not divide num.  Quotient
-    terms fall strictly in lex order inside the finite box: the loop ends."""
+    lies in the box [min_v(num) - min_v(den), max_v(num) - max_v(den)].
+    Lead-term division of an exact multiple, in the packed keys' lex order,
+    yields exactly q's terms, so a quotient term outside the box proves den
+    does not divide num.  Quotient terms fall strictly in that order inside
+    the finite box: the loop ends.  The quotient's terms are listed in
+    descending lex order of its display variables."""
     if den.is_zero():
         return None
     if den.is_monomial():
         return num * den.monomial_inverse()
-    vars, a, b = num._aligned(den)
+    vars = _merged(num.vars, den.vars)
+    a, b = num._t, den._t
     if not a:
-        return LaurentPoly._make(vars, {})
-    lo = list(map(sub, map(min, zip(*a)), map(min, zip(*b))))
-    hi = list(map(sub, map(max, zip(*a)), map(max, zip(*b))))
+        return _poly(vars, {}, 0)
+    if len(a) == 1:             # a non-monomial never divides a unit
+        return None
+    lo = hi = bound = 0
+    for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
+        s = _SHIFT[v]
+        lo += nlo - dlo << s
+        hi += nhi - dhi << s
+        bound = max(bound, abs(nlo - dlo), abs(nhi - dhi))
+    _check_bound(bound)
     lead_den = max(b)
     cd = b[lead_den]
-    quo: dict[tuple[int, ...], Rational] = {}
+    quo: dict[int, Rational] = {}
     rem = dict(a)
     while rem:
         lead = max(rem)
-        t_exp = tuple(map(sub, lead, lead_den))
-        if not all(l <= t <= h for l, t, h in zip(lo, t_exp, hi)):
+        t = lead - lead_den
+        if not _in_box(t, lo, hi):
             return None
         t_c = _quo(rem[lead], cd)
-        quo[t_exp] = t_c
-        for e, c in b.items():
-            key = tuple(map(add, t_exp, e))
+        quo[t] = t_c
+        for k, c in b.items():
+            key = t + k
             s = rem.pop(key, 0) - t_c * c
             if s:
                 rem[key] = s
-    return LaurentPoly._make(vars, quo)
+    shifts = [_SHIFT[v] for v in vars]
+    order = sorted(quo, key=lambda k: _unpack(k, shifts), reverse=True)
+    return _poly(vars, {k: quo[k] for k in order}, bound)
 
 
 class LaurentFraction:
@@ -717,8 +799,9 @@ class LaurentFraction:
     common monomial content is moved into the numerator, a denominator that
     divides the numerator is divided out (``_exact_divide`` decides this
     exactly, so a denominator left standing does not divide the numerator,
-    though no gcd is taken), and the denominator's leading coefficient is
-    scaled to 1.  Equality is decided by cross-multiplication.
+    though no gcd is taken), and the denominator's leading coefficient, in
+    lex order of the display variables, is scaled to 1.  Equality is decided
+    by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -742,18 +825,24 @@ class LaurentFraction:
             self.num, self.den = num * den.monomial_inverse(), LaurentPoly.one
             return
         # strip common monomial content (always legal for Laurent polynomials)
-        vars, a, b = num._aligned(den)
-        content = tuple(map(min, zip(*a, *b)))
-        if any(content):
-            a = {tuple(map(sub, e, content)): c for e, c in a.items()}
-            b = {tuple(map(sub, e, content)): c for e, c in b.items()}
-        num = LaurentPoly._make(vars, a)
-        den = LaurentPoly._make(vars, b)
+        vars = _merged(num.vars, den.vars)
+        content = bound = 0
+        for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
+            low = min(nlo, dlo)
+            content += low << _SHIFT[v]
+            bound = max(bound, max(nhi, dhi) - low)
+        a, b = num._t, den._t
+        if content:
+            a = {k - content: c for k, c in a.items()}
+            b = {k - content: c for k, c in b.items()}
+        num = _poly(vars, a, _check_bound(bound))
+        den = _poly(vars, b, bound)
         q = _exact_divide(num, den)
         if q is not None:
             self.num, self.den = q, LaurentPoly.one
             return
-        c = b[max(b)]
+        terms = den.terms
+        c = terms[max(terms)]
         if c != 1:
             inv = _quo(1, c)
             num = num * inv
@@ -784,6 +873,8 @@ class LaurentFraction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if self.den is LaurentPoly.one is o.den:
+            return LaurentFraction(self.num + o.num)
         return LaurentFraction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -809,6 +900,8 @@ class LaurentFraction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if self.den is LaurentPoly.one is o.den:
+            return LaurentFraction(self.num * o.num)
         return LaurentFraction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -819,6 +912,8 @@ class LaurentFraction:
             return NotImplemented
         if o.num.is_zero():
             raise DomainError("division by zero fraction")
+        if self.den is LaurentPoly.one is o.den:
+            return LaurentFraction(self.num, o.num)
         return LaurentFraction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):

@@ -459,10 +459,7 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
                 status = "unparseable"
             else:
                 def signset(polys):
-                    out = set()
-                    for p in polys:
-                        out.add(min(tuple(p.items()), tuple((-p).items())))
-                    return out
+                    return {frozenset((p, -p)) for p in polys}
                 same = (signset(pz) == signset(rec.zero_set)
                         and signset(pnz) == signset(rec.nonzero_set))
                 status = "match" if same else "diff"

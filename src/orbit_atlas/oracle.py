@@ -2,8 +2,9 @@
 certificate.
 
 ``enumerate_borel_orbits`` computes the actual B(F_q)-orbit partition of the
-nilradical as a min-label fixpoint under a small generator set (U_root(1)
-for every positive root and one primitive-root torus per simple slot).
+nilradical as a min-label fixpoint under 2n generators (one primitive-root
+torus per simple slot and U_root(1) for every simple root; U_root(1) of a
+non-simple root is a commutator of simple ones).
 ``stability_check`` certifies it: every class is stable under those
 generators, checked over the whole space, and every one-parameter subgroup
 element and full torus element is a product of them, checked as an exact
@@ -107,10 +108,12 @@ def _root_word(n: int, root, c: int, q: int) -> BorelWord:
 
 def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
-    for every positive root (U_root(1)^c = U_root(c) over a prime field)."""
+    for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
+    U_root(c) of a non-simple root is a commutator of simple ones, so these
+    2n elements generate B(F_q)."""
     g0 = primitive_root(q)
     words = [_slot_word(n, slot, g0, q) for slot in range(n)]
-    words += [_root_word(n, root, 1, q) for root in pos_roots(n)]
+    words += [_root_word(n, root, 1, q) for root in pos_roots(n)[:n]]
     return [_word_map(word, q) for word in words]
 
 

@@ -7,7 +7,10 @@ word g of ``lie.generic_borel_word``, the same pullback the closure
 generators of ``order`` are read from.  The reverse inclusion is
 certified by the catalog's witness templates: a Borel word whose parameters
 are rational (and radical) expressions in the coordinates of a general
-member m, with adjoint(word, representative) required to equal m exactly.
+member m, with adjoint(word, representative) required to equal m exactly,
+and with every denominator, radicand and torus entry of the template a unit
+on the whole set (``first_non_unit``), so that the word is defined at every
+point of the set, not only on a dense open part of it.
 
 Coordinate letters inside templates denote 60th powers: a general member's
 free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
@@ -115,8 +118,8 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
             protected_polys.append(num)
     for rel in tower:
         # radicands are nonvanishing on the domain by the template contract
-        if all(rel.radicand.items() != q.items() and
-               (-rel.radicand).items() != q.items() for q in protected_polys):
+        if all(q != rel.radicand and q != -rel.radicand
+               for q in protected_polys):
             protected_polys.append(rel.radicand)
     return MemberEnv(rec, env, tower, target, free, solved,
                      protected_polys, protected_letters)
@@ -191,8 +194,12 @@ def template_word(rec: OrbitRecord, menv: MemberEnv,
 def word_residuals(rec, menv, torus_strs, factor_list):
     """Coordinatewise differences adjoint(word, rep) - m of the word built by
     ``template_word``, radical-reduced; empty when the word reproduces m."""
-    result = adjoint(template_word(rec, menv, torus_strs, factor_list),
-                     rec.representative)
+    return _residuals(rec, menv,
+                      template_word(rec, menv, torus_strs, factor_list))
+
+
+def _residuals(rec, menv, word):
+    result = adjoint(word, rec.representative)
     residuals = []
     for root in pos_roots(rec.rank):
         diff = LaurentFraction._lift(result.coord(root)) - menv.target[root]
@@ -245,16 +252,24 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
 
 def classify_verdict(rec: OrbitRecord) -> WitnessVerdict:
     """Full per-record verdict: the normalized template against a general
-    member, the as-printed layer against the same member, repair notes."""
+    member, its soundness on the whole set (``first_non_unit``), the
+    as-printed layer against the same member, repair notes."""
     menv = build_member_env(rec)
     w = rec.witness
-    residuals = word_residuals(rec, menv, w.torus, w.factors)
+    word = template_word(rec, menv, w.torus, w.factors)
+    residuals = _residuals(rec, menv, word)
     as_printed, printed_detail = _printed_layer(rec, menv, residuals)
     repairs = rec.witness_repairs()
     if residuals:
         return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
                               residual=[(r, repr(d)) for r, d in residuals],
                               detail="normalized template failed",
+                              repairs=repairs)
+    unsound = first_non_unit(rec, menv, word)
+    if unsound:
+        return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
+                              detail=f"normalized template is not a unit on "
+                                     f"the set: {unsound}",
                               repairs=repairs)
     if repairs or as_printed not in ("verified", "absent"):
         return WitnessVerdict(rec.id, REPAIRED, as_printed=as_printed,
@@ -430,18 +445,28 @@ def _unit_factor(num: LaurentPoly, menv: MemberEnv) -> bool:
     return p.is_monomial() and p.used_vars() <= allowed
 
 
-def witness_domain_sound(rec: OrbitRecord) -> bool:
-    """Every denominator and radicand in the template is a unit on the set,
-    and so is every torus entry."""
-    menv = build_member_env(rec)
-    w = rec.witness
-    values = [eval_template_expr(s, menv) for s in w.torus]
-    values += [eval_template_expr(s, menv) for _, s in w.factors]
-    values += [menv.env[letter] for letter in menv.solved_letters]
-    reduced = [frac.reduce_radicals(menv.tower) for frac in values]
-    return (all(_unit_factor(f.den, menv) for f in reduced)
-            and all(_unit_factor(rel.radicand, menv) for rel in menv.tower)
-            and all(_unit_factor(f.num, menv) for f in reduced[:len(w.torus)]))
+def first_non_unit(rec: OrbitRecord, menv: MemberEnv, word: BorelWord) -> str:
+    """The first template expression that is not a unit on the set, "" when
+    every one is: the denominator of each solved coordinate, each radicand,
+    each torus entry and the denominator of each factor parameter, in the
+    template's order.  ``word`` is the template word built over ``menv``.
+    Without this, the word proves only that a dense open part of the set
+    lies in the orbit."""
+    w, tower = rec.witness, menv.tower
+    for letter in menv.solved_letters:
+        if not _unit_factor(menv.env[letter].reduce_radicals(tower).den, menv):
+            return f"the denominator of the value solved for {letter}"
+    for rad, rel in zip(w.radicals, tower):
+        if not _unit_factor(rel.radicand, menv):
+            return f"radicand {rad.radicand!r} of {rad.name}"
+    for s, t in zip(w.torus, word.torus.diag if word.torus else ()):
+        t = t.reduce_radicals(tower)
+        if not (_unit_factor(t.num, menv) and _unit_factor(t.den, menv)):
+            return f"torus entry {s!r}"
+    for (_, s), f in zip(w.factors, word.factors):
+        if not _unit_factor(f.param.reduce_radicals(tower).den, menv):
+            return f"the denominator of {s!r}"
+    return ""
 
 
 # ---------------------------------------------------------------------------

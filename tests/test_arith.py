@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly,
+from orbit_atlas.arith import (EXP_LIMIT, Fp, LaurentFraction, LaurentPoly,
                                RadicalRelation, _exact_divide, _rational_root,
                                eval_expr, is_prime,
                                kth_roots, normalize, parse_expr, parse_poly,
@@ -313,13 +313,19 @@ def test_is_prime_is_fast_below_the_miller_rabin_bound():
 # equal, prefix, disjoint and interleaved registries, and the constants' ()
 REGISTRIES = (("a", "b", "c"), ("a", "b"), ("a", "b", "c", "d"), ("d", "e"),
               ("c", "a", "b"), ())
+SMALL = st.integers(-2, 2)
+# exponents near half the slot limit, so that a product still fits and a
+# cube does not
+HALF_LIMIT = EXP_LIMIT // 2
+NEAR_SLOT_WIDTH = (SMALL | st.integers(HALF_LIMIT - 2, HALF_LIMIT)
+                   | st.integers(-HALF_LIMIT, 2 - HALF_LIMIT))
 
 
 @st.composite
-def mixed_poly(draw):
+def mixed_poly(draw, exponents=SMALL):
     reg = draw(st.sampled_from(REGISTRIES))
     terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(-2, 2)] * len(reg)),
+        st.tuples(*[exponents] * len(reg)),
         st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
         max_size=4))
     return LaurentPoly(reg, terms)
@@ -360,25 +366,47 @@ def assert_canonical(p: LaurentPoly):
         assert c != 0
 
 
-@settings(max_examples=250, deadline=None)
-@given(mixed_poly(), mixed_poly(), st.integers(0, 3))
-def test_kernel_matches_reference(p, d, k):
+def check_ring_ops(p, d, k):
+    """+, -, *, ** and the exact division of a multiple against the
+    reference."""
     rp, rd = ref(p), ref(d)
     for got, want in ((p + d, ref_add(rp, rd)), (p - d, ref_add(rp, rd, -1)),
                       (-p, ref_add({}, rp, -1)), (p * d, ref_mul(rp, rd)),
                       (d * p, ref_mul(rp, rd))):
         assert_canonical(got)
         assert ref(got) == want
-    power, want = p ** k, {(): Fraction(1)}
-    for _ in range(k):
-        want = ref_mul(want, rp)
-    assert_canonical(power)
-    assert ref(power) == want
+    top = max((abs(e) for exps in p.terms for e in exps), default=0)
+    if k * top > EXP_LIMIT:
+        with pytest.raises(DomainError, match="would leave its slot"):
+            p ** k
+    else:
+        power, want = p ** k, {(): Fraction(1)}
+        for _ in range(k):
+            want = ref_mul(want, rp)
+        assert_canonical(power)
+        assert ref(power) == want
     if d.is_zero():
         return
     q = _exact_divide(p * d, d)
     assert_canonical(q)
     assert ref(q) == rp
+    if not d.is_monomial():
+        # the division loop lists the quotient in descending display order,
+        # whatever the registry's slot order
+        assert list(q.terms) == sorted(q.terms, reverse=True)
+
+
+@settings(max_examples=250, deadline=None)
+@given(mixed_poly(), mixed_poly(), mixed_poly(NEAR_SLOT_WIDTH),
+       mixed_poly(NEAR_SLOT_WIDTH), st.integers(0, 3))
+def test_kernel_matches_reference(p, d, wide_p, wide_d, k):
+    check_ring_ops(wide_p, wide_d, k)
+    check_ring_ops(p, d, k)
+    if d.is_zero():
+        return
+    # fractions only at small exponents: p / d may divide exactly with a
+    # quotient as wide as the degree box ((a^n + 1) / (a + 1) has n terms)
+    rp, rd = ref(p), ref(d)
     f = LaurentFraction(p, d)
     assert_canonical(f.num)
     assert_canonical(f.den)
@@ -387,6 +415,27 @@ def test_kernel_matches_reference(p, d, k):
         assert f.is_poly()
     if not f.is_poly():
         assert f.den.terms[max(f.den.terms)] == 1
+
+
+def test_an_exponent_that_would_leave_its_slot_raises():
+    x, y = V("x", EXP_LIMIT), V("y")
+    assert V("x", -EXP_LIMIT).monomial_inverse() == x
+    assert (x * y).terms == {(EXP_LIMIT, 1): 1}     # separate slots
+    assert x.derivative("x").terms == {(EXP_LIMIT - 1,): EXP_LIMIT}
+    for build in (lambda: V("x", EXP_LIMIT + 1),
+                  lambda: V("x", -EXP_LIMIT - 1),
+                  lambda: x * V("x"),
+                  lambda: V("x", -EXP_LIMIT) / V("x"),
+                  lambda: V("x") ** (EXP_LIMIT + 1),
+                  lambda: (V("x", HALF_LIMIT + 1) + 1) ** 2,
+                  lambda: (V("x", HALF_LIMIT + 1) + y) * (V("x", HALF_LIMIT)
+                                                          + 1) * V("x"),
+                  lambda: V("x", -EXP_LIMIT).derivative("x"),
+                  lambda: LaurentPoly(("x",), {(EXP_LIMIT + 1,): 1}),
+                  # the canonical form of this fraction needs x^(2 EXP_LIMIT)
+                  lambda: LaurentFraction(x + 1, V("x", -EXP_LIMIT) + y)):
+        with pytest.raises(DomainError, match="would leave its slot"):
+            build()
 
 
 def test_integral_coefficients_are_ints():

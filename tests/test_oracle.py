@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import cli, oracle
-from orbit_atlas.arith import Fp
+from orbit_atlas.arith import Fp, primitive_root
 from orbit_atlas.catalog import serialize_catalog
 from orbit_atlas.classify import decode_points, member
 from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
@@ -42,12 +42,22 @@ def _reference_image_codes(m, q):
     return _encode_points((digits @ m.T) % q, q)
 
 
+def _all_generator_maps(n, q):
+    """The slot tori at the primitive root and U_root(1) for every positive
+    root, the non-simple ones included."""
+    g0 = primitive_root(q)
+    words = [_slot_word(n, slot, g0, q) for slot in range(n)]
+    words += [_root_word(n, root, 1, q) for root in pos_roots(n)]
+    return [_word_map(word, q) for word in words]
+
+
 def _reference_bfs(n, q):
-    """Reference BFS without code tables: decode the frontier, multiply by
-    every generator map, reduce and encode, layer by layer."""
+    """Reference BFS without code tables over every generator of
+    ``_all_generator_maps``: decode the frontier, multiply by every
+    generator map, reduce and encode, layer by layer."""
     d = nil_dim(n)
     total = q**d
-    maps = borel_generator_maps(n, q)
+    maps = _all_generator_maps(n, q)
     class_of = np.full(total, -1, dtype=np.int32)
     reps, sizes = [], []
     for cursor in range(total):
@@ -263,13 +273,32 @@ def _relabel_into_zero_class(part):
 
 
 def _fixpoint_without(monkeypatch, n, q, drop):
-    """The fixpoint partition with the generators at the indices ``drop``
-    of ``borel_generator_maps`` left out: stable under every other one."""
-    full = borel_generator_maps
+    """The fixpoint partition over ``_all_generator_maps`` with the
+    generators at the indices ``drop`` left out: stable under every other
+    one."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "borel_generator_maps", lambda n, q: [
-            m for k, m in enumerate(full(n, q)) if k not in drop])
+            m for k, m in enumerate(_all_generator_maps(n, q))
+            if k not in drop])
         return enumerate_borel_orbits(n, q)
+
+
+def test_fixpoint_generators_are_the_2n_simple_ones():
+    for n in ORACLE_DEFAULT_QS:
+        maps = borel_generator_maps(n, 5)
+        assert len(maps) == 2 * n
+        for got, want in zip(maps, _all_generator_maps(n, 5)):
+            assert (got == want).all()
+
+
+def test_fixpoint_on_2n_generators_matches_all_generators(monkeypatch,
+                                                          partitions):
+    # U_root(1) of a non-simple root is a commutator of simple ones, so
+    # leaving it out of the fixpoint changes no class
+    for (n, q), part in partitions.items():
+        full = _fixpoint_without(monkeypatch, n, q, set())
+        assert (part.class_of == full.class_of).all(), (n, q)
+        assert part.reps == full.reps and part.sizes == full.sizes, (n, q)
 
 
 def _fixpoint_at_root(monkeypatch, n, q, g):

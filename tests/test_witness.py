@@ -16,10 +16,9 @@ from orbit_atlas.lie import commutator_nil
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
                                  build_member_env, classify_verdict,
-                                 forward_containment, template_power,
-                                 template_word, verify_rank,
-                                 verify_witness_numeric, witness_domain_sound,
-                                 word_residuals)
+                                 first_non_unit, forward_containment,
+                                 template_power, template_word, verify_rank,
+                                 verify_witness_numeric, word_residuals)
 
 
 def test_forward_containment_all_records(catalogs):
@@ -121,7 +120,58 @@ def test_reparametrization_power_invariance(catalogs):
 def test_witness_domain_soundness(catalogs):
     for n, cat in catalogs.items():
         for rec in cat.orbits:
-            assert witness_domain_sound(rec), rec.id
+            menv = build_member_env(rec)
+            word = template_word(rec, menv, rec.witness.torus,
+                                 rec.witness.factors)
+            assert first_non_unit(rec, menv, word) == "", rec.id
+
+
+def _unsound_x11(cat):
+    # m = (x, 0, z) with x != 0: T(x*z, z) U_x22(-1/(x^2*z^2)) reproduces m
+    # wherever z != 0, but z may vanish on the set
+    rec = cat.by_id("x11")
+    return dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, torus=("x*z", "z"), factors=(((2, 2), "-1/(x^2*z^2)"),)))
+
+
+def test_template_valid_only_on_a_dense_open_part_is_not_certified(
+        catalogs):
+    rec = _unsound_x11(catalogs[2])
+    assert _template_verifies(rec)
+    v = classify_verdict(rec)
+    assert v.status == FAILED_AS_PRINTED and not v.certified
+    assert v.as_printed == "verified" and not v.residual
+    assert v.detail == ("normalized template is not a unit on the set: "
+                        "torus entry 'x*z'")
+    # U_x11(z/(x*y)) split in two factors whose denominators x + y may
+    # vanish on the set, though their sum's does not
+    rec = catalogs[2].by_id("x11+x22")
+    rec = dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, factors=(((1, 1), "z/(x+y)"),
+                              ((1, 1), "z/(x*y) - z/(x+y)"))))
+    assert _template_verifies(rec)
+    assert classify_verdict(rec).detail == (
+        "normalized template is not a unit on the set: the denominator of "
+        "'z/(x+y)'")
+
+
+def test_unsound_template_fails_verify_and_check_all(tmp_path, monkeypatch,
+                                                     capsys, catalogs):
+    cat = catalogs[2]
+    orbits = tuple(_unsound_x11(cat) if r.id == "x11" else r
+                   for r in cat.orbits)
+    doc = serialize_catalog(dataclasses.replace(cat, orbits=orbits))
+    (tmp_path / "a2.json").write_text(doc, encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert main(["verify", "--type", "A2", "--format", "json"]) == 1
+    verdicts = {v["id"]: v for v in json.loads(capsys.readouterr().out)[
+        "witnesses"]}
+    assert verdicts["x11"]["status"] == FAILED_AS_PRINTED
+    assert "torus entry 'x*z'" in verdicts["x11"]["detail"]
+    assert all(v["status"] == VERIFIED_SYMBOLIC
+               for rid, v in verdicts.items() if rid != "x11")
+    assert main(["check-all", "--type", "A2"]) == 1
+    assert "FAIL witnesses" in capsys.readouterr().out
 
 
 def test_fixing_root_pruning_consistency(catalogs):
