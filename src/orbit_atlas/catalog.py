@@ -110,12 +110,6 @@ class OrbitRecord:
                 out.append(next(iter(p.used_vars())))
         return out
 
-    def nonlinear_zero(self) -> list[LaurentPoly]:
-        linear = set(self.linear_zero_vars())
-        return [p for p in self.zero_set
-                if not (p.is_monomial() and p.used_vars() <= linear
-                        and p.total_degrees() == {1})]
-
 
 @dataclass(frozen=True)
 class Catalog:

@@ -14,15 +14,19 @@ one slice point, whose simple coordinates are the indicator of S.  So the
 census classifies the 2^n * q^(d-n) slice points and weights each by
 (q-1)^|S|; the counts are exact, and every point of n(F_q) is still covered.
 
-``torus_slices`` checks the invariant and yields the slice points;
-``match_table`` classifies them.  The census and the closure-order
-certifier (``order._certify``) both enumerate points through that pair and
-nothing else.
+``slice_pass`` checks the invariant and classifies the slice points in one
+pass per field: each distinct catalog polynomial is evaluated once over the
+slice grid by broadcasting (``grid_signatures``), its nonzero pattern packed
+into one int64 signature per point, and each distinct signature is matched
+once against every record.  The census, the oracle refinement
+(``point_records``, through the torus normal form of every point) and the
+closure-order certifier (``order._certify``) all read their points from it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,12 +34,14 @@ import numpy as np
 
 from .arith import Fp, is_prime, poly_to_str
 from .catalog import Catalog, OrbitRecord, root_weight_homogeneous, x_vars
-from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
-                     InternalInconsistencyError, SchemaError, ShapeError)
+from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
+                     ExhaustionError, InternalInconsistencyError, SchemaError,
+                     ShapeError)
 from .lie import NilElement, nil_dim, pos_roots
 
 CENSUS_BUDGET = 10_000_000
-SLICE_CHUNK = 1 << 19   # non-simple coordinate codes per census block
+SLICE_CHUNK = 1 << 19   # slice points per block of the slice pass
+SIGNATURE_BITS = 63     # distinct catalog polynomials an int64 signature holds
 
 
 @dataclass(frozen=True)
@@ -92,100 +98,139 @@ def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized full-space evaluation
+# the slice pass
 
 
-def decode_points(codes: np.ndarray, d: int, q: int) -> np.ndarray:
-    """Mixed-radix decode; digit 0 (first root coordinate) is most significant,
-    so numeric code order is lexicographic coordinate order."""
-    out = np.empty((codes.shape[0], d), dtype=np.int64)
-    rest = codes.astype(np.int64)
-    for i in range(d - 1, -1, -1):
-        out[:, i] = rest % q
-        rest = rest // q
-    return out
+def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
+    """Nonzero pattern of at most 63 polynomials over the grid whose
+    coordinates run over the value arrays of ``axes`` (variable -> values,
+    one axis each, in dict order): one int64 per point in C order, bit k
+    set where polys[k] is nonzero mod q.  Each polynomial is evaluated once
+    by broadcasting, every product and sum reduced at once, so no
+    intermediate reaches q^2."""
+    d = len(axes)
+    cols = {var: np.asarray(vals, dtype=np.int64).reshape(
+                (1,) * k + (-1,) + (1,) * (d - 1 - k))
+            for k, (var, vals) in enumerate(axes.items())}
+    sig = np.zeros(tuple(len(vals) for vals in axes.values()), dtype=np.int64)
+    for k, poly in enumerate(polys):
+        acc = np.int64(0)
+        for exps, coeff in poly.terms.items():
+            if coeff.denominator % q == 0:
+                raise SchemaError(f"coefficient {coeff} is undefined mod {q}")
+            term = np.int64(coeff.numerator * pow(coeff.denominator, -1, q)
+                            % q)
+            for var, e in zip(poly.vars, exps):
+                if e < 0:
+                    raise SchemaError(
+                        "catalog polynomials are exponent-positive")
+                for _ in range(e):
+                    term = term * cols[var] % q
+            acc = (acc + term) % q
+        sig |= (acc != 0).astype(np.int64) << k
+    return sig.ravel()
 
 
-def eval_poly_on_columns(poly, cols: dict, q: int) -> np.ndarray:
-    """Evaluate a catalog polynomial on per-variable value arrays mod q."""
-    n_points = next(iter(cols.values())).shape[0]
-    acc = np.zeros(n_points, dtype=np.int64)
-    for exps, coeff in poly.terms.items():
-        if coeff.denominator % q == 0:
-            raise SchemaError(f"coefficient {coeff} is undefined mod {q}")
-        c = coeff.numerator * pow(coeff.denominator, -1, q) % q
-        term = np.full(n_points, c, dtype=np.int64)
-        for var, e in zip(poly.vars, exps):
-            if e == 0:
-                continue
-            if e < 0:
-                raise SchemaError("catalog polynomials are exponent-positive")
-            col = cols[var]
-            for _ in range(e):
-                term = (term * col) % q
-        acc = (acc + term) % q
-    return acc
+def slice_shape(n: int, q: int) -> tuple:
+    """The slice grid: a 0/1 axis per simple coordinate, then a q-value axis
+    per non-simple one.  Its C order is the slice order: support-major (the
+    first simple coordinate most significant), then code order."""
+    return (2,) * n + (q,) * (nil_dim(n) - n)
 
 
-def match_table(cat: Catalog, digits: np.ndarray, q: int) -> np.ndarray:
-    """Index of the unique matching record for every point (rows of digits);
-    raises on unmatched or doubly matched points."""
-    cols = {var: digits[:, i].astype(np.int64)
-            for i, var in enumerate(x_vars(cat.rank))}
-    nonzero: dict = {}                  # polynomial -> value != 0 per point
-    n_points = digits.shape[0]
-    matched = np.full(n_points, -1, dtype=np.int32)
-    count = np.zeros(n_points, dtype=np.int8)
-    for idx, rec in enumerate(cat.orbits):
-        mask = np.ones(n_points, dtype=bool)
-        for poly, want_nonzero in ([(p, False) for p in rec.zero_set]
-                                   + [(p, True) for p in rec.nonzero_set]):
-            if poly not in nonzero:
-                nonzero[poly] = eval_poly_on_columns(poly, cols, q) != 0
-            mask &= nonzero[poly] == want_nonzero
-            if not mask.any():
-                break
-        count += mask
-        matched[mask] = idx
-    if (count == 0).any():
-        code = int(np.argmax(count == 0))
-        raise ExhaustionError(
-            f"point {digits[code].tolist()} over F_{q} matched no record")
-    if (count > 1).any():
-        code = int(np.argmax(count > 1))
-        raise DisjointnessError(
-            f"point {digits[code].tolist()} over F_{q} matched several records")
-    return matched
+def slice_point(index: int, n: int, q: int) -> list[int]:
+    """Coordinates of the slice point at ``index`` in slice order."""
+    return [int(v) for v in np.unravel_index(index, slice_shape(n, q))]
 
 
-def torus_slices(cat: Catalog, q: int):
-    """Yield (digits, |S|) blocks covering the torus slices of n(F_q): the
-    points whose simple coordinates are the indicator of a support S, with
-    every non-simple coordinate free (see the module docstring).  First
-    checks that every catalog polynomial is root-weight homogeneous, the
-    invariant that makes a slice point stand for its (q-1)^|S| scalings.
-    ``SLICE_CHUNK`` bounds the non-simple coordinate codes per block; the
-    digits array is reused, so a caller must be done with a block before the
-    next."""
+def slice_pass(cat: Catalog, q: int):
+    """One pass over the torus slices of n(F_q) (see the module docstring).
+
+    First checks, before any point, that every distinct catalog polynomial
+    is root-weight homogeneous and that the pool fits a signature.  Returns
+    (pool, blocks): bit k of a signature stands for pool[k], and blocks
+    yields (start, signatures, distinct, record) in slice order, with start
+    the slice index of the block's first point, distinct the sorted
+    distinct signatures and record the one record each of them matches.
+    The first point matched by no record or by several raises.  A block
+    fixes leading axes of the slice grid and holds at most ``SLICE_CHUNK``
+    points."""
     n = cat.rank
+    owner: dict = {}                    # polynomial -> first record using it
     for rec in cat.orbits:
         for poly in rec.zero_set + rec.nonzero_set:
-            if not root_weight_homogeneous(poly, n):
+            if poly not in owner and not root_weight_homogeneous(poly, n):
                 raise InternalInconsistencyError(
                     f"rank {n}: record {rec.id} polynomial "
                     f"{poly_to_str(poly)} is not root-weight homogeneous, "
                     f"so torus slicing does not apply")
-    d = nil_dim(n)
-    slice_total = q**(d - n)
-    supports = list(itertools.product((0, 1), repeat=n))
-    for start in range(0, slice_total, SLICE_CHUNK):
-        codes = np.arange(start, min(start + SLICE_CHUNK, slice_total),
-                          dtype=np.int64)
-        digits = np.empty((codes.shape[0], d), dtype=np.int64)
-        digits[:, n:] = decode_points(codes, d - n, q)
-        for support in supports:
-            digits[:, :n] = support      # pos_roots lists simple roots first
-            yield digits, sum(support)
+            owner.setdefault(poly, rec)
+    if len(owner) > SIGNATURE_BITS:
+        raise CatalogError(
+            f"rank {n}: {len(owner)} distinct catalog polynomials, more "
+            f"than the {SIGNATURE_BITS} bits of a slice signature")
+    pool = list(owner)
+    bit = {poly: 1 << k for k, poly in enumerate(pool)}
+
+    def masks(sets):
+        return np.array([sum({bit[p] for p in polys}) for polys in sets],
+                        dtype=np.int64)
+
+    zero = masks(rec.zero_set for rec in cat.orbits)
+    nonzero = masks(rec.nonzero_set for rec in cat.orbits)
+    return pool, _slice_blocks(n, q, pool, zero, nonzero)
+
+
+def _slice_blocks(n: int, q: int, pool: list, zero, nonzero):
+    shape = slice_shape(n, q)
+    lead = next(k for k in range(len(shape) + 1)
+                if math.prod(shape[k:]) <= SLICE_CHUNK)
+    size = math.prod(shape[lead:])
+    for block, prefix in enumerate(itertools.product(*map(range,
+                                                           shape[:lead]))):
+        values = [[v] for v in prefix] + [range(s) for s in shape[lead:]]
+        sig = grid_signatures(pool, dict(zip(x_vars(n), values)), q)
+        distinct = np.unique(sig)
+        hits = (((distinct[:, None] & zero) == 0)
+                & ((distinct[:, None] & nonzero) == nonzero))
+        count = hits.sum(axis=1)
+        record = np.where(count == 1, hits.argmax(axis=1), -1).astype(np.int16)
+        if record.min() < 0:
+            at = int(np.argmax(np.isin(sig, distinct[record < 0])))
+            point = slice_point(block * size + at, n, q)
+            if count[np.searchsorted(distinct, sig[at])] == 0:
+                raise ExhaustionError(
+                    f"point {point} over F_{q} matched no record")
+            raise DisjointnessError(
+                f"point {point} over F_{q} matched several records")
+        yield block * size, sig, distinct, record
+
+
+def point_records(cat: Catalog, q: int) -> np.ndarray:
+    """Record index of every point of n(F_q) in code order (digit 0 most
+    significant), read off the slice pass at its torus normal form
+    x_ij -> x_ij * prod(x_kk^-1 : i <= k <= j, x_kk != 0), the one slice
+    point whose scaling it is.  The normal forms' slice indices are built
+    by broadcasting, one axis per coordinate."""
+    n, d = cat.rank, nil_dim(cat.rank)
+    table = np.concatenate([record[np.searchsorted(distinct, sig)]
+                            for _, sig, distinct, record
+                            in slice_pass(cat, q)[1]])
+    steps = np.arange(q, dtype=np.int64)
+    inverse = np.array([1] + [pow(v, -1, q) for v in range(1, q)],
+                       dtype=np.int64)      # x_kk = 0 contributes no factor
+
+    def along(k, values):
+        return values.reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+
+    index = sum(along(k, (steps != 0) * (2**(n - 1 - k) * q**(d - n)))
+                for k in range(n))
+    for r, (i, j) in enumerate(pos_roots(n)[n:], start=n):
+        scale = 1
+        for k in range(i - 1, j):
+            scale = scale * along(k, inverse) % q
+        index = index + along(r, steps) * scale % q * q**(d - 1 - r)
+    return table[index.ravel()]
 
 
 def partition_census(n: int, q: int, cat: Catalog,
@@ -202,12 +247,17 @@ def partition_census(n: int, q: int, cat: Catalog,
     total = q**d
     if total > budget:
         raise BudgetExceededError(total, budget)
-    counts = {rec.id: 0 for rec in cat.orbits}
     ids = [rec.id for rec in cat.orbits]
-    for digits, size in torus_slices(cat, q):
-        matched = match_table(cat, digits, q)
-        for idx, cnt in zip(*np.unique(matched, return_counts=True)):
-            counts[ids[int(idx)]] += int(cnt) * (q - 1) ** size
+    counts = dict.fromkeys(ids, 0)
+    fibre = q**(d - n)
+    for start, sig, distinct, record in slice_pass(cat, q)[1]:
+        width = min(len(sig), fibre)        # whole supports, or part of one
+        for row, part in enumerate(sig.reshape(-1, width)):
+            weight = (q - 1) ** bin((start + row * width) // fibre).count("1")
+            sigs, cnt = np.unique(part, return_counts=True)
+            for r, c in zip(record[np.searchsorted(distinct, sigs)].tolist(),
+                            cnt.tolist()):
+                counts[ids[r]] += c * weight
     counted = sum(counts.values())
     if counted != total:
         raise InternalInconsistencyError(

@@ -9,14 +9,12 @@ fractions).  It is the one path for every group action in the package: the
 finite-field maps of the oracle, the witness words, and the generic orbit
 ``adjoint(generic_borel_word(n), x)`` that forward containment and the
 closure generators pull polynomials back along.  Literal matrix conjugation
-(``conjugate_nil`` with the word's matrices) is kept as the reference the
-tests compare it against.
+lives in the tests, as the reference they compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -72,33 +70,6 @@ def parse_root_token(tok: str, n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# matrices over an arbitrary commutative ring (entries are duck-typed)
-
-
-def mat_identity(size: int) -> list[list]:
-    return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-
-
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    size = len(a)
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        ai = a[i]
-        for k in range(size):
-            x = ai[k]
-            if is_zero_elem(x) if not isinstance(x, int) else x == 0:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(size):
-                y = bk[j]
-                if isinstance(y, int) and y == 0:
-                    continue
-                row[j] = row[j] + x * y
-    return out
-
-
-# ---------------------------------------------------------------------------
 # domain types
 
 
@@ -118,28 +89,6 @@ class NilElement:
 
     def coord(self, root: tuple[int, int]):
         return self.coords.get(root, 0)
-
-    def to_matrix(self) -> list[list]:
-        size = self.rank + 1
-        m = [[0] * size for _ in range(size)]
-        for (i, j), c in self.coords.items():
-            m[i - 1][j] = c
-        return m
-
-    @staticmethod
-    def from_matrix(rank: int, m: list[list]) -> "NilElement":
-        size = rank + 1
-        coords = {}
-        for i in range(size):
-            for j in range(size):
-                v = m[i][j]
-                zero = (v == 0) if isinstance(v, (int, Fraction)) else is_zero_elem(v)
-                if j <= i:
-                    if not zero:
-                        raise ShapeError("matrix is not strictly upper-triangular")
-                elif not zero:
-                    coords[(i + 1, j)] = v
-        return NilElement(rank, coords)
 
     def as_vector(self) -> list:
         return [self.coord(r) for r in _ROOTS[self.rank]]
@@ -174,22 +123,6 @@ class TorusElement:
         if len(self.diag) != self.rank:
             raise ShapeError(f"torus for rank {self.rank} needs {self.rank} entries")
 
-    def full_diag(self) -> list:
-        prod = self.diag[0]
-        for t in self.diag[1:]:
-            prod = prod * t
-        return list(self.diag) + [inv_elem(prod)]
-
-    def to_matrix(self) -> list[list]:
-        size = self.rank + 1
-        full = self.full_diag()
-        return [[full[i] if i == j else 0 for j in range(size)] for i in range(size)]
-
-    def inverse_matrix(self) -> list[list]:
-        size = self.rank + 1
-        full = [inv_elem(t) for t in self.full_diag()]
-        return [[full[i] if i == j else 0 for j in range(size)] for i in range(size)]
-
 
 @dataclass(frozen=True)
 class RootGroupFactor:
@@ -197,18 +130,6 @@ class RootGroupFactor:
 
     root: tuple[int, int]
     param: object
-
-    def to_matrix(self, rank: int) -> list[list]:
-        m = mat_identity(rank + 1)
-        i, j = self.root
-        m[i - 1][j] = self.param
-        return m
-
-    def inverse_matrix(self, rank: int) -> list[list]:
-        m = mat_identity(rank + 1)
-        i, j = self.root
-        m[i - 1][j] = -self.param
-        return m
 
 
 @dataclass(frozen=True)
@@ -233,21 +154,6 @@ class BorelWord:
             if not 1 <= i <= j <= self.rank:
                 raise ShapeError(f"root {f.root} outside rank {self.rank}")
 
-    def to_matrix(self) -> list[list]:
-        g = self.torus.to_matrix() if self.torus else mat_identity(self.rank + 1)
-        for f in self.factors:
-            g = mat_mul(g, f.to_matrix(self.rank))
-        return g
-
-    def inverse_matrix(self) -> list[list]:
-        size = self.rank + 1
-        g = mat_identity(size)
-        for f in reversed(self.factors):
-            g = mat_mul(g, f.inverse_matrix(self.rank))
-        if self.torus:
-            g = mat_mul(g, self.torus.inverse_matrix())
-        return g
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -263,11 +169,6 @@ def _torus_weights(t: TorusElement, roots) -> dict:
         if j not in inv:
             inv[j] = inv_elem(d[j]) if j < t.rank else reduce(mul, d)
     return {(i, j): d[i - 1] * inv[j] for i, j in roots}
-
-
-def conjugate_nil(g: list[list], g_inv: list[list], x: NilElement) -> NilElement:
-    m = mat_mul(mat_mul(g, x.to_matrix()), g_inv)
-    return NilElement.from_matrix(x.rank, m)
 
 
 def _bracket(root: tuple[int, int], coords: dict) -> list:
@@ -297,8 +198,8 @@ def adjoint(b: BorelWord, x: NilElement) -> NilElement:
     The factors act right to left, each U_root(c) as x -> x + c [x_root, x]
     (the quadratic term -c^2 x_root x x_root vanishes on strictly
     upper-triangular x); the torus then scales each coordinate by its
-    weight.  ``conjugate_nil`` on the word's matrices is the literal
-    reference the tests compare against.
+    weight.  Literal conjugation by the word's matrices is the reference
+    the tests compare against.
     """
     if b.rank != x.rank:
         raise ShapeError(f"word rank {b.rank} != element rank {x.rank}")

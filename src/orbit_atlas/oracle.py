@@ -17,7 +17,9 @@ the coordinate basis.  The fixpoint and the stability passes apply a map to
 the whole space only through ``image_codes``, which builds the code of every
 image point digit by digit with integer broadcasts, without decoding the q^d
 points; the fixpoint turns each generator into one code table and lowers
-every point's label through it.
+every point's label through it.  ``refine_check`` does not decode the q^d
+points either: it reads every point's record off the census's slice pass
+through the torus normal form (``classify.point_records``).
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
@@ -35,7 +37,7 @@ import numpy as np
 
 from .arith import Fp, is_prime, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
-from .classify import decode_points, match_table
+from .classify import point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
@@ -67,7 +69,7 @@ def _word_map(word: BorelWord, q: int) -> np.ndarray:
 
 def image_codes(m: np.ndarray, q: int) -> np.ndarray:
     """Code of m x mod q for every x in F_q^d, in code order (digit 0 most
-    significant, as in ``decode_points``).
+    significant).
 
     Walks the input digits once: each output digit keeps the partial sum of
     its row over the digits read so far, broadcast over the next digit's q
@@ -240,7 +242,7 @@ def stability_check(part: OrbitPartition) -> dict:
         moved = part.class_of[codes] != part.class_of
         if moved.any():
             bad = int(np.argmax(moved))
-            point = decode_points(np.array([bad]), d, q)[0].tolist()
+            point = [int(v) for v in np.unravel_index(bad, (q,) * d)]
             raise InternalInconsistencyError(
                 f"rank {n} F_{q}: class not stable under "
                 f"{_describe_word(word)}: point {point} in class "
@@ -266,28 +268,27 @@ class RefineReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def nonempty_record_count(self) -> int:
-        return sum(1 for v in self.classes_per_record.values() if v)
-
 
 def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
     """Certify that rational orbits refine the catalog partition: every
     class sits inside exactly one defining set, every defining set is a union
-    of whole classes, and empties are reported rather than failed."""
+    of whole classes, and empties are reported rather than failed.  Every
+    point's record is read off the slice pass (``classify.point_records``),
+    which certifies exhaustion and disjointness on the slices; the q^d
+    points are neither decoded nor evaluated."""
     n, q = part.rank, part.q
     if n != cat.rank:
         raise ShapeError(f"catalog rank {cat.rank} != partition rank {n}")
     d = nil_dim(n)
-    total = q**d
-    digits = decode_points(np.arange(total, dtype=np.int64), d, q)
-    matched = match_table(cat, digits, q)       # certifies exhaustion too
+    matched = point_records(cat, q)
     violations = []
     classes_per_record: dict = {rec.id: [] for rec in cat.orbits}
     rep_match = matched[part.reps]
     split = set(part.class_of[matched != rep_match[part.class_of]].tolist())
     for cls, rec in enumerate(rep_match.tolist()):
         if cls in split:
-            pt = decode_points(np.array([part.reps[cls]]), d, q)[0].tolist()
+            pt = [int(v)
+                  for v in np.unravel_index(part.reps[cls], (q,) * d)]
             recs = np.unique(matched[part.class_of == cls])
             violations.append(
                 f"class {cls} (rep point {pt}) meets records "

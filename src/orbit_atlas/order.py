@@ -16,12 +16,13 @@ The symbolic order is set inclusion, a <= b exactly when V_b is a subset of
 V_a (``closure_leq``).  It assumes that V_b cuts out closure(O_b): then O_a
 lies in closure(O_b) = Z(V_b) exactly when every polynomial of V_b vanishes
 on O_a, that is, lies in V_a.  The finite-field layer checks that
-assumption and every answer on the census's torus slices
-(``classify.torus_slices``, classified by ``classify.match_table``) as one
-per-point equality: b's certified generators all vanish at x exactly when
-x's record lies below b.  That re-checks every asserted relation, guards
-every generating set against missing components, and yields an explicit
-counterexample point for every non-relation.
+assumption and every answer on the census's torus slices as one per-point
+equality: b's certified generators all vanish at x exactly when x's record
+lies below b.  It reads both sides off the signatures of
+``classify.slice_pass``, without evaluating a polynomial again.  That
+re-checks every asserted relation, guards every generating set against
+missing components, and yields an explicit counterexample point for every
+non-relation.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Catalog, x_vars
-from .classify import eval_poly_on_columns, match_table, torus_slices
+from .catalog import Catalog
+from .classify import slice_pass, slice_point
 from .errors import CatalogError, InternalInconsistencyError
 from .witness import generic_pullbacks
 
@@ -86,9 +87,6 @@ class HassePoset:
     counterexamples: dict = field(default_factory=dict)
     # (a, b) -> (q, point digits, violated generator string)
 
-    def less(self, a: str, b: str) -> bool:
-        return a != b and self.leq[(a, b)]
-
     def minimum(self) -> str:
         mins = [a for a in self.nodes
                 if all(self.leq[(a, b)] for b in self.nodes)]
@@ -103,7 +101,7 @@ class HassePoset:
 def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     """Finite-field certification of the relation matrix.
 
-    At every torus-slice point x of n(F_q) (see ``classify.torus_slices``),
+    At every torus-slice point x of n(F_q) (see ``classify.slice_pass``),
     with m(x) the record whose set contains x, the certified generators of b
     must all vanish at x exactly when m(x) <= b.  That one equality holds
     three checks at once: b's generators vanish on S_a for every a <= b, a
@@ -111,35 +109,37 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     lies in the union of the S_a with a <= b, which guards against an
     insufficiently augmented generating set.  Both sides are constant on
     torus orbits (every generator is a catalog polynomial, whose weights
-    ``torus_slices`` checks), so the slices cover every point.  Each
-    non-relation (a, b) takes the first slice point of S_a over the first
-    field where S_a has one, and the first generator of b nonzero there."""
+    ``slice_pass`` checks), so the slices cover every point.  Both are also
+    functions of x's signature, which holds the generators' nonzero bits,
+    so the equality is decided once per distinct signature, at its first
+    point in slice order.  Each non-relation (a, b) takes the first slice
+    point of S_a over the first field where S_a has one, and the first
+    generator of b nonzero there."""
+    n = cat.rank
     ids = [rec.id for rec in cat.orbits]
     below = np.array([[leq[(a, b)] for b in ids] for a in ids])
-    pool = list(dict.fromkeys(p for b in ids for p, _ in generators[b]))
-    col = {p: k for k, p in enumerate(pool)}
-    gen_cols = [[col[p] for p, _ in generators[b]] for b in ids]
-    uses = np.zeros((len(ids), len(pool)), dtype=bool)
-    for b, ks in enumerate(gen_cols):
-        uses[b, ks] = True
-
-    def first_nonzero(b, nonzero_row):
-        k = next(i for i, c in enumerate(gen_cols[b]) if nonzero_row[c])
-        return generators[ids[b]][k][1]
-
     counterexamples: dict = {}
     witnessed = np.zeros(len(ids), dtype=bool)
     for q in qs:
-        for digits, _ in torus_slices(cat, q):
-            matched = match_table(cat, digits, q)
-            cols = dict(zip(x_vars(cat.rank), digits.T))
-            nonzero = np.stack([eval_poly_on_columns(p, cols, q) != 0
-                                for p in pool], axis=1)
-            vanish = ~(nonzero @ uses.T)            # points x records
-            mismatch = vanish != below[matched]
+        pool, blocks = slice_pass(cat, q)
+        bit = {p: k for k, p in enumerate(pool)}
+        gen_bits = [[(bit[p], s) for p, s in generators[b]] for b in ids]
+        masks = np.array([sum({1 << k for k, _ in gens}) for gens in gen_bits],
+                         dtype=np.int64)
+
+        def first_nonzero(b, sig):
+            return next(s for k, s in gen_bits[b] if sig >> k & 1)
+
+        for start, sig, distinct, record in blocks:
+            first = np.unique(sig, return_index=True)[1]
+            order = np.argsort(first)           # distinct, in slice order
+            sigs, first, recs = distinct[order], first[order], record[order]
+            vanish = (sigs[:, None] & masks) == 0
+            mismatch = vanish != below[recs]
             if mismatch.any():
                 row, b = (int(i) for i in np.argwhere(mismatch)[0])
-                a, pt = ids[matched[row]], digits[row].tolist()
+                a = ids[recs[row]]
+                pt = slice_point(start + int(first[row]), n, q)
                 if vanish[row, b]:
                     raise InternalInconsistencyError(
                         f"every certified generator of {ids[b]} vanishes at "
@@ -148,17 +148,17 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
                         f"closure generating set for {ids[b]} is incomplete")
                 raise InternalInconsistencyError(
                     f"{a} <= {ids[b]} symbolically but generator "
-                    f"{first_nonzero(b, nonzero[row])} is nonzero at point "
+                    f"{first_nonzero(b, int(sigs[row]))} is nonzero at point "
                     f"{pt} of S_{a}(F_{q})")
-            records, rows = np.unique(matched, return_index=True)
+            records, rows = np.unique(recs, return_index=True)
             for a, row in zip(records.tolist(), rows.tolist()):
                 if witnessed[a]:
                     continue
                 witnessed[a] = True
-                pt = digits[row].tolist()
+                pt = slice_point(start + int(first[row]), n, q)
                 for b in np.flatnonzero(~below[a]).tolist():
                     counterexamples[(ids[a], ids[b])] = (
-                        q, pt, first_nonzero(b, nonzero[row]))
+                        q, pt, first_nonzero(b, int(sigs[row])))
     unwitnessed = [ids[a] for a in np.flatnonzero(~witnessed
                                                    & ~below.all(axis=1))]
     if unwitnessed:

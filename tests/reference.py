@@ -1,0 +1,308 @@
+"""Reference paths that the tests compare the package against, and helpers
+only the tests use.
+
+Literal matrix conjugation (``conjugate_nil`` with the matrices of
+``to_matrix`` and ``inverse_matrix``) is the reference for ``lie.adjoint``.
+``match_table`` classifies every given point with one vectorized
+evaluation per polynomial and record; ``torus_slices`` yields the census
+slice points block by block; ``certify`` is the closure-order certificate
+computed from them point by point.  Together they were the package's
+finite-field kernel before the one slice pass replaced it, and full q^d
+enumeration through them is the reference for ``classify.slice_pass``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+import numpy as np
+
+from orbit_atlas.arith import inv_elem, is_zero_elem, poly_to_str
+from orbit_atlas.catalog import root_weight_homogeneous, x_vars
+from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
+                                InternalInconsistencyError, SchemaError,
+                                ShapeError)
+from orbit_atlas.lie import NilElement, TorusElement, nil_dim
+
+REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
+
+
+# ---------------------------------------------------------------------------
+# literal matrices over an arbitrary commutative ring (duck-typed entries)
+
+
+def mat_identity(size: int) -> list[list]:
+    return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+
+
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    size = len(a)
+    out = [[0] * size for _ in range(size)]
+    for i in range(size):
+        ai = a[i]
+        for k in range(size):
+            x = ai[k]
+            if is_zero_elem(x) if not isinstance(x, int) else x == 0:
+                continue
+            bk = b[k]
+            row = out[i]
+            for j in range(size):
+                y = bk[j]
+                if isinstance(y, int) and y == 0:
+                    continue
+                row[j] = row[j] + x * y
+    return out
+
+
+def full_diag(t: TorusElement) -> list:
+    """diag(t_1, ..., t_n, (t_1 ... t_n)^-1)."""
+    return list(t.diag) + [inv_elem(reduce(mul, t.diag))]
+
+
+def _factor_matrix(rank: int, root, param) -> list[list]:
+    m = mat_identity(rank + 1)
+    i, j = root
+    m[i - 1][j] = param
+    return m
+
+
+def to_matrix(x) -> list[list]:
+    """The literal matrix of a NilElement (the coordinate of root (i, j) at
+    entry (i, j + 1)), a TorusElement or a BorelWord (T * F_1 * ... * F_k)."""
+    size = x.rank + 1
+    if isinstance(x, NilElement):
+        m = [[0] * size for _ in range(size)]
+        for (i, j), c in x.coords.items():
+            m[i - 1][j] = c
+        return m
+    if isinstance(x, TorusElement):
+        full = full_diag(x)
+        return [[full[i] if i == j else 0 for j in range(size)]
+                for i in range(size)]
+    g = to_matrix(x.torus) if x.torus else mat_identity(size)
+    for f in x.factors:
+        g = mat_mul(g, _factor_matrix(x.rank, f.root, f.param))
+    return g
+
+
+def inverse_matrix(x) -> list[list]:
+    """The inverse of ``to_matrix`` of a TorusElement or a BorelWord."""
+    size = x.rank + 1
+    if isinstance(x, TorusElement):
+        full = [inv_elem(t) for t in full_diag(x)]
+        return [[full[i] if i == j else 0 for j in range(size)]
+                for i in range(size)]
+    g = mat_identity(size)
+    for f in reversed(x.factors):
+        g = mat_mul(g, _factor_matrix(x.rank, f.root, -f.param))
+    if x.torus:
+        g = mat_mul(g, inverse_matrix(x.torus))
+    return g
+
+
+def from_matrix(rank: int, m: list[list]) -> NilElement:
+    size = rank + 1
+    coords = {}
+    for i in range(size):
+        for j in range(size):
+            v = m[i][j]
+            zero = (v == 0) if isinstance(v, (int, Fraction)) else is_zero_elem(v)
+            if j <= i:
+                if not zero:
+                    raise ShapeError("matrix is not strictly upper-triangular")
+            elif not zero:
+                coords[(i + 1, j)] = v
+    return NilElement(rank, coords)
+
+
+def conjugate_nil(g: list[list], g_inv: list[list], x: NilElement) -> NilElement:
+    return from_matrix(x.rank, mat_mul(mat_mul(g, to_matrix(x)), g_inv))
+
+
+def decode_points(codes: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Mixed-radix decode; digit 0 (first root coordinate) is most significant,
+    so numeric code order is lexicographic coordinate order."""
+    out = np.empty((codes.shape[0], d), dtype=np.int64)
+    rest = codes.astype(np.int64)
+    for i in range(d - 1, -1, -1):
+        out[:, i] = rest % q
+        rest = rest // q
+    return out
+
+
+def eval_poly_on_columns(poly, cols: dict, q: int) -> np.ndarray:
+    """Evaluate a catalog polynomial on per-variable value arrays mod q."""
+    n_points = next(iter(cols.values())).shape[0]
+    acc = np.zeros(n_points, dtype=np.int64)
+    for exps, coeff in poly.terms.items():
+        if coeff.denominator % q == 0:
+            raise SchemaError(f"coefficient {coeff} is undefined mod {q}")
+        c = coeff.numerator * pow(coeff.denominator, -1, q) % q
+        term = np.full(n_points, c, dtype=np.int64)
+        for var, e in zip(poly.vars, exps):
+            if e == 0:
+                continue
+            if e < 0:
+                raise SchemaError("catalog polynomials are exponent-positive")
+            col = cols[var]
+            for _ in range(e):
+                term = (term * col) % q
+        acc = (acc + term) % q
+    return acc
+
+
+def match_table(cat, digits: np.ndarray, q: int) -> np.ndarray:
+    """Index of the unique matching record for every point (rows of digits);
+    raises on unmatched or doubly matched points."""
+    cols = {var: digits[:, i].astype(np.int64)
+            for i, var in enumerate(x_vars(cat.rank))}
+    nonzero: dict = {}                  # polynomial -> value != 0 per point
+    n_points = digits.shape[0]
+    matched = np.full(n_points, -1, dtype=np.int32)
+    count = np.zeros(n_points, dtype=np.int8)
+    for idx, rec in enumerate(cat.orbits):
+        mask = np.ones(n_points, dtype=bool)
+        for poly, want_nonzero in ([(p, False) for p in rec.zero_set]
+                                   + [(p, True) for p in rec.nonzero_set]):
+            if poly not in nonzero:
+                nonzero[poly] = eval_poly_on_columns(poly, cols, q) != 0
+            mask &= nonzero[poly] == want_nonzero
+            if not mask.any():
+                break
+        count += mask
+        matched[mask] = idx
+    if (count == 0).any():
+        code = int(np.argmax(count == 0))
+        raise ExhaustionError(
+            f"point {digits[code].tolist()} over F_{q} matched no record")
+    if (count > 1).any():
+        code = int(np.argmax(count > 1))
+        raise DisjointnessError(
+            f"point {digits[code].tolist()} over F_{q} matched several records")
+    return matched
+
+
+def full_space_records(cat, q: int) -> np.ndarray:
+    """Record index of every one of the q^d points, in code order."""
+    d = nil_dim(cat.rank)
+    return match_table(cat, decode_points(np.arange(q**d, dtype=np.int64),
+                                          d, q), q)
+
+
+def full_enumeration_census(cat, q: int) -> dict:
+    """Census counts from every one of the q^d points, no torus slicing."""
+    counts = {rec.id: 0 for rec in cat.orbits}
+    for idx, cnt in zip(*np.unique(full_space_records(cat, q),
+                                   return_counts=True)):
+        counts[cat.orbits[int(idx)].id] += int(cnt)
+    return counts
+
+
+def torus_slices(cat, q: int):
+    """Yield (digits, |S|) blocks covering the torus slices of n(F_q), chunk
+    by chunk of non-simple codes and support by support within a chunk,
+    after checking that every catalog polynomial is root-weight
+    homogeneous.  The digits array is reused between blocks."""
+    n = cat.rank
+    for rec in cat.orbits:
+        for poly in rec.zero_set + rec.nonzero_set:
+            if not root_weight_homogeneous(poly, n):
+                raise InternalInconsistencyError(
+                    f"rank {n}: record {rec.id} polynomial "
+                    f"{poly_to_str(poly)} is not root-weight homogeneous, "
+                    f"so torus slicing does not apply")
+    d = nil_dim(n)
+    slice_total = q**(d - n)
+    supports = list(itertools.product((0, 1), repeat=n))
+    for start in range(0, slice_total, REFERENCE_CHUNK):
+        codes = np.arange(start, min(start + REFERENCE_CHUNK, slice_total),
+                          dtype=np.int64)
+        digits = np.empty((codes.shape[0], d), dtype=np.int64)
+        digits[:, n:] = decode_points(codes, d - n, q)
+        for support in supports:
+            digits[:, :n] = support      # pos_roots lists simple roots first
+            yield digits, sum(support)
+
+
+def certify(cat, leq: dict, generators: dict, qs) -> dict:
+    """The closure-order certificate point by point: at every slice point,
+    b's generators all vanish exactly when the point's record lies below b;
+    returns the counterexample of every non-relation."""
+    ids = [rec.id for rec in cat.orbits]
+    below = np.array([[leq[(a, b)] for b in ids] for a in ids])
+    pool = list(dict.fromkeys(p for b in ids for p, _ in generators[b]))
+    col = {p: k for k, p in enumerate(pool)}
+    gen_cols = [[col[p] for p, _ in generators[b]] for b in ids]
+    uses = np.zeros((len(ids), len(pool)), dtype=bool)
+    for b, ks in enumerate(gen_cols):
+        uses[b, ks] = True
+
+    def first_nonzero(b, nonzero_row):
+        k = next(i for i, c in enumerate(gen_cols[b]) if nonzero_row[c])
+        return generators[ids[b]][k][1]
+
+    counterexamples: dict = {}
+    witnessed = np.zeros(len(ids), dtype=bool)
+    for q in qs:
+        for digits, _ in torus_slices(cat, q):
+            matched = match_table(cat, digits, q)
+            cols = dict(zip(x_vars(cat.rank), digits.T))
+            nonzero = np.stack([eval_poly_on_columns(p, cols, q) != 0
+                                for p in pool], axis=1)
+            vanish = ~(nonzero @ uses.T)            # points x records
+            mismatch = vanish != below[matched]
+            if mismatch.any():
+                row, b = (int(i) for i in np.argwhere(mismatch)[0])
+                a, pt = ids[matched[row]], digits[row].tolist()
+                if vanish[row, b]:
+                    raise InternalInconsistencyError(
+                        f"every certified generator of {ids[b]} vanishes at "
+                        f"point {pt} of S_{a}(F_{q}), but {a} <= {ids[b]} is "
+                        f"not asserted: the relation is missing or the "
+                        f"closure generating set for {ids[b]} is incomplete")
+                raise InternalInconsistencyError(
+                    f"{a} <= {ids[b]} symbolically but generator "
+                    f"{first_nonzero(b, nonzero[row])} is nonzero at point "
+                    f"{pt} of S_{a}(F_{q})")
+            records, rows = np.unique(matched, return_index=True)
+            for a, row in zip(records.tolist(), rows.tolist()):
+                if witnessed[a]:
+                    continue
+                witnessed[a] = True
+                pt = digits[row].tolist()
+                for b in np.flatnonzero(~below[a]).tolist():
+                    counterexamples[(ids[a], ids[b])] = (
+                        q, pt, first_nonzero(b, nonzero[row]))
+    unwitnessed = [ids[a] for a in np.flatnonzero(~witnessed
+                                                   & ~below.all(axis=1))]
+    if unwitnessed:
+        raise InternalInconsistencyError(
+            f"no finite-field counterexample found for the non-relations of "
+            f"{unwitnessed[:5]}: no point over F_q for q in {tuple(qs)}")
+    return counterexamples
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def nonempty_record_count(report) -> int:
+    """Records of an oracle refine report that hold at least one class."""
+    return sum(1 for v in report.classes_per_record.values() if v)
+
+
+def less(poset, a: str, b: str) -> bool:
+    """a < b in a closure-order poset."""
+    return a != b and poset.leq[(a, b)]
+
+
+def nonlinear_zero(rec) -> list:
+    """The zero-set generators of a record that are not single coordinates
+    of its linear part."""
+    linear = set(rec.linear_zero_vars())
+    return [p for p in rec.zero_set
+            if not (p.is_monomial() and p.used_vars() <= linear
+                    and p.total_degrees() == {1})]

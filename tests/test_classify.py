@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import classify as classify_mod
 from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
-from orbit_atlas.catalog import x_vars
-from orbit_atlas.classify import (classify, decode_points,
-                                  eval_poly_on_columns, match_table, member,
-                                  partition_census)
-from orbit_atlas.errors import (BudgetExceededError, DisjointnessError,
-                                ExhaustionError, InternalInconsistencyError,
-                                SchemaError, ShapeError)
+from orbit_atlas.catalog import root_weight_homogeneous, x_vars
+from orbit_atlas.classify import (SIGNATURE_BITS, classify, grid_signatures,
+                                  member, partition_census, point_records,
+                                  slice_pass, slice_point, slice_shape)
+from orbit_atlas.errors import (BudgetExceededError, CatalogError,
+                                DisjointnessError, ExhaustionError,
+                                InternalInconsistencyError, SchemaError,
+                                ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, adjoint, nil_dim, pos_roots)
+                             TorusElement, adjoint, pos_roots)
+from reference import (full_enumeration_census, full_space_records,
+                       match_table, torus_slices)
 
 
 def test_member_examples(catalogs):
@@ -106,13 +111,29 @@ def test_census_budget_refusal(catalogs):
     assert exc.value.needed == 7**10
 
 
+def _pass_table(cat, q):
+    """(pool, block starts, signature and record of every slice point)."""
+    pool, blocks = slice_pass(cat, q)
+    starts, sigs, matched = zip(*(
+        (start, sig, record[np.searchsorted(distinct, sig)])
+        for start, sig, distinct, record in blocks))
+    return pool, list(starts), np.concatenate(sigs), np.concatenate(matched)
+
+
 def test_census_chunking_invariance(catalogs, monkeypatch):
-    # splitting the point space differently must not change any count; a
-    # slice of A3 over F_3 has 27 points, so only the chunk of 5 splits it
+    # splitting the point space differently must change no count and no
+    # point's signature or record; the A3 slice grid over F_3 is
+    # (2, 2, 2, 3, 3, 3), so the chunks below cut it into blocks of 216, 54,
+    # 27, 3 and 1 points
     whole = partition_census(3, 3, catalogs[3])
-    for chunk in (97, 64, 5):
+    pool, starts, sigs, matched = _pass_table(catalogs[3], 3)
+    assert starts == [0]
+    for chunk, size in ((216, 216), (97, 54), (27, 27), (5, 3), (1, 1)):
         monkeypatch.setattr(classify_mod, "SLICE_CHUNK", chunk)
         assert partition_census(3, 3, catalogs[3]) == whole
+        got = _pass_table(catalogs[3], 3)
+        assert got[0] == pool and got[1] == list(range(0, 216, size))
+        assert np.array_equal(got[2], sigs) and np.array_equal(got[3], matched)
 
 
 def test_census_rejects_composite_q(catalogs):
@@ -159,8 +180,8 @@ def test_borel_invariance(catalogs):
 
 def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
     # a lost point must fail loudly, also under python -O
-    monkeypatch.setattr(classify_mod, "match_table",
-                        lambda cat, digits, q: np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(classify_mod, "slice_pass",
+                        lambda cat, q: ([], iter(())))
     with pytest.raises(InternalInconsistencyError,
                        match=r"rank 2 q=3: census counted 0 points, "
                              r"expected 27"):
@@ -168,25 +189,26 @@ def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
 
 
 def test_eval_kernel_reduces_fraction_coefficients():
-    # 1/2 is 3 mod 5, not int(1/2) = 0
-    poly = (Fraction(1, 2) * LaurentPoly.var("X11") * LaurentPoly.var("X22")
-            + Fraction(-7, 3) * LaurentPoly.var("X12") ** 2
-            + LaurentPoly.var("X11"))
+    # 1/2 is 3 mod 5, not int(1/2) = 0: the first polynomial is
+    # (1/2 - 1/2) X11 = 0 mod 5, and only the true reduction finds it zero
+    x11, x12, x22 = (LaurentPoly.var(v) for v in ("X11", "X12", "X22"))
+    polys = [Fraction(1, 2) * x11 - 3 * x11,
+             Fraction(1, 2) * x11 * x22 + Fraction(-7, 3) * x12 ** 2 + x11]
+    assert polys[0].terms == {(1,): Fraction(-5, 2)}
     q = 5
+    axes = {var: range(q) for var in x_vars(2)}
+    sig = grid_signatures(polys, axes, q)
+    assert not (sig & 1).any()
     vecs = list(itertools.product(range(q), repeat=3))
-    digits = np.array(vecs, dtype=np.int64)
-    cols = {var: digits[:, i] for i, var in enumerate(x_vars(2))}
-    kernel = eval_poly_on_columns(poly, cols, q)
-    for vec, got in zip(vecs, kernel.tolist()):
+    for vec, got in zip(vecs, sig.tolist()):
         point = {var: Fp(v, q) for var, v in zip(x_vars(2), vec)}
-        assert got == poly.eval_mod_p(point, q).v
+        assert bool(got >> 1 & 1) == (not polys[1].eval_mod_p(point, q).is_zero())
 
 
 def test_eval_kernel_rejects_coefficient_undefined_mod_q():
     poly = Fraction(1, 2) * LaurentPoly.var("X11")
-    cols = {"X11": np.arange(2, dtype=np.int64)}
     with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
-        eval_poly_on_columns(poly, cols, 2)
+        grid_signatures([poly], {"X11": range(2)}, 2)
 
 
 def test_coefficient_undefined_mod_q_is_schema_error_on_both_paths(catalogs):
@@ -197,26 +219,58 @@ def test_coefficient_undefined_mod_q_is_schema_error_on_both_paths(catalogs):
     with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
         member(rec, NilElement.from_vector(1, [Fp(1, 2)]))
     with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
-        eval_poly_on_columns(poly, {"X11": np.arange(2, dtype=np.int64)}, 2)
+        grid_signatures([poly], {"X11": range(2)}, 2)
 
 
-def _full_enumeration_census(cat, n, q):
-    # reference: classify every one of the q^d points, no torus slicing
-    d = nil_dim(n)
-    digits = decode_points(np.arange(q**d, dtype=np.int64), d, q)
-    matched = match_table(cat, digits, q)
-    counts = {rec.id: 0 for rec in cat.orbits}
-    for idx, cnt in zip(*np.unique(matched, return_counts=True)):
-        counts[cat.orbits[int(idx)].id] += int(cnt)
-    return counts
+CROSS_CHECK_FIELDS = ([(n, q) for n in (1, 2, 3) for q in (2, 3, 5, 7)]
+                      + [(4, 2), (4, 3)])
 
 
-@pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3)
-                                 for q in (2, 3, 5, 7)] + [(4, 2), (4, 3)])
+@pytest.mark.parametrize("n,q", CROSS_CHECK_FIELDS)
 def test_sliced_census_equals_full_enumeration(catalogs, n, q):
     sliced = partition_census(n, q, catalogs[n])
-    assert sliced == _full_enumeration_census(catalogs[n], n, q)
+    assert sliced == full_enumeration_census(catalogs[n], q)
     assert list(sliced) == [rec.id for rec in catalogs[n].orbits]
+
+
+@pytest.mark.parametrize("n,q", CROSS_CHECK_FIELDS)
+def test_point_records_equal_full_enumeration(catalogs, n, q):
+    # the torus normal form reads every point's record off the slice table
+    assert np.array_equal(point_records(catalogs[n], q),
+                          full_space_records(catalogs[n], q))
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (2, 3), (3, 5), (4, 3)])
+def test_slice_order_is_the_reference_slice_order(n, q, catalogs):
+    # support-major, the first simple coordinate most significant, then the
+    # code of the non-simple coordinates
+    digits = np.concatenate([block.copy()
+                             for block, _ in torus_slices(catalogs[n], q)])
+    points = [slice_point(i, n, q) for i in range(math.prod(slice_shape(n, q)))]
+    assert digits.tolist() == points
+
+
+def _with_orbits(cat, orbits):
+    return dataclasses.replace(cat, orbits=tuple(orbits))
+
+
+@pytest.mark.parametrize("mutate, error", [
+    # a hole: the x12 points match nothing
+    (lambda orbits: [r for r in orbits if r.id != "x12"], ExhaustionError),
+    # an overlap: the generic set also takes the points of x11
+    (lambda orbits: [dataclasses.replace(r, nonzero_set=r.nonzero_set[:1])
+                     if r.id == "x11+x22" else r for r in orbits],
+     DisjointnessError),
+])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_pass_names_the_reference_point(catalogs, mutate, error, q):
+    # the first bad slice point, as the reference finds it block by block
+    cat = _with_orbits(catalogs[2], mutate(catalogs[2].orbits))
+    with pytest.raises(error) as reference:
+        for digits, _ in torus_slices(cat, q):
+            match_table(cat, digits, q)
+    with pytest.raises(error, match=re.escape(str(reference.value))):
+        partition_census(2, q, cat)
 
 
 def test_census_refuses_weight_inhomogeneous_catalog(catalogs):
@@ -259,3 +313,90 @@ def test_census_rank4_q7_covers_every_orbit(catalogs):
     counts = partition_census(4, 7, catalogs[4], budget=7**10)
     assert sum(1 for v in counts.values() if v) == 61
     assert sum(counts.values()) == 7**10
+
+
+def _padded(cat, extra):
+    """cat with x11's nonzero set padded by 2^k X11, k = 1..extra: the same
+    sets over odd q, and ``extra`` more distinct polynomials."""
+    rec = cat.by_id("x11")
+    x11 = LaurentPoly.var("X11")
+    padded = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + tuple(
+        2**k * x11 for k in range(1, extra + 1)))
+    return _with_orbits(cat, [padded if r is rec else r for r in cat.orbits])
+
+
+def test_pass_holds_63_polynomials_and_refuses_more(catalogs):
+    cat = catalogs[2]                       # a pool of X11, X22 and X12
+    assert len(slice_pass(_padded(cat, 60), 3)[0]) == SIGNATURE_BITS
+    assert (partition_census(2, 3, _padded(cat, 60))
+            == partition_census(2, 3, cat))
+    with pytest.raises(CatalogError,
+                       match="rank 2: 64 distinct catalog polynomials, more "
+                             "than the 63 bits of a slice signature"):
+        partition_census(2, 3, _padded(cat, 61))
+
+
+@st.composite
+def _homogeneous_polys(draw, n, q):
+    """Root-weight-homogeneous polynomials over the rank-n coordinates with
+    rational coefficients whose denominators are prime to q.  A monomial is
+    a list of root segments [i, j] (X_ij weighs alpha_i + ... + alpha_j);
+    splitting [i, j] into [i, k], [k + 1, j] or joining two such segments
+    keeps the weight, so every monomial of a polynomial comes from the one
+    before by a few of those moves."""
+    var = dict(zip(pos_roots(n), x_vars(n)))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        segs = draw(st.lists(st.sampled_from(pos_roots(n)), min_size=0,
+                             max_size=3))
+        poly = LaurentPoly.const(0)
+        for _ in range(draw(st.integers(1, 4))):
+            for _ in range(draw(st.integers(0, 3))):
+                splittable = [s for s in segs if s[0] < s[1]]
+                joinable = [(s, t) for s in segs for t in segs
+                            if s[1] + 1 == t[0]]
+                segs = list(segs)
+                if draw(st.booleans()) and splittable:
+                    i, j = draw(st.sampled_from(splittable))
+                    k = draw(st.integers(i, j - 1))
+                    segs.remove((i, j))
+                    segs += [(i, k), (k + 1, j)]
+                elif joinable:
+                    s, t = draw(st.sampled_from(joinable))
+                    segs.remove(s)
+                    segs.remove(t)
+                    segs.append((s[0], t[1]))
+            coeff = Fraction(draw(st.integers(-30, 30)),
+                             draw(st.integers(1, 30).filter(lambda v: v % q)))
+            term = LaurentPoly.const(coeff)
+            for seg in segs:
+                term = term * LaurentPoly.var(var[seg])
+            poly = poly + term
+        assert root_weight_homogeneous(poly, n)
+        polys.append(poly)
+    return polys
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_signature_bits_equal_scalar_evaluation(data):
+    n = data.draw(st.sampled_from((1, 2, 3, 4)), label="rank")
+    primes = (2, 3, 5, 7, 11, 101) + ((1_000_003,) if n <= 2 else ())
+    q = data.draw(st.sampled_from(primes), label="q")
+    polys = data.draw(_homogeneous_polys(n, q), label="polys")
+    # one to three values per coordinate, at most 48 grid points
+    axes, size = {}, 1
+    for var in x_vars(n):
+        values = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                    max_size=3 if size <= 16 else 1,
+                                    unique=True), label=var)
+        axes[var] = values
+        size *= len(values)
+    sig = grid_signatures(polys, axes, q).tolist()
+    points = list(itertools.product(*axes.values()))
+    assert len(sig) == len(points)
+    for got, point in zip(sig, points):
+        env = {var: Fp(v, q) for var, v in zip(axes, point)}
+        want = sum(1 << k for k, poly in enumerate(polys)
+                   if not poly.eval_mod_p(env, q).is_zero())
+        assert got == want

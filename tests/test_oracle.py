@@ -10,22 +10,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_atlas import cli, oracle
-from orbit_atlas.arith import Fp, primitive_root
-from orbit_atlas.catalog import serialize_catalog
-from orbit_atlas.classify import decode_points, member
+from orbit_atlas import classify, cli, oracle
+from orbit_atlas.arith import Fp, parse_poly, primitive_root
+from orbit_atlas.catalog import serialize_catalog, x_vars
+from orbit_atlas.classify import member
 from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
 from orbit_atlas.errors import (BudgetExceededError,
                                 InternalInconsistencyError, ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
-                             TorusElement, adjoint, conjugate_nil, nil_dim,
-                             pos_roots)
+                             TorusElement, adjoint, nil_dim, pos_roots)
 from orbit_atlas.oracle import (FULL_TORUS_CAP, OrbitPartition,
                                 _describe_word, _root_word, _slot_word,
                                 _torus_word, _word_map, borel_generator_maps,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
+from reference import (conjugate_nil, decode_points, inverse_matrix,
+                       nonempty_record_count, to_matrix)
 
 
 def _encode_points(digits, q):
@@ -148,7 +149,7 @@ def test_rank2_q3_classes_refine_catalog(catalogs):
     part = enumerate_borel_orbits(2, 3)
     report = refine_check(catalogs[2], part)
     assert report.ok
-    assert report.nonempty_record_count() == 5
+    assert nonempty_record_count(report) == 5
     stability_check(part)
     # adding uniform random Borel elements never merges classes
     rng = random.Random(0)
@@ -160,7 +161,7 @@ def test_rank2_q3_classes_refine_catalog(catalogs):
 def test_rank3_q3_sixteen_sets_nonempty(catalogs):
     report = refine_check(catalogs[3], enumerate_borel_orbits(3, 3))
     assert report.ok
-    assert report.nonempty_record_count() == 16
+    assert nonempty_record_count(report) == 16
 
 
 def test_rank4_q2_union_property(catalogs):
@@ -515,6 +516,44 @@ def test_refine_rank_must_match_the_catalog(catalogs):
         refine_check(catalogs[3], enumerate_borel_orbits(2, 3))
 
 
+def test_refine_refuses_inhomogeneous_catalog_before_any_point(
+        catalogs, monkeypatch):
+    # refine reads records through the torus normal form, so it rests on
+    # root-weight homogeneity: X11 + X12 weighs a1 and a1 + a2
+    cat = catalogs[2]
+    rec = cat.by_id("x22")
+    bad = replace(rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+    bad_cat = replace(cat, orbits=tuple(bad if r is rec else r
+                                        for r in cat.orbits))
+    part = enumerate_borel_orbits(2, 3)
+
+    def no_points(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(classify, "grid_signatures", no_points)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"record x22 polynomial X11 \+ X12 is not "
+                             r"root-weight homogeneous"):
+        refine_check(bad_cat, part)
+
+
+def test_oracle_command_names_a_point_of_a_catalog_hole(
+        tmp_path, monkeypatch, capsys, catalogs):
+    # x11 also demands X12 != 0, so its points with X12 = 0 match nothing
+    cat = catalogs[2]
+    x12 = parse_poly("X12", x_vars(2))
+    orbits = tuple(replace(r, nonzero_set=r.nonzero_set + (x12,),
+                           nonzero_strs=r.nonzero_strs + ("X12",))
+                   if r.id == "x11" else r for r in cat.orbits)
+    (tmp_path / "a2.json").write_text(
+        serialize_catalog(replace(cat, orbits=orbits)), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert main(["oracle", "--type", "A2", "--q", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "check failed: point [1, 0, 0] over F_2 matched no record\n"
+
+
 @st.composite
 def _matrix_over_fq(draw):
     q = draw(st.sampled_from((2, 3, 5, 7)))
@@ -556,7 +595,7 @@ def _word_over_fq(draw):
 @given(_word_over_fq())
 def test_word_map_matches_literal_conjugation(case):
     word, q = case
-    g, g_inv = word.to_matrix(), word.inverse_matrix()
+    g, g_inv = to_matrix(word), inverse_matrix(word)
     roots = pos_roots(word.rank)
     columns = [conjugate_nil(g, g_inv, NilElement(word.rank, {beta: Fp(1, q)}))
                for beta in roots]

@@ -19,6 +19,7 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  first_non_unit, forward_containment,
                                  template_power, template_word, verify_rank,
                                  verify_witness_numeric, word_residuals)
+from reference import nonlinear_zero
 
 
 def test_forward_containment_all_records(catalogs):
@@ -194,7 +195,7 @@ def test_member_env_solves_constraints(catalogs):
     rec = catalogs[4].by_id("x22")
     menv = build_member_env(rec)
     # the two solved coordinates satisfy the quadratic generators exactly
-    for poly in rec.nonlinear_zero():
+    for poly in nonlinear_zero(rec):
         subs = {v: menv.env[l] for v, l in
                 zip(("X11", "X22", "X33", "X44", "X12", "X23", "X34",
                      "X13", "X24", "X14"),
