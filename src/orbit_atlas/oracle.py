@@ -11,39 +11,45 @@ element and full torus element is a product of them, checked as an exact
 identity of F_q matrices.  ``refine_check`` confronts the partition with the
 catalog's defining sets.
 
-Every group element is a ``lie.BorelWord`` over ``Fp``, and acts through
-``lie.adjoint``: its linear map on coordinates is read off ``adjoint`` on
-the coordinate basis.  The fixpoint and the stability passes apply a map to
+Every group element acts through ``lie.adjoint``: its linear map on
+coordinates comes from one symbolic ``adjoint`` per family (U_root(c) for
+one root, the torus diag(s_1, ..., s_n)) with Laurent-polynomial
+parameters, specialised exactly mod q at every element of the family at
+once by broadcasting.  The fixpoint and the stability passes apply a map to
 the whole space only through ``image_codes``, which builds the code of every
 image point digit by digit with integer broadcasts, without decoding the q^d
-points; the fixpoint turns each generator into one code table and lowers
-every point's label through it.  ``refine_check`` does not decode the q^d
-points either: it reads every point's record off the census's slice pass
-through the torus normal form (``classify.point_records``).
+points; the fixpoint turns each generator into one int32 code table,
+lowers every point's label through it and keeps the tables on the
+partition, where the stability passes reuse them.  ``refine_check`` does
+not decode the q^d points either: it reads every point's record off the
+census's slice pass through the torus normal form
+(``classify.point_records``).
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
 the orbit must have the dimension d - r that the zero-set Jacobian rank r
-leaves there.
+leaves there.  Ranks come from fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .arith import Fp, is_prime, primitive_root
+from .arith import Fp, LaurentPoly, is_prime, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
-from .classify import point_records
+from .classify import grid_values, point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, commutator_nil, nil_dim, pos_roots, root_token)
 
 BFS_BUDGET = 2_000_000
+#: the fixpoint's point codes, labels and code tables are int32
+CODE_LIMIT = 2**31 - 1
 #: stability_check certifies every full torus element, as the product of its
 #: slot tori, when there are at most this many
 FULL_TORUS_CAP = 4096
@@ -52,19 +58,74 @@ FULL_TORUS_CAP = 4096
 # ---------------------------------------------------------------------------
 # linear maps of group elements on nilradical coordinates
 
+#: parameter names of the symbolic families, U_root(c) and the torus
+#: diag(s_1, ..., s_n); the polynomial grammar admits no "@", so no catalog
+#: or witness polynomial uses them
+_ROOT_PARAM = "@c"
 
-def _coords_mod(x: NilElement) -> list[int]:
-    """Coordinates of an F_q element as integers in [0, q), in root order."""
-    return [x.coords[r].v if r in x.coords else 0 for r in pos_roots(x.rank)]
+
+def _torus_params(n: int) -> list[str]:
+    return [f"@s{k}" for k in range(1, n + 1)]
 
 
-def _word_map(word: BorelWord, q: int) -> np.ndarray:
-    """Matrix (over F_q) of x -> g x g^{-1} in the coordinate basis, read
-    column by column from ``adjoint`` on the basis elements."""
+def _family(word: BorelWord) -> list:
+    """(row, column, entry) for every nonzero entry of the symbolic map of
+    a word with Laurent-polynomial parameters: column beta is ``adjoint``
+    of the word on the basis element e_beta."""
     n = word.rank
-    cols = [_coords_mod(adjoint(word, NilElement(n, {beta: Fp(1, q)})))
-            for beta in pos_roots(n)]
-    return np.array(cols, dtype=np.int64).T
+    roots = pos_roots(n)
+    one = LaurentPoly.const(1)
+    entries = []
+    for col, beta in enumerate(roots):
+        image = adjoint(word, NilElement(n, {beta: one})).coords
+        entries += [(row, col, image[r]) for row, r in enumerate(roots)
+                    if r in image]
+    return entries
+
+
+def _torus_family(n: int) -> list:
+    return _family(BorelWord(n, TorusElement(n, tuple(
+        LaurentPoly.var(s) for s in _torus_params(n)))))
+
+
+def _specialise(entries, d: int, cols: dict, q: int,
+                inverses: dict | None = None) -> np.ndarray:
+    """The maps of a family at every point of a grid, shape (points, d, d)
+    in C order of the grid: each entry is evaluated exactly mod q over the
+    whole grid at once by ``classify.grid_values`` (``cols`` and
+    ``inverses`` as there; a negative torus exponent reads the inverses)."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
+    maps = np.zeros(shape + (d, d), dtype=np.int64)
+    for row, col, poly in entries:
+        maps[..., row, col] = grid_values(poly, cols, q, inverses)
+    return maps.reshape(-1, d, d)
+
+
+def _root_maps(n: int, root, cs, q: int) -> np.ndarray:
+    """U_root(c) for every c of ``cs``, from one symbolic map."""
+    family = _family(BorelWord(n, None, (
+        RootGroupFactor(root, LaurentPoly.var(_ROOT_PARAM)),)))
+    return _specialise(family, nil_dim(n),
+                       {_ROOT_PARAM: np.asarray(cs, dtype=np.int64)}, q)
+
+
+def _torus_maps(family, n: int, units: list, q: int) -> np.ndarray:
+    """diag(s_1, ..., s_n) over the grid whose slot k runs over the units
+    mod q of ``units[k]`` (one axis per slot, slot 0 most significant)."""
+    cols, inverses = {}, {}
+    for k, (s, vals) in enumerate(zip(_torus_params(n), units)):
+        axis = (1,) * k + (-1,) + (1,) * (n - 1 - k)
+        cols[s] = np.asarray(vals, dtype=np.int64).reshape(axis)
+        inverses[s] = np.array([pow(int(v), -1, q) for v in vals],
+                               dtype=np.int64).reshape(axis)
+    return _specialise(family, nil_dim(n), cols, q, inverses)
+
+
+def _slot_line(family, n: int, slot: int, cs, q: int) -> np.ndarray:
+    """The torus with entry c in one simple slot and 1 elsewhere, for
+    every c of ``cs``."""
+    return _torus_maps(family, n, [cs if k == slot else [1]
+                                   for k in range(n)], q)
 
 
 def image_codes(m: np.ndarray, q: int) -> np.ndarray:
@@ -75,16 +136,17 @@ def image_codes(m: np.ndarray, q: int) -> np.ndarray:
     its row over the digits read so far, broadcast over the next digit's q
     values, and is folded into the codes after its row's last nonzero
     column.  Every product is reduced below q, so a partial sum stays below
-    d q and needs one ``% q`` at the fold.  Exact for any integer matrix;
-    the group maps are lower triangular in root order (ad e_alpha raises
-    height), so digit j folds by step j and the widest steps carry few
-    digits."""
+    d q and needs one ``% q`` at the fold.  Exact for any integer matrix
+    when q^d is at most ``CODE_LIMIT``: the codes are int32, as the
+    fixpoint's tables are.  The group maps are lower triangular in root
+    order (ad e_alpha raises height), so digit j folds by step j and the
+    widest steps carry few digits."""
     d = m.shape[0]
     m = np.asarray(m, dtype=np.int64) % q
     steps = np.arange(q, dtype=np.int64)
     last = {j: int(np.flatnonzero(m[j])[-1]) for j in range(d) if m[j].any()}
     pend = {j: np.zeros(1, dtype=np.int32) for j in last}
-    codes = np.zeros(1, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int32)
     for i in range(d):
         codes = np.repeat(codes, q)
         for j in list(pend):
@@ -114,9 +176,10 @@ def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
     U_root(c) of a non-simple root is a commutator of simple ones, so these
     2n elements generate B(F_q)."""
     g0 = primitive_root(q)
-    words = [_slot_word(n, slot, g0, q) for slot in range(n)]
-    words += [_root_word(n, root, 1, q) for root in pos_roots(n)[:n]]
-    return [_word_map(word, q) for word in words]
+    torus = _torus_family(n)
+    maps = [_slot_line(torus, n, slot, [g0], q)[0] for slot in range(n)]
+    maps += [_root_maps(n, root, [1], q)[0] for root in pos_roots(n)[:n]]
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +193,8 @@ class OrbitPartition:
     class_of: np.ndarray           # point code -> class index
     reps: list                     # class index -> least point code
     sizes: list
+    #: the fixpoint's (generator map, int32 code table) pairs
+    tables: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def class_count(self) -> int:
@@ -142,29 +207,35 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
     to its label's label, until a round changes nothing.  Each generator is
     a bijection and a label is always a point of the same class, so at the
     fixpoint every point carries the least point of its class.  Classes are
-    numbered by that least point, so the partition is canonical."""
+    numbered by that least point, so the partition is canonical.  The
+    partition keeps each generator's code table, keyed by its map.  A field
+    whose q^d codes do not fit int32 is refused before any allocation."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)
     total = q**d
+    if total > CODE_LIMIT:
+        raise SchemaError(
+            f"q^d = {q}^{d} = {total} points exceed the oracle's limit of "
+            f"2^31 - 1 = {CODE_LIMIT} (int32 point codes)")
     if total > budget:
         raise BudgetExceededError(total, budget)
-    tables = [image_codes(g, q).astype(np.int32)
-              for g in borel_generator_maps(n, q)]
-    codes = np.arange(total, dtype=np.int32)
-    label = codes
-    while True:
-        new = label
+    maps = borel_generator_maps(n, q)
+    tables = [image_codes(g, q) for g in maps]
+    label = np.arange(total, dtype=np.int32)
+    changed = True
+    while changed:
+        new = label.copy()
         for table in tables:
-            new = np.minimum(new, new[table])
+            np.minimum(new, new[table], out=new)
         new = new[new]
-        if (new == label).all():
-            break
+        changed = (new != label).any()
         label = new
-    is_rep = label == codes
+    is_rep = label == np.arange(total, dtype=np.int32)
     class_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
     return OrbitPartition(n, q, class_of, np.flatnonzero(is_rep).tolist(),
-                          np.bincount(class_of).tolist())
+                          np.bincount(class_of).tolist(),
+                          list(zip(maps, tables)))
 
 
 def _describe_word(word: BorelWord) -> str:
@@ -174,14 +245,24 @@ def _describe_word(word: BorelWord) -> str:
     return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
 
 
-def _powers(m: np.ndarray, count: int, q: int) -> list[np.ndarray]:
-    """m^0, ..., m^(count - 1) over F_q, as matrices of Python ints, so the
-    products are exact at any q."""
-    m = m.astype(object)
-    pows = [np.identity(m.shape[0], dtype=object)]
-    for _ in range(count - 1):
-        pows.append(pows[-1] @ m % q)
-    return pows
+def _power_table(m: np.ndarray, count: int, q: int) -> np.ndarray:
+    """m^0, ..., m^(count - 1) over F_q, shape (count, d, d), by doubling:
+    m^0..m^(k-1) times m^k give m^k..m^(2k-1).  Entries stay below q and
+    q^d < 2^31 (the fixpoint's limit), so d (q-1)^2 < 2^63 keeps every
+    int64 product exact."""
+    pows = np.identity(m.shape[0], dtype=np.int64)[None]
+    step = m
+    while len(pows) < count:
+        pows = np.concatenate([pows, pows @ step % q])
+        step = step @ step % q
+    return pows[:count]
+
+
+def _first_off(maps: np.ndarray, want: np.ndarray):
+    """Index of the first map that differs from its wanted product, or
+    None."""
+    off = (maps != want).any(axis=(1, 2))
+    return int(np.argmax(off)) if off.any() else None
 
 
 def stability_check(part: OrbitPartition) -> dict:
@@ -197,10 +278,14 @@ def stability_check(part: OrbitPartition) -> dict:
     the power e with g^e = c (the powers of g are checked to reach all q - 1
     units), and a full torus element is the product of its slot tori.  A
     class stable under every generator is stable under every product of
-    them.  The generator words are built here, not taken from
-    ``borel_generator_maps``, so the fixpoint's generator set is certified
-    independently.  Raises on the first failure, naming the group element,
-    and for a whole-space pass the point and both classes."""
+    them.  Each family's maps come from one symbolic ``adjoint`` per
+    family, specialised at every element by broadcasting, and each family
+    is compared with its generator powers in one array comparison.  The
+    generator list is built here, not taken from ``borel_generator_maps``,
+    so the fixpoint's generator set is certified independently; a
+    fixpoint code table is reused only for a map equal to its key.  Raises
+    on the first failure, naming the group element, and for a whole-space
+    pass the point and both classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     g = primitive_root(q)
@@ -211,34 +296,49 @@ def stability_check(part: OrbitPartition) -> dict:
             f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
             f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
+
+    def fail(word, name):
+        raise InternalInconsistencyError(
+            f"rank {n} F_{q}: {_describe_word(word)} is not {name} over F_{q}")
+
     roots = pos_roots(n)
-    root_gens = [_root_word(n, root, 1, q) for root in roots]
-    slot_gens = [_slot_word(n, slot, g, q) for slot in range(n)]
-    gens = root_gens + slot_gens
-    gen_maps = [_word_map(word, q) for word in gens]
-    root_pows = [_powers(m, q, q) for m in gen_maps[:len(roots)]]
-    slot_pows = [_powers(m, q - 1, q) for m in gen_maps[len(roots):]]
-    # (element, its map as a product of generator maps, that product's name)
-    words = [(_root_word(n, root, c, q), root_pows[k][c],
-              f"{_describe_word(root_gens[k])}^{c}")
-             for k, root in enumerate(roots) for c in range(q)]
-    words += [(_slot_word(n, slot, c, q), slot_pows[slot][log[c]],
-               f"{_describe_word(slot_gens[slot])}^{log[c]}")
-              for slot in range(n) for c in range(1, q)]
+    units = list(range(1, q))
+    exps = [log[c] for c in units]
+    torus = _torus_family(n)
+    gens = []                       # (generator word, its map)
+    for root in roots:
+        maps = _root_maps(n, root, range(q), q)
+        c = _first_off(maps, _power_table(maps[1], q, q))
+        word = _root_word(n, root, 1, q)
+        if c is not None:
+            fail(_root_word(n, root, c, q), f"{_describe_word(word)}^{c}")
+        gens.append((word, maps[1]))
+    slot_pows = []
+    for slot in range(n):
+        maps = _slot_line(torus, n, slot, units, q)
+        slot_pows.append(_power_table(maps[g - 1], q - 1, q)[exps])
+        k = _first_off(maps, slot_pows[-1])
+        word = _slot_word(n, slot, g, q)
+        if k is not None:
+            fail(_slot_word(n, slot, units[k], q),
+                 f"{_describe_word(word)}^{exps[k]}")
+        gens.append((word, maps[g - 1]))
+    checked = len(roots) * q + n * (q - 1)
     if (q - 1) ** n <= FULL_TORUS_CAP:
-        for diag in product(range(1, q), repeat=n):
-            prod = slot_pows[0][log[diag[0]]]
-            for slot in range(1, n):
-                prod = prod @ slot_pows[slot][log[diag[slot]]] % q
-            words.append((_torus_word(n, diag, q), prod,
-                          "the product of its slot tori"))
-    for word, prod, name in words:
-        if not np.array_equal(_word_map(word, q), prod):
-            raise InternalInconsistencyError(
-                f"rank {n} F_{q}: {_describe_word(word)} is not {name} "
-                f"over F_{q}")
-    for word, m in zip(gens, gen_maps):
-        codes = image_codes(m, q)
+        prod = slot_pows[0]
+        for pows in slot_pows[1:]:
+            prod = (prod[:, None] @ pows[None] % q).reshape(-1, d, d)
+        k = _first_off(_torus_maps(torus, n, [units] * n, q), prod)
+        if k is not None:
+            diag = np.unravel_index(k, (q - 1,) * n)
+            fail(_torus_word(n, [int(e) + 1 for e in diag], q),
+                 "the product of its slot tori")
+        checked += len(prod)
+    for word, m in gens:
+        codes = next((table for key, table in part.tables
+                      if np.array_equal(key, m)), None)
+        if codes is None:
+            codes = image_codes(m, q)
         moved = part.class_of[codes] != part.class_of
         if moved.any():
             bad = int(np.argmax(moved))
@@ -248,7 +348,7 @@ def stability_check(part: OrbitPartition) -> dict:
                 f"{_describe_word(word)}: point {point} in class "
                 f"{int(part.class_of[bad])} maps to class "
                 f"{int(part.class_of[codes[bad]])}")
-    return {"maps_checked": len(words), "maps_applied": len(gens)}
+    return {"maps_checked": checked, "maps_applied": len(gens)}
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +404,34 @@ def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
 # dimension certificate
 
 
-def _rank_exact(rows: list[list[Fraction]]) -> int:
-    a = [list(map(Fraction, row)) for row in rows]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
+def _rank_exact(rows) -> int:
+    """Rank over Q by fraction-free elimination: each row is scaled to
+    integers (zero rows dropped), and each row below a pivot p in column
+    col becomes p a_i - a_i[col] a_piv, divided by its content, so the
+    integers stay small and no ``Fraction`` arithmetic runs."""
+    a = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            a.append(ints)
     rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = Fraction(1) / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        p = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            if f:
+                row = [p * x - f * y for x, y in zip(a[i], top)]
+                content = math.gcd(*row)
+                a[i] = [x // content for x in row] if content > 1 else row
         rank += 1
-        if rank == m:
+        if rank == len(a):
             break
     return rank
 

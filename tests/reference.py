@@ -9,6 +9,13 @@ slice points block by block; ``certify`` is the closure-order certificate
 computed from them point by point.  Together they were the package's
 finite-field kernel before the one slice pass replaced it, and full q^d
 enumeration through them is the reference for ``classify.slice_pass``.
+
+``word_map`` reads one group element's map over F_q off ``adjoint`` on the
+coordinate basis, and ``word_identities`` is the identity half of the
+oracle's stability certificate computed from it word by word, with
+``powers`` as the generator powers: the reference for the family kernel of
+``oracle.stability_check``.  ``gauss_jordan_rank`` is the ``Fraction``
+elimination that the dimension certificate's integer elimination replaced.
 """
 
 from __future__ import annotations
@@ -20,12 +27,15 @@ from operator import mul
 
 import numpy as np
 
-from orbit_atlas.arith import inv_elem, is_zero_elem, poly_to_str
+from orbit_atlas.arith import Fp, inv_elem, is_zero_elem, poly_to_str
 from orbit_atlas.catalog import root_weight_homogeneous, x_vars
 from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
-from orbit_atlas.lie import NilElement, TorusElement, nil_dim
+from orbit_atlas.lie import (NilElement, TorusElement, adjoint, nil_dim,
+                             pos_roots)
+from orbit_atlas.oracle import (FULL_TORUS_CAP, _describe_word, _root_word,
+                                _slot_word, _torus_word)
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
 
@@ -283,6 +293,96 @@ def certify(cat, leq: dict, generators: dict, qs) -> dict:
             f"no finite-field counterexample found for the non-relations of "
             f"{unwitnessed[:5]}: no point over F_q for q in {tuple(qs)}")
     return counterexamples
+
+
+# ---------------------------------------------------------------------------
+# group maps over F_q, word by word
+
+
+def coords_mod(x: NilElement) -> list[int]:
+    """Coordinates of an F_q element as integers in [0, q), in root order."""
+    return [x.coords[r].v if r in x.coords else 0 for r in pos_roots(x.rank)]
+
+
+def word_map(word, q: int) -> np.ndarray:
+    """Matrix (over F_q) of x -> g x g^{-1} in the coordinate basis, read
+    column by column from ``adjoint`` on the basis elements."""
+    n = word.rank
+    cols = [coords_mod(adjoint(word, NilElement(n, {beta: Fp(1, q)})))
+            for beta in pos_roots(n)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def powers(m: np.ndarray, count: int, q: int) -> list[np.ndarray]:
+    """m^0, ..., m^(count - 1) over F_q, as matrices of Python ints, so the
+    products are exact at any q."""
+    m = m.astype(object)
+    pows = [np.identity(m.shape[0], dtype=object)]
+    for _ in range(count - 1):
+        pows.append(pows[-1] @ m % q)
+    return pows
+
+
+def word_identities(n: int, q: int, g: int, maps=word_map) -> int:
+    """The identity half of the stability certificate, word by word: every
+    U_root(c) is U_root(1)^c, every slot torus at c is the one at g to the
+    power log_g(c), and (when at most ``FULL_TORUS_CAP``) every full torus
+    element is the product of its slot tori, each map read off ``maps``.
+    Raises on the first failure with the certificate's message; returns
+    the number of elements checked."""
+    log = {pow(g, e, q): e for e in range(q - 1)}
+    roots = pos_roots(n)
+    root_gens = [_root_word(n, root, 1, q) for root in roots]
+    slot_gens = [_slot_word(n, slot, g, q) for slot in range(n)]
+    gen_maps = [maps(word, q) for word in root_gens + slot_gens]
+    root_pows = [powers(m, q, q) for m in gen_maps[:len(roots)]]
+    slot_pows = [powers(m, q - 1, q) for m in gen_maps[len(roots):]]
+    words = [(_root_word(n, root, c, q), root_pows[k][c],
+              f"{_describe_word(root_gens[k])}^{c}")
+             for k, root in enumerate(roots) for c in range(q)]
+    words += [(_slot_word(n, slot, c, q), slot_pows[slot][log[c]],
+               f"{_describe_word(slot_gens[slot])}^{log[c]}")
+              for slot in range(n) for c in range(1, q)]
+    if (q - 1) ** n <= FULL_TORUS_CAP:
+        for diag in itertools.product(range(1, q), repeat=n):
+            prod = slot_pows[0][log[diag[0]]]
+            for slot in range(1, n):
+                prod = prod @ slot_pows[slot][log[diag[slot]]] % q
+            words.append((_torus_word(n, diag, q), prod,
+                          "the product of its slot tori"))
+    for word, prod, name in words:
+        if not np.array_equal(maps(word, q), prod):
+            raise InternalInconsistencyError(
+                f"rank {n} F_{q}: {_describe_word(word)} is not {name} "
+                f"over F_{q}")
+    return len(words)
+
+
+# ---------------------------------------------------------------------------
+# the dimension certificate's rank
+
+
+def gauss_jordan_rank(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination in ``Fraction``s."""
+    a = [list(map(Fraction, row)) for row in rows]
+    m = len(a)
+    ncols = len(a[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = Fraction(1) / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -16,17 +17,20 @@ from orbit_atlas.catalog import serialize_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
 from orbit_atlas.errors import (BudgetExceededError,
-                                InternalInconsistencyError, ShapeError)
+                                InternalInconsistencyError, SchemaError,
+                                ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, nil_dim, pos_roots)
-from orbit_atlas.oracle import (FULL_TORUS_CAP, OrbitPartition,
-                                _describe_word, _root_word, _slot_word,
-                                _torus_word, _word_map, borel_generator_maps,
+from orbit_atlas.oracle import (CODE_LIMIT, FULL_TORUS_CAP, OrbitPartition,
+                                _bracket_rows, _describe_word, _rank_exact,
+                                _root_word, _slot_word,
+                                _torus_word, borel_generator_maps,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
-from reference import (conjugate_nil, decode_points, inverse_matrix,
-                       nonempty_record_count, to_matrix)
+from reference import (conjugate_nil, decode_points, gauss_jordan_rank,
+                       inverse_matrix, nonempty_record_count, powers,
+                       to_matrix, word_identities, word_map)
 
 
 def _encode_points(digits, q):
@@ -49,7 +53,7 @@ def _all_generator_maps(n, q):
     g0 = primitive_root(q)
     words = [_slot_word(n, slot, g0, q) for slot in range(n)]
     words += [_root_word(n, root, 1, q) for root in pos_roots(n)]
-    return [_word_map(word, q) for word in words]
+    return [word_map(word, q) for word in words]
 
 
 def _reference_bfs(n, q):
@@ -96,7 +100,7 @@ def _reference_stability_check(part):
         words += [_torus_word(n, diag, q)
                   for diag in product(range(1, q), repeat=n)]
     for word in words:
-        codes = image_codes(_word_map(word, q), q)
+        codes = image_codes(word_map(word, q), q)
         moved = part.class_of[codes] != part.class_of
         if moved.any():
             bad = int(np.argmax(moved))
@@ -154,7 +158,7 @@ def test_rank2_q3_classes_refine_catalog(catalogs):
     # adding uniform random Borel elements never merges classes
     rng = random.Random(0)
     for _ in range(100):
-        codes = image_codes(_word_map(_uniform_word(2, 3, rng), 3), 3)
+        codes = image_codes(word_map(_uniform_word(2, 3, rng), 3), 3)
         assert (part.class_of[codes] == part.class_of).all()
 
 
@@ -255,6 +259,46 @@ def test_dims_certificate_needs_every_first_zero_generator(catalogs, n):
                 jacobian_rank_dim(cut)
 
 
+def test_integer_rank_equals_gauss_jordan_on_every_record(catalogs):
+    # every Jacobian and bracket matrix the dimension certificate ranks
+    seen = 0
+    for n, cat in catalogs.items():
+        for rec in cat.orbits:
+            env = dict(zip(x_vars(n), rec.representative.as_vector()))
+            jacobian = [[poly.derivative(v).eval(env) for v in x_vars(n)]
+                        for poly in rec.zero_set]
+            for rows in (jacobian, _bracket_rows(rec.representative)):
+                assert _rank_exact(rows) == gauss_jordan_rank(rows), rec.id
+            seen += 1
+    assert seen == 84
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@st.composite
+def _rational_matrix(draw):
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return [draw(st.lists(_RATIONAL, min_size=cols, max_size=cols))
+                for _ in range(rows)]
+    # a product through an inner dimension below both sides: rank at most
+    # inner, so the elimination must find the dependent rows
+    inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+    b = [draw(st.lists(_RATIONAL, min_size=inner, max_size=inner))
+         for _ in range(rows)]
+    c = [draw(st.lists(_RATIONAL, min_size=cols, max_size=cols))
+         for _ in range(inner)]
+    return [[sum((b[i][k] * c[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_matrix())
+def test_integer_rank_equals_gauss_jordan(rows):
+    assert _rank_exact(rows) == gauss_jordan_rank(rows)
+
+
 def _split_rank1_orbit():
     part = enumerate_borel_orbits(1, 5)
     # split one orbit across two labels: stability must catch it
@@ -332,7 +376,7 @@ def test_stability_failure_names_its_counterexample(partitions):
     assert int(found.group(5)) == part.class_of[code]
     assert int(found.group(5)) != int(found.group(6))
     assert moved in (code, int(image_codes(
-        _word_map(_described_word(found.group(1)), 7), 7)[code]))
+        word_map(_described_word(found.group(1)), 7), 7)[code]))
 
 
 def _described_word(text):
@@ -482,19 +526,149 @@ def test_stability_names_each_generator_the_partition_needs(monkeypatch, q):
 
 def test_stability_rejects_an_element_off_its_generator_power(
         monkeypatch, partitions):
-    word_map = oracle._word_map
+    root_maps = oracle._root_maps
 
-    def wrong_at_x12_3(word, q):
-        m = word_map(word, q)
-        if _describe_word(word) == "U_x12(3)":
-            m = m.copy()
-            m[-1, 0] = (m[-1, 0] + 1) % q
-        return m
+    def wrong_at_x12_3(n, root, cs, q):
+        maps = root_maps(n, root, cs, q)
+        if root == (1, 2) and len(maps) > 3:
+            maps[3, -1, 0] = (maps[3, -1, 0] + 1) % q
+        return maps
 
-    monkeypatch.setattr(oracle, "_word_map", wrong_at_x12_3)
+    monkeypatch.setattr(oracle, "_root_maps", wrong_at_x12_3)
     with pytest.raises(InternalInconsistencyError, match=re.escape(
             "rank 2 F_5: U_x12(3) is not U_x12(1)^3 over F_5")):
         stability_check(partitions[(2, 5)])
+
+
+FAMILY_CASES = ORACLE_CASES + [(4, 5)]
+
+
+@pytest.mark.parametrize("n,q", FAMILY_CASES)
+def test_specialised_family_maps_equal_the_word_maps(n, q):
+    # one symbolic adjoint per family, specialised by broadcasting, against
+    # adjoint on the coordinate basis word by word
+    units = list(range(1, q))
+    for root in pos_roots(n):
+        maps = oracle._root_maps(n, root, range(q), q)
+        for c in range(q):
+            assert (maps[c] == word_map(_root_word(n, root, c, q), q)).all()
+    torus = oracle._torus_family(n)
+    for slot in range(n):
+        maps = oracle._slot_line(torus, n, slot, units, q)
+        for c in units:
+            assert (maps[c - 1]
+                    == word_map(_slot_word(n, slot, c, q), q)).all()
+    if (q - 1) ** n <= FULL_TORUS_CAP:
+        maps = oracle._torus_maps(torus, n, [units] * n, q)
+        diags = list(product(units, repeat=n))
+        assert len(maps) == len(diags)
+        for m, diag in zip(maps, diags):
+            assert (m == word_map(_torus_word(n, diag, q), q)).all()
+
+
+def _bumped(m, q):
+    m = m.copy()
+    m[-1, -1] = (m[-1, -1] + 1) % q
+    return m
+
+
+# (rank, field, torus element, the first element it breaks): a slot
+# element, a slot generator, and full torus elements off every slot line
+TORUS_CORRUPTIONS = [
+    (2, 5, (1, 3), "torus diag(1, 3) is not torus diag(1, 2)^3"),
+    (2, 5, (2, 1), "torus diag(3, 1) is not torus diag(2, 1)^3"),
+    (3, 7, (1, 1, 5), "torus diag(1, 1, 5) is not torus diag(1, 1, 3)^5"),
+    (2, 5, (2, 3), "torus diag(2, 3) is not the product of its slot tori"),
+    (3, 7, (2, 3, 4),
+     "torus diag(2, 3, 4) is not the product of its slot tori"),
+    (3, 5, (4, 4, 4),
+     "torus diag(4, 4, 4) is not the product of its slot tori")]
+
+
+@pytest.mark.parametrize("n,q,diag,first", TORUS_CORRUPTIONS)
+def test_torus_corruption_names_the_reference_element(monkeypatch,
+                                                      partitions, n, q, diag,
+                                                      first):
+    # the family kernel with one torus element's map corrupted wherever it
+    # is specialised, against the word-by-word reference with that word's
+    # map corrupted: both name the same first element
+    name = _describe_word(_torus_word(n, diag, q))
+    message = f"rank {n} F_{q}: {first} over F_{q}"
+
+    def bumped_word_map(word, q):
+        m = word_map(word, q)
+        return _bumped(m, q) if _describe_word(word) == name else m
+
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        word_identities(n, q, primitive_root(q), bumped_word_map)
+    torus_maps = oracle._torus_maps
+
+    def bumped_torus_maps(family, n, units, q):
+        maps = torus_maps(family, n, units, q)
+        for k, point in enumerate(product(*units)):
+            if point == diag:
+                maps[k] = _bumped(maps[k], q)
+        return maps
+
+    monkeypatch.setattr(oracle, "_torus_maps", bumped_torus_maps)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        stability_check(partitions[(n, q)])
+
+
+def test_fixpoint_tables_are_the_image_codes_of_their_keys(partitions):
+    for (n, q), part in partitions.items():
+        assert len(part.tables) == 2 * n
+        for (key, table), want in zip(part.tables,
+                                      borel_generator_maps(n, q)):
+            assert (key == want).all()
+            assert table.dtype == np.int32
+            assert table.tolist() == image_codes(key, q).tolist(), (n, q)
+
+
+def test_stability_without_tables_does_the_same_work(monkeypatch,
+                                                     partitions):
+    # a hand-built partition keeps no tables: every generator is applied
+    # through image_codes, with identical counts; with the fixpoint's
+    # tables at most the non-simple roots' U_root(1) need image_codes (the
+    # highest root's acts trivially, so over F_2 it reuses the table of a
+    # slot torus at 1)
+    calls = []
+
+    def counted(m, q):
+        calls.append(1)
+        return image_codes(m, q)
+
+    monkeypatch.setattr(oracle, "image_codes", counted)
+    for (n, q), part in partitions.items():
+        bare = OrbitPartition(n, q, part.class_of, part.reps, part.sizes)
+        assert bare.tables == []
+        calls.clear()
+        with_tables = stability_check(part)
+        assert len(calls) <= len(pos_roots(n)) - n, (n, q)
+        calls.clear()
+        assert stability_check(bare) == with_tables, (n, q)
+        assert len(calls) == len(pos_roots(n)) + n, (n, q)
+
+
+def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys):
+    # q^d >= 2^31 would wrap the int32 codes and labels: refused before
+    # any generator map or code table is built
+    q = 2147483659
+    assert q > CODE_LIMIT == 2**31 - 1
+
+    def no_allocation(*args):
+        raise AssertionError("the oracle allocated for an int32-wrapping field")
+
+    monkeypatch.setattr(oracle, "borel_generator_maps", no_allocation)
+    monkeypatch.setattr(oracle, "image_codes", no_allocation)
+    message = (f"q^d = {q}^1 = {q} points exceed the oracle's limit of "
+               f"2^31 - 1 = 2147483647 (int32 point codes)")
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        enumerate_borel_orbits(1, q, budget=10**12)
+    assert main(["oracle", "--type", "A1", "--q", str(q),
+                 "--budget", str(10**12)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_stability_refuses_a_non_primitive_root(monkeypatch):
@@ -576,6 +750,15 @@ def test_image_codes_match_decode_matmul_reference(case):
     assert image_codes(m, q).tolist() == _reference_image_codes(m, q).tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_matrix_over_fq(), st.integers(1, 40))
+def test_power_table_equals_the_object_powers(case, count):
+    m, q = case
+    m = m % q
+    assert oracle._power_table(m, count, q).tolist() == [
+        p.tolist() for p in powers(m, count, q)]
+
+
 @st.composite
 def _word_over_fq(draw):
     n = draw(st.integers(1, 4))
@@ -599,7 +782,7 @@ def test_word_map_matches_literal_conjugation(case):
     roots = pos_roots(word.rank)
     columns = [conjugate_nil(g, g_inv, NilElement(word.rank, {beta: Fp(1, q)}))
                for beta in roots]
-    assert _word_map(word, q).tolist() == [
+    assert word_map(word, q).tolist() == [
         [x.coords.get(r, Fp(0, q)).v for x in columns] for r in roots]
 
 
