@@ -21,8 +21,7 @@ its nonzero pattern packed into one int64 signature per point, and each
 distinct signature is matched once against every record.  The census, the
 oracle refinement (``point_records``, through the torus normal form of every
 point) and the closure-order certifier (``order._certify``) all read their
-points from the pass.  The oracle's stability check specialises its symbolic
-group maps through the same ``grid_values``.
+points from the pass.
 """
 
 from __future__ import annotations
@@ -103,23 +102,21 @@ def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
 # the slice pass
 
 
-def grid_values(poly, cols: dict, q: int, inverses: dict | None = None):
+def grid_values(poly, cols: dict, q: int):
     """Values mod q of one polynomial over a grid: ``cols`` maps each of its
-    variables to an int64 array of values laid along that variable's axis,
-    and ``inverses`` (optional) maps a variable to the inverses mod q of
-    those values, which a negative exponent reads.  Evaluated once by
-    broadcasting, every product and sum reduced at once, so no intermediate
-    reaches q^2; a constant polynomial gives a scalar."""
+    variables to an int64 array of values laid along that variable's axis.
+    Evaluated once by broadcasting, every product and sum reduced at once,
+    so no intermediate reaches q^2; a constant polynomial gives a scalar."""
     acc = np.int64(0)
     for exps, coeff in poly.terms.items():
         if coeff.denominator % q == 0:
             raise SchemaError(f"coefficient {coeff} is undefined mod {q}")
         term = np.int64(coeff.numerator * pow(coeff.denominator, -1, q) % q)
         for var, e in zip(poly.vars, exps):
-            if e < 0 and var not in (inverses or ()):
+            if e < 0:
                 raise SchemaError("catalog polynomials are exponent-positive")
-            for _ in range(abs(e)):
-                term = term * (cols[var] if e > 0 else inverses[var]) % q
+            for _ in range(e):
+                term = term * cols[var] % q
         acc = (acc + term) % q
     return acc
 
@@ -128,8 +125,8 @@ def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
     """Nonzero pattern of at most 63 polynomials over the grid whose
     coordinates run over the value arrays of ``axes`` (variable -> values,
     one axis each, in dict order): one int64 per point in C order, bit k
-    set where polys[k] is nonzero mod q (``grid_values``, which supplies no
-    inverses: catalog polynomials are exponent-positive)."""
+    set where polys[k] is nonzero mod q (``grid_values``: catalog
+    polynomials are exponent-positive)."""
     d = len(axes)
     cols = {var: np.asarray(vals, dtype=np.int64).reshape(
                 (1,) * k + (-1,) + (1,) * (d - 1 - k))

@@ -75,10 +75,12 @@ def census_fields(cat: Catalog, qs, budget: int):
 
 def oracle_fields(cat: Catalog, qs, budget: int):
     """(partition, refine report) for each field in turn: the orbit
-    partition over F_q, certified stable, confronted with the catalog."""
+    partition over F_q, certified stable (then its code tables are dropped,
+    so none outlives its field), confronted with the catalog."""
     for q in qs:
         part = enumerate_borel_orbits(cat.rank, q, budget)
         stability_check(part)
+        part.tables = []
         yield part, refine_check(cat, part)
 
 

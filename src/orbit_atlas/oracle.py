@@ -7,23 +7,21 @@ torus per simple slot and U_root(1) for every simple root; U_root(1) of a
 non-simple root is a commutator of simple ones).
 ``stability_check`` certifies it: every class is stable under those
 generators, checked over the whole space, and every one-parameter subgroup
-element and full torus element is a product of them, checked as an exact
-identity of F_q matrices.  ``refine_check`` confronts the partition with the
-catalog's defining sets.
+element and full torus element is a product of them, proved by identities
+of the symbolic families that hold at every q.  ``refine_check`` confronts
+the partition with the catalog's defining sets.
 
-Every group element acts through ``lie.adjoint``: its linear map on
-coordinates comes from one symbolic ``adjoint`` per family (U_root(c) for
-one root, the torus diag(s_1, ..., s_n)) with Laurent-polynomial
-parameters, specialised exactly mod q at every element of the family at
-once by broadcasting.  The fixpoint and the stability passes apply a map to
-the whole space only through ``image_codes``, which builds the code of every
-image point digit by digit with integer broadcasts, without decoding the q^d
-points; the fixpoint turns each generator into one int32 code table,
-lowers every point's label through it and keeps the tables on the
-partition, where the stability passes reuse them.  ``refine_check`` does
-not decode the q^d points either: it reads every point's record off the
-census's slice pass through the torus normal form
-(``classify.point_records``).
+Every group element acts through ``lie.adjoint``: each generator map is
+read mod q off the integer matrix A with U_root(c) = I + c A or the torus
+exponents W, from one symbolic ``adjoint`` per family.  The fixpoint
+and the stability passes apply a map to the whole space only through
+``image_codes``, which builds the code of every image point digit by digit
+with integer broadcasts, without decoding the q^d points; the fixpoint
+turns each generator into one int32 code table, lowers every point's label
+through it and keeps the tables on the partition, where the stability
+passes reuse them.  ``refine_check`` does not decode the q^d points either:
+it reads every point's record off the census's slice pass through the
+torus normal form (``classify.point_records``).
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
@@ -39,9 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Fp, LaurentPoly, is_prime, primitive_root
+from .arith import Fp, LaurentPoly, is_prime, poly_to_str, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
-from .classify import grid_values, point_records
+from .classify import point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
@@ -50,9 +48,6 @@ from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
 BFS_BUDGET = 2_000_000
 #: the fixpoint's point codes, labels and code tables are int32
 CODE_LIMIT = 2**31 - 1
-#: stability_check certifies every full torus element, as the product of its
-#: slot tori, when there are at most this many
-FULL_TORUS_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +57,6 @@ FULL_TORUS_CAP = 4096
 #: diag(s_1, ..., s_n); the polynomial grammar admits no "@", so no catalog
 #: or witness polynomial uses them
 _ROOT_PARAM = "@c"
-
-
-def _torus_params(n: int) -> list[str]:
-    return [f"@s{k}" for k in range(1, n + 1)]
 
 
 def _family(word: BorelWord) -> list:
@@ -83,49 +74,65 @@ def _family(word: BorelWord) -> list:
     return entries
 
 
-def _torus_family(n: int) -> list:
-    return _family(BorelWord(n, TorusElement(n, tuple(
-        LaurentPoly.var(s) for s in _torus_params(n)))))
+def _entry(n: int, row: int, col: int) -> str:
+    roots = pos_roots(n)
+    return f"entry ({root_token(roots[row])}, {root_token(roots[col])})"
 
 
-def _specialise(entries, d: int, cols: dict, q: int,
-                inverses: dict | None = None) -> np.ndarray:
-    """The maps of a family at every point of a grid, shape (points, d, d)
-    in C order of the grid: each entry is evaluated exactly mod q over the
-    whole grid at once by ``classify.grid_values`` (``cols`` and
-    ``inverses`` as there; a negative torus exponent reads the inverses)."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in cols.values()))
-    maps = np.zeros(shape + (d, d), dtype=np.int64)
-    for row, col, poly in entries:
-        maps[..., row, col] = grid_values(poly, cols, q, inverses)
-    return maps.reshape(-1, d, d)
+def _root_matrix(n: int, root) -> np.ndarray:
+    """The integer matrix A with U_root(@c) = I + @c A, read off the
+    symbolic family.  Raises, naming the rank, the family and the entry,
+    unless every entry is affine in @c with integer coefficients, the @c^0
+    part is I and A A = 0."""
+    d = nil_dim(n)
+    name = f"rank {n}: U_{root_token(root)}({_ROOT_PARAM})"
+    parts = np.zeros((2, d, d), dtype=np.int64)     # the @c^0 and @c^1 parts
+    for row, col, poly in _family(BorelWord(n, None, (
+            RootGroupFactor(root, LaurentPoly.var(_ROOT_PARAM)),))):
+        for exps, coeff in poly.terms.items():
+            e = dict(zip(poly.vars, exps)).get(_ROOT_PARAM, 0)
+            if (poly.used_vars() - {_ROOT_PARAM} or e not in (0, 1)
+                    or not isinstance(coeff, int)):
+                raise InternalInconsistencyError(
+                    f"{name} {_entry(n, row, col)} is {poly_to_str(poly)}, "
+                    f"not affine in {_ROOT_PARAM} with integer coefficients")
+            parts[e, row, col] = coeff
+    for got, want, claim in (
+            (parts[0], np.identity(d), f"at {_ROOT_PARAM} = 0 is not I:"),
+            (parts[1] @ parts[1], 0, f"= I + {_ROOT_PARAM} A with A A != 0:")):
+        off = np.argwhere(got != want)
+        if len(off):
+            row, col = off[0]
+            raise InternalInconsistencyError(
+                f"{name} {claim} {_entry(n, row, col)} is {got[row, col]}")
+    return parts[1]
 
 
-def _root_maps(n: int, root, cs, q: int) -> np.ndarray:
-    """U_root(c) for every c of ``cs``, from one symbolic map."""
-    family = _family(BorelWord(n, None, (
-        RootGroupFactor(root, LaurentPoly.var(_ROOT_PARAM)),)))
-    return _specialise(family, nil_dim(n),
-                       {_ROOT_PARAM: np.asarray(cs, dtype=np.int64)}, q)
-
-
-def _torus_maps(family, n: int, units: list, q: int) -> np.ndarray:
-    """diag(s_1, ..., s_n) over the grid whose slot k runs over the units
-    mod q of ``units[k]`` (one axis per slot, slot 0 most significant)."""
-    cols, inverses = {}, {}
-    for k, (s, vals) in enumerate(zip(_torus_params(n), units)):
-        axis = (1,) * k + (-1,) + (1,) * (n - 1 - k)
-        cols[s] = np.asarray(vals, dtype=np.int64).reshape(axis)
-        inverses[s] = np.array([pow(int(v), -1, q) for v in vals],
-                               dtype=np.int64).reshape(axis)
-    return _specialise(family, nil_dim(n), cols, q, inverses)
-
-
-def _slot_line(family, n: int, slot: int, cs, q: int) -> np.ndarray:
-    """The torus with entry c in one simple slot and 1 elsewhere, for
-    every c of ``cs``."""
-    return _torus_maps(family, n, [cs if k == slot else [1]
-                                   for k in range(n)], q)
+def _torus_exponents(n: int) -> np.ndarray:
+    """The integer matrix W with diag(@s1, ..., @sn) scaling the coordinate
+    of root beta by prod_k @sk^W[beta, k], read off the symbolic family.
+    Raises, naming the rank, the family and the entry, unless every entry
+    is diagonal, present and a monomial with coefficient 1."""
+    params = [f"@s{k}" for k in range(1, n + 1)]
+    name = f"rank {n}: torus diag({', '.join(params)})"
+    diag = {}
+    for row, col, poly in _family(BorelWord(n, TorusElement(n, tuple(
+            LaurentPoly.var(s) for s in params)))):
+        if row != col:
+            raise InternalInconsistencyError(
+                f"{name} {_entry(n, row, col)} is {poly_to_str(poly)}, off "
+                f"the diagonal")
+        diag[row] = poly
+    weights = np.zeros((nil_dim(n), n), dtype=np.int64)
+    for row in range(nil_dim(n)):
+        poly = diag.get(row, LaurentPoly.zero)
+        if list(poly.terms.values()) != [1] or poly.used_vars() - set(params):
+            raise InternalInconsistencyError(
+                f"{name} {_entry(n, row, row)} is {poly_to_str(poly)}, not a "
+                f"monomial with coefficient 1")
+        (exps,) = poly.terms
+        weights[row] = [dict(zip(poly.vars, exps)).get(s, 0) for s in params]
+    return weights
 
 
 def image_codes(m: np.ndarray, q: int) -> np.ndarray:
@@ -157,17 +164,28 @@ def image_codes(m: np.ndarray, q: int) -> np.ndarray:
     return codes
 
 
-def _torus_word(n: int, diag, q: int) -> BorelWord:
-    return BorelWord(n, TorusElement(n, tuple(Fp(t, q) for t in diag)))
-
-
 def _slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
     """The torus with entry c in one simple slot and 1 elsewhere."""
-    return _torus_word(n, [c if k == slot else 1 for k in range(n)], q)
+    return BorelWord(n, TorusElement(n, tuple(
+        Fp(c if k == slot else 1, q) for k in range(n))))
 
 
 def _root_word(n: int, root, c: int, q: int) -> BorelWord:
     return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
+
+
+def _generators(n: int, q: int) -> list:
+    """(word, map over F_q) of U_root(1) for every positive root, in
+    ``pos_roots`` order, then of the n slot tori at g = ``primitive_root(q)``:
+    (I + A) mod q and diag(g^W[:, slot] mod q)."""
+    g = primitive_root(q)
+    weights = _torus_exponents(n)
+    one = np.identity(nil_dim(n), dtype=np.int64)
+    return ([(_root_word(n, root, 1, q), (one + _root_matrix(n, root)) % q)
+             for root in pos_roots(n)]
+            + [(_slot_word(n, slot, g, q), np.diag(
+                [pow(g, int(w), q) for w in weights[:, slot]]))
+               for slot in range(n)])
 
 
 def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
@@ -175,11 +193,8 @@ def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
     for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
     U_root(c) of a non-simple root is a commutator of simple ones, so these
     2n elements generate B(F_q)."""
-    g0 = primitive_root(q)
-    torus = _torus_family(n)
-    maps = [_slot_line(torus, n, slot, [g0], q)[0] for slot in range(n)]
-    maps += [_root_maps(n, root, [1], q)[0] for root in pos_roots(n)[:n]]
-    return maps
+    maps = [m for _, m in _generators(n, q)]
+    return maps[-n:] + maps[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -245,47 +260,29 @@ def _describe_word(word: BorelWord) -> str:
     return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
 
 
-def _power_table(m: np.ndarray, count: int, q: int) -> np.ndarray:
-    """m^0, ..., m^(count - 1) over F_q, shape (count, d, d), by doubling:
-    m^0..m^(k-1) times m^k give m^k..m^(2k-1).  Entries stay below q and
-    q^d < 2^31 (the fixpoint's limit), so d (q-1)^2 < 2^63 keeps every
-    int64 product exact."""
-    pows = np.identity(m.shape[0], dtype=np.int64)[None]
-    step = m
-    while len(pows) < count:
-        pows = np.concatenate([pows, pows @ step % q])
-        step = step @ step % q
-    return pows[:count]
-
-
-def _first_off(maps: np.ndarray, want: np.ndarray):
-    """Index of the first map that differs from its wanted product, or
-    None."""
-    off = (maps != want).any(axis=(1, 2))
-    return int(np.argmax(off)) if off.any() else None
-
-
 def stability_check(part: OrbitPartition) -> dict:
     """Certify the partition: every class is stable under every U_root(c),
-    every single-slot torus and (when at most ``FULL_TORUS_CAP`` elements)
-    every full torus element.
+    every single-slot torus and every full torus element.
 
-    Only the generators reach the whole space: U_root(1) for every positive
-    root, in ``pos_roots`` order, then the n slot tori at g =
-    ``primitive_root(q)``.  Every other element is certified as a product of
-    generators by an exact identity of F_q matrices: U_root(c) is
-    U_root(1)^c (q is prime), the slot torus at c is the slot torus at g to
-    the power e with g^e = c (the powers of g are checked to reach all q - 1
-    units), and a full torus element is the product of its slot tori.  A
-    class stable under every generator is stable under every product of
-    them.  Each family's maps come from one symbolic ``adjoint`` per
-    family, specialised at every element by broadcasting, and each family
-    is compared with its generator powers in one array comparison.  The
-    generator list is built here, not taken from ``borel_generator_maps``,
-    so the fixpoint's generator set is certified independently; a
-    fixpoint code table is reused only for a map equal to its key.  Raises
-    on the first failure, naming the group element, and for a whole-space
-    pass the point and both classes."""
+    Only the generators of ``_generators`` reach the whole space (not those
+    of ``borel_generator_maps``, so the fixpoint's set is certified
+    independently; a fixpoint code table is reused only for a map equal to
+    its key), and a map that is I mod q needs no pass.  Every other element
+    is a product of them by two identities that ``_root_matrix`` and
+    ``_torus_exponents`` check on the symbolic families: U_root(c) = I + c A
+    with A A = 0, so U_root(1)^c = U_root(c); the torus scales each
+    coordinate by a monomial prod_k s_k^W[beta, k] with coefficient 1, so
+    the slot torus at g^e is the e-th power of the one at g (the powers of
+    g are checked to reach all q - 1 units) and a full torus element is the
+    product of its slot tori.  They hold over Z[c] and over the Laurent ring
+    Z[s_1, 1/s_1, ..., s_n, 1/s_n], and ``adjoint`` computes each entry by
+    ring operations in the parameters, so each element's map over F_q is
+    its family specialised by a ring homomorphism to F_q (c or s_k sent to
+    the element's entry), which carries the identities over to every
+    element at every q.  A class stable under every generator is stable
+    under every product of them.  Raises on the first failure, naming the
+    family entry, or for a whole-space pass the group element, the point
+    and both classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     g = primitive_root(q)
@@ -296,44 +293,8 @@ def stability_check(part: OrbitPartition) -> dict:
             f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
             f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
-
-    def fail(word, name):
-        raise InternalInconsistencyError(
-            f"rank {n} F_{q}: {_describe_word(word)} is not {name} over F_{q}")
-
-    roots = pos_roots(n)
-    units = list(range(1, q))
-    exps = [log[c] for c in units]
-    torus = _torus_family(n)
-    gens = []                       # (generator word, its map)
-    for root in roots:
-        maps = _root_maps(n, root, range(q), q)
-        c = _first_off(maps, _power_table(maps[1], q, q))
-        word = _root_word(n, root, 1, q)
-        if c is not None:
-            fail(_root_word(n, root, c, q), f"{_describe_word(word)}^{c}")
-        gens.append((word, maps[1]))
-    slot_pows = []
-    for slot in range(n):
-        maps = _slot_line(torus, n, slot, units, q)
-        slot_pows.append(_power_table(maps[g - 1], q - 1, q)[exps])
-        k = _first_off(maps, slot_pows[-1])
-        word = _slot_word(n, slot, g, q)
-        if k is not None:
-            fail(_slot_word(n, slot, units[k], q),
-                 f"{_describe_word(word)}^{exps[k]}")
-        gens.append((word, maps[g - 1]))
-    checked = len(roots) * q + n * (q - 1)
-    if (q - 1) ** n <= FULL_TORUS_CAP:
-        prod = slot_pows[0]
-        for pows in slot_pows[1:]:
-            prod = (prod[:, None] @ pows[None] % q).reshape(-1, d, d)
-        k = _first_off(_torus_maps(torus, n, [units] * n, q), prod)
-        if k is not None:
-            diag = np.unravel_index(k, (q - 1,) * n)
-            fail(_torus_word(n, [int(e) + 1 for e in diag], q),
-                 "the product of its slot tori")
-        checked += len(prod)
+    gens = [(word, m) for word, m in _generators(n, q)
+            if not np.array_equal(m, np.identity(d))]
     for word, m in gens:
         codes = next((table for key, table in part.tables
                       if np.array_equal(key, m)), None)
@@ -348,7 +309,8 @@ def stability_check(part: OrbitPartition) -> dict:
                 f"{_describe_word(word)}: point {point} in class "
                 f"{int(part.class_of[bad])} maps to class "
                 f"{int(part.class_of[codes[bad]])}")
-    return {"maps_checked": checked, "maps_applied": len(gens)}
+    return {"maps_checked": len(pos_roots(n)) * q + n * (q - 1)
+            + (q - 1) ** n, "maps_applied": len(gens)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ finite-field kernel before the one slice pass replaced it, and full q^d
 enumeration through them is the reference for ``classify.slice_pass``.
 
 ``word_map`` reads one group element's map over F_q off ``adjoint`` on the
-coordinate basis, and ``word_identities`` is the identity half of the
-oracle's stability certificate computed from it word by word, with
-``powers`` as the generator powers: the reference for the family kernel of
+coordinate basis (``torus_word`` names a full torus element), and
+``word_identities`` is the identity half of the oracle's stability
+certificate computed from it word by word, with ``powers`` as the
+generator powers: the reference for the family identities of
 ``oracle.stability_check``.  ``gauss_jordan_rank`` is the ``Fraction``
 elimination that the dimension certificate's integer elimination replaced.
 """
@@ -32,10 +33,9 @@ from orbit_atlas.catalog import root_weight_homogeneous, x_vars
 from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
-from orbit_atlas.lie import (NilElement, TorusElement, adjoint, nil_dim,
-                             pos_roots)
-from orbit_atlas.oracle import (FULL_TORUS_CAP, _describe_word, _root_word,
-                                _slot_word, _torus_word)
+from orbit_atlas.lie import (BorelWord, NilElement, TorusElement, adjoint,
+                             nil_dim, pos_roots)
+from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
 
@@ -304,6 +304,11 @@ def coords_mod(x: NilElement) -> list[int]:
     return [x.coords[r].v if r in x.coords else 0 for r in pos_roots(x.rank)]
 
 
+def torus_word(n: int, diag, q: int):
+    """The full torus element diag(diag) over F_q as a word."""
+    return BorelWord(n, TorusElement(n, tuple(Fp(t, q) for t in diag)))
+
+
 def word_map(word, q: int) -> np.ndarray:
     """Matrix (over F_q) of x -> g x g^{-1} in the coordinate basis, read
     column by column from ``adjoint`` on the basis elements."""
@@ -326,8 +331,8 @@ def powers(m: np.ndarray, count: int, q: int) -> list[np.ndarray]:
 def word_identities(n: int, q: int, g: int, maps=word_map) -> int:
     """The identity half of the stability certificate, word by word: every
     U_root(c) is U_root(1)^c, every slot torus at c is the one at g to the
-    power log_g(c), and (when at most ``FULL_TORUS_CAP``) every full torus
-    element is the product of its slot tori, each map read off ``maps``.
+    power log_g(c), and every full torus element is the product of its
+    slot tori, each map read off ``maps``.
     Raises on the first failure with the certificate's message; returns
     the number of elements checked."""
     log = {pow(g, e, q): e for e in range(q - 1)}
@@ -343,13 +348,12 @@ def word_identities(n: int, q: int, g: int, maps=word_map) -> int:
     words += [(_slot_word(n, slot, c, q), slot_pows[slot][log[c]],
                f"{_describe_word(slot_gens[slot])}^{log[c]}")
               for slot in range(n) for c in range(1, q)]
-    if (q - 1) ** n <= FULL_TORUS_CAP:
-        for diag in itertools.product(range(1, q), repeat=n):
-            prod = slot_pows[0][log[diag[0]]]
-            for slot in range(1, n):
-                prod = prod @ slot_pows[slot][log[diag[slot]]] % q
-            words.append((_torus_word(n, diag, q), prod,
-                          "the product of its slot tori"))
+    for diag in itertools.product(range(1, q), repeat=n):
+        prod = slot_pows[0][log[diag[0]]]
+        for slot in range(1, n):
+            prod = prod @ slot_pows[slot][log[diag[slot]]] % q
+        words.append((torus_word(n, diag, q), prod,
+                      "the product of its slot tori"))
     for word, prod, name in words:
         if not np.array_equal(maps(word, q), prod):
             raise InternalInconsistencyError(

@@ -1,6 +1,7 @@
 """Brute-force orbit enumeration, refinement, and the dimension certificate."""
 
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import classify, cli, oracle
-from orbit_atlas.arith import Fp, parse_poly, primitive_root
+from orbit_atlas.arith import Fp, LaurentPoly, parse_poly, primitive_root
 from orbit_atlas.catalog import serialize_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
@@ -21,16 +22,15 @@ from orbit_atlas.errors import (BudgetExceededError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, nil_dim, pos_roots)
-from orbit_atlas.oracle import (CODE_LIMIT, FULL_TORUS_CAP, OrbitPartition,
-                                _bracket_rows, _describe_word, _rank_exact,
-                                _root_word, _slot_word,
-                                _torus_word, borel_generator_maps,
+from orbit_atlas.oracle import (CODE_LIMIT, OrbitPartition, _bracket_rows,
+                                _describe_word, _rank_exact, _root_word,
+                                _slot_word, borel_generator_maps,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
 from reference import (conjugate_nil, decode_points, gauss_jordan_rank,
-                       inverse_matrix, nonempty_record_count, powers,
-                       to_matrix, word_identities, word_map)
+                       inverse_matrix, nonempty_record_count, to_matrix,
+                       torus_word, word_identities, word_map)
 
 
 def _encode_points(digits, q):
@@ -89,16 +89,14 @@ def _reference_bfs(n, q):
 
 def _reference_stability_check(part):
     """Reference stability certificate: apply every U_root(c), every slot
-    torus and (when at most ``FULL_TORUS_CAP`` elements) every full torus
-    element to the whole space, and compare classes.  Returns the number of
-    elements checked."""
+    torus and every full torus element to the whole space, and compare
+    classes.  Returns the number of elements checked."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     words = [_root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
     words += [_slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
-    if (q - 1) ** n <= FULL_TORUS_CAP:
-        words += [_torus_word(n, diag, q)
-                  for diag in product(range(1, q), repeat=n)]
+    words += [torus_word(n, diag, q)
+              for diag in product(range(1, q), repeat=n)]
     for word in words:
         codes = image_codes(word_map(word, q), q)
         moved = part.class_of[codes] != part.class_of
@@ -473,8 +471,10 @@ def test_stability_maps_per_rank(partitions):
         maps[n] += result["maps_checked"]
         applied[n] += result["maps_applied"]
     assert maps == {1: 43, 2: 134, 3: 430, 4: 79}
-    # |pos_roots| + n whole-space passes per field
-    assert applied == {1: 8, 2: 20, 3: 36, 4: 28}
+    # a whole-space pass per generator whose map is not I mod q: U_x11(1)
+    # at rank 1, the highest root's U_root(1) at rank >= 2, the slot tori
+    # over F_2 and at rank 1 over F_3 act trivially
+    assert applied == {1: 2, 2: 14, 3: 29, 4: 22}
 
 
 def test_stability_check_agrees_with_the_reference(partitions):
@@ -524,20 +524,68 @@ def test_stability_names_each_generator_the_partition_needs(monkeypatch, q):
     assert (redundant.class_of == full.class_of).all()
 
 
+def _corrupt_family(monkeypatch, torus, change):
+    """``oracle._family`` with ``change`` applied to the entries of the
+    torus family (``torus``) or else of U_x11(@c)."""
+    family = oracle._family
+
+    def corrupted(word):
+        entries = family(word)
+        if (word.torus is not None if torus
+                else word.factors and word.factors[0].root == (1, 1)):
+            entries = change(list(entries))
+        return entries
+
+    monkeypatch.setattr(oracle, "_family", corrupted)
+
+
+def _family_rejected(monkeypatch, capsys, part, torus, change, message):
+    # the stability check and check-all (whose fixpoint reads the same
+    # families) both refuse the corrupted family with one message
+    with monkeypatch.context() as patch:
+        _corrupt_family(patch, torus, change)
+        with pytest.raises(InternalInconsistencyError) as info:
+            stability_check(part)
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert main(["check-all", "--type", f"A{part.rank}"]) == 1
+        assert (f"FAIL oracle: InternalInconsistencyError: {message}\n"
+                in capsys.readouterr().out)
+
+
 def test_stability_rejects_an_element_off_its_generator_power(
-        monkeypatch, partitions):
-    root_maps = oracle._root_maps
+        monkeypatch, capsys, partitions):
+    # at rank 2, U_x11(@c) is I + @c E with E the (x12, x22) unit: each
+    # corruption makes some U_x11(c) differ from U_x11(1)^c
+    c = LaurentPoly.var("@c")
+    cases = [
+        (lambda es: [(r, k, p + c**2 if p == c else p) for r, k, p in es],
+         "rank 2: U_x11(@c) entry (x12, x22) is @c^2 + @c, not affine in @c "
+         "with integer coefficients"),
+        (lambda es: es + [(1, 2, c)],
+         "rank 2: U_x11(@c) = I + @c A with A A != 0: entry (x22, x22) is 1"),
+        (lambda es: es[1:],
+         "rank 2: U_x11(@c) at @c = 0 is not I: entry (x11, x11) is 0")]
+    for change, message in cases:
+        _family_rejected(monkeypatch, capsys, partitions[(2, 5)], False,
+                         change, message)
 
-    def wrong_at_x12_3(n, root, cs, q):
-        maps = root_maps(n, root, cs, q)
-        if root == (1, 2) and len(maps) > 3:
-            maps[3, -1, 0] = (maps[3, -1, 0] + 1) % q
-        return maps
 
-    monkeypatch.setattr(oracle, "_root_maps", wrong_at_x12_3)
-    with pytest.raises(InternalInconsistencyError, match=re.escape(
-            "rank 2 F_5: U_x12(3) is not U_x12(1)^3 over F_5")):
-        stability_check(partitions[(2, 5)])
+def test_stability_rejects_a_torus_family_off_its_slot_powers(
+        monkeypatch, capsys, partitions):
+    # diag(@s1, @s2) scales x11 by @s1*@s2^-1: each corruption breaks the
+    # monomial form that makes every torus element a product of slot
+    # generator powers
+    cases = [
+        (lambda es: es + [(2, 0, LaurentPoly.var("@s1"))],
+         "rank 2: torus diag(@s1, @s2) entry (x12, x11) is @s1, off the "
+         "diagonal"),
+        (lambda es: [(0, 0, 2 * es[0][2])] + es[1:],
+         "rank 2: torus diag(@s1, @s2) entry (x11, x11) is 2*@s1*@s2^-1, not "
+         "a monomial with coefficient 1")]
+    for change, message in cases:
+        _family_rejected(monkeypatch, capsys, partitions[(2, 5)], True,
+                         change, message)
 
 
 FAMILY_CASES = ORACLE_CASES + [(4, 5)]
@@ -545,25 +593,30 @@ FAMILY_CASES = ORACLE_CASES + [(4, 5)]
 
 @pytest.mark.parametrize("n,q", FAMILY_CASES)
 def test_specialised_family_maps_equal_the_word_maps(n, q):
-    # one symbolic adjoint per family, specialised by broadcasting, against
-    # adjoint on the coordinate basis word by word
-    units = list(range(1, q))
+    # I + c A, diag(c^W[:, slot]) and diag(prod_k s_k^W[:, k]), from one
+    # symbolic adjoint per family, against adjoint on the coordinate basis
+    # word by word, for every element the stability check counts; the
+    # word-by-word identities accept them all
+    ident = np.identity(nil_dim(n), dtype=np.int64)
     for root in pos_roots(n):
-        maps = oracle._root_maps(n, root, range(q), q)
+        a = oracle._root_matrix(n, root)
         for c in range(q):
-            assert (maps[c] == word_map(_root_word(n, root, c, q), q)).all()
-    torus = oracle._torus_family(n)
+            assert ((ident + c * a) % q
+                    == word_map(_root_word(n, root, c, q), q)).all()
+    weights = oracle._torus_exponents(n)
+    units = range(1, q)
     for slot in range(n):
-        maps = oracle._slot_line(torus, n, slot, units, q)
         for c in units:
-            assert (maps[c - 1]
+            assert (np.diag([pow(c, int(w), q) for w in weights[:, slot]])
                     == word_map(_slot_word(n, slot, c, q), q)).all()
-    if (q - 1) ** n <= FULL_TORUS_CAP:
-        maps = oracle._torus_maps(torus, n, [units] * n, q)
-        diags = list(product(units, repeat=n))
-        assert len(maps) == len(diags)
-        for m, diag in zip(maps, diags):
-            assert (m == word_map(_torus_word(n, diag, q), q)).all()
+    for diag in product(units, repeat=n):
+        m = np.diag([math.prod(pow(s, int(w), q) for s, w in zip(diag, row))
+                     % q for row in weights])
+        assert (m == word_map(torus_word(n, diag, q), q)).all()
+    for word, m in oracle._generators(n, q):
+        assert (m == word_map(word, q)).all()
+    assert word_identities(n, q, primitive_root(q)) == (
+        len(pos_roots(n)) * q + n * (q - 1) + (q - 1) ** n)
 
 
 def _bumped(m, q):
@@ -586,33 +639,18 @@ TORUS_CORRUPTIONS = [
 
 
 @pytest.mark.parametrize("n,q,diag,first", TORUS_CORRUPTIONS)
-def test_torus_corruption_names_the_reference_element(monkeypatch,
-                                                      partitions, n, q, diag,
-                                                      first):
-    # the family kernel with one torus element's map corrupted wherever it
-    # is specialised, against the word-by-word reference with that word's
-    # map corrupted: both name the same first element
-    name = _describe_word(_torus_word(n, diag, q))
-    message = f"rank {n} F_{q}: {first} over F_{q}"
+def test_torus_corruption_names_the_reference_element(n, q, diag, first):
+    # the word-by-word reference with one torus element's map corrupted
+    # names the first element it breaks
+    name = _describe_word(torus_word(n, diag, q))
 
     def bumped_word_map(word, q):
         m = word_map(word, q)
         return _bumped(m, q) if _describe_word(word) == name else m
 
-    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            f"rank {n} F_{q}: {first} over F_{q}")):
         word_identities(n, q, primitive_root(q), bumped_word_map)
-    torus_maps = oracle._torus_maps
-
-    def bumped_torus_maps(family, n, units, q):
-        maps = torus_maps(family, n, units, q)
-        for k, point in enumerate(product(*units)):
-            if point == diag:
-                maps[k] = _bumped(maps[k], q)
-        return maps
-
-    monkeypatch.setattr(oracle, "_torus_maps", bumped_torus_maps)
-    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
-        stability_check(partitions[(n, q)])
 
 
 def test_fixpoint_tables_are_the_image_codes_of_their_keys(partitions):
@@ -627,11 +665,10 @@ def test_fixpoint_tables_are_the_image_codes_of_their_keys(partitions):
 
 def test_stability_without_tables_does_the_same_work(monkeypatch,
                                                      partitions):
-    # a hand-built partition keeps no tables: every generator is applied
-    # through image_codes, with identical counts; with the fixpoint's
-    # tables at most the non-simple roots' U_root(1) need image_codes (the
-    # highest root's acts trivially, so over F_2 it reuses the table of a
-    # slot torus at 1)
+    # a hand-built partition keeps no tables: every generator that is not I
+    # mod q is applied through image_codes, with identical counts; with the
+    # fixpoint's tables at most the non-simple roots' U_root(1) need
+    # image_codes, and the highest root's is I from rank 2 on
     calls = []
 
     def counted(m, q):
@@ -644,10 +681,17 @@ def test_stability_without_tables_does_the_same_work(monkeypatch,
         assert bare.tables == []
         calls.clear()
         with_tables = stability_check(part)
-        assert len(calls) <= len(pos_roots(n)) - n, (n, q)
+        assert len(calls) <= len(pos_roots(n)) - n - (n > 1), (n, q)
         calls.clear()
         assert stability_check(bare) == with_tables, (n, q)
-        assert len(calls) == len(pos_roots(n)) + n, (n, q)
+        assert len(calls) == with_tables["maps_applied"], (n, q)
+
+
+def test_stability_certifies_every_full_torus_element_at_a2_over_f67():
+    # 66^2 = 4356 full torus elements, each the product of its slot tori
+    part = enumerate_borel_orbits(2, 67)
+    assert stability_check(part)["maps_checked"] == (
+        3 * 67 + 2 * 66 + 66**2) == 4689
 
 
 def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys):
@@ -748,15 +792,6 @@ def _matrix_over_fq(draw):
 def test_image_codes_match_decode_matmul_reference(case):
     m, q = case
     assert image_codes(m, q).tolist() == _reference_image_codes(m, q).tolist()
-
-
-@settings(max_examples=100, deadline=None)
-@given(_matrix_over_fq(), st.integers(1, 40))
-def test_power_table_equals_the_object_powers(case, count):
-    m, q = case
-    m = m % q
-    assert oracle._power_table(m, count, q).tolist() == [
-        p.tolist() for p in powers(m, count, q)]
 
 
 @st.composite
