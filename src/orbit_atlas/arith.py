@@ -742,6 +742,11 @@ def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
 # fractions
 
 
+#: most quotient terms an exact division may produce; check-all at A1-A4
+#: divides into at most 3
+QUOTIENT_LIMIT = 4096
+
+
 def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     """num / den when den divides num, else None: decided exactly.
 
@@ -751,8 +756,11 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     Lead-term division of an exact multiple, in the packed keys' lex order,
     yields exactly q's terms, so a quotient term outside the box proves den
     does not divide num.  Quotient terms fall strictly in that order inside
-    the finite box: the loop ends.  The quotient's terms are listed in
-    descending lex order of its display variables."""
+    the finite box: the loop ends.  The box can be huge ((a^k + 1)/(a + 1)
+    with odd k has k quotient terms), so each step's term is counted and
+    the step past ``QUOTIENT_LIMIT`` raises ``DomainError`` naming both
+    polynomials, whether den divides num or not.  The quotient's terms are
+    listed in descending lex order of its display variables."""
     if den.is_zero():
         return None
     if den.is_monomial():
@@ -779,6 +787,10 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
         t = lead - lead_den
         if not _in_box(t, lo, hi):
             return None
+        if len(quo) == QUOTIENT_LIMIT:
+            raise DomainError(
+                f"dividing {poly_to_str(num)} by {poly_to_str(den)} takes "
+                f"more than {QUOTIENT_LIMIT} quotient terms")
         t_c = _quo(rem[lead], cd)
         quo[t] = t_c
         for k, c in b.items():

@@ -3,7 +3,8 @@
 Subcommands: orbits, classify, census, oracle, dims, hasse, verify,
 check-all.  Machine formats (JSON/CSV/DOT) are the primary outputs; human
 tables are renderings of the same data.  Exit codes: 0 success, 1 a check
-failed (first counterexample printed), 2 flag errors.
+failed (first counterexample printed), 2 flag errors or a command that ran
+out of memory (a raised --budget can ask for more than the machine has).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      UnsupportedRankError)
 from .lie import NilElement, nil_dim
 from .oracle import (BFS_BUDGET, enumerate_borel_orbits, jacobian_rank_dim,
-                     refine_check, stability_check)
+                     read_families, refine_check, stability_check)
 from .order import emit_dot, hasse, poset_json
 from .witness import verify_rank
 
@@ -76,10 +77,13 @@ def census_fields(cat: Catalog, qs, budget: int):
 def oracle_fields(cat: Catalog, qs, budget: int):
     """(partition, refine report) for each field in turn: the orbit
     partition over F_q, certified stable (then its code tables are dropped,
-    so none outlives its field), confronted with the catalog."""
+    so none outlives its field), confronted with the catalog.  The rank's
+    symbolic families are read once, on the first step, and every field's
+    fixpoint and stability check specialise them mod q."""
+    families = read_families(cat.rank)
     for q in qs:
-        part = enumerate_borel_orbits(cat.rank, q, budget)
-        stability_check(part)
+        part = enumerate_borel_orbits(cat.rank, q, budget, families=families)
+        stability_check(part, families)
         part.tables = []
         yield part, refine_check(cat, part)
 
@@ -352,6 +356,11 @@ def main(argv=None) -> int:
             InternalInconsistencyError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,17 +11,22 @@ element and full torus element is a product of them, proved by identities
 of the symbolic families that hold at every q.  ``refine_check`` confronts
 the partition with the catalog's defining sets.
 
-Every group element acts through ``lie.adjoint``: each generator map is
-read mod q off the integer matrix A with U_root(c) = I + c A or the torus
-exponents W, from one symbolic ``adjoint`` per family.  The fixpoint
-and the stability passes apply a map to the whole space only through
-``image_codes``, which builds the code of every image point digit by digit
-with integer broadcasts, without decoding the q^d points; the fixpoint
-turns each generator into one int32 code table, lowers every point's label
-through it and keeps the tables on the partition, where the stability
-passes reuse them.  ``refine_check`` does not decode the q^d points either:
-it reads every point's record off the census's slice pass through the
-torus normal form (``classify.point_records``).
+Every group element acts through ``lie.adjoint``, by way of its family:
+one symbolic ``adjoint`` of U_root(@c) gives the integer matrix A with
+U_root(c) = I + c A, and one of the torus diag(@s1, ..., @sn) gives the
+exponents W.  ``read_families`` reads and checks them for one rank; they do
+not depend on q, so a command that serves several fields
+(``cli.oracle_fields``) reads them once and every field's generator maps
+are specialisations mod q, while ``enumerate_borel_orbits`` and
+``stability_check`` called on their own read them themselves.  The
+fixpoint and the stability passes apply a map to the whole space only
+through ``image_codes``, which sums one broadcast term per output digit
+into an int32 code table, without decoding the q^d points; the fixpoint
+turns each generator into one table, lowers every point's label through
+it and keeps the tables on the partition, where the stability passes
+reuse them.  ``refine_check`` does not decode the q^d points either: it
+reads every point's record off the census's slice pass through the torus
+normal form (``classify.point_records``).
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,31 +143,35 @@ def _torus_exponents(n: int) -> np.ndarray:
 
 def image_codes(m: np.ndarray, q: int) -> np.ndarray:
     """Code of m x mod q for every x in F_q^d, in code order (digit 0 most
-    significant).
+    significant), as one C-contiguous int32 table.
 
-    Walks the input digits once: each output digit keeps the partial sum of
-    its row over the digits read so far, broadcast over the next digit's q
-    values, and is folded into the codes after its row's last nonzero
-    column.  Every product is reduced below q, so a partial sum stays below
-    d q and needs one ``% q`` at the fold.  Exact for any integer matrix
-    when q^d is at most ``CODE_LIMIT``: the codes are int32, as the
-    fixpoint's tables are.  The group maps are lower triangular in root
-    order (ad e_alpha raises height), so digit j folds by step j and the
-    widest steps carry few digits."""
+    The code is the sum over output digits j of the terms
+    ((sum_i m[j, i] x_i) mod q) q^(d-1-j).  Each term is computed on only
+    the axes i where row j is nonzero (each column's values reduced below
+    q, so a row sum stays below d q) and added by broadcasting into a grid
+    that spans only the axes some term has used so far; a term on a new
+    axis widens the grid once.  The q^d points are never decoded.  The
+    group maps are lower triangular in root order (ad e_alpha raises
+    height) with at most two entries per row, so the grid reaches full
+    size only at the last digits and no other array comes near it.  Exact
+    for any integer matrix when q^d is at most ``CODE_LIMIT``: every term
+    and partial code fits int32, as the fixpoint's tables do."""
     d = m.shape[0]
-    m = np.asarray(m, dtype=np.int64) % q
     steps = np.arange(q, dtype=np.int64)
-    last = {j: int(np.flatnonzero(m[j])[-1]) for j in range(d) if m[j].any()}
-    pend = {j: np.zeros(1, dtype=np.int32) for j in last}
-    codes = np.zeros(1, dtype=np.int32)
-    for i in range(d):
-        codes = np.repeat(codes, q)
-        for j in list(pend):
-            col = (m[j, i] * steps % q).astype(np.int32)
-            pend[j] = (pend[j][:, None] + col).ravel()
-            if last[j] == i:
-                codes += (pend.pop(j) % q) * q**(d - 1 - j)
-    return codes
+    codes = np.zeros((1,) * d, dtype=np.int32)
+    for j, row in enumerate((np.asarray(m, dtype=np.int64) % q).tolist()):
+        cols = [i for i, c in enumerate(row) if c]
+        if not cols:
+            continue
+        term = sum((row[i] * steps % q).astype(np.int32).reshape(
+            (1,) * i + (q,) + (1,) * (d - 1 - i)) for i in cols)
+        term %= q
+        term *= q**(d - 1 - j)
+        if all(codes.shape[i] == q for i in cols):
+            codes += term
+        else:
+            codes = codes + term
+    return np.ascontiguousarray(np.broadcast_to(codes, (q,) * d)).ravel()
 
 
 def _slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
@@ -174,27 +184,50 @@ def _root_word(n: int, root, c: int, q: int) -> BorelWord:
     return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
 
 
-def _generators(n: int, q: int) -> list:
+class Families(NamedTuple):
+    """One rank's symbolic families, read and checked: the integer matrix A
+    of U_root(@c) = I + @c A for every positive root, in ``pos_roots``
+    order, and the torus exponents W.  They do not depend on q: every
+    field's generator maps are specialisations of them mod q."""
+    roots: tuple
+    weights: np.ndarray
+
+
+def read_families(n: int) -> Families:
+    """Read every family of rank n off one symbolic ``adjoint`` each, the
+    torus first, raising on the first that breaks an identity."""
+    weights = _torus_exponents(n)
+    return Families(tuple(_root_matrix(n, root) for root in pos_roots(n)),
+                    weights)
+
+
+def _generators(n: int, q: int, families: Families | None = None) -> list:
     """(word, map over F_q) of U_root(1) for every positive root, in
     ``pos_roots`` order, then of the n slot tori at g = ``primitive_root(q)``:
-    (I + A) mod q and diag(g^W[:, slot] mod q)."""
+    (I + A) mod q and diag(g^W[:, slot] mod q), from ``families`` or, when
+    none are given, from the families read here."""
+    if families is None:
+        families = read_families(n)
     g = primitive_root(q)
-    weights = _torus_exponents(n)
     one = np.identity(nil_dim(n), dtype=np.int64)
-    return ([(_root_word(n, root, 1, q), (one + _root_matrix(n, root)) % q)
-             for root in pos_roots(n)]
+    return ([(_root_word(n, root, 1, q), (one + a) % q)
+             for root, a in zip(pos_roots(n), families.roots)]
             + [(_slot_word(n, slot, g, q), np.diag(
-                [pow(g, int(w), q) for w in weights[:, slot]]))
+                [pow(g, int(w), q) for w in families.weights[:, slot]]))
                for slot in range(n)])
+
+
+def _simple_maps(n: int, q: int, families: Families | None = None) -> list:
+    maps = [m for _, m in _generators(n, q, families)]
+    return maps[-n:] + maps[:n]
 
 
 def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
     for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
     U_root(c) of a non-simple root is a commutator of simple ones, so these
-    2n elements generate B(F_q)."""
-    maps = [m for _, m in _generators(n, q)]
-    return maps[-n:] + maps[:n]
+    2n elements generate B(F_q).  Reads the rank's families itself."""
+    return _simple_maps(n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +249,8 @@ class OrbitPartition:
         return len(self.reps)
 
 
-def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPartition:
+def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
+                           families: Families | None = None) -> OrbitPartition:
     """Min-label fixpoint: every point starts labelled by its own code, and
     each round lowers it to the least label of its generator images, then
     to its label's label, until a round changes nothing.  Each generator is
@@ -224,7 +258,10 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
     fixpoint every point carries the least point of its class.  Classes are
     numbered by that least point, so the partition is canonical.  The
     partition keeps each generator's code table, keyed by its map.  A field
-    whose q^d codes do not fit int32 is refused before any allocation."""
+    whose q^d codes do not fit int32 is refused before any allocation.
+    The generators are specialised from ``families`` when a caller that
+    serves several fields has read them, else ``borel_generator_maps``
+    reads them."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)
@@ -235,7 +272,8 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET) -> OrbitPar
             f"2^31 - 1 = {CODE_LIMIT} (int32 point codes)")
     if total > budget:
         raise BudgetExceededError(total, budget)
-    maps = borel_generator_maps(n, q)
+    maps = (borel_generator_maps(n, q) if families is None
+            else _simple_maps(n, q, families))
     tables = [image_codes(g, q) for g in maps]
     label = np.arange(total, dtype=np.int32)
     changed = True
@@ -260,7 +298,8 @@ def _describe_word(word: BorelWord) -> str:
     return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
 
 
-def stability_check(part: OrbitPartition) -> dict:
+def stability_check(part: OrbitPartition,
+                    families: Families | None = None) -> dict:
     """Certify the partition: every class is stable under every U_root(c),
     every single-slot torus and every full torus element.
 
@@ -280,9 +319,10 @@ def stability_check(part: OrbitPartition) -> dict:
     its family specialised by a ring homomorphism to F_q (c or s_k sent to
     the element's entry), which carries the identities over to every
     element at every q.  A class stable under every generator is stable
-    under every product of them.  Raises on the first failure, naming the
-    family entry, or for a whole-space pass the group element, the point
-    and both classes."""
+    under every product of them.  The families are those given, already
+    checked (``read_families``), or else read and checked here.  Raises on
+    the first failure, naming the family entry, or for a whole-space pass
+    the group element, the point and both classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     g = primitive_root(q)
@@ -293,7 +333,7 @@ def stability_check(part: OrbitPartition) -> dict:
             f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
             f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
-    gens = [(word, m) for word, m in _generators(n, q)
+    gens = [(word, m) for word, m in _generators(n, q, families)
             if not np.array_equal(m, np.identity(d))]
     for word, m in gens:
         codes = next((table for key, table in part.tables

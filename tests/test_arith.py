@@ -1,14 +1,15 @@
 """Coefficient-ring tests: canonical forms, radical rewriting, evaluation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbit_atlas.arith import (EXP_LIMIT, Fp, LaurentFraction, LaurentPoly,
-                               RadicalRelation, _exact_divide, _rational_root,
-                               eval_expr, is_prime,
+from orbit_atlas.arith import (EXP_LIMIT, QUOTIENT_LIMIT, Fp, LaurentFraction,
+                               LaurentPoly, RadicalRelation, _exact_divide,
+                               _rational_root, eval_expr, is_prime,
                                kth_roots, normalize, parse_expr, parse_poly,
                                poly_to_str, primitive_root)
 from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
@@ -244,11 +245,29 @@ def test_rational_root_is_exact_on_large_integers():
 
 
 def test_exact_divide_returns_large_quotients():
-    # 680 quotient terms: more than any term cap, and still exact
+    # 680 quotient terms, well under QUOTIENT_LIMIT, and still exact
     q = parse_poly("a + b + c + 1") ** 14
     d = parse_poly("a + 1")
     assert len(q.terms) == 680
     assert _exact_divide(q * d, d) == q
+
+
+def test_a_long_exact_division_stops_at_the_quotient_limit():
+    # (a^k + 1) / (a + 1) with odd k is exact with k quotient terms: the
+    # division stops at QUOTIENT_LIMIT of them, however large the box, and
+    # a pair that does not divide walks the box just as far
+    a, den = V("a"), V("a") + 1
+    below = V("a", QUOTIENT_LIMIT - 1) + 1
+    assert len(_exact_divide(below, den).terms) == QUOTIENT_LIMIT - 1
+    for k in (QUOTIENT_LIMIT + 1, 2_000_001):
+        assert k <= EXP_LIMIT
+        for num, build in ((a**k + 1, _exact_divide),
+                           (a**k + 1, LaurentFraction),
+                           (a**k + 2, _exact_divide)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"dividing {poly_to_str(num)} by a + 1 takes more than "
+                    f"{QUOTIENT_LIMIT} quotient terms")):
+                build(num, den)
 
 
 def test_exact_divide_empty_box():

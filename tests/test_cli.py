@@ -185,6 +185,29 @@ def test_internal_inconsistency_is_check_failure(capsys, monkeypatch, argv,
     assert "check failed: layers disagree at F_3" in err
 
 
+ALLOCATION_ERROR = ("Unable to allocate 16.0 GiB for an array with shape "
+                    "(2147483647,) and data type int64")
+
+
+@pytest.mark.parametrize("argv, target, error, line", [
+    (["oracle", "--type", "A1", "--q", "2147483647", "--budget",
+      "99999999999"], "enumerate_borel_orbits", MemoryError(ALLOCATION_ERROR),
+     f"error: oracle ran out of memory: {ALLOCATION_ERROR}\n"),
+    (["census", "--type", "A2", "--q", "3"], "partition_census",
+     MemoryError(), "error: census ran out of memory\n"),
+])
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, target,
+                                        error, line):
+    # a raised --budget can grant a field more memory than the machine has:
+    # the allocation error ends the command with exit 2 and one line, not a
+    # traceback (the allocation is simulated, never attempted)
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert run(capsys, *argv) == (2, "", line)
+
+
 @pytest.mark.parametrize("argv", [["orbits"], ["classify", "--point", "0"],
                                   ["dims"], ["hasse"], ["verify"]])
 def test_budget_flag_only_where_points_are_enumerated(capsys, argv):

@@ -619,6 +619,53 @@ def test_specialised_family_maps_equal_the_word_maps(n, q):
         len(pos_roots(n)) * q + n * (q - 1) + (q - 1) ** n)
 
 
+def _family_reads(monkeypatch):
+    """The words of every ``oracle._family`` call from now on, in order."""
+    reads = []
+    family = oracle._family
+
+    def counted(word):
+        reads.append(word.factors[0].root if word.factors else "torus")
+        return family(word)
+
+    monkeypatch.setattr(oracle, "_family", counted)
+    return reads
+
+
+def test_a_command_reads_each_family_once_per_rank(monkeypatch, capsys):
+    # every field of check-all and oracle specialises one read of the
+    # rank's |roots| root families and its torus family; the same command
+    # run again reads them again, so no cache outlives a command
+    reads = _family_reads(monkeypatch)
+    for argv in (["check-all", "--type", "A3"], ["check-all", "--type", "A3"],
+                 ["check-all", "--type", "A4"], ["oracle", "--type", "A3"]):
+        n = int(argv[-1][1])
+        reads.clear()
+        assert main(argv) == 0, argv
+        assert reads == ["torus"] + pos_roots(n), argv
+        assert len(reads) == {3: 7, 4: 11}[n]
+    capsys.readouterr()
+
+
+def test_the_fixpoint_and_stability_read_the_families_on_their_own(
+        monkeypatch):
+    reads = _family_reads(monkeypatch)
+    part = enumerate_borel_orbits(2, 5)
+    assert reads == ["torus"] + pos_roots(2)
+    reads.clear()
+    stability_check(part)
+    assert reads == ["torus"] + pos_roots(2)
+    reads.clear()
+    # given the families, neither reads them
+    families = oracle.read_families(2)
+    reads.clear()
+    shared = enumerate_borel_orbits(2, 5, families=families)
+    result = stability_check(shared, families)
+    assert reads == []
+    assert (shared.class_of == part.class_of).all()
+    assert result == stability_check(part)
+
+
 def _bumped(m, q):
     m = m.copy()
     m[-1, -1] = (m[-1, -1] + 1) % q
@@ -791,7 +838,9 @@ def _matrix_over_fq(draw):
 @given(_matrix_over_fq())
 def test_image_codes_match_decode_matmul_reference(case):
     m, q = case
-    assert image_codes(m, q).tolist() == _reference_image_codes(m, q).tolist()
+    codes = image_codes(m, q)
+    assert codes.dtype == np.int32 and codes.flags.c_contiguous
+    assert codes.tolist() == _reference_image_codes(m, q).tolist()
 
 
 @st.composite
