@@ -13,6 +13,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Iterable
 
@@ -28,6 +29,8 @@ ORBIT_COUNTS = {1: 2, 2: 5, 3: 16, 4: 61}
 
 _X_VARS = {n: tuple(f"X{i}{j}" for (i, j) in pos_roots(n))
            for n in range(1, MAX_RANK + 1)}
+_ROOT_OF_VAR = {n: dict(zip(_X_VARS[n], pos_roots(n)))
+                for n in range(1, MAX_RANK + 1)}
 
 
 def x_vars(n: int) -> list[str]:
@@ -46,7 +49,8 @@ def root_weight_homogeneous(poly: LaurentPoly, n: int) -> bool:
     alpha_i + ... + alpha_j.  Such a polynomial is a torus weight vector, so
     whether it vanishes at x does not change under x_ij -> (s_i...s_j) x_ij
     for any nonzero scalars s_1, ..., s_n."""
-    roots = dict(zip(x_vars(n), pos_roots(n)))
+    check_rank(n)
+    roots = _ROOT_OF_VAR[n]
     weights = set()
     for exps in poly.terms:
         weight = [0] * n
@@ -174,12 +178,13 @@ def load_catalog(n: int) -> Catalog:
         raise CatalogError(f"schema_version {version!r} unsupported")
     allowed = set(x_vars(n))
     letters = set(coordinate_letters(n))
+    polys: dict = {}            # set string -> its one parse, shared by rows
     records = []
     seen = set()
     for row in raw.get("orbits", ()):
         rid = row.get("id", "<missing id>")
         try:
-            rec = _record_from_json(n, row, allowed, letters)
+            rec = _record_from_json(n, row, allowed, letters, polys)
         except Exception as exc:
             raise CatalogError(f"rank {n} row {rid!r}: {exc}") from exc
         if rec.id in seen:
@@ -198,15 +203,20 @@ def load_catalog(n: int) -> Catalog:
     return Catalog(n, version, tuple(records))
 
 
-def _record_from_json(n, row, allowed, letters) -> OrbitRecord:
+def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
+    """One record; ``polys`` maps each set string already parsed in this
+    load to its polynomial, and gains the strings parsed here."""
     rep = rep_from_tokens(n, row["rep"])
     rid = row["id"]
     if orbit_id_for(rep) != rid:
         raise CatalogError(f"id {rid!r} does not match representative")
     zero_strs = tuple(row["zero_set"])
     nonzero_strs = tuple(row["nonzero_set"])
-    zero = tuple(parse_poly(s, allowed) for s in zero_strs)
-    nonzero = tuple(parse_poly(s, allowed) for s in nonzero_strs)
+    for s in zero_strs + nonzero_strs:
+        if s not in polys:
+            polys[s] = parse_poly(s, allowed)
+    zero = tuple(polys[s] for s in zero_strs)
+    nonzero = tuple(polys[s] for s in nonzero_strs)
     dim = int(row["dim"])
     if dim != nil_dim(n) - len(zero):
         raise CatalogError(
@@ -359,8 +369,10 @@ def parse_printed_word(text: str, rank: int):
 _PRINTED_ALIASES = {"X1": "X11", "X2": "X22", "X3": "X33", "X4": "X44"}
 
 
-def _parse_printed_set(text: str, n: int):
-    """Parse an as_printed defining-equation string 'Z(...) & V(...)'."""
+def _parse_printed_set(text: str, n: int, chunks: dict):
+    """Parse an as_printed defining-equation string 'Z(...) & V(...)'.
+    ``chunks`` maps each polynomial text already parsed to its polynomial,
+    and gains the texts parsed here."""
     text = text.strip()
     zero_part, nonzero_part = [], []
     for chunk in text.split("&"):
@@ -382,10 +394,13 @@ def _parse_printed_set(text: str, n: int):
     def norm(s: str) -> LaurentPoly:
         # rename the aliases the polynomial uses; a constant evaluates to a
         # Fraction
-        poly = parse_poly(s, allowed)
-        out = poly.eval({v: LaurentPoly.var(_PRINTED_ALIASES.get(v, v))
-                         for v in poly.used_vars()})
-        return out if isinstance(out, LaurentPoly) else LaurentPoly.const(out)
+        if s not in chunks:
+            poly = parse_poly(s, allowed)
+            out = poly.eval({v: LaurentPoly.var(_PRINTED_ALIASES.get(v, v))
+                             for v in poly.used_vars()})
+            chunks[s] = (out if isinstance(out, LaurentPoly)
+                         else LaurentPoly.const(out))
+        return chunks[s]
 
     return [norm(s) for s in zero_part], [norm(s) for s in nonzero_part]
 
@@ -431,13 +446,22 @@ def _rep_member(rec: OrbitRecord) -> bool:
 def validate_catalog(cat: Catalog) -> CatalogReport:
     """Self-check layer: representative membership, total-degree and
     root-weight homogeneity, Z/V variable sanity, and as_printed-vs-normalized
-    diffs.  Failures are carried in the report, not raised."""
+    diffs.  Failures are carried in the report, not raised.  Each distinct
+    printed polynomial text is parsed, and each distinct polynomial checked
+    for homogeneity, once per call."""
+    chunks: dict = {}                   # printed text -> polynomial
+
+    @cache
+    def homogeneous(p: LaurentPoly) -> bool:
+        return p.is_homogeneous() and root_weight_homogeneous(p, cat.rank)
+
+    @cache
+    def sign_class(p: LaurentPoly) -> frozenset:
+        return frozenset((p, -p))
+
     reports = []
     for rec in cat.orbits:
         notes = [n["note"] for n in rec.notes]
-        homogeneous = all(p.is_homogeneous()
-                          and root_weight_homogeneous(p, cat.rank)
-                          for p in rec.zero_set + rec.nonzero_set)
         zero_lin = {next(iter(p.used_vars())) for p in rec.zero_set
                     if p.is_monomial() and p.total_degrees() == {1}}
         nonzero_lin = {next(iter(p.used_vars())) for p in rec.nonzero_set
@@ -448,12 +472,12 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
             status = "absent"
         else:
             try:
-                pz, pnz = _parse_printed_set(printed, cat.rank)
+                pz, pnz = _parse_printed_set(printed, cat.rank, chunks)
             except (CatalogError, SchemaError):
                 status = "unparseable"
             else:
                 def signset(polys):
-                    return {frozenset((p, -p)) for p in polys}
+                    return set(map(sign_class, polys))
                 same = (signset(pz) == signset(rec.zero_set)
                         and signset(pnz) == signset(rec.nonzero_set))
                 status = "match" if same else "diff"
@@ -469,7 +493,7 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
         reports.append(RecordReport(
             orbit_id=rec.id,
             representative_member=_rep_member(rec),
-            homogeneous=homogeneous,
+            homogeneous=all(map(homogeneous, rec.zero_set + rec.nonzero_set)),
             zv_sane=zv_sane,
             printed_set_status=status,
             printed_word_status=word_status,

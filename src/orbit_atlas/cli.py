@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .arith import Fp, is_prime
 from .catalog import (ORBIT_COUNTS, Catalog, load_catalog, record_to_json,
@@ -222,6 +223,8 @@ def cmd_check_all(args, cat: Catalog) -> int:
     def check(name, fn):
         try:
             ok, detail = fn()
+        except MemoryError:                 # a usage error, as in main
+            raise
         except Exception as exc:            # noqa: BLE001 - report and fail
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
@@ -341,10 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built on first use and reused by
+    every later ``main`` call: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -6,10 +6,12 @@ matrices; the coordinate of the positive root (i, j) sits at matrix entry
 (one bracket step per factor, then the torus weights), for every
 coefficient ring (prime fields, rationals, Laurent polynomials and
 fractions).  It is the one path for every group action in the package: the
-finite-field maps of the oracle, the witness words, and the generic orbit
-``adjoint(generic_borel_word(n), x)`` that forward containment and the
-closure generators pull polynomials back along.  Literal matrix conjugation
-lives in the tests, as the reference they compare it against.
+finite-field maps of the oracle, the witness words, and the generic
+unipotent orbit, ``adjoint`` of the root-group factors of
+``generic_borel_word(n)``, that forward containment and the closure
+generators pull polynomials back along (the torus is left out there, as
+the catalog polynomials are torus weight vectors).  Literal matrix
+conjugation lives in the tests, as the reference they compare it against.
 """
 
 from __future__ import annotations

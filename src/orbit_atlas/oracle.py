@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -407,13 +406,13 @@ def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
 
 
 def _rank_exact(rows) -> int:
-    """Rank over Q by fraction-free elimination: each row is scaled to
-    integers (zero rows dropped), and each row below a pivot p in column
-    col becomes p a_i - a_i[col] a_piv, divided by its content, so the
-    integers stay small and no ``Fraction`` arithmetic runs."""
+    """Rank over Q by fraction-free elimination: each row of ``int`` and
+    ``Fraction`` entries is scaled to integers through their numerators and
+    denominators (zero rows dropped), and each row below a pivot p in
+    column col becomes p a_i - a_i[col] a_piv, divided by its content, so
+    the integers stay small and no ``Fraction`` arithmetic runs."""
     a = []
     for row in rows:
-        row = [Fraction(x) for x in row]
         den = math.lcm(*(x.denominator for x in row))
         ints = [x.numerator * (den // x.denominator) for x in row]
         if any(ints):
@@ -469,7 +468,8 @@ def jacobian_rank_dim(rec: OrbitRecord) -> int:
             f"{rec.id}: more zero-set generators than coordinates")
     rep = rec.representative
     env = dict(zip(x_vars(n), rep.as_vector()))
-    r = _rank_exact([[poly.derivative(v).eval(env) for v in x_vars(n)]
+    r = _rank_exact([[poly.derivative(v).eval(env)
+                      if v in poly.used_vars() else 0 for v in x_vars(n)]
                      for poly in rec.zero_set])
     t = _rank_exact(_bracket_rows(rep))
     if t != d - r:

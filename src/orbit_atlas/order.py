@@ -3,14 +3,16 @@
 a <= b means the orbit O_a lies in the Zariski closure of O_b.  Each record
 b gets a certified generating set V_b for the functions vanishing on its
 orbit closure (``closure_generators``): every catalog polynomial of the rank
-whose pullback along the generic orbit adjoint(g, representative), g the
-one generic Borel word of ``lie.generic_borel_word``, is identically zero
-(``witness.generic_pullbacks``, shared with forward containment).  That is
-the record's own zero set, which must vanish there, augmented by the other
-such polynomials.  (Augmentation matters: a
-zero set describes the closure only up to extra components, and for a
-handful of records a dependent quadratic that vanishes on the orbit
-separates those components.)
+whose pullback along the generic unipotent orbit adjoint(u, representative)
+is identically zero, u the root-group factors of the one generic Borel word
+of ``lie.generic_borel_word`` (``witness.generic_pullbacks``, shared with
+forward containment).  Every catalog polynomial is a torus weight vector,
+so it vanishes on the U-orbit exactly when it vanishes on the B-orbit.
+That is the record's own zero set, which must vanish there, augmented by
+the other such polynomials.  (Augmentation matters: a zero set describes
+the closure only up to extra components, and for a handful of records a
+dependent quadratic that vanishes on the orbit separates those
+components.)
 
 The symbolic order is set inclusion, a <= b exactly when V_b is a subset of
 V_a (``closure_leq``).  It assumes that V_b cuts out closure(O_b): then O_a
@@ -41,9 +43,10 @@ CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
 def closure_generators(cat: Catalog) -> dict:
     """Certified vanishing polynomials per record: every catalog polynomial
-    of this rank that vanishes identically on the fully generic orbit (an
-    exact pullback computation), the record's zero set first.  A zero-set
-    polynomial that does not vanish there is a catalog inconsistency."""
+    of this rank that vanishes identically on the record's orbit (an exact
+    pullback along the generic unipotent orbit, ``generic_pullbacks``), the
+    record's zero set first.  A zero-set polynomial that does not vanish
+    there is a catalog inconsistency."""
     pool = []
     seen = set()
     for rec in cat.orbits:
@@ -52,10 +55,10 @@ def closure_generators(cat: Catalog) -> dict:
             if poly not in seen:
                 seen.add(poly)
                 pool.append((poly, s))
-    polys = [poly for poly, _ in pool]
+    rows = generic_pullbacks([rec.representative for rec in cat.orbits],
+                             [poly for poly, _ in pool])
     out = {}
-    for rec in cat.orbits:
-        values = generic_pullbacks(rec.representative, polys)
+    for rec, values in zip(cat.orbits, rows):
         gens = list(zip(rec.zero_set, rec.zero_strs))
         own = dict(gens)
         for (poly, s), value in zip(pool, values):
@@ -189,15 +192,10 @@ def hasse(cat: Catalog) -> HassePoset:
                     raise CatalogError(
                         f"{a} < {b} but dim {dims[a]} >= {dims[b]}")
     counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank])
-    covers = []
-    for a in ids:
-        for b in ids:
-            if a == b or not leq[(a, b)]:
-                continue
-            if any(c != a and c != b and leq[(a, c)] and leq[(c, b)]
-                   for c in ids):
-                continue
-            covers.append((a, b))
+    # a < b is a cover unless a < c < b for some c: one boolean product
+    strict = np.array([[a != b and leq[(a, b)] for b in ids] for a in ids])
+    cover = strict & ~(strict @ strict)
+    covers = [(ids[a], ids[b]) for a, b in np.argwhere(cover).tolist()]
     covers.sort(key=lambda e: (dims[e[0]], e[0], dims[e[1]], e[1]))
     poset = HassePoset(cat.rank, ids, dims, leq, covers, counterexamples)
     if poset.minimum() == "" or poset.maximum() == "":

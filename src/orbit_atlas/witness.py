@@ -1,10 +1,12 @@
 """Witness verification: the proof that each catalog set equals its orbit.
 
 Forward containment checks the inclusion orbit <= set as polynomial
-identities in fully generic Borel parameters: ``generic_pullbacks`` evaluates
-the catalog polynomials at adjoint(g, representative) for the one generic
-word g of ``lie.generic_borel_word``, the same pullback the closure
-generators of ``order`` are read from.  The reverse inclusion is
+identities in fully generic unipotent parameters: ``generic_pullbacks``
+evaluates the catalog polynomials at adjoint(u, representative) for u the
+root-group factors of the one generic word of ``lie.generic_borel_word``,
+the same pullback the closure generators of ``order`` are read from.  The
+torus is left out because every catalog polynomial is a torus weight
+vector, which ``generic_pullbacks`` checks first.  The reverse inclusion is
 certified by the catalog's witness templates: a Borel word whose parameters
 are rational (and radical) expressions in the coordinates of a general
 member m, with adjoint(word, representative) required to equal m exactly,
@@ -29,10 +31,11 @@ from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
                     _exact_divide, _frac_pow, eval_expr, kth_roots,
-                    parse_expr, parse_poly)
+                    parse_expr, parse_poly, poly_to_str)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
-                      parse_printed_word, x_vars)
-from .errors import DomainError, EvaluationError, SchemaError
+                      parse_printed_word, root_weight_homogeneous, x_vars)
+from .errors import (DomainError, EvaluationError, InternalInconsistencyError,
+                     SchemaError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, coordinate_letters, generic_borel_word, pos_roots)
 
@@ -386,15 +389,35 @@ def verify_witness_numeric(rec: OrbitRecord, p: int, trials: int,
 # forward containment
 
 
-def generic_pullbacks(rep: NilElement, polys) -> list[LaurentPoly]:
-    """Each polynomial in X11, X22, ... evaluated at the generic point
-    ``adjoint(generic_borel_word(n), rep)`` of the orbit of rep: a Laurent
-    polynomial in t1..tn, f1..fd that is zero exactly when the polynomial
-    vanishes on the whole orbit."""
-    moved = adjoint(generic_borel_word(rep.rank), rep)
-    env = {var: _lift(moved.coord(root))
-           for root, var in zip(pos_roots(rep.rank), x_vars(rep.rank))}
-    return [_lift(poly.eval(env)) for poly in polys]
+def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
+    """For each representative rep (all of one rank), each polynomial in
+    X11, X22, ... evaluated at ``adjoint(u, rep)``, u the root-group factors
+    of ``generic_borel_word(n)``: a polynomial in f1..fd that is zero
+    exactly when the polynomial vanishes on the whole B-orbit of rep.
+
+    The torus is left out.  First every polynomial is checked to be
+    root-weight homogeneous, and one that is not raises
+    ``InternalInconsistencyError`` naming it.  Such an f is a torus weight
+    vector: f(t.y) = chi_f(t) f(y) for a Laurent monomial chi_f in t1..tn,
+    a unit.  B = T U, so f(t.u.rep) = chi_f(t) f(u.rep), and f vanishes on
+    B.rep exactly when it vanishes on U.rep."""
+    reps, polys = list(reps), list(polys)
+    if not reps:
+        return []
+    n = reps[0].rank
+    for poly in polys:
+        if not root_weight_homogeneous(poly, n):
+            raise InternalInconsistencyError(
+                f"rank {n}: polynomial {poly_to_str(poly)} is not root-weight "
+                f"homogeneous, so its generic pullback cannot drop the torus")
+    unipotent = BorelWord(n, None, generic_borel_word(n).factors)
+    rows = []
+    for rep in reps:
+        moved = adjoint(unipotent, rep)
+        env = {var: _lift(moved.coord(root))
+               for root, var in zip(pos_roots(n), x_vars(n))}
+        rows.append([_lift(poly.eval(env)) for poly in polys])
+    return rows
 
 
 def _lift(c) -> LaurentPoly:
@@ -412,13 +435,14 @@ class ForwardReport:
 
 def forward_containment(rec: OrbitRecord) -> ForwardReport:
     """Containment of the orbit in its defining set, as identities in the
-    generic torus and unipotent parameters: every zero-set generator pulls
-    back to zero and every nonzero-set generator to a nonzero Laurent
-    polynomial.  The Laurent ring over Q is a domain, so the nonzero
-    pullbacks have a nonzero product and one generic point meets every
-    nonzero condition at once."""
-    values = generic_pullbacks(rec.representative,
-                               rec.zero_set + rec.nonzero_set)
+    generic unipotent parameters (``generic_pullbacks``, whose torus factor
+    would only multiply each pullback by a unit monomial): every zero-set
+    generator pulls back to zero and every nonzero-set generator to a
+    nonzero polynomial.  The polynomial ring over Q is a domain, so the
+    nonzero pullbacks have a nonzero product and one generic point meets
+    every nonzero condition at once."""
+    (values,) = generic_pullbacks([rec.representative],
+                                  rec.zero_set + rec.nonzero_set)
     zeros, nonzeros = values[:len(rec.zero_set)], values[len(rec.zero_set):]
     for k, (value, s) in enumerate(zip(zeros, rec.zero_strs)):
         if not value.is_zero():

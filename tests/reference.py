@@ -10,6 +10,10 @@ computed from them point by point.  Together they were the package's
 finite-field kernel before the one slice pass replaced it, and full q^d
 enumeration through them is the reference for ``classify.slice_pass``.
 
+``full_word_pullbacks`` is the generic pullback along the whole generic
+Borel word, torus included: the reference for the unipotent-only pullback
+of ``witness.generic_pullbacks``.
+
 ``word_map`` reads one group element's map over F_q off ``adjoint`` on the
 coordinate basis (``torus_word`` names a full torus element), and
 ``word_identities`` is the identity half of the oracle's stability
@@ -34,7 +38,7 @@ from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, TorusElement, adjoint,
-                             nil_dim, pos_roots)
+                             generic_borel_word, nil_dim, pos_roots)
 from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
@@ -293,6 +297,20 @@ def certify(cat, leq: dict, generators: dict, qs) -> dict:
             f"no finite-field counterexample found for the non-relations of "
             f"{unwitnessed[:5]}: no point over F_q for q in {tuple(qs)}")
     return counterexamples
+
+
+# ---------------------------------------------------------------------------
+# the generic pullback along the whole Borel word
+
+
+def full_word_pullbacks(rep: NilElement, polys) -> list:
+    """Each polynomial in X11, X22, ... evaluated at the generic point
+    ``adjoint(generic_borel_word(n), rep)``, torus included: a Laurent
+    polynomial in t1..tn, f1..fd, zero exactly when the polynomial vanishes
+    on the B-orbit of rep."""
+    moved = adjoint(generic_borel_word(rep.rank), rep)
+    env = dict(zip(x_vars(rep.rank), moved.as_vector()))
+    return [poly.eval(env) for poly in polys]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from orbit_atlas import catalog
 from orbit_atlas.arith import parse_poly
 from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog,
                                  root_weight_homogeneous, serialize_catalog,
                                  validate_catalog, x_vars)
-from orbit_atlas.errors import CatalogError, UnsupportedRankError
+from orbit_atlas.classify import slice_pass
+from orbit_atlas.errors import (CatalogError, InternalInconsistencyError,
+                                UnsupportedRankError)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
 
@@ -203,3 +206,61 @@ def test_garbled_printed_set_reports_unparseable(catalogs, garbled):
     report = validate_catalog(bad_cat)
     status = {r.orbit_id: r.printed_set_status for r in report.records}
     assert status["x22"] == "unparseable"
+
+
+def test_load_parses_each_distinct_set_string_once(monkeypatch):
+    parsed = Counter()
+
+    def counting(text, *args, **kwargs):
+        parsed[text] += 1
+        return parse_poly(text, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "parse_poly", counting)
+    cat = load_catalog(4)
+    slots = [(s, p) for rec in cat.orbits
+             for s, p in zip(rec.zero_strs + rec.nonzero_strs,
+                             rec.zero_set + rec.nonzero_set)]
+    assert len(slots) == 394
+    distinct = {s for s, _ in slots}
+    assert len(distinct) == 29
+    assert {s: parsed[s] for s in distinct} == dict.fromkeys(distinct, 1)
+    first = dict(reversed(slots))
+    assert all(p is first[s] for s, p in slots)     # records share the parse
+    # a second load parses again: nothing outlives the call
+    load_catalog(4)
+    assert {s: parsed[s] for s in distinct} == dict.fromkeys(distinct, 2)
+
+
+def test_validate_parses_each_distinct_printed_polynomial_once(catalogs,
+                                                                monkeypatch):
+    parsed = Counter()
+
+    def counting(text, *args, **kwargs):
+        parsed[text] += 1
+        return parse_poly(text, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "parse_poly", counting)
+    assert validate_catalog(catalogs[4]).ok
+    assert len(parsed) == 32 and set(parsed.values()) == {1}
+    assert validate_catalog(catalogs[4]).ok
+    assert set(parsed.values()) == {2}
+
+
+def test_replaced_shared_polynomial_still_fails_every_check(catalogs):
+    # the record keeps its set strings, which other records share, but
+    # carries a new polynomial: the checks must look at the polynomial
+    cat = catalogs[4]
+    rec = cat.by_id("x22")
+    shared = rec.zero_strs[0]
+    assert sum(shared in r.zero_strs for r in cat.orbits) > 1
+    bad = dataclasses.replace(rec, zero_set=(parse_poly(
+        "X11 + X12", x_vars(4)),) + rec.zero_set[1:])
+    bad_cat = dataclasses.replace(
+        cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
+    report = validate_catalog(bad_cat)
+    assert [r.orbit_id for r in report.records if not r.homogeneous] == ["x22"]
+    assert not report.ok
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"record x22 polynomial X11 \+ X12 is not "
+                             r"root-weight homogeneous"):
+        slice_pass(bad_cat, 2)

@@ -208,6 +208,41 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv, target,
     assert run(capsys, *argv) == (2, "", line)
 
 
+def test_out_of_memory_in_check_all_is_a_usage_error(capsys, monkeypatch):
+    # check-all reports an ordinary failure per check and goes on, but an
+    # allocation failure ends it like every other command
+    def exhausted(*args, **kwargs):
+        raise MemoryError(ALLOCATION_ERROR)
+
+    monkeypatch.setattr(cli, "hasse", exhausted)
+    code, out, err = run(capsys, "check-all", "--type", "A2")
+    assert (code, err) == (
+        2, f"error: check-all ran out of memory: {ALLOCATION_ERROR}\n")
+    assert out.splitlines()[-1].startswith("PASS oracle")
+    assert "closure-order" not in out and "FAIL" not in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "orbits", "--type", "A1", "--format", "json")[0] == 0
+        assert run(capsys, "dims", "--type", "A1", "--format", "json")[0] == 2
+        code, out, _ = run(capsys, "orbits", "--type", "A1")
+        assert (code, out.splitlines()[0].split()) == (
+            0, ["id", "dim", "#Z", "#V", "defining", "set"])
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 @pytest.mark.parametrize("argv", [["orbits"], ["classify", "--point", "0"],
                                   ["dims"], ["hasse"], ["verify"]])
 def test_budget_flag_only_where_points_are_enumerated(capsys, argv):

@@ -297,6 +297,21 @@ def test_integer_rank_equals_gauss_jordan(rows):
     assert _rank_exact(rows) == gauss_jordan_rank(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_rational_matrix(), st.data())
+def test_integer_rank_of_int_and_mixed_rows(rows, data):
+    # the bracket rows are ints and the Jacobian rows mix ints and Fractions:
+    # the rank reads numerators and denominators off either type
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[int(x * scale) for x in row] for row in rows]
+    assert all(type(x) is int for row in ints for x in row)
+    assert _rank_exact(ints) == gauss_jordan_rank(ints) == (
+        gauss_jordan_rank(rows))
+    mixed = [[int(x) if x.denominator == 1 and data.draw(st.booleans())
+              else x for x in row] for row in rows]
+    assert _rank_exact(mixed) == gauss_jordan_rank(mixed)
+
+
 def _split_rank1_orbit():
     part = enumerate_borel_orbits(1, 5)
     # split one orbit across two labels: stability must catch it

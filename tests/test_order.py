@@ -155,6 +155,17 @@ def test_transitive_reduction_minimal(posets):
         assert (drop[0], drop[1]) not in reach
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_covers_equal_the_pairwise_reduction(posets, n):
+    # the matrix-product reduction against the triple loop it replaced
+    p = posets[n]
+    reference = [(a, b) for a in p.nodes for b in p.nodes if less(p, a, b)
+                 and not any(less(p, a, c) and less(p, c, b)
+                             for c in p.nodes)]
+    reference.sort(key=lambda e: (p.dims[e[0]], e[0], p.dims[e[1]], e[1]))
+    assert p.covers == reference
+
+
 def test_equal_dimension_orbits_incomparable_rank4(catalogs):
     vanish = _vanish_sets(catalogs[4])
     # the dependent quadratic separates these equal-dimension sets

@@ -3,23 +3,27 @@ and repairs."""
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from orbit_atlas import witness
 from orbit_atlas.arith import parse_poly
 from orbit_atlas.catalog import (WitnessRadical, parse_printed_word,
-                                serialize_catalog)
+                                serialize_catalog, x_vars)
 from orbit_atlas.cli import main
-from orbit_atlas.errors import DomainError, SchemaError
+from orbit_atlas.errors import (DomainError, InternalInconsistencyError,
+                                SchemaError)
 from orbit_atlas.lie import commutator_nil
+from orbit_atlas.order import closure_generators
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
                                  build_member_env, classify_verdict,
                                  first_non_unit, forward_containment,
-                                 template_power, template_word, verify_rank,
+                                 generic_pullbacks, template_power,
+                                 template_word, verify_rank,
                                  verify_witness_numeric, word_residuals)
-from reference import nonlinear_zero
+from reference import full_word_pullbacks, nonlinear_zero
 
 
 def test_forward_containment_all_records(catalogs):
@@ -281,3 +285,39 @@ def test_failed_template_fails_the_verdict(catalogs):
     assert v.as_printed == "mismatch"
     assert v.detail == "normalized template failed"
     assert v.residual and v.repairs == rec.witness_repairs()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unipotent_pullback_matches_full_word(catalogs, n):
+    # the torus multiplies each weight vector's pullback by a unit monomial,
+    # so dropping it keeps every zero and every term count
+    cat = catalogs[n]
+    pool = list(dict.fromkeys(p for rec in cat.orbits
+                              for p in rec.zero_set + rec.nonzero_set))
+    rows = generic_pullbacks([rec.representative for rec in cat.orbits],
+                             pool)
+    for rec, row in zip(cat.orbits, rows):
+        full = full_word_pullbacks(rec.representative, pool)
+        assert [v.is_zero() for v in row] == [v == 0 for v in full], rec.id
+        assert all(v.used_vars() <= {f"f{k}" for k in range(1, 11)}
+                   for v in row)
+        assert [len(v.terms) for v in row] == [
+            len(v.terms) if v != 0 else 0 for v in full], rec.id
+
+
+def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
+    rec = catalogs[2].by_id("x11")
+    bad = parse_poly("X11 + X12", x_vars(2))
+    with pytest.raises(InternalInconsistencyError,
+                       match=re.escape("rank 2: polynomial X11 + X12 is not "
+                                       "root-weight homogeneous")):
+        generic_pullbacks([rec.representative], rec.zero_set + (bad,))
+    # forward containment and the closure generators pull back through it
+    moved = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + (bad,),
+                                nonzero_strs=rec.nonzero_strs + ("X11 + X12",))
+    with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
+        forward_containment(moved)
+    cat = dataclasses.replace(catalogs[2], orbits=tuple(
+        moved if r is rec else r for r in catalogs[2].orbits))
+    with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
+        closure_generators(cat)
