@@ -153,6 +153,22 @@ class Fp:
         return self.v == 0
 
 
+def residue(x, p: int) -> int:
+    """A field scalar's residue mod p: an int, an Fp of characteristic p, or
+    a rational a/b read as a * b^-1, which is undefined when p divides b."""
+    if isinstance(x, int):
+        return x % p
+    if isinstance(x, Fp):
+        if x.p != p:
+            raise DomainError(f"mixed characteristics {x.p} and {p}")
+        return x.v
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise SchemaError(f"{x} is undefined mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return int(x) % p
+
+
 def primitive_root(p: int) -> int:
     """Smallest generator of F_p^*; returns 1 for p = 2."""
     if p == 2:
@@ -584,15 +600,13 @@ class LaurentPoly:
 
     def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
         """Exact F_p evaluation; negative exponent at zero raises
-        EvaluationError, a coefficient undefined mod p SchemaError."""
+        EvaluationError, a coefficient or rational coordinate undefined mod
+        p SchemaError (``residue``)."""
         used = self.used_vars()
         missing = [v for v in used if v not in point]
         if missing:
             raise SchemaError(f"unbound variables {sorted(missing)}")
-        vals = {}
-        for v in used:
-            x = point[v]
-            vals[v] = x.v if isinstance(x, Fp) else int(x) % p
+        vals = {v: residue(point[v], p) for v in used}
         acc = 0
         for exps, c in self.terms.items():
             t = 1
@@ -644,6 +658,21 @@ class LaurentPoly:
 
 LaurentPoly.zero = LaurentPoly()
 LaurentPoly.one = LaurentPoly.const(1)
+
+
+def sign_twins(polys) -> list[tuple[int, int]]:
+    """(j, sign) per polynomial of the list: polys[k] = sign * polys[j], with
+    j the first of its +-class in the list (j = k and sign 1 for that one).
+    p and -p vanish at the same points, so a value or zero pattern computed
+    once per class serves both signs."""
+    first: dict = {}
+    twins = []
+    for k, p in enumerate(polys):
+        if p not in first:
+            first[-p] = (k, -1)
+            first[p] = (k, 1)          # after -p: 0 is its own negative
+        twins.append(first[p])
+    return twins
 
 
 def poly_to_str(p: LaurentPoly) -> str:
@@ -1237,39 +1266,50 @@ def _rational_root(c: Fraction, e: Fraction) -> Fraction:
 
 
 def eval_expr(node, env: Mapping[str, LaurentFraction],
-              frac_pow=None) -> LaurentFraction:
+              frac_pow=None, memo: dict | None = None) -> LaurentFraction:
     """Evaluate a parsed expression tree to a LaurentFraction.
 
     ``frac_pow(base, exponent)`` handles fractional powers; the default only
     accepts monomial bases (callers with radical towers pass a richer hook).
+    ``memo`` maps parse-tree nodes to their values under this ``env`` and
+    hook: a node found there is not evaluated again, and each node
+    evaluated is added.
     """
+    if memo is not None and node in memo:
+        return memo[node]
     if frac_pow is None:
         frac_pow = _frac_pow
+
+    def sub(k):
+        return eval_expr(node[k], env, frac_pow, memo)
+
     kind = node[0]
     if kind == "num":
-        return LaurentFraction(LaurentPoly.const(node[1]))
-    if kind == "var":
+        value = LaurentFraction(LaurentPoly.const(node[1]))
+    elif kind == "var":
         name = node[1]
         if name not in env:
             raise SchemaError(f"unregistered variable {name!r}")
-        return env[name]
-    if kind == "neg":
-        return -eval_expr(node[1], env, frac_pow)
-    if kind == "add":
-        return eval_expr(node[1], env, frac_pow) + eval_expr(node[2], env, frac_pow)
-    if kind == "sub":
-        return eval_expr(node[1], env, frac_pow) - eval_expr(node[2], env, frac_pow)
-    if kind == "mul":
-        return eval_expr(node[1], env, frac_pow) * eval_expr(node[2], env, frac_pow)
-    if kind == "div":
-        return eval_expr(node[1], env, frac_pow) / eval_expr(node[2], env, frac_pow)
-    if kind == "pow":
-        base = eval_expr(node[1], env, frac_pow)
+        value = env[name]
+    elif kind == "neg":
+        value = -sub(1)
+    elif kind == "add":
+        value = sub(1) + sub(2)
+    elif kind == "sub":
+        value = sub(1) - sub(2)
+    elif kind == "mul":
+        value = sub(1) * sub(2)
+    elif kind == "div":
+        value = sub(1) / sub(2)
+    elif kind == "pow":
         e = node[2]
-        if e.denominator == 1:
-            return base ** e.numerator
-        return frac_pow(base, e)
-    raise SchemaError(f"bad expression node {kind!r}")
+        value = (sub(1) ** e.numerator if e.denominator == 1
+                 else frac_pow(sub(1), e))
+    else:
+        raise SchemaError(f"bad expression node {kind!r}")
+    if memo is not None:
+        memo[node] = value
+    return value
 
 
 def expr_vars(node) -> set[str]:

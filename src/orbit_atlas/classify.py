@@ -1,9 +1,11 @@
 """Membership tests and total classification of nilradical points.
 
 ``member`` and ``classify`` are exact, single-point operations over any
-field (rationals or F_q).  ``partition_census`` counts every catalog set over
-n(F_q) with vectorized evaluation and certifies the exhaustion and
-disjointness of the catalog's defining sets while counting.
+field (rationals or F_q).  A point is prepared once (``_scalar_point``: its
+coordinates by variable, checked to lie in one field), and ``classify``
+tests every record on that one preparation.  ``partition_census`` counts
+every catalog set over n(F_q) with vectorized evaluation and certifies the
+exhaustion and disjointness of the catalog's defining sets while counting.
 
 The census rests on one invariant, checked before any point is enumerated:
 every catalog polynomial is root-weight homogeneous (X_ij weighs
@@ -16,7 +18,8 @@ census classifies the 2^n * q^(d-n) slice points and weights each by
 
 ``slice_pass`` checks the invariant and classifies the slice points in one
 pass per field: each distinct catalog polynomial is evaluated once over the
-slice grid by broadcasting (``grid_values``, through ``grid_signatures``),
+slice grid by broadcasting (``grid_values``, through ``grid_signatures``,
+which evaluates p and -p once for both),
 its nonzero pattern packed into one int64 signature per point, and each
 distinct signature is matched once against every record.  The census, the
 oracle refinement (``point_records``, through the torus normal form of every
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Fp, is_prime, poly_to_str
+from .arith import Fp, is_prime, poly_to_str, residue, sign_twins
 from .catalog import Catalog, OrbitRecord, root_weight_homogeneous, x_vars
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
@@ -50,11 +53,31 @@ class ClassificationResult:
     orbit_id: str
 
 
-def _point_env(m: NilElement) -> dict:
-    env = {}
-    for root, var in zip(pos_roots(m.rank), x_vars(m.rank)):
-        env[var] = m.coord(root)
-    return env
+def _scalar_point(m: NilElement) -> tuple[dict, int | None]:
+    """(coordinates by variable, characteristic) of a point of one field:
+    every coordinate an Fp of one prime p, an int or a rational, and over
+    F_p every rational integral.  The characteristic is None over Q; over
+    F_p the coordinates are reduced to their residues here, once.
+    ``classify`` builds this once per point and tests every record on it."""
+    env = {var: m.coord(root)
+           for root, var in zip(pos_roots(m.rank), x_vars(m.rank))}
+    primes = set()
+    for v in env.values():
+        if isinstance(v, Fp):
+            primes.add(v.p)
+        elif not isinstance(v, (int, Fraction)):
+            raise SchemaError("membership requires field scalars, not symbols")
+    if len(primes) > 1:
+        raise SchemaError(f"point {m.as_vector()} mixes the fields "
+                          f"{', '.join(f'F_{p}' for p in sorted(primes))}")
+    modp = primes.pop() if primes else None
+    if modp:
+        if any(isinstance(v, Fraction) and v.denominator != 1
+               for v in env.values()):
+            raise SchemaError(f"point {m.as_vector()} mixes F_{modp} with a "
+                              f"non-integral rational")
+        env = {var: residue(v, modp) for var, v in env.items()}
+    return env, modp
 
 
 def _value_is_zero(v) -> bool:
@@ -63,33 +86,37 @@ def _value_is_zero(v) -> bool:
     return v == 0
 
 
-def member(rec: OrbitRecord, m: NilElement) -> bool:
-    """Exact membership in Z(zero_set) intersected with V(nonzero_set)."""
-    if rec.rank != m.rank:
-        raise ShapeError(f"record rank {rec.rank} != element rank {m.rank}")
-    ps = _point_env(m)
-    for v in ps.values():
-        if not isinstance(v, (int, Fraction, Fp)):
-            raise SchemaError("membership requires field scalars, not symbols")
-    modp = next((v.p for v in ps.values() if isinstance(v, Fp)), None)
+def _contains(rec: OrbitRecord, point: tuple[dict, int | None]) -> bool:
+    """Z(zero_set) intersected with V(nonzero_set) at a ``_scalar_point``."""
+    env, modp = point
     for poly in rec.zero_set:
-        val = (poly.eval_mod_p(ps, modp) if modp else poly.eval(ps))
+        val = (poly.eval_mod_p(env, modp) if modp else poly.eval(env))
         if not _value_is_zero(val):
             return False
     for poly in rec.nonzero_set:
-        val = (poly.eval_mod_p(ps, modp) if modp else poly.eval(ps))
+        val = (poly.eval_mod_p(env, modp) if modp else poly.eval(env))
         if _value_is_zero(val):
             return False
     return True
 
 
+def member(rec: OrbitRecord, m: NilElement) -> bool:
+    """Exact membership in Z(zero_set) intersected with V(nonzero_set)."""
+    if rec.rank != m.rank:
+        raise ShapeError(f"record rank {rec.rank} != element rank {m.rank}")
+    return _contains(rec, _scalar_point(m))
+
+
 def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
     """Locate the unique record of the rank-n catalog whose defining set
-    contains m: every record is scanned, so a second match is a disjointness
-    failure."""
+    contains m: every record is scanned on one ``_scalar_point`` of m, so a
+    second match is a disjointness failure."""
     if n != cat.rank:
         raise ShapeError(f"classify rank {n} != catalog rank {cat.rank}")
-    matches = [rec for rec in cat.ordered_by_dim() if member(rec, m)]
+    if m.rank != n:
+        raise ShapeError(f"point rank {m.rank} != catalog rank {n}")
+    point = _scalar_point(m)
+    matches = [rec for rec in cat.ordered_by_dim() if _contains(rec, point)]
     if not matches:
         raise ExhaustionError(f"point {m.as_vector()} matched no record")
     if len(matches) > 1:
@@ -126,14 +153,18 @@ def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
     coordinates run over the value arrays of ``axes`` (variable -> values,
     one axis each, in dict order): one int64 per point in C order, bit k
     set where polys[k] is nonzero mod q (``grid_values``: catalog
-    polynomials are exponent-positive)."""
+    polynomials are exponent-positive).  A polynomial whose negative (or
+    itself) came earlier copies that one's bit (``sign_twins``)."""
     d = len(axes)
     cols = {var: np.asarray(vals, dtype=np.int64).reshape(
                 (1,) * k + (-1,) + (1,) * (d - 1 - k))
             for k, (var, vals) in enumerate(axes.items())}
     sig = np.zeros(tuple(len(vals) for vals in axes.values()), dtype=np.int64)
-    for k, poly in enumerate(polys):
-        sig |= (grid_values(poly, cols, q) != 0).astype(np.int64) << k
+    for k, (poly, (j, _)) in enumerate(zip(polys, sign_twins(polys))):
+        if j == k:
+            sig |= (grid_values(poly, cols, q) != 0).astype(np.int64) << k
+        else:
+            sig |= (sig >> j & 1) << k
     return sig.ravel()
 
 

@@ -27,7 +27,7 @@ from .lie import NilElement, nil_dim
 from .oracle import (BFS_BUDGET, enumerate_borel_orbits, jacobian_rank_dim,
                      read_families, refine_check, stability_check)
 from .order import emit_dot, hasse, poset_json
-from .witness import verify_rank
+from .witness import generic_vanishing, verify_rank
 
 ORACLE_DEFAULT_QS = {1: (2, 3, 5, 7), 2: (2, 3, 5, 7), 3: (2, 3, 5, 7),
                      4: (2, 3)}
@@ -219,6 +219,15 @@ def cmd_check_all(args, cat: Catalog) -> int:
     if needed > args.budget:
         raise BudgetExceededError(needed, args.budget)
     failures = []
+    vanishing = None
+
+    def generic():
+        # built by the first check that needs it; a build that raised is not
+        # kept, so each check that needs it fails under its own name
+        nonlocal vanishing
+        if vanishing is None:
+            vanishing = generic_vanishing(cat)
+        return vanishing
 
     def check(name, fn):
         try:
@@ -266,11 +275,11 @@ def cmd_check_all(args, cat: Catalog) -> int:
         return True, " ".join(notes)
 
     def order_check():
-        poset = hasse(cat)
+        poset = hasse(cat, vanishing=generic())
         return True, f"{len(poset.covers)} cover edges"
 
     def witness_check():
-        report = verify_rank(cat)
+        report = verify_rank(cat, vanishing=generic())
         if not report.all_certified:
             bad = [v.orbit_id for v in report.verdicts if not v.certified]
             return False, f"uncertified: {bad}"

@@ -5,14 +5,15 @@ b gets a certified generating set V_b for the functions vanishing on its
 orbit closure (``closure_generators``): every catalog polynomial of the rank
 whose pullback along the generic unipotent orbit adjoint(u, representative)
 is identically zero, u the root-group factors of the one generic Borel word
-of ``lie.generic_borel_word`` (``witness.generic_pullbacks``, shared with
-forward containment).  Every catalog polynomial is a torus weight vector,
-so it vanishes on the U-orbit exactly when it vanishes on the B-orbit.
-That is the record's own zero set, which must vanish there, augmented by
-the other such polynomials.  (Augmentation matters: a zero set describes
-the closure only up to extra components, and for a handful of records a
-dependent quadratic that vanishes on the orbit separates those
-components.)
+of ``lie.generic_borel_word``.  Every catalog polynomial is a torus weight
+vector, so it vanishes on the U-orbit exactly when it vanishes on the
+B-orbit.  Those zeros are read off the rank's ``witness.generic_vanishing``
+table, which forward containment reads too, so check-all pulls every record
+back once per command.  They are the record's own zero set, which must
+vanish there, augmented by the other such polynomials.  (Augmentation
+matters: a zero set describes the closure only up to extra components, and
+for a handful of records a dependent quadratic that vanishes on the orbit
+separates those components.)
 
 The symbolic order is set inclusion, a <= b exactly when V_b is a subset of
 V_a (``closure_leq``).  It assumes that V_b cuts out closure(O_b): then O_a
@@ -36,33 +37,28 @@ import numpy as np
 from .catalog import Catalog
 from .classify import slice_pass, slice_point
 from .errors import CatalogError, InternalInconsistencyError
-from .witness import generic_pullbacks
+from .witness import GenericVanishing, generic_vanishing
 
 CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
 
-def closure_generators(cat: Catalog) -> dict:
+def closure_generators(cat: Catalog,
+                       vanishing: GenericVanishing | None = None) -> dict:
     """Certified vanishing polynomials per record: every catalog polynomial
     of this rank that vanishes identically on the record's orbit (an exact
-    pullback along the generic unipotent orbit, ``generic_pullbacks``), the
+    pullback along the generic unipotent orbit, read off ``vanishing``, the
+    rank's ``generic_vanishing`` table, built here when not given), the
     record's zero set first.  A zero-set polynomial that does not vanish
     there is a catalog inconsistency."""
-    pool = []
-    seen = set()
-    for rec in cat.orbits:
-        for poly, s in zip(rec.zero_set + rec.nonzero_set,
-                           rec.zero_strs + rec.nonzero_strs):
-            if poly not in seen:
-                seen.add(poly)
-                pool.append((poly, s))
-    rows = generic_pullbacks([rec.representative for rec in cat.orbits],
-                             [poly for poly, _ in pool])
+    if vanishing is None:
+        vanishing = generic_vanishing(cat)
     out = {}
-    for rec, values in zip(cat.orbits, rows):
+    for rec in cat.orbits:
+        zeros = vanishing.on_orbit(rec)
         gens = list(zip(rec.zero_set, rec.zero_strs))
         own = dict(gens)
-        for (poly, s), value in zip(pool, values):
-            if not value.is_zero():
+        for poly, s in vanishing.pool.items():
+            if poly not in zeros:
                 if poly in own:
                     raise InternalInconsistencyError(
                         f"zero-set polynomial {own[poly]} of record {rec.id} "
@@ -171,13 +167,15 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     return counterexamples
 
 
-def hasse(cat: Catalog) -> HassePoset:
+def hasse(cat: Catalog,
+          vanishing: GenericVanishing | None = None) -> HassePoset:
     """Full closure order from pairwise generator-set inclusions, certified
-    over the fields of ``CERT_FIELDS``, reduced to cover edges."""
+    over the fields of ``CERT_FIELDS``, reduced to cover edges.  The
+    generators are read off ``vanishing`` (``closure_generators``)."""
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
-    generators = closure_generators(cat)
+    generators = closure_generators(cat, vanishing)
     vanish = {a: frozenset(p for p, _ in gens) for a, gens in generators.items()}
     leq = {(a, b): a == b or closure_leq(vanish[a], vanish[b])
            for a in ids for b in ids}

@@ -3,11 +3,15 @@
 Forward containment checks the inclusion orbit <= set as polynomial
 identities in fully generic unipotent parameters: ``generic_pullbacks``
 evaluates the catalog polynomials at adjoint(u, representative) for u the
-root-group factors of the one generic word of ``lie.generic_borel_word``,
-the same pullback the closure generators of ``order`` are read from.  The
-torus is left out because every catalog polynomial is a torus weight
-vector, which ``generic_pullbacks`` checks first.  The reverse inclusion is
-certified by the catalog's witness templates: a Borel word whose parameters
+root-group factors of the one generic word of ``lie.generic_borel_word``.
+The torus is left out because every catalog polynomial is a torus weight
+vector, which ``generic_pullbacks`` checks first.  The pullbacks are read
+off one table per rank, ``generic_vanishing``: which catalog polynomials
+vanish on each record's generic orbit, from one ``generic_pullbacks`` call
+over every distinct polynomial, which evaluates one polynomial per +-sign
+class.  The closure generators of ``order`` read the same table, so
+check-all builds it once per command.  The reverse inclusion is certified
+by the catalog's witness templates: a Borel word whose parameters
 are rational (and radical) expressions in the coordinates of a general
 member m, with adjoint(word, representative) required to equal m exactly,
 and with every denominator, radicand and torus entry of the template a unit
@@ -19,8 +23,13 @@ free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
 fractional power of a coordinate into an integral Laurent exponent.
 Composite (never monomial) radicands get formal radical variables from the
 record's tower.  Every factorization runs through one exact trial-division
-loop, ``_peel``.  ``verify_witness_numeric`` (random points over F_p) is a
-cross-check; no verdict of ``verify_rank`` rests on it.
+loop, ``_peel``.  ``verify_rank`` parses each distinct expression text once
+per call, and each member evaluates each distinct parse-tree node once
+(``MemberEnv.memo``), so the template and the as-printed word share their
+common subexpressions; a printed word whose parameters parse to the
+template's trees reuses the template's residuals.
+``verify_witness_numeric`` (random points over F_p) is a cross-check; no
+verdict of ``verify_rank`` rests on it.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
                     _exact_divide, _frac_pow, eval_expr, kth_roots,
-                    parse_expr, parse_poly, poly_to_str)
+                    parse_expr, parse_poly, poly_to_str, sign_twins)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
                       parse_printed_word, root_weight_homogeneous, x_vars)
 from .errors import (DomainError, EvaluationError, InternalInconsistencyError,
@@ -64,6 +73,8 @@ class MemberEnv:
     solved_letters: list
     protected_polys: list           # evaluated non-monomial nonzero conditions
     protected_letters: set
+    # parse-tree node -> its value over this member (``eval_template_expr``)
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
@@ -170,9 +181,24 @@ def make_frac_pow(tower):
     return hook
 
 
-def eval_template_expr(text: str, menv: MemberEnv) -> LaurentFraction:
-    node = parse_expr(text)
-    return eval_expr(node, menv.env, make_frac_pow(menv.tower))
+def _parsed(text: str, parsed: dict | None):
+    """The parse tree of a template expression, read from and added to the
+    ``parsed`` cache (text -> tree) when one is given."""
+    if parsed is None:
+        return parse_expr(text)
+    node = parsed.get(text)
+    if node is None:
+        node = parsed[text] = parse_expr(text)
+    return node
+
+
+def eval_template_expr(text: str, menv: MemberEnv,
+                       parsed: dict | None = None) -> LaurentFraction:
+    """The value of one template expression over the general member: each
+    parse-tree node is evaluated once per member (``menv.memo``), so the
+    template and the printed word share their common subexpressions."""
+    return eval_expr(_parsed(text, parsed), menv.env,
+                     make_frac_pow(menv.tower), menv.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +206,28 @@ def eval_template_expr(text: str, menv: MemberEnv) -> LaurentFraction:
 
 
 def template_word(rec: OrbitRecord, menv: MemberEnv,
-                  torus_strs, factor_list) -> BorelWord:
+                  torus_strs, factor_list, parsed: dict | None = None
+                  ) -> BorelWord:
     n = rec.rank
     torus = None
     if torus_strs:
-        entries = tuple(eval_template_expr(s, menv) for s in torus_strs)
+        entries = tuple(eval_template_expr(s, menv, parsed)
+                        for s in torus_strs)
         for t in entries:
             if t.is_zero():
                 raise DomainError("torus entry evaluates to zero")
         torus = TorusElement(n, entries)
-    factors = tuple(RootGroupFactor(root, eval_template_expr(param, menv))
+    factors = tuple(RootGroupFactor(root, eval_template_expr(param, menv,
+                                                             parsed))
                     for root, param in factor_list)
     return BorelWord(n, torus, factors)
 
 
-def word_residuals(rec, menv, torus_strs, factor_list):
+def word_residuals(rec, menv, torus_strs, factor_list, parsed=None):
     """Coordinatewise differences adjoint(word, rep) - m of the word built by
     ``template_word``, radical-reduced; empty when the word reproduces m."""
-    return _residuals(rec, menv,
-                      template_word(rec, menv, torus_strs, factor_list))
+    return _residuals(rec, menv, template_word(rec, menv, torus_strs,
+                                               factor_list, parsed))
 
 
 def _residuals(rec, menv, word):
@@ -229,10 +258,13 @@ class WitnessVerdict:
 
 
 def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
-                   template_residuals: list) -> tuple[str, str]:
+                   template_residuals: list, parsed: dict) -> tuple[str, str]:
     """(as_printed, detail) of the transcribed word, whose grammar lives in
-    ``catalog.parse_printed_word``.  A printed word that parses to the
-    template has the template's residuals and is not evaluated again."""
+    ``catalog.parse_printed_word``.  A printed word whose parameters parse to
+    the template's trees (``sqrt(a)`` and ``a^(1/2)`` alike) has the
+    template's residuals and is not evaluated again; any other is built over
+    the same member, so its common subexpressions are not evaluated again
+    either.  A parameter that does not parse or evaluate is an eval-error."""
     text = rec.as_printed.get("word", "")
     if not text:
         return "absent", "no as-printed word"
@@ -240,28 +272,37 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
         torus, factors = parse_printed_word(text, rec.rank)
     except WitnessParseError as exc:
         return f"parse-error@{exc.pos}", str(exc)
+
+    def trees(torus_strs, factor_list):
+        return (tuple(_parsed(s, parsed) for s in torus_strs),
+                tuple((root, _parsed(s, parsed)) for root, s in factor_list))
+
     w = rec.witness
-    if (tuple(torus or ()), tuple(factors)) == (w.torus, w.factors):
-        residuals = template_residuals
-    else:
-        try:
-            residuals = word_residuals(rec, menv, torus, factors)
-        except (SchemaError, DomainError, EvaluationError) as exc:
-            return "eval-error", str(exc)
+    try:
+        if trees(torus or (), factors) == trees(w.torus, w.factors):
+            residuals = template_residuals
+        else:
+            residuals = word_residuals(rec, menv, torus, factors, parsed)
+    except (SchemaError, DomainError, EvaluationError) as exc:
+        return "eval-error", str(exc)
     if residuals:
         return "mismatch", "as-printed word does not reproduce the member"
     return "verified", ""
 
 
-def classify_verdict(rec: OrbitRecord) -> WitnessVerdict:
+def classify_verdict(rec: OrbitRecord,
+                     parsed: dict | None = None) -> WitnessVerdict:
     """Full per-record verdict: the normalized template against a general
     member, its soundness on the whole set (``first_non_unit``), the
-    as-printed layer against the same member, repair notes."""
+    as-printed layer against the same member, repair notes.  ``parsed``
+    caches expression parse trees by text across the records of one call
+    of ``verify_rank``."""
+    parsed = {} if parsed is None else parsed
     menv = build_member_env(rec)
     w = rec.witness
-    word = template_word(rec, menv, w.torus, w.factors)
+    word = template_word(rec, menv, w.torus, w.factors, parsed)
     residuals = _residuals(rec, menv, word)
-    as_printed, printed_detail = _printed_layer(rec, menv, residuals)
+    as_printed, printed_detail = _printed_layer(rec, menv, residuals, parsed)
     repairs = rec.witness_repairs()
     if residuals:
         return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
@@ -400,7 +441,10 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
     ``InternalInconsistencyError`` naming it.  Such an f is a torus weight
     vector: f(t.y) = chi_f(t) f(y) for a Laurent monomial chi_f in t1..tn,
     a unit.  B = T U, so f(t.u.rep) = chi_f(t) f(u.rep), and f vanishes on
-    B.rep exactly when it vanishes on U.rep."""
+    B.rep exactly when it vanishes on U.rep.
+
+    A polynomial whose negative (or itself) came earlier in ``polys`` is not
+    evaluated: its pullback is that one's, negated (``sign_twins``)."""
     reps, polys = list(reps), list(polys)
     if not reps:
         return []
@@ -411,17 +455,62 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
                 f"rank {n}: polynomial {poly_to_str(poly)} is not root-weight "
                 f"homogeneous, so its generic pullback cannot drop the torus")
     unipotent = BorelWord(n, None, generic_borel_word(n).factors)
+    twins = sign_twins(polys)
     rows = []
     for rep in reps:
         moved = adjoint(unipotent, rep)
         env = {var: _lift(moved.coord(root))
                for root, var in zip(pos_roots(n), x_vars(n))}
-        rows.append([_lift(poly.eval(env)) for poly in polys])
+        row = []
+        for k, (poly, (j, sign)) in enumerate(zip(polys, twins)):
+            row.append(_lift(poly.eval(env)) if j == k
+                       else row[j] if sign > 0 else -row[j])
+        rows.append(row)
     return rows
 
 
 def _lift(c) -> LaurentPoly:
     return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+
+
+@dataclass
+class GenericVanishing:
+    """Which catalog polynomials vanish on each record's generic orbit."""
+
+    pool: dict          # polynomial -> its string, first seen over the records
+    zeros: dict         # record id -> frozenset of the pool polynomials
+                        # whose generic pullback is zero
+
+    def on_orbit(self, rec: OrbitRecord) -> frozenset:
+        """The pool polynomials vanishing on rec's generic orbit.  rec must
+        be a record the table was built from: one whose polynomials were not
+        pulled back would read as not vanishing."""
+        zeros = self.zeros.get(rec.id)
+        if zeros is None or not self.pool.keys() >= {
+                *rec.zero_set, *rec.nonzero_set}:
+            raise InternalInconsistencyError(
+                f"record {rec.id} is not in the generic-vanishing table")
+        return zeros
+
+
+def _vanishing(records) -> GenericVanishing:
+    pool: dict = {}
+    for rec in records:
+        for poly, s in zip(rec.zero_set + rec.nonzero_set,
+                           rec.zero_strs + rec.nonzero_strs):
+            pool.setdefault(poly, s)
+    rows = generic_pullbacks([rec.representative for rec in records], pool)
+    zeros = {rec.id: frozenset(p for p, v in zip(pool, row) if v.is_zero())
+             for rec, row in zip(records, rows)}
+    return GenericVanishing(pool, zeros)
+
+
+def generic_vanishing(cat: Catalog) -> GenericVanishing:
+    """The table of every record of the rank, from one ``generic_pullbacks``
+    call over every distinct zero- and nonzero-set polynomial, in first-seen
+    order.  Forward containment and the closure generators of ``order`` both
+    read it, so check-all builds it once per command."""
+    return _vanishing(cat.orbits)
 
 
 @dataclass
@@ -433,26 +522,31 @@ class ForwardReport:
     detail: str = ""
 
 
-def forward_containment(rec: OrbitRecord) -> ForwardReport:
+def forward_containment(rec: OrbitRecord,
+                        vanishing: GenericVanishing | None = None
+                        ) -> ForwardReport:
     """Containment of the orbit in its defining set, as identities in the
     generic unipotent parameters (``generic_pullbacks``, whose torus factor
     would only multiply each pullback by a unit monomial): every zero-set
     generator pulls back to zero and every nonzero-set generator to a
     nonzero polynomial.  The polynomial ring over Q is a domain, so the
     nonzero pullbacks have a nonzero product and one generic point meets
-    every nonzero condition at once."""
-    (values,) = generic_pullbacks([rec.representative],
-                                  rec.zero_set + rec.nonzero_set)
-    zeros, nonzeros = values[:len(rec.zero_set)], values[len(rec.zero_set):]
-    for k, (value, s) in enumerate(zip(zeros, rec.zero_strs)):
-        if not value.is_zero():
+    every nonzero condition at once.  The pullbacks are read off
+    ``vanishing``, the rank's ``generic_vanishing`` table; without one, the
+    record's own polynomials are pulled back."""
+    if vanishing is None:
+        vanishing = _vanishing((rec,))
+    zeros = vanishing.on_orbit(rec)
+    for k, (poly, s) in enumerate(zip(rec.zero_set, rec.zero_strs)):
+        if poly not in zeros:
             return ForwardReport(rec.id, False, k, 0,
                                  f"zero-set generator {s} has nonzero normal form")
-    for k, (value, s) in enumerate(zip(nonzeros, rec.nonzero_strs)):
-        if value.is_zero():
-            return ForwardReport(rec.id, False, len(zeros), k,
+    for k, (poly, s) in enumerate(zip(rec.nonzero_set, rec.nonzero_strs)):
+        if poly in zeros:
+            return ForwardReport(rec.id, False, len(rec.zero_set), k,
                                  f"nonzero-set generator {s} vanishes identically")
-    return ForwardReport(rec.id, True, len(zeros), len(nonzeros))
+    return ForwardReport(rec.id, True, len(rec.zero_set),
+                         len(rec.nonzero_set))
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +622,18 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def verify_rank(cat: Catalog) -> WitnessReport:
-    """Forward containment and the symbolic verdict of every record."""
+def verify_rank(cat: Catalog,
+                vanishing: GenericVanishing | None = None) -> WitnessReport:
+    """Forward containment and the symbolic verdict of every record.
+    Forward containment reads ``vanishing``, built here when not given;
+    each distinct template or printed expression text is parsed once per
+    call."""
+    if vanishing is None:
+        vanishing = generic_vanishing(cat)
+    parsed: dict = {}
     verdicts = []
     forward = []
     for rec in cat.orbits:
-        forward.append(forward_containment(rec))
-        verdicts.append(classify_verdict(rec))
+        forward.append(forward_containment(rec, vanishing))
+        verdicts.append(classify_verdict(rec, parsed))
     return WitnessReport(cat.rank, verdicts, forward)

@@ -18,12 +18,14 @@ from orbit_atlas.classify import (SIGNATURE_BITS, classify, grid_signatures,
                                   member, partition_census, point_records,
                                   slice_pass, slice_point, slice_shape)
 from orbit_atlas.errors import (BudgetExceededError, CatalogError,
-                                DisjointnessError, ExhaustionError,
+                                DisjointnessError, DomainError,
+                                ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, pos_roots)
-from reference import (full_enumeration_census, full_space_records,
+from reference import (decode_points, eval_poly_on_columns,
+                       full_enumeration_census, full_space_records,
                        match_table, torus_slices)
 
 
@@ -413,3 +415,83 @@ def test_signature_bits_equal_scalar_evaluation(data):
         want = sum(1 << k for k, poly in enumerate(polys)
                    if not poly.eval_mod_p(env, q).is_zero())
         assert got == want
+
+
+def test_classify_refuses_a_point_of_two_fields(catalogs):
+    m = NilElement.from_vector(2, [Fp(1, 5), 0, Fp(1, 7)])
+    for call in (lambda: classify(2, m, catalogs[2]),
+                 lambda: member(catalogs[2].by_id("x11"), m)):
+        with pytest.raises(SchemaError, match="mixes the fields F_5, F_7"):
+            call()
+
+
+def test_classify_refuses_a_non_integral_rational_over_f_p(catalogs):
+    # 1/2 is 4 in F_7, not int(1/2) = 0: read as 0 this point was x12
+    m = NilElement.from_vector(2, [Fraction(1, 2), 0, Fp(1, 7)])
+    with pytest.raises(SchemaError, match="mixes F_7 with a non-integral"):
+        classify(2, m, catalogs[2])
+    with pytest.raises(SchemaError, match="mixes F_7 with a non-integral"):
+        member(catalogs[2].by_id("x12"), m)
+    # integral rationals and ints are reduced mod 7
+    for x11, want in ((Fraction(14), "x12"), (Fraction(3), "x11"),
+                      (7, "x12"), (-4, "x11")):
+        m = NilElement.from_vector(2, [x11, 0, Fp(1, 7)])
+        assert classify(2, m, catalogs[2]).orbit_id == want, x11
+
+
+def test_eval_mod_p_reads_a_rational_as_a_quotient():
+    poly = parse_poly("X11 + 1")
+    assert poly.eval_mod_p({"X11": Fraction(1, 2)}, 7) == Fp(5, 7)
+    assert poly.eval_mod_p({"X11": Fraction(-3, 4)}, 5) == Fp(4, 5)
+    with pytest.raises(SchemaError, match="1/7 is undefined mod 7"):
+        poly.eval_mod_p({"X11": Fraction(1, 7)}, 7)
+    with pytest.raises(DomainError, match="mixed characteristics 5 and 7"):
+        poly.eval_mod_p({"X11": Fp(1, 5)}, 7)
+
+
+def test_classify_refuses_a_point_of_the_wrong_rank(catalogs):
+    with pytest.raises(ShapeError, match="point rank 3 != catalog rank 2"):
+        classify(2, NilElement(3, {}), catalogs[2])
+
+
+def test_classify_prepares_each_point_once(catalogs, monkeypatch):
+    # one point environment and scalar check per point, not per record
+    prepared = []
+    original = classify_mod._scalar_point
+
+    def counting(m):
+        prepared.append(m)
+        return original(m)
+
+    monkeypatch.setattr(classify_mod, "_scalar_point", counting)
+    for rec in catalogs[4].orbits:
+        assert classify(4, rec.representative, catalogs[4]).orbit_id == rec.id
+    assert len(prepared) == len(catalogs[4].orbits)
+
+
+def test_signatures_of_a_pool_with_both_signs_match_the_reference(
+        catalogs, monkeypatch):
+    # A4's pool holds four quadrics with both signs; add a negated, a
+    # repeated and a negated-last polynomial.  Each +-class is evaluated once
+    # and every bit still matches the per-polynomial reference
+    pool = list(dict.fromkeys(p for rec in catalogs[4].orbits
+                              for p in rec.zero_set + rec.nonzero_set))
+    pool += [-pool[3], pool[5], -pool[-1]]
+    evaluated = []
+    original = classify_mod.grid_values
+
+    def counting(poly, cols, q):
+        evaluated.append(poly)
+        return original(poly, cols, q)
+
+    monkeypatch.setattr(classify_mod, "grid_values", counting)
+    q, d = 3, 10
+    got = grid_signatures(pool, {var: range(q) for var in x_vars(4)}, q)
+    assert len(evaluated) == 21
+    digits = decode_points(np.arange(q**d), d, q)
+    cols = {var: digits[:, i] for i, var in enumerate(x_vars(4))}
+    want = np.zeros(q**d, dtype=np.int64)
+    for k, poly in enumerate(pool):
+        want |= (eval_poly_on_columns(poly, cols, q) != 0).astype(
+            np.int64) << k
+    assert (got == want).all()

@@ -312,3 +312,42 @@ def test_large_prime_fields_are_decided_quickly(capsys):
                          "1,0,1", "--mod", str(2**89 - 1))
     assert (code, out) == (2, "")
     assert "too large for an exact primality test" in err
+
+
+def test_check_all_pulls_back_once_per_command(capsys, monkeypatch):
+    # closure-order and witnesses share one generic-vanishing table; a
+    # second check-all in the process builds its own, and hasse and verify
+    # on their own each build one
+    from orbit_atlas import witness
+    calls = []
+    original = witness.generic_pullbacks
+
+    def counting(reps, polys):
+        calls.append(len(reps))
+        return original(reps, polys)
+
+    monkeypatch.setattr(witness, "generic_pullbacks", counting)
+    assert run(capsys, "check-all", "--type", "A3")[0] == 0
+    assert calls == [16]
+    assert run(capsys, "check-all", "--type", "A3")[0] == 0
+    assert calls == [16, 16]
+    assert run(capsys, "hasse", "--type", "A2")[0] == 0
+    assert run(capsys, "verify", "--type", "A2")[0] == 0
+    assert calls == [16, 16, 5, 5]
+
+
+def test_a_failed_generic_table_fails_both_checks_by_name(capsys,
+                                                          monkeypatch):
+    # the failed build is not kept: each check that needs it tries again
+    calls = []
+
+    def failing(cat):
+        calls.append(cat.rank)
+        raise InternalInconsistencyError("no table")
+
+    monkeypatch.setattr(cli, "generic_vanishing", failing)
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 1 and calls == [2, 2]
+    assert out.splitlines()[-2:] == [
+        "FAIL closure-order: InternalInconsistencyError: no table",
+        "FAIL witnesses: InternalInconsistencyError: no table"]
