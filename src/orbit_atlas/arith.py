@@ -660,21 +660,6 @@ LaurentPoly.zero = LaurentPoly()
 LaurentPoly.one = LaurentPoly.const(1)
 
 
-def sign_twins(polys) -> list[tuple[int, int]]:
-    """(j, sign) per polynomial of the list: polys[k] = sign * polys[j], with
-    j the first of its +-class in the list (j = k and sign 1 for that one).
-    p and -p vanish at the same points, so a value or zero pattern computed
-    once per class serves both signs."""
-    first: dict = {}
-    twins = []
-    for k, p in enumerate(polys):
-        if p not in first:
-            first[-p] = (k, -1)
-            first[p] = (k, 1)          # after -p: 0 is its own negative
-        twins.append(first[p])
-    return twins
-
-
 def poly_to_str(p: LaurentPoly) -> str:
     """Canonical text form under the catalog grammar (see parse_poly)."""
     if p.is_zero():

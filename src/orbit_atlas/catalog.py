@@ -117,18 +117,34 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class Catalog:
+    """One rank's records and their polynomial pool: one (polynomial,
+    string) per +-class of the zero- and nonzero-set polynomials, first seen
+    over the records (zero set first), and ``slot``, sending either sign to
+    its class index.  p and -p vanish together, so the kernels evaluate one
+    polynomial per class.  Built per instance, ``replace`` copies included."""
+
     rank: int
     schema_version: int
     orbits: tuple[OrbitRecord, ...]
+    pool: tuple = field(init=False, repr=False, compare=False)
+    slot: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pool, slot = [], {}
+        for rec in self.orbits:
+            for poly, s in zip(rec.zero_set + rec.nonzero_set,
+                               rec.zero_strs + rec.nonzero_strs):
+                if poly not in slot:
+                    slot[poly] = slot[-poly] = len(pool)
+                    pool.append((poly, s))
+        object.__setattr__(self, "pool", tuple(pool))
+        object.__setattr__(self, "slot", slot)
 
     def by_id(self, orbit_id: str) -> OrbitRecord:
         for rec in self.orbits:
             if rec.id == orbit_id:
                 return rec
         raise CatalogError(f"no orbit {orbit_id!r} in rank {self.rank}")
-
-    def ordered_by_dim(self) -> list[OrbitRecord]:
-        return sorted(self.orbits, key=lambda r: (r.dim, r.id))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +463,11 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
     """Self-check layer: representative membership, total-degree and
     root-weight homogeneity, Z/V variable sanity, and as_printed-vs-normalized
     diffs.  Failures are carried in the report, not raised.  Each distinct
-    printed polynomial text is parsed, and each distinct polynomial checked
-    for homogeneity, once per call."""
+    printed polynomial text is parsed once per call, and each class of
+    ``cat.pool`` checked for homogeneity once."""
     chunks: dict = {}                   # printed text -> polynomial
-
-    @cache
-    def homogeneous(p: LaurentPoly) -> bool:
-        return p.is_homogeneous() and root_weight_homogeneous(p, cat.rank)
+    homogeneous = [p.is_homogeneous() and root_weight_homogeneous(p, cat.rank)
+                   for p, _ in cat.pool]
 
     @cache
     def sign_class(p: LaurentPoly) -> frozenset:
@@ -493,7 +507,8 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
         reports.append(RecordReport(
             orbit_id=rec.id,
             representative_member=_rep_member(rec),
-            homogeneous=all(map(homogeneous, rec.zero_set + rec.nonzero_set)),
+            homogeneous=all(homogeneous[cat.slot[p]]
+                            for p in rec.zero_set + rec.nonzero_set),
             zv_sane=zv_sane,
             printed_set_status=status,
             printed_word_status=word_status,

@@ -17,14 +17,14 @@ census classifies the 2^n * q^(d-n) slice points and weights each by
 (q-1)^|S|; the counts are exact, and every point of n(F_q) is still covered.
 
 ``slice_pass`` checks the invariant and classifies the slice points in one
-pass per field: each distinct catalog polynomial is evaluated once over the
-slice grid by broadcasting (``grid_values``, through ``grid_signatures``,
-which evaluates p and -p once for both),
-its nonzero pattern packed into one int64 signature per point, and each
-distinct signature is matched once against every record.  The census, the
-oracle refinement (``point_records``, through the torus normal form of every
-point) and the closure-order certifier (``order._certify``) all read their
-points from the pass.
+pass per field: each class of the catalog's polynomial pool
+(``Catalog.pool``, one polynomial per +-sign) is evaluated once over the
+slice grid by broadcasting (``grid_values``, through ``grid_signatures``),
+its nonzero pattern packed into one int64 signature per point at its pool
+index, and each distinct signature is matched once against every record.
+The census, the oracle refinement (``point_records``, through the torus
+normal form of every point) and the closure-order certifier
+(``order._certify``) all read their points from the pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import Fp, is_prime, poly_to_str, residue, sign_twins
+from .arith import Fp, is_prime, poly_to_str, residue
 from .catalog import Catalog, OrbitRecord, root_weight_homogeneous, x_vars
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
@@ -45,7 +45,7 @@ from .lie import NilElement, nil_dim, pos_roots
 
 CENSUS_BUDGET = 10_000_000
 SLICE_CHUNK = 1 << 19   # slice points per block of the slice pass
-SIGNATURE_BITS = 63     # distinct catalog polynomials an int64 signature holds
+SIGNATURE_BITS = 63     # pool classes an int64 signature holds
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,12 @@ def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
     if m.rank != n:
         raise ShapeError(f"point rank {m.rank} != catalog rank {n}")
     point = _scalar_point(m)
-    matches = [rec for rec in cat.ordered_by_dim() if _contains(rec, point)]
+    matches = [rec for rec in cat.orbits if _contains(rec, point)]
     if not matches:
         raise ExhaustionError(f"point {m.as_vector()} matched no record")
     if len(matches) > 1:
-        raise DisjointnessError(
-            f"point {m.as_vector()} matched {[r.id for r in matches]}")
+        ids = [r.id for r in sorted(matches, key=lambda r: (r.dim, r.id))]
+        raise DisjointnessError(f"point {m.as_vector()} matched {ids}")
     return ClassificationResult(matches[0].id)
 
 
@@ -153,18 +153,14 @@ def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
     coordinates run over the value arrays of ``axes`` (variable -> values,
     one axis each, in dict order): one int64 per point in C order, bit k
     set where polys[k] is nonzero mod q (``grid_values``: catalog
-    polynomials are exponent-positive).  A polynomial whose negative (or
-    itself) came earlier copies that one's bit (``sign_twins``)."""
+    polynomials are exponent-positive)."""
     d = len(axes)
     cols = {var: np.asarray(vals, dtype=np.int64).reshape(
                 (1,) * k + (-1,) + (1,) * (d - 1 - k))
             for k, (var, vals) in enumerate(axes.items())}
     sig = np.zeros(tuple(len(vals) for vals in axes.values()), dtype=np.int64)
-    for k, (poly, (j, _)) in enumerate(zip(polys, sign_twins(polys))):
-        if j == k:
-            sig |= (grid_values(poly, cols, q) != 0).astype(np.int64) << k
-        else:
-            sig |= (sig >> j & 1) << k
+    for k, poly in enumerate(polys):
+        sig |= (grid_values(poly, cols, q) != 0).astype(np.int64) << k
     return sig.ravel()
 
 
@@ -183,39 +179,35 @@ def slice_point(index: int, n: int, q: int) -> list[int]:
 def slice_pass(cat: Catalog, q: int):
     """One pass over the torus slices of n(F_q) (see the module docstring).
 
-    First checks, before any point, that every distinct catalog polynomial
-    is root-weight homogeneous and that the pool fits a signature.  Returns
-    (pool, blocks): bit k of a signature stands for pool[k], and blocks
-    yields (start, signatures, distinct, record) in slice order, with start
-    the slice index of the block's first point, distinct the sorted
-    distinct signatures and record the one record each of them matches.
-    The first point matched by no record or by several raises.  A block
-    fixes leading axes of the slice grid and holds at most ``SLICE_CHUNK``
-    points."""
+    First checks, before any point, that every class of ``cat.pool`` is
+    root-weight homogeneous and that the pool fits a signature.  Yields
+    (start, signatures, distinct, record) per block in slice order: bit k
+    of a signature stands for pool class k, start is the slice index of the
+    block's first point, distinct the sorted distinct signatures and record
+    the one record each of them matches.  The first point matched by no
+    record or by several raises.  A block fixes leading axes of the slice
+    grid and holds at most ``SLICE_CHUNK`` points."""
     n = cat.rank
-    owner: dict = {}                    # polynomial -> first record using it
-    for rec in cat.orbits:
-        for poly in rec.zero_set + rec.nonzero_set:
-            if poly not in owner and not root_weight_homogeneous(poly, n):
-                raise InternalInconsistencyError(
-                    f"rank {n}: record {rec.id} polynomial "
-                    f"{poly_to_str(poly)} is not root-weight homogeneous, "
-                    f"so torus slicing does not apply")
-            owner.setdefault(poly, rec)
-    if len(owner) > SIGNATURE_BITS:
+    for poly, _ in cat.pool:
+        if not root_weight_homogeneous(poly, n):
+            rid = next(rec.id for rec in cat.orbits
+                       if poly in rec.zero_set + rec.nonzero_set)
+            raise InternalInconsistencyError(
+                f"rank {n}: record {rid} polynomial {poly_to_str(poly)} is "
+                f"not root-weight homogeneous, so torus slicing does not "
+                f"apply")
+    if len(cat.pool) > SIGNATURE_BITS:
         raise CatalogError(
-            f"rank {n}: {len(owner)} distinct catalog polynomials, more "
+            f"rank {n}: {len(cat.pool)} distinct catalog polynomials, more "
             f"than the {SIGNATURE_BITS} bits of a slice signature")
-    pool = list(owner)
-    bit = {poly: 1 << k for k, poly in enumerate(pool)}
 
     def masks(sets):
-        return np.array([sum({bit[p] for p in polys}) for polys in sets],
-                        dtype=np.int64)
+        return np.array([sum({1 << cat.slot[p] for p in polys})
+                         for polys in sets], dtype=np.int64)
 
     zero = masks(rec.zero_set for rec in cat.orbits)
     nonzero = masks(rec.nonzero_set for rec in cat.orbits)
-    return pool, _slice_blocks(n, q, pool, zero, nonzero)
+    return _slice_blocks(n, q, [p for p, _ in cat.pool], zero, nonzero)
 
 
 def _slice_blocks(n: int, q: int, pool: list, zero, nonzero):
@@ -252,7 +244,7 @@ def point_records(cat: Catalog, q: int) -> np.ndarray:
     n, d = cat.rank, nil_dim(cat.rank)
     table = np.concatenate([record[np.searchsorted(distinct, sig)]
                             for _, sig, distinct, record
-                            in slice_pass(cat, q)[1]])
+                            in slice_pass(cat, q)])
     steps = np.arange(q, dtype=np.int64)
     inverse = np.array([1] + [pow(v, -1, q) for v in range(1, q)],
                        dtype=np.int64)      # x_kk = 0 contributes no factor
@@ -287,7 +279,7 @@ def partition_census(n: int, q: int, cat: Catalog,
     ids = [rec.id for rec in cat.orbits]
     counts = dict.fromkeys(ids, 0)
     fibre = q**(d - n)
-    for start, sig, distinct, record in slice_pass(cat, q)[1]:
+    for start, sig, distinct, record in slice_pass(cat, q):
         width = min(len(sig), fibre)        # whole supports, or part of one
         for row, part in enumerate(sig.reshape(-1, width)):
             weight = (q - 1) ** bin((start + row * width) // fibre).count("1")

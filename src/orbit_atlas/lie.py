@@ -188,8 +188,8 @@ def _bracket(root: tuple[int, int], coords: dict) -> list:
 
 
 def _sparse_element(rank: int, coords: dict) -> NilElement:
-    """NilElement in matrix order, zero coordinates dropped as
-    ``NilElement.from_matrix`` drops them."""
+    """NilElement in matrix order, zero coordinates dropped as the
+    reference ``from_matrix`` of ``tests/reference.py`` drops them."""
     return NilElement(rank, {r: coords[r] for r in sorted(coords)
                              if not is_zero_elem(coords[r])})
 

@@ -216,17 +216,15 @@ def _generators(n: int, q: int, families: Families | None = None) -> list:
                for slot in range(n)])
 
 
-def _simple_maps(n: int, q: int, families: Families | None = None) -> list:
-    maps = [m for _, m in _generators(n, q, families)]
-    return maps[-n:] + maps[:n]
-
-
-def borel_generator_maps(n: int, q: int) -> list[np.ndarray]:
+def borel_generator_maps(n: int, q: int,
+                         families: Families | None = None) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
     for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
     U_root(c) of a non-simple root is a commutator of simple ones, so these
-    2n elements generate B(F_q).  Reads the rank's families itself."""
-    return _simple_maps(n, q)
+    2n elements generate B(F_q).  Specialised from ``families``, read here
+    when none are given."""
+    maps = [m for _, m in _generators(n, q, families)]
+    return maps[-n:] + maps[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +256,8 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
     numbered by that least point, so the partition is canonical.  The
     partition keeps each generator's code table, keyed by its map.  A field
     whose q^d codes do not fit int32 is refused before any allocation.
-    The generators are specialised from ``families`` when a caller that
-    serves several fields has read them, else ``borel_generator_maps``
-    reads them."""
+    The generators are ``borel_generator_maps``, specialised from
+    ``families`` when a caller that serves several fields has read them."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)
@@ -271,8 +268,7 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
             f"2^31 - 1 = {CODE_LIMIT} (int32 point codes)")
     if total > budget:
         raise BudgetExceededError(total, budget)
-    maps = (borel_generator_maps(n, q) if families is None
-            else _simple_maps(n, q, families))
+    maps = borel_generator_maps(n, q, families)
     tables = [image_codes(g, q) for g in maps]
     label = np.arange(total, dtype=np.int32)
     changed = True

@@ -2,23 +2,24 @@
 
 a <= b means the orbit O_a lies in the Zariski closure of O_b.  Each record
 b gets a certified generating set V_b for the functions vanishing on its
-orbit closure (``closure_generators``): every catalog polynomial of the rank
-whose pullback along the generic unipotent orbit adjoint(u, representative)
-is identically zero, u the root-group factors of the one generic Borel word
-of ``lie.generic_borel_word``.  Every catalog polynomial is a torus weight
+orbit closure (``closure_generators``): one polynomial of every class of
+the catalog's pool (``Catalog.pool``, one polynomial per +-sign) whose
+pullback along the generic unipotent orbit adjoint(u, representative) is
+identically zero, u the root-group factors of the one generic Borel word of
+``lie.generic_borel_word``.  Every catalog polynomial is a torus weight
 vector, so it vanishes on the U-orbit exactly when it vanishes on the
 B-orbit.  Those zeros are read off the rank's ``witness.generic_vanishing``
 table, which forward containment reads too, so check-all pulls every record
 back once per command.  They are the record's own zero set, which must
-vanish there, augmented by the other such polynomials.  (Augmentation
-matters: a zero set describes the closure only up to extra components, and
-for a handful of records a dependent quadratic that vanishes on the orbit
+vanish there, augmented by the other such classes.  (Augmentation matters:
+a zero set describes the closure only up to extra components, and for a
+handful of records a dependent quadratic that vanishes on the orbit
 separates those components.)
 
-The symbolic order is set inclusion, a <= b exactly when V_b is a subset of
-V_a (``closure_leq``).  It assumes that V_b cuts out closure(O_b): then O_a
-lies in closure(O_b) = Z(V_b) exactly when every polynomial of V_b vanishes
-on O_a, that is, lies in V_a.  The finite-field layer checks that
+The symbolic order is set inclusion of pool classes, a <= b exactly when
+V_b is a subset of V_a (``closure_leq``).  It assumes that V_b cuts out
+closure(O_b): then O_a lies in closure(O_b) = Z(V_b) exactly when every
+polynomial of V_b vanishes on O_a, that is, lies in V_a.  The finite-field layer checks that
 assumption and every answer on the census's torus slices as one per-point
 equality: b's certified generators all vanish at x exactly when x's record
 lies below b.  It reads both sides off the signatures of
@@ -42,37 +43,31 @@ from .witness import GenericVanishing, generic_vanishing
 CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
 
-def closure_generators(cat: Catalog,
-                       vanishing: GenericVanishing | None = None) -> dict:
-    """Certified vanishing polynomials per record: every catalog polynomial
-    of this rank that vanishes identically on the record's orbit (an exact
-    pullback along the generic unipotent orbit, read off ``vanishing``, the
-    rank's ``generic_vanishing`` table, built here when not given), the
-    record's zero set first.  A zero-set polynomial that does not vanish
-    there is a catalog inconsistency."""
-    if vanishing is None:
-        vanishing = generic_vanishing(cat)
+def closure_generators(cat: Catalog, vanishing: GenericVanishing) -> dict:
+    """Certified vanishing polynomials per record: the record's zero set,
+    then one polynomial of every other class of ``cat.pool`` that vanishes
+    identically on the record's orbit (an exact pullback along the generic
+    unipotent orbit, read off ``vanishing``, the rank's
+    ``generic_vanishing`` table).  A zero-set polynomial that does not
+    vanish there is a catalog inconsistency."""
     out = {}
     for rec in cat.orbits:
         zeros = vanishing.on_orbit(rec)
-        gens = list(zip(rec.zero_set, rec.zero_strs))
-        own = dict(gens)
-        for poly, s in vanishing.pool.items():
-            if poly not in zeros:
-                if poly in own:
-                    raise InternalInconsistencyError(
-                        f"zero-set polynomial {own[poly]} of record {rec.id} "
-                        f"does not vanish on its generic orbit")
-            elif poly not in own:
-                gens.append((poly, s))
-        out[rec.id] = gens
+        own = [cat.slot[p] for p in rec.zero_set]
+        for k, s in zip(own, rec.zero_strs):
+            if k not in zeros:
+                raise InternalInconsistencyError(
+                    f"zero-set polynomial {s} of record {rec.id} does not "
+                    f"vanish on its generic orbit")
+        out[rec.id] = (list(zip(rec.zero_set, rec.zero_strs))
+                       + [cat.pool[k] for k in sorted(zeros.difference(own))])
     return out
 
 
 def closure_leq(vanish_a: frozenset, vanish_b: frozenset) -> bool:
     """a <= b: every certified generator of b vanishes on the generic orbit
-    of a.  Each argument is the set of pool polynomials vanishing on that
-    record's generic orbit, the generators of ``closure_generators``."""
+    of a.  Each argument is the set of pool classes vanishing on that
+    record's generic orbit, the classes of its ``closure_generators``."""
     return vanish_b <= vanish_a
 
 
@@ -117,19 +112,17 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     n = cat.rank
     ids = [rec.id for rec in cat.orbits]
     below = np.array([[leq[(a, b)] for b in ids] for a in ids])
+    gen_bits = [[(cat.slot[p], s) for p, s in generators[b]] for b in ids]
+    masks = np.array([sum({1 << k for k, _ in gens}) for gens in gen_bits],
+                     dtype=np.int64)
+
+    def first_nonzero(b, sig):
+        return next(s for k, s in gen_bits[b] if sig >> k & 1)
+
     counterexamples: dict = {}
     witnessed = np.zeros(len(ids), dtype=bool)
     for q in qs:
-        pool, blocks = slice_pass(cat, q)
-        bit = {p: k for k, p in enumerate(pool)}
-        gen_bits = [[(bit[p], s) for p, s in generators[b]] for b in ids]
-        masks = np.array([sum({1 << k for k, _ in gens}) for gens in gen_bits],
-                         dtype=np.int64)
-
-        def first_nonzero(b, sig):
-            return next(s for k, s in gen_bits[b] if sig >> k & 1)
-
-        for start, sig, distinct, record in blocks:
+        for start, sig, distinct, record in slice_pass(cat, q):
             first = np.unique(sig, return_index=True)[1]
             order = np.argsort(first)           # distinct, in slice order
             sigs, first, recs = distinct[order], first[order], record[order]
@@ -175,8 +168,11 @@ def hasse(cat: Catalog,
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
+    if vanishing is None:
+        vanishing = generic_vanishing(cat)
     generators = closure_generators(cat, vanishing)
-    vanish = {a: frozenset(p for p, _ in gens) for a, gens in generators.items()}
+    vanish = {a: frozenset(cat.slot[p] for p, _ in gens)
+              for a, gens in generators.items()}
     leq = {(a, b): a == b or closure_leq(vanish[a], vanish[b])
            for a in ids for b in ids}
     # order sanity (set inclusion is transitive by construction):

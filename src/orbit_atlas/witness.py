@@ -6,11 +6,11 @@ evaluates the catalog polynomials at adjoint(u, representative) for u the
 root-group factors of the one generic word of ``lie.generic_borel_word``.
 The torus is left out because every catalog polynomial is a torus weight
 vector, which ``generic_pullbacks`` checks first.  The pullbacks are read
-off one table per rank, ``generic_vanishing``: which catalog polynomials
+off one table per rank, ``generic_vanishing``: which classes of the
+catalog's polynomial pool (``Catalog.pool``, one polynomial per +-sign)
 vanish on each record's generic orbit, from one ``generic_pullbacks`` call
-over every distinct polynomial, which evaluates one polynomial per +-sign
-class.  The closure generators of ``order`` read the same table, so
-check-all builds it once per command.  The reverse inclusion is certified
+over the pool.  The closure generators of ``order`` read the same table,
+so check-all builds it once per command.  The reverse inclusion is certified
 by the catalog's witness templates: a Borel word whose parameters
 are rational (and radical) expressions in the coordinates of a general
 member m, with adjoint(word, representative) required to equal m exactly,
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
                     _exact_divide, _frac_pow, eval_expr, kth_roots,
-                    parse_expr, parse_poly, poly_to_str, sign_twins)
+                    parse_expr, parse_poly, poly_to_str)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
                       parse_printed_word, root_weight_homogeneous, x_vars)
 from .errors import (DomainError, EvaluationError, InternalInconsistencyError,
@@ -441,10 +441,7 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
     ``InternalInconsistencyError`` naming it.  Such an f is a torus weight
     vector: f(t.y) = chi_f(t) f(y) for a Laurent monomial chi_f in t1..tn,
     a unit.  B = T U, so f(t.u.rep) = chi_f(t) f(u.rep), and f vanishes on
-    B.rep exactly when it vanishes on U.rep.
-
-    A polynomial whose negative (or itself) came earlier in ``polys`` is not
-    evaluated: its pullback is that one's, negated (``sign_twins``)."""
+    B.rep exactly when it vanishes on U.rep."""
     reps, polys = list(reps), list(polys)
     if not reps:
         return []
@@ -455,17 +452,12 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
                 f"rank {n}: polynomial {poly_to_str(poly)} is not root-weight "
                 f"homogeneous, so its generic pullback cannot drop the torus")
     unipotent = BorelWord(n, None, generic_borel_word(n).factors)
-    twins = sign_twins(polys)
     rows = []
     for rep in reps:
         moved = adjoint(unipotent, rep)
         env = {var: _lift(moved.coord(root))
                for root, var in zip(pos_roots(n), x_vars(n))}
-        row = []
-        for k, (poly, (j, sign)) in enumerate(zip(polys, twins)):
-            row.append(_lift(poly.eval(env)) if j == k
-                       else row[j] if sign > 0 else -row[j])
-        rows.append(row)
+        rows.append([_lift(poly.eval(env)) for poly in polys])
     return rows
 
 
@@ -475,42 +467,34 @@ def _lift(c) -> LaurentPoly:
 
 @dataclass
 class GenericVanishing:
-    """Which catalog polynomials vanish on each record's generic orbit."""
+    """Which classes of one catalog's polynomial pool vanish on each
+    record's generic orbit."""
 
-    pool: dict          # polynomial -> its string, first seen over the records
-    zeros: dict         # record id -> frozenset of the pool polynomials
-                        # whose generic pullback is zero
+    slot: dict          # the catalog's ``slot``: polynomial -> pool class
+    zeros: dict         # record id -> frozenset of the pool classes whose
+                        # generic pullback is zero
 
     def on_orbit(self, rec: OrbitRecord) -> frozenset:
-        """The pool polynomials vanishing on rec's generic orbit.  rec must
-        be a record the table was built from: one whose polynomials were not
-        pulled back would read as not vanishing."""
+        """The pool classes vanishing on rec's generic orbit.  rec must be
+        a record the table was built from: one with a polynomial outside
+        the pool was never pulled back."""
         zeros = self.zeros.get(rec.id)
-        if zeros is None or not self.pool.keys() >= {
+        if zeros is None or not self.slot.keys() >= {
                 *rec.zero_set, *rec.nonzero_set}:
             raise InternalInconsistencyError(
                 f"record {rec.id} is not in the generic-vanishing table")
         return zeros
 
 
-def _vanishing(records) -> GenericVanishing:
-    pool: dict = {}
-    for rec in records:
-        for poly, s in zip(rec.zero_set + rec.nonzero_set,
-                           rec.zero_strs + rec.nonzero_strs):
-            pool.setdefault(poly, s)
-    rows = generic_pullbacks([rec.representative for rec in records], pool)
-    zeros = {rec.id: frozenset(p for p, v in zip(pool, row) if v.is_zero())
-             for rec, row in zip(records, rows)}
-    return GenericVanishing(pool, zeros)
-
-
 def generic_vanishing(cat: Catalog) -> GenericVanishing:
     """The table of every record of the rank, from one ``generic_pullbacks``
-    call over every distinct zero- and nonzero-set polynomial, in first-seen
-    order.  Forward containment and the closure generators of ``order`` both
-    read it, so check-all builds it once per command."""
-    return _vanishing(cat.orbits)
+    call over ``cat.pool``.  Forward containment and the closure generators
+    of ``order`` both read it, so check-all builds it once per command."""
+    rows = generic_pullbacks([rec.representative for rec in cat.orbits],
+                             [poly for poly, _ in cat.pool])
+    return GenericVanishing(cat.slot, {
+        rec.id: frozenset(k for k, v in enumerate(row) if v.is_zero())
+        for rec, row in zip(cat.orbits, rows)})
 
 
 @dataclass
@@ -523,8 +507,7 @@ class ForwardReport:
 
 
 def forward_containment(rec: OrbitRecord,
-                        vanishing: GenericVanishing | None = None
-                        ) -> ForwardReport:
+                        vanishing: GenericVanishing) -> ForwardReport:
     """Containment of the orbit in its defining set, as identities in the
     generic unipotent parameters (``generic_pullbacks``, whose torus factor
     would only multiply each pullback by a unit monomial): every zero-set
@@ -532,17 +515,14 @@ def forward_containment(rec: OrbitRecord,
     nonzero polynomial.  The polynomial ring over Q is a domain, so the
     nonzero pullbacks have a nonzero product and one generic point meets
     every nonzero condition at once.  The pullbacks are read off
-    ``vanishing``, the rank's ``generic_vanishing`` table; without one, the
-    record's own polynomials are pulled back."""
-    if vanishing is None:
-        vanishing = _vanishing((rec,))
+    ``vanishing``, the rank's ``generic_vanishing`` table."""
     zeros = vanishing.on_orbit(rec)
     for k, (poly, s) in enumerate(zip(rec.zero_set, rec.zero_strs)):
-        if poly not in zeros:
+        if vanishing.slot[poly] not in zeros:
             return ForwardReport(rec.id, False, k, 0,
                                  f"zero-set generator {s} has nonzero normal form")
     for k, (poly, s) in enumerate(zip(rec.nonzero_set, rec.nonzero_strs)):
-        if poly in zeros:
+        if vanishing.slot[poly] in zeros:
             return ForwardReport(rec.id, False, len(rec.zero_set), k,
                                  f"nonzero-set generator {s} vanishes identically")
     return ForwardReport(rec.id, True, len(rec.zero_set),

@@ -24,9 +24,8 @@ from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, pos_roots)
-from reference import (decode_points, eval_poly_on_columns,
-                       full_enumeration_census, full_space_records,
-                       match_table, torus_slices)
+from reference import (eval_poly_on_columns, full_enumeration_census,
+                       full_space_records, match_table, torus_slices)
 
 
 def test_member_examples(catalogs):
@@ -114,12 +113,11 @@ def test_census_budget_refusal(catalogs):
 
 
 def _pass_table(cat, q):
-    """(pool, block starts, signature and record of every slice point)."""
-    pool, blocks = slice_pass(cat, q)
+    """(block starts, signature and record of every slice point)."""
     starts, sigs, matched = zip(*(
         (start, sig, record[np.searchsorted(distinct, sig)])
-        for start, sig, distinct, record in blocks))
-    return pool, list(starts), np.concatenate(sigs), np.concatenate(matched)
+        for start, sig, distinct, record in slice_pass(cat, q)))
+    return list(starts), np.concatenate(sigs), np.concatenate(matched)
 
 
 def test_census_chunking_invariance(catalogs, monkeypatch):
@@ -128,14 +126,14 @@ def test_census_chunking_invariance(catalogs, monkeypatch):
     # (2, 2, 2, 3, 3, 3), so the chunks below cut it into blocks of 216, 54,
     # 27, 3 and 1 points
     whole = partition_census(3, 3, catalogs[3])
-    pool, starts, sigs, matched = _pass_table(catalogs[3], 3)
+    starts, sigs, matched = _pass_table(catalogs[3], 3)
     assert starts == [0]
     for chunk, size in ((216, 216), (97, 54), (27, 27), (5, 3), (1, 1)):
         monkeypatch.setattr(classify_mod, "SLICE_CHUNK", chunk)
         assert partition_census(3, 3, catalogs[3]) == whole
         got = _pass_table(catalogs[3], 3)
-        assert got[0] == pool and got[1] == list(range(0, 216, size))
-        assert np.array_equal(got[2], sigs) and np.array_equal(got[3], matched)
+        assert got[0] == list(range(0, 216, size))
+        assert np.array_equal(got[1], sigs) and np.array_equal(got[2], matched)
 
 
 def test_census_rejects_composite_q(catalogs):
@@ -182,8 +180,7 @@ def test_borel_invariance(catalogs):
 
 def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
     # a lost point must fail loudly, also under python -O
-    monkeypatch.setattr(classify_mod, "slice_pass",
-                        lambda cat, q: ([], iter(())))
+    monkeypatch.setattr(classify_mod, "slice_pass", lambda cat, q: iter(()))
     with pytest.raises(InternalInconsistencyError,
                        match=r"rank 2 q=3: census counted 0 points, "
                              r"expected 27"):
@@ -332,17 +329,35 @@ def test_census_rank4_q7_covers_every_orbit(catalogs):
 
 def _padded(cat, extra):
     """cat with x11's nonzero set padded by 2^k X11, k = 1..extra: the same
-    sets over odd q, and ``extra`` more distinct polynomials."""
+    sets over odd q, and ``extra`` more pool classes."""
     rec = cat.by_id("x11")
     x11 = LaurentPoly.var("X11")
-    padded = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + tuple(
-        2**k * x11 for k in range(1, extra + 1)))
+    padded = dataclasses.replace(
+        rec, nonzero_set=rec.nonzero_set + tuple(
+            2**k * x11 for k in range(1, extra + 1)),
+        nonzero_strs=rec.nonzero_strs + tuple(
+            f"{2**k}*X11" for k in range(1, extra + 1)))
     return _with_orbits(cat, [padded if r is rec else r for r in cat.orbits])
+
+
+def test_a_replaced_catalog_rebuilds_its_pool(catalogs):
+    # the pool is built per Catalog, so a copy with other records has its
+    # own, and the original keeps its pool
+    cat = catalogs[2]
+    x11 = LaurentPoly.var("X11")
+    assert [s for _, s in cat.pool] == ["X11", "X22", "X12"]
+    padded = _padded(cat, 2)
+    assert [s for _, s in padded.pool] == ["X11", "X22", "X12", "2*X11",
+                                          "4*X11"]
+    assert padded.slot[-4 * x11] == padded.slot[4 * x11] == 4
+    assert 4 * x11 not in cat.slot and len(cat.pool) == 3
+    smaller = dataclasses.replace(cat, orbits=(cat.by_id("x11"),))
+    assert [s for _, s in smaller.pool] == ["X22", "X11"]
 
 
 def test_pass_holds_63_polynomials_and_refuses_more(catalogs):
     cat = catalogs[2]                       # a pool of X11, X22 and X12
-    assert len(slice_pass(_padded(cat, 60), 3)[0]) == SIGNATURE_BITS
+    assert len(_padded(cat, 60).pool) == SIGNATURE_BITS
     assert (partition_census(2, 3, _padded(cat, 60))
             == partition_census(2, 3, cat))
     with pytest.raises(CatalogError,
@@ -471,12 +486,16 @@ def test_classify_prepares_each_point_once(catalogs, monkeypatch):
 
 def test_signatures_of_a_pool_with_both_signs_match_the_reference(
         catalogs, monkeypatch):
-    # A4's pool holds four quadrics with both signs; add a negated, a
-    # repeated and a negated-last polynomial.  Each +-class is evaluated once
-    # and every bit still matches the per-polynomial reference
-    pool = list(dict.fromkeys(p for rec in catalogs[4].orbits
-                              for p in rec.zero_set + rec.nonzero_set))
-    pool += [-pool[3], pool[5], -pool[-1]]
+    # A4's records carry 25 distinct polynomials, four quadrics with both
+    # signs: the pool holds 21 classes, p and -p share a slot, the slice
+    # pass evaluates one polynomial per class per block, and every
+    # polynomial's nonzero bit sits at its slot
+    cat = catalogs[4]
+    polys = list(dict.fromkeys(p for rec in cat.orbits
+                               for p in rec.zero_set + rec.nonzero_set))
+    assert (len(polys), len(cat.pool)) == (25, 21)
+    assert sum(-p in polys for p in polys) == 8
+    assert all(cat.slot[p] == cat.slot[-p] for p in polys)
     evaluated = []
     original = classify_mod.grid_values
 
@@ -485,13 +504,13 @@ def test_signatures_of_a_pool_with_both_signs_match_the_reference(
         return original(poly, cols, q)
 
     monkeypatch.setattr(classify_mod, "grid_values", counting)
-    q, d = 3, 10
-    got = grid_signatures(pool, {var: range(q) for var in x_vars(4)}, q)
-    assert len(evaluated) == 21
-    digits = decode_points(np.arange(q**d), d, q)
+    monkeypatch.setattr(classify_mod, "SLICE_CHUNK", 3**6)
+    q = 3
+    sig = np.concatenate([sig for _, sig, _, _ in slice_pass(cat, q)])
+    assert len(evaluated) == 21 * 2**4
+    digits = np.stack(np.unravel_index(np.arange(len(sig)),
+                                       slice_shape(4, q)), axis=1)
     cols = {var: digits[:, i] for i, var in enumerate(x_vars(4))}
-    want = np.zeros(q**d, dtype=np.int64)
-    for k, poly in enumerate(pool):
-        want |= (eval_poly_on_columns(poly, cols, q) != 0).astype(
-            np.int64) << k
-    assert (got == want).all()
+    for poly in polys:
+        want = eval_poly_on_columns(poly, cols, q) != 0
+        assert (((sig >> cat.slot[poly]) & 1) == want).all()

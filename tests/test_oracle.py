@@ -335,7 +335,7 @@ def _fixpoint_without(monkeypatch, n, q, drop):
     generators at the indices ``drop`` left out: stable under every other
     one."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "borel_generator_maps", lambda n, q: [
+        patch.setattr(oracle, "borel_generator_maps", lambda n, q, _: [
             m for k, m in enumerate(_all_generator_maps(n, q))
             if k not in drop])
         return enumerate_borel_orbits(n, q)
@@ -411,19 +411,22 @@ def test_bfs_matches_frontier_matmul_reference(partitions):
 
 def test_stability_catches_a_generator_set_without_the_slot_tori(monkeypatch):
     # U_root(1) alone gives the unipotent orbits, a finer partition that
-    # every U_root(c) keeps but the torus does not
+    # every U_root(c) keeps but the torus does not; the fixpoint takes its
+    # generators from ``borel_generator_maps`` whether or not the caller
+    # read the families, as check-all does
     full = borel_generator_maps
 
-    def no_tori(n, q):
-        return [m for m in full(n, q) if (np.diag(m) == 1).all()]
+    def no_tori(n, q, families):
+        return [m for m in full(n, q, families) if (np.diag(m) == 1).all()]
 
     monkeypatch.setattr(oracle, "borel_generator_maps", no_tori)
-    part = enumerate_borel_orbits(2, 5)
-    assert part.class_count > 5
-    with pytest.raises(InternalInconsistencyError,
-                       match=r"rank 2 F_5: class not stable under "
-                             r"torus diag\([1-4], [1-4]\): point "):
-        stability_check(part)
+    for families in (None, oracle.read_families(2)):
+        part = enumerate_borel_orbits(2, 5, families=families)
+        assert part.class_count > 5
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"rank 2 F_5: class not stable under "
+                                 r"torus diag\([1-4], [1-4]\): point "):
+            stability_check(part, families)
 
 
 def _join_classes(part, a, b):

@@ -13,6 +13,7 @@ from orbit_atlas.errors import InternalInconsistencyError
 from orbit_atlas.lie import NilElement
 from orbit_atlas.order import (CERT_FIELDS, _certify, closure_generators,
                                closure_leq, emit_dot, hasse, poset_json)
+from orbit_atlas.witness import generic_vanishing
 from reference import certify, less, nonlinear_zero
 
 
@@ -21,9 +22,15 @@ def posets(catalogs):
     return {n: hasse(catalogs[n]) for n in (1, 2, 3, 4)}
 
 
+def _generators(cat):
+    return closure_generators(cat, generic_vanishing(cat))
+
+
 def _vanish_sets(cat):
-    return {a: frozenset(p for p, _ in gens)
-            for a, gens in closure_generators(cat).items()}
+    # pool classes, as ``hasse`` compares them: a record may carry -p where
+    # another's generators carry p
+    return {a: frozenset(cat.slot[p] for p, _ in gens)
+            for a, gens in _generators(cat).items()}
 
 
 def _dense_subs(rec):
@@ -86,7 +93,7 @@ def test_hasse_matches_dense_parametrization_pullback(n, catalogs, posets):
     # reference: b's generators pulled back along a dense parametrization of
     # S_a, one zero test per (record, pool polynomial)
     cat = catalogs[n]
-    gens = closure_generators(cat)
+    gens = _generators(cat)
     pool = {p for g in gens.values() for p, _ in g}
     zero = {}
     for rec in cat.orbits:
@@ -122,7 +129,7 @@ def test_closure_generators_rejects_nonvanishing_zero_set(catalogs):
                        match=re.escape(f"zero-set polynomial "
                                        f"{rec.nonzero_strs[0]} of record x11 "
                                        f"does not vanish")):
-        closure_generators(broken)
+        closure_generators(broken, generic_vanishing(broken))
 
 
 def test_closure_leq_rank3_example(catalogs):
@@ -174,9 +181,13 @@ def test_equal_dimension_orbits_incomparable_rank4(catalogs):
 
 
 def test_closure_generator_augmentation(catalogs):
-    gens = closure_generators(catalogs[4])
+    cat = catalogs[4]
+    gens = _generators(cat)
     strs = [s for _, s in gens["x22"]]
     assert "X13*X24 - X23*X14" in strs
+    # one generator per pool class: p and -p are never both carried
+    for a, g in gens.items():
+        assert len({cat.slot[p] for p, _ in g}) == len(g), a
 
 
 def test_dot_output_deterministic_and_wellformed(posets):
@@ -207,7 +218,7 @@ def test_derived_poset_shapes_are_stable(posets):
 
 
 def _uncertified(cat):
-    gens = closure_generators(cat)
+    gens = _generators(cat)
     vanish = _vanish_sets(cat)
     leq = {(a, b): closure_leq(vanish[a], vanish[b])
            for a in vanish for b in vanish}
@@ -248,7 +259,7 @@ def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
 def test_counterexamples_sound_through_scalar_path(n, catalogs, posets):
     cat = catalogs[n]
     poset = posets[n]
-    gens = closure_generators(cat)
+    gens = _generators(cat)
     non_relations = {(a, b) for a in poset.nodes for b in poset.nodes
                      if a != b and not poset.leq[(a, b)]}
     assert set(poset.counterexamples) == non_relations

@@ -15,7 +15,7 @@ from orbit_atlas.cli import main
 from orbit_atlas.errors import (DomainError, InternalInconsistencyError,
                                 SchemaError)
 from orbit_atlas.lie import commutator_nil
-from orbit_atlas.order import closure_generators
+from orbit_atlas.order import closure_generators, hasse
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
                                  build_member_env, classify_verdict,
@@ -29,13 +29,15 @@ from reference import full_word_pullbacks, nonlinear_zero
 
 def test_forward_containment_all_records(catalogs):
     for n, cat in catalogs.items():
+        table = generic_vanishing(cat)
         for rec in cat.orbits:
-            report = forward_containment(rec)
+            report = forward_containment(rec, table)
             assert report.ok, (rec.id, report.detail)
 
 
 def test_forward_containment_rank2_regular(catalogs):
-    report = forward_containment(catalogs[2].by_id("x11+x22"))
+    report = forward_containment(catalogs[2].by_id("x11+x22"),
+                                 generic_vanishing(catalogs[2]))
     assert report.ok and report.zero_identities == 0
     assert report.nonzero_nonvanishing == 2
 
@@ -315,23 +317,30 @@ def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
                        match=re.escape("rank 2: polynomial X11 + X12 is not "
                                        "root-weight homogeneous")):
         generic_pullbacks([rec.representative], rec.zero_set + (bad,))
-    # forward containment and the closure generators pull back through it
+    # the table pulls back through it, and so do hasse and verify_rank,
+    # which build the table when not given one
     moved = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + (bad,),
                                 nonzero_strs=rec.nonzero_strs + ("X11 + X12",))
-    with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
-        forward_containment(moved)
     cat = dataclasses.replace(catalogs[2], orbits=tuple(
         moved if r is rec else r for r in catalogs[2].orbits))
-    with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
-        closure_generators(cat)
+    for build in (generic_vanishing, hasse, verify_rank):
+        with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
+            build(cat)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_forward_containment_from_the_table_equals_the_standalone_path(
         catalogs, n):
-    table = generic_vanishing(catalogs[n])
-    for rec in catalogs[n].orbits:
-        assert forward_containment(rec, table) == forward_containment(rec)
+    # the standalone reference pulls each record's own polynomials back
+    # along the full generic Borel word, torus included
+    cat = catalogs[n]
+    table = generic_vanishing(cat)
+    for rec in cat.orbits:
+        polys = rec.zero_set + rec.nonzero_set
+        full = full_word_pullbacks(rec.representative, polys)
+        assert [cat.slot[p] in table.on_orbit(rec) for p in polys] == [
+            v == 0 for v in full], rec.id
+        assert forward_containment(rec, table).ok, rec.id
 
 
 def _with_nonvanishing_zero(cat, rid):
@@ -348,18 +357,20 @@ def _with_nonvanishing_zero(cat, rid):
 def test_a_nonvanishing_zero_set_polynomial_fails_alike_on_both_paths(
         catalogs):
     rec, broken = _with_nonvanishing_zero(catalogs[4], "x11+x24")
-    alone = forward_containment(rec)
-    assert forward_containment(rec, generic_vanishing(broken)) == alone
-    assert not alone.ok and alone.zero_identities == len(rec.zero_set) - 1
-    assert alone.detail == (f"zero-set generator {rec.zero_strs[-1]} has "
-                            f"nonzero normal form")
-    # the closure generators read the same table and refuse the record
-    for table in (None, generic_vanishing(broken)):
+    table = generic_vanishing(broken)
+    report = forward_containment(rec, table)
+    assert not report.ok and report.zero_identities == len(rec.zero_set) - 1
+    assert report.detail == (f"zero-set generator {rec.zero_strs[-1]} has "
+                             f"nonzero normal form")
+    # the closure generators read the same table and refuse the record, also
+    # through hasse, which builds the table itself
+    for call in (lambda: closure_generators(broken, table),
+                 lambda: hasse(broken)):
         with pytest.raises(InternalInconsistencyError,
                            match=re.escape(f"zero-set polynomial "
                                            f"{rec.zero_strs[-1]} of record "
                                            f"x11+x24 does not vanish")):
-            closure_generators(broken, table)
+            call()
 
 
 def test_the_table_refuses_a_record_it_was_not_built_from(catalogs):
@@ -378,12 +389,10 @@ def test_the_table_refuses_a_record_it_was_not_built_from(catalogs):
 
 def test_pullbacks_of_a_pool_with_both_signs_match_the_reference(
         catalogs, monkeypatch):
-    # -p is read off p's pullback, negated, and a repeat off the first copy
+    # A4's 25 distinct polynomials fall into 21 pool classes: the table
+    # pulls back one polynomial per class per record, and p and -p read the
+    # same answer, that of the full-word reference
     cat = catalogs[4]
-    pool = list(dict.fromkeys(p for rec in cat.orbits
-                              for p in rec.zero_set + rec.nonzero_set))
-    pool += [-pool[3], pool[5], -pool[-1]]
-    reps = [cat.by_id(rid).representative for rid in ("x11+x24", "x12+x34")]
     evaluated = []
     original = witness.LaurentPoly.eval
 
@@ -392,17 +401,17 @@ def test_pullbacks_of_a_pool_with_both_signs_match_the_reference(
         return original(self, env)
 
     monkeypatch.setattr(witness.LaurentPoly, "eval", counting)
-    rows = generic_pullbacks(reps, pool)
-    assert len(evaluated) == 2 * 21
+    table = generic_vanishing(cat)
+    assert len(evaluated) == 21 * len(cat.orbits)
     monkeypatch.undo()
-    for rep, row in zip(reps, rows):
-        full = full_word_pullbacks(rep, pool)
-        assert [v.is_zero() for v in row] == [v == 0 for v in full]
-        assert [len(v.terms) for v in row] == [
-            len(v.terms) if v != 0 else 0 for v in full]
-        k = len(pool) - 3
-        assert row[k] == -row[3] and row[k + 1] == row[5]
-        assert row[k + 2] == -row[len(pool) - 4]
+    polys = list(dict.fromkeys(p for rec in cat.orbits
+                               for p in rec.zero_set + rec.nonzero_set))
+    assert len(polys) == 25
+    for rid in ("x11+x24", "x12+x34"):
+        rec = cat.by_id(rid)
+        full = full_word_pullbacks(rec.representative, polys)
+        assert [cat.slot[p] in table.on_orbit(rec) for p in polys] == [
+            v == 0 for v in full], rid
 
 
 def _printed(torus, factors) -> str:
