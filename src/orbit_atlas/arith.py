@@ -952,20 +952,23 @@ class LaurentFraction:
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            if self.num.is_zero():
-                raise DomainError("zero fraction has no inverse")
-            return LaurentFraction(self.den, self.num) ** (-e)
-        out = LaurentFraction(LaurentPoly.one)
+            return self.inv() ** (-e)
+        if e == 0:
+            return LaurentFraction(LaurentPoly.one)
+        out = None
         base = self
-        while e:
+        while True:                 # square-and-multiply, from the low bit
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def inv(self) -> "LaurentFraction":
-        return self ** -1
+        if self.num.is_zero():
+            raise DomainError("zero fraction has no inverse")
+        return LaurentFraction(self.den, self.num)
 
     def __eq__(self, other):
         o = self._lift(other)

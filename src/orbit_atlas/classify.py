@@ -21,10 +21,17 @@ pass per field: each class of the catalog's polynomial pool
 (``Catalog.pool``, one polynomial per +-sign) is evaluated once over the
 slice grid by broadcasting (``grid_values``, through ``grid_signatures``),
 its nonzero pattern packed into one int64 signature per point at its pool
-index, and each distinct signature is matched once against every record.
-The census, the oracle refinement (``point_records``, through the torus
-normal form of every point) and the closure-order certifier
-(``order._certify``) all read their points from the pass.
+index.  Each block's signatures are sorted once (``sorted_signatures``):
+the distinct ones, each one's first point in slice order and every point's
+index into them.  Each distinct signature is matched once against every
+record.  The census, the oracle refinement (``point_records``, through the
+torus normal form of every point) and the closure-order certifier
+(``order._certify``) all read their points from a ``SliceTable``, the
+pass of one field built at its first read: check-all hands one table per
+field to every check that reads the field, so each grid is evaluated once
+per command, and a command run on its own builds its own.  Every
+per-point lookup by an index array goes through ``gather`` (``np.take``, a
+chunk at a time), as do the oracle's whole-space gathers.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +55,7 @@ from .lie import NilElement, nil_dim, pos_roots
 CENSUS_BUDGET = 10_000_000
 SLICE_CHUNK = 1 << 19   # slice points per block of the slice pass
 SIGNATURE_BITS = 63     # pool classes an int64 signature holds
+GATHER_CHUNK = 1 << 14  # indices per np.take call of ``gather``
 
 
 @dataclass(frozen=True)
@@ -164,6 +174,24 @@ def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
     return sig.ravel()
 
 
+def gather(values: np.ndarray, index: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """values[index] for an index array over a whole space or slice grid,
+    written into ``out`` (a new array when none is given) and returned.
+    ``np.take`` gathers by an int32 index about twice as fast as
+    ``values[index]``, but copies the index to intp first: taking
+    ``GATHER_CHUNK`` indices at a time keeps that copy small, and mode
+    "wrap" lets it write into ``out`` directly ("raise" gathers into a
+    hidden buffer first).  Nothing wraps: every index here is a point code,
+    a label or a record index below len(values)."""
+    if out is None:
+        out = np.empty(len(index), dtype=values.dtype)
+    for i in range(0, len(index), GATHER_CHUNK):
+        np.take(values, index[i:i + GATHER_CHUNK],
+                out=out[i:i + GATHER_CHUNK], mode="wrap")
+    return out
+
+
 def slice_shape(n: int, q: int) -> tuple:
     """The slice grid: a 0/1 axis per simple coordinate, then a q-value axis
     per non-simple one.  Its C order is the slice order: support-major (the
@@ -176,17 +204,25 @@ def slice_point(index: int, n: int, q: int) -> list[int]:
     return [int(v) for v in np.unravel_index(index, slice_shape(n, q))]
 
 
+class SliceBlock(NamedTuple):
+    """One block of a slice pass, its signatures sorted once
+    (``sorted_signatures``)."""
+    start: int              # slice index of the block's first point
+    distinct: np.ndarray    # the sorted distinct signatures
+    first: np.ndarray       # block index of each one's first point
+    record: np.ndarray      # the one record each matches, int16
+    inverse: np.ndarray     # every point's index into distinct, int32
+
+
 def slice_pass(cat: Catalog, q: int):
     """One pass over the torus slices of n(F_q) (see the module docstring).
 
     First checks, before any point, that every class of ``cat.pool`` is
-    root-weight homogeneous and that the pool fits a signature.  Yields
-    (start, signatures, distinct, record) per block in slice order: bit k
-    of a signature stands for pool class k, start is the slice index of the
-    block's first point, distinct the sorted distinct signatures and record
-    the one record each of them matches.  The first point matched by no
-    record or by several raises.  A block fixes leading axes of the slice
-    grid and holds at most ``SLICE_CHUNK`` points."""
+    root-weight homogeneous and that the pool fits a signature.  Yields a
+    ``SliceBlock`` per block in slice order: bit k of a signature stands
+    for pool class k.  The first point matched by no record or by several
+    raises.  A block fixes leading axes of the slice grid and holds at most
+    ``SLICE_CHUNK`` points."""
     n = cat.rank
     for poly, _ in cat.pool:
         if not root_weight_homogeneous(poly, n):
@@ -210,6 +246,40 @@ def slice_pass(cat: Catalog, q: int):
     return _slice_blocks(n, q, [p for p, _ in cat.pool], zero, nonzero)
 
 
+def sorted_signatures(sig: np.ndarray, bits: int) -> tuple:
+    """(distinct, first, inverse) of int64 signatures that are all below
+    2^bits, as ``np.unique(sig, return_index=True, return_inverse=True)``
+    gives them, from one sort.  Each signature carries its index in the low
+    bits of the sort key, so equal signatures stay in index order, a
+    boundary mask marks the first of each, and the sorted keys become the
+    sort order in place.  ``sig`` is that key array and may be overwritten,
+    so a block of the slice pass holds no second copy of its signatures.
+    Keys that would not fit int64 are ordered by a stable argsort
+    instead."""
+    size = len(sig)
+    shift = (size - 1).bit_length()
+    new = np.empty(size, dtype=bool)
+    new[:1] = True
+    if bits + shift < 64:
+        low = (1 << shift) - 1
+        sig <<= shift
+        sig |= np.arange(size, dtype=np.int64)
+        sig.sort()
+        np.greater(sig[1:] ^ sig[:-1], low, out=new[1:])
+        distinct, first = sig[new] >> shift, sig[new] & low
+        order = np.bitwise_and(sig, low, out=sig)
+    else:
+        order = np.argsort(sig, kind="stable")
+        key = sig[order]
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        distinct, first = key[new], order[new]
+    group = np.cumsum(new, dtype=np.int32)
+    group -= 1
+    inverse = np.empty(size, dtype=np.int32)
+    inverse[order] = group
+    return distinct, first, inverse
+
+
 def _slice_blocks(n: int, q: int, pool: list, zero, nonzero):
     shape = slice_shape(n, q)
     lead = next(k for k in range(len(shape) + 1)
@@ -219,32 +289,61 @@ def _slice_blocks(n: int, q: int, pool: list, zero, nonzero):
                                                            shape[:lead]))):
         values = [[v] for v in prefix] + [range(s) for s in shape[lead:]]
         sig = grid_signatures(pool, dict(zip(x_vars(n), values)), q)
-        distinct = np.unique(sig)
+        distinct, first, inverse = sorted_signatures(sig, len(pool))
         hits = (((distinct[:, None] & zero) == 0)
                 & ((distinct[:, None] & nonzero) == nonzero))
         count = hits.sum(axis=1)
         record = np.where(count == 1, hits.argmax(axis=1), -1).astype(np.int16)
         if record.min() < 0:
-            at = int(np.argmax(np.isin(sig, distinct[record < 0])))
-            point = slice_point(block * size + at, n, q)
-            if count[np.searchsorted(distinct, sig[at])] == 0:
+            bad = np.flatnonzero(record < 0)
+            at = bad[np.argmin(first[bad])]
+            point = slice_point(block * size + int(first[at]), n, q)
+            if count[at] == 0:
                 raise ExhaustionError(
                     f"point {point} over F_{q} matched no record")
             raise DisjointnessError(
                 f"point {point} over F_{q} matched several records")
-        yield block * size, sig, distinct, record
+        yield SliceBlock(block * size, distinct, first, record, inverse)
 
 
-def point_records(cat: Catalog, q: int) -> np.ndarray:
+class SliceTable:
+    """The slice pass of one catalog over one field, kept for as long as
+    the table is: a command whose checks read the same field shares one.
+    The blocks are built at the first read of ``blocks``; a build that
+    raised is not kept, so the next read raises again."""
+
+    def __init__(self, cat: Catalog, q: int):
+        self.cat, self.q = cat, q
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(slice_pass(self.cat, self.q))
+
+
+def slice_table(cat: Catalog, q: int,
+                table: SliceTable | None = None) -> SliceTable:
+    """``table``, checked to be the slice table of (cat, q), or a new one
+    when none is given."""
+    if table is None:
+        return SliceTable(cat, q)
+    if table.cat is not cat or table.q != q:
+        raise InternalInconsistencyError(
+            f"the slice table of rank {table.cat.rank} F_{table.q} was "
+            f"handed to a read of rank {cat.rank} F_{q}")
+    return table
+
+
+def point_records(cat: Catalog, q: int,
+                  table: SliceTable | None = None) -> np.ndarray:
     """Record index of every point of n(F_q) in code order (digit 0 most
-    significant), read off the slice pass at its torus normal form
-    x_ij -> x_ij * prod(x_kk^-1 : i <= k <= j, x_kk != 0), the one slice
-    point whose scaling it is.  The normal forms' slice indices are built
-    by broadcasting, one axis per coordinate."""
+    significant), read off the slice table (``table``, or one built here)
+    at its torus normal form x_ij -> x_ij * prod(x_kk^-1 : i <= k <= j,
+    x_kk != 0), the one slice point whose scaling it is.  The normal
+    forms' slice indices are built by broadcasting, one axis per
+    coordinate."""
     n, d = cat.rank, nil_dim(cat.rank)
-    table = np.concatenate([record[np.searchsorted(distinct, sig)]
-                            for _, sig, distinct, record
-                            in slice_pass(cat, q)])
+    records = np.concatenate([gather(block.record, block.inverse)
+                              for block in slice_table(cat, q, table).blocks])
     steps = np.arange(q, dtype=np.int64)
     inverse = np.array([1] + [pow(v, -1, q) for v in range(1, q)],
                        dtype=np.int64)      # x_kk = 0 contributes no factor
@@ -259,15 +358,17 @@ def point_records(cat: Catalog, q: int) -> np.ndarray:
         for k in range(i - 1, j):
             scale = scale * along(k, inverse) % q
         index = index + along(r, steps) * scale % q * q**(d - 1 - r)
-    return table[index.ravel()]
+    return gather(records, index.ravel())
 
 
 def partition_census(n: int, q: int, cat: Catalog,
-                     budget: int = CENSUS_BUDGET) -> dict:
+                     budget: int = CENSUS_BUDGET, *,
+                     table: SliceTable | None = None) -> dict:
     """Counts of every catalog set over F_q, with exhaustion and disjointness
     certified on every torus-slice point (see the module docstring); the
     scaling covers all q^d points.  Zero counts are reported, not dropped.
-    ``budget`` bounds q^d."""
+    ``budget`` bounds q^d.  The points are read off ``table``, the slice
+    table of (cat, q), or off one built here."""
     if n != cat.rank:
         raise ShapeError(f"census rank {n} != catalog rank {cat.rank}")
     if not is_prime(q):
@@ -279,14 +380,15 @@ def partition_census(n: int, q: int, cat: Catalog,
     ids = [rec.id for rec in cat.orbits]
     counts = dict.fromkeys(ids, 0)
     fibre = q**(d - n)
-    for start, sig, distinct, record in slice_pass(cat, q):
-        width = min(len(sig), fibre)        # whole supports, or part of one
-        for row, part in enumerate(sig.reshape(-1, width)):
-            weight = (q - 1) ** bin((start + row * width) // fibre).count("1")
-            sigs, cnt = np.unique(part, return_counts=True)
-            for r, c in zip(record[np.searchsorted(distinct, sigs)].tolist(),
-                            cnt.tolist()):
-                counts[ids[r]] += c * weight
+    for block in slice_table(cat, q, table).blocks:
+        records = gather(block.record, block.inverse)
+        width = min(len(records), fibre)    # whole supports, or part of one
+        for row, part in enumerate(records.reshape(-1, width)):
+            weight = (q - 1) ** bin((block.start + row * width)
+                                    // fibre).count("1")
+            for rid, c in zip(ids, np.bincount(part, minlength=len(ids))
+                              .tolist()):
+                counts[rid] += c * weight
     counted = sum(counts.values())
     if counted != total:
         raise InternalInconsistencyError(

@@ -13,20 +13,22 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 from .arith import Fp, is_prime
 from .catalog import (ORBIT_COUNTS, Catalog, load_catalog, record_to_json,
                       validate_catalog)
-from .classify import CENSUS_BUDGET, classify, partition_census
+from .classify import (CENSUS_BUDGET, SliceTable, classify,
+                       partition_census)
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
                      UnsupportedRankError)
 from .lie import NilElement, nil_dim
 from .oracle import (BFS_BUDGET, enumerate_borel_orbits, jacobian_rank_dim,
                      read_families, refine_check, stability_check)
-from .order import emit_dot, hasse, poset_json
+from .order import CERT_FIELDS, emit_dot, hasse, poset_json
 from .witness import generic_vanishing, verify_rank
 
 ORACLE_DEFAULT_QS = {1: (2, 3, 5, 7), 2: (2, 3, 5, 7), 3: (2, 3, 5, 7),
@@ -67,26 +69,31 @@ def _field_list(q: int | None, defaults) -> list[int]:
     return [q]
 
 
-def census_fields(cat: Catalog, qs, budget: int):
+def census_fields(cat: Catalog, qs, budget: int, tables=None):
     """(q, counts, nonempty records) for each field in turn: the census
-    counts, certified exhaustive and disjoint over F_q."""
+    counts, certified exhaustive and disjoint over F_q, read off the
+    field's slice table in ``tables`` or, when it has none, off its own."""
+    tables = tables or {}
     for q in qs:
-        counts = partition_census(cat.rank, q, cat, budget)
+        counts = partition_census(cat.rank, q, cat, budget,
+                                  table=tables.get(q))
         yield q, counts, sum(1 for v in counts.values() if v)
 
 
-def oracle_fields(cat: Catalog, qs, budget: int):
+def oracle_fields(cat: Catalog, qs, budget: int, tables=None):
     """(partition, refine report) for each field in turn: the orbit
     partition over F_q, certified stable (then its code tables are dropped,
-    so none outlives its field), confronted with the catalog.  The rank's
-    symbolic families are read once, on the first step, and every field's
-    fixpoint and stability check specialise them mod q."""
+    so none outlives its field), confronted with the catalog through the
+    field's slice table in ``tables`` or, when it has none, its own.  The
+    rank's symbolic families are read once, on the first step, and every
+    field's fixpoint and stability check specialise them mod q."""
+    tables = tables or {}
     families = read_families(cat.rank)
     for q in qs:
         part = enumerate_borel_orbits(cat.rank, q, budget, families=families)
         stability_check(part, families)
         part.tables = []
-        yield part, refine_check(cat, part)
+        yield part, refine_check(cat, part, table=tables.get(q))
 
 
 def cmd_orbits(args, cat: Catalog) -> int:
@@ -220,6 +227,22 @@ def cmd_check_all(args, cat: Catalog) -> int:
         raise BudgetExceededError(needed, args.budget)
     failures = []
     vanishing = None
+    readers = Counter([*CENSUS_DEFAULT_QS[n], *ORACLE_DEFAULT_QS[n],
+                       *CERT_FIELDS[n]])
+    kept = {}
+
+    def slices(qs):
+        # one slice table per field, shared by the checks that read it: its
+        # first reader builds it (a build that raised is not kept, so each
+        # check that reads the field fails under its own name), and it is
+        # dropped when its last reader takes it
+        out = {}
+        for q in qs:
+            out[q] = kept.pop(q, None) or SliceTable(cat, q)
+            readers[q] -= 1
+            if readers[q]:
+                kept[q] = out[q]
+        return out
 
     def generic():
         # built by the first check that needs it; a build that raised is not
@@ -246,8 +269,9 @@ def cmd_check_all(args, cat: Catalog) -> int:
 
     def census_check():
         seen = []
-        for q, _, nonempty in census_fields(cat, CENSUS_DEFAULT_QS[n],
-                                            args.budget):
+        qs = CENSUS_DEFAULT_QS[n]
+        for q, _, nonempty in census_fields(cat, qs, args.budget,
+                                            slices(qs)):
             seen.append(f"q={q}:{nonempty}")
             if nonempty != ORBIT_COUNTS[n]:
                 return False, f"q={q} gave {nonempty} != {ORBIT_COUNTS[n]}"
@@ -267,15 +291,16 @@ def cmd_check_all(args, cat: Catalog) -> int:
 
     def oracle_check():
         notes = []
-        for part, report in oracle_fields(cat, ORACLE_DEFAULT_QS[n],
-                                          args.budget):
+        qs = ORACLE_DEFAULT_QS[n]
+        for part, report in oracle_fields(cat, qs, args.budget, slices(qs)):
             if not report.ok:
                 return False, report.violations[0]
             notes.append(f"q={part.q}:{part.class_count}cls")
         return True, " ".join(notes)
 
     def order_check():
-        poset = hasse(cat, vanishing=generic())
+        poset = hasse(cat, vanishing=generic(),
+                      tables=slices(CERT_FIELDS[n]))
         return True, f"{len(poset.covers)} cover edges"
 
     def witness_check():

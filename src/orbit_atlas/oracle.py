@@ -25,8 +25,16 @@ into an int32 code table, without decoding the q^d points; the fixpoint
 turns each generator into one table, lowers every point's label through
 it and keeps the tables on the partition, where the stability passes
 reuse them.  ``refine_check`` does not decode the q^d points either: it
-reads every point's record off the census's slice pass through the torus
-normal form (``classify.point_records``).
+reads every point's record off the field's slice table, shared with the
+census and the closure order, through the torus normal form
+(``classify.point_records``).
+
+Every whole-space gather by an int32 code table or label array (the
+fixpoint rounds and pointer jump, the ``class_of`` relabelling, the
+stability passes and the refinement's class lookups) goes through
+``classify.gather``, ``np.take`` a chunk at a time into a reused buffer:
+``a[idx]`` gathers at about half the speed.  The tables, labels and
+``class_of`` stay int32, and no intp copy of them is kept.
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
@@ -44,7 +52,7 @@ import numpy as np
 
 from .arith import Fp, LaurentPoly, is_prime, poly_to_str, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
-from .classify import point_records
+from .classify import SliceTable, gather, point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
@@ -271,16 +279,19 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
     maps = borel_generator_maps(n, q, families)
     tables = [image_codes(g, q) for g in maps]
     label = np.arange(total, dtype=np.int32)
-    changed = True
-    while changed:
-        new = label.copy()
+    new, image = np.empty_like(label), np.empty_like(label)
+    while True:
+        np.copyto(new, label)
         for table in tables:
-            np.minimum(new, new[table], out=new)
-        new = new[new]
-        changed = (new != label).any()
-        label = new
+            np.minimum(new, gather(new, table, image), out=new)
+        gather(new, new, image)
+        if np.array_equal(image, label):
+            break
+        label, image = image, label
     is_rep = label == np.arange(total, dtype=np.int32)
-    class_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+    index = np.cumsum(is_rep, dtype=np.int32, out=new)
+    index -= 1                  # the class index of every representative
+    class_of = gather(index, label, image)
     return OrbitPartition(n, q, class_of, np.flatnonzero(is_rep).tolist(),
                           np.bincount(class_of).tolist(),
                           list(zip(maps, tables)))
@@ -330,12 +341,13 @@ def stability_check(part: OrbitPartition,
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
     gens = [(word, m) for word, m in _generators(n, q, families)
             if not np.array_equal(m, np.identity(d))]
+    image = np.empty_like(part.class_of)
     for word, m in gens:
         codes = next((table for key, table in part.tables
                       if np.array_equal(key, m)), None)
         if codes is None:
             codes = image_codes(m, q)
-        moved = part.class_of[codes] != part.class_of
+        moved = gather(part.class_of, codes, image) != part.class_of
         if moved.any():
             bad = int(np.argmax(moved))
             point = [int(v) for v in np.unravel_index(bad, (q,) * d)]
@@ -366,22 +378,25 @@ class RefineReport:
         return not self.violations
 
 
-def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
+def refine_check(cat: Catalog, part: OrbitPartition, *,
+                 table: SliceTable | None = None) -> RefineReport:
     """Certify that rational orbits refine the catalog partition: every
     class sits inside exactly one defining set, every defining set is a union
     of whole classes, and empties are reported rather than failed.  Every
-    point's record is read off the slice pass (``classify.point_records``),
-    which certifies exhaustion and disjointness on the slices; the q^d
-    points are neither decoded nor evaluated."""
+    point's record is read off the slice table of the field (``table``, or
+    one built here, through ``classify.point_records``), whose pass
+    certifies exhaustion and disjointness on the slices; the q^d points are
+    neither decoded nor evaluated."""
     n, q = part.rank, part.q
     if n != cat.rank:
         raise ShapeError(f"catalog rank {cat.rank} != partition rank {n}")
     d = nil_dim(n)
-    matched = point_records(cat, q)
+    matched = point_records(cat, q, table)
     violations = []
     classes_per_record: dict = {rec.id: [] for rec in cat.orbits}
     rep_match = matched[part.reps]
-    split = set(part.class_of[matched != rep_match[part.class_of]].tolist())
+    split = set(part.class_of[matched != gather(rep_match, part.class_of)]
+                .tolist())
     for cls, rec in enumerate(rep_match.tolist()):
         if cls in split:
             pt = [int(v)

@@ -22,8 +22,9 @@ closure(O_b): then O_a lies in closure(O_b) = Z(V_b) exactly when every
 polynomial of V_b vanishes on O_a, that is, lies in V_a.  The finite-field layer checks that
 assumption and every answer on the census's torus slices as one per-point
 equality: b's certified generators all vanish at x exactly when x's record
-lies below b.  It reads both sides off the signatures of
-``classify.slice_pass``, without evaluating a polynomial again.  That
+lies below b.  It reads both sides off the sorted distinct signatures of
+each field's slice table (``classify.SliceTable``, which check-all shares
+with the census and the oracle), without evaluating a polynomial again.  That
 re-checks every asserted relation, guards every generating set against
 missing components, and yields an explicit counterexample point for every
 non-relation.
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog
-from .classify import slice_pass, slice_point
+from .classify import SliceTable, slice_point, slice_table
 from .errors import CatalogError, InternalInconsistencyError
 from .witness import GenericVanishing, generic_vanishing
 
@@ -92,7 +93,8 @@ class HassePoset:
         return maxs[0] if len(maxs) == 1 else ""
 
 
-def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
+def _certify(cat: Catalog, leq: dict, generators: dict, qs,
+             tables: dict | None = None) -> dict:
     """Finite-field certification of the relation matrix.
 
     At every torus-slice point x of n(F_q) (see ``classify.slice_pass``),
@@ -108,8 +110,11 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     so the equality is decided once per distinct signature, at its first
     point in slice order.  Each non-relation (a, b) takes the first slice
     point of S_a over the first field where S_a has one, and the first
-    generator of b nonzero there."""
+    generator of b nonzero there.  Each field's points are read off its
+    slice table in ``tables`` (field -> ``classify.SliceTable``), or off
+    one built here."""
     n = cat.rank
+    tables = tables or {}
     ids = [rec.id for rec in cat.orbits]
     below = np.array([[leq[(a, b)] for b in ids] for a in ids])
     gen_bits = [[(cat.slot[p], s) for p, s in generators[b]] for b in ids]
@@ -122,16 +127,16 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     counterexamples: dict = {}
     witnessed = np.zeros(len(ids), dtype=bool)
     for q in qs:
-        for start, sig, distinct, record in slice_pass(cat, q):
-            first = np.unique(sig, return_index=True)[1]
-            order = np.argsort(first)           # distinct, in slice order
-            sigs, first, recs = distinct[order], first[order], record[order]
+        for block in slice_table(cat, q, tables.get(q)).blocks:
+            order = np.argsort(block.first)     # distinct, in slice order
+            sigs, first, recs = (block.distinct[order], block.first[order],
+                                 block.record[order])
             vanish = (sigs[:, None] & masks) == 0
             mismatch = vanish != below[recs]
             if mismatch.any():
                 row, b = (int(i) for i in np.argwhere(mismatch)[0])
                 a = ids[recs[row]]
-                pt = slice_point(start + int(first[row]), n, q)
+                pt = slice_point(block.start + int(first[row]), n, q)
                 if vanish[row, b]:
                     raise InternalInconsistencyError(
                         f"every certified generator of {ids[b]} vanishes at "
@@ -147,7 +152,7 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
                 if witnessed[a]:
                     continue
                 witnessed[a] = True
-                pt = slice_point(start + int(first[row]), n, q)
+                pt = slice_point(block.start + int(first[row]), n, q)
                 for b in np.flatnonzero(~below[a]).tolist():
                     counterexamples[(ids[a], ids[b])] = (
                         q, pt, first_nonzero(b, int(sigs[row])))
@@ -160,11 +165,13 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     return counterexamples
 
 
-def hasse(cat: Catalog,
-          vanishing: GenericVanishing | None = None) -> HassePoset:
+def hasse(cat: Catalog, vanishing: GenericVanishing | None = None,
+          tables: dict[int, SliceTable] | None = None) -> HassePoset:
     """Full closure order from pairwise generator-set inclusions, certified
     over the fields of ``CERT_FIELDS``, reduced to cover edges.  The
-    generators are read off ``vanishing`` (``closure_generators``)."""
+    generators are read off ``vanishing`` (``closure_generators``), and
+    each field's points off its slice table in ``tables`` (``_certify``);
+    whatever is not given is built here."""
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
@@ -185,7 +192,8 @@ def hasse(cat: Catalog,
                 if dims[a] >= dims[b]:
                     raise CatalogError(
                         f"{a} < {b} but dim {dims[a]} >= {dims[b]}")
-    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank])
+    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank],
+                               tables)
     # a < b is a cover unless a < c < b for some c: one boolean product
     strict = np.array([[a != b and leq[(a, b)] for b in ids] for a in ids])
     cover = strict & ~(strict @ strict)

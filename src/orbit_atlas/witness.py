@@ -176,6 +176,10 @@ def make_frac_pow(tower):
         return factors * _frac_pow(LaurentFraction(p), e)
 
     def hook(base: LaurentFraction, e: Fraction) -> LaurentFraction:
+        # a monomial has no radicand to peel: the tower's radicands are
+        # non-monomial (``build_member_env`` refuses the others)
+        if base.num.is_monomial() and base.den.is_monomial():
+            return _frac_pow(base, e)
         return poly_power(base.num, e) / poly_power(base.den, e)
 
     return hook

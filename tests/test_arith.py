@@ -502,3 +502,53 @@ def test_constant_values_are_fractions():
                   (V("x") * 2 - 1).eval({"x": 3})):
         assert type(value) is Fraction
     assert V("x").eval({"x": 2}) == 2
+
+
+@st.composite
+def fraction(draw):
+    num = draw(mixed_poly())
+    den = draw(mixed_poly())
+    assume(not den.is_zero())
+    return LaurentFraction(num, den)
+
+
+def _repeated(x, k):
+    out = LaurentFraction(1)
+    for _ in range(abs(k)):
+        out = out * x
+    return out if k >= 0 else LaurentFraction(1) / out
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction(), st.integers(-3, 5))
+def test_fraction_inverse_and_powers_match_the_field_operations(x, k):
+    if x.is_zero():
+        with pytest.raises(DomainError, match="zero fraction has no inverse"):
+            x.inv()
+        if k < 0:
+            with pytest.raises(DomainError):
+                x ** k
+        else:
+            assert x ** k == _repeated(x, k)
+        return
+    assert x.inv() == LaurentFraction(1) / x
+    assert x.inv() * x == LaurentFraction(1)
+    assert x ** k == _repeated(x, k)
+
+
+def test_inverse_divides_out_a_denominator_that_the_numerator_shared():
+    # (x+1) / ((x+1)(y+1)) keeps its form (no gcd is taken), and its inverse
+    # has a denominator x+1 that divides its numerator: it canonicalises to
+    # the polynomial y+1, once
+    x, y = V("x"), V("y")
+    f = LaurentFraction(x + 1, (x + 1) * (y + 1))
+    assert (f.num, f.den) == (x + 1, (x + 1) * (y + 1))
+    inv = f.inv()
+    assert inv.is_poly() and inv.num == y + 1
+    assert f ** -1 == inv and f ** -2 == LaurentFraction((y + 1) ** 2)
+    assert (f ** -3).num == (y + 1) ** 3
+    assert f ** 0 == LaurentFraction(1) and f ** 1 is f
+    with pytest.raises(DomainError, match="zero fraction has no inverse"):
+        LaurentFraction(0).inv()
+    with pytest.raises(DomainError, match="zero fraction has no inverse"):
+        LaurentFraction(0) ** -2

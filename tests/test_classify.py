@@ -9,14 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbit_atlas import classify as classify_mod
 from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
 from orbit_atlas.catalog import root_weight_homogeneous, x_vars
-from orbit_atlas.classify import (SIGNATURE_BITS, classify, grid_signatures,
-                                  member, partition_census, point_records,
-                                  slice_pass, slice_point, slice_shape)
+from orbit_atlas.classify import (SIGNATURE_BITS, SliceTable, classify,
+                                  gather, grid_signatures, member,
+                                  partition_census, point_records, slice_pass,
+                                  slice_point, slice_shape, sorted_signatures)
 from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 DisjointnessError, DomainError,
                                 ExhaustionError,
@@ -115,8 +116,8 @@ def test_census_budget_refusal(catalogs):
 def _pass_table(cat, q):
     """(block starts, signature and record of every slice point)."""
     starts, sigs, matched = zip(*(
-        (start, sig, record[np.searchsorted(distinct, sig)])
-        for start, sig, distinct, record in slice_pass(cat, q)))
+        (b.start, b.distinct[b.inverse], b.record[b.inverse])
+        for b in slice_pass(cat, q)))
     return list(starts), np.concatenate(sigs), np.concatenate(matched)
 
 
@@ -506,7 +507,7 @@ def test_signatures_of_a_pool_with_both_signs_match_the_reference(
     monkeypatch.setattr(classify_mod, "grid_values", counting)
     monkeypatch.setattr(classify_mod, "SLICE_CHUNK", 3**6)
     q = 3
-    sig = np.concatenate([sig for _, sig, _, _ in slice_pass(cat, q)])
+    sig = np.concatenate([b.distinct[b.inverse] for b in slice_pass(cat, q)])
     assert len(evaluated) == 21 * 2**4
     digits = np.stack(np.unravel_index(np.arange(len(sig)),
                                        slice_shape(4, q)), axis=1)
@@ -514,3 +515,99 @@ def test_signatures_of_a_pool_with_both_signs_match_the_reference(
     for poly in polys:
         want = eval_poly_on_columns(poly, cols, q) != 0
         assert (((sig >> cat.slot[poly]) & 1) == want).all()
+
+
+@st.composite
+def _signature_rows(draw):
+    """(signatures, bits, row width): rows of equal width, every value
+    below 2^bits; at 63 bits and two or more values the sort key does not
+    fit int64 and the stable argsort orders them."""
+    bits = draw(st.integers(1, 63))
+    width = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 6))
+    values = st.integers(0, 2**bits - 1)
+    if draw(st.booleans()):                 # few distinct values, many ties
+        values = st.sampled_from(draw(st.lists(values, min_size=1,
+                                               max_size=4)))
+    sig = draw(st.lists(values, min_size=rows * width,
+                        max_size=rows * width))
+    return np.array(sig, dtype=np.int64), bits, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signature_rows())
+@example((np.array([5], dtype=np.int64), 3, 1))
+@example((np.full(12, 2**62 + 7, dtype=np.int64), 63, 4))
+@example((np.full(12, 6, dtype=np.int64), 3, 3))
+def test_sorted_signatures_equal_numpy_unique(case):
+    # the one sort of a block gives np.unique's distinct values, first
+    # indices and inverse, and the census's per-support counts read off the
+    # inverse equal np.unique's counts of each support row
+    sig, bits, width = case
+    want, index, inv = np.unique(sig, return_index=True, return_inverse=True)
+    distinct, first, inverse = sorted_signatures(sig.copy(), bits)
+    assert distinct.tolist() == want.tolist()
+    assert first.tolist() == index.tolist()
+    assert inverse.dtype == np.int32 and inverse.tolist() == inv.tolist()
+    for row, part in zip(inverse.reshape(-1, width), sig.reshape(-1, width)):
+        counts = np.bincount(row, minlength=len(distinct))
+        values, cnt = np.unique(part, return_counts=True)
+        assert distinct[counts > 0].tolist() == values.tolist()
+        assert counts[counts > 0].tolist() == cnt.tolist()
+
+
+def test_a_slice_table_serves_every_reader_of_its_field(catalogs,
+                                                        monkeypatch):
+    # one evaluation of the grid serves the census, the point records and
+    # the closure-order certificate, and a table is refused by a read of
+    # another field or another catalog
+    cat = catalogs[3]
+    calls = []
+    original = classify_mod.grid_signatures
+
+    def counting(polys, axes, q):
+        calls.append(q)
+        return original(polys, axes, q)
+
+    monkeypatch.setattr(classify_mod, "grid_signatures", counting)
+    table = SliceTable(cat, 3)
+    assert calls == []                      # built at its first read
+    counts = partition_census(3, 3, cat, table=table)
+    records = point_records(cat, 3, table)
+    assert calls == [3]
+    assert counts == partition_census(3, 3, cat)
+    assert np.array_equal(records, point_records(cat, 3))
+    assert calls == [3, 3, 3]
+    for bad in (SliceTable(cat, 5), SliceTable(catalogs[2], 3)):
+        with pytest.raises(InternalInconsistencyError,
+                           match="was handed to a read of rank 3 F_3"):
+            partition_census(3, 3, cat, table=bad)
+    assert calls == [3, 3, 3]
+
+
+def test_a_failed_slice_table_build_is_not_kept(catalogs):
+    cat = _with_orbits(catalogs[2], [r for r in catalogs[2].orbits
+                                     if r.id != "x12"])
+    table = SliceTable(cat, 3)
+    for _ in range(2):
+        with pytest.raises(ExhaustionError, match=re.escape(
+                "point [0, 0, 1] over F_3 matched no record")):
+            partition_census(2, 3, cat, table=table)
+    assert "blocks" not in vars(table)
+
+
+def test_gather_equals_indexing_across_chunks(monkeypatch):
+    # a chunk boundary anywhere, or none, changes no gathered value
+    rng = np.random.default_rng(0)
+    for dtype in (np.int16, np.int32):
+        values = rng.integers(0, 1000, 37).astype(dtype)
+        for chunk in (1, 5, 37, 1 << 14):
+            monkeypatch.setattr(classify_mod, "GATHER_CHUNK", chunk)
+            for size in (1, 36, 37, 38, 200):
+                index = rng.integers(0, 37, size).astype(np.int32)
+                got = gather(values, index)
+                assert got.dtype == dtype
+                assert got.tolist() == values[index].tolist()
+                out = np.empty(size, dtype=dtype)
+                assert gather(values, index, out) is out
+                assert out.tolist() == values[index].tolist()

@@ -1,13 +1,16 @@
 """CLI surface: dispatch, determinism, exit codes."""
 
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import orbit_atlas
 from orbit_atlas import cli
-from orbit_atlas.catalog import load_catalog
+from orbit_atlas.arith import parse_poly
+from orbit_atlas.catalog import load_catalog, x_vars
 from orbit_atlas.cli import main
 from orbit_atlas.errors import InternalInconsistencyError
 
@@ -351,3 +354,90 @@ def test_a_failed_generic_table_fails_both_checks_by_name(capsys,
     assert out.splitlines()[-2:] == [
         "FAIL closure-order: InternalInconsistencyError: no table",
         "FAIL witnesses: InternalInconsistencyError: no table"]
+
+
+def _count_grids(monkeypatch):
+    """A Counter of ``grid_signatures`` calls per field, filled as the
+    slice grids are evaluated."""
+    from orbit_atlas import classify
+    calls = Counter()
+    original = classify.grid_signatures
+
+    def counting(polys, axes, q):
+        calls[q] += 1
+        return original(polys, axes, q)
+
+    monkeypatch.setattr(classify, "grid_signatures", counting)
+    return calls
+
+
+def test_check_all_evaluates_each_slice_grid_once(capsys, monkeypatch):
+    # census, oracle refinement and closure-order share one slice table per
+    # field; every default field is a single block, so a grid evaluation
+    # per field is a table build per field
+    calls = _count_grids(monkeypatch)
+    assert run(capsys, "check-all", "--type", "A4")[0] == 0
+    assert calls == {2: 1, 3: 1, 5: 1}
+    calls.clear()
+    assert run(capsys, "check-all", "--type", "A3")[0] == 0
+    assert calls == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1}
+    # a second command builds its own tables
+    assert run(capsys, "check-all", "--type", "A3")[0] == 0
+    assert calls == {2: 2, 3: 2, 5: 2, 7: 2, 11: 2}
+    # and so does each command on its own
+    calls.clear()
+    assert run(capsys, "census", "--type", "A2", "--q", "3")[0] == 0
+    assert calls == {3: 1}
+    assert run(capsys, "oracle", "--type", "A2", "--q", "3")[0] == 0
+    assert calls == {3: 2}
+    assert run(capsys, "hasse", "--type", "A2")[0] == 0
+    assert calls == {3: 3, 5: 1, 7: 1}
+
+
+def _hole(cat):
+    # the x12 points match nothing
+    return dataclasses.replace(cat, orbits=tuple(
+        r for r in cat.orbits if r.id != "x12"))
+
+
+def _inhomogeneous(cat):
+    # X11 + X12 weighs a1 and a1 + a2
+    rec = cat.by_id("x22")
+    bad = dataclasses.replace(
+        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+    return dataclasses.replace(cat, orbits=tuple(
+        bad if r is rec else r for r in cat.orbits))
+
+
+SLICING = ("rank 2: record x22 polynomial X11 + X12 is not root-weight "
+           "homogeneous, so torus slicing does not apply")
+
+
+@pytest.mark.parametrize("broken, lines, grids", [
+    (_hole, [
+        "FAIL census: ExhaustionError: point [0, 0, 1] over F_3 matched no "
+        "record",
+        "FAIL oracle: ExhaustionError: point [0, 0, 1] over F_2 matched no "
+        "record",
+        "FAIL closure-order: ExhaustionError: point [0, 0, 1] over F_3 "
+        "matched no record"], {3: 2, 2: 1}),
+    (_inhomogeneous, [
+        f"FAIL census: InternalInconsistencyError: {SLICING}",
+        f"FAIL oracle: InternalInconsistencyError: {SLICING}",
+        "FAIL closure-order: InternalInconsistencyError: rank 2: polynomial "
+        "X11 + X12 is not root-weight homogeneous, so its generic pullback "
+        "cannot drop the torus"], {}),
+])
+def test_a_failed_slice_table_fails_each_check_by_name(capsys, monkeypatch,
+                                                       broken, lines, grids):
+    # a table build that raised is not kept: closure-order builds F_3 again
+    # after the census failed on it, and fails with the same message
+    cat = broken(load_catalog(2))
+    monkeypatch.setattr(cli, "load_catalog", lambda n: cat)
+    calls = _count_grids(monkeypatch)
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 1
+    assert [line for line in out.splitlines()
+            if line.startswith(("FAIL census", "FAIL oracle",
+                                "FAIL closure-order"))] == lines
+    assert calls == grids

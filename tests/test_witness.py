@@ -4,11 +4,14 @@ and repairs."""
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import witness
-from orbit_atlas.arith import parse_poly
+from orbit_atlas.arith import (LaurentFraction, LaurentPoly, _frac_pow,
+                               parse_poly)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
                                 parse_printed_word, serialize_catalog, x_vars)
 from orbit_atlas.cli import main
@@ -217,6 +220,57 @@ def test_peel_exhausts_divisors_in_list_order():
     assert _peel(p, [shared, a1]) == (c2, [1, 2])
     assert _peel(p, [a1, shared]) == (b1 * c2, [3, 0])
     assert _peel(c2, [shared, a1]) == (c2, [0, 0])
+
+
+MONOMIAL_COEFFS = (1, -1, 4, Fraction(9, 4), -8, 2, Fraction(1, 27))
+FRACTIONAL_EXPONENTS = tuple(Fraction(a, b) for a, b in (
+    (1, 2), (-1, 2), (3, 2), (1, 3), (-2, 3), (2, 1), (-1, 1), (1, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MONOMIAL_COEFFS),
+       st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+       st.sampled_from(MONOMIAL_COEFFS),
+       st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+       st.sampled_from(FRACTIONAL_EXPONENTS))
+def test_frac_pow_of_a_monomial_equals_the_peel_path(catalogs, cn, en, cd,
+                                                     ed, e):
+    # a monomial base takes the hook's direct path: the value, or the
+    # SchemaError text, of the peel path, whose radicands never divide a
+    # monomial, so every factor is a plain monomial root
+    tower = build_member_env(catalogs[3].by_id("x22+x13")).tower
+    letters = ("v", "x", "y", "z", "R")
+    num = LaurentPoly(letters, {tuple(en): cn})
+    den = LaurentPoly(letters, {tuple(ed): cd})
+    base = LaurentFraction(num, den)
+    radicands = [rel.radicand for rel in tower]
+    for p in (base.num, base.den):
+        assert _peel(p, radicands) == (p, [0] * len(tower))
+    try:
+        want = (LaurentFraction(1) * _frac_pow(LaurentFraction(base.num), e)
+                / (LaurentFraction(1)
+                   * _frac_pow(LaurentFraction(base.den), e)))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError, match=re.escape(str(exc))):
+            witness.make_frac_pow(tower)(base, e)
+    else:
+        got = witness.make_frac_pow(tower)(base, e)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_frac_pow_keeps_the_zero_base_and_non_monomial_paths(catalogs):
+    tower = build_member_env(catalogs[3].by_id("x22+x13")).tower
+    hook = witness.make_frac_pow(tower)
+    with pytest.raises(SchemaError, match="fractional power of zero"):
+        hook(LaurentFraction(0), Fraction(1, 2))
+    # a non-monomial goes through the peel: the radicand R^2 comes off as R
+    (rel,) = tower
+    got = hook(LaurentFraction(rel.radicand * LaurentPoly.var("x", 2)),
+               Fraction(1, 2))
+    assert got == LaurentFraction(LaurentPoly.var("R") * LaurentPoly.var("x"))
+    with pytest.raises(SchemaError, match="fractional power of a "
+                                          "non-monomial"):
+        hook(LaurentFraction(parse_poly("x + 1")), Fraction(1, 2))
 
 
 def _with_monomial_radicand(rec):
