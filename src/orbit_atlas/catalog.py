@@ -121,13 +121,16 @@ class Catalog:
     string) per +-class of the zero- and nonzero-set polynomials, first seen
     over the records (zero set first), and ``slot``, sending either sign to
     its class index.  p and -p vanish together, so the kernels evaluate one
-    polynomial per class.  Built per instance, ``replace`` copies included."""
+    polynomial per class.  ``memo`` holds the tables derived from the
+    records (``derived``).  All three are built per instance, so a
+    ``replace`` copy starts with its own pool and no tables."""
 
     rank: int
     schema_version: int
     orbits: tuple[OrbitRecord, ...]
     pool: tuple = field(init=False, repr=False, compare=False)
     slot: dict = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pool, slot = [], {}
@@ -139,6 +142,16 @@ class Catalog:
                     pool.append((poly, s))
         object.__setattr__(self, "pool", tuple(pool))
         object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "memo", {})
+
+    def derived(self, key, build):
+        """The table ``key`` derived from this catalog: ``build()`` at the
+        first read, kept for every later one.  A build that raised is not
+        kept, so the next reader builds again and fails alike.  The records
+        are immutable, so a kept table never goes stale."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     def by_id(self, orbit_id: str) -> OrbitRecord:
         for rec in self.orbits:
@@ -221,7 +234,9 @@ def load_catalog(n: int) -> Catalog:
 
 def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     """One record; ``polys`` maps each set string already parsed in this
-    load to its polynomial, and gains the strings parsed here."""
+    load to its polynomial, and gains the strings parsed here.  A set
+    polynomial must be exponent-positive: every kernel evaluates it at
+    points where a coordinate may be 0."""
     rep = rep_from_tokens(n, row["rep"])
     rid = row["id"]
     if orbit_id_for(rep) != rid:
@@ -230,7 +245,10 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     nonzero_strs = tuple(row["nonzero_set"])
     for s in zero_strs + nonzero_strs:
         if s not in polys:
-            polys[s] = parse_poly(s, allowed)
+            poly = polys[s] = parse_poly(s, allowed)
+            if any(e < 0 for exps in poly.terms for e in exps):
+                raise CatalogError(
+                    f"set polynomial {s!r} has a negative exponent")
     zero = tuple(polys[s] for s in zero_strs)
     nonzero = tuple(polys[s] for s in nonzero_strs)
     dim = int(row["dim"])

@@ -26,10 +26,12 @@ the distinct ones, each one's first point in slice order and every point's
 index into them.  Each distinct signature is matched once against every
 record.  The census, the oracle refinement (``point_records``, through the
 torus normal form of every point) and the closure-order certifier
-(``order._certify``) all read their points from a ``SliceTable``, the
-pass of one field built at its first read: check-all hands one table per
-field to every check that reads the field, so each grid is evaluated once
-per command, and a command run on its own builds its own.  Every
+(``order._certify``) all read their points from ``slice_table``.  The
+catalog owns the tables: the pass of one field is built at its first read
+and kept on the catalog (``Catalog.derived``), so every reader of the field
+shares it.  ``cli.main`` loads a fresh catalog per command, so each
+command evaluates each grid once, whichever of its checks reads it first;
+a build that raised is not kept, and the next reader builds again.  Every
 per-point lookup by an index array goes through ``gather`` (``np.take``, a
 chunk at a time), as do the oracle's whole-space gathers.
 """
@@ -40,7 +42,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -306,44 +307,23 @@ def _slice_blocks(n: int, q: int, pool: list, zero, nonzero):
         yield SliceBlock(block * size, distinct, first, record, inverse)
 
 
-class SliceTable:
-    """The slice pass of one catalog over one field, kept for as long as
-    the table is: a command whose checks read the same field shares one.
-    The blocks are built at the first read of ``blocks``; a build that
-    raised is not kept, so the next read raises again."""
-
-    def __init__(self, cat: Catalog, q: int):
-        self.cat, self.q = cat, q
-
-    @cached_property
-    def blocks(self) -> tuple:
-        return tuple(slice_pass(self.cat, self.q))
+def slice_table(cat: Catalog, q: int) -> tuple:
+    """The catalog's slice table over F_q: the ``SliceBlock``s of its
+    ``slice_pass``, built at the first read and kept on the catalog
+    (``Catalog.derived``) for every later reader of the field."""
+    return cat.derived(("slices", q), lambda: tuple(slice_pass(cat, q)))
 
 
-def slice_table(cat: Catalog, q: int,
-                table: SliceTable | None = None) -> SliceTable:
-    """``table``, checked to be the slice table of (cat, q), or a new one
-    when none is given."""
-    if table is None:
-        return SliceTable(cat, q)
-    if table.cat is not cat or table.q != q:
-        raise InternalInconsistencyError(
-            f"the slice table of rank {table.cat.rank} F_{table.q} was "
-            f"handed to a read of rank {cat.rank} F_{q}")
-    return table
-
-
-def point_records(cat: Catalog, q: int,
-                  table: SliceTable | None = None) -> np.ndarray:
+def point_records(cat: Catalog, q: int) -> np.ndarray:
     """Record index of every point of n(F_q) in code order (digit 0 most
-    significant), read off the slice table (``table``, or one built here)
-    at its torus normal form x_ij -> x_ij * prod(x_kk^-1 : i <= k <= j,
+    significant), read off the catalog's slice table at its torus normal
+    form x_ij -> x_ij * prod(x_kk^-1 : i <= k <= j,
     x_kk != 0), the one slice point whose scaling it is.  The normal
     forms' slice indices are built by broadcasting, one axis per
     coordinate."""
     n, d = cat.rank, nil_dim(cat.rank)
     records = np.concatenate([gather(block.record, block.inverse)
-                              for block in slice_table(cat, q, table).blocks])
+                              for block in slice_table(cat, q)])
     steps = np.arange(q, dtype=np.int64)
     inverse = np.array([1] + [pow(v, -1, q) for v in range(1, q)],
                        dtype=np.int64)      # x_kk = 0 contributes no factor
@@ -362,13 +342,12 @@ def point_records(cat: Catalog, q: int,
 
 
 def partition_census(n: int, q: int, cat: Catalog,
-                     budget: int = CENSUS_BUDGET, *,
-                     table: SliceTable | None = None) -> dict:
+                     budget: int = CENSUS_BUDGET) -> dict:
     """Counts of every catalog set over F_q, with exhaustion and disjointness
     certified on every torus-slice point (see the module docstring); the
     scaling covers all q^d points.  Zero counts are reported, not dropped.
-    ``budget`` bounds q^d.  The points are read off ``table``, the slice
-    table of (cat, q), or off one built here."""
+    ``budget`` bounds q^d.  The points are read off the catalog's slice
+    table of F_q."""
     if n != cat.rank:
         raise ShapeError(f"census rank {n} != catalog rank {cat.rank}")
     if not is_prime(q):
@@ -380,7 +359,7 @@ def partition_census(n: int, q: int, cat: Catalog,
     ids = [rec.id for rec in cat.orbits]
     counts = dict.fromkeys(ids, 0)
     fibre = q**(d - n)
-    for block in slice_table(cat, q, table).blocks:
+    for block in slice_table(cat, q):
         records = gather(block.record, block.inverse)
         width = min(len(records), fibre)    # whole supports, or part of one
         for row, part in enumerate(records.reshape(-1, width)):

@@ -5,6 +5,15 @@ check-all.  Machine formats (JSON/CSV/DOT) are the primary outputs; human
 tables are renderings of the same data.  Exit codes: 0 success, 1 a check
 failed (first counterexample printed), 2 flag errors or a command that ran
 out of memory (a raised --budget can ask for more than the machine has).
+
+``main`` loads the rank's catalog once per command and hands it to the
+command.  The catalog owns the tables derived from it (the slice table of
+each field and the generic-vanishing table; see ``Catalog.derived``), so
+check-all and the standalone census, oracle, hasse and verify commands
+share one code path: whichever check reads a table first builds it, every
+later check of the command reads it, and the next command builds its own.
+A build that raised is not kept, so each check that needs the table fails
+under its own name.
 """
 
 from __future__ import annotations
@@ -13,23 +22,21 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 from .arith import Fp, is_prime
 from .catalog import (ORBIT_COUNTS, Catalog, load_catalog, record_to_json,
                       validate_catalog)
-from .classify import (CENSUS_BUDGET, SliceTable, classify,
-                       partition_census)
+from .classify import CENSUS_BUDGET, classify, partition_census
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
                      UnsupportedRankError)
 from .lie import NilElement, nil_dim
 from .oracle import (BFS_BUDGET, enumerate_borel_orbits, jacobian_rank_dim,
                      read_families, refine_check, stability_check)
-from .order import CERT_FIELDS, emit_dot, hasse, poset_json
-from .witness import generic_vanishing, verify_rank
+from .order import emit_dot, hasse, poset_json
+from .witness import verify_rank
 
 ORACLE_DEFAULT_QS = {1: (2, 3, 5, 7), 2: (2, 3, 5, 7), 3: (2, 3, 5, 7),
                      4: (2, 3)}
@@ -69,31 +76,26 @@ def _field_list(q: int | None, defaults) -> list[int]:
     return [q]
 
 
-def census_fields(cat: Catalog, qs, budget: int, tables=None):
+def census_fields(cat: Catalog, qs, budget: int):
     """(q, counts, nonempty records) for each field in turn: the census
-    counts, certified exhaustive and disjoint over F_q, read off the
-    field's slice table in ``tables`` or, when it has none, off its own."""
-    tables = tables or {}
+    counts, certified exhaustive and disjoint over F_q."""
     for q in qs:
-        counts = partition_census(cat.rank, q, cat, budget,
-                                  table=tables.get(q))
+        counts = partition_census(cat.rank, q, cat, budget)
         yield q, counts, sum(1 for v in counts.values() if v)
 
 
-def oracle_fields(cat: Catalog, qs, budget: int, tables=None):
+def oracle_fields(cat: Catalog, qs, budget: int):
     """(partition, refine report) for each field in turn: the orbit
     partition over F_q, certified stable (then its code tables are dropped,
-    so none outlives its field), confronted with the catalog through the
-    field's slice table in ``tables`` or, when it has none, its own.  The
+    so none outlives its field) and confronted with the catalog.  The
     rank's symbolic families are read once, on the first step, and every
     field's fixpoint and stability check specialise them mod q."""
-    tables = tables or {}
     families = read_families(cat.rank)
     for q in qs:
         part = enumerate_borel_orbits(cat.rank, q, budget, families=families)
         stability_check(part, families)
         part.tables = []
-        yield part, refine_check(cat, part, table=tables.get(q))
+        yield part, refine_check(cat, part)
 
 
 def cmd_orbits(args, cat: Catalog) -> int:
@@ -226,31 +228,6 @@ def cmd_check_all(args, cat: Catalog) -> int:
     if needed > args.budget:
         raise BudgetExceededError(needed, args.budget)
     failures = []
-    vanishing = None
-    readers = Counter([*CENSUS_DEFAULT_QS[n], *ORACLE_DEFAULT_QS[n],
-                       *CERT_FIELDS[n]])
-    kept = {}
-
-    def slices(qs):
-        # one slice table per field, shared by the checks that read it: its
-        # first reader builds it (a build that raised is not kept, so each
-        # check that reads the field fails under its own name), and it is
-        # dropped when its last reader takes it
-        out = {}
-        for q in qs:
-            out[q] = kept.pop(q, None) or SliceTable(cat, q)
-            readers[q] -= 1
-            if readers[q]:
-                kept[q] = out[q]
-        return out
-
-    def generic():
-        # built by the first check that needs it; a build that raised is not
-        # kept, so each check that needs it fails under its own name
-        nonlocal vanishing
-        if vanishing is None:
-            vanishing = generic_vanishing(cat)
-        return vanishing
 
     def check(name, fn):
         try:
@@ -270,8 +247,7 @@ def cmd_check_all(args, cat: Catalog) -> int:
     def census_check():
         seen = []
         qs = CENSUS_DEFAULT_QS[n]
-        for q, _, nonempty in census_fields(cat, qs, args.budget,
-                                            slices(qs)):
+        for q, _, nonempty in census_fields(cat, qs, args.budget):
             seen.append(f"q={q}:{nonempty}")
             if nonempty != ORBIT_COUNTS[n]:
                 return False, f"q={q} gave {nonempty} != {ORBIT_COUNTS[n]}"
@@ -292,19 +268,18 @@ def cmd_check_all(args, cat: Catalog) -> int:
     def oracle_check():
         notes = []
         qs = ORACLE_DEFAULT_QS[n]
-        for part, report in oracle_fields(cat, qs, args.budget, slices(qs)):
+        for part, report in oracle_fields(cat, qs, args.budget):
             if not report.ok:
                 return False, report.violations[0]
             notes.append(f"q={part.q}:{part.class_count}cls")
         return True, " ".join(notes)
 
     def order_check():
-        poset = hasse(cat, vanishing=generic(),
-                      tables=slices(CERT_FIELDS[n]))
+        poset = hasse(cat)
         return True, f"{len(poset.covers)} cover edges"
 
     def witness_check():
-        report = verify_rank(cat, vanishing=generic())
+        report = verify_rank(cat)
         if not report.all_certified:
             bad = [v.orbit_id for v in report.verdicts if not v.certified]
             return False, f"uncertified: {bad}"

@@ -25,9 +25,9 @@ into an int32 code table, without decoding the q^d points; the fixpoint
 turns each generator into one table, lowers every point's label through
 it and keeps the tables on the partition, where the stability passes
 reuse them.  ``refine_check`` does not decode the q^d points either: it
-reads every point's record off the field's slice table, shared with the
-census and the closure order, through the torus normal form
-(``classify.point_records``).
+reads every point's record off the catalog's slice table of the field,
+which the census and the closure order read too, through the torus normal
+form (``classify.point_records``).
 
 Every whole-space gather by an int32 code table or label array (the
 fixpoint rounds and pointer jump, the ``class_of`` relabelling, the
@@ -52,7 +52,7 @@ import numpy as np
 
 from .arith import Fp, LaurentPoly, is_prime, poly_to_str, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
-from .classify import SliceTable, gather, point_records
+from .classify import gather, point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
@@ -378,20 +378,19 @@ class RefineReport:
         return not self.violations
 
 
-def refine_check(cat: Catalog, part: OrbitPartition, *,
-                 table: SliceTable | None = None) -> RefineReport:
+def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
     """Certify that rational orbits refine the catalog partition: every
     class sits inside exactly one defining set, every defining set is a union
     of whole classes, and empties are reported rather than failed.  Every
-    point's record is read off the slice table of the field (``table``, or
-    one built here, through ``classify.point_records``), whose pass
-    certifies exhaustion and disjointness on the slices; the q^d points are
-    neither decoded nor evaluated."""
+    point's record is read off the catalog's slice table of the field
+    (``classify.point_records``), whose pass certifies exhaustion and
+    disjointness on the slices; the q^d points are neither decoded nor
+    evaluated."""
     n, q = part.rank, part.q
     if n != cat.rank:
         raise ShapeError(f"catalog rank {cat.rank} != partition rank {n}")
     d = nil_dim(n)
-    matched = point_records(cat, q, table)
+    matched = point_records(cat, q)
     violations = []
     classes_per_record: dict = {rec.id: [] for rec in cat.orbits}
     rep_match = matched[part.reps]

@@ -8,26 +8,26 @@ pullback along the generic unipotent orbit adjoint(u, representative) is
 identically zero, u the root-group factors of the one generic Borel word of
 ``lie.generic_borel_word``.  Every catalog polynomial is a torus weight
 vector, so it vanishes on the U-orbit exactly when it vanishes on the
-B-orbit.  Those zeros are read off the rank's ``witness.generic_vanishing``
-table, which forward containment reads too, so check-all pulls every record
-back once per command.  They are the record's own zero set, which must
-vanish there, augmented by the other such classes.  (Augmentation matters:
-a zero set describes the closure only up to extra components, and for a
-handful of records a dependent quadratic that vanishes on the orbit
-separates those components.)
+B-orbit.  Those zeros are read off the catalog's
+``witness.generic_vanishing`` table, which forward containment reads too,
+so a command pulls every record back once.  They are the record's own zero
+set, which must vanish there, augmented by the other such classes.
+(Augmentation matters: a zero set describes the closure only up to extra
+components, and for a handful of records a dependent quadratic that
+vanishes on the orbit separates those components.)
 
 The symbolic order is set inclusion of pool classes, a <= b exactly when
 V_b is a subset of V_a (``closure_leq``).  It assumes that V_b cuts out
 closure(O_b): then O_a lies in closure(O_b) = Z(V_b) exactly when every
-polynomial of V_b vanishes on O_a, that is, lies in V_a.  The finite-field layer checks that
-assumption and every answer on the census's torus slices as one per-point
-equality: b's certified generators all vanish at x exactly when x's record
-lies below b.  It reads both sides off the sorted distinct signatures of
-each field's slice table (``classify.SliceTable``, which check-all shares
-with the census and the oracle), without evaluating a polynomial again.  That
-re-checks every asserted relation, guards every generating set against
-missing components, and yields an explicit counterexample point for every
-non-relation.
+polynomial of V_b vanishes on O_a, that is, lies in V_a.  The finite-field
+layer checks that assumption and every answer on the census's torus slices
+as one per-point equality: b's certified generators all vanish at x exactly
+when x's record lies below b.  It reads both sides off the sorted distinct
+signatures of the catalog's slice table of each field
+(``classify.slice_table``, which the census and the oracle read too),
+without evaluating a polynomial again.  That re-checks every asserted
+relation, guards every generating set against missing components, and
+yields an explicit counterexample point for every non-relation.
 """
 
 from __future__ import annotations
@@ -37,20 +37,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog
-from .classify import SliceTable, slice_point, slice_table
+from .classify import slice_point, slice_table
 from .errors import CatalogError, InternalInconsistencyError
-from .witness import GenericVanishing, generic_vanishing
+from .witness import generic_vanishing
 
 CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
 
-def closure_generators(cat: Catalog, vanishing: GenericVanishing) -> dict:
+def closure_generators(cat: Catalog) -> dict:
     """Certified vanishing polynomials per record: the record's zero set,
     then one polynomial of every other class of ``cat.pool`` that vanishes
     identically on the record's orbit (an exact pullback along the generic
-    unipotent orbit, read off ``vanishing``, the rank's
-    ``generic_vanishing`` table).  A zero-set polynomial that does not
-    vanish there is a catalog inconsistency."""
+    unipotent orbit, read off the catalog's ``generic_vanishing`` table).
+    A zero-set polynomial that does not vanish there is a catalog
+    inconsistency."""
+    vanishing = generic_vanishing(cat)
     out = {}
     for rec in cat.orbits:
         zeros = vanishing.on_orbit(rec)
@@ -93,8 +94,7 @@ class HassePoset:
         return maxs[0] if len(maxs) == 1 else ""
 
 
-def _certify(cat: Catalog, leq: dict, generators: dict, qs,
-             tables: dict | None = None) -> dict:
+def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     """Finite-field certification of the relation matrix.
 
     At every torus-slice point x of n(F_q) (see ``classify.slice_pass``),
@@ -110,11 +110,9 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs,
     so the equality is decided once per distinct signature, at its first
     point in slice order.  Each non-relation (a, b) takes the first slice
     point of S_a over the first field where S_a has one, and the first
-    generator of b nonzero there.  Each field's points are read off its
-    slice table in ``tables`` (field -> ``classify.SliceTable``), or off
-    one built here."""
+    generator of b nonzero there.  Each field's points are read off the
+    catalog's slice table of the field."""
     n = cat.rank
-    tables = tables or {}
     ids = [rec.id for rec in cat.orbits]
     below = np.array([[leq[(a, b)] for b in ids] for a in ids])
     gen_bits = [[(cat.slot[p], s) for p, s in generators[b]] for b in ids]
@@ -127,7 +125,7 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs,
     counterexamples: dict = {}
     witnessed = np.zeros(len(ids), dtype=bool)
     for q in qs:
-        for block in slice_table(cat, q, tables.get(q)).blocks:
+        for block in slice_table(cat, q):
             order = np.argsort(block.first)     # distinct, in slice order
             sigs, first, recs = (block.distinct[order], block.first[order],
                                  block.record[order])
@@ -165,19 +163,15 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs,
     return counterexamples
 
 
-def hasse(cat: Catalog, vanishing: GenericVanishing | None = None,
-          tables: dict[int, SliceTable] | None = None) -> HassePoset:
+def hasse(cat: Catalog) -> HassePoset:
     """Full closure order from pairwise generator-set inclusions, certified
     over the fields of ``CERT_FIELDS``, reduced to cover edges.  The
-    generators are read off ``vanishing`` (``closure_generators``), and
-    each field's points off its slice table in ``tables`` (``_certify``);
-    whatever is not given is built here."""
+    generators and the points come from the tables the catalog owns
+    (``closure_generators``, ``_certify``)."""
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
-    if vanishing is None:
-        vanishing = generic_vanishing(cat)
-    generators = closure_generators(cat, vanishing)
+    generators = closure_generators(cat)
     vanish = {a: frozenset(cat.slot[p] for p, _ in gens)
               for a, gens in generators.items()}
     leq = {(a, b): a == b or closure_leq(vanish[a], vanish[b])
@@ -192,8 +186,7 @@ def hasse(cat: Catalog, vanishing: GenericVanishing | None = None,
                 if dims[a] >= dims[b]:
                     raise CatalogError(
                         f"{a} < {b} but dim {dims[a]} >= {dims[b]}")
-    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank],
-                               tables)
+    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank])
     # a < b is a cover unless a < c < b for some c: one boolean product
     strict = np.array([[a != b and leq[(a, b)] for b in ids] for a in ids])
     cover = strict & ~(strict @ strict)

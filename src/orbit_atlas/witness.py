@@ -9,14 +9,16 @@ vector, which ``generic_pullbacks`` checks first.  The pullbacks are read
 off one table per rank, ``generic_vanishing``: which classes of the
 catalog's polynomial pool (``Catalog.pool``, one polynomial per +-sign)
 vanish on each record's generic orbit, from one ``generic_pullbacks`` call
-over the pool.  The closure generators of ``order`` read the same table,
-so check-all builds it once per command.  The reverse inclusion is certified
-by the catalog's witness templates: a Borel word whose parameters
-are rational (and radical) expressions in the coordinates of a general
-member m, with adjoint(word, representative) required to equal m exactly,
-and with every denominator, radicand and torus entry of the template a unit
-on the whole set (``first_non_unit``), so that the word is defined at every
-point of the set, not only on a dense open part of it.
+over the pool.  The catalog owns the table (``Catalog.derived``): it is
+built at the first read, kept only when the build succeeds, and shared with
+the closure generators of ``order``, so a command pulls every record back
+once.  The reverse inclusion is certified by the catalog's witness
+templates: a Borel word whose parameters are rational (and radical)
+expressions in the coordinates of a general member m, with
+adjoint(word, representative) required to equal m exactly, and with every
+denominator, radicand and torus entry of the template a unit on the whole
+set (``first_non_unit``), so that the word is defined at every point of the
+set, not only on a dense open part of it.
 
 Coordinate letters inside templates denote 60th powers: a general member's
 free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
@@ -268,7 +270,9 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
     the template's trees (``sqrt(a)`` and ``a^(1/2)`` alike) has the
     template's residuals and is not evaluated again; any other is built over
     the same member, so its common subexpressions are not evaluated again
-    either.  A parameter that does not parse or evaluate is an eval-error."""
+    either.  A parameter that does not parse or evaluate is an eval-error,
+    and so is every parameter when there is no member (``menv`` None) or
+    the template did not evaluate (``template_residuals`` None)."""
     text = rec.as_printed.get("word", "")
     if not text:
         return "absent", "no as-printed word"
@@ -282,8 +286,11 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
                 tuple((root, _parsed(s, parsed)) for root, s in factor_list))
 
     w = rec.witness
+    if menv is None:
+        return "eval-error", "no general member of the set"
     try:
-        if trees(torus or (), factors) == trees(w.torus, w.factors):
+        if (template_residuals is not None
+                and trees(torus or (), factors) == trees(w.torus, w.factors)):
             residuals = template_residuals
         else:
             residuals = word_residuals(rec, menv, torus, factors, parsed)
@@ -298,16 +305,27 @@ def classify_verdict(rec: OrbitRecord,
                      parsed: dict | None = None) -> WitnessVerdict:
     """Full per-record verdict: the normalized template against a general
     member, its soundness on the whole set (``first_non_unit``), the
-    as-printed layer against the same member, repair notes.  ``parsed``
+    as-printed layer against the same member, repair notes.  A template
+    that does not evaluate over the member fails with the error as its
+    detail, as a printed word that does not is an eval-error.  ``parsed``
     caches expression parse trees by text across the records of one call
     of ``verify_rank``."""
     parsed = {} if parsed is None else parsed
-    menv = build_member_env(rec)
     w = rec.witness
-    word = template_word(rec, menv, w.torus, w.factors, parsed)
-    residuals = _residuals(rec, menv, word)
+    menv = residuals = None
+    try:
+        menv = build_member_env(rec)
+        word = template_word(rec, menv, w.torus, w.factors, parsed)
+        residuals = _residuals(rec, menv, word)
+    except (SchemaError, DomainError, EvaluationError) as exc:
+        error = str(exc)
     as_printed, printed_detail = _printed_layer(rec, menv, residuals, parsed)
     repairs = rec.witness_repairs()
+    if residuals is None:
+        return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
+                              detail=f"normalized template does not "
+                                     f"evaluate: {error}",
+                              repairs=repairs)
     if residuals:
         return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
                               residual=[(r, repr(d)) for r, d in residuals],
@@ -491,14 +509,19 @@ class GenericVanishing:
 
 
 def generic_vanishing(cat: Catalog) -> GenericVanishing:
-    """The table of every record of the rank, from one ``generic_pullbacks``
-    call over ``cat.pool``.  Forward containment and the closure generators
-    of ``order`` both read it, so check-all builds it once per command."""
-    rows = generic_pullbacks([rec.representative for rec in cat.orbits],
-                             [poly for poly, _ in cat.pool])
-    return GenericVanishing(cat.slot, {
-        rec.id: frozenset(k for k, v in enumerate(row) if v.is_zero())
-        for rec, row in zip(cat.orbits, rows)})
+    """The catalog's table of every record, from one ``generic_pullbacks``
+    call over ``cat.pool`` at the first read, kept on the catalog
+    (``Catalog.derived``).  Forward containment and the closure generators
+    of ``order`` both read it."""
+
+    def build():
+        rows = generic_pullbacks([rec.representative for rec in cat.orbits],
+                                 [poly for poly, _ in cat.pool])
+        return GenericVanishing(cat.slot, {
+            rec.id: frozenset(k for k, v in enumerate(row) if v.is_zero())
+            for rec, row in zip(cat.orbits, rows)})
+
+    return cat.derived("generic", build)
 
 
 @dataclass
@@ -606,14 +629,12 @@ class WitnessReport:
         return "\n".join(lines)
 
 
-def verify_rank(cat: Catalog,
-                vanishing: GenericVanishing | None = None) -> WitnessReport:
+def verify_rank(cat: Catalog) -> WitnessReport:
     """Forward containment and the symbolic verdict of every record.
-    Forward containment reads ``vanishing``, built here when not given;
+    Forward containment reads the catalog's ``generic_vanishing`` table;
     each distinct template or printed expression text is parsed once per
     call."""
-    if vanishing is None:
-        vanishing = generic_vanishing(cat)
+    vanishing = generic_vanishing(cat)
     parsed: dict = {}
     verdicts = []
     forward = []

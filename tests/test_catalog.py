@@ -152,6 +152,21 @@ def test_catalog_parse_failure_names_offending_row(tmp_path, monkeypatch,
     assert "x11" in str(exc.value)
 
 
+@pytest.mark.parametrize("field, text", [("zero_set", "X11^-2"),
+                                         ("nonzero_set", "X11^-1")])
+def test_a_negative_set_exponent_is_refused(tmp_path, monkeypatch, catalogs,
+                                            field, text):
+    # every kernel evaluates set polynomials where a coordinate may be 0
+    doc = json.loads(serialize_catalog(catalogs[1]))
+    doc["orbits"][1][field] = [text]
+    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(1)
+    assert str(exc.value) == (f"rank 1 row 'x11': set polynomial {text!r} "
+                              f"has a negative exponent")
+
+
 def test_env_override_data_dir(tmp_path, monkeypatch, catalogs):
     for n in (1,):
         (tmp_path / f"a{n}.json").write_text(serialize_catalog(catalogs[n]),

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 from orbit_atlas import classify as classify_mod
 from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
 from orbit_atlas.catalog import root_weight_homogeneous, x_vars
-from orbit_atlas.classify import (SIGNATURE_BITS, SliceTable, classify,
-                                  gather, grid_signatures, member,
-                                  partition_census, point_records, slice_pass,
-                                  slice_point, slice_shape, sorted_signatures)
+from orbit_atlas.classify import (SIGNATURE_BITS, classify, gather,
+                                  grid_signatures, member, partition_census,
+                                  point_records, slice_pass, slice_point,
+                                  slice_shape, slice_table, sorted_signatures)
 from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 DisjointnessError, DomainError,
                                 ExhaustionError,
@@ -25,6 +25,8 @@ from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, pos_roots)
+from orbit_atlas.order import CERT_FIELDS, hasse
+from orbit_atlas.witness import generic_vanishing
 from reference import (eval_poly_on_columns, full_enumeration_census,
                        full_space_records, match_table, torus_slices)
 
@@ -125,13 +127,16 @@ def test_census_chunking_invariance(catalogs, monkeypatch):
     # splitting the point space differently must change no count and no
     # point's signature or record; the A3 slice grid over F_3 is
     # (2, 2, 2, 3, 3, 3), so the chunks below cut it into blocks of 216, 54,
-    # 27, 3 and 1 points
-    whole = partition_census(3, 3, catalogs[3])
+    # 27, 3 and 1 points; each census reads a fresh copy of the catalog,
+    # whose slice table is built under the chunk in force
+    whole = partition_census(3, 3, dataclasses.replace(catalogs[3]))
     starts, sigs, matched = _pass_table(catalogs[3], 3)
     assert starts == [0]
     for chunk, size in ((216, 216), (97, 54), (27, 27), (5, 3), (1, 1)):
         monkeypatch.setattr(classify_mod, "SLICE_CHUNK", chunk)
-        assert partition_census(3, 3, catalogs[3]) == whole
+        cat = dataclasses.replace(catalogs[3])
+        assert partition_census(3, 3, cat) == whole
+        assert len(slice_table(cat, 3)) == 216 // size
         got = _pass_table(catalogs[3], 3)
         assert got[0] == list(range(0, 216, size))
         assert np.array_equal(got[1], sigs) and np.array_equal(got[2], matched)
@@ -180,12 +185,13 @@ def test_borel_invariance(catalogs):
 
 
 def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
-    # a lost point must fail loudly, also under python -O
+    # a lost point must fail loudly, also under python -O; a fresh copy of
+    # the catalog, so the patched pass builds its table
     monkeypatch.setattr(classify_mod, "slice_pass", lambda cat, q: iter(()))
     with pytest.raises(InternalInconsistencyError,
                        match=r"rank 2 q=3: census counted 0 points, "
                              r"expected 27"):
-        classify_mod.partition_census(2, 3, catalogs[2])
+        classify_mod.partition_census(2, 3, dataclasses.replace(catalogs[2]))
 
 
 def test_eval_kernel_reduces_fraction_coefficients():
@@ -556,12 +562,8 @@ def test_sorted_signatures_equal_numpy_unique(case):
         assert counts[counts > 0].tolist() == cnt.tolist()
 
 
-def test_a_slice_table_serves_every_reader_of_its_field(catalogs,
-                                                        monkeypatch):
-    # one evaluation of the grid serves the census, the point records and
-    # the closure-order certificate, and a table is refused by a read of
-    # another field or another catalog
-    cat = catalogs[3]
+def _count_grids(monkeypatch) -> list:
+    """The fields of the ``grid_signatures`` calls, in call order."""
     calls = []
     original = classify_mod.grid_signatures
 
@@ -570,30 +572,60 @@ def test_a_slice_table_serves_every_reader_of_its_field(catalogs,
         return original(polys, axes, q)
 
     monkeypatch.setattr(classify_mod, "grid_signatures", counting)
-    table = SliceTable(cat, 3)
-    assert calls == []                      # built at its first read
-    counts = partition_census(3, 3, cat, table=table)
-    records = point_records(cat, 3, table)
-    assert calls == [3]
-    assert counts == partition_census(3, 3, cat)
-    assert np.array_equal(records, point_records(cat, 3))
-    assert calls == [3, 3, 3]
-    for bad in (SliceTable(cat, 5), SliceTable(catalogs[2], 3)):
-        with pytest.raises(InternalInconsistencyError,
-                           match="was handed to a read of rank 3 F_3"):
-            partition_census(3, 3, cat, table=bad)
-    assert calls == [3, 3, 3]
+    return calls
 
 
-def test_a_failed_slice_table_build_is_not_kept(catalogs):
+def test_a_slice_table_serves_every_reader_of_its_field(catalogs,
+                                                        monkeypatch):
+    # one evaluation of each field's grid serves the census, the point
+    # records and the closure-order certificate of one catalog, whichever
+    # reads it first; the table is kept on the catalog, and a copy builds
+    # its own
+    cat = dataclasses.replace(catalogs[2])
+    calls = _count_grids(monkeypatch)
+    assert cat.memo == {}
+    hasse(cat)
+    assert calls == list(CERT_FIELDS[2])
+    for q in (3, 5, 7, 2):
+        partition_census(2, q, cat)
+        point_records(cat, q)
+    hasse(cat)
+    assert calls == [*CERT_FIELDS[2], 2]
+    assert slice_table(cat, 3) is cat.memo[("slices", 3)]
+    fresh = dataclasses.replace(catalogs[2])
+    assert partition_census(2, 3, fresh) == partition_census(2, 3, cat)
+    assert np.array_equal(point_records(fresh, 3), point_records(cat, 3))
+    assert calls == [*CERT_FIELDS[2], 2, 3]
+
+
+def test_a_catalog_copy_starts_with_no_tables(catalogs):
+    # the memo is per instance: a replace copy of a catalog whose tables
+    # are built has none, and building its tables leaves the original's
+    cat = dataclasses.replace(catalogs[2])
+    partition_census(2, 3, cat)
+    generic_vanishing(cat)
+    assert sorted(map(str, cat.memo)) == ["('slices', 3)", "generic"]
+    copy = dataclasses.replace(cat)
+    assert copy.memo == {} and copy == cat
+    assert copy.pool == cat.pool and copy.pool is not cat.pool
+    before = dict(cat.memo)
+    partition_census(2, 3, copy)
+    assert copy.memo[("slices", 3)] is not cat.memo[("slices", 3)]
+    assert cat.memo == before
+
+
+def test_a_failed_slice_table_build_is_not_kept(catalogs, monkeypatch):
+    # each reader builds the failed table again, and fails alike
     cat = _with_orbits(catalogs[2], [r for r in catalogs[2].orbits
                                      if r.id != "x12"])
-    table = SliceTable(cat, 3)
-    for _ in range(2):
+    calls = _count_grids(monkeypatch)
+    for read in (lambda: partition_census(2, 3, cat),
+                 lambda: point_records(cat, 3), lambda: hasse(cat)):
         with pytest.raises(ExhaustionError, match=re.escape(
                 "point [0, 0, 1] over F_3 matched no record")):
-            partition_census(2, 3, cat, table=table)
-    assert "blocks" not in vars(table)
+            read()
+        assert ("slices", 3) not in cat.memo
+    assert calls == [3, 3, 3]
 
 
 def test_gather_equals_indexing_across_chunks(monkeypatch):

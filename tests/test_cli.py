@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -342,15 +345,16 @@ def test_check_all_pulls_back_once_per_command(capsys, monkeypatch):
 def test_a_failed_generic_table_fails_both_checks_by_name(capsys,
                                                           monkeypatch):
     # the failed build is not kept: each check that needs it tries again
+    from orbit_atlas import witness
     calls = []
 
-    def failing(cat):
-        calls.append(cat.rank)
+    def failing(reps, polys):
+        calls.append(len(reps))
         raise InternalInconsistencyError("no table")
 
-    monkeypatch.setattr(cli, "generic_vanishing", failing)
+    monkeypatch.setattr(witness, "generic_pullbacks", failing)
     code, out, _ = run(capsys, "check-all", "--type", "A2")
-    assert code == 1 and calls == [2, 2]
+    assert code == 1 and calls == [5, 5]
     assert out.splitlines()[-2:] == [
         "FAIL closure-order: InternalInconsistencyError: no table",
         "FAIL witnesses: InternalInconsistencyError: no table"]
@@ -441,3 +445,108 @@ def test_a_failed_slice_table_fails_each_check_by_name(capsys, monkeypatch,
             if line.startswith(("FAIL census", "FAIL oracle",
                                 "FAIL closure-order"))] == lines
     assert calls == grids
+
+
+DATA = Path(orbit_atlas.__file__).resolve().parent / "data"
+
+
+def _malformed(tmp_path, n: int, rid: str, edit) -> Path:
+    """A directory holding a copy of the rank-n catalog JSON whose record
+    ``rid`` went through ``edit``, for ``ORBIT_ATLAS_DATA``."""
+    doc = json.loads((DATA / f"a{n}.json").read_text(encoding="utf-8"))
+    edit(next(row for row in doc["orbits"] if row["id"] == rid))
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    (tmp_path / f"a{n}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return tmp_path
+
+
+def _inverse_in_nonzero_set(row):
+    row["nonzero_set"][0] = "X11^-1"
+
+
+def _zero_torus_entry(row):
+    row["witness"]["torus"][0] = "0"
+
+
+def _zero_denominator(row):
+    row["witness"]["factors"][0]["param"] = "1/(q-q)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits"], ["classify", "--point", "0,1,0"],
+    ["classify", "--point", "0,1,0", "--mod", "5"], ["verify"], ["hasse"],
+    ["census"], ["check-all"]])
+def test_a_negative_set_exponent_is_refused_at_load(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    # before, the copy loaded and the evaluating commands ended in a
+    # DomainError or EvaluationError traceback
+    data = _malformed(tmp_path, 2, "x11+x22", _inverse_in_nonzero_set)
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(data))
+    assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
+        1, "", "check failed: rank 2 row 'x11+x22': set polynomial "
+               "'X11^-1' has a negative exponent\n")
+
+
+@pytest.mark.parametrize("n, rid, edit, detail", [
+    (3, "x13", _zero_torus_entry, "torus entry evaluates to zero"),
+    (4, "x11", _zero_denominator, "division by zero fraction")])
+def test_a_template_that_does_not_evaluate_fails_its_record(
+        tmp_path, monkeypatch, capsys, n, rid, edit, detail):
+    # before, verify ended in a traceback and check-all failed the
+    # witnesses without naming the record
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(tmp_path, n, rid,
+                                                          edit)))
+    code, _, err = run(capsys, "verify", "--type", f"A{n}")
+    assert (code, err) == (1, f"# FAIL witness {rid}: FailedAsPrinted "
+                              f"normalized template does not evaluate: "
+                              f"{detail}\n")
+    if n == 3:
+        code, out, err = run(capsys, "check-all", "--type", "A3")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x13']"
+        assert out.count("FAIL") == 1
+
+
+def test_a_template_that_does_not_evaluate_keeps_the_printed_layer(
+        tmp_path, monkeypatch, capsys):
+    # the printed word is checked on its own: x13's reproduces the member,
+    # and a printed word with the template's failing trees is an eval-error
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(
+        tmp_path, 3, "x13", _zero_torus_entry)))
+    assert main(["verify", "--type", "A3", "--format", "json"]) == 1
+    x13 = next(v for v in json.loads(capsys.readouterr().out)["witnesses"]
+               if v["id"] == "x13")
+    assert (x13["status"], x13["as_printed"]) == ("FailedAsPrinted",
+                                                  "verified")
+
+    def printed_like_the_template(row):
+        _zero_torus_entry(row)
+        row["as_printed"]["word"] = "T(0, 1, z)"
+
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(
+        tmp_path, 3, "x13", printed_like_the_template)))
+    assert main(["verify", "--type", "A3", "--format", "json"]) == 1
+    x13 = next(v for v in json.loads(capsys.readouterr().out)["witnesses"]
+               if v["id"] == "x13")
+    assert (x13["status"], x13["as_printed"]) == ("FailedAsPrinted",
+                                                  "eval-error")
+
+
+def test_malformed_catalogs_print_no_traceback_through_the_entry_point(
+        tmp_path):
+    # through the module entry point, which runs main as the console script
+    # does: exit 1 and one stderr line each
+    cases = [(_malformed(tmp_path / "neg", 2, "x11+x22",
+                         _inverse_in_nonzero_set),
+              ["classify", "--type", "A2", "--point", "0,1,0"]),
+             (_malformed(tmp_path / "torus", 3, "x13", _zero_torus_entry),
+              ["verify", "--type", "A3"])]
+    for data, argv in cases:
+        env = dict(os.environ, ORBIT_ATLAS_DATA=str(data),
+                   PYTHONPATH=str(DATA.parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "orbit_atlas.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -13,7 +13,6 @@ from orbit_atlas.errors import InternalInconsistencyError
 from orbit_atlas.lie import NilElement
 from orbit_atlas.order import (CERT_FIELDS, _certify, closure_generators,
                                closure_leq, emit_dot, hasse, poset_json)
-from orbit_atlas.witness import generic_vanishing
 from reference import certify, less, nonlinear_zero
 
 
@@ -23,7 +22,7 @@ def posets(catalogs):
 
 
 def _generators(cat):
-    return closure_generators(cat, generic_vanishing(cat))
+    return closure_generators(cat)
 
 
 def _vanish_sets(cat):
@@ -129,7 +128,7 @@ def test_closure_generators_rejects_nonvanishing_zero_set(catalogs):
                        match=re.escape(f"zero-set polynomial "
                                        f"{rec.nonzero_strs[0]} of record x11 "
                                        f"does not vanish")):
-        closure_generators(broken, generic_vanishing(broken))
+        closure_generators(broken)
 
 
 def test_closure_leq_rank3_example(catalogs):

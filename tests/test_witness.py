@@ -295,11 +295,16 @@ def test_monomial_radicand_fails_verify_and_check_all(tmp_path, monkeypatch,
     assert json.loads(doc)["orbits"][-1]["witness"]["radicals"]
     (tmp_path / "a2.json").write_text(doc, encoding="utf-8")
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    assert main(["verify", "--type", "A2"]) == 2
-    assert "radical R is a monomial" in capsys.readouterr().err
+    # a template that does not evaluate fails its record's verdict: exit 1,
+    # the record named, as a check failure and not a usage error
+    assert main(["verify", "--type", "A2"]) == 1
+    assert capsys.readouterr().err == (
+        "# FAIL witness x11+x22: FailedAsPrinted normalized template does "
+        "not evaluate: record x11+x22: radicand 'z' of radical R is a "
+        "monomial\n")
     assert main(["check-all", "--type", "A2"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL witnesses: SchemaError: record x11+x22" in out
+    assert "FAIL witnesses: uncertified: ['x11+x22']" in out
 
 
 def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
@@ -372,7 +377,8 @@ def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
                                        "root-weight homogeneous")):
         generic_pullbacks([rec.representative], rec.zero_set + (bad,))
     # the table pulls back through it, and so do hasse and verify_rank,
-    # which build the table when not given one
+    # which read the catalog's table: a build that raised is not kept, so
+    # each of them builds it again
     moved = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + (bad,),
                                 nonzero_strs=rec.nonzero_strs + ("X11 + X12",))
     cat = dataclasses.replace(catalogs[2], orbits=tuple(
@@ -380,6 +386,7 @@ def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
     for build in (generic_vanishing, hasse, verify_rank):
         with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
             build(cat)
+        assert "generic" not in cat.memo
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -416,9 +423,10 @@ def test_a_nonvanishing_zero_set_polynomial_fails_alike_on_both_paths(
     assert not report.ok and report.zero_identities == len(rec.zero_set) - 1
     assert report.detail == (f"zero-set generator {rec.zero_strs[-1]} has "
                              f"nonzero normal form")
-    # the closure generators read the same table and refuse the record, also
-    # through hasse, which builds the table itself
-    for call in (lambda: closure_generators(broken, table),
+    # the closure generators read the same table, kept on the catalog, and
+    # refuse the record, also through hasse
+    assert generic_vanishing(broken) is table
+    for call in (lambda: closure_generators(broken),
                  lambda: hasse(broken)):
         with pytest.raises(InternalInconsistencyError,
                            match=re.escape(f"zero-set polynomial "
@@ -445,8 +453,9 @@ def test_pullbacks_of_a_pool_with_both_signs_match_the_reference(
         catalogs, monkeypatch):
     # A4's 25 distinct polynomials fall into 21 pool classes: the table
     # pulls back one polynomial per class per record, and p and -p read the
-    # same answer, that of the full-word reference
-    cat = catalogs[4]
+    # same answer, that of the full-word reference; a fresh copy of the
+    # catalog, so the table is built under the count
+    cat = dataclasses.replace(catalogs[4])
     evaluated = []
     original = witness.LaurentPoly.eval
 
