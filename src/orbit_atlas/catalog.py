@@ -450,8 +450,15 @@ class RecordReport:
     notes: list[str]
 
     @property
-    def ok(self) -> bool:
-        return self.representative_member and self.homogeneous and self.zv_sane
+    def failure(self) -> str:
+        """The first check this record fails, or "" when it passes all."""
+        for passed, what in (
+                (self.representative_member, "representative is not a member"),
+                (self.homogeneous, "a defining polynomial is not homogeneous"),
+                (self.zv_sane, "a coordinate is a generator of both Z and V")):
+            if not passed:
+                return what
+        return ""
 
 
 @dataclass
@@ -461,7 +468,7 @@ class CatalogReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+        return not any(r.failure for r in self.records)
 
 
 def _rep_member(rec: OrbitRecord) -> bool:

@@ -8,12 +8,13 @@ out of memory (a raised --budget can ask for more than the machine has).
 
 ``main`` loads the rank's catalog once per command and hands it to the
 command.  The catalog owns the tables derived from it (the slice table of
-each field and the generic-vanishing table; see ``Catalog.derived``), so
-check-all and the standalone census, oracle, hasse and verify commands
-share one code path: whichever check reads a table first builds it, every
-later check of the command reads it, and the next command builds its own.
-A build that raised is not kept, so each check that needs the table fails
-under its own name.
+each field, the generic-vanishing table and the rank's group-action
+families; see ``Catalog.derived``), so check-all and the standalone
+census, oracle, dims, hasse and verify commands share one code path:
+whichever check reads a table first builds it, every later check of the
+command reads it, and the next command builds its own.  A build that
+raised is not kept, so each check that needs the table fails under its
+own name.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
                      UnsupportedRankError)
 from .lie import NilElement, nil_dim
-from .oracle import (BFS_BUDGET, enumerate_borel_orbits, jacobian_rank_dim,
-                     read_families, refine_check, stability_check)
+from .oracle import (BFS_BUDGET, enumerate_borel_orbits, family_table,
+                     jacobian_rank_dim, refine_check, stability_check)
 from .order import emit_dot, hasse, poset_json
 from .witness import verify_rank
 
@@ -87,13 +88,12 @@ def census_fields(cat: Catalog, qs, budget: int):
 def oracle_fields(cat: Catalog, qs, budget: int):
     """(partition, refine report) for each field in turn: the orbit
     partition over F_q, certified stable (then its code tables are dropped,
-    so none outlives its field) and confronted with the catalog.  The
-    rank's symbolic families are read once, on the first step, and every
-    field's fixpoint and stability check specialise them mod q."""
-    families = read_families(cat.rank)
+    so none outlives its field) and confronted with the catalog, from the
+    catalog's families (``family_table``)."""
+    families = family_table(cat)
     for q in qs:
         part = enumerate_borel_orbits(cat.rank, q, budget, families=families)
-        stability_check(part, families)
+        stability_check(part)
         part.tables = []
         yield part, refine_check(cat, part)
 
@@ -175,10 +175,11 @@ def cmd_oracle(args, cat: Catalog) -> int:
 
 
 def cmd_dims(args, cat: Catalog) -> int:
+    families = family_table(cat)
     ok = True
     print(f"{'id':<24} {'catalog':>7} {'jacobian':>8}")
     for rec in cat.orbits:
-        dim = jacobian_rank_dim(rec)
+        dim = jacobian_rank_dim(rec, families)
         mark = "" if dim == rec.dim else "  MISMATCH"
         if dim != rec.dim:
             ok = False
@@ -241,8 +242,10 @@ def cmd_check_all(args, cat: Catalog) -> int:
             failures.append(name)
 
     def catalog_check():
-        report = validate_catalog(cat)
-        return report.ok, f"{len(cat.orbits)} records"
+        for rec in validate_catalog(cat).records:
+            if rec.failure:
+                return False, f"{rec.orbit_id}: {rec.failure}"
+        return True, f"{len(cat.orbits)} records"
 
     def census_check():
         seen = []
@@ -260,8 +263,9 @@ def cmd_check_all(args, cat: Catalog) -> int:
         return True, f"{len(cat.orbits)} representatives"
 
     def dims_check():
+        families = family_table(cat)
         for rec in cat.orbits:
-            if jacobian_rank_dim(rec) != rec.dim:
+            if jacobian_rank_dim(rec, families) != rec.dim:
                 return False, rec.id
         return True, f"{len(cat.orbits)} dimensions"
 

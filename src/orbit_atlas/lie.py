@@ -6,12 +6,14 @@ matrices; the coordinate of the positive root (i, j) sits at matrix entry
 (one bracket step per factor, then the torus weights), for every
 coefficient ring (prime fields, rationals, Laurent polynomials and
 fractions).  It is the one path for every group action in the package: the
-finite-field maps of the oracle, the witness words, and the generic
-unipotent orbit, ``adjoint`` of the root-group factors of
-``generic_borel_word(n)``, that forward containment and the closure
-generators pull polynomials back along (the torus is left out there, as
-the catalog polynomials are torus weight vectors).  Literal matrix
-conjugation lives in the tests, as the reference they compare it against.
+finite-field maps of the oracle and the rows of its dimension certificate
+(both read off the symbolic families of ``oracle.read_families``), the
+witness words, and the generic unipotent orbit, ``adjoint`` of the
+root-group factors of ``generic_borel_word(n)``, that forward containment
+and the closure generators pull polynomials back along (the torus is left
+out there, as the catalog polynomials are torus weight vectors).  Literal
+matrix conjugation lives in the tests, as the reference they compare it
+against.
 """
 
 from __future__ import annotations
@@ -187,13 +189,6 @@ def _bracket(root: tuple[int, int], coords: dict) -> list:
     return out
 
 
-def _sparse_element(rank: int, coords: dict) -> NilElement:
-    """NilElement in matrix order, zero coordinates dropped as the
-    reference ``from_matrix`` of ``tests/reference.py`` drops them."""
-    return NilElement(rank, {r: coords[r] for r in sorted(coords)
-                             if not is_zero_elem(coords[r])})
-
-
 def adjoint(b: BorelWord, x: NilElement) -> NilElement:
     """Exact adjoint action g x g^{-1}, g = T F_1 ... F_k, as a NilElement.
 
@@ -216,12 +211,10 @@ def adjoint(b: BorelWord, x: NilElement) -> NilElement:
     if b.torus is not None:
         weights = _torus_weights(b.torus, coords)
         coords = {root: weights[root] * v for root, v in coords.items()}
-    return _sparse_element(x.rank, coords)
-
-
-def commutator_nil(rank: int, root: tuple[int, int], x: NilElement) -> NilElement:
-    """[x_root, x] as a NilElement (structure transport for root-group moves)."""
-    return _sparse_element(rank, dict(_bracket(root, x.coords)))
+    # matrix order, zero coordinates dropped as the reference
+    # ``from_matrix`` of ``tests/reference.py`` drops them
+    return NilElement(x.rank, {r: coords[r] for r in sorted(coords)
+                               if not is_zero_elem(coords[r])})
 
 
 def generic_borel_word(n: int) -> BorelWord:

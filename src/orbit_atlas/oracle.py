@@ -15,11 +15,10 @@ Every group element acts through ``lie.adjoint``, by way of its family:
 one symbolic ``adjoint`` of U_root(@c) gives the integer matrix A with
 U_root(c) = I + c A, and one of the torus diag(@s1, ..., @sn) gives the
 exponents W.  ``read_families`` reads and checks them for one rank; they do
-not depend on q, so a command that serves several fields
-(``cli.oracle_fields``) reads them once and every field's generator maps
-are specialisations mod q, while ``enumerate_borel_orbits`` and
-``stability_check`` called on their own read them themselves.  The
-fixpoint and the stability passes apply a map to the whole space only
+not depend on q, so the catalog keeps one read per command
+(``family_table``), every field's generator maps are specialisations of it
+mod q, and the dimension certificate reads its rows off the same A and W.
+The fixpoint and the stability passes apply a map to the whole space only
 through ``image_codes``, which sums one broadcast term per output digit
 into an int32 code table, without decoding the q^d points; the fixpoint
 turns each generator into one table, lowers every point's label through
@@ -38,8 +37,9 @@ stability passes and the refinement's class lookups) goes through
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points: the tangent space [b, rep] of
-the orbit must have the dimension d - r that the zero-set Jacobian rank r
-leaves there.  Ranks come from fraction-free integer elimination.
+the orbit, spanned by W[:, k] * rep and A rep, must have the dimension
+d - r that the zero-set Jacobian rank r leaves there.  Ranks come from
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .classify import gather, point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
-                  adjoint, commutator_nil, nil_dim, pos_roots, root_token)
+                  adjoint, nil_dim, pos_roots, root_token)
 
 BFS_BUDGET = 2_000_000
 #: the fixpoint's point codes, labels and code tables are int32
@@ -194,8 +194,7 @@ def _root_word(n: int, root, c: int, q: int) -> BorelWord:
 class Families(NamedTuple):
     """One rank's symbolic families, read and checked: the integer matrix A
     of U_root(@c) = I + @c A for every positive root, in ``pos_roots``
-    order, and the torus exponents W.  They do not depend on q: every
-    field's generator maps are specialisations of them mod q."""
+    order, and the torus exponents W."""
     roots: tuple
     weights: np.ndarray
 
@@ -208,13 +207,16 @@ def read_families(n: int) -> Families:
                     weights)
 
 
-def _generators(n: int, q: int, families: Families | None = None) -> list:
+def family_table(cat: Catalog) -> Families:
+    """The rank's families, read at the first call and kept on the catalog
+    (``Catalog.derived``) for the fixpoints and the dimension rows."""
+    return cat.derived("families", lambda: read_families(cat.rank))
+
+
+def _generators(n: int, q: int, families: Families) -> list:
     """(word, map over F_q) of U_root(1) for every positive root, in
     ``pos_roots`` order, then of the n slot tori at g = ``primitive_root(q)``:
-    (I + A) mod q and diag(g^W[:, slot] mod q), from ``families`` or, when
-    none are given, from the families read here."""
-    if families is None:
-        families = read_families(n)
+    (I + A) mod q and diag(g^W[:, slot] mod q)."""
     g = primitive_root(q)
     one = np.identity(nil_dim(n), dtype=np.int64)
     return ([(_root_word(n, root, 1, q), (one + a) % q)
@@ -225,12 +227,11 @@ def _generators(n: int, q: int, families: Families | None = None) -> list:
 
 
 def borel_generator_maps(n: int, q: int,
-                         families: Families | None = None) -> list[np.ndarray]:
+                         families: Families) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
     for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
     U_root(c) of a non-simple root is a commutator of simple ones, so these
-    2n elements generate B(F_q).  Specialised from ``families``, read here
-    when none are given."""
+    2n elements generate B(F_q).  Specialised from ``families``."""
     maps = [m for _, m in _generators(n, q, families)]
     return maps[-n:] + maps[:n]
 
@@ -246,6 +247,8 @@ class OrbitPartition:
     class_of: np.ndarray           # point code -> class index
     reps: list                     # class index -> least point code
     sizes: list
+    #: the families the fixpoint's generators were specialised from
+    families: Families = field(repr=False, compare=False)
     #: the fixpoint's (generator map, int32 code table) pairs
     tables: list = field(default_factory=list, repr=False, compare=False)
 
@@ -255,17 +258,16 @@ class OrbitPartition:
 
 
 def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
-                           families: Families | None = None) -> OrbitPartition:
+                           families: Families) -> OrbitPartition:
     """Min-label fixpoint: every point starts labelled by its own code, and
     each round lowers it to the least label of its generator images, then
     to its label's label, until a round changes nothing.  Each generator is
     a bijection and a label is always a point of the same class, so at the
     fixpoint every point carries the least point of its class.  Classes are
     numbered by that least point, so the partition is canonical.  The
-    partition keeps each generator's code table, keyed by its map.  A field
-    whose q^d codes do not fit int32 is refused before any allocation.
-    The generators are ``borel_generator_maps``, specialised from
-    ``families`` when a caller that serves several fields has read them."""
+    partition keeps ``families`` and each generator's code table, keyed by
+    its map.  A field whose q^d codes do not fit int32 is refused before
+    any allocation.  The generators are ``borel_generator_maps``."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)
@@ -293,7 +295,7 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
     index -= 1                  # the class index of every representative
     class_of = gather(index, label, image)
     return OrbitPartition(n, q, class_of, np.flatnonzero(is_rep).tolist(),
-                          np.bincount(class_of).tolist(),
+                          np.bincount(class_of).tolist(), families,
                           list(zip(maps, tables)))
 
 
@@ -304,8 +306,7 @@ def _describe_word(word: BorelWord) -> str:
     return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
 
 
-def stability_check(part: OrbitPartition,
-                    families: Families | None = None) -> dict:
+def stability_check(part: OrbitPartition) -> dict:
     """Certify the partition: every class is stable under every U_root(c),
     every single-slot torus and every full torus element.
 
@@ -314,7 +315,7 @@ def stability_check(part: OrbitPartition,
     independently; a fixpoint code table is reused only for a map equal to
     its key), and a map that is I mod q needs no pass.  Every other element
     is a product of them by two identities that ``_root_matrix`` and
-    ``_torus_exponents`` check on the symbolic families: U_root(c) = I + c A
+    ``_torus_exponents`` check on the partition's families: U_root(c) = I + c A
     with A A = 0, so U_root(1)^c = U_root(c); the torus scales each
     coordinate by a monomial prod_k s_k^W[beta, k] with coefficient 1, so
     the slot torus at g^e is the e-th power of the one at g (the powers of
@@ -325,10 +326,8 @@ def stability_check(part: OrbitPartition,
     its family specialised by a ring homomorphism to F_q (c or s_k sent to
     the element's entry), which carries the identities over to every
     element at every q.  A class stable under every generator is stable
-    under every product of them.  The families are those given, already
-    checked (``read_families``), or else read and checked here.  Raises on
-    the first failure, naming the family entry, or for a whole-space pass
-    the group element, the point and both classes."""
+    under every product of them.  Raises on the first failure, naming the
+    group element, the point and both classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     g = primitive_root(q)
@@ -339,7 +338,7 @@ def stability_check(part: OrbitPartition,
             f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
             f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
-    gens = [(word, m) for word, m in _generators(n, q, families)
+    gens = [(word, m) for word, m in _generators(n, q, part.families)
             if not np.array_equal(m, np.identity(d))]
     image = np.empty_like(part.class_of)
     for word, m in gens:
@@ -447,21 +446,16 @@ def _rank_exact(rows) -> int:
     return rank
 
 
-def _bracket_rows(rep: NilElement) -> list[list]:
-    """Matrix of y -> [y, rep] from b to n, one row per basis element of b:
-    the simple coroots h_k, then the positive roots.  h_k scales the
-    coordinate of root (i, j), that is of alpha_i + ... + alpha_j, by
-    <alpha_(i..j), h_k> = d_ik - d_i,k+1 - d_j+1,k + d_j+1,k+1."""
-    n = rep.rank
-    roots = pos_roots(n)
-    rows = [[((i == k) - (i == k + 1) - (j + 1 == k) + (j == k))
-             * rep.coord((i, j)) for i, j in roots]
-            for k in range(1, n + 1)]
-    rows += [commutator_nil(n, root, rep).as_vector() for root in roots]
-    return rows
+def _bracket_rows(rep: NilElement, families: Families) -> list[list]:
+    """Matrix of y -> [y, rep] from b to n at v = rep: the slot tori's rows
+    W[:, k] * v (a unimodular change of the coroot basis), then A v for
+    every positive root."""
+    v = np.array(rep.as_vector(), dtype=np.int64)
+    return np.vstack([families.weights.T * v,
+                      np.stack(families.roots) @ v]).tolist()
 
 
-def jacobian_rank_dim(rec: OrbitRecord) -> int:
+def jacobian_rank_dim(rec: OrbitRecord, families: Families) -> int:
     """Dimension d - r, r the rank over Q of the zero-set Jacobian at the
     representative, certified by t, the rank of y -> [y, rep] from b to n.
 
@@ -481,7 +475,7 @@ def jacobian_rank_dim(rec: OrbitRecord) -> int:
     r = _rank_exact([[poly.derivative(v).eval(env)
                       if v in poly.used_vars() else 0 for v in x_vars(n)]
                      for poly in rec.zero_set])
-    t = _rank_exact(_bracket_rows(rep))
+    t = _rank_exact(_bracket_rows(rep, families))
     if t != d - r:
         raise InternalInconsistencyError(
             f"{rec.id}: orbit dimension {t} (rank of [b, rep]) != {d - r} "

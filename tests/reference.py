@@ -21,6 +21,10 @@ certificate computed from it word by word, with ``powers`` as the
 generator powers: the reference for the family identities of
 ``oracle.stability_check``.  ``gauss_jordan_rank`` is the ``Fraction``
 elimination that the dimension certificate's integer elimination replaced.
+``coroot_bracket_rows`` are the dimension certificate's rows of
+y -> [y, rep] from the simple coroots and ``commutator_nil``, the reference
+for the rows the certificate reads off the symbolic families, and
+``rank_mod_p`` ranks them over F_p.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from orbit_atlas.catalog import root_weight_homogeneous, x_vars
 from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
-from orbit_atlas.lie import (BorelWord, NilElement, TorusElement, adjoint,
-                             generic_borel_word, nil_dim, pos_roots)
+from orbit_atlas.lie import (BorelWord, NilElement, TorusElement, _bracket,
+                             adjoint, generic_borel_word, nil_dim, pos_roots)
 from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
@@ -404,6 +408,45 @@ def gauss_jordan_rank(rows) -> int:
         rank += 1
         if rank == m:
             break
+    return rank
+
+
+def commutator_nil(rank: int, root: tuple[int, int], x: NilElement) -> NilElement:
+    """[x_root, x] as a NilElement, zero coordinates dropped."""
+    return NilElement(rank, {r: v for r, v in sorted(_bracket(root, x.coords))
+                             if not is_zero_elem(v)})
+
+
+def coroot_bracket_rows(rep: NilElement) -> list[list]:
+    """Matrix of y -> [y, rep] from b to n, one row per basis element of b:
+    the simple coroots h_k, then the positive roots.  h_k scales the
+    coordinate of root (i, j), that is of alpha_i + ... + alpha_j, by
+    <alpha_(i..j), h_k> = d_ik - d_i,k+1 - d_j+1,k + d_j+1,k+1."""
+    n = rep.rank
+    roots = pos_roots(n)
+    rows = [[((i == k) - (i == k + 1) - (j + 1 == k) + (j == k))
+             * rep.coord((i, j)) for i, j in roots]
+            for k in range(1, n + 1)]
+    rows += [commutator_nil(n, root, rep).as_vector() for root in roots]
+    return rows
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of integer rows, by Gauss-Jordan elimination mod p."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
     return rank
 
 

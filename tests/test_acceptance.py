@@ -62,14 +62,14 @@ def test_criterion_1_and_2_orbit_counts_and_partition(catalogs):
            "0 double-matched at every enumerated (rank, q)")
 
 
-def test_criterion_3_oracle_agreement(catalogs):
+def test_criterion_3_oracle_agreement(catalogs, families):
     """BFS enumeration with post-hoc stability certification refines the
     catalog partition at every planned field."""
     bfs_a4_q3 = None
     for n, qs in ORACLE_PLAN.items():
         for q in qs:
             t0 = time.perf_counter()
-            part = enumerate_borel_orbits(n, q)
+            part = enumerate_borel_orbits(n, q, families=families[n])
             dt = time.perf_counter() - t0
             if (n, q) == (4, 3):
                 bfs_a4_q3 = dt
@@ -83,17 +83,18 @@ def test_criterion_3_oracle_agreement(catalogs):
            f"(rank-4 q=3 BFS in {bfs_a4_q3:.1f}s)")
 
 
-def test_criterion_4_dimensions(catalogs):
+def test_criterion_4_dimensions(catalogs, families):
     """Jacobian-rank dimension equals the catalog dimension for all 84
     records, including the dependent-quadric case.  Zero tolerance."""
     checked = 0
     for n, cat in catalogs.items():
         for rec in cat.orbits:
-            assert jacobian_rank_dim(rec) == rec.dim, rec.id
+            assert jacobian_rank_dim(rec, families[n]) == rec.dim, rec.id
             checked += 1
     assert checked == 84
     rec = catalogs[4].by_id("x22")
-    assert len(rec.zero_set) == 6 and jacobian_rank_dim(rec) == 4
+    assert len(rec.zero_set) == 6
+    assert jacobian_rank_dim(rec, families[4]) == 4
     report("PASS criterion-4 dimensions: Jacobian rank agrees on 84/84 "
            "records (including the dependent-quadric rank-4 case)")
 

@@ -507,6 +507,21 @@ def test_a_template_that_does_not_evaluate_fails_its_record(
         assert out.count("FAIL") == 1
 
 
+def test_check_all_names_the_first_record_that_fails_the_catalog_check(
+        tmp_path, monkeypatch, capsys):
+    # X23 of x12+x34's zero set becomes X12*X34, nonzero at the
+    # representative; the generator count, and so the dimension, stays
+    def nonzero_at_the_representative(row):
+        row["zero_set"][row["zero_set"].index("X23")] = "X12*X34"
+
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(
+        tmp_path, 4, "x12+x34", nonzero_at_the_representative)))
+    code, out, _ = run(capsys, "check-all", "--type", "A4")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "FAIL catalog: x12+x34: representative is not a member")
+
+
 def test_a_template_that_does_not_evaluate_keeps_the_printed_layer(
         tmp_path, monkeypatch, capsys):
     # the printed word is checked on its own: x13's reproduces the member,

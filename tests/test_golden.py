@@ -33,11 +33,11 @@ def test_outputs_match_goldens(n, catalogs, capsys):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_oracle_and_census_match_goldens(n, catalogs):
+def test_oracle_and_census_match_goldens(n, catalogs, families):
     golden = GOLDEN / f"A{n}"
     rows = ["q,class,size"]
     for q in ORACLE_DEFAULT_QS[n]:
-        part = enumerate_borel_orbits(n, q)
+        part = enumerate_borel_orbits(n, q, families=families[n])
         rows += [f"{q},{cls},{size}" for cls, size in enumerate(part.sizes)]
     assert "\n".join(rows) + "\n" == (golden / "oracle.csv").read_text()
     rows = ["q,orbit_id,count"]

@@ -10,10 +10,10 @@ from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
 from orbit_atlas.errors import ShapeError, UnsupportedRankError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _torus_weights, adjoint,
-                             commutator_nil, coordinate_letters,
-                             generic_borel_word, nil_dim, pos_roots)
-from reference import (conjugate_nil, from_matrix, full_diag, inverse_matrix,
-                       mat_identity, mat_mul, to_matrix)
+                             coordinate_letters, generic_borel_word, nil_dim,
+                             pos_roots)
+from reference import (commutator_nil, conjugate_nil, from_matrix, full_diag,
+                       inverse_matrix, mat_identity, mat_mul, to_matrix)
 
 V = LaurentPoly.var
 

@@ -28,8 +28,9 @@ from orbit_atlas.oracle import (CODE_LIMIT, OrbitPartition, _bracket_rows,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
-from reference import (conjugate_nil, decode_points, gauss_jordan_rank,
-                       inverse_matrix, nonempty_record_count, to_matrix,
+from reference import (conjugate_nil, coroot_bracket_rows, decode_points,
+                       gauss_jordan_rank, inverse_matrix,
+                       nonempty_record_count, rank_mod_p, to_matrix,
                        torus_word, word_identities, word_map)
 
 
@@ -115,21 +116,23 @@ ORACLE_CASES = [(n, q) for n, qs in ORACLE_DEFAULT_QS.items() for q in qs]
 
 
 @pytest.fixture(scope="module")
-def partitions():
-    return {case: enumerate_borel_orbits(*case) for case in ORACLE_CASES}
+def partitions(families):
+    return {(n, q): enumerate_borel_orbits(n, q, families=families[n])
+            for n, q in ORACLE_CASES}
 
 
-def test_rank1_rational_splitting():
+def test_rank1_rational_splitting(families):
     # the torus acts by squares, so F_3 splits the punctured line in two
-    part = enumerate_borel_orbits(1, 3)
+    part = enumerate_borel_orbits(1, 3, families=families[1])
     assert part.class_count == 3
     assert sorted(part.sizes) == [1, 1, 1]
-    part = enumerate_borel_orbits(1, 2)
+    part = enumerate_borel_orbits(1, 2, families=families[1])
     assert part.class_count == 2
 
 
-def test_rank1_refinement(catalogs):
-    report = refine_check(catalogs[1], enumerate_borel_orbits(1, 3))
+def test_rank1_refinement(catalogs, families):
+    report = refine_check(catalogs[1],
+                          enumerate_borel_orbits(1, 3, families=families[1]))
     assert report.ok
     assert report.classes_per_record["x11"] and len(
         report.classes_per_record["x11"]) == 2
@@ -147,8 +150,8 @@ def _uniform_word(n, q, rng):
     return BorelWord(n, torus, factors)
 
 
-def test_rank2_q3_classes_refine_catalog(catalogs):
-    part = enumerate_borel_orbits(2, 3)
+def test_rank2_q3_classes_refine_catalog(catalogs, families):
+    part = enumerate_borel_orbits(2, 3, families=families[2])
     report = refine_check(catalogs[2], part)
     assert report.ok
     assert nonempty_record_count(report) == 5
@@ -160,35 +163,37 @@ def test_rank2_q3_classes_refine_catalog(catalogs):
         assert (part.class_of[codes] == part.class_of).all()
 
 
-def test_rank3_q3_sixteen_sets_nonempty(catalogs):
-    report = refine_check(catalogs[3], enumerate_borel_orbits(3, 3))
+def test_rank3_q3_sixteen_sets_nonempty(catalogs, families):
+    report = refine_check(catalogs[3],
+                          enumerate_borel_orbits(3, 3, families=families[3]))
     assert report.ok
     assert nonempty_record_count(report) == 16
 
 
-def test_rank4_q2_union_property(catalogs):
-    report = refine_check(catalogs[4], enumerate_borel_orbits(4, 2))
+def test_rank4_q2_union_property(catalogs, families):
+    report = refine_check(catalogs[4],
+                          enumerate_borel_orbits(4, 2, families=families[4]))
     assert report.ok          # emptiness over F_2 would be reported, not failed
     assert not report.violations
 
 
-def test_budget_refusal():
+def test_budget_refusal(families):
     with pytest.raises(BudgetExceededError):
-        enumerate_borel_orbits(4, 5, budget=10_000)
+        enumerate_borel_orbits(4, 5, budget=10_000, families=families[4])
 
 
-def test_class_sizes_divide_group_order():
+def test_class_sizes_divide_group_order(families):
     for n, q in ((1, 5), (2, 3), (2, 5), (3, 3)):
-        part = enumerate_borel_orbits(n, q)
+        part = enumerate_borel_orbits(n, q, families=families[n])
         d = len(part.class_of)
         group_order = (q - 1) ** n * q ** (n * (n + 1) // 2)
         for size in part.sizes:
             assert group_order % size == 0
 
 
-def test_partition_is_canonical_and_deterministic():
-    a = enumerate_borel_orbits(2, 5)
-    b = enumerate_borel_orbits(2, 5)
+def test_partition_is_canonical_and_deterministic(families):
+    a = enumerate_borel_orbits(2, 5, families=families[2])
+    b = enumerate_borel_orbits(2, 5, families=families[2])
     assert (a.class_of == b.class_of).all()
     assert a.reps == b.reps
     # class labels are the least point codes, in increasing order
@@ -209,20 +214,20 @@ def test_point_count_growth_sanity(catalogs):
             assert 0.3 * model <= ratio <= 3 * model, rec.id
 
 
-def test_jacobian_dims_all_records(catalogs):
+def test_jacobian_dims_all_records(catalogs, families):
     for n, cat in catalogs.items():
         for rec in cat.orbits:
-            assert jacobian_rank_dim(rec) == rec.dim, rec.id
+            assert jacobian_rank_dim(rec, families[n]) == rec.dim, rec.id
 
 
-def test_jacobian_rank_values_at_special_records(catalogs):
+def test_jacobian_rank_values_at_special_records(catalogs, families):
     # the six-generator description whose naive three-quadric variant is
     # algebraically dependent: full rank 6 at the representative
     rec = catalogs[4].by_id("x22")
     assert len(rec.zero_set) == 6
-    assert jacobian_rank_dim(rec) == 4
-    assert jacobian_rank_dim(catalogs[1].by_id("0")) == 0
-    assert jacobian_rank_dim(catalogs[2].by_id("x11+x22")) == 3
+    assert jacobian_rank_dim(rec, families[4]) == 4
+    assert jacobian_rank_dim(catalogs[1].by_id("0"), families[1]) == 0
+    assert jacobian_rank_dim(catalogs[2].by_id("x11+x22"), families[2]) == 3
 
 
 def test_dims_certificate_rejects_a_dropped_zero_generator(
@@ -247,26 +252,48 @@ def test_dims_certificate_rejects_a_dropped_zero_generator(
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_dims_certificate_needs_every_first_zero_generator(catalogs, n):
+def test_dims_certificate_needs_every_first_zero_generator(catalogs, families,
+                                                          n):
     for rec in catalogs[n].orbits:
         if rec.zero_set:
             cut = replace(rec, zero_set=rec.zero_set[1:],
                           zero_strs=rec.zero_strs[1:])
             with pytest.raises(InternalInconsistencyError,
                                match=re.escape(f"{rec.id}: orbit dimension")):
-                jacobian_rank_dim(cut)
+                jacobian_rank_dim(cut, families[n])
 
 
-def test_integer_rank_equals_gauss_jordan_on_every_record(catalogs):
-    # every Jacobian and bracket matrix the dimension certificate ranks
+def test_integer_rank_equals_gauss_jordan_on_every_record(catalogs,
+                                                         families):
+    # every Jacobian and bracket matrix the dimension certificate ranks, and
+    # the coroot rows of the reference
     seen = 0
     for n, cat in catalogs.items():
         for rec in cat.orbits:
-            env = dict(zip(x_vars(n), rec.representative.as_vector()))
+            rep = rec.representative
+            env = dict(zip(x_vars(n), rep.as_vector()))
             jacobian = [[poly.derivative(v).eval(env) for v in x_vars(n)]
                         for poly in rec.zero_set]
-            for rows in (jacobian, _bracket_rows(rec.representative)):
+            for rows in (jacobian, _bracket_rows(rep, families[n]),
+                         coroot_bracket_rows(rep)):
                 assert _rank_exact(rows) == gauss_jordan_rank(rows), rec.id
+            seen += 1
+    assert seen == 84
+
+
+def test_family_bracket_rows_have_the_coroot_rows_rank(catalogs, families):
+    # the slot-torus directions e_k - e_(n+1) = h_k + ... + h_n are a
+    # unimodular change of the coroot basis, so the two row sets have one
+    # rank over Q and over every F_p, rank drops mod p included
+    seen = 0
+    for n, cat in catalogs.items():
+        for rec in cat.orbits:
+            rows = _bracket_rows(rec.representative, families[n])
+            assert all(type(x) is int for row in rows for x in row), rec.id
+            want = coroot_bracket_rows(rec.representative)
+            assert _rank_exact(rows) == _rank_exact(want), rec.id
+            for p in (2, 3, 5, 7, 11):
+                assert rank_mod_p(rows, p) == rank_mod_p(want, p), (rec.id, p)
             seen += 1
     assert seen == 84
 
@@ -312,8 +339,8 @@ def test_integer_rank_of_int_and_mixed_rows(rows, data):
     assert _rank_exact(mixed) == gauss_jordan_rank(mixed)
 
 
-def _split_rank1_orbit():
-    part = enumerate_borel_orbits(1, 5)
+def _split_rank1_orbit(families):
+    part = enumerate_borel_orbits(1, 5, families=families[1])
     # split one orbit across two labels: stability must catch it
     moved = int([c for c in range(5) if part.class_of[c] == 1][-1])
     part.class_of[moved] = 2
@@ -330,7 +357,7 @@ def _relabel_into_zero_class(part):
     return part, moved
 
 
-def _fixpoint_without(monkeypatch, n, q, drop):
+def _fixpoint_without(monkeypatch, families, n, q, drop):
     """The fixpoint partition over ``_all_generator_maps`` with the
     generators at the indices ``drop`` left out: stable under every other
     one."""
@@ -338,36 +365,37 @@ def _fixpoint_without(monkeypatch, n, q, drop):
         patch.setattr(oracle, "borel_generator_maps", lambda n, q, _: [
             m for k, m in enumerate(_all_generator_maps(n, q))
             if k not in drop])
-        return enumerate_borel_orbits(n, q)
+        return enumerate_borel_orbits(n, q, families=families[n])
 
 
-def test_fixpoint_generators_are_the_2n_simple_ones():
+def test_fixpoint_generators_are_the_2n_simple_ones(families):
     for n in ORACLE_DEFAULT_QS:
-        maps = borel_generator_maps(n, 5)
+        maps = borel_generator_maps(n, 5, families[n])
         assert len(maps) == 2 * n
         for got, want in zip(maps, _all_generator_maps(n, 5)):
             assert (got == want).all()
 
 
 def test_fixpoint_on_2n_generators_matches_all_generators(monkeypatch,
+                                                          families,
                                                           partitions):
     # U_root(1) of a non-simple root is a commutator of simple ones, so
     # leaving it out of the fixpoint changes no class
     for (n, q), part in partitions.items():
-        full = _fixpoint_without(monkeypatch, n, q, set())
+        full = _fixpoint_without(monkeypatch, families, n, q, set())
         assert (part.class_of == full.class_of).all(), (n, q)
         assert part.reps == full.reps and part.sizes == full.sizes, (n, q)
 
 
-def _fixpoint_at_root(monkeypatch, n, q, g):
+def _fixpoint_at_root(monkeypatch, families, n, q, g):
     """The fixpoint partition with the slot tori taken at g."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "primitive_root", lambda q: g)
-        return enumerate_borel_orbits(n, q)
+        return enumerate_borel_orbits(n, q, families=families[n])
 
 
-def test_stability_check_detects_corruption():
-    part = _split_rank1_orbit()
+def test_stability_check_detects_corruption(families):
+    part = _split_rank1_orbit(families)
     with pytest.raises(InternalInconsistencyError, match=re.escape(
             "rank 1 F_5: class not stable under torus diag(2): "
             "point [1] in class 1 maps to class 2")):
@@ -409,24 +437,23 @@ def test_bfs_matches_frontier_matmul_reference(partitions):
         assert part.sizes == sizes, (n, q)
 
 
-def test_stability_catches_a_generator_set_without_the_slot_tori(monkeypatch):
+def test_stability_catches_a_generator_set_without_the_slot_tori(monkeypatch,
+                                                                 families):
     # U_root(1) alone gives the unipotent orbits, a finer partition that
     # every U_root(c) keeps but the torus does not; the fixpoint takes its
-    # generators from ``borel_generator_maps`` whether or not the caller
-    # read the families, as check-all does
+    # generators from ``borel_generator_maps``
     full = borel_generator_maps
 
     def no_tori(n, q, families):
         return [m for m in full(n, q, families) if (np.diag(m) == 1).all()]
 
     monkeypatch.setattr(oracle, "borel_generator_maps", no_tori)
-    for families in (None, oracle.read_families(2)):
-        part = enumerate_borel_orbits(2, 5, families=families)
-        assert part.class_count > 5
-        with pytest.raises(InternalInconsistencyError,
-                           match=r"rank 2 F_5: class not stable under "
-                                 r"torus diag\([1-4], [1-4]\): point "):
-            stability_check(part, families)
+    part = enumerate_borel_orbits(2, 5, families=families[2])
+    assert part.class_count > 5
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"rank 2 F_5: class not stable under "
+                             r"torus diag\([1-4], [1-4]\): point "):
+        stability_check(part)
 
 
 def _join_classes(part, a, b):
@@ -438,7 +465,7 @@ def _join_classes(part, a, b):
     reps = np.unique(label)
     class_of = np.searchsorted(reps, label).astype(np.int32)
     return OrbitPartition(part.rank, part.q, class_of, reps.tolist(),
-                          np.bincount(class_of).tolist())
+                          np.bincount(class_of).tolist(), part.families)
 
 
 def _join_x12_with_generic(monkeypatch):
@@ -454,8 +481,8 @@ def _join_x12_with_generic(monkeypatch):
 SPLIT_CLASS = "class 1 (rep point [0, 0, 1]) meets records ['x12', 'x11+x22']"
 
 
-def test_refine_names_a_class_that_spans_two_records(catalogs):
-    part = enumerate_borel_orbits(2, 3)
+def test_refine_names_a_class_that_spans_two_records(catalogs, families):
+    part = enumerate_borel_orbits(2, 3, families=families[2])
     assert refine_check(catalogs[2], part).classes_per_record["x12"] == [1]
     joined = _join_classes(part, 1, part.class_count - 1)
     report = refine_check(catalogs[2], joined)
@@ -502,23 +529,26 @@ def test_stability_check_agrees_with_the_reference(partitions):
 
 
 CORRUPTED = {
-    "split rank 1 over F_5": lambda patch, parts: _split_rank1_orbit(),
+    "split rank 1 over F_5":
+        lambda patch, fams, parts: _split_rank1_orbit(fams),
     "relabelled A3 over F_7":
-        lambda patch, parts: _relabel_into_zero_class(parts[(3, 7)])[0],
+        lambda patch, fams, parts: _relabel_into_zero_class(parts[(3, 7)])[0],
     "A2 over F_5 without slot tori":
-        lambda patch, parts: _fixpoint_without(patch, 2, 5, {0, 1}),
+        lambda patch, fams, parts: _fixpoint_without(patch, fams, 2, 5,
+                                                     {0, 1}),
     "A2 over F_5 with tori at 4":
-        lambda patch, parts: _fixpoint_at_root(patch, 2, 5, 4),
+        lambda patch, fams, parts: _fixpoint_at_root(patch, fams, 2, 5, 4),
     **{f"A2 over F_5 without generator {k}":
-       lambda patch, parts, k=k: _fixpoint_without(patch, 2, 5, {k})
+       lambda patch, fams, parts, k=k: _fixpoint_without(patch, fams, 2, 5,
+                                                          {k})
        for k in range(4)},
 }
 
 
 @pytest.mark.parametrize("case", CORRUPTED)
-def test_stability_check_and_reference_both_reject(monkeypatch, partitions,
-                                                   case):
-    part = CORRUPTED[case](monkeypatch, partitions)
+def test_stability_check_and_reference_both_reject(monkeypatch, families,
+                                                   partitions, case):
+    part = CORRUPTED[case](monkeypatch, families, partitions)
     with pytest.raises(InternalInconsistencyError):
         _reference_stability_check(part)
     with pytest.raises(InternalInconsistencyError):
@@ -526,19 +556,20 @@ def test_stability_check_and_reference_both_reject(monkeypatch, partitions,
 
 
 @pytest.mark.parametrize("q", [3, 5])
-def test_stability_names_each_generator_the_partition_needs(monkeypatch, q):
+def test_stability_names_each_generator_the_partition_needs(monkeypatch,
+                                                            families, q):
     # every rank-2 generator but U_x12(1), a commutator of U_x11(1) and
     # U_x22(1), is needed: without it the fixpoint splits an orbit, and only
     # that generator's whole-space pass can see the split
-    full = enumerate_borel_orbits(2, q)
+    full = enumerate_borel_orbits(2, q, families=families[2])
     needed = ["torus diag(2, 1)", "torus diag(1, 2)", "U_x11(1)", "U_x22(1)"]
     for k, name in enumerate(needed):
-        part = _fixpoint_without(monkeypatch, 2, q, {k})
+        part = _fixpoint_without(monkeypatch, families, 2, q, {k})
         assert part.class_count > full.class_count, name
         with pytest.raises(InternalInconsistencyError, match=re.escape(
                 f"rank 2 F_{q}: class not stable under {name}: point ")):
             stability_check(part)
-    redundant = _fixpoint_without(monkeypatch, 2, q, {4})
+    redundant = _fixpoint_without(monkeypatch, families, 2, q, {4})
     assert (redundant.class_of == full.class_of).all()
 
 
@@ -557,22 +588,28 @@ def _corrupt_family(monkeypatch, torus, change):
     monkeypatch.setattr(oracle, "_family", corrupted)
 
 
-def _family_rejected(monkeypatch, capsys, part, torus, change, message):
-    # the stability check and check-all (whose fixpoint reads the same
-    # families) both refuse the corrupted family with one message
+def _family_rejected(monkeypatch, capsys, n, torus, change, message):
+    # the family read that the stability certificate rests on, dims, and
+    # check-all's dimension and oracle checks (which read the same families)
+    # all refuse the corrupted family with one message, each check under
+    # its own name
     with monkeypatch.context() as patch:
         _corrupt_family(patch, torus, change)
         with pytest.raises(InternalInconsistencyError) as info:
-            stability_check(part)
+            oracle.read_families(n)
         assert str(info.value) == message
         capsys.readouterr()
-        assert main(["check-all", "--type", f"A{part.rank}"]) == 1
-        assert (f"FAIL oracle: InternalInconsistencyError: {message}\n"
-                in capsys.readouterr().out)
+        assert main(["dims", "--type", f"A{n}"]) == 1
+        assert capsys.readouterr() == ("", f"check failed: {message}\n")
+        assert main(["check-all", "--type", f"A{n}"]) == 1
+        out = capsys.readouterr().out
+        for check in ("dimensions", "oracle"):
+            assert (f"FAIL {check}: InternalInconsistencyError: {message}\n"
+                    in out), check
 
 
 def test_stability_rejects_an_element_off_its_generator_power(
-        monkeypatch, capsys, partitions):
+        monkeypatch, capsys):
     # at rank 2, U_x11(@c) is I + @c E with E the (x12, x22) unit: each
     # corruption makes some U_x11(c) differ from U_x11(1)^c
     c = LaurentPoly.var("@c")
@@ -585,12 +622,11 @@ def test_stability_rejects_an_element_off_its_generator_power(
         (lambda es: es[1:],
          "rank 2: U_x11(@c) at @c = 0 is not I: entry (x11, x11) is 0")]
     for change, message in cases:
-        _family_rejected(monkeypatch, capsys, partitions[(2, 5)], False,
-                         change, message)
+        _family_rejected(monkeypatch, capsys, 2, False, change, message)
 
 
 def test_stability_rejects_a_torus_family_off_its_slot_powers(
-        monkeypatch, capsys, partitions):
+        monkeypatch, capsys):
     # diag(@s1, @s2) scales x11 by @s1*@s2^-1: each corruption breaks the
     # monomial form that makes every torus element a product of slot
     # generator powers
@@ -602,15 +638,26 @@ def test_stability_rejects_a_torus_family_off_its_slot_powers(
          "rank 2: torus diag(@s1, @s2) entry (x11, x11) is 2*@s1*@s2^-1, not "
          "a monomial with coefficient 1")]
     for change, message in cases:
-        _family_rejected(monkeypatch, capsys, partitions[(2, 5)], True,
-                         change, message)
+        _family_rejected(monkeypatch, capsys, 2, True, change, message)
+
+
+def test_dims_names_a_corrupted_family_entry(monkeypatch, capsys):
+    # the dimension rows are read off the torus family and U_x11(@c) too
+    cases = [
+        (False, lambda es: es[1:],
+         "rank 3: U_x11(@c) at @c = 0 is not I: entry (x11, x11) is 0"),
+        (True, lambda es: [(0, 0, 2 * es[0][2])] + es[1:],
+         "rank 3: torus diag(@s1, @s2, @s3) entry (x11, x11) is "
+         "2*@s1*@s2^-1, not a monomial with coefficient 1")]
+    for torus, change, message in cases:
+        _family_rejected(monkeypatch, capsys, 3, torus, change, message)
 
 
 FAMILY_CASES = ORACLE_CASES + [(4, 5)]
 
 
 @pytest.mark.parametrize("n,q", FAMILY_CASES)
-def test_specialised_family_maps_equal_the_word_maps(n, q):
+def test_specialised_family_maps_equal_the_word_maps(families, n, q):
     # I + c A, diag(c^W[:, slot]) and diag(prod_k s_k^W[:, k]), from one
     # symbolic adjoint per family, against adjoint on the coordinate basis
     # word by word, for every element the stability check counts; the
@@ -631,7 +678,7 @@ def test_specialised_family_maps_equal_the_word_maps(n, q):
         m = np.diag([math.prod(pow(s, int(w), q) for s, w in zip(diag, row))
                      % q for row in weights])
         assert (m == word_map(torus_word(n, diag, q), q)).all()
-    for word, m in oracle._generators(n, q):
+    for word, m in oracle._generators(n, q, families[n]):
         assert (m == word_map(word, q)).all()
     assert word_identities(n, q, primitive_root(q)) == (
         len(pos_roots(n)) * q + n * (q - 1) + (q - 1) ** n)
@@ -651,37 +698,20 @@ def _family_reads(monkeypatch):
 
 
 def test_a_command_reads_each_family_once_per_rank(monkeypatch, capsys):
-    # every field of check-all and oracle specialises one read of the
-    # rank's |roots| root families and its torus family; the same command
-    # run again reads them again, so no cache outlives a command
+    # the dimension rows and every field of check-all and oracle read one
+    # read of the rank's |roots| root families and its torus family; the
+    # same command run again reads them again, so no cache outlives a
+    # command
     reads = _family_reads(monkeypatch)
     for argv in (["check-all", "--type", "A3"], ["check-all", "--type", "A3"],
-                 ["check-all", "--type", "A4"], ["oracle", "--type", "A3"]):
+                 ["check-all", "--type", "A4"], ["oracle", "--type", "A3"],
+                 ["dims", "--type", "A3"]):
         n = int(argv[-1][1])
         reads.clear()
         assert main(argv) == 0, argv
         assert reads == ["torus"] + pos_roots(n), argv
         assert len(reads) == {3: 7, 4: 11}[n]
     capsys.readouterr()
-
-
-def test_the_fixpoint_and_stability_read_the_families_on_their_own(
-        monkeypatch):
-    reads = _family_reads(monkeypatch)
-    part = enumerate_borel_orbits(2, 5)
-    assert reads == ["torus"] + pos_roots(2)
-    reads.clear()
-    stability_check(part)
-    assert reads == ["torus"] + pos_roots(2)
-    reads.clear()
-    # given the families, neither reads them
-    families = oracle.read_families(2)
-    reads.clear()
-    shared = enumerate_borel_orbits(2, 5, families=families)
-    result = stability_check(shared, families)
-    assert reads == []
-    assert (shared.class_of == part.class_of).all()
-    assert result == stability_check(part)
 
 
 def _bumped(m, q):
@@ -718,11 +748,12 @@ def test_torus_corruption_names_the_reference_element(n, q, diag, first):
         word_identities(n, q, primitive_root(q), bumped_word_map)
 
 
-def test_fixpoint_tables_are_the_image_codes_of_their_keys(partitions):
+def test_fixpoint_tables_are_the_image_codes_of_their_keys(families,
+                                                          partitions):
     for (n, q), part in partitions.items():
         assert len(part.tables) == 2 * n
         for (key, table), want in zip(part.tables,
-                                      borel_generator_maps(n, q)):
+                                      borel_generator_maps(n, q, families[n])):
             assert (key == want).all()
             assert table.dtype == np.int32
             assert table.tolist() == image_codes(key, q).tolist(), (n, q)
@@ -742,7 +773,8 @@ def test_stability_without_tables_does_the_same_work(monkeypatch,
 
     monkeypatch.setattr(oracle, "image_codes", counted)
     for (n, q), part in partitions.items():
-        bare = OrbitPartition(n, q, part.class_of, part.reps, part.sizes)
+        bare = OrbitPartition(n, q, part.class_of, part.reps, part.sizes,
+                              part.families)
         assert bare.tables == []
         calls.clear()
         with_tables = stability_check(part)
@@ -752,14 +784,15 @@ def test_stability_without_tables_does_the_same_work(monkeypatch,
         assert len(calls) == with_tables["maps_applied"], (n, q)
 
 
-def test_stability_certifies_every_full_torus_element_at_a2_over_f67():
+def test_stability_certifies_every_full_torus_element_at_a2_over_f67(families):
     # 66^2 = 4356 full torus elements, each the product of its slot tori
-    part = enumerate_borel_orbits(2, 67)
+    part = enumerate_borel_orbits(2, 67, families=families[2])
     assert stability_check(part)["maps_checked"] == (
         3 * 67 + 2 * 66 + 66**2) == 4689
 
 
-def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys):
+def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys,
+                                                   families):
     # q^d >= 2^31 would wrap the int32 codes and labels: refused before
     # any generator map or code table is built
     q = 2147483659
@@ -773,19 +806,19 @@ def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys):
     message = (f"q^d = {q}^1 = {q} points exceed the oracle's limit of "
                f"2^31 - 1 = 2147483647 (int32 point codes)")
     with pytest.raises(SchemaError, match=re.escape(message)):
-        enumerate_borel_orbits(1, q, budget=10**12)
+        enumerate_borel_orbits(1, q, budget=10**12, families=families[1])
     assert main(["oracle", "--type", "A1", "--q", str(q),
                  "--budget", str(10**12)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
 
 
-def test_stability_refuses_a_non_primitive_root(monkeypatch):
+def test_stability_refuses_a_non_primitive_root(monkeypatch, families):
     # the slot tori at 4 = -1 reach only half of each slot torus: the
     # fixpoint at 4 splits orbits, and every class is stable under the
     # generators at 4, so only the order of g stands in the way
     monkeypatch.setattr(oracle, "primitive_root", lambda q: 4)
-    part = enumerate_borel_orbits(2, 5)
+    part = enumerate_borel_orbits(2, 5, families=families[2])
     assert part.class_count > 5
     with pytest.raises(InternalInconsistencyError, match=re.escape(
             "rank 2 F_5: torus diag(2, 1) is no power of torus diag(4, 1): "
@@ -793,14 +826,15 @@ def test_stability_refuses_a_non_primitive_root(monkeypatch):
         stability_check(part)
 
 
-def test_refine_rank_must_match_the_catalog(catalogs):
+def test_refine_rank_must_match_the_catalog(catalogs, families):
     with pytest.raises(ShapeError, match=re.escape(
             "catalog rank 3 != partition rank 2")):
-        refine_check(catalogs[3], enumerate_borel_orbits(2, 3))
+        refine_check(catalogs[3],
+                     enumerate_borel_orbits(2, 3, families=families[2]))
 
 
 def test_refine_refuses_inhomogeneous_catalog_before_any_point(
-        catalogs, monkeypatch):
+        catalogs, families, monkeypatch):
     # refine reads records through the torus normal form, so it rests on
     # root-weight homogeneity: X11 + X12 weighs a1 and a1 + a2
     cat = catalogs[2]
@@ -808,7 +842,7 @@ def test_refine_refuses_inhomogeneous_catalog_before_any_point(
     bad = replace(rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
     bad_cat = replace(cat, orbits=tuple(bad if r is rec else r
                                         for r in cat.orbits))
-    part = enumerate_borel_orbits(2, 3)
+    part = enumerate_borel_orbits(2, 3, families=families[2])
 
     def no_points(*args):
         raise AssertionError("a point was evaluated")

@@ -17,7 +17,6 @@ from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
 from orbit_atlas.cli import main
 from orbit_atlas.errors import (DomainError, InternalInconsistencyError,
                                 SchemaError)
-from orbit_atlas.lie import commutator_nil
 from orbit_atlas.order import closure_generators, hasse
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
@@ -27,7 +26,7 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  template_power,
                                  template_word, verify_rank,
                                  verify_witness_numeric, word_residuals)
-from reference import full_word_pullbacks, nonlinear_zero
+from reference import commutator_nil, full_word_pullbacks, nonlinear_zero
 
 
 def test_forward_containment_all_records(catalogs):
