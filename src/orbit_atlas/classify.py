@@ -33,7 +33,9 @@ shares it.  ``cli.main`` loads a fresh catalog per command, so each
 command evaluates each grid once, whichever of its checks reads it first;
 a build that raised is not kept, and the next reader builds again.  Every
 per-point lookup by an index array goes through ``gather`` (``np.take``, a
-chunk at a time), as do the oracle's whole-space gathers.
+chunk at a time), as do the oracle's whole-space gathers, and every
+whole-space int32 index table (``point_records``' slice index, the oracle's
+code tables) is built by ``assemble_table``.
 """
 
 from __future__ import annotations
@@ -193,6 +195,48 @@ def gather(values: np.ndarray, index: np.ndarray,
     return out
 
 
+def assemble_table(q: int, d: int, terms) -> np.ndarray:
+    """Sum of ``terms`` at every point of F_q^d in code order (digit 0 most
+    significant), as one C-contiguous int32 table.  Each term is a pair
+    (axes, values): ``axes`` a sorted tuple of digit positions and
+    ``values`` an integer array of shape (q,) * len(axes), the term at each
+    combination of those digits.  Exact when every value is nonnegative
+    and every point's sum fits int32 (at most 2^31 - 1).
+
+    The digits are placed from the least significant up.  With digits
+    k..d-1 placed, the partial table is a C-contiguous block of shape
+    (q,) * len(pending) + (q^(d-k),): its last axis runs over those digits
+    in code order, and ``pending`` holds the lower digit positions that the
+    terms added so far read.  A term is added when the block reaches its
+    highest axis, so it is constant along the q^(d-1-k) points under that
+    digit and every full-size add runs its inner loop over a contiguous
+    block; reaching a pending axis is a free reshape."""
+    placed = [[] for _ in range(d)]
+    for axes, values in terms:
+        placed[axes[-1]].append((axes, np.asarray(values, dtype=np.int32)))
+    table, pending, block = np.zeros(1, dtype=np.int32), [], 1
+    for k in range(d - 1, -1, -1):
+        wanted = sorted(set(pending[:-1] if k in pending else pending).union(
+            *(axes[:-1] for axes, _ in placed[k])))
+        shape = (q,) * len(wanted) + (q, block)
+        old = table.reshape([q if a in pending else 1 for a in wanted]
+                            + [q if k in pending else 1, block])
+        adds = [values.reshape([q if a in axes else 1 for a in wanted]
+                               + [q, 1]) for axes, values in placed[k]]
+        if old.shape != shape:
+            table = np.empty(shape, dtype=np.int32)
+            if adds:
+                np.add(old, adds.pop(), out=table)
+            else:
+                np.copyto(table, old)
+            old = table
+        for values in adds:
+            old += values
+        block *= q
+        table, pending = old.reshape((q,) * len(wanted) + (block,)), wanted
+    return table
+
+
 def slice_shape(n: int, q: int) -> tuple:
     """The slice grid: a 0/1 axis per simple coordinate, then a q-value axis
     per non-simple one.  Its C order is the slice order: support-major (the
@@ -319,26 +363,24 @@ def point_records(cat: Catalog, q: int) -> np.ndarray:
     significant), read off the catalog's slice table at its torus normal
     form x_ij -> x_ij * prod(x_kk^-1 : i <= k <= j,
     x_kk != 0), the one slice point whose scaling it is.  The normal
-    forms' slice indices are built by broadcasting, one axis per
-    coordinate."""
+    forms' slice indices are one ``assemble_table``: a term per simple
+    coordinate (its support bit) and one per non-simple x_ij on its own
+    axis and the simple axes i..j it is scaled by."""
     n, d = cat.rank, nil_dim(cat.rank)
     records = np.concatenate([gather(block.record, block.inverse)
                               for block in slice_table(cat, q)])
     steps = np.arange(q, dtype=np.int64)
     inverse = np.array([1] + [pow(v, -1, q) for v in range(1, q)],
                        dtype=np.int64)      # x_kk = 0 contributes no factor
-
-    def along(k, values):
-        return values.reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
-
-    index = sum(along(k, (steps != 0) * (2**(n - 1 - k) * q**(d - n)))
-                for k in range(n))
+    terms = [((k,), (steps != 0) * (2**(n - 1 - k) * q**(d - n)))
+             for k in range(n)]
     for r, (i, j) in enumerate(pos_roots(n)[n:], start=n):
-        scale = 1
-        for k in range(i - 1, j):
-            scale = scale * along(k, inverse) % q
-        index = index + along(r, steps) * scale % q * q**(d - 1 - r)
-    return gather(records, index.ravel())
+        scale = np.ones((), dtype=np.int64)
+        for _ in range(i - 1, j):
+            scale = np.multiply.outer(scale, inverse) % q
+        terms.append((tuple(range(i - 1, j)) + (r,),
+                      np.multiply.outer(scale, steps) % q * q**(d - 1 - r)))
+    return gather(records, assemble_table(q, d, terms))
 
 
 def partition_census(n: int, q: int, cat: Catalog,

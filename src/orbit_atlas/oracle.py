@@ -3,30 +3,32 @@ certificate.
 
 ``enumerate_borel_orbits`` computes the actual B(F_q)-orbit partition of the
 nilradical as a min-label fixpoint under 2n generators (one primitive-root
-torus per simple slot and U_root(1) for every simple root; U_root(1) of a
-non-simple root is a commutator of simple ones).
-``stability_check`` certifies it: every class is stable under those
-generators, checked over the whole space, and every one-parameter subgroup
-element and full torus element is a product of them, proved by identities
-of the symbolic families that hold at every q.  ``refine_check`` confronts
-the partition with the catalog's defining sets.
+torus per simple slot and U_root(1) for every simple root).
+``stability_check`` certifies it: every class is stable under those same
+2n generators, checked over the whole space, and every one-parameter
+subgroup element and full torus element is a product of them, proved by
+identities of the symbolic families that hold at every q (U_root(1) of a
+non-simple root is a commutator of simple ones).  ``refine_check``
+confronts the partition with the catalog's defining sets.
 
 Every group element acts through ``lie.adjoint``, by way of its family:
 one symbolic ``adjoint`` of U_root(@c) gives the integer matrix A with
 U_root(c) = I + c A, and one of the torus diag(@s1, ..., @sn) gives the
-exponents W.  ``read_families`` reads and checks them for one rank; they do
-not depend on q, so the catalog keeps one read per command
-(``family_table``), every field's generator maps are specialisations of it
-mod q, and the dimension certificate reads its rows off the same A and W.
-The fixpoint and the stability passes apply a map to the whole space only
-through ``image_codes``, which sums one broadcast term per output digit
-into an int32 code table, without decoding the q^d points; the fixpoint
-turns each generator into one table, lowers every point's label through
-it and keeps the tables on the partition, where the stability passes
-reuse them.  ``refine_check`` does not decode the q^d points either: it
+exponents W.  ``read_families`` reads and checks them for one rank, the
+commutator identities included; they do not depend on q, so the catalog
+keeps one read per command (``family_table``), every field's generator
+maps are specialisations of it mod q, and the dimension certificate reads
+its rows off the same A and W.  The fixpoint and the stability passes
+apply a map to the whole space only through ``image_codes``, one term per
+output digit summed by ``classify.assemble_table`` into an int32 code
+table, without decoding the q^d points; the fixpoint turns each generator
+into one table, lowers every point's label through it and keeps the tables
+on the partition, where the stability passes look them up by the bytes of
+their maps.  ``refine_check`` does not decode the q^d points either: it
 reads every point's record off the catalog's slice table of the field,
 which the census and the closure order read too, through the torus normal
-form (``classify.point_records``).
+form (``classify.point_records``, whose slice index ``assemble_table``
+builds too).
 
 Every whole-space gather by an int32 code table or label array (the
 fixpoint rounds and pointer jump, the ``class_of`` relabelling, the
@@ -36,7 +38,8 @@ stability passes and the refinement's class lookups) goes through
 ``class_of`` stay int32, and no intp copy of them is kept.
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
-its representative, with no sampled points: the tangent space [b, rep] of
+its representative, with no sampled points, once every zero-set
+polynomial is checked to vanish there: the tangent space [b, rep] of
 the orbit, spanned by W[:, k] * rep and A rep, must have the dimension
 d - r that the zero-set Jacobian rank r leaves there.  Ranks come from
 fraction-free integer elimination.
@@ -46,13 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import Fp, LaurentPoly, is_prime, poly_to_str, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
-from .classify import gather, point_records
+from .classify import assemble_table, gather, point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
@@ -153,32 +157,26 @@ def image_codes(m: np.ndarray, q: int) -> np.ndarray:
     significant), as one C-contiguous int32 table.
 
     The code is the sum over output digits j of the terms
-    ((sum_i m[j, i] x_i) mod q) q^(d-1-j).  Each term is computed on only
-    the axes i where row j is nonzero (each column's values reduced below
-    q, so a row sum stays below d q) and added by broadcasting into a grid
-    that spans only the axes some term has used so far; a term on a new
-    axis widens the grid once.  The q^d points are never decoded.  The
-    group maps are lower triangular in root order (ad e_alpha raises
-    height) with at most two entries per row, so the grid reaches full
-    size only at the last digits and no other array comes near it.  Exact
-    for any integer matrix when q^d is at most ``CODE_LIMIT``: every term
-    and partial code fits int32, as the fixpoint's tables do."""
+    ((sum_i m[j, i] x_i) mod q) q^(d-1-j).  Each term is computed on a grid
+    over only the axes i where row j is nonzero, an outer sum of the
+    columns' values m[j, i] x_i mod q (so a row sum stays below d q), and
+    ``classify.assemble_table`` sums the terms over the whole space, so the
+    q^d points are never decoded.  The group maps are lower triangular in
+    root order (ad e_alpha raises height) with at most two entries per
+    row, so each term reads its own digit and at most one lower one, and
+    every full-size add runs over contiguous blocks.  Exact for any
+    integer matrix when q^d is at most ``CODE_LIMIT``: every code fits
+    int32, as the fixpoint's tables do."""
     d = m.shape[0]
     steps = np.arange(q, dtype=np.int64)
-    codes = np.zeros((1,) * d, dtype=np.int32)
+    times = np.multiply.outer(steps, steps) % q     # c x mod q at [c, x]
+    terms = []
     for j, row in enumerate((np.asarray(m, dtype=np.int64) % q).tolist()):
         cols = [i for i, c in enumerate(row) if c]
-        if not cols:
-            continue
-        term = sum((row[i] * steps % q).astype(np.int32).reshape(
-            (1,) * i + (q,) + (1,) * (d - 1 - i)) for i in cols)
-        term %= q
-        term *= q**(d - 1 - j)
-        if all(codes.shape[i] == q for i in cols):
-            codes += term
-        else:
-            codes = codes + term
-    return np.ascontiguousarray(np.broadcast_to(codes, (q,) * d)).ravel()
+        if cols:
+            term = reduce(np.add.outer, [times[row[i]] for i in cols])
+            terms.append((tuple(cols), term % q * q**(d - 1 - j)))
+    return assemble_table(q, d, terms)
 
 
 def _slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
@@ -199,12 +197,38 @@ class Families(NamedTuple):
     weights: np.ndarray
 
 
+def _check_commutators(n: int, roots: tuple) -> None:
+    """Check, for every non-simple root (i, j) in ``pos_roots`` order, the
+    integer identity (I + A_ii)(I + A_(i+1)j)(I - A_ii)(I - A_(i+1)j) =
+    I + s A_ij for one sign s: U_(i,j)(s) is the commutator of U_(i,i)(1)
+    and U_(i+1,j)(1).  Raises, naming the rank, the commutator and the
+    entry, on the first root that breaks it."""
+    one = np.identity(nil_dim(n), dtype=np.int64)
+    matrix = dict(zip(pos_roots(n), roots))
+    for (i, j), a in list(matrix.items())[n:]:
+        b, c = matrix[(i, i)], matrix[(i + 1, j)]
+        diff = (one + b) @ (one + c) @ (one - b) @ (one - c) - one
+        sign = -1 if a.any() and (diff == -a).all() else 1
+        off = np.argwhere(diff != sign * a)
+        if len(off):
+            row, col = off[0]
+            x, y, z = (root_token(r) for r in ((i, i), (i + 1, j), (i, j)))
+            raise InternalInconsistencyError(
+                f"rank {n}: U_{z}(1) is no commutator of U_{x}(1) and "
+                f"U_{y}(1): (I + A_{x})(I + A_{y})(I - A_{x})(I - A_{y}) - I "
+                f"is not +-A_{z}: {_entry(n, row, col)} is {diff[row, col]}, "
+                f"not {sign * a[row, col]}")
+
+
 def read_families(n: int) -> Families:
     """Read every family of rank n off one symbolic ``adjoint`` each, the
-    torus first, raising on the first that breaks an identity."""
+    torus first, raising on the first that breaks an identity; then prove
+    every non-simple U_root(1) a commutator of simple ones
+    (``_check_commutators``)."""
     weights = _torus_exponents(n)
-    return Families(tuple(_root_matrix(n, root) for root in pos_roots(n)),
-                    weights)
+    roots = tuple(_root_matrix(n, root) for root in pos_roots(n))
+    _check_commutators(n, roots)
+    return Families(roots, weights)
 
 
 def family_table(cat: Catalog) -> Families:
@@ -214,13 +238,13 @@ def family_table(cat: Catalog) -> Families:
 
 
 def _generators(n: int, q: int, families: Families) -> list:
-    """(word, map over F_q) of U_root(1) for every positive root, in
+    """(word, map over F_q) of U_root(1) for every simple root, in
     ``pos_roots`` order, then of the n slot tori at g = ``primitive_root(q)``:
     (I + A) mod q and diag(g^W[:, slot] mod q)."""
     g = primitive_root(q)
     one = np.identity(nil_dim(n), dtype=np.int64)
     return ([(_root_word(n, root, 1, q), (one + a) % q)
-             for root, a in zip(pos_roots(n), families.roots)]
+             for root, a in zip(pos_roots(n)[:n], families.roots)]
             + [(_slot_word(n, slot, g, q), np.diag(
                 [pow(g, int(w), q) for w in families.weights[:, slot]]))
                for slot in range(n)])
@@ -230,10 +254,12 @@ def borel_generator_maps(n: int, q: int,
                          families: Families) -> list[np.ndarray]:
     """Generator set: one primitive-root torus per simple slot, plus U_root(1)
     for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
-    U_root(c) of a non-simple root is a commutator of simple ones, so these
-    2n elements generate B(F_q).  Specialised from ``families``."""
+    U_root(1) of a non-simple root is a commutator of simple ones
+    (``read_families`` proves both), so these 2n elements generate B(F_q).
+    Specialised from ``families``: the maps of ``_generators``, tori
+    first."""
     maps = [m for _, m in _generators(n, q, families)]
-    return maps[-n:] + maps[:n]
+    return maps[n:] + maps[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +316,10 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
         if np.array_equal(image, label):
             break
         label, image = image, label
-    is_rep = label == np.arange(total, dtype=np.int32)
-    index = np.cumsum(is_rep, dtype=np.int32, out=new)
-    index -= 1                  # the class index of every representative
-    class_of = gather(index, label, image)
-    return OrbitPartition(n, q, class_of, np.flatnonzero(is_rep).tolist(),
+    reps = np.flatnonzero(label == np.arange(total, dtype=np.int32))
+    new[reps] = np.arange(len(reps))    # a class index at every label
+    class_of = gather(new, label, image)
+    return OrbitPartition(n, q, class_of, reps.tolist(),
                           np.bincount(class_of).tolist(), families,
                           list(zip(maps, tables)))
 
@@ -310,24 +335,31 @@ def stability_check(part: OrbitPartition) -> dict:
     """Certify the partition: every class is stable under every U_root(c),
     every single-slot torus and every full torus element.
 
-    Only the generators of ``_generators`` reach the whole space (not those
-    of ``borel_generator_maps``, so the fixpoint's set is certified
-    independently; a fixpoint code table is reused only for a map equal to
-    its key), and a map that is I mod q needs no pass.  Every other element
-    is a product of them by two identities that ``_root_matrix`` and
-    ``_torus_exponents`` check on the partition's families: U_root(c) = I + c A
-    with A A = 0, so U_root(1)^c = U_root(c); the torus scales each
-    coordinate by a monomial prod_k s_k^W[beta, k] with coefficient 1, so
-    the slot torus at g^e is the e-th power of the one at g (the powers of
-    g are checked to reach all q - 1 units) and a full torus element is the
-    product of its slot tori.  They hold over Z[c] and over the Laurent ring
-    Z[s_1, 1/s_1, ..., s_n, 1/s_n], and ``adjoint`` computes each entry by
-    ring operations in the parameters, so each element's map over F_q is
-    its family specialised by a ring homomorphism to F_q (c or s_k sent to
-    the element's entry), which carries the identities over to every
-    element at every q.  A class stable under every generator is stable
-    under every product of them.  Raises on the first failure, naming the
-    group element, the point and both classes."""
+    Only the 2n generators of ``_generators`` reach the whole space: U_a(1)
+    for every simple root a and the n slot tori at g.  They are the
+    fixpoint's own, but taken from ``_generators`` and not from
+    ``borel_generator_maps``, so a fixpoint over another set is certified
+    independently; a fixpoint code table is reused only for a map with the
+    same bytes as its key, and a map that is I mod q needs no pass.  Every
+    other element is a product of them by three identities that
+    ``read_families`` checks on the partition's families.  U_root(c) =
+    I + c A with A A = 0, so U_root(1)^c = U_root(c).  For a non-simple
+    root (i, j), (I + A_ii)(I + A_(i+1)j)(I - A_ii)(I - A_(i+1)j) =
+    I + s A_ij with s = +-1, so U_(i,j)(s) is the commutator of U_(i,i)(1)
+    and U_(i+1,j)(1) (U(-1) is U(1)^(q-1)), and by induction on the height
+    every U_root(1) is a product of the simple ones.  The torus scales
+    each coordinate by a monomial prod_k s_k^W[beta, k] with coefficient
+    1, so the slot torus at g^e is the e-th power of the one at g (the
+    powers of g are checked to reach all q - 1 units) and a full torus
+    element is the product of its slot tori.  The identities hold over
+    Z[c], over Z and over the Laurent ring Z[s_1, 1/s_1, ..., s_n, 1/s_n],
+    and ``adjoint`` computes each entry by ring operations in the
+    parameters, so each element's map over F_q is its family specialised
+    by a ring homomorphism to F_q (c or s_k sent to the element's entry,
+    the integer matrices reduced mod q), which carries the identities over
+    to every element at every q.  A class stable under every generator is
+    stable under every product of them.  Raises on the first failure,
+    naming the group element, the point and both classes."""
     n, q = part.rank, part.q
     d = nil_dim(n)
     g = primitive_root(q)
@@ -340,10 +372,11 @@ def stability_check(part: OrbitPartition) -> dict:
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
     gens = [(word, m) for word, m in _generators(n, q, part.families)
             if not np.array_equal(m, np.identity(d))]
+    tables = {(key.dtype.str, key.tobytes()): table
+              for key, table in part.tables}
     image = np.empty_like(part.class_of)
     for word, m in gens:
-        codes = next((table for key, table in part.tables
-                      if np.array_equal(key, m)), None)
+        codes = tables.get((m.dtype.str, m.tobytes()))
         if codes is None:
             codes = image_codes(m, q)
         moved = gather(part.class_of, codes, image) != part.class_of
@@ -463,8 +496,11 @@ def jacobian_rank_dim(rec: OrbitRecord, families: Families) -> int:
     so the orbit has dimension t.  Every component of V(zero set) through
     rep has dimension at most d - r, and forward containment puts the orbit
     in V(zero set).  So t = d - r makes the orbit closure a component of
-    V(zero set) of that dimension, with rep a smooth point of it.  Raises
-    when t != d - r, naming the record and both numbers."""
+    V(zero set) of that dimension, with rep a smooth point of it.  The
+    argument needs rep in V(zero set), so every zero-set polynomial is
+    first evaluated at rep over Q.  Raises, naming the record, on the
+    first polynomial that does not vanish there, and when t != d - r with
+    both numbers."""
     n = rec.rank
     d = nil_dim(n)
     if len(rec.zero_set) > d:
@@ -472,6 +508,12 @@ def jacobian_rank_dim(rec: OrbitRecord, families: Families) -> int:
             f"{rec.id}: more zero-set generators than coordinates")
     rep = rec.representative
     env = dict(zip(x_vars(n), rep.as_vector()))
+    for poly in rec.zero_set:
+        value = poly.eval(env)
+        if value != 0:
+            raise InternalInconsistencyError(
+                f"{rec.id}: zero-set polynomial {poly_to_str(poly)} is "
+                f"{value} at the representative, not 0")
     r = _rank_exact([[poly.derivative(v).eval(env)
                       if v in poly.used_vars() else 0 for v in x_vars(n)]
                      for poly in rec.zero_set])

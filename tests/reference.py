@@ -25,6 +25,14 @@ elimination that the dimension certificate's integer elimination replaced.
 y -> [y, rep] from the simple coroots and ``commutator_nil``, the reference
 for the rows the certificate reads off the symbolic families, and
 ``rank_mod_p`` ranks them over F_p.
+
+``broadcast_image_codes`` and ``broadcast_point_records`` build the
+oracle's whole-space code tables and the refinement's slice index by
+broadcasting one term per digit into a grid that widens axis by axis: the
+construction that ``classify.assemble_table`` replaced, and its reference.
+``commutator_identities`` checks word by word that every non-simple
+U_root(1) is a commutator of simple ones, the reference for the identity
+that ``oracle.read_families`` checks on the families.
 """
 
 from __future__ import annotations
@@ -38,11 +46,13 @@ import numpy as np
 
 from orbit_atlas.arith import Fp, inv_elem, is_zero_elem, poly_to_str
 from orbit_atlas.catalog import root_weight_homogeneous, x_vars
+from orbit_atlas.classify import gather, slice_table
 from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
-from orbit_atlas.lie import (BorelWord, NilElement, TorusElement, _bracket,
-                             adjoint, generic_borel_word, nil_dim, pos_roots)
+from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
+                             TorusElement, _bracket, adjoint,
+                             generic_borel_word, nil_dim, pos_roots)
 from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
@@ -382,6 +392,77 @@ def word_identities(n: int, q: int, g: int, maps=word_map) -> int:
                 f"rank {n} F_{q}: {_describe_word(word)} is not {name} "
                 f"over F_{q}")
     return len(words)
+
+
+def commutator_identities(n: int, q: int, maps=word_map) -> int:
+    """For every non-simple root (i, j), the map over F_q of the word
+    U_(i,i)(1) U_(i+1,j)(1) U_(i,i)(-1) U_(i+1,j)(-1) against that of
+    U_(i,j)(1) or U_(i,j)(-1), each read off ``maps``.  Raises on the first
+    root matched by neither; returns the number of roots checked."""
+    roots = pos_roots(n)
+    for i, j in roots[n:]:
+        word = BorelWord(n, None, tuple(
+            RootGroupFactor(root, Fp(c, q))
+            for root, c in (((i, i), 1), ((i + 1, j), 1), ((i, i), -1),
+                            ((i + 1, j), -1))))
+        got = maps(word, q)
+        if not any(np.array_equal(got, maps(_root_word(n, (i, j), c, q), q))
+                   for c in (1, q - 1)):
+            raise InternalInconsistencyError(
+                f"rank {n} F_{q}: the commutator of U_x{i}{i}(1) and "
+                f"U_x{i + 1}{j}(1) is not U_x{i}{j}(+-1) over F_{q}")
+    return len(roots) - n
+
+
+# ---------------------------------------------------------------------------
+# whole-space index tables by broadcasting
+
+
+def broadcast_image_codes(m: np.ndarray, q: int) -> np.ndarray:
+    """Code of m x mod q for every x in F_q^d, in code order: one term
+    ((sum_i m[j, i] x_i) mod q) q^(d-1-j) per output digit j, added by
+    broadcasting into a grid that spans only the axes some term has used
+    so far, widened once per new axis."""
+    d = m.shape[0]
+    steps = np.arange(q, dtype=np.int64)
+    codes = np.zeros((1,) * d, dtype=np.int32)
+    for j, row in enumerate((np.asarray(m, dtype=np.int64) % q).tolist()):
+        cols = [i for i, c in enumerate(row) if c]
+        if not cols:
+            continue
+        term = sum((row[i] * steps % q).astype(np.int32).reshape(
+            (1,) * i + (q,) + (1,) * (d - 1 - i)) for i in cols)
+        term %= q
+        term *= q**(d - 1 - j)
+        if all(codes.shape[i] == q for i in cols):
+            codes += term
+        else:
+            codes = codes + term
+    return np.ascontiguousarray(np.broadcast_to(codes, (q,) * d)).ravel()
+
+
+def broadcast_point_records(cat, q: int) -> np.ndarray:
+    """Record index of every point of n(F_q) in code order, read off the
+    catalog's slice table at its torus normal form, the slice indices
+    built by broadcasting, one axis per coordinate."""
+    n, d = cat.rank, nil_dim(cat.rank)
+    records = np.concatenate([gather(block.record, block.inverse)
+                              for block in slice_table(cat, q)])
+    steps = np.arange(q, dtype=np.int64)
+    inverse = np.array([1] + [pow(v, -1, q) for v in range(1, q)],
+                       dtype=np.int64)      # x_kk = 0 contributes no factor
+
+    def along(k, values):
+        return values.reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+
+    index = sum(along(k, (steps != 0) * (2**(n - 1 - k) * q**(d - n)))
+                for k in range(n))
+    for r, (i, j) in enumerate(pos_roots(n)[n:], start=n):
+        scale = 1
+        for k in range(i - 1, j):
+            scale = scale * along(k, inverse) % q
+        index = index + along(r, steps) * scale % q * q**(d - 1 - r)
+    return gather(records, index.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ from orbit_atlas.oracle import (CODE_LIMIT, OrbitPartition, _bracket_rows,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
-from reference import (conjugate_nil, coroot_bracket_rows, decode_points,
-                       gauss_jordan_rank, inverse_matrix,
-                       nonempty_record_count, rank_mod_p, to_matrix,
-                       torus_word, word_identities, word_map)
+from reference import (broadcast_image_codes, broadcast_point_records,
+                       commutator_identities, conjugate_nil,
+                       coroot_bracket_rows, decode_points, gauss_jordan_rank,
+                       inverse_matrix, nonempty_record_count, rank_mod_p,
+                       to_matrix, torus_word, word_identities, word_map)
 
 
 def _encode_points(digits, q):
@@ -516,10 +517,11 @@ def test_stability_maps_per_rank(partitions):
         maps[n] += result["maps_checked"]
         applied[n] += result["maps_applied"]
     assert maps == {1: 43, 2: 134, 3: 430, 4: 79}
-    # a whole-space pass per generator whose map is not I mod q: U_x11(1)
-    # at rank 1, the highest root's U_root(1) at rank >= 2, the slot tori
-    # over F_2 and at rank 1 over F_3 act trivially
-    assert applied == {1: 2, 2: 14, 3: 29, 4: 22}
+    # a whole-space pass per fixpoint generator (simple U_root(1) and slot
+    # torus) whose map is not I mod q: U_x11(1) at rank 1, the slot tori
+    # over F_2 and at rank 1 over F_3 act trivially; the non-simple roots'
+    # U_root(1) are commutators, proved on the families with no pass
+    assert applied == {1: 2, 2: 14, 3: 21, 4: 12}
 
 
 def test_stability_check_agrees_with_the_reference(partitions):
@@ -653,6 +655,48 @@ def test_dims_names_a_corrupted_family_entry(monkeypatch, capsys):
         _family_rejected(monkeypatch, capsys, 3, torus, change, message)
 
 
+def test_read_families_proves_each_non_simple_root_a_commutator(
+        monkeypatch, capsys):
+    # U_x11(@c) read as I passes the affine, @c = 0 and A A = 0 checks, but
+    # at rank 3 x12 is not the highest root: U_x12(1) != I, and the
+    # commutator of U_x11(1) = I with U_x22(1) is I, so only the commutator
+    # identity refuses it
+    def identity(entries):
+        return [(r, r, LaurentPoly.const(1)) for r in range(nil_dim(3))]
+
+    with monkeypatch.context() as patch:
+        _corrupt_family(patch, False, identity)
+        assert not oracle._root_matrix(3, (1, 1)).any()
+        assert oracle._root_matrix(3, (1, 2)).any()
+    _family_rejected(
+        monkeypatch, capsys, 3, False, identity,
+        "rank 3: U_x12(1) is no commutator of U_x11(1) and U_x22(1): "
+        "(I + A_x11)(I + A_x22)(I - A_x11)(I - A_x22) - I is not +-A_x12: "
+        "entry (x13, x33) is 0, not 1")
+
+
+def test_dims_certificate_requires_the_representative_in_its_zero_set(
+        tmp_path, monkeypatch, capsys, catalogs, families):
+    # X12*X34 keeps the generator count and dim 5 of x12+x34, and the
+    # Jacobian rank at the representative, but it is 1 there: the orbit is
+    # not in V(zero set), so the dimension argument does not apply
+    doc = json.loads(serialize_catalog(catalogs[4]))
+    row = next(r for r in doc["orbits"] if r["id"] == "x12+x34")
+    row["zero_set"][row["zero_set"].index("X23")] = "X12*X34"
+    (tmp_path / "a4.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    message = ("x12+x34: zero-set polynomial X12*X34 is 1 at the "
+               "representative, not 0")
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        jacobian_rank_dim(cli.load_catalog(4).by_id("x12+x34"), families[4])
+    assert main(["dims", "--type", "A4"]) == 1
+    out, err = capsys.readouterr()
+    assert "x12+x34" not in out and err == f"check failed: {message}\n"
+    assert main(["check-all", "--type", "A4"]) == 1
+    assert (f"FAIL dimensions: InternalInconsistencyError: {message}\n"
+            in capsys.readouterr().out)
+
+
 FAMILY_CASES = ORACLE_CASES + [(4, 5)]
 
 
@@ -682,6 +726,7 @@ def test_specialised_family_maps_equal_the_word_maps(families, n, q):
         assert (m == word_map(word, q)).all()
     assert word_identities(n, q, primitive_root(q)) == (
         len(pos_roots(n)) * q + n * (q - 1) + (q - 1) ** n)
+    assert commutator_identities(n, q) == len(pos_roots(n)) - n
 
 
 def _family_reads(monkeypatch):
@@ -763,8 +808,7 @@ def test_stability_without_tables_does_the_same_work(monkeypatch,
                                                      partitions):
     # a hand-built partition keeps no tables: every generator that is not I
     # mod q is applied through image_codes, with identical counts; with the
-    # fixpoint's tables at most the non-simple roots' U_root(1) need
-    # image_codes, and the highest root's is I from rank 2 on
+    # fixpoint's tables, looked up by map bytes, none needs image_codes
     calls = []
 
     def counted(m, q):
@@ -778,7 +822,7 @@ def test_stability_without_tables_does_the_same_work(monkeypatch,
         assert bare.tables == []
         calls.clear()
         with_tables = stability_check(part)
-        assert len(calls) <= len(pos_roots(n)) - n - (n > 1), (n, q)
+        assert calls == [], (n, q)
         calls.clear()
         assert stability_check(bare) == with_tables, (n, q)
         assert len(calls) == with_tables["maps_applied"], (n, q)
@@ -803,6 +847,7 @@ def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys,
 
     monkeypatch.setattr(oracle, "borel_generator_maps", no_allocation)
     monkeypatch.setattr(oracle, "image_codes", no_allocation)
+    monkeypatch.setattr(oracle, "assemble_table", no_allocation)
     message = (f"q^d = {q}^1 = {q} points exceed the oracle's limit of "
                f"2^31 - 1 = 2147483647 (int32 point codes)")
     with pytest.raises(SchemaError, match=re.escape(message)):
@@ -869,6 +914,54 @@ def test_oracle_command_names_a_point_of_a_catalog_hole(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "check failed: point [1, 0, 0] over F_2 matched no record\n"
+
+
+@pytest.mark.parametrize("n,q", ORACLE_CASES + [(3, 11)])
+def test_code_tables_equal_the_broadcast_reference(families, n, q):
+    # every generator of the fixpoint and the stability passes, and every
+    # non-simple root's U_root(1), assembled by digits against the grid
+    # widened axis by axis
+    one = np.identity(nil_dim(n), dtype=np.int64)
+    maps = [m for _, m in oracle._generators(n, q, families[n])]
+    maps += [(one + a) % q for a in families[n].roots[n:]]
+    for m in maps:
+        codes = image_codes(m, q)
+        assert codes.dtype == np.int32 and codes.flags.c_contiguous
+        assert np.array_equal(codes, broadcast_image_codes(m, q)), (n, q)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_CASES)
+def test_point_records_equal_the_broadcast_reference(catalogs, n, q):
+    assert np.array_equal(classify.point_records(catalogs[n], q),
+                          broadcast_point_records(catalogs[n], q))
+
+
+@st.composite
+def _terms_over_fq(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    d = draw(st.integers(1, max(k for k in range(1, 9) if q**k <= 20_000)))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        axes = tuple(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1,
+                                         max_size=3))))
+        values = draw(st.lists(st.integers(0, 1000), min_size=q**len(axes),
+                               max_size=q**len(axes)))
+        terms.append((axes, np.array(values).reshape((q,) * len(axes))))
+    return q, d, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms_over_fq())
+def test_assembled_table_is_the_sum_of_its_terms(case):
+    # any axes, in any order of highest axis, and terms on no lower axis
+    q, d, terms = case
+    table = classify.assemble_table(q, d, terms)
+    assert table.dtype == np.int32 and table.flags.c_contiguous
+    digits = decode_points(np.arange(q**d), d, q)
+    want = np.zeros(q**d, dtype=np.int64)
+    for axes, values in terms:
+        want += values[tuple(digits[:, a] for a in axes)]
+    assert table.tolist() == want.tolist()
 
 
 @st.composite
