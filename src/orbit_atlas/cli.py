@@ -34,13 +34,12 @@ from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
                      UnsupportedRankError)
 from .lie import NilElement, nil_dim
-from .oracle import (BFS_BUDGET, enumerate_borel_orbits, family_table,
-                     jacobian_rank_dim, refine_check, stability_check)
+from .oracle import (BFS_BUDGET, ORACLE_DEFAULT_QS, enumerate_borel_orbits,
+                     family_table, jacobian_rank_dim, refine_check,
+                     stability_check)
 from .order import emit_dot, hasse, poset_json
 from .witness import verify_rank
 
-ORACLE_DEFAULT_QS = {1: (2, 3, 5, 7), 2: (2, 3, 5, 7), 3: (2, 3, 5, 7),
-                     4: (2, 3)}
 CENSUS_DEFAULT_QS = {1: (3, 5, 7, 11), 2: (3, 5, 7, 11), 3: (3, 5, 7, 11),
                      4: (3, 5)}
 
@@ -87,14 +86,13 @@ def census_fields(cat: Catalog, qs, budget: int):
 
 def oracle_fields(cat: Catalog, qs, budget: int):
     """(partition, refine report) for each field in turn: the orbit
-    partition over F_q, certified stable (then its code tables are dropped,
-    so none outlives its field) and confronted with the catalog, from the
-    catalog's families (``family_table``)."""
+    partition over F_q from the catalog's families (``family_table``),
+    certified stable by its fixpoint's exit round and the family
+    identities (``stability_check``), and confronted with the catalog."""
     families = family_table(cat)
     for q in qs:
         part = enumerate_borel_orbits(cat.rank, q, budget, families=families)
         stability_check(part)
-        part.tables = []
         yield part, refine_check(cat, part)
 
 

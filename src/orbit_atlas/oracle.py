@@ -2,14 +2,14 @@
 certificate.
 
 ``enumerate_borel_orbits`` computes the actual B(F_q)-orbit partition of the
-nilradical as a min-label fixpoint under 2n generators (one primitive-root
-torus per simple slot and U_root(1) for every simple root).
-``stability_check`` certifies it: every class is stable under those same
-2n generators, checked over the whole space, and every one-parameter
-subgroup element and full torus element is a product of them, proved by
-identities of the symbolic families that hold at every q (U_root(1) of a
-non-simple root is a commutator of simple ones).  ``refine_check``
-confronts the partition with the catalog's defining sets.
+nilradical as a min-label fixpoint under ``_generators`` (U_root(1) for
+every simple root and one primitive-root torus per simple slot); its exit
+round proves every class stable under each of them.  ``stability_check``
+certifies the rest: every one-parameter subgroup element and full torus
+element is a product of them, proved by identities of the symbolic
+families that hold at every q (U_root(1) of a non-simple root is a
+commutator of simple ones).  ``refine_check`` confronts the partition with
+the catalog's defining sets.
 
 Every group element acts through ``lie.adjoint``, by way of its family:
 one symbolic ``adjoint`` of U_root(@c) gives the integer matrix A with
@@ -18,24 +18,22 @@ exponents W.  ``read_families`` reads and checks them for one rank, the
 commutator identities included; they do not depend on q, so the catalog
 keeps one read per command (``family_table``), every field's generator
 maps are specialisations of it mod q, and the dimension certificate reads
-its rows off the same A and W.  The fixpoint and the stability passes
-apply a map to the whole space only through ``image_codes``, one term per
-output digit summed by ``classify.assemble_table`` into an int32 code
-table, without decoding the q^d points; the fixpoint turns each generator
-into one table, lowers every point's label through it and keeps the tables
-on the partition, where the stability passes look them up by the bytes of
-their maps.  ``refine_check`` does not decode the q^d points either: it
-reads every point's record off the catalog's slice table of the field,
-which the census and the closure order read too, through the torus normal
-form (``classify.point_records``, whose slice index ``assemble_table``
-builds too).
+its rows off the same A and W.  The fixpoint applies a map to the whole
+space only through ``image_codes``, one term per output digit summed by
+``classify.assemble_table`` into an int32 code table, without decoding the
+q^d points; it turns each generator into one table, lowers every point's
+label through it and drops the tables when it returns.  ``refine_check``
+does not decode the q^d points either: it reads every point's record off
+the catalog's slice table of the field, which the census and the closure
+order read too, through the torus normal form (``classify.point_records``,
+whose slice index ``assemble_table`` builds too).
 
 Every whole-space gather by an int32 code table or label array (the
-fixpoint rounds and pointer jump, the ``class_of`` relabelling, the
-stability passes and the refinement's class lookups) goes through
-``classify.gather``, ``np.take`` a chunk at a time into a reused buffer:
-``a[idx]`` gathers at about half the speed.  The tables, labels and
-``class_of`` stay int32, and no intp copy of them is kept.
+fixpoint rounds and pointer jump, the ``class_of`` relabelling and the
+refinement's class lookups) goes through ``classify.gather``, ``np.take`` a
+chunk at a time into a reused buffer: ``a[idx]`` gathers at about half the
+speed.  The tables, labels and ``class_of`` stay int32, and no intp copy of
+them is kept.
 
 ``jacobian_rank_dim`` certifies each record's dimension exactly over Q at
 its representative, with no sampled points, once every zero-set
@@ -63,6 +61,9 @@ from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, nil_dim, pos_roots, root_token)
 
 BFS_BUDGET = 2_000_000
+#: the fields of the oracle per rank, which the closure order certifies over
+ORACLE_DEFAULT_QS = {1: (2, 3, 5, 7), 2: (2, 3, 5, 7), 3: (2, 3, 5, 7),
+                     4: (2, 3)}
 #: the fixpoint's point codes, labels and code tables are int32
 CODE_LIMIT = 2**31 - 1
 
@@ -189,6 +190,13 @@ def _root_word(n: int, root, c: int, q: int) -> BorelWord:
     return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
 
 
+def _describe_word(word: BorelWord) -> str:
+    if word.factors:
+        (factor,) = word.factors
+        return f"U_{root_token(factor.root)}({factor.param.v})"
+    return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
+
+
 class Families(NamedTuple):
     """One rank's symbolic families, read and checked: the integer matrix A
     of U_root(@c) = I + @c A for every positive root, in ``pos_roots``
@@ -240,26 +248,18 @@ def family_table(cat: Catalog) -> Families:
 def _generators(n: int, q: int, families: Families) -> list:
     """(word, map over F_q) of U_root(1) for every simple root, in
     ``pos_roots`` order, then of the n slot tori at g = ``primitive_root(q)``:
-    (I + A) mod q and diag(g^W[:, slot] mod q)."""
+    (I + A) mod q and diag(g^W[:, slot] mod q), leaving out a map that is
+    I mod q (it fixes every point).  ``read_families`` proves U_root(1)^c =
+    U_root(c) and every non-simple U_root(1) a commutator of simple ones,
+    so these generate B(F_q)."""
     g = primitive_root(q)
     one = np.identity(nil_dim(n), dtype=np.int64)
-    return ([(_root_word(n, root, 1, q), (one + a) % q)
+    gens = ([(_root_word(n, root, 1, q), (one + a) % q)
              for root, a in zip(pos_roots(n)[:n], families.roots)]
             + [(_slot_word(n, slot, g, q), np.diag(
                 [pow(g, int(w), q) for w in families.weights[:, slot]]))
                for slot in range(n)])
-
-
-def borel_generator_maps(n: int, q: int,
-                         families: Families) -> list[np.ndarray]:
-    """Generator set: one primitive-root torus per simple slot, plus U_root(1)
-    for every simple root.  U_root(1)^c = U_root(c) over a prime field, and
-    U_root(1) of a non-simple root is a commutator of simple ones
-    (``read_families`` proves both), so these 2n elements generate B(F_q).
-    Specialised from ``families``: the maps of ``_generators``, tori
-    first."""
-    maps = [m for _, m in _generators(n, q, families)]
-    return maps[n:] + maps[:n]
+    return [(word, m) for word, m in gens if not np.array_equal(m, one)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +275,8 @@ class OrbitPartition:
     sizes: list
     #: the families the fixpoint's generators were specialised from
     families: Families = field(repr=False, compare=False)
-    #: the fixpoint's (generator map, int32 code table) pairs
-    tables: list = field(default_factory=list, repr=False, compare=False)
+    #: names of the generators whose tables the fixpoint's last round passed
+    generators: tuple = ()
 
     @property
     def class_count(self) -> int:
@@ -285,15 +285,27 @@ class OrbitPartition:
 
 def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
                            families: Families) -> OrbitPartition:
-    """Min-label fixpoint: every point starts labelled by its own code, and
-    each round lowers it to the least label of its generator images, then
-    to its label's label, until a round changes nothing.  Each generator is
-    a bijection and a label is always a point of the same class, so at the
-    fixpoint every point carries the least point of its class.  Classes are
-    numbered by that least point, so the partition is canonical.  The
-    partition keeps ``families`` and each generator's code table, keyed by
-    its map.  A field whose q^d codes do not fit int32 is refused before
-    any allocation.  The generators are ``borel_generator_maps``."""
+    """Min-label fixpoint over ``_generators``, one code table each: every
+    point starts labelled by its own code, and each round lowers it to the
+    least label of its generator images, then to its label's label, until
+    a round changes nothing.  Each generator is a bijection and a label is
+    always a point of the same class, so at the fixpoint every point
+    carries the least point of its class, whatever the generators' order.
+    Classes are numbered by that least point, so the partition is
+    canonical.  A field whose q^d codes do not fit int32 is refused before
+    any allocation.
+
+    The exit round proves every class stable under every table.  A label
+    never exceeds its point, so the min pass gives new <= label and the
+    jump gives new[new] <= new; the exit test new[new] == label forces
+    new == label.  So the last min pass lowered no label, label <= label[t]
+    for every table t, and label[label] == label, so ``class_of`` is an
+    injective renumbering of the labels.  Each table is a permutation (the
+    inverse of I + A is I - A, as A A = 0, and each torus entry is a power
+    of the unit g) of some finite order k, so label(x) <= label(t x) <= ...
+    <= label(t^k x) = label(x) forces label[t] == label, hence
+    class_of[t] == class_of.  The partition keeps ``families`` and the
+    names of the generators whose tables that round passed."""
     if not is_prime(q):
         raise SchemaError(f"q = {q} is not prime")
     d = nil_dim(n)
@@ -304,8 +316,8 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
             f"2^31 - 1 = {CODE_LIMIT} (int32 point codes)")
     if total > budget:
         raise BudgetExceededError(total, budget)
-    maps = borel_generator_maps(n, q, families)
-    tables = [image_codes(g, q) for g in maps]
+    gens = _generators(n, q, families)
+    tables = [image_codes(m, q) for _, m in gens]
     label = np.arange(total, dtype=np.int32)
     new, image = np.empty_like(label), np.empty_like(label)
     while True:
@@ -321,27 +333,21 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
     class_of = gather(new, label, image)
     return OrbitPartition(n, q, class_of, reps.tolist(),
                           np.bincount(class_of).tolist(), families,
-                          list(zip(maps, tables)))
-
-
-def _describe_word(word: BorelWord) -> str:
-    if word.factors:
-        (factor,) = word.factors
-        return f"U_{root_token(factor.root)}({factor.param.v})"
-    return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
+                          tuple(_describe_word(word) for word, _ in gens))
 
 
 def stability_check(part: OrbitPartition) -> dict:
     """Certify the partition: every class is stable under every U_root(c),
     every single-slot torus and every full torus element.
 
-    Only the 2n generators of ``_generators`` reach the whole space: U_a(1)
-    for every simple root a and the n slot tori at g.  They are the
-    fixpoint's own, but taken from ``_generators`` and not from
-    ``borel_generator_maps``, so a fixpoint over another set is certified
-    independently; a fixpoint code table is reused only for a map with the
-    same bytes as its key, and a map that is I mod q needs no pass.  Every
-    other element is a product of them by three identities that
+    Every class is stable under each generator whose table the fixpoint's
+    exit round passed (``enumerate_borel_orbits``: there label <= label[t],
+    and a permutation t of order k gives label(x) <= label(t x) <= ... <=
+    label(t^k x) = label(x), so label[t] == label), so no whole-space pass
+    is repeated: the partition's ``generators`` must name every generator
+    of ``_generators``, U_a(1) for every simple root a and the n slot tori
+    at g, a list built here, so a fixpoint over another set is refused.
+    Every other element is a product of them by three identities that
     ``read_families`` checks on the partition's families.  U_root(c) =
     I + c A with A A = 0, so U_root(1)^c = U_root(c).  For a non-simple
     root (i, j), (I + A_ii)(I + A_(i+1)j)(I - A_ii)(I - A_(i+1)j) =
@@ -359,9 +365,8 @@ def stability_check(part: OrbitPartition) -> dict:
     the integer matrices reduced mod q), which carries the identities over
     to every element at every q.  A class stable under every generator is
     stable under every product of them.  Raises on the first failure,
-    naming the group element, the point and both classes."""
+    naming the rank, the field and the group element."""
     n, q = part.rank, part.q
-    d = nil_dim(n)
     g = primitive_root(q)
     log = {pow(g, e, q): e for e in range(q - 1)}
     if len(log) != q - 1:
@@ -370,26 +375,14 @@ def stability_check(part: OrbitPartition) -> dict:
             f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
             f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
             f"primitive root, its powers reach {len(log)} of the {q - 1} units")
-    gens = [(word, m) for word, m in _generators(n, q, part.families)
-            if not np.array_equal(m, np.identity(d))]
-    tables = {(key.dtype.str, key.tobytes()): table
-              for key, table in part.tables}
-    image = np.empty_like(part.class_of)
-    for word, m in gens:
-        codes = tables.get((m.dtype.str, m.tobytes()))
-        if codes is None:
-            codes = image_codes(m, q)
-        moved = gather(part.class_of, codes, image) != part.class_of
-        if moved.any():
-            bad = int(np.argmax(moved))
-            point = [int(v) for v in np.unravel_index(bad, (q,) * d)]
+    for word, _ in _generators(n, q, part.families):
+        name = _describe_word(word)
+        if name not in part.generators:
             raise InternalInconsistencyError(
-                f"rank {n} F_{q}: class not stable under "
-                f"{_describe_word(word)}: point {point} in class "
-                f"{int(part.class_of[bad])} maps to class "
-                f"{int(part.class_of[codes[bad]])}")
+                f"rank {n} F_{q}: stability under {name} is not certified: "
+                f"the fixpoint's last round passed no table of it")
     return {"maps_checked": len(pos_roots(n)) * q + n * (q - 1)
-            + (q - 1) ** n, "maps_applied": len(gens)}
+            + (q - 1) ** n, "maps_applied": len(part.generators)}
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,8 @@ import numpy as np
 from .catalog import Catalog
 from .classify import slice_point, slice_table
 from .errors import CatalogError, InternalInconsistencyError
+from .oracle import ORACLE_DEFAULT_QS
 from .witness import generic_vanishing
-
-CERT_FIELDS = {1: (3, 5, 7), 2: (3, 5, 7), 3: (3, 5, 7), 4: (2, 3)}
 
 
 def closure_generators(cat: Catalog) -> dict:
@@ -165,7 +164,8 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
 
 def hasse(cat: Catalog) -> HassePoset:
     """Full closure order from pairwise generator-set inclusions, certified
-    over the fields of ``CERT_FIELDS``, reduced to cover edges.  The
+    over the oracle's fields (``oracle.ORACLE_DEFAULT_QS``), whose slice
+    tables the oracle refinement reads too, reduced to cover edges.  The
     generators and the points come from the tables the catalog owns
     (``closure_generators``, ``_certify``)."""
     recs = sorted(cat.orbits, key=lambda r: (r.dim, r.id))
@@ -186,7 +186,8 @@ def hasse(cat: Catalog) -> HassePoset:
                 if dims[a] >= dims[b]:
                     raise CatalogError(
                         f"{a} < {b} but dim {dims[a]} >= {dims[b]}")
-    counterexamples = _certify(cat, leq, generators, CERT_FIELDS[cat.rank])
+    counterexamples = _certify(cat, leq, generators,
+                               ORACLE_DEFAULT_QS[cat.rank])
     # a < b is a cover unless a < c < b for some c: one boolean product
     strict = np.array([[a != b and leq[(a, b)] for b in ids] for a in ids])
     cover = strict & ~(strict @ strict)

@@ -32,7 +32,9 @@ broadcasting one term per digit into a grid that widens axis by axis: the
 construction that ``classify.assemble_table`` replaced, and its reference.
 ``commutator_identities`` checks word by word that every non-simple
 U_root(1) is a commutator of simple ones, the reference for the identity
-that ``oracle.read_families`` checks on the families.
+that ``oracle.read_families`` checks on the families.  ``generator_passes``
+is the per-generator whole-space stability pass that the fixpoint's exit
+round replaced, and the reference for it.
 """
 
 from __future__ import annotations
@@ -439,6 +441,26 @@ def broadcast_image_codes(m: np.ndarray, q: int) -> np.ndarray:
         else:
             codes = codes + term
     return np.ascontiguousarray(np.broadcast_to(codes, (q,) * d)).ravel()
+
+
+def generator_passes(part, gens) -> list:
+    """Names of the (word, map) pairs of ``gens``, each checked by one
+    whole-space pass: class_of[t] == class_of, t the map's code table
+    built by broadcasting.  Raises on the first generator that moves a
+    point to another class, naming it, the point and both classes."""
+    n, q = part.rank, part.q
+    for word, m in gens:
+        codes = broadcast_image_codes(m, q)
+        moved = part.class_of[codes] != part.class_of
+        if moved.any():
+            bad = int(np.argmax(moved))
+            point = decode_points(np.array([bad]), nil_dim(n), q)[0].tolist()
+            raise InternalInconsistencyError(
+                f"rank {n} F_{q}: class not stable under "
+                f"{_describe_word(word)}: point {point} in class "
+                f"{int(part.class_of[bad])} maps to class "
+                f"{int(part.class_of[codes[bad]])}")
+    return [_describe_word(word) for word, _ in gens]
 
 
 def broadcast_point_records(cat, q: int) -> np.ndarray:

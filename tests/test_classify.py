@@ -25,7 +25,8 @@ from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, pos_roots)
-from orbit_atlas.order import CERT_FIELDS, hasse
+from orbit_atlas.oracle import ORACLE_DEFAULT_QS
+from orbit_atlas.order import hasse
 from orbit_atlas.witness import generic_vanishing
 from reference import (eval_poly_on_columns, full_enumeration_census,
                        full_space_records, match_table, torus_slices)
@@ -585,17 +586,17 @@ def test_a_slice_table_serves_every_reader_of_its_field(catalogs,
     calls = _count_grids(monkeypatch)
     assert cat.memo == {}
     hasse(cat)
-    assert calls == list(CERT_FIELDS[2])
-    for q in (3, 5, 7, 2):
+    assert calls == list(ORACLE_DEFAULT_QS[2])
+    for q in (3, 5, 7, 2, 11):
         partition_census(2, q, cat)
         point_records(cat, q)
     hasse(cat)
-    assert calls == [*CERT_FIELDS[2], 2]
+    assert calls == [*ORACLE_DEFAULT_QS[2], 11]
     assert slice_table(cat, 3) is cat.memo[("slices", 3)]
     fresh = dataclasses.replace(catalogs[2])
     assert partition_census(2, 3, fresh) == partition_census(2, 3, cat)
     assert np.array_equal(point_records(fresh, 3), point_records(cat, 3))
-    assert calls == [*CERT_FIELDS[2], 2, 3]
+    assert calls == [*ORACLE_DEFAULT_QS[2], 11, 3]
 
 
 def test_a_catalog_copy_starts_with_no_tables(catalogs):
@@ -615,17 +616,18 @@ def test_a_catalog_copy_starts_with_no_tables(catalogs):
 
 
 def test_a_failed_slice_table_build_is_not_kept(catalogs, monkeypatch):
-    # each reader builds the failed table again, and fails alike
+    # each reader builds the failed table again, and fails alike; the
+    # closure order reads F_2 first
     cat = _with_orbits(catalogs[2], [r for r in catalogs[2].orbits
                                      if r.id != "x12"])
     calls = _count_grids(monkeypatch)
-    for read in (lambda: partition_census(2, 3, cat),
-                 lambda: point_records(cat, 3), lambda: hasse(cat)):
+    for read in (lambda: partition_census(2, 2, cat),
+                 lambda: point_records(cat, 2), lambda: hasse(cat)):
         with pytest.raises(ExhaustionError, match=re.escape(
-                "point [0, 0, 1] over F_3 matched no record")):
+                "point [0, 0, 1] over F_2 matched no record")):
             read()
-        assert ("slices", 3) not in cat.memo
-    assert calls == [3, 3, 3]
+        assert ("slices", 2) not in cat.memo
+    assert calls == [2, 2, 2]
 
 
 def test_gather_equals_indexing_across_chunks(monkeypatch):

@@ -395,7 +395,7 @@ def test_check_all_evaluates_each_slice_grid_once(capsys, monkeypatch):
     assert run(capsys, "oracle", "--type", "A2", "--q", "3")[0] == 0
     assert calls == {3: 2}
     assert run(capsys, "hasse", "--type", "A2")[0] == 0
-    assert calls == {3: 3, 5: 1, 7: 1}
+    assert calls == {3: 3, 2: 1, 5: 1, 7: 1}
 
 
 def _hole(cat):
@@ -423,8 +423,8 @@ SLICING = ("rank 2: record x22 polynomial X11 + X12 is not root-weight "
         "record",
         "FAIL oracle: ExhaustionError: point [0, 0, 1] over F_2 matched no "
         "record",
-        "FAIL closure-order: ExhaustionError: point [0, 0, 1] over F_3 "
-        "matched no record"], {3: 2, 2: 1}),
+        "FAIL closure-order: ExhaustionError: point [0, 0, 1] over F_2 "
+        "matched no record"], {3: 1, 2: 2}),
     (_inhomogeneous, [
         f"FAIL census: InternalInconsistencyError: {SLICING}",
         f"FAIL oracle: InternalInconsistencyError: {SLICING}",
@@ -434,8 +434,8 @@ SLICING = ("rank 2: record x22 polynomial X11 + X12 is not root-weight "
 ])
 def test_a_failed_slice_table_fails_each_check_by_name(capsys, monkeypatch,
                                                        broken, lines, grids):
-    # a table build that raised is not kept: closure-order builds F_3 again
-    # after the census failed on it, and fails with the same message
+    # a table build that raised is not kept: closure-order builds F_2 again
+    # after the oracle failed on it, and fails with the same message
     cat = broken(load_catalog(2))
     monkeypatch.setattr(cli, "load_catalog", lambda n: cat)
     calls = _count_grids(monkeypatch)

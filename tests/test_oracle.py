@@ -6,7 +6,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -16,23 +16,24 @@ from orbit_atlas import classify, cli, oracle
 from orbit_atlas.arith import Fp, LaurentPoly, parse_poly, primitive_root
 from orbit_atlas.catalog import serialize_catalog, x_vars
 from orbit_atlas.classify import member
-from orbit_atlas.cli import ORACLE_DEFAULT_QS, main
+from orbit_atlas.cli import main
 from orbit_atlas.errors import (BudgetExceededError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, nil_dim, pos_roots)
-from orbit_atlas.oracle import (CODE_LIMIT, OrbitPartition, _bracket_rows,
-                                _describe_word, _rank_exact, _root_word,
-                                _slot_word, borel_generator_maps,
+from orbit_atlas.oracle import (CODE_LIMIT, ORACLE_DEFAULT_QS, OrbitPartition,
+                                _bracket_rows, _describe_word, _rank_exact,
+                                _root_word, _slot_word,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
 from reference import (broadcast_image_codes, broadcast_point_records,
                        commutator_identities, conjugate_nil,
                        coroot_bracket_rows, decode_points, gauss_jordan_rank,
-                       inverse_matrix, nonempty_record_count, rank_mod_p,
-                       to_matrix, torus_word, word_identities, word_map)
+                       generator_passes, inverse_matrix,
+                       nonempty_record_count, rank_mod_p, to_matrix,
+                       torus_word, word_identities, word_map)
 
 
 def _encode_points(digits, q):
@@ -49,22 +50,22 @@ def _reference_image_codes(m, q):
     return _encode_points((digits @ m.T) % q, q)
 
 
-def _all_generator_maps(n, q):
-    """The slot tori at the primitive root and U_root(1) for every positive
-    root, the non-simple ones included."""
+def _all_generators(n, q):
+    """(word, map) of the slot tori at the primitive root and of U_root(1)
+    for every positive root, the non-simple ones included."""
     g0 = primitive_root(q)
     words = [_slot_word(n, slot, g0, q) for slot in range(n)]
     words += [_root_word(n, root, 1, q) for root in pos_roots(n)]
-    return [word_map(word, q) for word in words]
+    return [(word, word_map(word, q)) for word in words]
 
 
 def _reference_bfs(n, q):
     """Reference BFS without code tables over every generator of
-    ``_all_generator_maps``: decode the frontier, multiply by every
-    generator map, reduce and encode, layer by layer."""
+    ``_all_generators``: decode the frontier, multiply by every generator
+    map, reduce and encode, layer by layer."""
     d = nil_dim(n)
     total = q**d
-    maps = _all_generator_maps(n, q)
+    maps = [m for _, m in _all_generators(n, q)]
     class_of = np.full(total, -1, dtype=np.int32)
     reps, sizes = [], []
     for cursor in range(total):
@@ -342,7 +343,7 @@ def test_integer_rank_of_int_and_mixed_rows(rows, data):
 
 def _split_rank1_orbit(families):
     part = enumerate_borel_orbits(1, 5, families=families[1])
-    # split one orbit across two labels: stability must catch it
+    # split one orbit across two labels after the fixpoint
     moved = int([c for c in range(5) if part.class_of[c] == 1][-1])
     part.class_of[moved] = 2
     return part
@@ -358,23 +359,39 @@ def _relabel_into_zero_class(part):
     return part, moved
 
 
-def _fixpoint_without(monkeypatch, families, n, q, drop):
-    """The fixpoint partition over ``_all_generator_maps`` with the
-    generators at the indices ``drop`` left out: stable under every other
-    one."""
+def _fixpoint_over(monkeypatch, families, n, q, gens):
+    """The fixpoint partition over the (word, map) pairs ``gens`` in place
+    of ``_generators``; ``stability_check`` still reads the real list."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "borel_generator_maps", lambda n, q, _: [
-            m for k, m in enumerate(_all_generator_maps(n, q))
-            if k not in drop])
+        patch.setattr(oracle, "_generators", lambda n, q, _: gens)
         return enumerate_borel_orbits(n, q, families=families[n])
 
 
+def _fixpoint_without(monkeypatch, families, n, q, drop):
+    """The fixpoint partition over ``_all_generators`` with the generators
+    at the indices ``drop`` left out: stable under every other one."""
+    return _fixpoint_over(monkeypatch, families, n, q, [
+        gen for k, gen in enumerate(_all_generators(n, q)) if k not in drop])
+
+
 def test_fixpoint_generators_are_the_2n_simple_ones(families):
+    # U_root(1) for every simple root, then the slot tori at the primitive
+    # root, leaving out each map that is I mod q
+    assert [_describe_word(word) for word, _ in oracle._generators(
+        2, 5, families[2])] == ["U_x11(1)", "U_x22(1)", "torus diag(2, 1)",
+                                "torus diag(1, 2)"]
     for n in ORACLE_DEFAULT_QS:
-        maps = borel_generator_maps(n, 5, families[n])
-        assert len(maps) == 2 * n
-        for got, want in zip(maps, _all_generator_maps(n, 5)):
-            assert (got == want).all()
+        for q in (2, 3, 5):
+            every = _all_generators(n, q)
+            want = [(word, m) for word, m in every[n:2 * n] + every[:n]
+                    if not (m == np.identity(nil_dim(n))).all()]
+            got = oracle._generators(n, q, families[n])
+            assert [_describe_word(w) for w, _ in got] == [
+                _describe_word(w) for w, _ in want], (n, q)
+            for (_, m), (_, m_want) in zip(got, want):
+                assert (m == m_want).all(), (n, q)
+            if q == 5:
+                assert len(got) == (1 if n == 1 else 2 * n)
 
 
 def test_fixpoint_on_2n_generators_matches_all_generators(monkeypatch,
@@ -386,6 +403,8 @@ def test_fixpoint_on_2n_generators_matches_all_generators(monkeypatch,
         full = _fixpoint_without(monkeypatch, families, n, q, set())
         assert (part.class_of == full.class_of).all(), (n, q)
         assert part.reps == full.reps and part.sizes == full.sizes, (n, q)
+        assert full.generators == tuple(
+            _describe_word(word) for word, _ in _all_generators(n, q))
 
 
 def _fixpoint_at_root(monkeypatch, families, n, q, g):
@@ -396,17 +415,20 @@ def _fixpoint_at_root(monkeypatch, families, n, q, g):
 
 
 def test_stability_check_detects_corruption(families):
+    # a class edited after the fixpoint: the whole-space reference sees it
     part = _split_rank1_orbit(families)
     with pytest.raises(InternalInconsistencyError, match=re.escape(
             "rank 1 F_5: class not stable under torus diag(2): "
             "point [1] in class 1 maps to class 2")):
-        stability_check(part)
+        generator_passes(part, oracle._generators(1, 5, families[1]))
 
 
-def test_stability_failure_names_its_counterexample(partitions):
+def test_stability_failure_names_its_counterexample(families, partitions):
+    # a class edited after the fixpoint: the whole-space reference names
+    # the generator, the point and both classes
     part, moved = _relabel_into_zero_class(partitions[(3, 7)])
     with pytest.raises(InternalInconsistencyError) as info:
-        stability_check(part)
+        generator_passes(part, oracle._generators(3, 7, families[3]))
     found = re.fullmatch(
         r"rank 3 F_7: class not stable under "
         r"(U_x[1-3][1-3]\([0-6]\)|torus diag\([1-6](, [1-6]){2}\)): "
@@ -441,32 +463,35 @@ def test_bfs_matches_frontier_matmul_reference(partitions):
 def test_stability_catches_a_generator_set_without_the_slot_tori(monkeypatch,
                                                                  families):
     # U_root(1) alone gives the unipotent orbits, a finer partition that
-    # every U_root(c) keeps but the torus does not; the fixpoint takes its
-    # generators from ``borel_generator_maps``
-    full = borel_generator_maps
-
-    def no_tori(n, q, families):
-        return [m for m in full(n, q, families) if (np.diag(m) == 1).all()]
-
-    monkeypatch.setattr(oracle, "borel_generator_maps", no_tori)
-    part = enumerate_borel_orbits(2, 5, families=families[2])
+    # every U_root(c) keeps but the torus does not; the certificate reads
+    # the list of ``_generators`` itself, not the fixpoint's
+    unipotent = [(word, m) for word, m in oracle._generators(2, 5, families[2])
+                 if word.torus is None]
+    part = _fixpoint_over(monkeypatch, families, 2, 5, unipotent)
     assert part.class_count > 5
+    assert part.generators == ("U_x11(1)", "U_x22(1)")
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "rank 2 F_5: stability under torus diag(2, 1) is not certified: "
+            "the fixpoint's last round passed no table of it")):
+        stability_check(part)
     with pytest.raises(InternalInconsistencyError,
                        match=r"rank 2 F_5: class not stable under "
                              r"torus diag\([1-4], [1-4]\): point "):
-        stability_check(part)
+        _reference_stability_check(part)
 
 
 def _join_classes(part, a, b):
     """``part`` with classes a and b joined, classes renumbered by least
-    point: a union of orbits, so still stable, but it may span records."""
+    point: a union of orbits, so still stable under the fixpoint's
+    generators, but it may span records."""
     label = np.array(part.reps)[part.class_of]
     label[(part.class_of == a) | (part.class_of == b)] = min(part.reps[a],
                                                               part.reps[b])
     reps = np.unique(label)
     class_of = np.searchsorted(reps, label).astype(np.int32)
     return OrbitPartition(part.rank, part.q, class_of, reps.tolist(),
-                          np.bincount(class_of).tolist(), part.families)
+                          np.bincount(class_of).tolist(), part.families,
+                          generators=part.generators)
 
 
 def _join_x12_with_generic(monkeypatch):
@@ -517,10 +542,11 @@ def test_stability_maps_per_rank(partitions):
         maps[n] += result["maps_checked"]
         applied[n] += result["maps_applied"]
     assert maps == {1: 43, 2: 134, 3: 430, 4: 79}
-    # a whole-space pass per fixpoint generator (simple U_root(1) and slot
-    # torus) whose map is not I mod q: U_x11(1) at rank 1, the slot tori
-    # over F_2 and at rank 1 over F_3 act trivially; the non-simple roots'
-    # U_root(1) are commutators, proved on the families with no pass
+    # a table in the fixpoint's last round per generator (simple U_root(1)
+    # and slot torus) whose map is not I mod q: U_x11(1) at rank 1, the
+    # slot tori over F_2 and at rank 1 over F_3 act trivially; the
+    # non-simple roots' U_root(1) are commutators, proved on the families
+    # with no table
     assert applied == {1: 2, 2: 14, 3: 21, 4: 12}
 
 
@@ -529,6 +555,63 @@ def test_stability_check_agrees_with_the_reference(partitions):
         assert stability_check(part)["maps_checked"] == (
             _reference_stability_check(part)), case
 
+
+@pytest.mark.parametrize("n,q", ORACLE_CASES)
+def test_exit_round_passes_every_generator_of_the_reference(families,
+                                                            partitions, n, q):
+    # the fixpoint's last round stands in for one whole-space pass per
+    # generator: the partition passes each of them, and names them all
+    part = partitions[(n, q)]
+    gens = oracle._generators(n, q, families[n])
+    assert generator_passes(part, gens) == list(part.generators)
+    assert len(part.generators) == stability_check(part)["maps_applied"]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_exit_round_certifies_exactly_the_generators_it_used(monkeypatch,
+                                                             families, q):
+    # over every subset of the four rank-2 generators, the fixpoint is
+    # stable under each generator it used, by the reference's whole-space
+    # pass, and names exactly those; stability_check refuses every proper
+    # subset, naming the first generator it lacks
+    gens = oracle._generators(2, q, families[2])
+    names = [_describe_word(word) for word, _ in gens]
+    assert len(gens) == 4
+    for size in range(5):
+        for used in combinations(range(4), size):
+            subset = [gens[k] for k in used]
+            part = _fixpoint_over(monkeypatch, families, 2, q, subset)
+            assert part.generators == tuple(names[k] for k in used)
+            assert generator_passes(part, subset) == list(part.generators)
+            if size == 4:
+                stability_check(part)
+                continue
+            first = names[min(set(range(4)) - set(used))]
+            with pytest.raises(InternalInconsistencyError, match=re.escape(
+                    f"rank 2 F_{q}: stability under {first} is not "
+                    f"certified")):
+                stability_check(part)
+
+
+def test_stability_refuses_a_hand_built_partition(partitions):
+    # the classes are the fixpoint's own, but no fixpoint round passed a
+    # table for this partition
+    part = partitions[(2, 3)]
+    bare = OrbitPartition(2, 3, part.class_of, part.reps, part.sizes,
+                          part.families)
+    assert bare.generators == ()
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "rank 2 F_3: stability under U_x11(1) is not certified: the "
+            "fixpoint's last round passed no table of it")):
+        stability_check(bare)
+    assert stability_check(replace(bare, generators=part.generators)) == (
+        stability_check(part))
+
+
+#: partitions whose classes were edited after the fixpoint; stability_check
+#: reads the fixpoint's generator names and not ``class_of``, so only the
+#: whole-space reference sees the edit
+EDITED_AFTER_THE_FIXPOINT = {"split rank 1 over F_5", "relabelled A3 over F_7"}
 
 CORRUPTED = {
     "split rank 1 over F_5":
@@ -553,6 +636,9 @@ def test_stability_check_and_reference_both_reject(monkeypatch, families,
     part = CORRUPTED[case](monkeypatch, families, partitions)
     with pytest.raises(InternalInconsistencyError):
         _reference_stability_check(part)
+    if case in EDITED_AFTER_THE_FIXPOINT:
+        stability_check(part)
+        return
     with pytest.raises(InternalInconsistencyError):
         stability_check(part)
 
@@ -561,15 +647,20 @@ def test_stability_check_and_reference_both_reject(monkeypatch, families,
 def test_stability_names_each_generator_the_partition_needs(monkeypatch,
                                                             families, q):
     # every rank-2 generator but U_x12(1), a commutator of U_x11(1) and
-    # U_x22(1), is needed: without it the fixpoint splits an orbit, and only
-    # that generator's whole-space pass can see the split
+    # U_x22(1), is needed: without it the fixpoint splits an orbit, the
+    # reference's pass of that generator sees the split, and stability_check
+    # names the generator whose table the fixpoint lacks
     full = enumerate_borel_orbits(2, q, families=families[2])
     needed = ["torus diag(2, 1)", "torus diag(1, 2)", "U_x11(1)", "U_x22(1)"]
     for k, name in enumerate(needed):
         part = _fixpoint_without(monkeypatch, families, 2, q, {k})
         assert part.class_count > full.class_count, name
+        assert name not in part.generators
         with pytest.raises(InternalInconsistencyError, match=re.escape(
                 f"rank 2 F_{q}: class not stable under {name}: point ")):
+            generator_passes(part, oracle._generators(2, q, families[2]))
+        with pytest.raises(InternalInconsistencyError, match=re.escape(
+                f"rank 2 F_{q}: stability under {name} is not certified")):
             stability_check(part)
     redundant = _fixpoint_without(monkeypatch, families, 2, q, {4})
     assert (redundant.class_of == full.class_of).all()
@@ -793,41 +884,6 @@ def test_torus_corruption_names_the_reference_element(n, q, diag, first):
         word_identities(n, q, primitive_root(q), bumped_word_map)
 
 
-def test_fixpoint_tables_are_the_image_codes_of_their_keys(families,
-                                                          partitions):
-    for (n, q), part in partitions.items():
-        assert len(part.tables) == 2 * n
-        for (key, table), want in zip(part.tables,
-                                      borel_generator_maps(n, q, families[n])):
-            assert (key == want).all()
-            assert table.dtype == np.int32
-            assert table.tolist() == image_codes(key, q).tolist(), (n, q)
-
-
-def test_stability_without_tables_does_the_same_work(monkeypatch,
-                                                     partitions):
-    # a hand-built partition keeps no tables: every generator that is not I
-    # mod q is applied through image_codes, with identical counts; with the
-    # fixpoint's tables, looked up by map bytes, none needs image_codes
-    calls = []
-
-    def counted(m, q):
-        calls.append(1)
-        return image_codes(m, q)
-
-    monkeypatch.setattr(oracle, "image_codes", counted)
-    for (n, q), part in partitions.items():
-        bare = OrbitPartition(n, q, part.class_of, part.reps, part.sizes,
-                              part.families)
-        assert bare.tables == []
-        calls.clear()
-        with_tables = stability_check(part)
-        assert calls == [], (n, q)
-        calls.clear()
-        assert stability_check(bare) == with_tables, (n, q)
-        assert len(calls) == with_tables["maps_applied"], (n, q)
-
-
 def test_stability_certifies_every_full_torus_element_at_a2_over_f67(families):
     # 66^2 = 4356 full torus elements, each the product of its slot tori
     part = enumerate_borel_orbits(2, 67, families=families[2])
@@ -845,7 +901,7 @@ def test_fixpoint_refuses_a_field_past_int32_codes(monkeypatch, capsys,
     def no_allocation(*args):
         raise AssertionError("the oracle allocated for an int32-wrapping field")
 
-    monkeypatch.setattr(oracle, "borel_generator_maps", no_allocation)
+    monkeypatch.setattr(oracle, "_generators", no_allocation)
     monkeypatch.setattr(oracle, "image_codes", no_allocation)
     monkeypatch.setattr(oracle, "assemble_table", no_allocation)
     message = (f"q^d = {q}^1 = {q} points exceed the oracle's limit of "
@@ -918,9 +974,8 @@ def test_oracle_command_names_a_point_of_a_catalog_hole(
 
 @pytest.mark.parametrize("n,q", ORACLE_CASES + [(3, 11)])
 def test_code_tables_equal_the_broadcast_reference(families, n, q):
-    # every generator of the fixpoint and the stability passes, and every
-    # non-simple root's U_root(1), assembled by digits against the grid
-    # widened axis by axis
+    # every generator of the fixpoint, and every non-simple root's
+    # U_root(1), assembled by digits against the grid widened axis by axis
     one = np.identity(nil_dim(n), dtype=np.int64)
     maps = [m for _, m in oracle._generators(n, q, families[n])]
     maps += [(one + a) % q for a in families[n].roots[n:]]

@@ -11,8 +11,9 @@ from orbit_atlas.catalog import letter_of_var, load_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.errors import InternalInconsistencyError
 from orbit_atlas.lie import NilElement
-from orbit_atlas.order import (CERT_FIELDS, _certify, closure_generators,
-                               closure_leq, emit_dot, hasse, poset_json)
+from orbit_atlas.oracle import ORACLE_DEFAULT_QS
+from orbit_atlas.order import (_certify, closure_generators, closure_leq,
+                               emit_dot, hasse, poset_json)
 from reference import certify, less, nonlinear_zero
 
 
@@ -228,11 +229,11 @@ def _uncertified(cat):
     # an asserted relation denied
     ("x12+x23", "x11+x33", False,
      r"every certified generator of x11\+x33 vanishes at point "
-     r"\[0, 0, 0, 1, 1, 0\] of S_x12\+x23\(F_3\)"),
+     r"\[0, 0, 0, 1, 1, 0\] of S_x12\+x23\(F_2\)"),
     # a non-relation asserted
     ("x11", "x33", True,
      r"x11 <= x33 symbolically but generator X11 is nonzero at point "
-     r"\[1, 0, 0, 0, 0, 0\] of S_x11\(F_3\)"),
+     r"\[1, 0, 0, 0, 0, 0\] of S_x11\(F_2\)"),
 ])
 def test_certify_rejects_flipped_relation_rank3(catalogs, a, b, flipped_to,
                                                 message):
@@ -241,7 +242,7 @@ def test_certify_rejects_flipped_relation_rank3(catalogs, a, b, flipped_to,
     assert leq[(a, b)] is not flipped_to
     leq[(a, b)] = flipped_to
     with pytest.raises(InternalInconsistencyError, match=message):
-        _certify(cat, leq, gens, CERT_FIELDS[3])
+        _certify(cat, leq, gens, ORACLE_DEFAULT_QS[3])
 
 
 def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
@@ -251,7 +252,7 @@ def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
     assert len(kept) == len(gens["x22"]) - 1
     gens["x22"] = kept
     with pytest.raises(InternalInconsistencyError):
-        _certify(cat, leq, gens, CERT_FIELDS[4])
+        _certify(cat, leq, gens, ORACLE_DEFAULT_QS[4])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -274,7 +275,7 @@ def test_counterexamples_sound_through_scalar_path(n, catalogs, posets):
 @pytest.mark.parametrize("n, qs", [(n, (q,)) for n in (1, 2, 3)
                                    for q in (2, 3, 5, 7)]
                          + [(4, (2,)), (4, (3,))]
-                         + [(n, CERT_FIELDS[n]) for n in (1, 2, 3, 4)])
+                         + [(n, ORACLE_DEFAULT_QS[n]) for n in (1, 2, 3, 4)])
 def test_certify_equals_pointwise_reference(catalogs, n, qs):
     # the per-signature certificate against the per-point one; over a
     # single small field some record may have no point, and then both
