@@ -17,7 +17,7 @@ from functools import cache
 from importlib import resources
 from typing import Iterable
 
-from .arith import LaurentPoly, parse_poly
+from .arith import LaurentPoly, parse_poly, poly_to_str
 from .errors import CatalogError, SchemaError
 from .lie import (MAX_RANK, NilElement, check_rank, coordinate_letters,
                   nil_dim, parse_root_token, pos_roots, root_token)
@@ -25,6 +25,7 @@ from .lie import (MAX_RANK, NilElement, check_rank, coordinate_letters,
 SCHEMA_VERSION = 1
 
 ORBIT_COUNTS = {1: 2, 2: 5, 3: 16, 4: 61}
+SIGNATURE_BITS = 63     # pool classes an int64 signature or mask holds
 
 
 _X_VARS = {n: tuple(f"X{i}{j}" for (i, j) in pos_roots(n))
@@ -121,9 +122,17 @@ class Catalog:
     string) per +-class of the zero- and nonzero-set polynomials, first seen
     over the records (zero set first), and ``slot``, sending either sign to
     its class index.  p and -p vanish together, so the kernels evaluate one
-    polynomial per class.  ``memo`` holds the tables derived from the
-    records (``derived``).  All three are built per instance, so a
-    ``replace`` copy starts with its own pool and no tables."""
+    polynomial per class, and a set of polynomials is an int mask with bit
+    k for pool class k.  ``memo`` holds the tables derived from the records
+    (``derived``).  All three are built per instance, so a ``replace`` copy
+    starts with its own pool and no tables.
+
+    Building the pool checks the invariants every kernel rests on, so a
+    loaded catalog and a ``replace`` copy alike raise ``CatalogError``
+    unless every class is root-weight homogeneous (a torus weight vector:
+    the census, the refinement and the closure order slice by the torus,
+    and the generic pullbacks drop it) and the pool fits the
+    ``SIGNATURE_BITS`` of an int64 mask."""
 
     rank: int
     schema_version: int
@@ -138,8 +147,18 @@ class Catalog:
             for poly, s in zip(rec.zero_set + rec.nonzero_set,
                                rec.zero_strs + rec.nonzero_strs):
                 if poly not in slot:
+                    if not root_weight_homogeneous(poly, self.rank):
+                        raise CatalogError(
+                            f"rank {self.rank}: record {rec.id} polynomial "
+                            f"{poly_to_str(poly)} is not root-weight "
+                            f"homogeneous")
                     slot[poly] = slot[-poly] = len(pool)
                     pool.append((poly, s))
+        if len(pool) > SIGNATURE_BITS:
+            raise CatalogError(
+                f"rank {self.rank}: {len(pool)} distinct catalog "
+                f"polynomials, more than the {SIGNATURE_BITS} bits of a "
+                f"slice signature")
         object.__setattr__(self, "pool", tuple(pool))
         object.__setattr__(self, "slot", slot)
         object.__setattr__(self, "memo", {})
@@ -485,14 +504,14 @@ def _rep_member(rec: OrbitRecord) -> bool:
 
 
 def validate_catalog(cat: Catalog) -> CatalogReport:
-    """Self-check layer: representative membership, total-degree and
-    root-weight homogeneity, Z/V variable sanity, and as_printed-vs-normalized
-    diffs.  Failures are carried in the report, not raised.  Each distinct
-    printed polynomial text is parsed once per call, and each class of
-    ``cat.pool`` checked for homogeneity once."""
+    """Self-check layer: representative membership, total-degree
+    homogeneity, Z/V variable sanity, and as_printed-vs-normalized diffs.
+    Failures are carried in the report, not raised.  Each distinct printed
+    polynomial text is parsed once per call, and each class of ``cat.pool``
+    checked for homogeneity once (root-weight homogeneity is checked when
+    the pool is built)."""
     chunks: dict = {}                   # printed text -> polynomial
-    homogeneous = [p.is_homogeneous() and root_weight_homogeneous(p, cat.rank)
-                   for p, _ in cat.pool]
+    homogeneous = [p.is_homogeneous() for p, _ in cat.pool]
 
     @cache
     def sign_class(p: LaurentPoly) -> frozenset:

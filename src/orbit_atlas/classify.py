@@ -7,7 +7,7 @@ tests every record on that one preparation.  ``partition_census`` counts
 every catalog set over n(F_q) with vectorized evaluation and certifies the
 exhaustion and disjointness of the catalog's defining sets while counting.
 
-The census rests on one invariant, checked before any point is enumerated:
+The census rests on one invariant, which building the ``Catalog`` checks:
 every catalog polynomial is root-weight homogeneous (X_ij weighs
 alpha_i + ... + alpha_j), so which sets contain x does not change under the
 torus scaling x_ij -> (s_i...s_j) x_ij, s in (F_q^*)^n.  A point whose simple coordinates
@@ -16,14 +16,14 @@ one slice point, whose simple coordinates are the indicator of S.  So the
 census classifies the 2^n * q^(d-n) slice points and weights each by
 (q-1)^|S|; the counts are exact, and every point of n(F_q) is still covered.
 
-``slice_pass`` checks the invariant and classifies the slice points in one
-pass per field: each class of the catalog's polynomial pool
-(``Catalog.pool``, one polynomial per +-sign) is evaluated once over the
-slice grid by broadcasting (``grid_values``, through ``grid_signatures``),
-its nonzero pattern packed into one int64 signature per point at its pool
-index.  Each block's signatures are sorted once (``sorted_signatures``):
-the distinct ones, each one's first point in slice order and every point's
-index into them.  Each distinct signature is matched once against every
+``slice_pass`` classifies the slice points in one pass per field: each
+class of the catalog's polynomial pool (``Catalog.pool``, one polynomial
+per +-sign) is evaluated once over the slice grid by broadcasting
+(``grid_values``, through ``grid_signatures``), its nonzero pattern packed
+into one int64 signature per point at its pool index.  Each block's
+signatures are sorted once (``sorted_signatures``): the distinct ones,
+each one's first point in slice order and every point's index into them.
+Each distinct signature is matched once against every
 record.  The census, the oracle refinement (``point_records``, through the
 torus normal form of every point) and the closure-order certifier
 (``order._certify``) all read their points from ``slice_table``.  The
@@ -48,16 +48,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import Fp, is_prime, poly_to_str, residue
-from .catalog import Catalog, OrbitRecord, root_weight_homogeneous, x_vars
-from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
-                     ExhaustionError, InternalInconsistencyError, SchemaError,
-                     ShapeError)
+from .arith import Fp, is_prime, residue
+from .catalog import Catalog, OrbitRecord, x_vars
+from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
+                     InternalInconsistencyError, SchemaError, ShapeError)
 from .lie import NilElement, nil_dim, pos_roots
 
 CENSUS_BUDGET = 10_000_000
 SLICE_CHUNK = 1 << 19   # slice points per block of the slice pass
-SIGNATURE_BITS = 63     # pool classes an int64 signature holds
 GATHER_CHUNK = 1 << 14  # indices per np.take call of ``gather``
 
 
@@ -262,25 +260,10 @@ class SliceBlock(NamedTuple):
 def slice_pass(cat: Catalog, q: int):
     """One pass over the torus slices of n(F_q) (see the module docstring).
 
-    First checks, before any point, that every class of ``cat.pool`` is
-    root-weight homogeneous and that the pool fits a signature.  Yields a
-    ``SliceBlock`` per block in slice order: bit k of a signature stands
-    for pool class k.  The first point matched by no record or by several
-    raises.  A block fixes leading axes of the slice grid and holds at most
-    ``SLICE_CHUNK`` points."""
-    n = cat.rank
-    for poly, _ in cat.pool:
-        if not root_weight_homogeneous(poly, n):
-            rid = next(rec.id for rec in cat.orbits
-                       if poly in rec.zero_set + rec.nonzero_set)
-            raise InternalInconsistencyError(
-                f"rank {n}: record {rid} polynomial {poly_to_str(poly)} is "
-                f"not root-weight homogeneous, so torus slicing does not "
-                f"apply")
-    if len(cat.pool) > SIGNATURE_BITS:
-        raise CatalogError(
-            f"rank {n}: {len(cat.pool)} distinct catalog polynomials, more "
-            f"than the {SIGNATURE_BITS} bits of a slice signature")
+    Yields a ``SliceBlock`` per block in slice order: bit k of a signature
+    stands for pool class k.  The first point matched by no record or by
+    several raises.  A block fixes leading axes of the slice grid and holds
+    at most ``SLICE_CHUNK`` points."""
 
     def masks(sets):
         return np.array([sum({1 << cat.slot[p] for p in polys})
@@ -288,7 +271,8 @@ def slice_pass(cat: Catalog, q: int):
 
     zero = masks(rec.zero_set for rec in cat.orbits)
     nonzero = masks(rec.nonzero_set for rec in cat.orbits)
-    return _slice_blocks(n, q, [p for p, _ in cat.pool], zero, nonzero)
+    return _slice_blocks(cat.rank, q, [p for p, _ in cat.pool], zero,
+                         nonzero)
 
 
 def sorted_signatures(sig: np.ndarray, bits: int) -> tuple:

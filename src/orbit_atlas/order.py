@@ -2,21 +2,22 @@
 
 a <= b means the orbit O_a lies in the Zariski closure of O_b.  Each record
 b gets a certified generating set V_b for the functions vanishing on its
-orbit closure (``closure_generators``): one polynomial of every class of
-the catalog's pool (``Catalog.pool``, one polynomial per +-sign) whose
-pullback along the generic unipotent orbit adjoint(u, representative) is
-identically zero, u the root-group factors of the one generic Borel word of
-``lie.generic_borel_word``.  Every catalog polynomial is a torus weight
-vector, so it vanishes on the U-orbit exactly when it vanishes on the
-B-orbit.  Those zeros are read off the catalog's
-``witness.generic_vanishing`` table, which forward containment reads too,
-so a command pulls every record back once.  They are the record's own zero
-set, which must vanish there, augmented by the other such classes.
+orbit closure (``closure_generators``): every class of the catalog's pool
+(``Catalog.pool``, one polynomial per +-sign) whose pullback along the
+generic unipotent orbit adjoint(u, representative) is identically zero, u
+the root-group factors of the one generic Borel word of
+``lie.generic_borel_word``, as an int mask with bit k for pool class k.
+Every catalog polynomial is a torus weight vector (``Catalog`` checks it),
+so it vanishes on the U-orbit exactly when it vanishes on the B-orbit.
+Those masks are the catalog's ``witness.generic_vanishing`` table, which
+forward containment reads too, so a command pulls every record back once.
+They hold the record's own zero set, which must vanish there, augmented by
+the other such classes.
 (Augmentation matters: a zero set describes the closure only up to extra
 components, and for a handful of records a dependent quadratic that
 vanishes on the orbit separates those components.)
 
-The symbolic order is set inclusion of pool classes, a <= b exactly when
+The symbolic order is inclusion of pool-class masks, a <= b exactly when
 V_b is a subset of V_a (``closure_leq``).  It assumes that V_b cuts out
 closure(O_b): then O_a lies in closure(O_b) = Z(V_b) exactly when every
 polynomial of V_b vanishes on O_a, that is, lies in V_a.  The finite-field
@@ -44,32 +45,26 @@ from .witness import generic_vanishing
 
 
 def closure_generators(cat: Catalog) -> dict:
-    """Certified vanishing polynomials per record: the record's zero set,
-    then one polynomial of every other class of ``cat.pool`` that vanishes
-    identically on the record's orbit (an exact pullback along the generic
-    unipotent orbit, read off the catalog's ``generic_vanishing`` table).
-    A zero-set polynomial that does not vanish there is a catalog
+    """Record id -> int mask of its certified vanishing pool classes: every
+    class of ``cat.pool`` that vanishes identically on the record's orbit
+    (an exact pullback along the generic unipotent orbit, read off the
+    catalog's ``generic_vanishing`` table), the record's zero set among
+    them.  A zero-set polynomial that does not vanish there is a catalog
     inconsistency."""
     vanishing = generic_vanishing(cat)
-    out = {}
     for rec in cat.orbits:
-        zeros = vanishing.on_orbit(rec)
-        own = [cat.slot[p] for p in rec.zero_set]
-        for k, s in zip(own, rec.zero_strs):
-            if k not in zeros:
+        for p, s in zip(rec.zero_set, rec.zero_strs):
+            if not vanishing[rec.id] >> cat.slot[p] & 1:
                 raise InternalInconsistencyError(
                     f"zero-set polynomial {s} of record {rec.id} does not "
                     f"vanish on its generic orbit")
-        out[rec.id] = (list(zip(rec.zero_set, rec.zero_strs))
-                       + [cat.pool[k] for k in sorted(zeros.difference(own))])
-    return out
+    return dict(vanishing)
 
 
-def closure_leq(vanish_a: frozenset, vanish_b: frozenset) -> bool:
+def closure_leq(vanish_a: int, vanish_b: int) -> bool:
     """a <= b: every certified generator of b vanishes on the generic orbit
-    of a.  Each argument is the set of pool classes vanishing on that
-    record's generic orbit, the classes of its ``closure_generators``."""
-    return vanish_b <= vanish_a
+    of a.  Each argument is that record's ``closure_generators`` mask."""
+    return not vanish_b & ~vanish_a
 
 
 @dataclass
@@ -80,7 +75,7 @@ class HassePoset:
     leq: dict                      # (a, b) -> bool, full order
     covers: list                   # transitive reduction edges (a, b), a < b
     counterexamples: dict = field(default_factory=dict)
-    # (a, b) -> (q, point digits, violated generator string)
+    # (a, b) -> (q, point digits, pool string of the violated generator)
 
     def minimum(self) -> str:
         mins = [a for a in self.nodes
@@ -103,23 +98,24 @@ def _certify(cat: Catalog, leq: dict, generators: dict, qs) -> dict:
     point of S_a with a not <= b violates one of them, and Z(b's generators)
     lies in the union of the S_a with a <= b, which guards against an
     insufficiently augmented generating set.  Both sides are constant on
-    torus orbits (every generator is a catalog polynomial, whose weights
-    ``slice_pass`` checks), so the slices cover every point.  Both are also
-    functions of x's signature, which holds the generators' nonzero bits,
-    so the equality is decided once per distinct signature, at its first
-    point in slice order.  Each non-relation (a, b) takes the first slice
-    point of S_a over the first field where S_a has one, and the first
-    generator of b nonzero there.  Each field's points are read off the
-    catalog's slice table of the field."""
+    torus orbits (every generator is a class of the catalog's pool, which
+    ``Catalog`` checks to be root-weight homogeneous), so the slices cover
+    every point.  Both are also functions of x's signature, which holds the
+    generators' nonzero bits, so the equality is decided once per distinct
+    signature, at its first point in slice order.  Each non-relation (a, b)
+    takes the first slice point of S_a over the first field where S_a has one,
+    and the lowest pool class of b's generators nonzero there, named by its
+    pool string.  ``generators`` holds the masks of
+    ``closure_generators``.  Each field's points are read off the catalog's
+    slice table of the field."""
     n = cat.rank
     ids = [rec.id for rec in cat.orbits]
     below = np.array([[leq[(a, b)] for b in ids] for a in ids])
-    gen_bits = [[(cat.slot[p], s) for p, s in generators[b]] for b in ids]
-    masks = np.array([sum({1 << k for k, _ in gens}) for gens in gen_bits],
-                     dtype=np.int64)
+    masks = np.array([generators[b] for b in ids], dtype=np.int64)
 
     def first_nonzero(b, sig):
-        return next(s for k, s in gen_bits[b] if sig >> k & 1)
+        bits = generators[ids[b]] & sig
+        return cat.pool[(bits & -bits).bit_length() - 1][1]
 
     counterexamples: dict = {}
     witnessed = np.zeros(len(ids), dtype=bool)
@@ -172,11 +168,9 @@ def hasse(cat: Catalog) -> HassePoset:
     ids = [r.id for r in recs]
     dims = {r.id: r.dim for r in recs}
     generators = closure_generators(cat)
-    vanish = {a: frozenset(cat.slot[p] for p, _ in gens)
-              for a, gens in generators.items()}
-    leq = {(a, b): a == b or closure_leq(vanish[a], vanish[b])
+    leq = {(a, b): a == b or closure_leq(generators[a], generators[b])
            for a in ids for b in ids}
-    # order sanity (set inclusion is transitive by construction):
+    # order sanity (mask inclusion is transitive by construction):
     # antisymmetry and dimension monotonicity
     for a in ids:
         for b in ids:

@@ -5,20 +5,20 @@ identities in fully generic unipotent parameters: ``generic_pullbacks``
 evaluates the catalog polynomials at adjoint(u, representative) for u the
 root-group factors of the one generic word of ``lie.generic_borel_word``.
 The torus is left out because every catalog polynomial is a torus weight
-vector, which ``generic_pullbacks`` checks first.  The pullbacks are read
-off one table per rank, ``generic_vanishing``: which classes of the
-catalog's polynomial pool (``Catalog.pool``, one polynomial per +-sign)
-vanish on each record's generic orbit, from one ``generic_pullbacks`` call
-over the pool.  The catalog owns the table (``Catalog.derived``): it is
-built at the first read, kept only when the build succeeds, and shared with
-the closure generators of ``order``, so a command pulls every record back
-once.  The reverse inclusion is certified by the catalog's witness
-templates: a Borel word whose parameters are rational (and radical)
-expressions in the coordinates of a general member m, with
-adjoint(word, representative) required to equal m exactly, and with every
-denominator, radicand and torus entry of the template a unit on the whole
-set (``first_non_unit``), so that the word is defined at every point of the
-set, not only on a dense open part of it.
+vector, which building the ``Catalog`` checks.  The pullbacks are read off
+one table per rank, ``generic_vanishing``: the int mask of the classes of
+the catalog's polynomial pool (``Catalog.pool``, one polynomial per
++-sign) that vanish on each record's generic orbit, from one
+``generic_pullbacks`` call over the pool.  The catalog owns the table
+(``Catalog.derived``): it is built at the first read, kept only when the
+build succeeds, and shared with the closure generators of ``order``, so a
+command pulls every record back once.  The reverse inclusion is certified
+by the catalog's witness templates: a Borel word whose parameters are
+rational (and radical) expressions in the coordinates of a general member m,
+with adjoint(word, representative) required to equal m exactly, and with
+every denominator, radicand and torus entry of the template a unit on the
+whole set (``first_non_unit``), so that the word is defined at every point of
+the set, not only on a dense open part of it.
 
 Coordinate letters inside templates denote 60th powers: a general member's
 free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
@@ -42,11 +42,10 @@ from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
                     _exact_divide, _frac_pow, eval_expr, kth_roots,
-                    parse_expr, parse_poly, poly_to_str)
+                    parse_expr, parse_poly)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
-                      parse_printed_word, root_weight_homogeneous, x_vars)
-from .errors import (DomainError, EvaluationError, InternalInconsistencyError,
-                     SchemaError)
+                      parse_printed_word, x_vars)
+from .errors import DomainError, EvaluationError, SchemaError
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, coordinate_letters, generic_borel_word, pos_roots)
 
@@ -458,21 +457,15 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
     of ``generic_borel_word(n)``: a polynomial in f1..fd that is zero
     exactly when the polynomial vanishes on the whole B-orbit of rep.
 
-    The torus is left out.  First every polynomial is checked to be
-    root-weight homogeneous, and one that is not raises
-    ``InternalInconsistencyError`` naming it.  Such an f is a torus weight
-    vector: f(t.y) = chi_f(t) f(y) for a Laurent monomial chi_f in t1..tn,
-    a unit.  B = T U, so f(t.u.rep) = chi_f(t) f(u.rep), and f vanishes on
-    B.rep exactly when it vanishes on U.rep."""
+    The torus is left out, which assumes every polynomial is root-weight
+    homogeneous, as every class of a ``Catalog`` pool is.  Such an f is a
+    torus weight vector: f(t.y) = chi_f(t) f(y) for a Laurent monomial
+    chi_f in t1..tn, a unit.  B = T U, so f(t.u.rep) = chi_f(t) f(u.rep),
+    and f vanishes on B.rep exactly when it vanishes on U.rep."""
     reps, polys = list(reps), list(polys)
     if not reps:
         return []
     n = reps[0].rank
-    for poly in polys:
-        if not root_weight_homogeneous(poly, n):
-            raise InternalInconsistencyError(
-                f"rank {n}: polynomial {poly_to_str(poly)} is not root-weight "
-                f"homogeneous, so its generic pullback cannot drop the torus")
     unipotent = BorelWord(n, None, generic_borel_word(n).factors)
     rows = []
     for rep in reps:
@@ -487,39 +480,18 @@ def _lift(c) -> LaurentPoly:
     return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
 
 
-@dataclass
-class GenericVanishing:
-    """Which classes of one catalog's polynomial pool vanish on each
-    record's generic orbit."""
-
-    slot: dict          # the catalog's ``slot``: polynomial -> pool class
-    zeros: dict         # record id -> frozenset of the pool classes whose
-                        # generic pullback is zero
-
-    def on_orbit(self, rec: OrbitRecord) -> frozenset:
-        """The pool classes vanishing on rec's generic orbit.  rec must be
-        a record the table was built from: one with a polynomial outside
-        the pool was never pulled back."""
-        zeros = self.zeros.get(rec.id)
-        if zeros is None or not self.slot.keys() >= {
-                *rec.zero_set, *rec.nonzero_set}:
-            raise InternalInconsistencyError(
-                f"record {rec.id} is not in the generic-vanishing table")
-        return zeros
-
-
-def generic_vanishing(cat: Catalog) -> GenericVanishing:
-    """The catalog's table of every record, from one ``generic_pullbacks``
-    call over ``cat.pool`` at the first read, kept on the catalog
-    (``Catalog.derived``).  Forward containment and the closure generators
-    of ``order`` both read it."""
+def generic_vanishing(cat: Catalog) -> dict:
+    """Record id -> int mask of the classes of ``cat.pool`` that vanish on
+    the record's generic orbit (bit k for class k), from one
+    ``generic_pullbacks`` call over the pool at the first read, kept on the
+    catalog (``Catalog.derived``).  Forward containment and the closure
+    generators of ``order`` both read it."""
 
     def build():
         rows = generic_pullbacks([rec.representative for rec in cat.orbits],
                                  [poly for poly, _ in cat.pool])
-        return GenericVanishing(cat.slot, {
-            rec.id: frozenset(k for k, v in enumerate(row) if v.is_zero())
-            for rec, row in zip(cat.orbits, rows)})
+        return {rec.id: sum(1 << k for k, v in enumerate(row) if v.is_zero())
+                for rec, row in zip(cat.orbits, rows)}
 
     return cat.derived("generic", build)
 
@@ -533,23 +505,23 @@ class ForwardReport:
     detail: str = ""
 
 
-def forward_containment(rec: OrbitRecord,
-                        vanishing: GenericVanishing) -> ForwardReport:
+def forward_containment(rec: OrbitRecord, cat: Catalog) -> ForwardReport:
     """Containment of the orbit in its defining set, as identities in the
     generic unipotent parameters (``generic_pullbacks``, whose torus factor
     would only multiply each pullback by a unit monomial): every zero-set
     generator pulls back to zero and every nonzero-set generator to a
     nonzero polynomial.  The polynomial ring over Q is a domain, so the
     nonzero pullbacks have a nonzero product and one generic point meets
-    every nonzero condition at once.  The pullbacks are read off
-    ``vanishing``, the rank's ``generic_vanishing`` table."""
-    zeros = vanishing.on_orbit(rec)
+    every nonzero condition at once.  The pullbacks are read off the
+    catalog's ``generic_vanishing`` table, so rec must be a record of
+    ``cat``."""
+    zeros = generic_vanishing(cat)[rec.id]
     for k, (poly, s) in enumerate(zip(rec.zero_set, rec.zero_strs)):
-        if vanishing.slot[poly] not in zeros:
+        if not zeros >> cat.slot[poly] & 1:
             return ForwardReport(rec.id, False, k, 0,
                                  f"zero-set generator {s} has nonzero normal form")
     for k, (poly, s) in enumerate(zip(rec.nonzero_set, rec.nonzero_strs)):
-        if vanishing.slot[poly] in zeros:
+        if zeros >> cat.slot[poly] & 1:
             return ForwardReport(rec.id, False, len(rec.zero_set), k,
                                  f"nonzero-set generator {s} vanishes identically")
     return ForwardReport(rec.id, True, len(rec.zero_set),
@@ -634,11 +606,10 @@ def verify_rank(cat: Catalog) -> WitnessReport:
     Forward containment reads the catalog's ``generic_vanishing`` table;
     each distinct template or printed expression text is parsed once per
     call."""
-    vanishing = generic_vanishing(cat)
     parsed: dict = {}
     verdicts = []
     forward = []
     for rec in cat.orbits:
-        forward.append(forward_containment(rec, vanishing))
+        forward.append(forward_containment(rec, cat))
         verdicts.append(classify_verdict(rec, parsed))
     return WitnessReport(cat.rank, verdicts, forward)

@@ -6,7 +6,9 @@ Literal matrix conjugation (``conjugate_nil`` with the matrices of
 ``match_table`` classifies every given point with one vectorized
 evaluation per polynomial and record; ``torus_slices`` yields the census
 slice points block by block; ``certify`` is the closure-order certificate
-computed from them point by point.  Together they were the package's
+computed from them point by point, over the (polynomial, string) generator
+lists of ``closure_generator_lists``, the form that the pool-class masks
+of ``order.closure_generators`` replaced.  Together they were the package's
 finite-field kernel before the one slice pass replaced it, and full q^d
 enumeration through them is the reference for ``classify.slice_pass``.
 
@@ -56,6 +58,7 @@ from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _bracket, adjoint,
                              generic_borel_word, nil_dim, pos_roots)
 from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
+from orbit_atlas.witness import generic_pullbacks
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
 
@@ -257,10 +260,35 @@ def torus_slices(cat, q: int):
             yield digits, sum(support)
 
 
+def closure_generator_lists(cat) -> dict:
+    """Certified vanishing polynomials per record as (polynomial, string)
+    lists: the record's zero set, then one polynomial of every other class
+    of ``cat.pool`` whose pullback along the generic unipotent orbit is
+    zero, in class order, from its own ``generic_pullbacks`` call.  A
+    zero-set polynomial that does not vanish there raises."""
+    rows = generic_pullbacks([rec.representative for rec in cat.orbits],
+                             [poly for poly, _ in cat.pool])
+    out = {}
+    for rec, row in zip(cat.orbits, rows):
+        zeros = {k for k, v in enumerate(row) if v.is_zero()}
+        own = [cat.slot[p] for p in rec.zero_set]
+        for k, s in zip(own, rec.zero_strs):
+            if k not in zeros:
+                raise InternalInconsistencyError(
+                    f"zero-set polynomial {s} of record {rec.id} does not "
+                    f"vanish on its generic orbit")
+        out[rec.id] = (list(zip(rec.zero_set, rec.zero_strs))
+                       + [cat.pool[k] for k in sorted(zeros.difference(own))])
+    return out
+
+
 def certify(cat, leq: dict, generators: dict, qs) -> dict:
     """The closure-order certificate point by point: at every slice point,
     b's generators all vanish exactly when the point's record lies below b;
-    returns the counterexample of every non-relation."""
+    returns the counterexample of every non-relation, naming, of b's
+    generators nonzero there, the one of the lowest pool class by its pool
+    string.
+    ``generators`` holds the lists of ``closure_generator_lists``."""
     ids = [rec.id for rec in cat.orbits]
     below = np.array([[leq[(a, b)] for b in ids] for a in ids])
     pool = list(dict.fromkeys(p for b in ids for p, _ in generators[b]))
@@ -271,8 +299,9 @@ def certify(cat, leq: dict, generators: dict, qs) -> dict:
         uses[b, ks] = True
 
     def first_nonzero(b, nonzero_row):
-        k = next(i for i, c in enumerate(gen_cols[b]) if nonzero_row[c])
-        return generators[ids[b]][k][1]
+        k = min(cat.slot[p] for p, _ in generators[ids[b]]
+                if nonzero_row[col[p]])
+        return cat.pool[k][1]
 
     counterexamples: dict = {}
     witnessed = np.zeros(len(ids), dtype=bool)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -12,9 +13,7 @@ from orbit_atlas.arith import parse_poly
 from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog,
                                  root_weight_homogeneous, serialize_catalog,
                                  validate_catalog, x_vars)
-from orbit_atlas.classify import slice_pass
-from orbit_atlas.errors import (CatalogError, InternalInconsistencyError,
-                                UnsupportedRankError)
+from orbit_atlas.errors import CatalogError, UnsupportedRankError
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
 
@@ -198,15 +197,37 @@ def test_root_weight_homogeneity_examples():
 
 
 def test_validate_flags_weight_inhomogeneous_polynomial(catalogs):
+    # X11*X22 - X12 is root-weight homogeneous (a1 + a2 twice), so the
+    # catalog builds, but has two total degrees: validation flags it
     cat = catalogs[2]
     rec = cat.by_id("x22")
     bad = dataclasses.replace(
-        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+        rec, zero_set=(parse_poly("X11*X22 - X12", x_vars(2)),))
     bad_cat = dataclasses.replace(
         cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
     report = validate_catalog(bad_cat)
     assert [r.orbit_id for r in report.records if not r.homogeneous] == ["x22"]
     assert not report.ok
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_weight_inhomogeneous_class_is_refused_when_the_pool_is_built(
+        catalogs, n):
+    # X11 + X12 has one total degree but two root weights (a1, a1 + a2), so
+    # no kernel may slice by or drop the torus: a replace copy is refused
+    # as a load would be, naming the polynomial, not the set string x22
+    # keeps, which other records share
+    cat = catalogs[n]
+    rec = cat.by_id("x22")
+    shared = rec.zero_strs[0]
+    assert sum(shared in r.zero_strs for r in cat.orbits) > 1
+    bad = dataclasses.replace(rec, zero_set=(parse_poly(
+        "X11 + X12", x_vars(n)),) + rec.zero_set[1:])
+    with pytest.raises(CatalogError, match=re.escape(
+            f"rank {n}: record x22 polynomial X11 + X12 is not root-weight "
+            f"homogeneous")):
+        dataclasses.replace(
+            cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
 
 
 @pytest.mark.parametrize("garbled", ["Z(X11 +* X22) & V(X12)",
@@ -263,19 +284,17 @@ def test_validate_parses_each_distinct_printed_polynomial_once(catalogs,
 
 def test_replaced_shared_polynomial_still_fails_every_check(catalogs):
     # the record keeps its set strings, which other records share, but
-    # carries a new polynomial: the checks must look at the polynomial
+    # carries a new polynomial: the checks must look at the polynomial.
+    # X11*X22 - X12 is root-weight homogeneous, so the catalog builds (the
+    # weight half is the pool's, in the test above)
     cat = catalogs[4]
     rec = cat.by_id("x22")
     shared = rec.zero_strs[0]
     assert sum(shared in r.zero_strs for r in cat.orbits) > 1
     bad = dataclasses.replace(rec, zero_set=(parse_poly(
-        "X11 + X12", x_vars(4)),) + rec.zero_set[1:])
+        "X11*X22 - X12", x_vars(4)),) + rec.zero_set[1:])
     bad_cat = dataclasses.replace(
         cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
     report = validate_catalog(bad_cat)
     assert [r.orbit_id for r in report.records if not r.homogeneous] == ["x22"]
     assert not report.ok
-    with pytest.raises(InternalInconsistencyError,
-                       match=r"record x22 polynomial X11 \+ X12 is not "
-                             r"root-weight homogeneous"):
-        slice_pass(bad_cat, 2)

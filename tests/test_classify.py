@@ -13,11 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbit_atlas import classify as classify_mod
 from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
-from orbit_atlas.catalog import root_weight_homogeneous, x_vars
-from orbit_atlas.classify import (SIGNATURE_BITS, classify, gather,
-                                  grid_signatures, member, partition_census,
-                                  point_records, slice_pass, slice_point,
-                                  slice_shape, slice_table, sorted_signatures)
+from orbit_atlas.catalog import (SIGNATURE_BITS, root_weight_homogeneous,
+                                 x_vars)
+from orbit_atlas.classify import (classify, gather, grid_signatures, member,
+                                  partition_census, point_records, slice_pass,
+                                  slice_point, slice_shape, slice_table,
+                                  sorted_signatures)
 from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 DisjointnessError, DomainError,
                                 ExhaustionError,
@@ -293,21 +294,6 @@ def test_pass_names_the_reference_point(catalogs, mutate, error, q):
         partition_census(2, q, cat)
 
 
-def test_census_refuses_weight_inhomogeneous_catalog(catalogs):
-    # X11 + X12 has one total degree but two root weights (a1, a1 + a2):
-    # scaling X11 alone changes whether it vanishes, so slicing would miscount
-    cat = catalogs[2]
-    rec = cat.by_id("x22")
-    bad = dataclasses.replace(
-        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
-    bad_cat = dataclasses.replace(
-        cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
-    with pytest.raises(InternalInconsistencyError,
-                       match=r"record x22 polynomial X11 \+ X12 is not "
-                             r"root-weight homogeneous"):
-        partition_census(2, 3, bad_cat)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_classify_invariant_under_simple_root_scaling(catalogs, data):
@@ -364,6 +350,8 @@ def test_a_replaced_catalog_rebuilds_its_pool(catalogs):
 
 
 def test_pass_holds_63_polynomials_and_refuses_more(catalogs):
+    # the pass holds a full pool; the catalog refuses a larger one when it
+    # builds its pool, before any kernel runs
     cat = catalogs[2]                       # a pool of X11, X22 and X12
     assert len(_padded(cat, 60).pool) == SIGNATURE_BITS
     assert (partition_census(2, 3, _padded(cat, 60))
@@ -371,7 +359,7 @@ def test_pass_holds_63_polynomials_and_refuses_more(catalogs):
     with pytest.raises(CatalogError,
                        match="rank 2: 64 distinct catalog polynomials, more "
                              "than the 63 bits of a slice signature"):
-        partition_census(2, 3, _padded(cat, 61))
+        _padded(cat, 61)
 
 
 @st.composite

@@ -12,8 +12,7 @@ import pytest
 
 import orbit_atlas
 from orbit_atlas import cli
-from orbit_atlas.arith import parse_poly
-from orbit_atlas.catalog import load_catalog, x_vars
+from orbit_atlas.catalog import load_catalog
 from orbit_atlas.cli import main
 from orbit_atlas.errors import InternalInconsistencyError
 
@@ -404,19 +403,6 @@ def _hole(cat):
         r for r in cat.orbits if r.id != "x12"))
 
 
-def _inhomogeneous(cat):
-    # X11 + X12 weighs a1 and a1 + a2
-    rec = cat.by_id("x22")
-    bad = dataclasses.replace(
-        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
-    return dataclasses.replace(cat, orbits=tuple(
-        bad if r is rec else r for r in cat.orbits))
-
-
-SLICING = ("rank 2: record x22 polynomial X11 + X12 is not root-weight "
-           "homogeneous, so torus slicing does not apply")
-
-
 @pytest.mark.parametrize("broken, lines, grids", [
     (_hole, [
         "FAIL census: ExhaustionError: point [0, 0, 1] over F_3 matched no "
@@ -425,12 +411,6 @@ SLICING = ("rank 2: record x22 polynomial X11 + X12 is not root-weight "
         "record",
         "FAIL closure-order: ExhaustionError: point [0, 0, 1] over F_2 "
         "matched no record"], {3: 1, 2: 2}),
-    (_inhomogeneous, [
-        f"FAIL census: InternalInconsistencyError: {SLICING}",
-        f"FAIL oracle: InternalInconsistencyError: {SLICING}",
-        "FAIL closure-order: InternalInconsistencyError: rank 2: polynomial "
-        "X11 + X12 is not root-weight homogeneous, so its generic pullback "
-        "cannot drop the torus"], {}),
 ])
 def test_a_failed_slice_table_fails_each_check_by_name(capsys, monkeypatch,
                                                        broken, lines, grids):
@@ -485,6 +465,25 @@ def test_a_negative_set_exponent_is_refused_at_load(tmp_path, monkeypatch,
     assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
         1, "", "check failed: rank 2 row 'x11+x22': set polynomial "
                "'X11^-1' has a negative exponent\n")
+
+
+def _inhomogeneous_zero_set(row):
+    row["zero_set"][0] = "X11 + X12"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits"], ["classify", "--point", "0,1,0"],
+    ["classify", "--point", "0,1,0", "--mod", "5"], ["census"], ["oracle"],
+    ["dims"], ["verify"], ["hasse"], ["check-all"]])
+def test_a_weight_inhomogeneous_set_polynomial_is_refused_at_load(
+        tmp_path, monkeypatch, capsys, argv):
+    # X11 + X12 weighs a1 and a1 + a2; before, classify and dims passed on
+    # the copy and check-all failed its census, oracle and closure-order
+    data = _malformed(tmp_path, 2, "x22", _inhomogeneous_zero_set)
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(data))
+    assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
+        1, "", "check failed: rank 2: record x22 polynomial X11 + X12 is "
+               "not root-weight homogeneous\n")
 
 
 @pytest.mark.parametrize("n, rid, edit, detail", [
@@ -555,7 +554,9 @@ def test_malformed_catalogs_print_no_traceback_through_the_entry_point(
                          _inverse_in_nonzero_set),
               ["classify", "--type", "A2", "--point", "0,1,0"]),
              (_malformed(tmp_path / "torus", 3, "x13", _zero_torus_entry),
-              ["verify", "--type", "A3"])]
+              ["verify", "--type", "A3"]),
+             (_malformed(tmp_path / "weight", 2, "x22",
+                         _inhomogeneous_zero_set), ["dims", "--type", "A2"])]
     for data, argv in cases:
         env = dict(os.environ, ORBIT_ATLAS_DATA=str(data),
                    PYTHONPATH=str(DATA.parent.parent))

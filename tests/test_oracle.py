@@ -934,27 +934,6 @@ def test_refine_rank_must_match_the_catalog(catalogs, families):
                      enumerate_borel_orbits(2, 3, families=families[2]))
 
 
-def test_refine_refuses_inhomogeneous_catalog_before_any_point(
-        catalogs, families, monkeypatch):
-    # refine reads records through the torus normal form, so it rests on
-    # root-weight homogeneity: X11 + X12 weighs a1 and a1 + a2
-    cat = catalogs[2]
-    rec = cat.by_id("x22")
-    bad = replace(rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
-    bad_cat = replace(cat, orbits=tuple(bad if r is rec else r
-                                        for r in cat.orbits))
-    part = enumerate_borel_orbits(2, 3, families=families[2])
-
-    def no_points(*args):
-        raise AssertionError("a point was evaluated")
-
-    monkeypatch.setattr(classify, "grid_signatures", no_points)
-    with pytest.raises(InternalInconsistencyError,
-                       match=r"record x22 polynomial X11 \+ X12 is not "
-                             r"root-weight homogeneous"):
-        refine_check(bad_cat, part)
-
-
 def test_oracle_command_names_a_point_of_a_catalog_hole(
         tmp_path, monkeypatch, capsys, catalogs):
     # x11 also demands X12 != 0, so its points with X12 = 0 match nothing

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from orbit_atlas import order
-from orbit_atlas.arith import Fp, LaurentFraction
+from orbit_atlas.arith import Fp, LaurentFraction, parse_poly
 from orbit_atlas.catalog import letter_of_var, load_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.errors import InternalInconsistencyError
@@ -14,7 +14,7 @@ from orbit_atlas.lie import NilElement
 from orbit_atlas.oracle import ORACLE_DEFAULT_QS
 from orbit_atlas.order import (_certify, closure_generators, closure_leq,
                                emit_dot, hasse, poset_json)
-from reference import certify, less, nonlinear_zero
+from reference import certify, closure_generator_lists, less, nonlinear_zero
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +22,10 @@ def posets(catalogs):
     return {n: hasse(catalogs[n]) for n in (1, 2, 3, 4)}
 
 
-def _generators(cat):
-    return closure_generators(cat)
-
-
-def _vanish_sets(cat):
-    # pool classes, as ``hasse`` compares them: a record may carry -p where
+def _slot_mask(cat, polys):
+    # pool classes, as the masks hold them: a record may carry -p where
     # another's generators carry p
-    return {a: frozenset(cat.slot[p] for p, _ in gens)
-            for a, gens in _generators(cat).items()}
+    return sum({1 << cat.slot[p] for p in polys})
 
 
 def _dense_subs(rec):
@@ -82,10 +77,25 @@ def test_rank3_prose_edge(posets):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_memoised_hasse_matches_per_pair_tests(n, catalogs, posets):
-    vanish = _vanish_sets(catalogs[n])
+    vanish = closure_generators(catalogs[n])
     per_pair = {(a, b): closure_leq(vanish[a], vanish[b])
                 for a in vanish for b in vanish}
     assert posets[n].leq == per_pair
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_masks_equal_the_reference_lists(n, catalogs, posets):
+    # each mask is the slot set of the polynomial-list generators, and the
+    # order is frozenset inclusion over those lists
+    cat = catalogs[n]
+    masks = closure_generators(cat)
+    lists = closure_generator_lists(cat)
+    assert masks == {a: _slot_mask(cat, [p for p, _ in gens])
+                     for a, gens in lists.items()}
+    vanish = {a: frozenset(cat.slot[p] for p, _ in gens)
+              for a, gens in lists.items()}
+    assert posets[n].leq == {(a, b): vanish[b] <= vanish[a]
+                             for a in vanish for b in vanish}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -93,7 +103,7 @@ def test_hasse_matches_dense_parametrization_pullback(n, catalogs, posets):
     # reference: b's generators pulled back along a dense parametrization of
     # S_a, one zero test per (record, pool polynomial)
     cat = catalogs[n]
-    gens = _generators(cat)
+    gens = closure_generator_lists(cat)
     pool = {p for g in gens.values() for p, _ in g}
     zero = {}
     for rec in cat.orbits:
@@ -109,7 +119,7 @@ def test_hasse_tests_each_ordered_pair_once(catalogs, monkeypatch):
 
     def counting(vanish_a, vanish_b):
         calls.append((vanish_a, vanish_b))
-        return vanish_b <= vanish_a
+        return not vanish_b & ~vanish_a
 
     monkeypatch.setattr(order, "closure_leq", counting)
     hasse(catalogs[3])
@@ -133,7 +143,7 @@ def test_closure_generators_rejects_nonvanishing_zero_set(catalogs):
 
 
 def test_closure_leq_rank3_example(catalogs):
-    vanish = _vanish_sets(catalogs[3])
+    vanish = closure_generators(catalogs[3])
     assert closure_leq(vanish["x12+x23"], vanish["x11+x33"])
     assert not closure_leq(vanish["x11"], vanish["x33"])
 
@@ -174,17 +184,21 @@ def test_covers_equal_the_pairwise_reduction(posets, n):
 
 
 def test_equal_dimension_orbits_incomparable_rank4(catalogs):
-    vanish = _vanish_sets(catalogs[4])
+    vanish = closure_generators(catalogs[4])
     # the dependent quadratic separates these equal-dimension sets
     assert not closure_leq(vanish["x23+x14"], vanish["x22"])
     assert not closure_leq(vanish["x13+x24"], vanish["x22"])
 
 
 def test_closure_generator_augmentation(catalogs):
+    # the dependent quadric is no zero-set polynomial of x22, but its class
+    # vanishes on x22's orbit
     cat = catalogs[4]
-    gens = _generators(cat)
-    strs = [s for _, s in gens["x22"]]
-    assert "X13*X24 - X23*X14" in strs
+    quadric = parse_poly("X13*X24 - X23*X14", x_vars(4))
+    assert _slot_mask(cat, [quadric]) & ~_slot_mask(
+        cat, cat.by_id("x22").zero_set) & closure_generators(cat)["x22"]
+    gens = closure_generator_lists(cat)
+    assert "X13*X24 - X23*X14" in [s for _, s in gens["x22"]]
     # one generator per pool class: p and -p are never both carried
     for a, g in gens.items():
         assert len({cat.slot[p] for p, _ in g}) == len(g), a
@@ -218,10 +232,8 @@ def test_derived_poset_shapes_are_stable(posets):
 
 
 def _uncertified(cat):
-    gens = _generators(cat)
-    vanish = _vanish_sets(cat)
-    leq = {(a, b): closure_leq(vanish[a], vanish[b])
-           for a in vanish for b in vanish}
+    gens = closure_generators(cat)
+    leq = {(a, b): closure_leq(gens[a], gens[b]) for a in gens for b in gens}
     return leq, gens
 
 
@@ -248,9 +260,9 @@ def test_certify_rejects_flipped_relation_rank3(catalogs, a, b, flipped_to,
 def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
     cat = catalogs[4]
     leq, gens = _uncertified(cat)
-    kept = [(p, s) for p, s in gens["x22"] if s != "X13*X24 - X23*X14"]
-    assert len(kept) == len(gens["x22"]) - 1
-    gens["x22"] = kept
+    quadric = _slot_mask(cat, [parse_poly("X13*X24 - X23*X14", x_vars(4))])
+    assert gens["x22"] & quadric
+    gens["x22"] &= ~quadric
     with pytest.raises(InternalInconsistencyError):
         _certify(cat, leq, gens, ORACLE_DEFAULT_QS[4])
 
@@ -259,14 +271,15 @@ def test_certify_rejects_incomplete_generating_set_rank4(catalogs):
 def test_counterexamples_sound_through_scalar_path(n, catalogs, posets):
     cat = catalogs[n]
     poset = posets[n]
-    gens = _generators(cat)
+    gens = closure_generators(cat)
     non_relations = {(a, b) for a in poset.nodes for b in poset.nodes
                      if a != b and not poset.leq[(a, b)]}
     assert set(poset.counterexamples) == non_relations
     for (a, b), (q, pt, s) in poset.counterexamples.items():
         m = NilElement.from_vector(n, [Fp(v, q) for v in pt])
         assert member(cat.by_id(a), m)
-        poly = next(p for p, ps in gens[b] if ps == s)
+        poly = next(p for p, ps in cat.pool if ps == s)
+        assert gens[b] >> cat.slot[poly] & 1
         env = {var: Fp(v, q) for var, v in zip(x_vars(n), pt)}
         assert not poly.eval_mod_p(env, q).is_zero()
 
@@ -283,7 +296,7 @@ def test_certify_equals_pointwise_reference(catalogs, n, qs):
     cat = catalogs[n]
     leq, gens = _uncertified(cat)
     try:
-        want = certify(cat, leq, gens, qs)
+        want = certify(cat, leq, closure_generator_lists(cat), qs)
     except InternalInconsistencyError as exc:
         with pytest.raises(InternalInconsistencyError,
                            match=re.escape(str(exc))):

@@ -13,7 +13,7 @@ from orbit_atlas import witness
 from orbit_atlas.arith import (LaurentFraction, LaurentPoly, _frac_pow,
                                parse_poly)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
-                                parse_printed_word, serialize_catalog, x_vars)
+                                parse_printed_word, serialize_catalog)
 from orbit_atlas.cli import main
 from orbit_atlas.errors import (DomainError, InternalInconsistencyError,
                                 SchemaError)
@@ -31,15 +31,13 @@ from reference import commutator_nil, full_word_pullbacks, nonlinear_zero
 
 def test_forward_containment_all_records(catalogs):
     for n, cat in catalogs.items():
-        table = generic_vanishing(cat)
         for rec in cat.orbits:
-            report = forward_containment(rec, table)
+            report = forward_containment(rec, cat)
             assert report.ok, (rec.id, report.detail)
 
 
 def test_forward_containment_rank2_regular(catalogs):
-    report = forward_containment(catalogs[2].by_id("x11+x22"),
-                                 generic_vanishing(catalogs[2]))
+    report = forward_containment(catalogs[2].by_id("x11+x22"), catalogs[2])
     assert report.ok and report.zero_identities == 0
     assert report.nonzero_nonvanishing == 2
 
@@ -368,26 +366,6 @@ def test_unipotent_pullback_matches_full_word(catalogs, n):
             len(v.terms) if v != 0 else 0 for v in full], rec.id
 
 
-def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
-    rec = catalogs[2].by_id("x11")
-    bad = parse_poly("X11 + X12", x_vars(2))
-    with pytest.raises(InternalInconsistencyError,
-                       match=re.escape("rank 2: polynomial X11 + X12 is not "
-                                       "root-weight homogeneous")):
-        generic_pullbacks([rec.representative], rec.zero_set + (bad,))
-    # the table pulls back through it, and so do hasse and verify_rank,
-    # which read the catalog's table: a build that raised is not kept, so
-    # each of them builds it again
-    moved = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + (bad,),
-                                nonzero_strs=rec.nonzero_strs + ("X11 + X12",))
-    cat = dataclasses.replace(catalogs[2], orbits=tuple(
-        moved if r is rec else r for r in catalogs[2].orbits))
-    for build in (generic_vanishing, hasse, verify_rank):
-        with pytest.raises(InternalInconsistencyError, match="X11 \\+ X12"):
-            build(cat)
-        assert "generic" not in cat.memo
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_forward_containment_from_the_table_equals_the_standalone_path(
         catalogs, n):
@@ -398,9 +376,9 @@ def test_forward_containment_from_the_table_equals_the_standalone_path(
     for rec in cat.orbits:
         polys = rec.zero_set + rec.nonzero_set
         full = full_word_pullbacks(rec.representative, polys)
-        assert [cat.slot[p] in table.on_orbit(rec) for p in polys] == [
+        assert [table[rec.id] >> cat.slot[p] & 1 == 1 for p in polys] == [
             v == 0 for v in full], rec.id
-        assert forward_containment(rec, table).ok, rec.id
+        assert forward_containment(rec, cat).ok, rec.id
 
 
 def _with_nonvanishing_zero(cat, rid):
@@ -418,7 +396,7 @@ def test_a_nonvanishing_zero_set_polynomial_fails_alike_on_both_paths(
         catalogs):
     rec, broken = _with_nonvanishing_zero(catalogs[4], "x11+x24")
     table = generic_vanishing(broken)
-    report = forward_containment(rec, table)
+    report = forward_containment(rec, broken)
     assert not report.ok and report.zero_identities == len(rec.zero_set) - 1
     assert report.detail == (f"zero-set generator {rec.zero_strs[-1]} has "
                              f"nonzero normal form")
@@ -432,20 +410,6 @@ def test_a_nonvanishing_zero_set_polynomial_fails_alike_on_both_paths(
                                            f"{rec.zero_strs[-1]} of record "
                                            f"x11+x24 does not vanish")):
             call()
-
-
-def test_the_table_refuses_a_record_it_was_not_built_from(catalogs):
-    # a record id it lacks, and a record with a polynomial it never pulled
-    # back, which would otherwise read as not vanishing
-    table = generic_vanishing(catalogs[2])
-    rec = catalogs[2].by_id("x11")
-    extra = parse_poly("X11*X22 + X12", x_vars(2))
-    for other in (catalogs[3].by_id("x13"), dataclasses.replace(
-            rec, nonzero_set=rec.nonzero_set + (extra,),
-            nonzero_strs=rec.nonzero_strs + ("X11*X22 + X12",))):
-        with pytest.raises(InternalInconsistencyError,
-                           match="not in the generic-vanishing table"):
-            forward_containment(other, table)
 
 
 def test_pullbacks_of_a_pool_with_both_signs_match_the_reference(
@@ -472,7 +436,7 @@ def test_pullbacks_of_a_pool_with_both_signs_match_the_reference(
     for rid in ("x11+x24", "x12+x34"):
         rec = cat.by_id(rid)
         full = full_word_pullbacks(rec.representative, polys)
-        assert [cat.slot[p] in table.on_orbit(rec) for p in polys] == [
+        assert [table[rec.id] >> cat.slot[p] & 1 == 1 for p in polys] == [
             v == 0 for v in full], rid
 
 
