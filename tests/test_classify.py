@@ -294,6 +294,27 @@ def test_pass_names_the_reference_point(catalogs, mutate, error, q):
         partition_census(2, q, cat)
 
 
+def test_census_refuses_weight_inhomogeneous_catalog(catalogs, monkeypatch):
+    # X11 + X12 has one total degree but two root weights (a1, a1 + a2):
+    # scaling X11 alone changes whether it vanishes, so slicing would
+    # miscount; the catalog copy the census would read is refused when its
+    # pool is built, before any grid point is evaluated
+    cat = catalogs[2]
+    rec = cat.by_id("x22")
+    bad = dataclasses.replace(
+        rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+
+    def no_points(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(classify_mod, "grid_signatures", no_points)
+    with pytest.raises(CatalogError,
+                       match=r"rank 2: record x22 polynomial X11 \+ X12 is "
+                             r"not root-weight homogeneous"):
+        partition_census(2, 3, dataclasses.replace(
+            cat, orbits=tuple(bad if r is rec else r for r in cat.orbits)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_classify_invariant_under_simple_root_scaling(catalogs, data):

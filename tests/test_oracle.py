@@ -17,7 +17,7 @@ from orbit_atlas.arith import Fp, LaurentPoly, parse_poly, primitive_root
 from orbit_atlas.catalog import serialize_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.cli import main
-from orbit_atlas.errors import (BudgetExceededError,
+from orbit_atlas.errors import (BudgetExceededError, CatalogError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
@@ -932,6 +932,27 @@ def test_refine_rank_must_match_the_catalog(catalogs, families):
             "catalog rank 3 != partition rank 2")):
         refine_check(catalogs[3],
                      enumerate_borel_orbits(2, 3, families=families[2]))
+
+
+def test_refine_refuses_inhomogeneous_catalog_before_any_point(
+        catalogs, families, monkeypatch):
+    # refine reads records through the torus normal form, so it rests on
+    # root-weight homogeneity: X11 + X12 weighs a1 and a1 + a2, and the
+    # catalog copy refine would read is refused when its pool is built
+    cat = catalogs[2]
+    rec = cat.by_id("x22")
+    bad = replace(rec, zero_set=(parse_poly("X11 + X12", x_vars(2)),))
+    part = enumerate_borel_orbits(2, 3, families=families[2])
+
+    def no_points(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(classify, "grid_signatures", no_points)
+    with pytest.raises(CatalogError,
+                       match=r"rank 2: record x22 polynomial X11 \+ X12 is "
+                             r"not root-weight homogeneous"):
+        refine_check(replace(cat, orbits=tuple(
+            bad if r is rec else r for r in cat.orbits)), part)
 
 
 def test_oracle_command_names_a_point_of_a_catalog_hole(

@@ -13,10 +13,10 @@ from orbit_atlas import witness
 from orbit_atlas.arith import (LaurentFraction, LaurentPoly, _frac_pow,
                                parse_poly)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
-                                parse_printed_word, serialize_catalog)
+                                parse_printed_word, serialize_catalog, x_vars)
 from orbit_atlas.cli import main
-from orbit_atlas.errors import (DomainError, InternalInconsistencyError,
-                                SchemaError)
+from orbit_atlas.errors import (CatalogError, DomainError,
+                                InternalInconsistencyError, SchemaError)
 from orbit_atlas.order import closure_generators, hasse
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
@@ -364,6 +364,22 @@ def test_unipotent_pullback_matches_full_word(catalogs, n):
                    for v in row)
         assert [len(v.terms) for v in row] == [
             len(v.terms) if v != 0 else 0 for v in full], rec.id
+
+
+def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
+    # generic_pullbacks drops the torus, so it rests on root-weight
+    # homogeneity: a catalog whose record carries X11 + X12 (weights a1 and
+    # a1 + a2) is refused when its pool is built, so no table, hasse or
+    # verify_rank is ever built from it
+    rec = catalogs[2].by_id("x11")
+    bad = parse_poly("X11 + X12", x_vars(2))
+    moved = dataclasses.replace(rec, nonzero_set=rec.nonzero_set + (bad,),
+                                nonzero_strs=rec.nonzero_strs + ("X11 + X12",))
+    with pytest.raises(CatalogError, match=re.escape(
+            "rank 2: record x11 polynomial X11 + X12 is not root-weight "
+            "homogeneous")):
+        dataclasses.replace(catalogs[2], orbits=tuple(
+            moved if r is rec else r for r in catalogs[2].orbits))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
