@@ -123,9 +123,10 @@ class Catalog:
     over the records (zero set first), and ``slot``, sending either sign to
     its class index.  p and -p vanish together, so the kernels evaluate one
     polynomial per class, and a set of polynomials is an int mask with bit
-    k for pool class k.  ``memo`` holds the tables derived from the records
-    (``derived``).  All three are built per instance, so a ``replace`` copy
-    starts with its own pool and no tables.
+    k for pool class k: ``masks`` sends each record id to the masks of its
+    zero set and its nonzero set.  ``memo`` holds the tables derived from
+    the records (``derived``).  All four are built per instance, so a
+    ``replace`` copy starts with its own pool and masks and no tables.
 
     Building the pool checks the invariants every kernel rests on, so a
     loaded catalog and a ``replace`` copy alike raise ``CatalogError``
@@ -139,10 +140,11 @@ class Catalog:
     orbits: tuple[OrbitRecord, ...]
     pool: tuple = field(init=False, repr=False, compare=False)
     slot: dict = field(init=False, repr=False, compare=False)
+    masks: dict = field(init=False, repr=False, compare=False)
     memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pool, slot = [], {}
+        pool, slot, masks = [], {}, {}
         for rec in self.orbits:
             for poly, s in zip(rec.zero_set + rec.nonzero_set,
                                rec.zero_strs + rec.nonzero_strs):
@@ -154,6 +156,8 @@ class Catalog:
                             f"homogeneous")
                     slot[poly] = slot[-poly] = len(pool)
                     pool.append((poly, s))
+            masks[rec.id] = tuple(sum({1 << slot[p] for p in polys})
+                                  for polys in (rec.zero_set, rec.nonzero_set))
         if len(pool) > SIGNATURE_BITS:
             raise CatalogError(
                 f"rank {self.rank}: {len(pool)} distinct catalog "
@@ -161,6 +165,7 @@ class Catalog:
                 f"slice signature")
         object.__setattr__(self, "pool", tuple(pool))
         object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "memo", {})
 
     def derived(self, key, build):
@@ -171,6 +176,11 @@ class Catalog:
         if key not in self.memo:
             self.memo[key] = build()
         return self.memo[key]
+
+    def first_in(self, polys, mask: int) -> int:
+        """Index of the first polynomial of ``polys`` whose pool class is
+        in ``mask``; the mask must hold one of their classes."""
+        return next(k for k, p in enumerate(polys) if mask >> self.slot[p] & 1)
 
     def by_id(self, orbit_id: str) -> OrbitRecord:
         for rec in self.orbits:

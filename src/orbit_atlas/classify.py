@@ -36,6 +36,9 @@ per-point lookup by an index array goes through ``gather`` (``np.take``, a
 chunk at a time), as do the oracle's whole-space gathers, and every
 whole-space int32 index table (``point_records``' slice index, the oracle's
 code tables) is built by ``assemble_table``.
+
+numpy is bound lazily (``_lazy.lazy_numpy``): its import runs at the first
+kernel call, so ``member`` and ``classify`` never import it.
 """
 
 from __future__ import annotations
@@ -46,13 +49,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .arith import Fp, is_prime, residue
 from .catalog import Catalog, OrbitRecord, x_vars
 from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
                      InternalInconsistencyError, SchemaError, ShapeError)
 from .lie import NilElement, nil_dim, pos_roots
+
+np = lazy_numpy()
 
 CENSUS_BUDGET = 10_000_000
 SLICE_CHUNK = 1 << 19   # slice points per block of the slice pass
@@ -264,13 +268,8 @@ def slice_pass(cat: Catalog, q: int):
     stands for pool class k.  The first point matched by no record or by
     several raises.  A block fixes leading axes of the slice grid and holds
     at most ``SLICE_CHUNK`` points."""
-
-    def masks(sets):
-        return np.array([sum({1 << cat.slot[p] for p in polys})
-                         for polys in sets], dtype=np.int64)
-
-    zero = masks(rec.zero_set for rec in cat.orbits)
-    nonzero = masks(rec.nonzero_set for rec in cat.orbits)
+    zero, nonzero = np.array([cat.masks[rec.id] for rec in cat.orbits],
+                             dtype=np.int64).T
     return _slice_blocks(cat.rank, q, [p for p, _ in cat.pool], zero,
                          nonzero)
 

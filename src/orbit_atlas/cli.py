@@ -256,15 +256,18 @@ def cmd_check_all(args, cat: Catalog) -> int:
 
     def rep_check():
         for rec in cat.orbits:
-            if classify(n, rec.representative, cat).orbit_id != rec.id:
-                return False, rec.id
+            got = classify(n, rec.representative, cat).orbit_id
+            if got != rec.id:
+                return False, f"A{n} {rec.id}: classify gave {got}"
         return True, f"{len(cat.orbits)} representatives"
 
     def dims_check():
         families = family_table(cat)
         for rec in cat.orbits:
-            if jacobian_rank_dim(rec, families) != rec.dim:
-                return False, rec.id
+            dim = jacobian_rank_dim(rec, families)
+            if dim != rec.dim:
+                return False, (f"A{n} {rec.id}: Jacobian dimension {dim} != "
+                               f"catalog dim {rec.dim}")
         return True, f"{len(cat.orbits)} dimensions"
 
     def oracle_check():

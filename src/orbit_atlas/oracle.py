@@ -41,6 +41,9 @@ polynomial is checked to vanish there: the tangent space [b, rep] of
 the orbit, spanned by W[:, k] * rep and A rep, must have the dimension
 d - r that the zero-set Jacobian rank r leaves there.  Ranks come from
 fraction-free integer elimination.
+
+numpy is bound lazily (``_lazy.lazy_numpy``): its import runs at the first
+family read or fixpoint, so importing this module does not import it.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .arith import Fp, LaurentPoly, is_prime, poly_to_str, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
 from .classify import assemble_table, gather, point_records
@@ -59,6 +61,8 @@ from .errors import (BudgetExceededError, InternalInconsistencyError,
                      SchemaError, ShapeError)
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, nil_dim, pos_roots, root_token)
+
+np = lazy_numpy()
 
 BFS_BUDGET = 2_000_000
 #: the fields of the oracle per rank, which the closure order certifies over

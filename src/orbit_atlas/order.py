@@ -29,35 +29,40 @@ signatures of the catalog's slice table of each field
 without evaluating a polynomial again.  That re-checks every asserted
 relation, guards every generating set against missing components, and
 yields an explicit counterexample point for every non-relation.
+
+numpy is bound lazily (``_lazy.lazy_numpy``): its import runs at the first
+call of ``hasse``, so importing this module does not import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .catalog import Catalog
 from .classify import slice_point, slice_table
 from .errors import CatalogError, InternalInconsistencyError
 from .oracle import ORACLE_DEFAULT_QS
 from .witness import generic_vanishing
 
+np = lazy_numpy()
+
 
 def closure_generators(cat: Catalog) -> dict:
     """Record id -> int mask of its certified vanishing pool classes: every
     class of ``cat.pool`` that vanishes identically on the record's orbit
     (an exact pullback along the generic unipotent orbit, read off the
-    catalog's ``generic_vanishing`` table), the record's zero set among
-    them.  A zero-set polynomial that does not vanish there is a catalog
+    catalog's ``generic_vanishing`` table), the record's zero set
+    (``Catalog.masks``) among them.  A zero-set polynomial that does not vanish there is a catalog
     inconsistency."""
     vanishing = generic_vanishing(cat)
     for rec in cat.orbits:
-        for p, s in zip(rec.zero_set, rec.zero_strs):
-            if not vanishing[rec.id] >> cat.slot[p] & 1:
-                raise InternalInconsistencyError(
-                    f"zero-set polynomial {s} of record {rec.id} does not "
-                    f"vanish on its generic orbit")
+        missing = cat.masks[rec.id][0] & ~vanishing[rec.id]
+        if missing:
+            s = rec.zero_strs[cat.first_in(rec.zero_set, missing)]
+            raise InternalInconsistencyError(
+                f"zero-set polynomial {s} of record {rec.id} does not "
+                f"vanish on its generic orbit")
     return dict(vanishing)
 
 

@@ -513,17 +513,20 @@ def forward_containment(rec: OrbitRecord, cat: Catalog) -> ForwardReport:
     nonzero polynomial.  The polynomial ring over Q is a domain, so the
     nonzero pullbacks have a nonzero product and one generic point meets
     every nonzero condition at once.  The pullbacks are read off the
-    catalog's ``generic_vanishing`` table, so rec must be a record of
-    ``cat``."""
+    catalog's ``generic_vanishing`` table and the record's sets off its
+    ``Catalog.masks``, so rec must be a record of ``cat``."""
     zeros = generic_vanishing(cat)[rec.id]
-    for k, (poly, s) in enumerate(zip(rec.zero_set, rec.zero_strs)):
-        if not zeros >> cat.slot[poly] & 1:
-            return ForwardReport(rec.id, False, k, 0,
-                                 f"zero-set generator {s} has nonzero normal form")
-    for k, (poly, s) in enumerate(zip(rec.nonzero_set, rec.nonzero_strs)):
-        if zeros >> cat.slot[poly] & 1:
-            return ForwardReport(rec.id, False, len(rec.zero_set), k,
-                                 f"nonzero-set generator {s} vanishes identically")
+    zero_mask, nonzero_mask = cat.masks[rec.id]
+    if zero_mask & ~zeros:
+        k = cat.first_in(rec.zero_set, zero_mask & ~zeros)
+        return ForwardReport(rec.id, False, k, 0,
+                             f"zero-set generator {rec.zero_strs[k]} has "
+                             f"nonzero normal form")
+    if nonzero_mask & zeros:
+        k = cat.first_in(rec.nonzero_set, nonzero_mask & zeros)
+        return ForwardReport(rec.id, False, len(rec.zero_set), k,
+                             f"nonzero-set generator {rec.nonzero_strs[k]} "
+                             f"vanishes identically")
     return ForwardReport(rec.id, True, len(rec.zero_set),
                          len(rec.nonzero_set))
 

@@ -355,9 +355,22 @@ def _padded(cat, extra):
     return _with_orbits(cat, [padded if r is rec else r for r in cat.orbits])
 
 
+def _set_masks(cat):
+    """Each record's (zero set, nonzero set) pool-class masks, one slot
+    lookup per polynomial."""
+    return {rec.id: tuple(sum({1 << cat.slot[p] for p in polys})
+                          for polys in (rec.zero_set, rec.nonzero_set))
+            for rec in cat.orbits}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_catalog_masks_are_the_records_sets(catalogs, n):
+    assert catalogs[n].masks == _set_masks(catalogs[n])
+
+
 def test_a_replaced_catalog_rebuilds_its_pool(catalogs):
-    # the pool is built per Catalog, so a copy with other records has its
-    # own, and the original keeps its pool
+    # the pool and the masks are built per Catalog, so a copy with other
+    # records has its own, and the original keeps its pool and masks
     cat = catalogs[2]
     x11 = LaurentPoly.var("X11")
     assert [s for _, s in cat.pool] == ["X11", "X22", "X12"]
@@ -366,8 +379,13 @@ def test_a_replaced_catalog_rebuilds_its_pool(catalogs):
                                           "4*X11"]
     assert padded.slot[-4 * x11] == padded.slot[4 * x11] == 4
     assert 4 * x11 not in cat.slot and len(cat.pool) == 3
+    assert padded.masks["x11"] == (cat.masks["x11"][0],
+                                   cat.masks["x11"][1] | 0b11000)
+    assert padded.masks == _set_masks(padded)
+    assert cat.masks == _set_masks(cat)
     smaller = dataclasses.replace(cat, orbits=(cat.by_id("x11"),))
     assert [s for _, s in smaller.pool] == ["X22", "X11"]
+    assert smaller.masks == {"x11": (0b1, 0b10)}
 
 
 def test_pass_holds_63_polynomials_and_refuses_more(catalogs):

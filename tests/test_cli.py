@@ -566,3 +566,93 @@ def test_malformed_catalogs_print_no_traceback_through_the_entry_point(
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_check_all_names_what_classify_gave(capsys, monkeypatch):
+    real = cli.classify
+
+    def swapped(n, m, cat):
+        got = real(n, m, cat)
+        return dataclasses.replace(got, orbit_id="x11") if (
+            got.orbit_id == "x22") else got
+
+    monkeypatch.setattr(cli, "classify", swapped)
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 1
+    assert "FAIL representatives: A2 x22: classify gave x11\n" in out
+    assert out.count("FAIL") == 1
+
+
+def test_check_all_names_the_dimension_that_differs(capsys, monkeypatch):
+    real = cli.jacobian_rank_dim
+
+    def off_by_one(rec, families):
+        return real(rec, families) + (rec.id == "x12")
+
+    monkeypatch.setattr(cli, "jacobian_rank_dim", off_by_one)
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 1
+    assert ("FAIL dimensions: A2 x12: Jacobian dimension 2 != catalog dim 1\n"
+            in out)
+    assert out.count("FAIL") == 1
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+# Runs in a fresh interpreter: the exact commands, then check-all, each
+# followed by the numpy submodules loaded so far.
+_FRESH_START = """
+import io, json, sys
+from contextlib import redirect_stdout
+from orbit_atlas import classify, cli, oracle, order
+
+def numpy_loaded():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+runs = [["import", 0, numpy_loaded()]]
+for argv in (["classify", "--type", "A4", "--point", "1,0,1,0,0,1,0,0,0,1"],
+             ["classify", "--type", "A4", "--point", "1,0,1,0,0,1,0,0,0,1",
+              "--mod", "7"],
+             ["verify", "--type", "A2"], ["orbits", "--type", "A2"]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    runs.append([" ".join(argv), code, numpy_loaded()])
+out = io.StringIO()
+with redirect_stdout(out):
+    code = cli.main(["check-all", "--type", "A2"])
+numpy = sys.modules["numpy"]
+print(json.dumps({
+    "runs": runs, "check_all": [code, out.getvalue()],
+    "imported": "numpy.linalg" in sys.modules,
+    "one_numpy": classify.np is oracle.np is order.np is numpy}))
+"""
+
+
+def test_the_exact_commands_start_without_importing_numpy():
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    env.pop("ORBIT_ATLAS_DATA", None)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    for argv, code, loaded in doc["runs"]:
+        assert (code, loaded) == (0, []), argv
+    assert doc["check_all"] == [
+        0, (GOLDEN / "A2" / "check-all.txt").read_text()]
+    assert doc["imported"] and doc["one_numpy"]
+
+
+def test_the_kernel_modules_bind_the_one_numpy(capsys):
+    from orbit_atlas import classify, oracle, order
+    assert run(capsys, "hasse", "--type", "A1")[0] == 0
+    assert classify.np is oracle.np is order.np is sys.modules["numpy"]
+
+
+def test_a_missing_numpy_fails_at_import(monkeypatch):
+    import importlib.util
+    from orbit_atlas._lazy import lazy_numpy
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="numpy") as err:
+        lazy_numpy()
+    assert err.value.name == "numpy"
