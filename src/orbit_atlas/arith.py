@@ -817,6 +817,35 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     return _poly(vars, {k: quo[k] for k in order}, bound)
 
 
+def _strip_content(num: LaurentPoly, den: LaurentPoly):
+    """(num, den) over their merged display variables with their common
+    monomial content divided out (always legal for Laurent polynomials):
+    per variable, the lower of their least exponents is moved to 0."""
+    vars = _merged(num.vars, den.vars)
+    content = bound = 0
+    for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
+        low = min(nlo, dlo)
+        content += low << _SHIFT[v]
+        bound = max(bound, max(nhi, dhi) - low)
+    a, b = num._t, den._t
+    if content:
+        a = {k - content: c for k, c in a.items()}
+        b = {k - content: c for k, c in b.items()}
+    return _poly(vars, a, _check_bound(bound)), _poly(vars, b, bound)
+
+
+def _monic(num: LaurentPoly, den: LaurentPoly):
+    """(num, den) scaled so that den's leading coefficient, in lex order of
+    its display variables, is 1."""
+    terms = den.terms
+    c = terms[max(terms)]
+    if c != 1:
+        inv = _quo(1, c)
+        num = num * inv
+        den = den * inv
+    return num, den
+
+
 class LaurentFraction:
     """Quotient of Laurent polynomials in canonical form.
 
@@ -850,30 +879,12 @@ class LaurentFraction:
         if den.is_monomial():       # a scalar denominator included
             self.num, self.den = num * den.monomial_inverse(), LaurentPoly.one
             return
-        # strip common monomial content (always legal for Laurent polynomials)
-        vars = _merged(num.vars, den.vars)
-        content = bound = 0
-        for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
-            low = min(nlo, dlo)
-            content += low << _SHIFT[v]
-            bound = max(bound, max(nhi, dhi) - low)
-        a, b = num._t, den._t
-        if content:
-            a = {k - content: c for k, c in a.items()}
-            b = {k - content: c for k, c in b.items()}
-        num = _poly(vars, a, _check_bound(bound))
-        den = _poly(vars, b, bound)
+        num, den = _strip_content(num, den)
         q = _exact_divide(num, den)
         if q is not None:
             self.num, self.den = q, LaurentPoly.one
             return
-        terms = den.terms
-        c = terms[max(terms)]
-        if c != 1:
-            inv = _quo(1, c)
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
+        self.num, self.den = _monic(num, den)
 
     # -- coercion helpers
 
@@ -926,9 +937,19 @@ class LaurentFraction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if self.den is LaurentPoly.one is o.den:
+        one = LaurentPoly.one
+        if self.den is one is o.den:
             return LaurentFraction(self.num * o.num)
-        return LaurentFraction(self.num * o.num, self.den * o.den)
+        num, den = self.num * o.num, self.den * o.den
+        if not (self.den is one and self.num.is_monomial()
+                or o.den is one and o.num.is_monomial()):
+            return LaurentFraction(num, den)
+        # a unit times a canonical fraction: the unit cannot make a
+        # denominator that does not divide the numerator divide it, so only
+        # the monomial content moves and no division is tried
+        f = _new(LaurentFraction)
+        f.num, f.den = _monic(*_strip_content(num, den))
+        return f
 
     __rmul__ = __mul__
 
@@ -1320,15 +1341,39 @@ def parse_expr(text: str):
 
 def parse_poly(text: str, allowed_vars: Iterable[str] | None = None) -> LaurentPoly:
     """Parse a polynomial under the catalog grammar: idents, integers,
-    + - * ^ with integer exponents, parentheses."""
+    + - * ^ with integer exponents, parentheses.  Division and fractional
+    exponents are refused by the parser; the tree is evaluated in
+    ``LaurentPoly`` directly (``_poly_value``)."""
     node = _Parser(text, allow_div=False, allow_frac_pow=False).parse()
     if allowed_vars is not None:
         allowed = set(allowed_vars)
         bad = expr_vars(node) - allowed
         if bad:
             raise SchemaError(f"variables {sorted(bad)} not in the allowed set")
-    env = {v: LaurentFraction(LaurentPoly.var(v)) for v in expr_vars(node)}
-    out = eval_expr(node, env)
-    if not out.is_poly():
-        raise SchemaError(f"{text!r} is not polynomial")
-    return out.num
+    return _poly_value(node, text)
+
+
+def _poly_value(node, text: str) -> LaurentPoly:
+    """The value of a division-free parse tree, in ``LaurentPoly`` with no
+    fraction built: a negative power is a monomial's inverse, and one of a
+    non-monomial is refused as not polynomial.  A zero value is
+    ``LaurentPoly.zero``, whose empty display order the later nodes merge,
+    as a zero fraction's numerator is."""
+    kind = node[0]
+    if kind == "num":
+        value = LaurentPoly.const(node[1])
+    elif kind == "var":
+        value = LaurentPoly.var(node[1])
+    elif kind == "neg":
+        value = -_poly_value(node[1], text)
+    elif kind == "pow":
+        base, e = _poly_value(node[1], text), int(node[2])
+        if e < 0 and not base.is_monomial():
+            raise SchemaError(f"{text!r} is not polynomial")
+        value = base ** e
+    elif kind in ("add", "sub", "mul"):
+        a, b = _poly_value(node[1], text), _poly_value(node[2], text)
+        value = a + b if kind == "add" else a - b if kind == "sub" else a * b
+    else:
+        raise SchemaError(f"bad expression node {kind!r}")
+    return value if value._t else LaurentPoly.zero

@@ -474,8 +474,6 @@ class RecordReport:
     representative_member: bool
     homogeneous: bool
     zv_sane: bool
-    printed_set_status: str    # "match" | "diff" | "unparseable" | "absent"
-    printed_word_status: str   # "parseable" | "unparseable" | "absent"
     notes: list[str]
 
     @property
@@ -515,26 +513,46 @@ def _rep_member(rec: OrbitRecord) -> bool:
 
 def validate_catalog(cat: Catalog) -> CatalogReport:
     """Self-check layer: representative membership, total-degree
-    homogeneity, Z/V variable sanity, and as_printed-vs-normalized diffs.
-    Failures are carried in the report, not raised.  Each distinct printed
-    polynomial text is parsed once per call, and each class of ``cat.pool``
-    checked for homogeneity once (root-weight homogeneity is checked when
-    the pool is built)."""
-    chunks: dict = {}                   # printed text -> polynomial
+    homogeneity and Z/V variable sanity.  Failures are carried in the
+    report, not raised.  Each class of ``cat.pool`` is checked for
+    homogeneity once (root-weight homogeneity is checked when the pool is
+    built).  No printed text is read: the as_printed layer is provenance,
+    compared with the normalized data by ``printed_statuses``."""
     homogeneous = [p.is_homogeneous() for p, _ in cat.pool]
+    reports = []
+    for rec in cat.orbits:
+        zero_lin = {next(iter(p.used_vars())) for p in rec.zero_set
+                    if p.is_monomial() and p.total_degrees() == {1}}
+        nonzero_lin = {next(iter(p.used_vars())) for p in rec.nonzero_set
+                       if p.is_monomial() and p.total_degrees() == {1}}
+        reports.append(RecordReport(
+            orbit_id=rec.id,
+            representative_member=_rep_member(rec),
+            homogeneous=all(homogeneous[cat.slot[p]]
+                            for p in rec.zero_set + rec.nonzero_set),
+            zv_sane=not (zero_lin & nonzero_lin),
+            notes=[n["note"] for n in rec.notes]))
+    return CatalogReport(cat.rank, reports)
+
+
+def printed_statuses(cat: Catalog) -> dict[str, tuple[str, str]]:
+    """Record id -> (set status, word status) of its as_printed layer.
+    The set status is "match" when the printed set parses to the record's
+    zero and nonzero sets up to the sign of each polynomial, else "diff",
+    "unparseable" or "absent"; the word status is "parseable",
+    "unparseable" or "absent" (``parse_printed_word``).  Each distinct
+    printed polynomial text is parsed once per call."""
+    chunks: dict = {}                   # printed text -> polynomial
 
     @cache
     def sign_class(p: LaurentPoly) -> frozenset:
         return frozenset((p, -p))
 
-    reports = []
+    def signset(polys):
+        return set(map(sign_class, polys))
+
+    statuses = {}
     for rec in cat.orbits:
-        notes = [n["note"] for n in rec.notes]
-        zero_lin = {next(iter(p.used_vars())) for p in rec.zero_set
-                    if p.is_monomial() and p.total_degrees() == {1}}
-        nonzero_lin = {next(iter(p.used_vars())) for p in rec.nonzero_set
-                       if p.is_monomial() and p.total_degrees() == {1}}
-        zv_sane = not (zero_lin & nonzero_lin)
         printed = rec.as_printed.get("set")
         if not printed:
             status = "absent"
@@ -544,8 +562,6 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
             except (CatalogError, SchemaError):
                 status = "unparseable"
             else:
-                def signset(polys):
-                    return set(map(sign_class, polys))
                 same = (signset(pz) == signset(rec.zero_set)
                         and signset(pnz) == signset(rec.nonzero_set))
                 status = "match" if same else "diff"
@@ -558,13 +574,5 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
                 word_status = "parseable"
             except WitnessParseError:
                 word_status = "unparseable"
-        reports.append(RecordReport(
-            orbit_id=rec.id,
-            representative_member=_rep_member(rec),
-            homogeneous=all(homogeneous[cat.slot[p]]
-                            for p in rec.zero_set + rec.nonzero_set),
-            zv_sane=zv_sane,
-            printed_set_status=status,
-            printed_word_status=word_status,
-            notes=notes))
-    return CatalogReport(cat.rank, reports)
+        statuses[rec.id] = (status, word_status)
+    return statuses

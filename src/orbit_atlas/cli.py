@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import Fp, is_prime
-from .catalog import (ORBIT_COUNTS, Catalog, load_catalog, record_to_json,
-                      validate_catalog)
+from .catalog import (ORBIT_COUNTS, Catalog, load_catalog, printed_statuses,
+                      record_to_json, validate_catalog)
 from .classify import CENSUS_BUDGET, classify, partition_census
 from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
@@ -97,8 +97,13 @@ def oracle_fields(cat: Catalog, qs, budget: int):
 
 
 def cmd_orbits(args, cat: Catalog) -> int:
+    """The catalog as a table, or as JSON with each record's validation
+    (``validate_catalog``) and the status of its as_printed set and word
+    (``printed_statuses``, read by no other command).  Exit 1 when a record
+    fails validation."""
     report = validate_catalog(cat)
     if args.format == "json":
+        printed = printed_statuses(cat)
         doc = {"type": f"A{cat.rank}", "schema_version": cat.schema_version,
                "orbits": [record_to_json(r) for r in cat.orbits],
                "validation": {
@@ -108,8 +113,8 @@ def cmd_orbits(args, cat: Catalog) -> int:
                        "representative_member": r.representative_member,
                        "homogeneous": r.homogeneous,
                        "zv_sane": r.zv_sane,
-                       "printed_set_status": r.printed_set_status,
-                       "printed_word_status": r.printed_word_status,
+                       "printed_set_status": printed[r.orbit_id][0],
+                       "printed_word_status": printed[r.orbit_id][1],
                        "notes": r.notes,
                    } for r in report.records]}}
         print(json.dumps(doc, indent=2, ensure_ascii=False))

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
@@ -445,17 +446,19 @@ def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
 
 
 def _rank_exact(rows) -> int:
-    """Rank over Q by fraction-free elimination: each row of ``int`` and
-    ``Fraction`` entries is scaled to integers through their numerators and
-    denominators (zero rows dropped), and each row below a pivot p in
-    column col becomes p a_i - a_i[col] a_piv, divided by its content, so
-    the integers stay small and no ``Fraction`` arithmetic runs."""
+    """Rank over Q by fraction-free elimination: a row of ``int`` entries is
+    taken as it is, and a row holding a ``Fraction`` is scaled to integers
+    through its numerators and denominators (zero rows dropped); each row
+    below a pivot p in column col becomes p a_i - a_i[col] a_piv, divided
+    by its content, so the integers stay small and no ``Fraction``
+    arithmetic runs."""
     a = []
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            a.append(ints)
+        if not all(x.__class__ is int for x in row):
+            den = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        if any(row):
+            a.append(row)
     rank = 0
     for col in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
@@ -476,6 +479,24 @@ def _rank_exact(rows) -> int:
     return rank
 
 
+def _gradient(poly: LaurentPoly, point: dict, names) -> list:
+    """The gradient of poly at point, one entry per variable of ``names``,
+    read off its terms: the term c x^e adds c e_v x^(e - 1_v) to the entry
+    of v.  Exact: the entries are ints when the coefficients and the
+    coordinates are and no exponent is negative.  poly must be defined at
+    point: no term has a negative exponent at a zero coordinate."""
+    grad = dict.fromkeys(names, 0)
+    for exps, c in poly.terms.items():
+        used = [(v, e) for v, e in zip(poly.vars, exps) if e]
+        for v, e in used:
+            entry = c * e
+            for u, f in used:
+                f -= u == v         # x_v's own exponent drops by one
+                entry *= point[u] ** f if f >= 0 else Fraction(point[u]) ** f
+            grad[v] += entry
+    return list(grad.values())
+
+
 def _bracket_rows(rep: NilElement, families: Families) -> list[list]:
     """Matrix of y -> [y, rep] from b to n at v = rep: the slot tori's rows
     W[:, k] * v (a unimodular change of the coroot basis), then A v for
@@ -487,7 +508,8 @@ def _bracket_rows(rep: NilElement, families: Families) -> list[list]:
 
 def jacobian_rank_dim(rec: OrbitRecord, families: Families) -> int:
     """Dimension d - r, r the rank over Q of the zero-set Jacobian at the
-    representative, certified by t, the rank of y -> [y, rep] from b to n.
+    representative (its rows read off the polynomials' terms,
+    ``_gradient``), certified by t, the rank of y -> [y, rep] from b to n.
 
     In characteristic 0 the tangent space of the orbit at rep is [b, rep],
     so the orbit has dimension t.  Every component of V(zero set) through
@@ -511,8 +533,7 @@ def jacobian_rank_dim(rec: OrbitRecord, families: Families) -> int:
             raise InternalInconsistencyError(
                 f"{rec.id}: zero-set polynomial {poly_to_str(poly)} is "
                 f"{value} at the representative, not 0")
-    r = _rank_exact([[poly.derivative(v).eval(env)
-                      if v in poly.used_vars() else 0 for v in x_vars(n)]
+    r = _rank_exact([_gradient(poly, env, x_vars(n))
                      for poly in rec.zero_set])
     t = _rank_exact(_bracket_rows(rep, families))
     if t != d - r:

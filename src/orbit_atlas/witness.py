@@ -28,8 +28,11 @@ record's tower.  Every factorization runs through one exact trial-division
 loop, ``_peel``.  ``verify_rank`` parses each distinct expression text once
 per call, and each member evaluates each distinct parse-tree node once
 (``MemberEnv.memo``), so the template and the as-printed word share their
-common subexpressions; a printed word whose parameters parse to the
-template's trees reuses the template's residuals.
+common subexpressions.  A printed word whose parameters parse to the
+template's trees reuses the template's residuals unbuilt; any other is
+built, and reuses them too when its roots and values equal the template
+word's (``_same_word``), so only a word of another value runs its own
+``adjoint``.
 ``verify_witness_numeric`` (random points over F_p) is a cross-check; no
 verdict of ``verify_rank`` rests on it.
 """
@@ -228,14 +231,9 @@ def template_word(rec: OrbitRecord, menv: MemberEnv,
     return BorelWord(n, torus, factors)
 
 
-def word_residuals(rec, menv, torus_strs, factor_list, parsed=None):
-    """Coordinatewise differences adjoint(word, rep) - m of the word built by
-    ``template_word``, radical-reduced; empty when the word reproduces m."""
-    return _residuals(rec, menv, template_word(rec, menv, torus_strs,
-                                               factor_list, parsed))
-
-
 def _residuals(rec, menv, word):
+    """Coordinatewise differences adjoint(word, rep) - m of a word built
+    over ``menv``, radical-reduced; empty when the word reproduces m."""
     result = adjoint(word, rec.representative)
     residuals = []
     for root in pos_roots(rec.rank):
@@ -262,16 +260,33 @@ class WitnessVerdict:
         return self.status in (VERIFIED_SYMBOLIC, VERIFIED_NUMERIC, REPAIRED)
 
 
-def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
-                   template_residuals: list, parsed: dict) -> tuple[str, str]:
+def _same_word(a: BorelWord, b: BorelWord) -> bool:
+    """a and b have the same roots in the same order, and equal torus
+    entries and factor parameters as exact ``LaurentFraction`` values over
+    one member.  Each pair is compared by identity first: the member's node
+    memo hands a shared subexpression the same object."""
+    def values(word):
+        return (word.torus.diag if word.torus else ()) + tuple(
+            f.param for f in word.factors)
+
+    return ((a.torus is None) == (b.torus is None)
+            and [f.root for f in a.factors] == [g.root for g in b.factors]
+            and all(x is y or x == y for x, y in zip(values(a), values(b))))
+
+
+def _printed_layer(rec: OrbitRecord, menv: MemberEnv, template,
+                   parsed: dict) -> tuple[str, str]:
     """(as_printed, detail) of the transcribed word, whose grammar lives in
-    ``catalog.parse_printed_word``.  A printed word whose parameters parse to
-    the template's trees (``sqrt(a)`` and ``a^(1/2)`` alike) has the
-    template's residuals and is not evaluated again; any other is built over
-    the same member, so its common subexpressions are not evaluated again
-    either.  A parameter that does not parse or evaluate is an eval-error,
-    and so is every parameter when there is no member (``menv`` None) or
-    the template did not evaluate (``template_residuals`` None)."""
+    ``catalog.parse_printed_word``.  ``template`` is the template's (word,
+    residuals) over ``menv``, None when the template did not evaluate.  A
+    printed word whose parameters parse to the template's trees
+    (``sqrt(a)`` and ``a^(1/2)`` alike) has the template's residuals and is
+    not built; any other is built over the same member, so its common
+    subexpressions are not evaluated again, and a built word equal in value
+    to the template's (``_same_word``: ``x^(-1)`` for ``1/x``) takes the
+    template's residuals too, with no ``adjoint`` of its own.  A parameter
+    that does not parse or evaluate is an eval-error, and so is every
+    parameter when there is no member (``menv`` None)."""
     text = rec.as_printed.get("word", "")
     if not text:
         return "absent", "no as-printed word"
@@ -288,11 +303,14 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv,
     if menv is None:
         return "eval-error", "no general member of the set"
     try:
-        if (template_residuals is not None
+        if (template is not None
                 and trees(torus or (), factors) == trees(w.torus, w.factors)):
-            residuals = template_residuals
+            residuals = template[1]
         else:
-            residuals = word_residuals(rec, menv, torus, factors, parsed)
+            word = template_word(rec, menv, torus, factors, parsed)
+            residuals = (template[1] if template is not None
+                         and _same_word(word, template[0])
+                         else _residuals(rec, menv, word))
     except (SchemaError, DomainError, EvaluationError) as exc:
         return "eval-error", str(exc)
     if residuals:
@@ -318,7 +336,8 @@ def classify_verdict(rec: OrbitRecord,
         residuals = _residuals(rec, menv, word)
     except (SchemaError, DomainError, EvaluationError) as exc:
         error = str(exc)
-    as_printed, printed_detail = _printed_layer(rec, menv, residuals, parsed)
+    as_printed, printed_detail = _printed_layer(
+        rec, menv, None if residuals is None else (word, residuals), parsed)
     repairs = rec.witness_repairs()
     if residuals is None:
         return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,

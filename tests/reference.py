@@ -22,7 +22,9 @@ coordinate basis (``torus_word`` names a full torus element), and
 certificate computed from it word by word, with ``powers`` as the
 generator powers: the reference for the family identities of
 ``oracle.stability_check``.  ``gauss_jordan_rank`` is the ``Fraction``
-elimination that the dimension certificate's integer elimination replaced.
+elimination that the dimension certificate's integer elimination replaced,
+and ``derivative_jacobian`` the zero-set Jacobian from derivative
+polynomials that its term-by-term gradients replaced.
 ``coroot_bracket_rows`` are the dimension certificate's rows of
 y -> [y, rep] from the simple coroots and ``commutator_nil``, the reference
 for the rows the certificate reads off the symbolic families, and
@@ -37,6 +39,12 @@ U_root(1) is a commutator of simple ones, the reference for the identity
 that ``oracle.read_families`` checks on the families.  ``generator_passes``
 is the per-generator whole-space stability pass that the fixpoint's exit
 round replaced, and the reference for it.
+
+``word_residuals`` runs ``adjoint`` on any word built from template texts,
+the path every printed word took before a word equal in value to its
+template reused the template's residuals.  ``fraction_parse_poly`` is
+``arith.parse_poly`` through one ``LaurentFraction`` per parse-tree node,
+the reference for its direct ``LaurentPoly`` evaluation.
 """
 
 from __future__ import annotations
@@ -48,7 +56,9 @@ from operator import mul
 
 import numpy as np
 
-from orbit_atlas.arith import Fp, inv_elem, is_zero_elem, poly_to_str
+from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly, _Parser,
+                               eval_expr, expr_vars, inv_elem, is_zero_elem,
+                               poly_to_str)
 from orbit_atlas.catalog import root_weight_homogeneous, x_vars
 from orbit_atlas.classify import gather, slice_table
 from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
@@ -58,7 +68,7 @@ from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _bracket, adjoint,
                              generic_borel_word, nil_dim, pos_roots)
 from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
-from orbit_atlas.witness import generic_pullbacks
+from orbit_atlas.witness import _residuals, generic_pullbacks, template_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
 
@@ -543,6 +553,17 @@ def gauss_jordan_rank(rows) -> int:
     return rank
 
 
+def derivative_jacobian(rec) -> list[list]:
+    """The zero-set Jacobian at the representative from one derivative
+    ``LaurentPoly`` per polynomial and variable, each evaluated there over
+    Q: the reference for the gradients that ``oracle.jacobian_rank_dim``
+    reads off the polynomials' terms."""
+    n = rec.rank
+    env = dict(zip(x_vars(n), rec.representative.as_vector()))
+    return [[poly.derivative(v).eval(env) if v in poly.used_vars() else 0
+             for v in x_vars(n)] for poly in rec.zero_set]
+
+
 def commutator_nil(rank: int, root: tuple[int, int], x: NilElement) -> NilElement:
     """[x_root, x] as a NilElement, zero coordinates dropped."""
     return NilElement(rank, {r: v for r, v in sorted(_bracket(root, x.coords))
@@ -603,3 +624,36 @@ def nonlinear_zero(rec) -> list:
     return [p for p in rec.zero_set
             if not (p.is_monomial() and p.used_vars() <= linear
                     and p.total_degrees() == {1})]
+
+
+# ---------------------------------------------------------------------------
+# witness words
+
+
+def word_residuals(rec, menv, torus_strs, factor_list, parsed=None):
+    """Coordinatewise differences adjoint(word, rep) - m of the word built
+    by ``witness.template_word``, radical-reduced; empty when the word
+    reproduces m.  Every word's own residuals, the reference for a printed
+    word that reuses its template's."""
+    return _residuals(rec, menv, template_word(rec, menv, torus_strs,
+                                               factor_list, parsed))
+
+
+# ---------------------------------------------------------------------------
+# the catalog polynomial grammar
+
+
+def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
+    """``arith.parse_poly`` evaluated through one ``LaurentFraction`` per
+    parse-tree node, the path its direct ``LaurentPoly`` evaluation
+    replaced: a result that is not a polynomial is refused at the end."""
+    node = _Parser(text, allow_div=False, allow_frac_pow=False).parse()
+    if allowed_vars is not None:
+        bad = expr_vars(node) - set(allowed_vars)
+        if bad:
+            raise SchemaError(f"variables {sorted(bad)} not in the allowed set")
+    env = {v: LaurentFraction(LaurentPoly.var(v)) for v in expr_vars(node)}
+    out = eval_expr(node, env)
+    if not out.is_poly():
+        raise SchemaError(f"{text!r} is not polynomial")
+    return out.num

@@ -20,9 +20,9 @@ from orbit_atlas.order import hasse
 from orbit_atlas.witness import (REPAIRED, VERIFIED_NUMERIC,
                                  VERIFIED_SYMBOLIC, classify_verdict,
                                  build_member_env, forward_containment,
-                                 verify_witness_numeric, word_residuals)
+                                 verify_witness_numeric)
 from reference import (conjugate_nil, inverse_matrix, less, mat_mul,
-                       nonempty_record_count, to_matrix)
+                       nonempty_record_count, to_matrix, word_residuals)
 
 CENSUS_PLAN = {1: (3, 5, 7, 11), 2: (3, 5, 7, 11), 3: (3, 5, 7, 11),
                4: (3, 5)}

@@ -13,6 +13,7 @@ from orbit_atlas.arith import (EXP_LIMIT, QUOTIENT_LIMIT, Fp, LaurentFraction,
                                kth_roots, normalize, parse_expr, parse_poly,
                                poly_to_str, primitive_root)
 from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
+from reference import fraction_parse_poly
 
 V = LaurentPoly.var
 
@@ -552,3 +553,75 @@ def test_inverse_divides_out_a_denominator_that_the_numerator_shared():
         LaurentFraction(0).inv()
     with pytest.raises(DomainError, match="zero fraction has no inverse"):
         LaurentFraction(0) ** -2
+
+
+@st.composite
+def unit(draw):
+    """A unit of the Laurent ring: one monomial with a nonzero rational
+    coefficient."""
+    reg = draw(st.sampled_from(REGISTRIES))
+    exps = draw(st.tuples(*[SMALL] * len(reg)))
+    c = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
+    return LaurentFraction(LaurentPoly(reg, {exps: c * draw(
+        st.sampled_from((1, -1)))}))
+
+
+def _form(f: LaurentFraction):
+    return tuple((p.vars, p._t, p._b) for p in (f.num, f.den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit(), fraction())
+def test_a_unit_factor_gives_the_constructors_canonical_form(u, f):
+    # the product with a unit skips the division attempt; its numerator and
+    # denominator are still those of the general constructor, exactly
+    for a, b in ((u, f), (f, u)):
+        assert _form(a * b) == _form(
+            LaurentFraction(a.num * b.num, a.den * b.den))
+
+
+def test_a_unit_factor_moves_the_monomial_content():
+    x, y = V("x"), V("y")
+    f = LaurentFraction(y, x + y)
+    g = LaurentFraction(3 * x**-2) * f          # 3 y / (x^3 + x^2 y)
+    assert (g.num, g.den) == (3 * y, x**3 + x**2 * y)
+    h = LaurentFraction(x**2) * g               # 3 y / (x + y)
+    assert (h.num, h.den) == (3 * y, x + y)
+    k = f * LaurentFraction(-x * y**-1)         # -x / (x + y)
+    assert (k.num, k.den) == (-x, x + y)
+
+
+_NAMES = ("a", "b", "c")
+
+
+def _expression(leaves):
+    """Division-free expression texts under the catalog grammar, with
+    negative exponents on variables only."""
+    return st.one_of(
+        st.tuples(leaves, leaves).map(lambda t: f"({t[0]}) + ({t[1]})"),
+        st.tuples(leaves, leaves).map(lambda t: f"({t[0]}) - ({t[1]})"),
+        st.tuples(leaves, leaves).map(lambda t: f"({t[0]})*({t[1]})"),
+        leaves.map(lambda t: f"-({t})"),
+        st.tuples(leaves, st.integers(0, 3)).map(
+            lambda t: f"({t[0]})^{t[1]}"))
+
+
+DIVISION_FREE = st.recursive(
+    st.one_of(st.sampled_from(_NAMES), st.integers(0, 9).map(str),
+              st.tuples(st.sampled_from(_NAMES), st.integers(-3, 3)).map(
+                  lambda t: f"{t[0]}^({t[1]})")),
+    _expression, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIVISION_FREE)
+def test_parse_poly_equals_the_fraction_evaluation(text):
+    want = fraction_parse_poly(text)
+    got = parse_poly(text)
+    assert (got.vars, got._t, got._b) == (want.vars, want._t, want._b)
+
+
+@pytest.mark.parametrize("text", ["(a + b)^-1", "(a - 1)^(-2)*a", "0^-1"])
+def test_parse_poly_refuses_a_negative_power_of_a_non_monomial(text):
+    with pytest.raises(SchemaError, match="is not polynomial"):
+        parse_poly(text)

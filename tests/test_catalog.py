@@ -11,9 +11,11 @@ import pytest
 from orbit_atlas import catalog
 from orbit_atlas.arith import parse_poly
 from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog,
-                                 root_weight_homogeneous, serialize_catalog,
-                                 validate_catalog, x_vars)
+                                 printed_statuses, root_weight_homogeneous,
+                                 serialize_catalog, validate_catalog, x_vars)
 from orbit_atlas.errors import CatalogError, UnsupportedRankError
+from orbit_atlas.lie import coordinate_letters
+from reference import fraction_parse_poly
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
 
@@ -84,8 +86,7 @@ def test_defining_sets_distinct_across_records(catalogs):
 
 
 def test_validation_flags_known_source_discrepancies(catalogs):
-    report = validate_catalog(catalogs[4])
-    status = {r.orbit_id: r.printed_set_status for r in report.records}
+    status = {rid: s for rid, (s, _) in printed_statuses(catalogs[4]).items()}
     # dimension-table/witness-table conflict: a coordinate printed in both
     # the closed and open conditions
     assert status["x44+x12+x13"] == "diff"
@@ -104,8 +105,7 @@ def test_unparseable_as_printed_word_is_recorded(catalogs):
     rec = catalogs[4].by_id("x22+x44")
     assert "genfrac" in rec.as_printed["word"]
     assert rec.witness_repairs()
-    report = validate_catalog(catalogs[4])
-    status = {r.orbit_id: r.printed_word_status for r in report.records}
+    status = {rid: w for rid, (_, w) in printed_statuses(catalogs[4]).items()}
     assert status["x22+x44"] == "unparseable"
     assert status["x11+x23+x34"] == "unparseable"
     assert status["x22"] == "parseable"
@@ -114,9 +114,9 @@ def test_unparseable_as_printed_word_is_recorded(catalogs):
 def test_rank2_validation_clean(catalogs):
     report = validate_catalog(catalogs[2])
     assert report.ok
-    for r in report.records:
-        assert r.printed_set_status in ("match", "absent")
-        # no repairs anywhere in the rank-2 data
+    for set_status, _ in printed_statuses(catalogs[2]).values():
+        assert set_status in ("match", "absent")
+    # no repairs anywhere in the rank-2 data
     assert not any(catalogs[2].by_id(r.orbit_id).witness_repairs()
                    for r in report.records)
 
@@ -239,9 +239,7 @@ def test_garbled_printed_set_reports_unparseable(catalogs, garbled):
                                                "set": garbled})
     bad_cat = dataclasses.replace(
         cat, orbits=tuple(bad if r is rec else r for r in cat.orbits))
-    report = validate_catalog(bad_cat)
-    status = {r.orbit_id: r.printed_set_status for r in report.records}
-    assert status["x22"] == "unparseable"
+    assert printed_statuses(bad_cat)["x22"][0] == "unparseable"
 
 
 def test_load_parses_each_distinct_set_string_once(monkeypatch):
@@ -269,6 +267,8 @@ def test_load_parses_each_distinct_set_string_once(monkeypatch):
 
 def test_validate_parses_each_distinct_printed_polynomial_once(catalogs,
                                                                 monkeypatch):
+    # validation reads no printed text; the printed statuses parse each
+    # distinct printed polynomial once per call
     parsed = Counter()
 
     def counting(text, *args, **kwargs):
@@ -277,8 +277,10 @@ def test_validate_parses_each_distinct_printed_polynomial_once(catalogs,
 
     monkeypatch.setattr(catalog, "parse_poly", counting)
     assert validate_catalog(catalogs[4]).ok
+    assert not parsed
+    printed_statuses(catalogs[4])
     assert len(parsed) == 32 and set(parsed.values()) == {1}
-    assert validate_catalog(catalogs[4]).ok
+    printed_statuses(catalogs[4])
     assert set(parsed.values()) == {2}
 
 
@@ -298,3 +300,25 @@ def test_replaced_shared_polynomial_still_fails_every_check(catalogs):
     report = validate_catalog(bad_cat)
     assert [r.orbit_id for r in report.records if not r.homogeneous] == ["x22"]
     assert not report.ok
+
+
+def test_parse_poly_equals_the_fraction_evaluation_on_every_catalog_string(
+        catalogs):
+    # every set, constraint and radicand string of A1-A4, under the names
+    # its loader allows
+    texts = set()
+    for n, cat in catalogs.items():
+        letters = tuple(coordinate_letters(n))
+        for rec in cat.orbits:
+            w = rec.witness
+            texts |= {(s, tuple(x_vars(n)))
+                      for s in rec.zero_strs + rec.nonzero_strs}
+            texts |= {(c.poly, letters) for c in w.constraints}
+            texts |= {(r.radicand, letters + tuple(x.name for x in w.radicals))
+                      for r in w.radicals}
+    assert len({s for s, _ in texts}) == 50
+    for text, allowed in texts:
+        got, want = parse_poly(text, allowed), fraction_parse_poly(text,
+                                                                   allowed)
+        assert (got.vars, got._t, got._b) == (want.vars, want._t,
+                                              want._b), text

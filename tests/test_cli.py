@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import orbit_atlas
-from orbit_atlas import cli
+from orbit_atlas import catalog, cli
 from orbit_atlas.catalog import load_catalog
 from orbit_atlas.cli import main
 from orbit_atlas.errors import InternalInconsistencyError
@@ -78,6 +78,43 @@ def test_output_determinism(capsys):
     doc = json.loads(first[1])
     assert len(doc["orbits"]) == 16
     assert doc["validation"]["ok"] is True
+
+
+# (set status, word status) -> records, per rank: the as_printed layer as
+# orbits --format json reports it
+PRINTED_TALLIES = {
+    1: {("match", "absent"): 1, ("match", "parseable"): 1},
+    2: {("match", "absent"): 2, ("match", "parseable"): 3},
+    3: {("match", "absent"): 1, ("match", "parseable"): 15},
+    4: {("diff", "parseable"): 4, ("match", "absent"): 2,
+        ("match", "parseable"): 50, ("match", "unparseable"): 2,
+        ("unparseable", "parseable"): 3},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbits_json_reports_the_printed_statuses(capsys, n):
+    code, out, _ = run(capsys, "orbits", "--type", f"A{n}", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["validation"]["records"]
+    assert Counter((r["printed_set_status"], r["printed_word_status"])
+                   for r in records) == PRINTED_TALLIES[n]
+
+
+def test_check_all_reads_no_printed_text(capsys, monkeypatch):
+    # the catalog line reads only each record's failure: no printed set or
+    # word is parsed for it (the witness line parses the printed words
+    # through its own import of the grammar)
+    def refuse(*args, **kwargs):
+        raise AssertionError("printed text parsed")
+
+    monkeypatch.setattr(catalog, "_parse_printed_set", refuse)
+    monkeypatch.setattr(catalog, "parse_printed_word", refuse)
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 0
+    assert "PASS catalog: 5 records" in out.splitlines()
+    with pytest.raises(AssertionError, match="printed text parsed"):
+        main(["orbits", "--type", "A2", "--format", "json"])
 
 
 def test_hasse_dot_file(tmp_path, capsys):

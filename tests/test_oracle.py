@@ -23,14 +23,16 @@ from orbit_atlas.errors import (BudgetExceededError, CatalogError,
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, nil_dim, pos_roots)
 from orbit_atlas.oracle import (CODE_LIMIT, ORACLE_DEFAULT_QS, OrbitPartition,
-                                _bracket_rows, _describe_word, _rank_exact,
+                                _bracket_rows, _describe_word, _gradient,
+                                _rank_exact,
                                 _root_word, _slot_word,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
 from reference import (broadcast_image_codes, broadcast_point_records,
                        commutator_identities, conjugate_nil,
-                       coroot_bracket_rows, decode_points, gauss_jordan_rank,
+                       coroot_bracket_rows, decode_points,
+                       derivative_jacobian, gauss_jordan_rank,
                        generator_passes, inverse_matrix,
                        nonempty_record_count, rank_mod_p, to_matrix,
                        torus_word, word_identities, word_map)
@@ -273,14 +275,37 @@ def test_integer_rank_equals_gauss_jordan_on_every_record(catalogs,
     for n, cat in catalogs.items():
         for rec in cat.orbits:
             rep = rec.representative
-            env = dict(zip(x_vars(n), rep.as_vector()))
-            jacobian = [[poly.derivative(v).eval(env) for v in x_vars(n)]
-                        for poly in rec.zero_set]
-            for rows in (jacobian, _bracket_rows(rep, families[n]),
+            for rows in (derivative_jacobian(rec),
+                         _bracket_rows(rep, families[n]),
                          coroot_bracket_rows(rep)):
                 assert _rank_exact(rows) == gauss_jordan_rank(rows), rec.id
             seen += 1
     assert seen == 84
+
+
+def test_gradient_rows_equal_the_derivative_reference(catalogs):
+    # read off the terms, every row is ints and equals the derivative
+    # polynomials evaluated at the representative
+    seen = 0
+    for n, cat in catalogs.items():
+        for rec in cat.orbits:
+            env = dict(zip(x_vars(n), rec.representative.as_vector()))
+            rows = [_gradient(poly, env, x_vars(n)) for poly in rec.zero_set]
+            assert all(type(x) is int for row in rows for x in row), rec.id
+            assert rows == derivative_jacobian(rec), rec.id
+            seen += 1
+    assert seen == 84
+
+
+def test_gradient_reads_rational_coefficients_and_points():
+    x, y = LaurentPoly.var("X11"), LaurentPoly.var("X22")
+    poly = Fraction(1, 2) * x**2 * y - 3 * x * y**-1 + y**3
+    point = {"X11": Fraction(2, 3), "X22": -2}
+    want = [poly.derivative(v).eval(point) for v in ("X11", "X22", "X12")]
+    assert _gradient(poly, point, ("X11", "X22", "X12")) == want
+    # at a zero coordinate only a term linear in it survives its derivative
+    point = {"X11": 0, "X22": 5}
+    assert _gradient(x * y + x**2 - 7 * y, point, ("X11", "X22")) == [5, -7]
 
 
 def test_family_bracket_rows_have_the_coroot_rows_rank(catalogs, families):
@@ -336,6 +361,10 @@ def test_integer_rank_of_int_and_mixed_rows(rows, data):
     assert all(type(x) is int for row in ints for x in row)
     assert _rank_exact(ints) == gauss_jordan_rank(ints) == (
         gauss_jordan_rank(rows))
+    # int rows are taken as they are, and rank as their Fraction copies,
+    # which go through the rescaling
+    assert _rank_exact(ints) == _rank_exact(
+        [[Fraction(x) for x in row] for row in ints])
     mixed = [[int(x) if x.denominator == 1 and data.draw(st.booleans())
               else x for x in row] for row in rows]
     assert _rank_exact(mixed) == gauss_jordan_rank(mixed)

@@ -25,8 +25,9 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  generic_pullbacks, generic_vanishing,
                                  template_power,
                                  template_word, verify_rank,
-                                 verify_witness_numeric, word_residuals)
-from reference import commutator_nil, full_word_pullbacks, nonlinear_zero
+                                 verify_witness_numeric)
+from reference import (commutator_nil, full_word_pullbacks, nonlinear_zero,
+                       word_residuals)
 
 
 def test_forward_containment_all_records(catalogs):
@@ -322,16 +323,60 @@ def test_verify_rank_builds_each_distinct_word_once(catalogs, monkeypatch,
                                                     n, words):
     # a printed word whose parameters parse to the template's trees reuses
     # its residuals: one template per record, plus each printed word that
-    # differs from it in more than notation (0, 1, 14 and 8 of them)
-    built = []
+    # differs from it in more than its trees (0, 1, 14 and 8 of them).  Of
+    # those, a word equal in value to the template's takes its residuals
+    # too (1 at A2, 11 at A3, 3 at A4): only the others compute their own
+    built, residuals = [], []
 
     def counting(rec, *args, **kwargs):
         built.append(rec.id)
         return template_word(rec, *args, **kwargs)
 
+    def counting_residuals(rec, *args):
+        residuals.append(rec.id)
+        return original(rec, *args)
+
+    original = witness._residuals
     monkeypatch.setattr(witness, "template_word", counting)
+    monkeypatch.setattr(witness, "_residuals", counting_residuals)
     assert verify_rank(catalogs[n]).all_certified
     assert len(built) == words
+    assert len(residuals) == {1: 2, 2: 5, 3: 16, 4: 65}[n]
+
+
+@pytest.mark.parametrize("word, as_printed", [
+    # the template's values written differently: 1/(x*y) as x^(-1)*y^(-1)
+    ("T(x^(2/3)*y^(1/3), x^(-1/3)*y^(1/3)) U_1(z*x^(-1)*y^(-1))", "verified"),
+    ("T((x^2*y)^(1/3), (y/x)^(1/3)) U_1(z/x/y)", "verified"),
+    # other values
+    ("T(x^(2/3)*y^(1/3), x^(-1/3)*y^(1/3)) U_1(2*z/(x*y))", "mismatch"),
+    ("T(x^(2/3)*y^(1/3), x^(-1/3)*y^(1/3))", "mismatch"),
+    ("T(x^(2/3)*y^(1/3), x^(-1/3)*y^(1/3)) U_2(z/(x*y))", "mismatch"),
+])
+def test_a_printed_word_equal_in_value_reuses_the_template_residuals(
+        catalogs, monkeypatch, word, as_printed):
+    rec = catalogs[2].by_id("x11+x22")
+    printed = dataclasses.replace(rec, as_printed={**rec.as_printed,
+                                                   "word": word})
+    residuals = []
+
+    def counting_residuals(rec, menv, word):
+        residuals.append(word)
+        return original(rec, menv, word)
+
+    original = witness._residuals
+    monkeypatch.setattr(witness, "_residuals", counting_residuals)
+    v = classify_verdict(printed)
+    assert v.as_printed == as_printed
+    assert v.status == (VERIFIED_SYMBOLIC if as_printed == "verified"
+                        else REPAIRED)
+    # the template's residuals, and the printed word's own only when its
+    # value differs
+    assert len(residuals) == (1 if as_printed == "verified" else 2)
+    menv = build_member_env(printed)
+    torus, factors = parse_printed_word(word, 2)
+    assert (word_residuals(printed, menv, torus or (), factors) == []) == (
+        as_printed == "verified")
 
 
 def test_failed_template_fails_the_verdict(catalogs):
