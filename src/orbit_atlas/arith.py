@@ -2,29 +2,34 @@
 
 Three layers, all exact:
 
-* ``Fp`` -- prime-field scalars with canonical representatives in [0, p).
+* ``Fp`` -- prime-field scalars with canonical representatives in [0, p),
+  equal to every int of their class mod p and so unhashable.
 * ``LaurentPoly`` -- sparse multivariate Laurent polynomials over Q
   (exponents may be negative), canonical form enforced after every
   operation.  A canonical coefficient is an ``int``, or a ``Fraction`` with
   denominator > 1: never zero and never a float.  Coefficient divisions go
-  through ``Fraction`` (``_quo``); constant values (``const_value``, a
-  constant ``eval``) are returned as ``Fraction``.  Each monomial is one
-  int over a process-wide interned variable registry, so a monomial
-  product is an int addition; ``vars`` keeps only a polynomial's display
-  order, and an exponent bound raises ``DomainError`` before any exponent
-  passes ``EXP_LIMIT`` (see the Laurent polynomial section).
+  through ``Fraction`` (``_quo``); a constant ``eval`` is returned as a
+  ``Fraction``.  Each monomial is one int over a process-wide interned
+  variable registry, so a monomial product is an int addition; ``vars``
+  keeps only a polynomial's display order, and an exponent bound raises
+  ``DomainError`` before any exponent passes ``EXP_LIMIT`` (see the Laurent
+  polynomial section).
 * ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
   cross-multiplication, never by floating point.
 
 Formal radicals are adjoined through ``RadicalRelation`` towers: a fresh
 variable R with a rewrite rule R^k -> radicand.  ``normalize`` reduces every
 radical variable's exponent into [0, k) by applying the rules to a fixed
-point, which makes normal forms independent of the rewrite order.
+point, which makes normal forms independent of the rewrite order.  Every
+fractional power, in ``eval_expr``, goes through one function,
+``_frac_pow``: it peels the tower's radicands off a composite base with
+``_peel``, the exact trial-division loop beside ``_exact_divide`` that
+``witness`` also factors with, and takes exact roots of what is left, a
+monomial with coefficient +-1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -143,8 +148,9 @@ class Fp:
             return self.v == other % self.p
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.v, self.p))
+    # Fp(3, 5) == 8 and == 3: no hash can agree with equality mod p, so the
+    # type is unhashable.
+    __hash__ = None
 
     def __repr__(self):
         return f"{self.v}"
@@ -413,11 +419,14 @@ class LaurentPoly:
 
     def __hash__(self):
         """Hash of the packed term map, computed on first use and kept in a
-        slot (the type is immutable)."""
+        slot (the type is immutable).  A constant, zero included, hashes as
+        its value, which it equals."""
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self._t.items()))
+            t = self._t
+            self._hash = (hash(t.get(0, 0)) if t.keys() <= {0}
+                          else hash(frozenset(t.items())))
             return self._hash
 
     def is_zero(self) -> bool:
@@ -426,20 +435,10 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._t) == 1
 
-    def is_const(self) -> bool:
-        return self._t.keys() <= {0}
-
     def _scalar(self):
         """The coefficient of a scalar (one term, every exponent 0), else None."""
         t = self._t
         return t[0] if len(t) == 1 and 0 in t else None
-
-    def const_value(self) -> Fraction:
-        if not self._t:
-            return Fraction(0)
-        if not self.is_const():
-            raise SchemaError("not a constant polynomial")
-        return Fraction(self._t[0])
 
     # -- arithmetic
 
@@ -815,6 +814,20 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     shifts = [_SHIFT[v] for v in vars]
     order = sorted(quo, key=lambda k: _unpack(k, shifts), reverse=True)
     return _poly(vars, {k: quo[k] for k in order}, bound)
+
+
+def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
+    """(cofactor, multiplicities): each divisor divided out of p as often as
+    it goes, in list order.  A divisor that has stopped dividing p divides no
+    p/d either, so restarting from the first divisor changes nothing.  p must
+    be nonzero and the divisors non-monomial (a unit divides everything)."""
+    mults = []
+    for d in divisors:
+        mult = 0
+        while (q := _exact_divide(p, d)) is not None:
+            p, mult = q, mult + 1
+        mults.append(mult)
+    return p, mults
 
 
 def _strip_content(num: LaurentPoly, den: LaurentPoly):
@@ -1221,11 +1234,28 @@ class _Parser:
         raise SchemaError(f"unexpected token {t.text!r} at position {t.pos}")
 
 
-def _frac_pow(base: LaurentFraction, e: Fraction) -> LaurentFraction:
-    """base^e for fractional e; base must be a monomial fraction whose
-    exponents (and rational coefficient) admit the root exactly."""
+def _frac_pow(base: LaurentFraction, e: Fraction,
+              tower: Sequence[RadicalRelation] = ()) -> LaurentFraction:
+    """base^e for fractional e over the radical ``tower``, whose radicands
+    must be non-monomial (a unit would peel forever).  Each radicand is
+    peeled off a non-monomial numerator or denominator (``_peel``), a
+    radicand^m becoming R^(order*m*e); what is left must be a monomial whose
+    exponents admit the root exactly and whose coefficient is 1, or -1 under
+    an odd root.  No other constant's root is taken."""
 
-    def mono_root(p: LaurentPoly, e: Fraction) -> LaurentPoly:
+    def root(p: LaurentPoly) -> LaurentPoly:
+        if p.is_zero():
+            raise SchemaError("fractional power of zero")
+        rads = LaurentPoly.one
+        if not p.is_monomial():
+            p, mults = _peel(p, [rel.radicand for rel in tower])
+            for rel, mult in zip(tower, mults):
+                if mult:
+                    total = Fraction(rel.order * mult) * e
+                    if total.denominator != 1:
+                        raise SchemaError(
+                            f"power {e} of radicand^{mult} is not integral")
+                    rads = rads * LaurentPoly.var(rel.new_var, int(total))
         if not p.is_monomial():
             raise SchemaError(
                 "fractional power of a non-monomial; adjoin a radical variable")
@@ -1237,60 +1267,31 @@ def _frac_pow(base: LaurentFraction, e: Fraction) -> LaurentFraction:
                 raise SchemaError("fractional power does not clear; exponent "
                                   f"{x}*{e} is not integral")
             new.append(int(v))
-        if c != 1:
-            c = _rational_root(c, e)
-        return LaurentPoly(p.vars, {tuple(new): c})
+        if c == -1 and e.denominator % 2:
+            c = -1 if e.numerator % 2 else 1
+        elif c != 1:
+            raise SchemaError(f"fractional power {e} of the constant {c}; "
+                              f"only 1, and -1 under an odd root, are taken")
+        return rads * LaurentPoly(p.vars, {tuple(new): c})
 
-    return LaurentFraction(mono_root(base.num, e), mono_root(base.den, e))
-
-
-def _rational_root(c: Fraction, e: Fraction) -> Fraction:
-    """c^e for rational c, exact or SchemaError."""
-    if e.denominator == 1:
-        return c ** e.numerator if e >= 0 else Fraction(1) / (c ** (-e.numerator))
-    k = e.denominator
-
-    def int_root(n: int) -> int:
-        if n < 0:
-            if k % 2 == 0:
-                raise SchemaError(f"even root of negative constant {n}")
-            return -int_root(-n)
-        if k == 2:
-            r = math.isqrt(n)
-        else:
-            lo, hi = 0, 1 << (n.bit_length() // k + 1)     # hi**k > n
-            while lo < hi:                                 # largest r, r**k <= n
-                mid = (lo + hi + 1) // 2
-                if mid**k <= n:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            r = lo
-        if r**k == n:
-            return r
-        raise SchemaError(f"constant {n} has no exact {k}-th root")
-
-    root = Fraction(int_root(c.numerator), int_root(c.denominator))
-    return _rational_root(root, Fraction(e.numerator))
+    return LaurentFraction(root(base.num), root(base.den))
 
 
 def eval_expr(node, env: Mapping[str, LaurentFraction],
-              frac_pow=None, memo: dict | None = None) -> LaurentFraction:
+              tower: Sequence[RadicalRelation] = (),
+              memo: dict | None = None) -> LaurentFraction:
     """Evaluate a parsed expression tree to a LaurentFraction.
 
-    ``frac_pow(base, exponent)`` handles fractional powers; the default only
-    accepts monomial bases (callers with radical towers pass a richer hook).
-    ``memo`` maps parse-tree nodes to their values under this ``env`` and
-    hook: a node found there is not evaluated again, and each node
-    evaluated is added.
+    Fractional powers go through ``_frac_pow`` over the radical ``tower``
+    adjoined to ``env``.  ``memo`` maps parse-tree nodes to their values
+    under this ``env`` and tower: a node found there is not evaluated again,
+    and each node evaluated is added.
     """
     if memo is not None and node in memo:
         return memo[node]
-    if frac_pow is None:
-        frac_pow = _frac_pow
 
     def sub(k):
-        return eval_expr(node[k], env, frac_pow, memo)
+        return eval_expr(node[k], env, tower, memo)
 
     kind = node[0]
     if kind == "num":
@@ -1313,7 +1314,7 @@ def eval_expr(node, env: Mapping[str, LaurentFraction],
     elif kind == "pow":
         e = node[2]
         value = (sub(1) ** e.numerator if e.denominator == 1
-                 else frac_pow(sub(1), e))
+                 else _frac_pow(sub(1), e, tower))
     else:
         raise SchemaError(f"bad expression node {kind!r}")
     if memo is not None:

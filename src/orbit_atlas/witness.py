@@ -24,15 +24,16 @@ Coordinate letters inside templates denote 60th powers: a general member's
 free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
 fractional power of a coordinate into an integral Laurent exponent.
 Composite (never monomial) radicands get formal radical variables from the
-record's tower.  Every factorization runs through one exact trial-division
-loop, ``_peel``.  ``verify_rank`` parses each distinct expression text once
-per call, and each member evaluates each distinct parse-tree node once
-(``MemberEnv.memo``), so the template and the as-printed word share their
-common subexpressions.  A printed word whose parameters parse to the
-template's trees reuses the template's residuals unbuilt; any other is
-built, and reuses them too when its roots and values equal the template
-word's (``_same_word``), so only a word of another value runs its own
-``adjoint``.
+record's tower, and ``arith.eval_expr`` takes the tower: its one
+fractional-power function, ``arith._frac_pow``, peels the radicands off a
+composite base.  Every factorization, there and in ``first_non_unit``, runs
+through one exact trial-division loop, ``arith._peel``.  ``verify_rank``
+parses each distinct expression text once per call, and each member
+evaluates each distinct parse-tree node once (``MemberEnv.memo``), so the
+template and the as-printed word share their common subexpressions.  Every
+printed word that parses is built over the member and compared with the
+template word by value only (``_same_word``): a word equal to it reuses its
+residuals, so only a word of another value runs its own ``adjoint``.
 ``verify_witness_numeric`` (random points over F_p) is a cross-check; no
 verdict of ``verify_rank`` rests on it.
 """
@@ -41,11 +42,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
-                    _exact_divide, _frac_pow, eval_expr, kth_roots,
-                    parse_expr, parse_poly)
+                    _peel, eval_expr, kth_roots, parse_expr, parse_poly)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
                       parse_printed_word, x_vars)
 from .errors import DomainError, EvaluationError, SchemaError
@@ -143,52 +142,6 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
                      protected_polys, protected_letters)
 
 
-# ---------------------------------------------------------------------------
-# tower-aware fractional powers
-
-
-def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
-    """(cofactor, multiplicities): each divisor divided out of p as often as
-    it goes, in list order.  A divisor that has stopped dividing p divides no
-    p/d either, so restarting from the first divisor changes nothing.  p must
-    be nonzero and the divisors non-monomial (a unit divides everything)."""
-    mults = []
-    for d in divisors:
-        mult = 0
-        while (q := _exact_divide(p, d)) is not None:
-            p, mult = q, mult + 1
-        mults.append(mult)
-    return p, mults
-
-
-def make_frac_pow(tower):
-    """Fractional-power hook that peels tower radicands off composite bases."""
-
-    def poly_power(p: LaurentPoly, e: Fraction) -> LaurentFraction:
-        if p.is_zero():
-            raise SchemaError("fractional power of zero")
-        p, mults = _peel(p, [rel.radicand for rel in tower])
-        factors = LaurentFraction(1)
-        for rel, mult in zip(tower, mults):
-            if mult:
-                total = Fraction(rel.order * mult) * e
-                if total.denominator != 1:
-                    raise SchemaError(
-                        f"power {e} of radicand^{mult} is not integral")
-                factors = factors * LaurentFraction(
-                    LaurentPoly.var(rel.new_var, int(total)))
-        return factors * _frac_pow(LaurentFraction(p), e)
-
-    def hook(base: LaurentFraction, e: Fraction) -> LaurentFraction:
-        # a monomial has no radicand to peel: the tower's radicands are
-        # non-monomial (``build_member_env`` refuses the others)
-        if base.num.is_monomial() and base.den.is_monomial():
-            return _frac_pow(base, e)
-        return poly_power(base.num, e) / poly_power(base.den, e)
-
-    return hook
-
-
 def _parsed(text: str, parsed: dict | None):
     """The parse tree of a template expression, read from and added to the
     ``parsed`` cache (text -> tree) when one is given."""
@@ -205,8 +158,7 @@ def eval_template_expr(text: str, menv: MemberEnv,
     """The value of one template expression over the general member: each
     parse-tree node is evaluated once per member (``menv.memo``), so the
     template and the printed word share their common subexpressions."""
-    return eval_expr(_parsed(text, parsed), menv.env,
-                     make_frac_pow(menv.tower), menv.memo)
+    return eval_expr(_parsed(text, parsed), menv.env, menv.tower, menv.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +231,14 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv, template,
     """(as_printed, detail) of the transcribed word, whose grammar lives in
     ``catalog.parse_printed_word``.  ``template`` is the template's (word,
     residuals) over ``menv``, None when the template did not evaluate.  A
-    printed word whose parameters parse to the template's trees
-    (``sqrt(a)`` and ``a^(1/2)`` alike) has the template's residuals and is
-    not built; any other is built over the same member, so its common
-    subexpressions are not evaluated again, and a built word equal in value
-    to the template's (``_same_word``: ``x^(-1)`` for ``1/x``) takes the
-    template's residuals too, with no ``adjoint`` of its own.  A parameter
-    that does not parse or evaluate is an eval-error, and so is every
-    parameter when there is no member (``menv`` None)."""
+    printed word is built over the same member, so its common
+    subexpressions are not evaluated again (a word that parses to the
+    template's trees, ``sqrt(a)`` for ``a^(1/2)``, evaluates nothing and
+    holds the template's very values), and a word equal in value to the
+    template's (``_same_word``: ``x^(-1)`` for ``1/x``) takes the template's
+    residuals, with no ``adjoint`` of its own.  A parameter that does not
+    parse or evaluate is an eval-error, and so is every parameter when there
+    is no member (``menv`` None)."""
     text = rec.as_printed.get("word", "")
     if not text:
         return "absent", "no as-printed word"
@@ -295,22 +247,13 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv, template,
     except WitnessParseError as exc:
         return f"parse-error@{exc.pos}", str(exc)
 
-    def trees(torus_strs, factor_list):
-        return (tuple(_parsed(s, parsed) for s in torus_strs),
-                tuple((root, _parsed(s, parsed)) for root, s in factor_list))
-
-    w = rec.witness
     if menv is None:
         return "eval-error", "no general member of the set"
     try:
-        if (template is not None
-                and trees(torus or (), factors) == trees(w.torus, w.factors)):
-            residuals = template[1]
-        else:
-            word = template_word(rec, menv, torus, factors, parsed)
-            residuals = (template[1] if template is not None
-                         and _same_word(word, template[0])
-                         else _residuals(rec, menv, word))
+        word = template_word(rec, menv, torus, factors, parsed)
+        residuals = (template[1] if template is not None
+                     and _same_word(word, template[0])
+                     else _residuals(rec, menv, word))
     except (SchemaError, DomainError, EvaluationError) as exc:
         return "eval-error", str(exc)
     if residuals:

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from orbit_atlas.arith import (EXP_LIMIT, QUOTIENT_LIMIT, Fp, LaurentFraction,
                                LaurentPoly, RadicalRelation, _exact_divide,
-                               _rational_root, eval_expr, is_prime,
-                               kth_roots, normalize, parse_expr, parse_poly,
-                               poly_to_str, primitive_root)
+                               eval_expr, is_prime, kth_roots, normalize,
+                               parse_expr, parse_poly, poly_to_str,
+                               primitive_root)
 from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
 from reference import fraction_parse_poly
 
@@ -218,6 +218,23 @@ def test_fp_arithmetic():
         Fp(0, 7).inv()
 
 
+def test_fp_is_unhashable():
+    # Fp(3, 5) equals both 3 and 8, whose hashes differ: no hash of Fp can
+    # agree with equality mod p
+    a = Fp(3, 5)
+    assert a == 3 and a == 8 and a == Fp(8, 5)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+@given(st.integers(-10**30, 10**30) | st.fractions(max_denominator=10**6))
+def test_a_constant_polynomial_hashes_as_its_value(c):
+    # zero included; over a display variable as over none
+    for p in (LaurentPoly.const(c), LaurentPoly(("a",), {(0,): c})):
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+
+
 def test_fraction_equal_values_are_unhashable():
     # equal values need not share a canonical form, so the type has no hash
     # (one that agrees with == would need a gcd)
@@ -230,15 +247,15 @@ def test_fraction_equal_values_are_unhashable():
             hash(f)
 
 
-def test_rational_root_is_exact_on_large_integers():
-    assert _rational_root(Fraction(10**400), Fraction(1, 2)) == 10**200
-    assert _rational_root(Fraction(10**600, 7**9), Fraction(1, 3)) == Fraction(10**200, 7**3)
-    assert _rational_root(Fraction(-(3**505)), Fraction(2, 5)) == 3**202
-    for c, e in ((Fraction(10**400 + 1), Fraction(1, 2)),
-                 (Fraction(2**300 + 1), Fraction(1, 3)),
-                 (Fraction(-4), Fraction(1, 2))):
-        with pytest.raises(SchemaError):
-            _rational_root(c, e)
+def test_frac_pow_takes_a_constant_root_of_plus_or_minus_one_only():
+    # (-1)^(1/3) is -1; every other constant's root is refused by name,
+    # even where it exists, as 4^(1/2) does
+    assert eval_expr(parse_expr("(-1)^(1/3)"), {}) == LaurentFraction(-1)
+    assert eval_expr(parse_expr("(-1)^(2/3)"), {}) == LaurentFraction(1)
+    env = {"x": LaurentFraction(V("x", 2))}
+    for text, c in (("(-1)^(1/2)", -1), ("(4*x)^(1/2)", 4)):
+        with pytest.raises(SchemaError, match=f"1/2 of the constant {c};"):
+            eval_expr(parse_expr(text), env)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +448,7 @@ def test_kernel_matches_reference(p, d, wide_p, wide_d, k):
     assert_canonical(f.num)
     assert_canonical(f.den)
     assert ref_mul(ref(f.num), rd) == ref_mul(rp, ref(f.den))
-    if d.is_const():
+    if d.is_monomial() and not d.used_vars():
         assert f.is_poly()
     if not f.is_poly():
         assert f.den.terms[max(f.den.terms)] == 1
@@ -494,10 +511,8 @@ def test_equal_constants_share_a_hash():
 
 
 def test_constant_values_are_fractions():
-    for value in (LaurentPoly.const(3).const_value(),
-                  LaurentPoly.const(Fraction(1, 2)).const_value(),
-                  LaurentPoly().const_value(),
-                  LaurentPoly.const(3).eval({}),
+    for value in (LaurentPoly.const(3).eval({}),
+                  LaurentPoly.const(Fraction(1, 2)).eval({}),
                   LaurentPoly().eval({}),
                   V("x").eval({"x": 2}),
                   (V("x") * 2 - 1).eval({"x": 3})):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import witness
 from orbit_atlas.arith import (LaurentFraction, LaurentPoly, _frac_pow,
-                               parse_poly)
+                               _peel, parse_poly)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
                                 parse_printed_word, serialize_catalog, x_vars)
 from orbit_atlas.cli import main
@@ -19,7 +19,7 @@ from orbit_atlas.errors import (CatalogError, DomainError,
                                 InternalInconsistencyError, SchemaError)
 from orbit_atlas.order import closure_generators, hasse
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
-                                 VERIFIED_NUMERIC, VERIFIED_SYMBOLIC, _peel,
+                                 VERIFIED_NUMERIC, VERIFIED_SYMBOLIC,
                                  build_member_env, classify_verdict,
                                  first_non_unit, forward_containment,
                                  generic_pullbacks, generic_vanishing,
@@ -233,42 +233,56 @@ FRACTIONAL_EXPONENTS = tuple(Fraction(a, b) for a, b in (
        st.sampled_from(FRACTIONAL_EXPONENTS))
 def test_frac_pow_of_a_monomial_equals_the_peel_path(catalogs, cn, en, cd,
                                                      ed, e):
-    # a monomial base takes the hook's direct path: the value, or the
-    # SchemaError text, of the peel path, whose radicands never divide a
-    # monomial, so every factor is a plain monomial root
+    # the tower's radicands never divide a monomial, so the peel takes
+    # nothing off a monomial base: each part's root is its exponents times
+    # e, each integral, with a coefficient of 1, or -1 under an odd root.
+    # Any other coefficient raises, after the exponent check, as a base
+    # with no tower does
     tower = build_member_env(catalogs[3].by_id("x22+x13")).tower
     letters = ("v", "x", "y", "z", "R")
     num = LaurentPoly(letters, {tuple(en): cn})
     den = LaurentPoly(letters, {tuple(ed): cd})
     base = LaurentFraction(num, den)
     radicands = [rel.radicand for rel in tower]
+    parts, error = [], None
     for p in (base.num, base.den):
         assert _peel(p, radicands) == (p, [0] * len(tower))
-    try:
-        want = (LaurentFraction(1) * _frac_pow(LaurentFraction(base.num), e)
-                / (LaurentFraction(1)
-                   * _frac_pow(LaurentFraction(base.den), e)))
-    except SchemaError as exc:
-        with pytest.raises(SchemaError, match=re.escape(str(exc))):
-            witness.make_frac_pow(tower)(base, e)
-    else:
-        got = witness.make_frac_pow(tower)(base, e)
-        assert (got.num, got.den) == (want.num, want.den)
+        (exps, c), = p.terms.items()
+        bad = [x for x in exps if (Fraction(x) * e).denominator != 1]
+        if bad:
+            error = ("fractional power does not clear; exponent "
+                     f"{bad[0]}*{e} is not integral")
+            break
+        if not (c == 1 or c == -1 and e.denominator % 2):
+            error = (f"fractional power {e} of the constant {c}; only 1, "
+                     f"and -1 under an odd root, are taken")
+            break
+        parts.append(LaurentPoly(p.vars, {tuple(int(x * e) for x in exps):
+                                          c ** abs(e.numerator)}))
+    for t in (tower, ()):
+        if error:
+            with pytest.raises(SchemaError, match=re.escape(error)):
+                _frac_pow(base, e, t)
+        else:
+            got, want = _frac_pow(base, e, t), LaurentFraction(*parts)
+            assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_frac_pow_keeps_the_zero_base_and_non_monomial_paths(catalogs):
     tower = build_member_env(catalogs[3].by_id("x22+x13")).tower
-    hook = witness.make_frac_pow(tower)
     with pytest.raises(SchemaError, match="fractional power of zero"):
-        hook(LaurentFraction(0), Fraction(1, 2))
+        _frac_pow(LaurentFraction(0), Fraction(1, 2), tower)
     # a non-monomial goes through the peel: the radicand R^2 comes off as R
     (rel,) = tower
-    got = hook(LaurentFraction(rel.radicand * LaurentPoly.var("x", 2)),
-               Fraction(1, 2))
+    got = _frac_pow(LaurentFraction(rel.radicand * LaurentPoly.var("x", 2)),
+                    Fraction(1, 2), tower)
     assert got == LaurentFraction(LaurentPoly.var("R") * LaurentPoly.var("x"))
+    with pytest.raises(SchemaError, match=r"power 1/3 of radicand\^1 is not "
+                                          r"integral"):
+        _frac_pow(LaurentFraction(rel.radicand), Fraction(1, 3), tower)
     with pytest.raises(SchemaError, match="fractional power of a "
                                           "non-monomial"):
-        hook(LaurentFraction(parse_poly("x + 1")), Fraction(1, 2))
+        _frac_pow(LaurentFraction(parse_poly("x + 1")), Fraction(1, 2), tower)
 
 
 def _with_monomial_radicand(rec):
@@ -305,6 +319,31 @@ def test_monomial_radicand_fails_verify_and_check_all(tmp_path, monkeypatch,
     assert "FAIL witnesses: uncertified: ['x11+x22']" in out
 
 
+def test_a_root_of_a_non_unit_constant_fails_the_verdict(
+        tmp_path, monkeypatch, capsys, catalogs):
+    # x11+x33 of A3 with its torus entry (w/u)^(1/2) as (4*w/u)^(1/2): the
+    # root 2 exists, but no constant other than +-1 has its root taken
+    cat = catalogs[3]
+    rec = cat.by_id("x11+x33")
+    torus = tuple(t.replace("(w/u)", "(4*w/u)") for t in rec.witness.torus)
+    assert torus != rec.witness.torus
+    bad = dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, torus=torus))
+    detail = ("normalized template does not evaluate: fractional power 1/2 "
+              "of the constant 4; only 1, and -1 under an odd root, are "
+              "taken")
+    v = classify_verdict(bad)
+    assert v.status == FAILED_AS_PRINTED and v.detail == detail
+    orbits = tuple(bad if r.id == rec.id else r for r in cat.orbits)
+    (tmp_path / "a3.json").write_text(
+        serialize_catalog(dataclasses.replace(cat, orbits=orbits)),
+        encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert main(["verify", "--type", "A3"]) == 1
+    assert capsys.readouterr().err == (
+        f"# FAIL witness x11+x33: FailedAsPrinted {detail}\n")
+
+
 def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
     built = []
 
@@ -318,14 +357,14 @@ def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
     assert built == [rec.id for rec in catalogs[3].orbits]
 
 
-@pytest.mark.parametrize("n, words", [(1, 2), (2, 6), (3, 30), (4, 69)])
+@pytest.mark.parametrize("n, words", [(1, 3), (2, 8), (3, 31), (4, 118)])
 def test_verify_rank_builds_each_distinct_word_once(catalogs, monkeypatch,
                                                     n, words):
-    # a printed word whose parameters parse to the template's trees reuses
-    # its residuals: one template per record, plus each printed word that
-    # differs from it in more than its trees (0, 1, 14 and 8 of them).  Of
-    # those, a word equal in value to the template's takes its residuals
-    # too (1 at A2, 11 at A3, 3 at A4): only the others compute their own
+    # one template per record, plus each printed word that parses (1, 3,
+    # 15 and 57 of them).  A printed word equal in value to the template's
+    # takes its residuals: the 53 that parse to the template's trees (1, 2,
+    # 1 and 49), whose builds are memo hits only, and 15 others (1 at A2,
+    # 11 at A3, 3 at A4); of the rest, each that evaluates computes its own
     built, residuals = [], []
 
     def counting(rec, *args, **kwargs):
@@ -534,10 +573,28 @@ def test_a_printed_word_differing_only_in_notation_is_not_rebuilt(
     torus = tuple(t.replace("(w/u)^(1/2)", "sqrt(w/u)") for t in w.torus)
     assert torus != w.torus
     word = _printed(torus, [(r, f"({p})") for r, p in w.factors])
-    built = _word_builds(monkeypatch)
+    words, residuals = [], []
+
+    def building(*args, **kwargs):
+        words.append(template_word(*args, **kwargs))
+        return words[-1]
+
+    def counting_residuals(rec, menv, word):
+        residuals.append(word)
+        return original(rec, menv, word)
+
+    original = witness._residuals
+    monkeypatch.setattr(witness, "template_word", building)
+    monkeypatch.setattr(witness, "_residuals", counting_residuals)
     v = classify_verdict(_with_printed(rec, word))
-    assert built == [rec.id]
     assert v.as_printed == "verified" and v.certified
+    # the printed word evaluates no node: it holds the template's very
+    # values, and takes the template's residuals with no call of its own
+    template, printed = words
+    assert all(a is b for a, b in zip(template.torus.diag, printed.torus.diag))
+    assert all(a.param is b.param
+               for a, b in zip(template.factors, printed.factors))
+    assert len(residuals) == 1 and residuals[0] is template
 
 
 def test_a_printed_word_with_one_different_parameter_is_rebuilt(
@@ -605,5 +662,6 @@ def test_verify_rank_parses_each_distinct_text_once(catalogs, monkeypatch,
             pass
         for torus, factors in words:
             texts |= set(torus) | {p for _, p in factors}
+    # a printed word stops at its first parameter that fails
     assert len(parsed) == len(set(parsed))
-    assert set(parsed) == texts
+    assert set(parsed) <= texts
