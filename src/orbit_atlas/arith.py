@@ -8,12 +8,14 @@ Three layers, all exact:
   (exponents may be negative), canonical form enforced after every
   operation.  A canonical coefficient is an ``int``, or a ``Fraction`` with
   denominator > 1: never zero and never a float.  Coefficient divisions go
-  through ``Fraction`` (``_quo``); a constant ``eval`` is returned as a
-  ``Fraction``.  Each monomial is one int over a process-wide interned
-  variable registry, so a monomial product is an int addition; ``vars``
-  keeps only a polynomial's display order, and an exponent bound raises
-  ``DomainError`` before any exponent passes ``EXP_LIMIT`` (see the Laurent
-  polynomial section).
+  through ``Fraction`` (``_quo``).  One evaluation, ``eval``, serves every
+  ring of values: over F_p it runs on ``Fp`` bindings, and a pole raises
+  ``DomainError``; a constant ``eval`` is returned as a ``Fraction``, so
+  an F_p reader lifts it (``Fp(0, p) + value``).  Each monomial is one int
+  over a process-wide interned variable registry, so a monomial product is
+  an int addition; ``vars`` keeps only a polynomial's display order, and
+  an exponent bound raises ``DomainError`` before any exponent passes
+  ``EXP_LIMIT`` (see the Laurent polynomial section).
 * ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
   cross-multiplication, never by floating point.
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DomainError, EvaluationError, SchemaError
+from .errors import DomainError, SchemaError
 
 Rational = Union[int, Fraction]
 
@@ -157,22 +159,6 @@ class Fp:
 
     def is_zero(self) -> bool:
         return self.v == 0
-
-
-def residue(x, p: int) -> int:
-    """A field scalar's residue mod p: an int, an Fp of characteristic p, or
-    a rational a/b read as a * b^-1, which is undefined when p divides b."""
-    if isinstance(x, int):
-        return x % p
-    if isinstance(x, Fp):
-        if x.p != p:
-            raise DomainError(f"mixed characteristics {x.p} and {p}")
-        return x.v
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise SchemaError(f"{x} is undefined mod {p}")
-        return x.numerator * pow(x.denominator, -1, p) % p
-    return int(x) % p
 
 
 def primitive_root(p: int) -> int:
@@ -597,34 +583,6 @@ class LaurentPoly:
             return Fraction(total)
         return total
 
-    def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
-        """Exact F_p evaluation; negative exponent at zero raises
-        EvaluationError, a coefficient or rational coordinate undefined mod
-        p SchemaError (``residue``)."""
-        used = self.used_vars()
-        missing = [v for v in used if v not in point]
-        if missing:
-            raise SchemaError(f"unbound variables {sorted(missing)}")
-        vals = {v: residue(point[v], p) for v in used}
-        acc = 0
-        for exps, c in self.terms.items():
-            t = 1
-            for v, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                x = vals[v]
-                if e < 0:
-                    if x == 0:
-                        raise EvaluationError(f"negative exponent of {v} at 0")
-                    x = pow(x, -1, p)
-                    e = -e
-                t = (t * pow(x, e, p)) % p
-            if c.denominator % p == 0:
-                raise SchemaError(f"coefficient {c} is undefined mod {p}")
-            cm = (c.numerator * pow(c.denominator, -1, p)) % p
-            acc = (acc + t * cm) % p
-        return Fp(acc, p)
-
     def subs(self, bindings: Mapping[str, "LaurentFraction"]) -> "LaurentFraction":
         """Substitute fractions for variables (unbound variables substitute as
         themselves); result in canonical fraction form."""
@@ -1037,12 +995,6 @@ class LaurentFraction:
         num = normalize(num, tower)
         den = normalize(den, tower)
         return LaurentFraction(num, den)
-
-    def eval_mod_p(self, point: Mapping[str, object], p: int) -> Fp:
-        den = self.den.eval_mod_p(point, p)
-        if den.is_zero():
-            raise EvaluationError("denominator vanishes at the point")
-        return self.num.eval_mod_p(point, p) / den
 
     def __repr__(self):
         if self.is_poly():

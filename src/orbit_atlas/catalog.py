@@ -5,6 +5,11 @@ One JSON file per rank ships with the package (``data/a<n>.json``); the
 directory.  Every record carries two layers: the normalized, machine-checked
 data, and an ``as_printed`` provenance layer transcribing the upstream source
 tables verbatim, with every normalization recorded in ``notes``.
+
+A record's set polynomials are integer polynomials, which building an
+``OrbitRecord`` checks, and every membership decision goes through one
+method, ``OrbitRecord.contains``: one evaluation over Z, reduced mod p over
+F_p.
 """
 
 from __future__ import annotations
@@ -93,6 +98,16 @@ class WitnessTemplate:
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """One orbit: its representative, its defining sets (Z(zero_set)
+    intersected with V(nonzero_set)), its dimension and witness template.
+
+    Every set polynomial is in Z[X]: integer coefficients, no negative
+    exponent.  Building a record checks it, so a loaded record and a
+    ``replace`` copy alike raise ``CatalogError`` naming the polynomial.
+    Reduction Z -> F_p is then a ring map, so ``contains`` decides
+    membership over every field from one evaluation over Z, and the
+    finite-field kernels evaluate at points where a coordinate is 0."""
+
     id: str
     rank: int
     representative: NilElement
@@ -104,6 +119,33 @@ class OrbitRecord:
     witness: WitnessTemplate
     as_printed: dict = field(default_factory=dict)
     notes: tuple[dict, ...] = ()
+
+    def __post_init__(self):
+        for poly in self.zero_set + self.nonzero_set:
+            for exps, c in poly.terms.items():
+                if min(exps, default=0) < 0:
+                    raise CatalogError(f"set polynomial {poly_to_str(poly)!r}"
+                                       f" has a negative exponent")
+                if c.__class__ is not int:
+                    raise CatalogError(f"set polynomial {poly_to_str(poly)!r}"
+                                       f" has the non-integer coefficient {c}")
+
+    def contains(self, env: dict, p: int | None = None) -> bool:
+        """Whether the point with coordinates ``env`` (variable -> value)
+        lies in Z(zero_set) intersected with V(nonzero_set): over Q, or
+        over F_p when p is given, every coordinate then an int.  Each
+        polynomial is evaluated by ``eval`` (over Z or Q) and its value
+        reduced mod p, which is its value over F_p because every set
+        polynomial is in Z[X].  The value is read off its numerator: a
+        rational is 0 exactly when its numerator is, and at int
+        coordinates the value is the integer its numerator holds."""
+        for polys, vanish in ((self.zero_set, True),
+                              (self.nonzero_set, False)):
+            for poly in polys:
+                value = poly.eval(env).numerator
+                if ((value if p is None else value % p) == 0) != vanish:
+                    return False
+        return True
 
     def witness_repairs(self) -> list[str]:
         return [n["note"] for n in self.notes if n.get("field") == "witness"]
@@ -263,9 +305,8 @@ def load_catalog(n: int) -> Catalog:
 
 def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     """One record; ``polys`` maps each set string already parsed in this
-    load to its polynomial, and gains the strings parsed here.  A set
-    polynomial must be exponent-positive: every kernel evaluates it at
-    points where a coordinate may be 0."""
+    load to its polynomial, and gains the strings parsed here.  Building
+    the record checks that every set polynomial is in Z[X]."""
     rep = rep_from_tokens(n, row["rep"])
     rid = row["id"]
     if orbit_id_for(rep) != rid:
@@ -274,16 +315,9 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     nonzero_strs = tuple(row["nonzero_set"])
     for s in zero_strs + nonzero_strs:
         if s not in polys:
-            poly = polys[s] = parse_poly(s, allowed)
-            if any(e < 0 for exps in poly.terms for e in exps):
-                raise CatalogError(
-                    f"set polynomial {s!r} has a negative exponent")
+            polys[s] = parse_poly(s, allowed)
     zero = tuple(polys[s] for s in zero_strs)
     nonzero = tuple(polys[s] for s in nonzero_strs)
-    dim = int(row["dim"])
-    if dim != nil_dim(n) - len(zero):
-        raise CatalogError(
-            f"dim {dim} != {nil_dim(n)} - {len(zero)} zero-set generators")
     w = row["witness"]
     constraints = tuple(
         WitnessConstraint(c["poly"], c["solve"]) for c in w.get("constraints", ()))
@@ -306,14 +340,18 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
     notes = tuple(dict(x) for x in row.get("notes", ()))
-    return OrbitRecord(
+    rec = OrbitRecord(
         id=rid, rank=n, representative=rep,
         zero_set=zero, nonzero_set=nonzero,
         zero_strs=zero_strs, nonzero_strs=nonzero_strs,
-        dim=dim,
+        dim=int(row["dim"]),
         witness=WitnessTemplate(constraints, radicals, torus, factors),
         as_printed=dict(row.get("as_printed", {})),
         notes=notes)
+    if rec.dim != nil_dim(n) - len(zero):
+        raise CatalogError(f"dim {rec.dim} != {nil_dim(n)} - {len(zero)} "
+                           f"zero-set generators")
+    return rec
 
 
 def record_to_json(rec: OrbitRecord) -> dict:
@@ -498,19 +536,6 @@ class CatalogReport:
         return not any(r.failure for r in self.records)
 
 
-def _rep_member(rec: OrbitRecord) -> bool:
-    point = {}
-    for (i, j) in pos_roots(rec.rank):
-        point[f"X{i}{j}"] = rec.representative.coord((i, j))
-    for p in rec.zero_set:
-        if p.eval(point) != 0:
-            return False
-    for p in rec.nonzero_set:
-        if p.eval(point) == 0:
-            return False
-    return True
-
-
 def validate_catalog(cat: Catalog) -> CatalogReport:
     """Self-check layer: representative membership, total-degree
     homogeneity and Z/V variable sanity.  Failures are carried in the
@@ -527,7 +552,8 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
                        if p.is_monomial() and p.total_degrees() == {1}}
         reports.append(RecordReport(
             orbit_id=rec.id,
-            representative_member=_rep_member(rec),
+            representative_member=rec.contains(dict(zip(
+                x_vars(rec.rank), rec.representative.as_vector()))),
             homogeneous=all(homogeneous[cat.slot[p]]
                             for p in rec.zero_set + rec.nonzero_set),
             zv_sane=not (zero_lin & nonzero_lin),

@@ -3,9 +3,12 @@
 ``member`` and ``classify`` are exact, single-point operations over any
 field (rationals or F_q).  A point is prepared once (``_scalar_point``: its
 coordinates by variable, checked to lie in one field), and ``classify``
-tests every record on that one preparation.  ``partition_census`` counts
-every catalog set over n(F_q) with vectorized evaluation and certifies the
-exhaustion and disjointness of the catalog's defining sets while counting.
+tests every record on that one preparation through
+``OrbitRecord.contains``: every set polynomial is in Z[X], so one
+evaluation over Z, reduced mod q, decides membership over F_q.
+``partition_census`` counts every catalog set over n(F_q) with vectorized
+evaluation and certifies the exhaustion and disjointness of the catalog's
+defining sets while counting.
 
 The census rests on one invariant, which building the ``Catalog`` checks:
 every catalog polynomial is root-weight homogeneous (X_ij weighs
@@ -50,7 +53,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._lazy import lazy_numpy
-from .arith import Fp, is_prime, residue
+from .arith import Fp, is_prime
 from .catalog import Catalog, OrbitRecord, x_vars
 from .errors import (BudgetExceededError, DisjointnessError, ExhaustionError,
                      InternalInconsistencyError, SchemaError, ShapeError)
@@ -91,35 +94,16 @@ def _scalar_point(m: NilElement) -> tuple[dict, int | None]:
                for v in env.values()):
             raise SchemaError(f"point {m.as_vector()} mixes F_{modp} with a "
                               f"non-integral rational")
-        env = {var: residue(v, modp) for var, v in env.items()}
+        env = {var: v.v if isinstance(v, Fp) else int(v) % modp
+               for var, v in env.items()}
     return env, modp
-
-
-def _value_is_zero(v) -> bool:
-    if isinstance(v, Fp):
-        return v.is_zero()
-    return v == 0
-
-
-def _contains(rec: OrbitRecord, point: tuple[dict, int | None]) -> bool:
-    """Z(zero_set) intersected with V(nonzero_set) at a ``_scalar_point``."""
-    env, modp = point
-    for poly in rec.zero_set:
-        val = (poly.eval_mod_p(env, modp) if modp else poly.eval(env))
-        if not _value_is_zero(val):
-            return False
-    for poly in rec.nonzero_set:
-        val = (poly.eval_mod_p(env, modp) if modp else poly.eval(env))
-        if _value_is_zero(val):
-            return False
-    return True
 
 
 def member(rec: OrbitRecord, m: NilElement) -> bool:
     """Exact membership in Z(zero_set) intersected with V(nonzero_set)."""
     if rec.rank != m.rank:
         raise ShapeError(f"record rank {rec.rank} != element rank {m.rank}")
-    return _contains(rec, _scalar_point(m))
+    return rec.contains(*_scalar_point(m))
 
 
 def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
@@ -130,8 +114,8 @@ def classify(n: int, m: NilElement, cat: Catalog) -> ClassificationResult:
         raise ShapeError(f"classify rank {n} != catalog rank {cat.rank}")
     if m.rank != n:
         raise ShapeError(f"point rank {m.rank} != catalog rank {n}")
-    point = _scalar_point(m)
-    matches = [rec for rec in cat.orbits if _contains(rec, point)]
+    env, modp = _scalar_point(m)
+    matches = [rec for rec in cat.orbits if rec.contains(env, modp)]
     if not matches:
         raise ExhaustionError(f"point {m.as_vector()} matched no record")
     if len(matches) > 1:
@@ -148,15 +132,13 @@ def grid_values(poly, cols: dict, q: int):
     """Values mod q of one polynomial over a grid: ``cols`` maps each of its
     variables to an int64 array of values laid along that variable's axis.
     Evaluated once by broadcasting, every product and sum reduced at once,
-    so no intermediate reaches q^2; a constant polynomial gives a scalar."""
+    so no intermediate reaches q^2; a constant polynomial gives a scalar.
+    poly must be in Z[X], as every set polynomial of an ``OrbitRecord``
+    is."""
     acc = np.int64(0)
     for exps, coeff in poly.terms.items():
-        if coeff.denominator % q == 0:
-            raise SchemaError(f"coefficient {coeff} is undefined mod {q}")
-        term = np.int64(coeff.numerator * pow(coeff.denominator, -1, q) % q)
+        term = np.int64(coeff % q)
         for var, e in zip(poly.vars, exps):
-            if e < 0:
-                raise SchemaError("catalog polynomials are exponent-positive")
             for _ in range(e):
                 term = term * cols[var] % q
         acc = (acc + term) % q
@@ -167,8 +149,8 @@ def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
     """Nonzero pattern of at most 63 polynomials over the grid whose
     coordinates run over the value arrays of ``axes`` (variable -> values,
     one axis each, in dict order): one int64 per point in C order, bit k
-    set where polys[k] is nonzero mod q (``grid_values``: catalog
-    polynomials are exponent-positive)."""
+    set where polys[k] is nonzero mod q (``grid_values``: every polynomial
+    in Z[X])."""
     d = len(axes)
     cols = {var: np.asarray(vals, dtype=np.int64).reshape(
                 (1,) * k + (-1,) + (1,) * (d - 1 - k))

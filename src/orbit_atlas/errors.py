@@ -9,10 +9,6 @@ class DomainError(ArithmeticError):
     """An operation required an invertible element and got zero."""
 
 
-class EvaluationError(ArithmeticError):
-    """A point evaluation hit a pole (negative exponent at zero)."""
-
-
 class ShapeError(ValueError):
     """Rank or dimension mismatch between operands."""
 

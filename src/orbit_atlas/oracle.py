@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple
 
@@ -446,19 +445,13 @@ def refine_check(cat: Catalog, part: OrbitPartition) -> RefineReport:
 
 
 def _rank_exact(rows) -> int:
-    """Rank over Q by fraction-free elimination: a row of ``int`` entries is
-    taken as it is, and a row holding a ``Fraction`` is scaled to integers
-    through its numerators and denominators (zero rows dropped); each row
-    below a pivot p in column col becomes p a_i - a_i[col] a_piv, divided
-    by its content, so the integers stay small and no ``Fraction``
-    arithmetic runs."""
-    a = []
-    for row in rows:
-        if not all(x.__class__ is int for x in row):
-            den = math.lcm(*(x.denominator for x in row))
-            row = [x.numerator * (den // x.denominator) for x in row]
-        if any(row):
-            a.append(row)
+    """Rank over Q of a matrix of ``int`` rows by fraction-free elimination
+    (zero rows dropped): each row below a pivot p in column col becomes
+    p a_i - a_i[col] a_piv, divided by its content, so the integers stay
+    small.  Both matrices the dimension certificate ranks are integral: the
+    bracket rows, and the Jacobian rows of polynomials in Z[X] at an
+    integral representative."""
+    a = [row for row in rows if any(row)]
     rank = 0
     for col in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
@@ -482,17 +475,16 @@ def _rank_exact(rows) -> int:
 def _gradient(poly: LaurentPoly, point: dict, names) -> list:
     """The gradient of poly at point, one entry per variable of ``names``,
     read off its terms: the term c x^e adds c e_v x^(e - 1_v) to the entry
-    of v.  Exact: the entries are ints when the coefficients and the
-    coordinates are and no exponent is negative.  poly must be defined at
-    point: no term has a negative exponent at a zero coordinate."""
+    of v.  poly must have no negative exponent, as no set polynomial of an
+    ``OrbitRecord`` has (they are in Z[X]), so the entries are ints at an
+    integral point."""
     grad = dict.fromkeys(names, 0)
     for exps, c in poly.terms.items():
         used = [(v, e) for v, e in zip(poly.vars, exps) if e]
         for v, e in used:
             entry = c * e
             for u, f in used:
-                f -= u == v         # x_v's own exponent drops by one
-                entry *= point[u] ** f if f >= 0 else Fraction(point[u]) ** f
+                entry *= point[u] ** (f - (u == v))   # x_v's exponent drops
             grad[v] += entry
     return list(grad.values())
 

@@ -34,8 +34,9 @@ template and the as-printed word share their common subexpressions.  Every
 printed word that parses is built over the member and compared with the
 template word by value only (``_same_word``): a word equal to it reuses its
 residuals, so only a word of another value runs its own ``adjoint``.
-``verify_witness_numeric`` (random points over F_p) is a cross-check; no
-verdict of ``verify_rank`` rests on it.
+``verify_witness_numeric`` (random points over F_p, every value read
+through ``eval`` over ``Fp`` bindings) is a cross-check; no verdict of
+``verify_rank`` rests on it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
                     _peel, eval_expr, kth_roots, parse_expr, parse_poly)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
                       parse_printed_word, x_vars)
-from .errors import DomainError, EvaluationError, SchemaError
+from .errors import DomainError, SchemaError
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, coordinate_letters, generic_borel_word, pos_roots)
 
@@ -254,7 +255,7 @@ def _printed_layer(rec: OrbitRecord, menv: MemberEnv, template,
         residuals = (template[1] if template is not None
                      and _same_word(word, template[0])
                      else _residuals(rec, menv, word))
-    except (SchemaError, DomainError, EvaluationError) as exc:
+    except (SchemaError, DomainError) as exc:
         return "eval-error", str(exc)
     if residuals:
         return "mismatch", "as-printed word does not reproduce the member"
@@ -277,7 +278,7 @@ def classify_verdict(rec: OrbitRecord,
         menv = build_member_env(rec)
         word = template_word(rec, menv, w.torus, w.factors, parsed)
         residuals = _residuals(rec, menv, word)
-    except (SchemaError, DomainError, EvaluationError) as exc:
+    except (SchemaError, DomainError) as exc:
         error = str(exc)
     as_printed, printed_detail = _printed_layer(
         rec, menv, None if residuals is None else (word, residuals), parsed)
@@ -353,6 +354,15 @@ def verify_witness_numeric(rec: OrbitRecord, p: int, trials: int,
     except (SchemaError, DomainError) as exc:
         return WitnessVerdict(rec.id, FAILED_AS_PRINTED, detail=str(exc))
     rng = random.Random(repr((seed, p, rec.id)))
+
+    def at(x) -> Fp:
+        # a LaurentPoly or LaurentFraction at the point, through ``eval``
+        # over its Fp bindings; a pole raises DomainError, and a constant
+        # evaluates to a Fraction, which is lifted into F_p
+        if isinstance(x, LaurentFraction):
+            return at(x.num) / at(x.den)
+        return Fp(0, p) + x.eval(point)
+
     done = 0
     attempts = 0
     max_attempts = 200 * trials + 200
@@ -361,40 +371,32 @@ def verify_witness_numeric(rec: OrbitRecord, p: int, trials: int,
         if attempts > max_attempts:
             return WitnessVerdict(rec.id, INCONCLUSIVE,
                                   detail=f"no valid sample after {attempts} tries")
-        point = {letter: rng.randrange(1, p) for letter in menv.free_letters}
+        point = {letter: Fp(rng.randrange(1, p), p)
+                 for letter in menv.free_letters}
         try:
             ok_radicals = True
             for rel in menv.tower:
-                val = rel.radicand.eval_mod_p(point, p)
-                roots = kth_roots(val, rel.order)
+                roots = kth_roots(at(rel.radicand), rel.order)
                 roots = [r for r in roots if r.v != 0]
                 if not roots:
                     ok_radicals = False
                     break
-                point[rel.new_var] = roots[0].v
+                point[rel.new_var] = roots[0]
             if not ok_radicals:
                 continue
-            member = {}
-            bad = False
-            for root in pos_roots(rec.rank):
-                member[root] = menv.target[root].eval_mod_p(point, p)
-            for poly in menv.protected_polys:
-                if poly.eval_mod_p(point, p).is_zero():
-                    bad = True
-                    break
-            if bad:
+            member = {root: at(menv.target[root])
+                      for root in pos_roots(rec.rank)}
+            if any(at(poly).is_zero() for poly in menv.protected_polys):
                 continue
             torus = None
             if word.torus:
                 torus = TorusElement(
-                    rec.rank,
-                    tuple(t.eval_mod_p(point, p) for t in word.torus.diag))
-            factors = tuple(
-                RootGroupFactor(f.root, f.param.eval_mod_p(point, p))
-                for f in word.factors)
+                    rec.rank, tuple(at(t) for t in word.torus.diag))
+            factors = tuple(RootGroupFactor(f.root, at(f.param))
+                            for f in word.factors)
             numeric = BorelWord(rec.rank, torus, factors)
             got = adjoint(numeric, rec.representative)
-        except (DomainError, EvaluationError):
+        except DomainError:
             continue
         for root in pos_roots(rec.rank):
             g = got.coord(root)

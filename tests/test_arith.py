@@ -12,7 +12,7 @@ from orbit_atlas.arith import (EXP_LIMIT, QUOTIENT_LIMIT, Fp, LaurentFraction,
                                eval_expr, is_prime, kth_roots, normalize,
                                parse_expr, parse_poly, poly_to_str,
                                primitive_root)
-from orbit_atlas.errors import DomainError, EvaluationError, SchemaError
+from orbit_atlas.errors import DomainError, SchemaError
 from reference import fraction_parse_poly
 
 V = LaurentPoly.var
@@ -125,17 +125,22 @@ def test_substitute_through_zero_pole_rejected():
         p.subs({"a": LaurentFraction(0)})
 
 
+def _fp_point(point, p):
+    return {v: Fp(x, p) for v, x in point.items()}
+
+
 def test_eval_mod_p_examples():
-    assert V("X14").eval_mod_p({"X14": 4}, 5) == Fp(4, 5)
+    # F_p values come from ``eval`` over Fp bindings
+    assert V("X14").eval({"X14": Fp(4, 5)}) == Fp(4, 5)
     p = parse_poly("X22*X13 - X12*X23")
-    val = p.eval_mod_p({"X22": 1, "X13": 2, "X12": 3, "X23": 4}, 7)
+    val = p.eval(_fp_point({"X22": 1, "X13": 2, "X12": 3, "X23": 4}, 7))
     assert val == Fp(4, 7)
 
 
 def test_eval_mod_p_pole_detection():
     p = V("a") ** -1
-    with pytest.raises(EvaluationError):
-        p.eval_mod_p({"a": 0}, 7)
+    with pytest.raises(DomainError, match="0 has no inverse in F_7"):
+        p.eval({"a": Fp(0, 7)})
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,7 +153,7 @@ def test_eval_commutes_with_reduction(p, seed):
     exact = p.eval({k: Fraction(v) for k, v in point.items()})
     if exact.denominator % prime == 0:
         return
-    lhs = p.eval_mod_p(point, prime)
+    lhs = Fp(0, prime) + p.eval(_fp_point(point, prime))
     rhs = Fp(exact.numerator, prime) / Fp(exact.denominator, prime)
     assert lhs == rhs
 
@@ -161,7 +166,8 @@ def test_dependency_identity_mod_p_agreement():
     for _ in range(20):
         pt = {v: rng.randrange(101)
               for v in ("X22", "X12", "X23", "X13", "X24", "X14")}
-        assert lhs.eval_mod_p(pt, 101) == rhs.eval_mod_p(pt, 101)
+        pt = _fp_point(pt, 101)
+        assert Fp(0, 101) + lhs.eval(pt) == Fp(0, 101) + rhs.eval(pt)
 
 
 def test_fraction_equality_cross_multiplication():

@@ -166,6 +166,29 @@ def test_a_negative_set_exponent_is_refused(tmp_path, monkeypatch, catalogs,
                               f"has a negative exponent")
 
 
+def test_a_non_integer_set_coefficient_is_refused(tmp_path, monkeypatch,
+                                                  catalogs):
+    # reduction mod p is a ring map only on Z[X]: 1/2 has no value mod 2
+    doc = json.loads(serialize_catalog(catalogs[2]))
+    row = next(r for r in doc["orbits"] if r["id"] == "x11+x22")
+    row["nonzero_set"][0] = "2^-1*X11"
+    (tmp_path / "a2.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(2)
+    assert str(exc.value) == ("rank 2 row 'x11+x22': set polynomial "
+                              "'1/2*X11' has the non-integer coefficient 1/2")
+
+
+def test_a_replace_copy_with_a_negative_exponent_is_refused(catalogs):
+    # the record check runs on every copy, not only at load
+    rec = catalogs[2].by_id("x11+x22")
+    with pytest.raises(CatalogError) as exc:
+        dataclasses.replace(rec, nonzero_set=(
+            parse_poly("X11^-1"),) + rec.nonzero_set[1:])
+    assert str(exc.value) == "set polynomial 'X11^-1' has a negative exponent"
+
+
 def test_env_override_data_dir(tmp_path, monkeypatch, catalogs):
     for n in (1,):
         (tmp_path / f"a{n}.json").write_text(serialize_catalog(catalogs[n]),

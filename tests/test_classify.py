@@ -20,8 +20,7 @@ from orbit_atlas.classify import (classify, gather, grid_signatures, member,
                                   slice_point, slice_shape, slice_table,
                                   sorted_signatures)
 from orbit_atlas.errors import (BudgetExceededError, CatalogError,
-                                DisjointnessError, DomainError,
-                                ExhaustionError,
+                                DisjointnessError, ExhaustionError,
                                 InternalInconsistencyError, SchemaError,
                                 ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
@@ -196,13 +195,19 @@ def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
         classify_mod.partition_census(2, 3, dataclasses.replace(catalogs[2]))
 
 
-def test_eval_kernel_reduces_fraction_coefficients():
-    # 1/2 is 3 mod 5, not int(1/2) = 0: the first polynomial is
-    # (1/2 - 1/2) X11 = 0 mod 5, and only the true reduction finds it zero
+def test_eval_kernel_reduces_fraction_coefficients(catalogs):
+    # a rational polynomial is refused as a set polynomial; it enters only
+    # with its denominators cleared, which keeps its zero set mod 5 (2 and
+    # 3 are units there).  (1/2 - 3) X11 = -5/2 X11 clears to -5 X11, zero
+    # mod 5, and the kernel reduces the integer coefficients as ``eval``
+    # does over F_5
     x11, x12, x22 = (LaurentPoly.var(v) for v in ("X11", "X12", "X22"))
-    polys = [Fraction(1, 2) * x11 - 3 * x11,
-             Fraction(1, 2) * x11 * x22 + Fraction(-7, 3) * x12 ** 2 + x11]
-    assert polys[0].terms == {(1,): Fraction(-5, 2)}
+    rational = Fraction(1, 2) * x11 * x22 + Fraction(-7, 3) * x12 ** 2 + x11
+    with pytest.raises(CatalogError, match="non-integer coefficient"):
+        dataclasses.replace(catalogs[2].by_id("x11"), zero_set=(rational,))
+    polys = [2 * (Fraction(1, 2) * x11 - 3 * x11), 6 * rational]
+    assert polys[0].terms == {(1,): -5}
+    assert polys[1].terms == {(1, 1, 0): 3, (0, 0, 2): -14, (1, 0, 0): 6}
     q = 5
     axes = {var: range(q) for var in x_vars(2)}
     sig = grid_signatures(polys, axes, q)
@@ -210,37 +215,42 @@ def test_eval_kernel_reduces_fraction_coefficients():
     vecs = list(itertools.product(range(q), repeat=3))
     for vec, got in zip(vecs, sig.tolist()):
         point = {var: Fp(v, q) for var, v in zip(x_vars(2), vec)}
-        assert bool(got >> 1 & 1) == (not polys[1].eval_mod_p(point, q).is_zero())
+        want = Fp(0, q) + polys[1].eval(point)
+        want_rational = Fp(0, q) + rational.eval(point)
+        assert bool(got >> 1 & 1) == (not want.is_zero())
+        assert want.is_zero() == want_rational.is_zero()
 
 
-def test_eval_kernel_rejects_coefficient_undefined_mod_q():
+def test_eval_kernel_rejects_coefficient_undefined_mod_q(catalogs):
+    # 1/2 is undefined mod 2: the record check refuses the polynomial before
+    # any kernel sees it
     poly = Fraction(1, 2) * LaurentPoly.var("X11")
-    with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
-        grid_signatures([poly], {"X11": range(2)}, 2)
+    with pytest.raises(CatalogError, match=re.escape(
+            "set polynomial '1/2*X11' has the non-integer coefficient 1/2")):
+        dataclasses.replace(catalogs[1].by_id("x11"), nonzero_set=(poly,))
 
 
 def test_coefficient_undefined_mod_q_is_schema_error_on_both_paths(catalogs):
-    # the scalar member path and the vectorised kernel refuse alike
+    # the scalar member path and the vectorised kernel both read records,
+    # and a record holding 1/2 * X11 is refused when the copy is built
     poly = Fraction(1, 2) * LaurentPoly.var("X11")
-    rec = dataclasses.replace(catalogs[1].by_id("x11"), zero_set=(poly,),
-                              nonzero_set=())
-    with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
-        member(rec, NilElement.from_vector(1, [Fp(1, 2)]))
-    with pytest.raises(SchemaError, match="1/2 is undefined mod 2"):
-        grid_signatures([poly], {"X11": range(2)}, 2)
+    with pytest.raises(CatalogError, match=re.escape(
+            "set polynomial '1/2*X11' has the non-integer coefficient 1/2")):
+        dataclasses.replace(catalogs[1].by_id("x11"), zero_set=(poly,),
+                            nonzero_set=())
 
 
-def test_grid_values_and_the_census_refuse_a_negative_exponent():
-    # catalog polynomials are exponent-positive: a negative exponent is
-    # refused by the kernel and by the census's signatures
+def test_grid_values_and_the_census_refuse_a_negative_exponent(catalogs):
+    # set polynomials are exponent-positive: a record carrying a negative
+    # exponent is refused when the copy is built, so neither the kernel nor
+    # the census's signatures ever evaluate it
     poly = 3 * LaurentPoly.var("X11") ** -2 * LaurentPoly.var("X22") + 1
-    q = 7
-    units = np.arange(1, q, dtype=np.int64)
-    cols = {"X11": units.reshape(-1, 1), "X22": units.reshape(1, -1)}
-    with pytest.raises(SchemaError, match="exponent-positive"):
-        classify_mod.grid_values(poly, cols, q)
-    with pytest.raises(SchemaError, match="exponent-positive"):
-        grid_signatures([poly], {"X11": range(1, q), "X22": range(q)}, q)
+    rec = catalogs[2].by_id("x11+x22")
+    with pytest.raises(CatalogError, match=re.escape(
+            "set polynomial '1 + 3*X11^-2*X22' has a negative exponent")):
+        dataclasses.replace(rec, nonzero_set=(poly,))
+    with pytest.raises(CatalogError, match="has a negative exponent"):
+        dataclasses.replace(rec, zero_set=rec.zero_set + (poly,))
 
 
 CROSS_CHECK_FIELDS = ([(n, q) for n in (1, 2, 3) for q in (2, 3, 5, 7)]
@@ -404,7 +414,7 @@ def test_pass_holds_63_polynomials_and_refuses_more(catalogs):
 @st.composite
 def _homogeneous_polys(draw, n, q):
     """Root-weight-homogeneous polynomials over the rank-n coordinates with
-    rational coefficients whose denominators are prime to q.  A monomial is
+    integer coefficients, as every set polynomial has.  A monomial is
     a list of root segments [i, j] (X_ij weighs alpha_i + ... + alpha_j);
     splitting [i, j] into [i, k], [k + 1, j] or joining two such segments
     keeps the weight, so every monomial of a polynomial comes from the one
@@ -431,9 +441,7 @@ def _homogeneous_polys(draw, n, q):
                     segs.remove(s)
                     segs.remove(t)
                     segs.append((s[0], t[1]))
-            coeff = Fraction(draw(st.integers(-30, 30)),
-                             draw(st.integers(1, 30).filter(lambda v: v % q)))
-            term = LaurentPoly.const(coeff)
+            term = LaurentPoly.const(draw(st.integers(-30, 30)))
             for seg in segs:
                 term = term * LaurentPoly.var(var[seg])
             poly = poly + term
@@ -463,8 +471,32 @@ def test_signature_bits_equal_scalar_evaluation(data):
     for got, point in zip(sig, points):
         env = {var: Fp(v, q) for var, v in zip(axes, point)}
         want = sum(1 << k for k, poly in enumerate(polys)
-                   if not poly.eval_mod_p(env, q).is_zero())
+                   if not (Fp(0, q) + poly.eval(env)).is_zero())
         assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_contains_on_residues_equals_evaluation_over_fp(catalogs, data):
+    # every set polynomial is in Z[X], so its value over Z reduced mod p is
+    # its value over F_p: ``contains`` on residues agrees with ``eval`` over
+    # Fp bindings on every record, and exactly one record holds the point
+    n = data.draw(st.sampled_from((3, 4)), label="rank")
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 101)), label="p")
+    coord = st.one_of(st.just(0), st.integers(0, p - 1))
+    env = {var: data.draw(coord, label=var) for var in x_vars(n)}
+    point = {var: Fp(v, p) for var, v in env.items()}
+
+    def vanishes(poly):
+        return (Fp(0, p) + poly.eval(point)).is_zero()
+
+    held = []
+    for rec in catalogs[n].orbits:
+        want = (all(map(vanishes, rec.zero_set))
+                and not any(map(vanishes, rec.nonzero_set)))
+        assert rec.contains(env, p) == want, rec.id
+        held += [rec.id] * want
+    assert len(held) == 1, held
 
 
 def test_classify_refuses_a_point_of_two_fields(catalogs):
@@ -489,14 +521,20 @@ def test_classify_refuses_a_non_integral_rational_over_f_p(catalogs):
         assert classify(2, m, catalogs[2]).orbit_id == want, x11
 
 
-def test_eval_mod_p_reads_a_rational_as_a_quotient():
-    poly = parse_poly("X11 + 1")
-    assert poly.eval_mod_p({"X11": Fraction(1, 2)}, 7) == Fp(5, 7)
-    assert poly.eval_mod_p({"X11": Fraction(-3, 4)}, 5) == Fp(4, 5)
-    with pytest.raises(SchemaError, match="1/7 is undefined mod 7"):
-        poly.eval_mod_p({"X11": Fraction(1, 7)}, 7)
-    with pytest.raises(DomainError, match="mixed characteristics 5 and 7"):
-        poly.eval_mod_p({"X11": Fp(1, 5)}, 7)
+def test_eval_mod_p_reads_a_rational_as_a_quotient(catalogs):
+    # 1/2 is 4 in F_7: the zero set of 2 X11 - 1 holds X11 = 4 over F_7 as
+    # it holds X11 = 1/2 over Q, through ``member``
+    rec = dataclasses.replace(catalogs[1].by_id("x11"),
+                              zero_set=(parse_poly("2*X11 - 1"),),
+                              nonzero_set=())
+    assert member(rec, NilElement.from_vector(1, [Fraction(1, 2)]))
+    assert member(rec, NilElement.from_vector(1, [Fp(4, 7)]))
+    assert not member(rec, NilElement.from_vector(1, [Fp(1, 7)]))
+    # -3/4 is 3 in F_5, and 4 X11 + 3 vanishes there and at -3/4 over Q
+    rec = dataclasses.replace(rec, zero_set=(parse_poly("4*X11 + 3"),))
+    assert member(rec, NilElement.from_vector(1, [Fraction(-3, 4)]))
+    assert member(rec, NilElement.from_vector(1, [Fp(3, 5)]))
+    assert not member(rec, NilElement.from_vector(1, [Fp(3, 7)]))
 
 
 def test_classify_refuses_a_point_of_the_wrong_rank(catalogs):

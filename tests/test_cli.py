@@ -496,12 +496,31 @@ def _zero_denominator(row):
 def test_a_negative_set_exponent_is_refused_at_load(tmp_path, monkeypatch,
                                                     capsys, argv):
     # before, the copy loaded and the evaluating commands ended in a
-    # DomainError or EvaluationError traceback
+    # traceback
     data = _malformed(tmp_path, 2, "x11+x22", _inverse_in_nonzero_set)
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(data))
     assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
         1, "", "check failed: rank 2 row 'x11+x22': set polynomial "
                "'X11^-1' has a negative exponent\n")
+
+
+def _half_in_nonzero_set(row):
+    row["nonzero_set"][0] = "2^-1*X11"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--point", "0,1,0"],
+    ["classify", "--point", "0,1,0", "--mod", "5"],
+    ["census"], ["verify"], ["check-all"]])
+def test_a_non_integer_set_coefficient_is_refused_at_load(
+        tmp_path, monkeypatch, capsys, argv):
+    # before, the copy loaded: classify --mod 2 exited 2 on the coefficient
+    # 1/2 while the census ran
+    data = _malformed(tmp_path, 2, "x11+x22", _half_in_nonzero_set)
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(data))
+    assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
+        1, "", "check failed: rank 2 row 'x11+x22': set polynomial "
+               "'1/2*X11' has the non-integer coefficient 1/2\n")
 
 
 def _inhomogeneous_zero_set(row):

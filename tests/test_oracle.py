@@ -299,7 +299,7 @@ def test_gradient_rows_equal_the_derivative_reference(catalogs):
 
 def test_gradient_reads_rational_coefficients_and_points():
     x, y = LaurentPoly.var("X11"), LaurentPoly.var("X22")
-    poly = Fraction(1, 2) * x**2 * y - 3 * x * y**-1 + y**3
+    poly = Fraction(1, 2) * x**2 * y - 3 * x * y + y**3
     point = {"X11": Fraction(2, 3), "X22": -2}
     want = [poly.derivative(v).eval(point) for v in ("X11", "X22", "X12")]
     assert _gradient(poly, point, ("X11", "X22", "X12")) == want
@@ -345,29 +345,36 @@ def _rational_matrix(draw):
              for j in range(cols)] for i in range(rows)]
 
 
+def _cleared(rows):
+    """The rows scaled by one common denominator: an int matrix of the same
+    rank."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[int(x * scale) for x in row] for row in rows]
+    assert all(type(x) is int for row in ints for x in row)
+    return ints
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rational_matrix())
 def test_integer_rank_equals_gauss_jordan(rows):
-    assert _rank_exact(rows) == gauss_jordan_rank(rows)
+    # the rank takes int rows: the rational matrix enters cleared
+    assert _rank_exact(_cleared(rows)) == gauss_jordan_rank(rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_rational_matrix(), st.data())
 def test_integer_rank_of_int_and_mixed_rows(rows, data):
-    # the bracket rows are ints and the Jacobian rows mix ints and Fractions:
-    # the rank reads numerators and denominators off either type
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = [[int(x * scale) for x in row] for row in rows]
-    assert all(type(x) is int for row in ints for x in row)
+    # the bracket rows and the Jacobian rows are both ints; scaling each
+    # row by its own nonzero integer keeps the rank, and the content
+    # division keeps the eliminated rows small either way
+    ints = _cleared(rows)
     assert _rank_exact(ints) == gauss_jordan_rank(ints) == (
         gauss_jordan_rank(rows))
-    # int rows are taken as they are, and rank as their Fraction copies,
-    # which go through the rescaling
-    assert _rank_exact(ints) == _rank_exact(
-        [[Fraction(x) for x in row] for row in ints])
-    mixed = [[int(x) if x.denominator == 1 and data.draw(st.booleans())
-              else x for x in row] for row in rows]
-    assert _rank_exact(mixed) == gauss_jordan_rank(mixed)
+    factors = data.draw(st.lists(st.sampled_from((-6, -1, 1, 2, 35)),
+                                 min_size=len(ints), max_size=len(ints)))
+    scaled = [[f * x for x in row] for f, row in zip(factors, ints)]
+    assert _rank_exact(scaled) == gauss_jordan_rank(scaled) == (
+        _rank_exact(ints))
 
 
 def _split_rank1_orbit(families):

@@ -109,6 +109,27 @@ def test_numeric_verification(catalogs):
         assert verify_witness_numeric(rec, p, 100).status == VERIFIED_NUMERIC
 
 
+def test_numeric_verification_of_every_record(catalogs):
+    # the cross-check evaluates every template value through ``eval`` over
+    # Fp bindings
+    for cat in catalogs.values():
+        for rec in cat.orbits:
+            v = verify_witness_numeric(rec, 61, 5)
+            assert v.status == VERIFIED_NUMERIC, (rec.id, v.detail)
+
+
+def test_a_sign_flipped_factor_is_a_numeric_mismatch(catalogs):
+    # x11 of A2: the word T(x, 1) U_22(-z/x^2) reproduces the general
+    # member, and with the factor's sign flipped it does not
+    rec = catalogs[2].by_id("x11")
+    assert rec.witness.factors == (((2, 2), "-z/x^2"),)
+    flipped = dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, factors=(((2, 2), "z/x^2"),)))
+    v = verify_witness_numeric(flipped, 61, 5)
+    assert (v.status, v.detail) == (FAILED_AS_PRINTED,
+                                    "numeric mismatch over F_61")
+
+
 def test_numeric_zero_trials_inconclusive(catalogs):
     v = verify_witness_numeric(catalogs[1].by_id("x11"), 61, 0)
     assert v.status == INCONCLUSIVE
