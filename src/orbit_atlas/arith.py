@@ -9,13 +9,13 @@ Three layers, all exact:
   operation.  A canonical coefficient is an ``int``, or a ``Fraction`` with
   denominator > 1: never zero and never a float.  Coefficient divisions go
   through ``Fraction`` (``_quo``).  One evaluation, ``eval``, serves every
-  ring of values: over F_p it runs on ``Fp`` bindings, and a pole raises
-  ``DomainError``; a constant ``eval`` is returned as a ``Fraction``, so
-  an F_p reader lifts it (``Fp(0, p) + value``).  Each monomial is one int
-  over a process-wide interned variable registry, so a monomial product is
-  an int addition; ``vars`` keeps only a polynomial's display order, and
-  an exponent bound raises ``DomainError`` before any exponent passes
-  ``EXP_LIMIT`` (see the Laurent polynomial section).
+  ring of values and returns the value in its bindings' ring (an ``Fp`` at
+  ``Fp`` bindings); a pole raises ``DomainError``, and a constant returns
+  its coefficient, which an F_p reader lifts (``Fp(0, p) + value``).  Each
+  monomial is one int over a process-wide interned variable registry, so a
+  monomial product is an int addition; ``vars`` keeps only a polynomial's
+  display order, and an exponent bound raises ``DomainError`` before any
+  exponent passes ``EXP_LIMIT`` (see the Laurent polynomial section).
 * ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
   cross-multiplication, never by floating point.
 
@@ -558,10 +558,12 @@ class LaurentPoly:
     def is_homogeneous(self) -> bool:
         return len(self.total_degrees()) <= 1
 
-    # -- evaluation and substitution
+    # -- evaluation
 
     def eval(self, env: Mapping[str, object]):
-        """Evaluate with ring-valued bindings; unbound variables are an error."""
+        """The value in the ring of the bindings; a constant returns its
+        coefficient, the zero polynomial 0.  An unbound variable raises
+        ``SchemaError``, a pole ``DomainError``."""
         missing = [v for v in self.used_vars() if v not in env]
         if missing:
             raise SchemaError(f"unbound variables {sorted(missing)}")
@@ -577,32 +579,7 @@ class LaurentPoly:
                 prod = factor if prod is None else prod * factor
             term = c if prod is None else prod if c == 1 else prod * c
             total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        if isinstance(total, int):
-            return Fraction(total)
-        return total
-
-    def subs(self, bindings: Mapping[str, "LaurentFraction"]) -> "LaurentFraction":
-        """Substitute fractions for variables (unbound variables substitute as
-        themselves); result in canonical fraction form."""
-        env = {}
-        for v in self.used_vars():
-            if v in bindings:
-                b = bindings[v]
-                if isinstance(b, LaurentPoly):
-                    b = LaurentFraction(b)
-                if b.den.is_zero():
-                    raise DomainError("binding has zero denominator")
-                env[v] = b
-            else:
-                env[v] = LaurentFraction(LaurentPoly.var(v))
-        result = self.eval(env)
-        if isinstance(result, Fraction):
-            return LaurentFraction(LaurentPoly.const(result))
-        if isinstance(result, LaurentPoly):
-            return LaurentFraction(result)
-        return result
+        return 0 if total is None else total
 
     # -- display
 

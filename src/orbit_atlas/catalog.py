@@ -135,14 +135,13 @@ class OrbitRecord:
         lies in Z(zero_set) intersected with V(nonzero_set): over Q, or
         over F_p when p is given, every coordinate then an int.  Each
         polynomial is evaluated by ``eval`` (over Z or Q) and its value
-        reduced mod p, which is its value over F_p because every set
-        polynomial is in Z[X].  The value is read off its numerator: a
-        rational is 0 exactly when its numerator is, and at int
-        coordinates the value is the integer its numerator holds."""
+        compared with 0, over F_p reduced mod p first: an int at int
+        coordinates, and that reduction is its value over F_p because every
+        set polynomial is in Z[X]."""
         for polys, vanish in ((self.zero_set, True),
                               (self.nonzero_set, False)):
             for poly in polys:
-                value = poly.eval(env).numerator
+                value = poly.eval(env)
                 if ((value if p is None else value % p) == 0) != vanish:
                     return False
         return True
@@ -151,11 +150,15 @@ class OrbitRecord:
         return [n["note"] for n in self.notes if n.get("field") == "witness"]
 
     def linear_zero_vars(self) -> list[str]:
-        out = []
-        for p, s in zip(self.zero_set, self.zero_strs):
-            if p.is_monomial() and len(p.used_vars()) == 1 and p.total_degrees() == {1}:
-                out.append(next(iter(p.used_vars())))
-        return out
+        return linear_vars(self.zero_set)
+
+
+def linear_vars(polys) -> list[str]:
+    """The coordinate of each polynomial that is a nonzero multiple of one
+    coordinate, in order."""
+    return [next(iter(p.used_vars())) for p in polys
+            if p.is_monomial() and len(p.used_vars()) == 1
+            and p.total_degrees() == {1}]
 
 
 @dataclass(frozen=True)
@@ -493,8 +496,8 @@ def _parse_printed_set(text: str, n: int, chunks: dict):
     allowed = set(x_vars(n)) | set(_PRINTED_ALIASES)
 
     def norm(s: str) -> LaurentPoly:
-        # rename the aliases the polynomial uses; a constant evaluates to a
-        # Fraction
+        # rename the aliases the polynomial uses; a constant evaluates to
+        # its coefficient
         if s not in chunks:
             poly = parse_poly(s, allowed)
             out = poly.eval({v: LaurentPoly.var(_PRINTED_ALIASES.get(v, v))
@@ -546,17 +549,14 @@ def validate_catalog(cat: Catalog) -> CatalogReport:
     homogeneous = [p.is_homogeneous() for p, _ in cat.pool]
     reports = []
     for rec in cat.orbits:
-        zero_lin = {next(iter(p.used_vars())) for p in rec.zero_set
-                    if p.is_monomial() and p.total_degrees() == {1}}
-        nonzero_lin = {next(iter(p.used_vars())) for p in rec.nonzero_set
-                       if p.is_monomial() and p.total_degrees() == {1}}
         reports.append(RecordReport(
             orbit_id=rec.id,
             representative_member=rec.contains(dict(zip(
                 x_vars(rec.rank), rec.representative.as_vector()))),
             homogeneous=all(homogeneous[cat.slot[p]]
                             for p in rec.zero_set + rec.nonzero_set),
-            zv_sane=not (zero_lin & nonzero_lin),
+            zv_sane=not set(rec.linear_zero_vars()).intersection(
+                linear_vars(rec.nonzero_set)),
             notes=[n["note"] for n in rec.notes]))
     return CatalogReport(cat.rank, reports)
 

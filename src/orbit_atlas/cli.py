@@ -280,7 +280,7 @@ def cmd_check_all(args, cat: Catalog) -> int:
         qs = ORACLE_DEFAULT_QS[n]
         for part, report in oracle_fields(cat, qs, args.budget):
             if not report.ok:
-                return False, report.violations[0]
+                return False, f"q={part.q}: {report.violations[0]}"
             notes.append(f"q={part.q}:{part.class_count}cls")
         return True, " ".join(notes)
 
@@ -290,8 +290,11 @@ def cmd_check_all(args, cat: Catalog) -> int:
 
     def witness_check():
         report = verify_rank(cat)
-        if not report.all_certified:
-            bad = [v.orbit_id for v in report.verdicts if not v.certified]
+        for f in report.forward:
+            if not f.ok:
+                return False, f"forward containment {f.orbit_id}: {f.detail}"
+        bad = [v.orbit_id for v in report.verdicts if not v.certified]
+        if bad:
             return False, f"uncertified: {bad}"
         return True, f"{len(report.verdicts)} witnesses certified"
 

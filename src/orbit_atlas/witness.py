@@ -69,7 +69,6 @@ INCONCLUSIVE = "Inconclusive"
 class MemberEnv:
     """Function-field model of a general member of one orbit's defining set."""
 
-    rec: OrbitRecord
     env: dict                       # letter/radical name -> LaurentFraction
     tower: list                     # RadicalRelation list (evaluated radicands)
     target: dict                    # root -> LaurentFraction (member coords)
@@ -95,17 +94,19 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
             env[letter] = LaurentFraction(LaurentPoly.var(letter, power))
             free.append(letter)
     solved = []
+
+    def at(poly, bindings) -> LaurentFraction:
+        return LaurentFraction._lift(poly.eval(bindings))
+
     for c in rec.witness.constraints:
         poly = parse_poly(c.poly, set(letters))
         lin = poly.derivative(c.solve)
         if c.solve in lin.used_vars():
             raise SchemaError(f"constraint {c.poly!r} is not linear in {c.solve}")
-        rest = poly.subs({c.solve: LaurentFraction(0)}).num
-        coeff = lin.subs(env)
+        coeff = at(lin, env)
         if coeff.is_zero():
             raise SchemaError(f"constraint {c.poly!r}: solve coefficient vanishes")
-        value = -(rest.subs(env)) / coeff
-        env[c.solve] = value
+        env[c.solve] = -at(poly, {**env, c.solve: LaurentFraction(0)}) / coeff
         solved.append(c.solve)
         if c.solve in free:
             free.remove(c.solve)
@@ -113,7 +114,7 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
     for rad in rec.witness.radicals:
         names = set(letters) | {r.new_var for r in tower}
         rad_poly = parse_poly(rad.radicand, names)
-        val = rad_poly.subs(env)
+        val = at(rad_poly, env)
         if not val.is_poly():
             raise SchemaError(
                 f"radicand {rad.radicand!r} is not polynomial after constraints")
@@ -128,8 +129,7 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
     protected_polys = []
     protected_letters = set()
     for p in rec.nonzero_set:
-        val = p.subs({v: env[l_of_v[v]] for v in p.used_vars()})
-        num = val.num
+        num = at(p, {v: env[l_of_v[v]] for v in p.used_vars()}).num
         if num.is_monomial():
             protected_letters |= num.used_vars()
         else:
@@ -139,7 +139,7 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
         if all(q != rel.radicand and q != -rel.radicand
                for q in protected_polys):
             protected_polys.append(rel.radicand)
-    return MemberEnv(rec, env, tower, target, free, solved,
+    return MemberEnv(env, tower, target, free, solved,
                      protected_polys, protected_letters)
 
 
@@ -358,7 +358,7 @@ def verify_witness_numeric(rec: OrbitRecord, p: int, trials: int,
     def at(x) -> Fp:
         # a LaurentPoly or LaurentFraction at the point, through ``eval``
         # over its Fp bindings; a pole raises DomainError, and a constant
-        # evaluates to a Fraction, which is lifted into F_p
+        # evaluates to its coefficient, which is lifted into F_p
         if isinstance(x, LaurentFraction):
             return at(x.num) / at(x.den)
         return Fp(0, p) + x.eval(point)

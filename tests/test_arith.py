@@ -113,16 +113,17 @@ def test_negative_radical_exponent_rejected():
 
 def test_substitute_constraint_saturation():
     p = parse_poly("v*z - x*y")
-    z_binding = LaurentFraction(V("x") * V("y"), V("v"))
-    assert p.subs({"z": z_binding}).is_zero()
+    env = {v: LaurentFraction(V(v)) for v in ("v", "x", "y")}
+    env["z"] = LaurentFraction(V("x") * V("y"), V("v"))
+    assert p.eval(env) == 0
     q = V("X11")
-    assert q.subs({"X11": LaurentFraction(V("X11"))}) == LaurentFraction(V("X11"))
+    assert q.eval({"X11": LaurentFraction(V("X11"))}) == LaurentFraction(V("X11"))
 
 
 def test_substitute_through_zero_pole_rejected():
     p = V("a") ** -1
     with pytest.raises(DomainError):
-        p.subs({"a": LaurentFraction(0)})
+        p.eval({"a": LaurentFraction(0)})
 
 
 def _fp_point(point, p):
@@ -516,14 +517,31 @@ def test_equal_constants_share_a_hash():
     assert c == LaurentPoly.const(2) and hash(c) == hash(LaurentPoly.const(2))
 
 
-def test_constant_values_are_fractions():
-    for value in (LaurentPoly.const(3).eval({}),
-                  LaurentPoly.const(Fraction(1, 2)).eval({}),
-                  LaurentPoly().eval({}),
-                  V("x").eval({"x": 2}),
-                  (V("x") * 2 - 1).eval({"x": 3})):
-        assert type(value) is Fraction
-    assert V("x").eval({"x": 2}) == 2
+def test_values_lie_in_the_ring_of_the_bindings():
+    p = V("x") * 2 - 1
+    for env, kind in (({"x": 3}, int), ({"x": Fraction(3)}, Fraction),
+                      ({"x": Fp(3, 7)}, Fp)):
+        value = p.eval(env)
+        assert type(value) is kind and value == 5
+    assert type(V("x").eval({"x": 2})) is int
+    # a constant returns its coefficient, the zero polynomial 0
+    assert LaurentPoly.const(3).eval({}) == 3
+    assert type(LaurentPoly.const(3).eval({"x": Fp(1, 7)})) is int
+    assert LaurentPoly.const(Fraction(1, 2)).eval({}) == Fraction(1, 2)
+    zero = LaurentPoly().eval({})
+    assert type(zero) is int and zero == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(rand_poly, st.lists(st.tuples(
+           st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           st.integers(-9, 9)), max_size=5)),
+       st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_integer_values_equal_rational_ones(p, point):
+    ints = dict(zip(("a", "b", "c"), point))
+    value = p.eval(ints)
+    assert type(value) is int
+    assert value == p.eval({v: Fraction(x) for v, x in ints.items()})
 
 
 @st.composite

@@ -567,7 +567,7 @@ def test_check_all_fails_on_a_class_that_spans_two_records(
         monkeypatch, capsys):
     _join_x12_with_generic(monkeypatch)
     assert main(["check-all", "--type", "A2"]) == 1
-    assert f"FAIL oracle: {SPLIT_CLASS}\n" in capsys.readouterr().out
+    assert f"FAIL oracle: q=2: {SPLIT_CLASS}\n" in capsys.readouterr().out
 
 
 def test_stability_maps_per_rank(partitions):

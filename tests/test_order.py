@@ -6,7 +6,7 @@ import re
 import pytest
 
 from orbit_atlas import order
-from orbit_atlas.arith import Fp, LaurentFraction, parse_poly
+from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
 from orbit_atlas.catalog import letter_of_var, load_catalog, x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.errors import InternalInconsistencyError
@@ -29,16 +29,18 @@ def _slot_mask(cat, polys):
 
 
 def _dense_subs(rec):
-    """X-variable substitutions parametrizing a dense subset of S_rec: linear
+    """X-variable bindings parametrizing a dense subset of S_rec: linear
     zero variables go to 0, each nonlinear generator's solve variable to its
-    solution in the remaining coordinates."""
-    subs = {v: LaurentFraction(0) for v in rec.linear_zero_vars()}
+    solution in the remaining coordinates, and every other variable to
+    itself."""
+    subs = {v: LaurentFraction(LaurentPoly.var(v)) for v in x_vars(rec.rank)}
+    subs.update((v, LaurentFraction(0)) for v in rec.linear_zero_vars())
     v_of_l = {l: v for v, l in letter_of_var(rec.rank).items()}
     for c, poly in zip(rec.witness.constraints, nonlinear_zero(rec)):
         solve_var = v_of_l[c.solve]
-        rest = poly.subs({solve_var: LaurentFraction(0)}).num
-        coeff = poly.derivative(solve_var).subs(subs)
-        subs[solve_var] = -(rest.subs(subs)) / coeff
+        rest = poly.eval({**subs, solve_var: LaurentFraction(0)})
+        coeff = poly.derivative(solve_var).eval(subs)
+        subs[solve_var] = -rest / coeff
     return subs
 
 
@@ -108,7 +110,7 @@ def test_hasse_matches_dense_parametrization_pullback(n, catalogs, posets):
     zero = {}
     for rec in cat.orbits:
         subs = _dense_subs(rec)
-        zero[rec.id] = {p for p in pool if p.subs(subs).is_zero()}
+        zero[rec.id] = {p for p in pool if p.eval(subs) == 0}
     reference = {(a, b): all(p in zero[a] for p, _ in gens[b])
                  for a in gens for b in gens}
     assert posets[n].leq == reference

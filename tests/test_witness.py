@@ -229,7 +229,7 @@ def test_member_env_solves_constraints(catalogs):
                 zip(("X11", "X22", "X33", "X44", "X12", "X23", "X34",
                      "X13", "X24", "X14"),
                     ("q", "r", "s", "t", "u", "v", "w", "x", "y", "z"))}
-        assert poly.subs(subs).is_zero()
+        assert poly.eval(subs) == 0
 
 
 def test_peel_exhausts_divisors_in_list_order():
@@ -338,6 +338,27 @@ def test_monomial_radicand_fails_verify_and_check_all(tmp_path, monkeypatch,
     assert main(["check-all", "--type", "A2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL witnesses: uncertified: ['x11+x22']" in out
+
+
+def test_check_all_names_a_forward_containment_failure(
+        tmp_path, monkeypatch, capsys, catalogs):
+    # x11+x22 of A3 with the extra generator X12*X23 - X22*X13, which holds
+    # at the representative but not on the orbit: every verdict certifies,
+    # so the witnesses line must name the forward failure itself
+    doc = json.loads(serialize_catalog(catalogs[3]))
+    row = next(r for r in doc["orbits"] if r["id"] == "x11+x22")
+    row["zero_set"].append("X12*X23 - X22*X13")
+    row["dim"] -= 1
+    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    failure = ("forward containment x11+x22: zero-set generator "
+               "X12*X23 - X22*X13 has nonzero normal form")
+    assert main(["verify", "--type", "A3"]) == 1
+    assert capsys.readouterr().err == f"# FAIL {failure}\n"
+    assert main(["check-all", "--type", "A3"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS catalog: 16 records\n" in out
+    assert out.splitlines()[-1] == f"FAIL witnesses: {failure}"
 
 
 def test_a_root_of_a_non_unit_constant_fails_the_verdict(
