@@ -13,9 +13,11 @@ Three layers, all exact:
   ``Fp`` bindings); a pole raises ``DomainError``, and a constant returns
   its coefficient, which an F_p reader lifts (``Fp(0, p) + value``).  Each
   monomial is one int over a process-wide interned variable registry, so a
-  monomial product is an int addition; ``vars`` keeps only a polynomial's
-  display order, and an exponent bound raises ``DomainError`` before any
-  exponent passes ``EXP_LIMIT`` (see the Laurent polynomial section).
+  monomial product is an int addition, and an exponent bound raises
+  ``DomainError`` before any exponent passes ``EXP_LIMIT`` (see the Laurent
+  polynomial section).  The packed map is a polynomial's only state:
+  ``vars``, the variables its terms use in name order, is read off the
+  keys, so equal polynomials print alike.
 * ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
   cross-multiplication, never by floating point.
 
@@ -32,6 +34,7 @@ monomial with coefficient +-1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -208,6 +211,7 @@ _MASK = (1 << _WIDTH) - 1
 EXP_LIMIT = (_HALF >> 2) - 1
 
 _SHIFT: dict[str, int] = {}     # variable name -> bit offset of its slot
+_NAMES: list[str] = []          # slot -> variable name
 _BIAS = 0                       # _HALF in every registered slot
 
 
@@ -217,6 +221,7 @@ def _shift(name: str) -> int:
     if s is None:
         global _BIAS
         s = _SHIFT[name] = _WIDTH * len(_SHIFT)
+        _NAMES.append(name)
         _BIAS |= _HALF << s
     return s
 
@@ -241,21 +246,6 @@ def _check_bound(b: int) -> int:
         raise DomainError(f"an exponent of {b} would leave its slot "
                           f"(the limit is {EXP_LIMIT})")
     return b
-
-
-def _merged(sv: tuple, ov: tuple) -> tuple:
-    """Display order of a result: sv's variables, then ov's new ones."""
-    if sv is ov or not ov:
-        return sv
-    if not sv:
-        return ov
-    ns, no = len(sv), len(ov)
-    if ns < no:
-        if ov[:ns] == sv:
-            return ov
-    elif sv[:no] == ov:
-        return sv
-    return sv + tuple([v for v in ov if v not in sv])
 
 
 def _canon(c) -> Rational:
@@ -296,21 +286,20 @@ def _scale(terms: dict, key: int, c: Rational) -> dict:
 _new = object.__new__
 
 
-def _poly(vars: tuple, t: dict, b: int) -> "LaurentPoly":
+def _poly(t: dict, b: int) -> "LaurentPoly":
     """Trusted constructor: a packed map with canonical nonzero
-    coefficients, display order ``vars`` (which names every variable the
-    keys use) and exponent bound b.  Nothing is copied or checked."""
+    coefficients and exponent bound b.  Nothing is copied or checked."""
     p = _new(LaurentPoly)
-    p.vars, p._t, p._b = vars, t, b
+    p._t, p._b = t, b
     return p
 
 
 def _degree_boxes(p: "LaurentPoly", q: "LaurentPoly"):
     """(var, (least, greatest) exponent of var in p, the same in q) for
-    every variable of p and q, in the display order of p*q."""
+    every variable that p or q uses, in no fixed order."""
     pbox = {v: (min(c), max(c)) for v, c in zip(p.vars, zip(*p.terms))}
     qbox = {v: (min(c), max(c)) for v, c in zip(q.vars, zip(*q.terms))}
-    for v in _merged(p.vars, q.vars):
+    for v in pbox.keys() | qbox.keys():
         yield v, pbox.get(v, (0, 0)), qbox.get(v, (0, 0))
 
 
@@ -329,23 +318,23 @@ class LaurentPoly:
 
     Terms live in a map from packed monomial (see above) to coefficient, so
     equality, hashing and arithmetic never align variable lists; the
-    exponent bound ``_b`` travels with the map.  ``vars`` is only the
-    display order (a result lists self's variables, then the other
-    operand's new ones), as ``poly_to_str``, ``sorted_terms``, the
-    ``LaurentFraction`` normalisation and ``normalize`` read it.  ``terms``
-    decodes the map into exponent tuples aligned with ``vars``; it and
-    ``used_vars`` are computed on first use and kept.  Values are immutable
-    by convention: no method mutates an existing instance, so results may
-    share term maps with their operands.
+    exponent bound ``_b`` travels with the map, and the two are a
+    polynomial's whole state.  ``vars`` is derived from the keys: the
+    variables some term uses, in name order.  ``terms`` decodes the map
+    into exponent tuples aligned with ``vars``; both are computed on first
+    use and kept.  The constructor's ``vars`` only lines up the exponent
+    tuples of its ``terms``.  Values are immutable by convention: no method
+    mutates an existing instance, so results may share term maps with their
+    operands.
     """
 
-    __slots__ = ("vars", "_t", "_b", "_hash", "_terms", "_used")
+    __slots__ = ("_t", "_b", "_hash", "_vars", "_terms")
 
     def __init__(self, vars: tuple[str, ...] = (), terms: dict | None = None):
-        self.vars = tuple(vars)
-        if len(set(self.vars)) != len(self.vars):
-            raise SchemaError(f"repeated variable in {self.vars}")
-        shifts = [_shift(v) for v in self.vars]
+        vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise SchemaError(f"repeated variable in {vars}")
+        shifts = [_shift(v) for v in vars]
         t: dict[int, Rational] = {}
         b = 0
         for exps, c in (terms or {}).items():
@@ -354,7 +343,7 @@ class LaurentPoly:
                 continue
             exps = tuple(exps)
             if len(exps) != len(shifts):
-                raise SchemaError(f"exponents {exps} do not match {self.vars}")
+                raise SchemaError(f"exponents {exps} do not match {vars}")
             b = max(b, max(map(abs, exps), default=0))
             t[sum(e << s for e, s in zip(exps, shifts))] = c
         self._t, self._b = t, _check_bound(b)
@@ -364,16 +353,33 @@ class LaurentPoly:
     @staticmethod
     def const(c: Rational) -> "LaurentPoly":
         c = _canon(c)
-        return _poly((), {0: c} if c else {}, 0)
+        return _poly({0: c} if c else {}, 0)
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        return _poly((name,), {exp << _shift(name): 1}, _check_bound(abs(exp)))
+        return _poly({exp << _shift(name): 1}, _check_bound(abs(exp)))
 
     zero = None  # assigned after class body
     one = None
 
     # -- decoded views
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """The variables some term uses, in name order."""
+        try:
+            return self._vars
+        except AttributeError:
+            used = 0            # digit != 0 exactly where a term uses v
+            for k in self._t:
+                used |= (k + _BIAS) ^ _BIAS
+            names = []
+            while used:         # name the lowest used slot, then clear it
+                slot = ((used & -used).bit_length() - 1) // _WIDTH
+                names.append(_NAMES[slot])
+                used &= -1 << _WIDTH * (slot + 1)
+            self._vars = tuple(sorted(names))
+            return self._vars
 
     @property
     def terms(self) -> dict:
@@ -386,15 +392,7 @@ class LaurentPoly:
             return self._terms
 
     def used_vars(self) -> frozenset[str]:
-        try:
-            return self._used
-        except AttributeError:
-            nonzero = 0                 # digit != 0 exactly where a term uses v
-            for k in self._t:
-                nonzero |= (k + _BIAS) ^ _BIAS
-            self._used = frozenset(v for v in self.vars
-                                   if nonzero >> _SHIFT[v] & _MASK)
-            return self._used
+        return frozenset(self.vars)
 
     def __eq__(self, other):
         if other.__class__ is not LaurentPoly:
@@ -439,12 +437,11 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        vars = _merged(self.vars, o.vars)
         a, b = self._t, o._t
         if not b:
-            return _poly(vars, a, self._b)
+            return self
         if not a:
-            return _poly(vars, b, o._b)
+            return o
         out = dict(a)
         for k, c in b.items():
             s = out.get(k, 0) + c
@@ -454,12 +451,12 @@ class LaurentPoly:
                 out[k] = s.numerator
             else:
                 out[k] = s
-        return _poly(vars, out, max(self._b, o._b))
+        return _poly(out, max(self._b, o._b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.vars, {k: -c for k, c in self._t.items()}, self._b)
+        return _poly({k: -c for k, c in self._t.items()}, self._b)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -477,19 +474,18 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        vars = _merged(self.vars, o.vars)
         a, b = self._t, o._t
         if not a or not b:
-            return _poly(vars, {}, 0)
+            return LaurentPoly.zero
         bound = self._b + o._b
         if bound > EXP_LIMIT:
             bound = _product_bound(self, o)
         if len(b) == 1:
             (k, c), = b.items()
-            return _poly(vars, _scale(a, k, c), bound)
+            return _poly(_scale(a, k, c), bound)
         if len(a) == 1:
             (k, c), = a.items()
-            return _poly(vars, _scale(b, k, c), bound)
+            return _poly(_scale(b, k, c), bound)
         out: dict[int, Rational] = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -499,7 +495,7 @@ class LaurentPoly:
                     out[k] = s
                 else:
                     del out[k]
-        return _poly(vars, _canon_values(out), bound)
+        return _poly(_canon_values(out), bound)
 
     __rmul__ = __mul__
 
@@ -522,7 +518,7 @@ class LaurentPoly:
         if not self.is_monomial():
             raise DomainError("only monomials are invertible as Laurent polynomials")
         (k, c), = self._t.items()
-        return _poly(self.vars, {-k: _quo(1, c)}, self._b)
+        return _poly({-k: _quo(1, c)}, self._b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -549,8 +545,7 @@ class LaurentPoly:
         out = {k - unit: c * exps[i]
                for (exps, c), k in zip(self.terms.items(), self._t) if exps[i]}
         low = min((exps[i] for exps in self.terms), default=0)
-        return _poly(self.vars, _canon_values(out),
-                     _check_bound(max(self._b, 1 - low)))
+        return _poly(_canon_values(out), _check_bound(max(self._b, 1 - low)))
 
     def total_degrees(self) -> set[int]:
         return {sum(exps) for exps in self.terms}
@@ -564,13 +559,14 @@ class LaurentPoly:
         """The value in the ring of the bindings; a constant returns its
         coefficient, the zero polynomial 0.  An unbound variable raises
         ``SchemaError``, a pole ``DomainError``."""
-        missing = [v for v in self.used_vars() if v not in env]
+        vars = self.vars
+        missing = [v for v in vars if v not in env]
         if missing:
-            raise SchemaError(f"unbound variables {sorted(missing)}")
+            raise SchemaError(f"unbound variables {missing}")
         total = None
         for exps, c in self.terms.items():
             prod = None
-            for v, e in zip(self.vars, exps):
+            for v, e in zip(vars, exps):
                 if e == 0:
                     continue
                 val = env[v]
@@ -595,7 +591,9 @@ LaurentPoly.one = LaurentPoly.const(1)
 
 
 def poly_to_str(p: LaurentPoly) -> str:
-    """Canonical text form under the catalog grammar (see parse_poly)."""
+    """Canonical text form under the catalog grammar (see parse_poly): the
+    terms in descending lex order of their exponents over ``vars``, the
+    variables in name order, so equal polynomials print alike."""
     if p.is_zero():
         return "0"
     parts = []
@@ -681,7 +679,7 @@ def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
         acc = LaurentPoly()
         for (exps, c), k in zip(p.terms.items(), p._t):
             q = max(exps[i], 0) // rel.order
-            term = _poly(p.vars, {k - (q * rel.order << s): c}, p._b)
+            term = _poly({k - (q * rel.order << s): c}, p._b)
             acc = acc + (term * rel.radicand ** q if q else term)
         p = acc
 
@@ -708,15 +706,14 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     with odd k has k quotient terms), so each step's term is counted and
     the step past ``QUOTIENT_LIMIT`` raises ``DomainError`` naming both
     polynomials, whether den divides num or not.  The quotient's terms are
-    listed in descending lex order of its display variables."""
+    listed in descending lex order of its variables in name order."""
     if den.is_zero():
         return None
     if den.is_monomial():
         return num * den.monomial_inverse()
-    vars = _merged(num.vars, den.vars)
     a, b = num._t, den._t
     if not a:
-        return _poly(vars, {}, 0)
+        return LaurentPoly.zero
     if len(a) == 1:             # a non-monomial never divides a unit
         return None
     lo = hi = bound = 0
@@ -746,9 +743,9 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
             s = rem.pop(key, 0) - t_c * c
             if s:
                 rem[key] = s
-    shifts = [_SHIFT[v] for v in vars]
+    shifts = [_SHIFT[v] for v in sorted({*num.vars, *den.vars})]
     order = sorted(quo, key=lambda k: _unpack(k, shifts), reverse=True)
-    return _poly(vars, {k: quo[k] for k in order}, bound)
+    return _poly({k: quo[k] for k in order}, bound)
 
 
 def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
@@ -766,10 +763,9 @@ def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
 
 
 def _strip_content(num: LaurentPoly, den: LaurentPoly):
-    """(num, den) over their merged display variables with their common
-    monomial content divided out (always legal for Laurent polynomials):
-    per variable, the lower of their least exponents is moved to 0."""
-    vars = _merged(num.vars, den.vars)
+    """(num, den) with their common monomial content divided out (always
+    legal for Laurent polynomials): per variable, the lower of their least
+    exponents is moved to 0."""
     content = bound = 0
     for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
         low = min(nlo, dlo)
@@ -779,12 +775,12 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
     if content:
         a = {k - content: c for k, c in a.items()}
         b = {k - content: c for k, c in b.items()}
-    return _poly(vars, a, _check_bound(bound)), _poly(vars, b, bound)
+    return _poly(a, _check_bound(bound)), _poly(b, bound)
 
 
 def _monic(num: LaurentPoly, den: LaurentPoly):
     """(num, den) scaled so that den's leading coefficient, in lex order of
-    its display variables, is 1."""
+    its variables in name order, is 1."""
     terms = den.terms
     c = terms[max(terms)]
     if c != 1:
@@ -803,8 +799,8 @@ class LaurentFraction:
     divides the numerator is divided out (``_exact_divide`` decides this
     exactly, so a denominator left standing does not divide the numerator,
     though no gcd is taken), and the denominator's leading coefficient, in
-    lex order of the display variables, is scaled to 1.  Equality is decided
-    by cross-multiplication.
+    lex order of its variables in name order, is scaled to 1.  Equality is
+    decided by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -1011,8 +1007,9 @@ def is_zero_elem(x) -> bool:
 # expression grammar
 #
 # Catalog polynomial grammar (parse_poly): variables, integer literals,
-# + - * ^ and parentheses.  Witness expression grammar (parse_expr) adds /,
-# fractional exponents ^(a/b), and sqrt(...).
+# + - * ^ and parentheses.  Witness expression grammar (parse_expr, the
+# parser's ``witness`` flag) adds /, fractional exponents ^(a/b), and
+# sqrt(...).
 
 
 class _Tok:
@@ -1022,44 +1019,30 @@ class _Tok:
         self.kind, self.text, self.pos = kind, text, pos
 
 
+# ASCII only: a digit or letter of another script (a superscript two, an
+# Arabic-Indic one) is an unexpected character, never a number or a name
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_]\w*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>\S))", re.ASCII)
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        raise SchemaError(f"unexpected character {ch!r} at position {i}")
-    toks.append(_Tok("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, i = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise SchemaError(f"unexpected character {word!r} at position {i}")
+        toks.append(_Tok(word if kind == "op" else kind, word, i))
+    toks.append(_Tok("end", "", len(text)))
     return toks
 
 
 class _Parser:
-    def __init__(self, text: str, allow_div: bool, allow_frac_pow: bool):
+    def __init__(self, text: str, witness: bool):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-        self.allow_div = allow_div
-        self.allow_frac_pow = allow_frac_pow
+        self.witness = witness
 
     def peek(self):
         return self.toks[self.i]
@@ -1098,7 +1081,7 @@ class _Parser:
         node = self.power()
         while self.peek().kind in "*/":
             op = self.take().kind
-            if op == "/" and not self.allow_div:
+            if op == "/" and not self.witness:
                 raise SchemaError("division is not allowed in this grammar")
             rhs = self.power()
             node = ("mul", node, rhs) if op == "*" else ("div", node, rhs)
@@ -1122,10 +1105,14 @@ class _Parser:
                 self.take()
             a = int(self.take("num").text)
             if self.peek().kind == "/":
-                if not self.allow_frac_pow:
+                if not self.witness:
                     raise SchemaError("fractional exponents not allowed here")
                 self.take()
-                b = int(self.take("num").text)
+                t = self.take("num")
+                b = int(t.text)
+                if not b:
+                    raise SchemaError(f"zero denominator in the exponent at "
+                                      f"position {t.pos} in {self.text!r}")
             else:
                 b = 1
             self.take(")")
@@ -1145,7 +1132,7 @@ class _Parser:
         if t.kind == "ident":
             self.take()
             if t.text == "sqrt" and self.peek().kind == "(":
-                if not self.allow_frac_pow:
+                if not self.witness:
                     raise SchemaError("sqrt is not allowed in this grammar")
                 self.take("(")
                 inner = self.expr()
@@ -1266,7 +1253,7 @@ def expr_vars(node) -> set[str]:
 
 def parse_expr(text: str):
     """Parse a witness-template expression (division, fractional powers, sqrt)."""
-    return _Parser(text, allow_div=True, allow_frac_pow=True).parse()
+    return _Parser(text, witness=True).parse()
 
 
 def parse_poly(text: str, allowed_vars: Iterable[str] | None = None) -> LaurentPoly:
@@ -1274,7 +1261,7 @@ def parse_poly(text: str, allowed_vars: Iterable[str] | None = None) -> LaurentP
     + - * ^ with integer exponents, parentheses.  Division and fractional
     exponents are refused by the parser; the tree is evaluated in
     ``LaurentPoly`` directly (``_poly_value``)."""
-    node = _Parser(text, allow_div=False, allow_frac_pow=False).parse()
+    node = _Parser(text, witness=False).parse()
     if allowed_vars is not None:
         allowed = set(allowed_vars)
         bad = expr_vars(node) - allowed
@@ -1287,8 +1274,8 @@ def _poly_value(node, text: str) -> LaurentPoly:
     """The value of a division-free parse tree, in ``LaurentPoly`` with no
     fraction built: a negative power is a monomial's inverse, and one of a
     non-monomial is refused as not polynomial.  A zero value is
-    ``LaurentPoly.zero``, whose empty display order the later nodes merge,
-    as a zero fraction's numerator is."""
+    ``LaurentPoly.zero``, whose exponent bound is 0, as a zero fraction's
+    numerator is."""
     kind = node[0]
     if kind == "num":
         value = LaurentPoly.const(node[1])

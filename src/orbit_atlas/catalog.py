@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterable
 
 from .arith import LaurentPoly, parse_poly, poly_to_str
-from .errors import CatalogError, SchemaError
+from .errors import CatalogError, DomainError, SchemaError
 from .lie import (MAX_RANK, NilElement, check_rank, coordinate_letters,
                   nil_dim, parse_root_token, pos_roots, root_token)
 
@@ -399,7 +399,7 @@ class WitnessParseError(CatalogError):
         self.pos = pos
 
 
-_PRINTED_FACTOR = re.compile(r"\s*U_?(\d{1,2})\s*")
+_PRINTED_FACTOR = re.compile(r"\s*U_?(\d{1,2})\s*", re.ASCII)
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -585,7 +585,7 @@ def printed_statuses(cat: Catalog) -> dict[str, tuple[str, str]]:
         else:
             try:
                 pz, pnz = _parse_printed_set(printed, cat.rank, chunks)
-            except (CatalogError, SchemaError):
+            except (CatalogError, SchemaError, DomainError):
                 status = "unparseable"
             else:
                 same = (signset(pz) == signset(rec.zero_set)

@@ -647,7 +647,7 @@ def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
     """``arith.parse_poly`` evaluated through one ``LaurentFraction`` per
     parse-tree node, the path its direct ``LaurentPoly`` evaluation
     replaced: a result that is not a polynomial is refused at the end."""
-    node = _Parser(text, allow_div=False, allow_frac_pow=False).parse()
+    node = _Parser(text, witness=False).parse()
     if allowed_vars is not None:
         bad = expr_vars(node) - set(allowed_vars)
         if bad:

@@ -53,9 +53,10 @@ def test_canonical_form_no_zero_terms(p):
 
 
 def test_parse_and_print_roundtrip():
-    text = "X22*X13 - X12*X23"
-    p = parse_poly(text)
-    assert poly_to_str(p) == text
+    # the printed form is canonical: variables in name order, terms in
+    # descending lex order over them, whatever order the text gave
+    p = parse_poly("X22*X13 - X12*X23")
+    assert poly_to_str(p) == "-X12*X23 + X13*X22"
     assert parse_poly(poly_to_str(p)) == p
 
 
@@ -491,7 +492,7 @@ def test_integral_coefficients_are_ints():
     assert all(type(c) is int for c in twice.terms.values())
     # 3/2 divided by 3 through the lex division loop: never a float
     q = _exact_divide(V("a") * 3 + Fraction(3, 2), V("a") * 2 + 1)
-    assert q.terms == {(0,): Fraction(3, 2)}
+    assert q.terms == {(): Fraction(3, 2)}     # a constant uses no variable
     assert_canonical(q)
 
 
@@ -506,6 +507,61 @@ def test_equal_polynomials_hash_equal_across_registries():
     assert zero == LaurentPoly() and hash(zero) == hash(LaurentPoly())
     # the cached hash of one operand never leaks into a result
     assert hash(p * a) == hash(LaurentPoly(("a", "b"), {(2, 1): 1, (1, 0): 2}))
+
+
+# one term: exponents over a few variables, listed in the drawn order (an
+# exponent may be 0), and a coefficient
+_TERM = st.tuples(st.dictionaries(st.sampled_from(("a", "b", "c", "d")),
+                                  SMALL, max_size=3),
+                  st.integers(-3, 3))
+
+
+def _sum_of(terms) -> LaurentPoly:
+    p = LaurentPoly()
+    for exps, c in terms:
+        p = p + LaurentPoly(tuple(exps), {tuple(exps.values()): c})
+    return p
+
+
+@st.composite
+def _two_orders(draw):
+    terms = draw(st.lists(_TERM, max_size=5))
+    return draw(st.permutations(terms)), draw(st.permutations(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_orders(), st.lists(_TERM, max_size=3))
+def test_equal_polynomials_print_alike(orders, factor_terms):
+    # the same terms summed in two orders, and a product with its factors
+    # swapped: one variable order, one term map, one text
+    p, q = (_sum_of(terms) for terms in orders)
+    f = _sum_of(factor_terms)
+    for x, y in ((p, q), (p * f, f * q)):
+        assert (x.vars, x.terms, poly_to_str(x), repr(x)) == (
+            y.vars, y.terms, poly_to_str(y), repr(y))
+        used = {v for exps in x.terms for v, e in zip(x.vars, exps) if e}
+        assert x.vars == tuple(sorted(used))
+        assert LaurentPoly(x.vars, x.terms) == x
+
+
+def test_vars_are_the_variables_the_terms_use():
+    x, y = V("x"), V("y")
+    assert (x * y * x**-1).vars == ("y",)
+    assert (x - x).vars == () and LaurentPoly(("x",), {(0,): 2}).vars == ()
+    assert poly_to_str(parse_poly("X12 + X11")) == "X11 + X12"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_expr, "u*\u00b2", "unexpected character '\u00b2' at position 2"),
+    (parse_poly, "X11 + \u0661",
+     "unexpected character '\u0661' at position 6"),
+    (parse_expr, "u^(1/0)",
+     "zero denominator in the exponent at position 5 in 'u^(1/0)'")])
+def test_a_malformed_text_is_a_schema_error(parse, text, message):
+    # a superscript two and an Arabic-Indic one are not ASCII digits, and
+    # the exponent 1/0 is refused before it reaches Fraction
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse(text)
 
 
 def test_equal_constants_share_a_hash():

@@ -10,9 +10,10 @@ import pytest
 
 from orbit_atlas import catalog
 from orbit_atlas.arith import parse_poly
-from orbit_atlas.catalog import (ORBIT_COUNTS, load_catalog,
-                                 printed_statuses, root_weight_homogeneous,
-                                 serialize_catalog, validate_catalog, x_vars)
+from orbit_atlas.catalog import (ORBIT_COUNTS, WitnessParseError, load_catalog,
+                                 parse_printed_word, printed_statuses,
+                                 root_weight_homogeneous, serialize_catalog,
+                                 validate_catalog, x_vars)
 from orbit_atlas.errors import CatalogError, UnsupportedRankError
 from orbit_atlas.lie import coordinate_letters
 from reference import fraction_parse_poly
@@ -345,3 +346,11 @@ def test_parse_poly_equals_the_fraction_evaluation_on_every_catalog_string(
                                                                    allowed)
         assert (got.vars, got._t, got._b) == (want.vars, want._t,
                                               want._b), text
+
+
+def test_a_printed_factor_subscript_is_an_ascii_digit():
+    # an Arabic-Indic one once read as the simple root 1
+    assert parse_printed_word("T(1, 1, z) U_1(u)", 3)[1] == [((1, 1), "u")]
+    with pytest.raises(WitnessParseError,
+                       match="expected a root-group factor at position 10"):
+        parse_printed_word("T(1, 1, z) U_\u0661(u)", 3)

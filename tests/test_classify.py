@@ -207,7 +207,8 @@ def test_eval_kernel_reduces_fraction_coefficients(catalogs):
         dataclasses.replace(catalogs[2].by_id("x11"), zero_set=(rational,))
     polys = [2 * (Fraction(1, 2) * x11 - 3 * x11), 6 * rational]
     assert polys[0].terms == {(1,): -5}
-    assert polys[1].terms == {(1, 1, 0): 3, (0, 0, 2): -14, (1, 0, 0): 6}
+    # exponents over the variables used, in name order: X11, X12, X22
+    assert polys[1].terms == {(1, 0, 1): 3, (0, 2, 0): -14, (1, 0, 0): 6}
     q = 5
     axes = {var: range(q) for var in x_vars(2)}
     sig = grid_signatures(polys, axes, q)

@@ -489,6 +489,14 @@ def _zero_denominator(row):
     row["witness"]["factors"][0]["param"] = "1/(q-q)"
 
 
+def _zero_exponent_denominator(row):
+    row["witness"]["torus"][0] = "u^(1/0)"
+
+
+def _superscript_torus_entry(row):
+    row["witness"]["torus"][0] = "u*\u00b2"
+
+
 @pytest.mark.parametrize("argv", [
     ["orbits"], ["classify", "--point", "0,1,0"],
     ["classify", "--point", "0,1,0", "--mod", "5"], ["verify"], ["hasse"],
@@ -544,11 +552,16 @@ def test_a_weight_inhomogeneous_set_polynomial_is_refused_at_load(
 
 @pytest.mark.parametrize("n, rid, edit, detail", [
     (3, "x13", _zero_torus_entry, "torus entry evaluates to zero"),
-    (4, "x11", _zero_denominator, "division by zero fraction")])
+    (4, "x11", _zero_denominator, "division by zero fraction"),
+    (3, "x13", _zero_exponent_denominator,
+     "zero denominator in the exponent at position 5 in 'u^(1/0)'"),
+    (3, "x13", _superscript_torus_entry,
+     "unexpected character '\u00b2' at position 2")])
 def test_a_template_that_does_not_evaluate_fails_its_record(
         tmp_path, monkeypatch, capsys, n, rid, edit, detail):
     # before, verify ended in a traceback and check-all failed the
-    # witnesses without naming the record
+    # witnesses without naming the record (a ZeroDivisionError or a
+    # ValueError, for the last two)
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(tmp_path, n, rid,
                                                           edit)))
     code, _, err = run(capsys, "verify", "--type", f"A{n}")
@@ -560,6 +573,50 @@ def test_a_template_that_does_not_evaluate_fails_its_record(
         assert (code, err) == (1, "")
         assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x13']"
         assert out.count("FAIL") == 1
+
+
+def test_printed_text_typos_leave_every_check_standing(tmp_path, monkeypatch,
+                                                       capsys):
+    # a superscript two in x13's printed word and x12's printed set, and an
+    # exponent past EXP_LIMIT in x23's: before, verify, check-all and orbits
+    # ended in a traceback or failed the witnesses on the printed word, a
+    # provenance text that no certificate rests on
+    typos = {"x13": ("word", "T(u*\u00b2, 1, 1) U_1(u)"),
+             "x12": ("set", "Z(X11*\u00b2) & V(X12)"),
+             "x23": ("set", "Z(X11^9999999) & V(X23)")}
+    doc = json.loads((DATA / "a3.json").read_text(encoding="utf-8"))
+    for row in doc["orbits"]:
+        if row["id"] in typos:
+            key, text = typos[row["id"]]
+            row["as_printed"][key] = text
+    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    golden = (GOLDEN / "A3" / "check-all.txt").read_text(encoding="utf-8")
+    assert run(capsys, "check-all", "--type", "A3") == (0, golden, "")
+    code, out, _ = run(capsys, "verify", "--type", "A3", "--format", "json")
+    x13 = next(v for v in json.loads(out)["witnesses"] if v["id"] == "x13")
+    assert (code, x13["status"], x13["as_printed"]) == (
+        0, "RepairedAndVerified", "eval-error")
+    code, out, _ = run(capsys, "orbits", "--type", "A3", "--format", "json")
+    statuses = {r["id"]: (r["printed_set_status"], r["printed_word_status"])
+                for r in json.loads(out)["validation"]["records"]}
+    assert code == 0
+    assert statuses["x12"] == statuses["x23"] == ("unparseable", "parseable")
+    assert statuses["x13"] == ("match", "parseable")
+
+
+def test_a_set_polynomial_is_named_in_its_canonical_form(tmp_path,
+                                                         monkeypatch, capsys):
+    # X12 + X11 is X11 + X12, and is named so: before, the refusal named it
+    # in the order the catalog typed it
+    def reordered(row):
+        row["zero_set"][0] = "X12 + X11"
+
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(tmp_path, 2, "x22",
+                                                          reordered)))
+    assert run(capsys, "classify", "--type", "A2", "--point", "0,1,0") == (
+        1, "", "check failed: rank 2: record x22 polynomial X11 + X12 is "
+               "not root-weight homogeneous\n")
 
 
 def test_check_all_names_the_first_record_that_fails_the_catalog_check(
