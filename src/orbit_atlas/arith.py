@@ -23,13 +23,14 @@ Three layers, all exact:
 
 Formal radicals are adjoined through ``RadicalRelation`` towers: a fresh
 variable R with a rewrite rule R^k -> radicand.  ``normalize`` reduces every
-radical variable's exponent into [0, k) by applying the rules to a fixed
-point, which makes normal forms independent of the rewrite order.  Every
-fractional power, in ``eval_expr``, goes through one function,
-``_frac_pow``: it peels the tower's radicands off a composite base with
-``_peel``, the exact trial-division loop beside ``_exact_divide`` that
-``witness`` also factors with, and takes exact roots of what is left, a
-monomial with coefficient +-1.
+radical variable's exponent into [0, k) in one pass over the tower, last
+radical first: a radicand names only earlier radicals, so no later rewrite
+brings back an exponent already reduced.  Every fractional power, in
+``eval_expr``, goes through one function, ``_frac_pow``: it peels the
+tower's radicands off a composite base with ``_peel``, the exact
+trial-division loop beside ``_exact_divide`` that ``witness`` also factors
+with, and takes exact roots of what is left, a monomial with coefficient
++-1.
 """
 
 from __future__ import annotations
@@ -230,6 +231,11 @@ def _unpack(key: int, shifts) -> tuple[int, ...]:
     """Exponent tuple of a packed monomial over the slots at ``shifts``."""
     y = key + _BIAS
     return tuple([(y >> s & _MASK) - _HALF for s in shifts])
+
+
+def _digit(key: int, s: int) -> int:
+    """Exponent of the slot at bit offset s in a packed monomial."""
+    return (key + _BIAS >> s & _MASK) - _HALF
 
 
 def _in_box(key: int, lo: int, hi: int) -> bool:
@@ -579,9 +585,6 @@ class LaurentPoly:
 
     # -- display
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
     def __repr__(self):
         return f"<{poly_to_str(self)}>"
 
@@ -597,7 +600,7 @@ def poly_to_str(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, c in p.sorted_terms():
+    for exps, c in sorted(p.terms.items(), reverse=True):
         factors = []
         for v, e in zip(p.vars, exps):
             if e == 0:
@@ -653,35 +656,26 @@ def validate_tower(tower: Sequence[RadicalRelation]) -> None:
 def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
     """Reduce every radical variable's exponent into [0, order).
 
-    Rewrites R^e with e >= order as R^(e mod order) * radicand^(e // order),
-    repeating to a fixed point; the result is order-independent.  Negative
-    exponents of radical variables are not representable and raise.
+    One pass over the tower, last radical first, rewrites each R^e as
+    R^(e mod order) * radicand^(e // order), e read off the packed keys.  A
+    radicand names only earlier radicals (``validate_tower``), so no later
+    rewrite brings back an exponent already reduced.  A negative exponent
+    of a radical variable is not representable and raises ``DomainError``.
     """
     validate_tower(tower)
-    rules = {rel.new_var: rel for rel in tower}
-    while True:
-        hot = None
-        for exps in p.terms:
-            for v, e in zip(p.vars, exps):
-                if v in rules:
-                    if e < 0:
-                        raise DomainError(
-                            f"negative exponent of radical variable {v}")
-                    if e >= rules[v].order:
-                        hot = v
-                        break
-            if hot:
-                break
-        if hot is None:
-            return p
-        rel = rules[hot]
-        i, s = p.vars.index(hot), _SHIFT[hot]
-        acc = LaurentPoly()
-        for (exps, c), k in zip(p.terms.items(), p._t):
-            q = max(exps[i], 0) // rel.order
-            term = _poly({k - (q * rel.order << s): c}, p._b)
-            acc = acc + (term * rel.radicand ** q if q else term)
-        p = acc
+    for rel in reversed(tower):
+        s = _shift(rel.new_var)
+        parts: dict[int, dict] = {}     # q -> the terms over radicand^q
+        for k, c in p._t.items():
+            q = _digit(k, s) // rel.order
+            if q < 0:
+                raise DomainError(
+                    f"negative exponent of radical variable {rel.new_var}")
+            parts.setdefault(q, {})[k - (q * rel.order << s)] = c
+        if parts.keys() != {0}:
+            p = sum((_poly(t, p._b) * rel.radicand ** q
+                     for q, t in parts.items()), LaurentPoly.zero)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +699,7 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     the finite box: the loop ends.  The box can be huge ((a^k + 1)/(a + 1)
     with odd k has k quotient terms), so each step's term is counted and
     the step past ``QUOTIENT_LIMIT`` raises ``DomainError`` naming both
-    polynomials, whether den divides num or not.  The quotient's terms are
-    listed in descending lex order of its variables in name order."""
+    polynomials, whether den divides num or not."""
     if den.is_zero():
         return None
     if den.is_monomial():
@@ -743,9 +736,7 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
             s = rem.pop(key, 0) - t_c * c
             if s:
                 rem[key] = s
-    shifts = [_SHIFT[v] for v in sorted({*num.vars, *den.vars})]
-    order = sorted(quo, key=lambda k: _unpack(k, shifts), reverse=True)
-    return _poly({k: quo[k] for k in order}, bound)
+    return _poly(quo, bound)
 
 
 def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
@@ -801,6 +792,12 @@ class LaurentFraction:
     though no gcd is taken), and the denominator's leading coefficient, in
     lex order of its variables in name order, is scaled to 1.  Equality is
     decided by cross-multiplication.
+
+    A power e >= 2 of a canonical (num, den) is (num^e, den^e) as it
+    stands.  Per variable, least exponents add, so no common monomial
+    content appears; den^e's leading coefficient in the lex order is
+    1^e = 1; and Q[x^+-1] is a UFD, so den^e divides num^e only if den
+    divides num, which the canonical form rules out.
     """
 
     __slots__ = ("num", "den")
@@ -881,19 +878,9 @@ class LaurentFraction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        one = LaurentPoly.one
-        if self.den is one is o.den:
+        if self.den is LaurentPoly.one is o.den:
             return LaurentFraction(self.num * o.num)
-        num, den = self.num * o.num, self.den * o.den
-        if not (self.den is one and self.num.is_monomial()
-                or o.den is one and o.num.is_monomial()):
-            return LaurentFraction(num, den)
-        # a unit times a canonical fraction: the unit cannot make a
-        # denominator that does not divide the numerator divide it, so only
-        # the monomial content moves and no division is tried
-        f = _new(LaurentFraction)
-        f.num, f.den = _monic(*_strip_content(num, den))
-        return f
+        return LaurentFraction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -920,15 +907,12 @@ class LaurentFraction:
             return self.inv() ** (-e)
         if e == 0:
             return LaurentFraction(LaurentPoly.one)
-        out = None
-        base = self
-        while True:                 # square-and-multiply, from the low bit
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
+        if e == 1:
+            return self
+        f = _new(LaurentFraction)       # canonical: see the class docstring
+        f.num = self.num ** e
+        f.den = self.den if self.is_poly() else self.den ** e
+        return f
 
     def inv(self) -> "LaurentFraction":
         if self.num.is_zero():
@@ -954,15 +938,10 @@ class LaurentFraction:
             return self
         num, den = self.num, self.den
         for rel in tower:
-            r = rel.new_var
-            lows = []
-            for poly in (num, den):
-                if r in poly.vars:
-                    i = poly.vars.index(r)
-                    lows.extend(e[i] for e in poly.terms)
-            low = min(lows, default=0)
+            s = _shift(rel.new_var)
+            low = min(_digit(k, s) for k in (*num._t, *den._t))
             if low < 0:
-                shift = LaurentPoly.var(r, -low)
+                shift = LaurentPoly.var(rel.new_var, -low)
                 num = num * shift
                 den = den * shift
         num = normalize(num, tower)

@@ -22,7 +22,7 @@ from functools import cache
 from importlib import resources
 from typing import Iterable
 
-from .arith import LaurentPoly, parse_poly, poly_to_str
+from .arith import LaurentPoly, parse_expr, parse_poly, poly_to_str
 from .errors import CatalogError, DomainError, SchemaError
 from .lie import (MAX_RANK, NilElement, check_rank, coordinate_letters,
                   nil_dim, parse_root_token, pos_roots, root_token)
@@ -380,15 +380,6 @@ def record_to_json(rec: OrbitRecord) -> dict:
     }
 
 
-def serialize_catalog(cat: Catalog) -> str:
-    doc = {
-        "type": f"A{cat.rank}",
-        "schema_version": cat.schema_version,
-        "orbits": [record_to_json(r) for r in cat.orbits],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # the as_printed provenance grammar
 
@@ -565,9 +556,10 @@ def printed_statuses(cat: Catalog) -> dict[str, tuple[str, str]]:
     """Record id -> (set status, word status) of its as_printed layer.
     The set status is "match" when the printed set parses to the record's
     zero and nonzero sets up to the sign of each polynomial, else "diff",
-    "unparseable" or "absent"; the word status is "parseable",
-    "unparseable" or "absent" (``parse_printed_word``).  Each distinct
-    printed polynomial text is parsed once per call."""
+    "unparseable" or "absent"; the word status is "parseable" when the word
+    (``parse_printed_word``) and each of its torus entries and factor
+    parameters (``parse_expr``) parse, else "unparseable" or "absent".
+    Each distinct printed polynomial text is parsed once per call."""
     chunks: dict = {}                   # printed text -> polynomial
 
     @cache
@@ -596,9 +588,11 @@ def printed_statuses(cat: Catalog) -> dict[str, tuple[str, str]]:
             word_status = "absent"
         else:
             try:
-                parse_printed_word(word, cat.rank)
+                torus, factors = parse_printed_word(word, cat.rank)
+                for text in (*(torus or ()), *(p for _, p in factors)):
+                    parse_expr(text)
                 word_status = "parseable"
-            except WitnessParseError:
+            except (WitnessParseError, SchemaError):
                 word_status = "unparseable"
         statuses[rec.id] = (status, word_status)
     return statuses

@@ -543,11 +543,6 @@ class WitnessReport:
     verdicts: list
     forward: list
 
-    @property
-    def all_certified(self) -> bool:
-        return (all(v.certified for v in self.verdicts)
-                and all(f.ok for f in self.forward))
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,

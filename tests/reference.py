@@ -45,11 +45,22 @@ the path every printed word took before a word equal in value to its
 template reused the template's residuals.  ``fraction_parse_poly`` is
 ``arith.parse_poly`` through one ``LaurentFraction`` per parse-tree node,
 the reference for its direct ``LaurentPoly`` evaluation.
+
+``fixed_point_normalize`` reduces radical exponents by rewriting one hot
+variable at a time until none is left, and ``fraction_power`` raises a
+``LaurentFraction`` by square-and-multiply through its canonicalizing
+product: the references for ``arith.normalize``'s one pass down the tower
+and for ``LaurentFraction.__pow__``'s (num^e, den^e).
+
+``serialize_catalog`` writes a catalog in the form of the shipped files,
+and ``all_certified`` says whether a ``witness.WitnessReport`` certifies
+every record and holds every forward containment.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -58,12 +69,12 @@ import numpy as np
 
 from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly, _Parser,
                                eval_expr, expr_vars, inv_elem, is_zero_elem,
-                               poly_to_str)
-from orbit_atlas.catalog import root_weight_homogeneous, x_vars
+                               poly_to_str, validate_tower)
+from orbit_atlas.catalog import record_to_json, root_weight_homogeneous, x_vars
 from orbit_atlas.classify import gather, slice_table
-from orbit_atlas.errors import (DisjointnessError, ExhaustionError,
-                                InternalInconsistencyError, SchemaError,
-                                ShapeError)
+from orbit_atlas.errors import (DisjointnessError, DomainError,
+                                ExhaustionError, InternalInconsistencyError,
+                                SchemaError, ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _bracket, adjoint,
                              generic_borel_word, nil_dim, pos_roots)
@@ -617,6 +628,23 @@ def less(poset, a: str, b: str) -> bool:
     return a != b and poset.leq[(a, b)]
 
 
+def serialize_catalog(cat) -> str:
+    """The catalog as the text of its shipped ``data/a<n>.json`` file."""
+    doc = {
+        "type": f"A{cat.rank}",
+        "schema_version": cat.schema_version,
+        "orbits": [record_to_json(r) for r in cat.orbits],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def all_certified(report) -> bool:
+    """Every verdict of a ``WitnessReport`` certified and every forward
+    containment held."""
+    return (all(v.certified for v in report.verdicts)
+            and all(f.ok for f in report.forward))
+
+
 def nonlinear_zero(rec) -> list:
     """The zero-set generators of a record that are not single coordinates
     of its linear part."""
@@ -657,3 +685,56 @@ def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
     if not out.is_poly():
         raise SchemaError(f"{text!r} is not polynomial")
     return out.num
+
+
+# ---------------------------------------------------------------------------
+# radical towers and fraction powers
+
+
+def fixed_point_normalize(p: LaurentPoly, tower) -> LaurentPoly:
+    """``arith.normalize`` by rewriting R^e with e >= order as
+    R^(e mod order) * radicand^(e // order) for one hot radical variable at
+    a time, until no exponent is left to reduce."""
+    validate_tower(tower)
+    rules = {rel.new_var: rel for rel in tower}
+    while True:
+        hot = None
+        for exps in p.terms:
+            for v, e in zip(p.vars, exps):
+                if v in rules:
+                    if e < 0:
+                        raise DomainError(
+                            f"negative exponent of radical variable {v}")
+                    if e >= rules[v].order:
+                        hot = v
+                        break
+            if hot:
+                break
+        if hot is None:
+            return p
+        rel, i = rules[hot], p.vars.index(hot)
+        acc = LaurentPoly()
+        for exps, c in p.terms.items():
+            q = max(exps[i], 0) // rel.order
+            low = exps[:i] + (exps[i] - q * rel.order,) + exps[i + 1:]
+            term = LaurentPoly(p.vars, {low: c})
+            acc = acc + (term * rel.radicand ** q if q else term)
+        p = acc
+
+
+def fraction_power(f: LaurentFraction, e: int) -> LaurentFraction:
+    """f^e by square-and-multiply from the low bit, each product
+    canonicalized by ``LaurentFraction``'s product; a negative e raises the
+    inverse."""
+    if e < 0:
+        return fraction_power(f.inv(), -e)
+    if e == 0:
+        return LaurentFraction(LaurentPoly.one)
+    out, base = None, f
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            return out
+        base = base * base

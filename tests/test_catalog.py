@@ -12,11 +12,11 @@ from orbit_atlas import catalog
 from orbit_atlas.arith import parse_poly
 from orbit_atlas.catalog import (ORBIT_COUNTS, WitnessParseError, load_catalog,
                                  parse_printed_word, printed_statuses,
-                                 root_weight_homogeneous, serialize_catalog,
-                                 validate_catalog, x_vars)
+                                 root_weight_homogeneous, validate_catalog,
+                                 x_vars)
 from orbit_atlas.errors import CatalogError, UnsupportedRankError
 from orbit_atlas.lie import coordinate_letters
-from reference import fraction_parse_poly
+from reference import fraction_parse_poly, serialize_catalog
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
 

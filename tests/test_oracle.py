@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import classify, cli, oracle
 from orbit_atlas.arith import Fp, LaurentPoly, parse_poly, primitive_root
-from orbit_atlas.catalog import serialize_catalog, x_vars
+from orbit_atlas.catalog import x_vars
 from orbit_atlas.classify import member
 from orbit_atlas.cli import main
 from orbit_atlas.errors import (BudgetExceededError, CatalogError,
@@ -34,8 +34,8 @@ from reference import (broadcast_image_codes, broadcast_point_records,
                        coroot_bracket_rows, decode_points,
                        derivative_jacobian, gauss_jordan_rank,
                        generator_passes, inverse_matrix,
-                       nonempty_record_count, rank_mod_p, to_matrix,
-                       torus_word, word_identities, word_map)
+                       nonempty_record_count, rank_mod_p, serialize_catalog,
+                       to_matrix, torus_word, word_identities, word_map)
 
 
 def _encode_points(digits, q):

@@ -13,7 +13,7 @@ from orbit_atlas import witness
 from orbit_atlas.arith import (LaurentFraction, LaurentPoly, _frac_pow,
                                _peel, parse_poly)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
-                                parse_printed_word, serialize_catalog, x_vars)
+                                parse_printed_word, x_vars)
 from orbit_atlas.cli import main
 from orbit_atlas.errors import (CatalogError, DomainError,
                                 InternalInconsistencyError, SchemaError)
@@ -26,8 +26,8 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  template_power,
                                  template_word, verify_rank,
                                  verify_witness_numeric)
-from reference import (commutator_nil, full_word_pullbacks, nonlinear_zero,
-                       word_residuals)
+from reference import (all_certified, commutator_nil, full_word_pullbacks,
+                       nonlinear_zero, serialize_catalog, word_residuals)
 
 
 def test_forward_containment_all_records(catalogs):
@@ -420,7 +420,7 @@ def test_verify_rank_builds_each_distinct_word_once(catalogs, monkeypatch,
     original = witness._residuals
     monkeypatch.setattr(witness, "template_word", counting)
     monkeypatch.setattr(witness, "_residuals", counting_residuals)
-    assert verify_rank(catalogs[n]).all_certified
+    assert all_certified(verify_rank(catalogs[n]))
     assert len(built) == words
     assert len(residuals) == {1: 2, 2: 5, 3: 16, 4: 65}[n]
 
@@ -692,7 +692,7 @@ def test_verify_rank_parses_each_distinct_text_once(catalogs, monkeypatch,
         return original(text)
 
     monkeypatch.setattr(witness, "parse_expr", counting)
-    assert verify_rank(catalogs[n]).all_certified
+    assert all_certified(verify_rank(catalogs[n]))
     texts = set()
     for rec in catalogs[n].orbits:
         words = [(rec.witness.torus, rec.witness.factors)]
