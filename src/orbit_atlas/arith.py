@@ -25,8 +25,10 @@ Formal radicals are adjoined through ``RadicalRelation`` towers: a fresh
 variable R with a rewrite rule R^k -> radicand.  ``normalize`` reduces every
 radical variable's exponent into [0, k) in one pass over the tower, last
 radical first: a radicand names only earlier radicals, so no later rewrite
-brings back an exponent already reduced.  Every fractional power, in
-``eval_expr``, goes through one function, ``_frac_pow``: it peels the
+brings back an exponent already reduced.  One evaluator, ``eval_expr``,
+reads every parse tree in the ring of its bindings (``LaurentPoly`` ones in
+``parse_poly``, ``LaurentFraction`` ones in ``witness``), and every
+fractional power goes through one function, ``_frac_pow``: it peels the
 tower's radicands off a composite base with ``_peel``, the exact
 trial-division loop beside ``_exact_divide`` that ``witness`` also factors
 with, and takes exact roots of what is left, a monomial with coefficient
@@ -529,8 +531,6 @@ class LaurentPoly:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, LaurentFraction):
-                return LaurentFraction(self) / other
             return NotImplemented
         if o.is_monomial():
             return self * o.monomial_inverse()
@@ -1172,44 +1172,40 @@ def _frac_pow(base: LaurentFraction, e: Fraction,
     return LaurentFraction(root(base.num), root(base.den))
 
 
-def eval_expr(node, env: Mapping[str, LaurentFraction],
-              tower: Sequence[RadicalRelation] = (),
-              memo: dict | None = None) -> LaurentFraction:
-    """Evaluate a parsed expression tree to a LaurentFraction.
-
-    Fractional powers go through ``_frac_pow`` over the radical ``tower``
-    adjoined to ``env``.  ``memo`` maps parse-tree nodes to their values
-    under this ``env`` and tower: a node found there is not evaluated again,
-    and each node evaluated is added.
-    """
+def eval_expr(node, env: Mapping[str, object],
+              tower: Sequence[RadicalRelation] = (), memo: dict | None = None):
+    """The value of a parsed expression tree in the ring of its bindings
+    (a ``LaurentPoly`` over ``LaurentPoly`` bindings); a number is a
+    constant ``LaurentPoly``.  A fractional power lifts its base to a
+    ``LaurentFraction`` for ``_frac_pow`` over the radical ``tower``
+    adjoined to ``env``, and a negative power of a non-monomial
+    ``LaurentPoly``, zero included, is refused as not polynomial.  ``memo``
+    maps nodes to their values under this ``env`` and tower: a node found
+    there is not evaluated again, and each node evaluated is added."""
     if memo is not None and node in memo:
         return memo[node]
-
-    def sub(k):
-        return eval_expr(node[k], env, tower, memo)
-
     kind = node[0]
-    if kind == "num":
-        value = LaurentFraction(LaurentPoly.const(node[1]))
-    elif kind == "var":
-        name = node[1]
-        if name not in env:
-            raise SchemaError(f"unregistered variable {name!r}")
-        value = env[name]
+    if kind == "var":
+        if node[1] not in env:
+            raise SchemaError(f"unregistered variable {node[1]!r}")
+        value = env[node[1]]
+    elif kind == "num":
+        value = LaurentPoly.const(node[1])
     elif kind == "neg":
-        value = -sub(1)
-    elif kind == "add":
-        value = sub(1) + sub(2)
-    elif kind == "sub":
-        value = sub(1) - sub(2)
-    elif kind == "mul":
-        value = sub(1) * sub(2)
-    elif kind == "div":
-        value = sub(1) / sub(2)
+        value = -eval_expr(node[1], env, tower, memo)
     elif kind == "pow":
-        e = node[2]
-        value = (sub(1) ** e.numerator if e.denominator == 1
-                 else _frac_pow(sub(1), e, tower))
+        base, e = eval_expr(node[1], env, tower, memo), node[2]
+        if e.denominator != 1:
+            value = _frac_pow(LaurentFraction._lift(base), e, tower)
+        elif e < 0 and base.__class__ is LaurentPoly and not base.is_monomial():
+            raise SchemaError(f"({poly_to_str(base)})^{e} is not polynomial")
+        else:
+            value = base ** e.numerator
+    elif kind in ("add", "sub", "mul", "div"):
+        a = eval_expr(node[1], env, tower, memo)
+        b = eval_expr(node[2], env, tower, memo)
+        value = (a + b if kind == "add" else a - b if kind == "sub"
+                 else a * b if kind == "mul" else a / b)
     else:
         raise SchemaError(f"bad expression node {kind!r}")
     if memo is not None:
@@ -1223,9 +1219,7 @@ def expr_vars(node) -> set[str]:
         return {node[1]}
     if kind == "num":
         return set()
-    if kind in ("neg",):
-        return expr_vars(node[1])
-    if kind == "pow":
+    if kind in ("neg", "pow"):
         return expr_vars(node[1])
     return expr_vars(node[1]) | expr_vars(node[2])
 
@@ -1238,38 +1232,15 @@ def parse_expr(text: str):
 def parse_poly(text: str, allowed_vars: Iterable[str] | None = None) -> LaurentPoly:
     """Parse a polynomial under the catalog grammar: idents, integers,
     + - * ^ with integer exponents, parentheses.  Division and fractional
-    exponents are refused by the parser; the tree is evaluated in
-    ``LaurentPoly`` directly (``_poly_value``)."""
+    exponents are refused by the parser; the tree is evaluated by
+    ``eval_expr`` over ``LaurentPoly.var`` bindings, so its value is a
+    ``LaurentPoly``.  A zero value is ``LaurentPoly.zero``, whose exponent
+    bound is 0, as a zero fraction's numerator is."""
     node = _Parser(text, witness=False).parse()
+    names = expr_vars(node)
     if allowed_vars is not None:
-        allowed = set(allowed_vars)
-        bad = expr_vars(node) - allowed
+        bad = names - set(allowed_vars)
         if bad:
             raise SchemaError(f"variables {sorted(bad)} not in the allowed set")
-    return _poly_value(node, text)
-
-
-def _poly_value(node, text: str) -> LaurentPoly:
-    """The value of a division-free parse tree, in ``LaurentPoly`` with no
-    fraction built: a negative power is a monomial's inverse, and one of a
-    non-monomial is refused as not polynomial.  A zero value is
-    ``LaurentPoly.zero``, whose exponent bound is 0, as a zero fraction's
-    numerator is."""
-    kind = node[0]
-    if kind == "num":
-        value = LaurentPoly.const(node[1])
-    elif kind == "var":
-        value = LaurentPoly.var(node[1])
-    elif kind == "neg":
-        value = -_poly_value(node[1], text)
-    elif kind == "pow":
-        base, e = _poly_value(node[1], text), int(node[2])
-        if e < 0 and not base.is_monomial():
-            raise SchemaError(f"{text!r} is not polynomial")
-        value = base ** e
-    elif kind in ("add", "sub", "mul"):
-        a, b = _poly_value(node[1], text), _poly_value(node[2], text)
-        value = a + b if kind == "add" else a - b if kind == "sub" else a * b
-    else:
-        raise SchemaError(f"bad expression node {kind!r}")
+    value = eval_expr(node, {v: LaurentPoly.var(v) for v in names})
     return value if value._t else LaurentPoly.zero

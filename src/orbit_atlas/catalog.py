@@ -267,6 +267,14 @@ def orbit_id_for(rep: NilElement) -> str:
     return "+".join(toks) if toks else "0"
 
 
+def _expect(value, kind: type, what: str):
+    """``value``, refused by name unless JSON of ``kind`` (dict, list, str)."""
+    if not isinstance(value, kind):
+        noun = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise CatalogError(f"{what}: expected {noun}, got {type(value).__name__}")
+    return value
+
+
 def load_catalog(n: int) -> Catalog:
     """Load and structurally validate the rank-n catalog, from the directory
     ``ORBIT_ATLAS_DATA`` names when it is set."""
@@ -274,6 +282,7 @@ def load_catalog(n: int) -> Catalog:
         raw = json.loads(_read_text(_data_path(n)))
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"cannot read catalog for rank {n}: {exc}") from exc
+    _expect(raw, dict, f"catalog for rank {n}")
     if raw.get("type") != f"A{n}":
         raise CatalogError(f"catalog file type {raw.get('type')!r} != A{n}")
     version = raw.get("schema_version")
@@ -284,7 +293,9 @@ def load_catalog(n: int) -> Catalog:
     polys: dict = {}            # set string -> its one parse, shared by rows
     records = []
     seen = set()
-    for row in raw.get("orbits", ()):
+    for k, row in enumerate(_expect(raw.get("orbits", []), list,
+                                    f"rank {n} orbits")):
+        _expect(row, dict, f"rank {n} orbits[{k}]")
         rid = row.get("id", "<missing id>")
         try:
             rec = _record_from_json(n, row, allowed, letters, polys)
@@ -314,8 +325,8 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     rid = row["id"]
     if orbit_id_for(rep) != rid:
         raise CatalogError(f"id {rid!r} does not match representative")
-    zero_strs = tuple(row["zero_set"])
-    nonzero_strs = tuple(row["nonzero_set"])
+    zero_strs = tuple(_expect(row["zero_set"], list, "zero_set"))
+    nonzero_strs = tuple(_expect(row["nonzero_set"], list, "nonzero_set"))
     for s in zero_strs + nonzero_strs:
         if s not in polys:
             polys[s] = parse_poly(s, allowed)
@@ -333,7 +344,7 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         for r in w.get("radicals", ()))
     for r in radicals:
         parse_poly(r.radicand, letters | {x.name for x in radicals})
-    torus = tuple(w.get("torus", ()))
+    torus = tuple(_expect(w.get("torus", []), list, "witness torus"))
     if torus and len(torus) != n:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
     factors = tuple(
@@ -343,13 +354,16 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
     notes = tuple(dict(x) for x in row.get("notes", ()))
+    printed = _expect(row.get("as_printed", {}), dict, "as_printed")
+    for key, text in printed.items():
+        _expect(text, str, f"as_printed {key}")
     rec = OrbitRecord(
         id=rid, rank=n, representative=rep,
         zero_set=zero, nonzero_set=nonzero,
         zero_strs=zero_strs, nonzero_strs=nonzero_strs,
         dim=int(row["dim"]),
         witness=WitnessTemplate(constraints, radicals, torus, factors),
-        as_printed=dict(row.get("as_printed", {})),
+        as_printed=dict(printed),
         notes=notes)
     if rec.dim != nil_dim(n) - len(zero):
         raise CatalogError(f"dim {rec.dim} != {nil_dim(n)} - {len(zero)} "

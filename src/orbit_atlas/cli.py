@@ -59,7 +59,10 @@ def _parse_point(text: str, n: int, mod: int | None) -> NilElement:
     try:
         if mod is not None:
             vals = [Fp(int(p), mod) for p in parts]
-        else:
+        else:   # Fraction would expand 1e999999999 to all of its digits
+            for p in parts:
+                if "e" in p.lower():
+                    raise ValueError(f"{p!r} is in exponent notation")
             vals = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         kind = "integers" if mod is not None else "rationals"

@@ -30,7 +30,8 @@ composite base.  Every factorization, there and in ``first_non_unit``, runs
 through one exact trial-division loop, ``arith._peel``.  ``verify_rank``
 parses each distinct expression text once per call, and each member
 evaluates each distinct parse-tree node once (``MemberEnv.memo``), so the
-template and the as-printed word share their common subexpressions.  Every
+template and the as-printed word share their common subexpressions (the
+memo keeps each expression's value lifted to a ``LaurentFraction``).  Every
 printed word that parses is built over the member and compared with the
 template word by value only (``_same_word``): a word equal to it reuses its
 residuals, so only a word of another value runs its own ``adjoint``.
@@ -156,10 +157,15 @@ def _parsed(text: str, parsed: dict | None):
 
 def eval_template_expr(text: str, menv: MemberEnv,
                        parsed: dict | None = None) -> LaurentFraction:
-    """The value of one template expression over the general member: each
-    parse-tree node is evaluated once per member (``menv.memo``), so the
-    template and the printed word share their common subexpressions."""
-    return eval_expr(_parsed(text, parsed), menv.env, menv.tower, menv.memo)
+    """The value of one template expression over the general member, as a
+    ``LaurentFraction``: each parse-tree node is evaluated once per member
+    (``menv.memo``), so the template and the printed word share their
+    common subexpressions.  The memo keeps the lift of a number's constant
+    ``LaurentPoly``, so every word over the member holds the one object."""
+    node = _parsed(text, parsed)
+    menv.memo[node] = LaurentFraction._lift(
+        eval_expr(node, menv.env, menv.tower, menv.memo))
+    return menv.memo[node]
 
 
 # ---------------------------------------------------------------------------

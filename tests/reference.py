@@ -43,8 +43,9 @@ round replaced, and the reference for it.
 ``word_residuals`` runs ``adjoint`` on any word built from template texts,
 the path every printed word took before a word equal in value to its
 template reused the template's residuals.  ``fraction_parse_poly`` is
-``arith.parse_poly`` through one ``LaurentFraction`` per parse-tree node,
-the reference for its direct ``LaurentPoly`` evaluation.
+``arith.parse_poly`` through one ``LaurentFraction`` per parse-tree node
+(``fraction_eval``, the all-fraction evaluator), the reference for its
+evaluation by ``arith.eval_expr`` over ``LaurentPoly`` bindings.
 
 ``fixed_point_normalize`` reduces radical exponents by rewriting one hot
 variable at a time until none is left, and ``fraction_power`` raises a
@@ -68,8 +69,8 @@ from operator import mul
 import numpy as np
 
 from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly, _Parser,
-                               eval_expr, expr_vars, inv_elem, is_zero_elem,
-                               poly_to_str, validate_tower)
+                               expr_vars, inv_elem, is_zero_elem, poly_to_str,
+                               validate_tower)
 from orbit_atlas.catalog import record_to_json, root_weight_homogeneous, x_vars
 from orbit_atlas.classify import gather, slice_table
 from orbit_atlas.errors import (DisjointnessError, DomainError,
@@ -671,17 +672,36 @@ def word_residuals(rec, menv, torus_strs, factor_list, parsed=None):
 # the catalog polynomial grammar
 
 
+def fraction_eval(node, env):
+    """The value of a catalog-grammar parse tree with every node a
+    ``LaurentFraction``, a number included: the evaluator that
+    ``arith.eval_expr``, which computes in the ring of its bindings,
+    replaced."""
+    kind = node[0]
+    if kind == "num":
+        return LaurentFraction(LaurentPoly.const(node[1]))
+    if kind == "var":
+        return env[node[1]]
+    if kind == "neg":
+        return -fraction_eval(node[1], env)
+    if kind == "pow":
+        return fraction_eval(node[1], env) ** int(node[2])
+    a, b = fraction_eval(node[1], env), fraction_eval(node[2], env)
+    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+
+
 def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
     """``arith.parse_poly`` evaluated through one ``LaurentFraction`` per
-    parse-tree node, the path its direct ``LaurentPoly`` evaluation
-    replaced: a result that is not a polynomial is refused at the end."""
+    parse-tree node (``fraction_eval``), the path its ``LaurentPoly``
+    evaluation replaced: a result that is not a polynomial is refused at
+    the end."""
     node = _Parser(text, witness=False).parse()
     if allowed_vars is not None:
         bad = expr_vars(node) - set(allowed_vars)
         if bad:
             raise SchemaError(f"variables {sorted(bad)} not in the allowed set")
     env = {v: LaurentFraction(LaurentPoly.var(v)) for v in expr_vars(node)}
-    out = eval_expr(node, env)
+    out = fraction_eval(node, env)
     if not out.is_poly():
         raise SchemaError(f"{text!r} is not polynomial")
     return out.num

@@ -183,8 +183,11 @@ def test_check_all_rank1(capsys):
 
 
 @pytest.mark.parametrize("point, mod", [("1/2,x,3", None), ("1/2,0,3", "5"),
-                                        ("1/0,0,3", None)])
+                                        ("1/0,0,3", None),
+                                        ("1e999999999,0,3", None)])
 def test_classify_malformed_coordinate_is_usage_error(capsys, point, mod):
+    # exponent notation is refused: before, Fraction expanded 1e999999999
+    # to all of its digits and classify did not return
     argv = ["classify", "--type", "A2", "--point", point]
     code, out, err = run(capsys, *argv, *(["--mod", mod] if mod else []))
     assert code == 2
@@ -510,6 +513,56 @@ def test_a_negative_set_exponent_is_refused_at_load(tmp_path, monkeypatch,
     assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
         1, "", "check failed: rank 2 row 'x11+x22': set polynomial "
                "'X11^-1' has a negative exponent\n")
+
+
+def _reshaped(tmp_path, n: int, edit) -> Path:
+    """A directory holding the rank-n catalog JSON as ``edit`` returns it
+    from the shipped document, for ``ORBIT_ATLAS_DATA``."""
+    doc = json.loads((DATA / f"a{n}.json").read_text(encoding="utf-8"))
+    (tmp_path / f"a{n}.json").write_text(json.dumps(edit(doc)),
+                                         encoding="utf-8")
+    return tmp_path
+
+
+def _second_row_an_int(doc):
+    doc["orbits"][1] = 1
+    return doc
+
+
+def _x11(edit):
+    """``_reshaped``'s edit that runs ``edit`` on the row of x11."""
+    def reshape(doc):
+        edit(next(row for row in doc["orbits"] if row["id"] == "x11"))
+        return doc
+    return reshape
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: [1, 2], "catalog for rank 2: expected an object, got list"),
+    (lambda doc: {**doc, "orbits": 5},
+     "rank 2 orbits: expected a list, got int"),
+    (_second_row_an_int, "rank 2 orbits[1]: expected an object, got int"),
+    (_x11(lambda row: row["as_printed"].update(word=5)),
+     "rank 2 row 'x11': as_printed word: expected a string, got int"),
+    (_x11(lambda row: row["as_printed"].update(set=5)),
+     "rank 2 row 'x11': as_printed set: expected a string, got int"),
+    (_x11(lambda row: row["witness"].update(torus="x1")),
+     "rank 2 row 'x11': witness torus: expected a list, got str"),
+    (_x11(lambda row: row.update(zero_set="X22")),
+     "rank 2 row 'x11': zero_set: expected a list, got str")],
+    ids=["top-level-list", "orbits-int", "row-int", "printed-word-int",
+         "printed-set-int", "torus-string", "zero-set-string"])
+def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
+                                                      capsys, edit, error):
+    # before, the first five ended check-all, orbits or verify in an
+    # AttributeError or a TypeError (the row's id was read outside the
+    # per-row try, and the printed texts were read as strings only when a
+    # command parsed them); the torus string "x1" loaded as the two entries
+    # x and 1, and the zero set "X22" was parsed letter by letter
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, 2, edit)))
+    for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
+        assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
+            1, "", f"check failed: {error}\n")
 
 
 def _half_in_nonzero_set(row):

@@ -5,11 +5,11 @@ import re
 
 import pytest
 
-from orbit_atlas import order
+from orbit_atlas import cli, order
 from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
 from orbit_atlas.catalog import letter_of_var, load_catalog, x_vars
 from orbit_atlas.classify import member
-from orbit_atlas.errors import InternalInconsistencyError
+from orbit_atlas.errors import CatalogError, InternalInconsistencyError
 from orbit_atlas.lie import NilElement
 from orbit_atlas.oracle import ORACLE_DEFAULT_QS
 from orbit_atlas.order import (_certify, closure_generators, closure_leq,
@@ -204,6 +204,36 @@ def test_closure_generator_augmentation(catalogs):
     # one generator per pool class: p and -p are never both carried
     for a, g in gens.items():
         assert len({cat.slot[p] for p, _ in g}) == len(g), a
+
+
+def _twin_of_x11(cat):
+    # a second record with x11's sets: each lies below the other
+    x11 = cat.by_id("x11")
+    return dataclasses.replace(cat, orbits=cat.orbits + (
+        dataclasses.replace(x11, id="x11-twin"),))
+
+
+def _x12_of_dim_3(cat):
+    # x12 < x11, but x12's dim is raised past x11's
+    return dataclasses.replace(cat, orbits=tuple(
+        dataclasses.replace(r, dim=3) if r.id == "x12" else r
+        for r in cat.orbits))
+
+
+@pytest.mark.parametrize("broken, error", [
+    (_twin_of_x11, "closure order cycle between x11 and x11-twin"),
+    (_x12_of_dim_3, "x12 < x11 but dim 3 >= 2")], ids=["cycle", "dimension"])
+def test_hasse_refuses_an_order_that_is_no_partial_order_by_dimension(
+        catalogs, monkeypatch, capsys, broken, error):
+    # antisymmetry and dimension monotonicity, checked before any point is
+    # enumerated; check-all fails its closure-order line on the same text
+    cat = broken(catalogs[2])
+    with pytest.raises(CatalogError, match=f"^{re.escape(error)}$"):
+        hasse(cat)
+    monkeypatch.setattr(cli, "load_catalog", lambda n: cat)
+    assert cli.main(["check-all", "--type", "A2"]) == 1
+    assert (f"FAIL closure-order: CatalogError: {error}"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_dot_output_deterministic_and_wellformed(posets):
