@@ -4,11 +4,11 @@ Three layers, all exact:
 
 * ``Fp`` -- prime-field scalars with canonical representatives in [0, p),
   equal to every int of their class mod p and so unhashable.
-* ``LaurentPoly`` -- sparse multivariate Laurent polynomials over Q
-  (exponents may be negative), canonical form enforced after every
-  operation.  A canonical coefficient is an ``int``, or a ``Fraction`` with
-  denominator > 1: never zero and never a float.  Coefficient divisions go
-  through ``Fraction`` (``_quo``).  One evaluation, ``eval``, serves every
+* ``LaurentPoly`` -- sparse multivariate Laurent polynomials over Z
+  (exponents may be negative): every coefficient is a nonzero ``int``, and
+  any other coefficient, a ``Fraction`` included, raises ``SchemaError``.
+  Its units are the +-monomials (``is_unit``), the only polynomials
+  ``monomial_inverse`` inverts.  One evaluation, ``eval``, serves every
   ring of values and returns the value in its bindings' ring (an ``Fp`` at
   ``Fp`` bindings); a pole raises ``DomainError``, and a constant returns
   its coefficient, which an F_p reader lifts (``Fp(0, p) + value``).  Each
@@ -18,8 +18,10 @@ Three layers, all exact:
   polynomial section).  The packed map is a polynomial's only state:
   ``vars``, the variables its terms use in name order, is read off the
   keys, so equal polynomials print alike.
-* ``LaurentFraction`` -- quotients of Laurent polynomials, compared by
-  cross-multiplication, never by floating point.
+* ``LaurentFraction`` -- quotients of Laurent polynomials, the fraction
+  field, compared by cross-multiplication, never by floating point.
+  Rationals are values only: a ``Fraction`` lifts to a quotient of
+  constants, and ``eval`` bindings and points may hold them.
 
 Formal radicals are adjoined through ``RadicalRelation`` towers: a fresh
 variable R with a rewrite rule R^k -> radicand.  ``normalize`` reduces every
@@ -40,11 +42,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, SchemaError
-
-Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -256,46 +256,27 @@ def _check_bound(b: int) -> int:
     return b
 
 
-def _canon(c) -> Rational:
-    """Canonical form of a rational coefficient: an ``int`` when integral,
-    else a ``Fraction`` with denominator > 1."""
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise SchemaError(f"coefficient {c!r} is not rational")
+def _coefficient(c) -> int:
+    """c as an ``int`` coefficient; anything else raises ``SchemaError``."""
+    if not isinstance(c, int):
+        raise SchemaError(f"the coefficient {c!r} is not an int")
+    return int(c)
 
 
-def _quo(a: Rational, b: Rational) -> Rational:
-    """a / b for rational coefficients, canonical (two ints never give a
-    float)."""
-    if a.__class__ is int and b.__class__ is int and not a % b:
-        return a // b
-    return _canon(Fraction(a, b))
-
-
-def _canon_values(terms: dict) -> dict:
-    """Rewrite the integral ``Fraction`` values of a fresh term map as ints."""
-    for key, c in terms.items():
-        if c.__class__ is not int and c.denominator == 1:
-            terms[key] = c.numerator
-    return terms
-
-
-def _scale(terms: dict, key: int, c: Rational) -> dict:
+def _scale(terms: dict, key: int, c: int) -> dict:
     """Packed term map times the monomial c * x^key."""
     if key:
-        return _canon_values({k + key: x * c for k, x in terms.items()})
+        return {k + key: x * c for k, x in terms.items()}
     if c == 1:
         return terms
-    return _canon_values({k: x * c for k, x in terms.items()})
+    return {k: x * c for k, x in terms.items()}
 
 
 _new = object.__new__
 
 
 def _poly(t: dict, b: int) -> "LaurentPoly":
-    """Trusted constructor: a packed map with canonical nonzero
+    """Trusted constructor: a packed map with nonzero ``int``
     coefficients and exponent bound b.  Nothing is copied or checked."""
     p = _new(LaurentPoly)
     p._t, p._b = t, b
@@ -320,9 +301,10 @@ def _product_bound(p: "LaurentPoly", q: "LaurentPoly") -> int:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over Q.  Coefficients are canonical: an
-    ``int`` when integral, else a ``Fraction`` with denominator > 1, never
-    zero and never a float.
+    """Sparse Laurent polynomial over Z: an element of Z[x^+-1].  Every
+    coefficient is a nonzero ``int``; the constructor, ``const`` and mixed
+    arithmetic refuse any other, a ``Fraction`` included, with
+    ``SchemaError``.  The units are the +-monomials (``is_unit``).
 
     Terms live in a map from packed monomial (see above) to coefficient, so
     equality, hashing and arithmetic never align variable lists; the
@@ -343,10 +325,10 @@ class LaurentPoly:
         if len(set(vars)) != len(vars):
             raise SchemaError(f"repeated variable in {vars}")
         shifts = [_shift(v) for v in vars]
-        t: dict[int, Rational] = {}
+        t: dict[int, int] = {}
         b = 0
         for exps, c in (terms or {}).items():
-            c = _canon(c)
+            c = _coefficient(c)
             if c == 0:
                 continue
             exps = tuple(exps)
@@ -359,8 +341,8 @@ class LaurentPoly:
     # -- constructors
 
     @staticmethod
-    def const(c: Rational) -> "LaurentPoly":
-        c = _canon(c)
+    def const(c: int) -> "LaurentPoly":
+        c = _coefficient(c)
         return _poly({0: c} if c else {}, 0)
 
     @staticmethod
@@ -404,7 +386,9 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if other.__class__ is not LaurentPoly:
-            if not isinstance(other, (int, Fraction)):
+            if isinstance(other, Fraction) and other.denominator == 1:
+                other = other.numerator     # equal as values, as hashed
+            if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly.const(other)
         return self._t == other._t
@@ -427,6 +411,11 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._t) == 1
 
+    def is_unit(self) -> bool:
+        """+-1 times a monomial: a unit of Z[x^+-1], and the only kind."""
+        t = self._t
+        return len(t) == 1 and next(iter(t.values())) in (1, -1)
+
     def _scalar(self):
         """The coefficient of a scalar (one term, every exponent 0), else None."""
         t = self._t
@@ -434,7 +423,7 @@ class LaurentPoly:
 
     # -- arithmetic
 
-    def _coerce(self, other):
+    def _coerce(self, other):       # const refuses a Fraction
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
@@ -453,12 +442,10 @@ class LaurentPoly:
         out = dict(a)
         for k, c in b.items():
             s = out.get(k, 0) + c
-            if not s:
-                del out[k]
-            elif s.__class__ is not int and s.denominator == 1:
-                out[k] = s.numerator
-            else:
+            if s:
                 out[k] = s
+            else:
+                del out[k]
         return _poly(out, max(self._b, o._b))
 
     __radd__ = __add__
@@ -494,7 +481,7 @@ class LaurentPoly:
         if len(a) == 1:
             (k, c), = a.items()
             return _poly(_scale(b, k, c), bound)
-        out: dict[int, Rational] = {}
+        out: dict[int, int] = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
                 k = k1 + k2
@@ -503,7 +490,7 @@ class LaurentPoly:
                     out[k] = s
                 else:
                     del out[k]
-        return _poly(_canon_values(out), bound)
+        return _poly(out, bound)
 
     __rmul__ = __mul__
 
@@ -523,16 +510,17 @@ class LaurentPoly:
         return result
 
     def monomial_inverse(self) -> "LaurentPoly":
-        if not self.is_monomial():
-            raise DomainError("only monomials are invertible as Laurent polynomials")
+        """The inverse of a unit (``is_unit``), else ``DomainError``."""
+        if not self.is_unit():
+            raise DomainError("only +-monomials are invertible over Z")
         (k, c), = self._t.items()
-        return _poly({-k: _quo(1, c)}, self._b)
+        return _poly({-k: c}, self._b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_monomial():
+        if o.is_unit():
             return self * o.monomial_inverse()
         return LaurentFraction(self, o)
 
@@ -551,7 +539,7 @@ class LaurentPoly:
         out = {k - unit: c * exps[i]
                for (exps, c), k in zip(self.terms.items(), self._t) if exps[i]}
         low = min((exps[i] for exps in self.terms), default=0)
-        return _poly(_canon_values(out), _check_bound(max(self._b, 1 - low)))
+        return _poly(out, _check_bound(max(self._b, 1 - low)))
 
     def total_degrees(self) -> set[int]:
         return {sum(exps) for exps in self.terms}
@@ -606,15 +594,14 @@ def poly_to_str(p: LaurentPoly) -> str:
             if e == 0:
                 continue
             factors.append(v if e == 1 else f"{v}^{e}")
-        coeff = c
         body = "*".join(factors)
         if not body:
-            text = str(abs(coeff))
-        elif abs(coeff) == 1:
+            text = str(abs(c))
+        elif abs(c) == 1:
             text = body
         else:
-            text = f"{abs(coeff)}*{body}"
-        sign = "-" if coeff < 0 else "+"
+            text = f"{abs(c)}*{body}"
+        sign = "-" if c < 0 else "+"
         parts.append((sign, text))
     first_sign, first = parts[0]
     out = ("-" if first_sign == "-" else "") + first
@@ -699,15 +686,16 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     the finite box: the loop ends.  The box can be huge ((a^k + 1)/(a + 1)
     with odd k has k quotient terms), so each step's term is counted and
     the step past ``QUOTIENT_LIMIT`` raises ``DomainError`` naming both
-    polynomials, whether den divides num or not."""
+    polynomials, whether den divides num or not.  Coefficients divide
+    with ``divmod``: a remainder proves den does not divide num over Z."""
     if den.is_zero():
         return None
-    if den.is_monomial():
+    if den.is_unit():
         return num * den.monomial_inverse()
     a, b = num._t, den._t
     if not a:
         return LaurentPoly.zero
-    if len(a) == 1:             # a non-monomial never divides a unit
+    if len(a) == 1 < len(b):    # a non-monomial never divides a monomial
         return None
     lo = hi = bound = 0
     for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
@@ -718,7 +706,7 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     _check_bound(bound)
     lead_den = max(b)
     cd = b[lead_den]
-    quo: dict[int, Rational] = {}
+    quo: dict[int, int] = {}
     rem = dict(a)
     while rem:
         lead = max(rem)
@@ -729,7 +717,9 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
             raise DomainError(
                 f"dividing {poly_to_str(num)} by {poly_to_str(den)} takes "
                 f"more than {QUOTIENT_LIMIT} quotient terms")
-        t_c = _quo(rem[lead], cd)
+        t_c, r = divmod(rem[lead], cd)
+        if r:
+            return None
         quo[t] = t_c
         for k, c in b.items():
             key = t + k
@@ -743,7 +733,7 @@ def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
     """(cofactor, multiplicities): each divisor divided out of p as often as
     it goes, in list order.  A divisor that has stopped dividing p divides no
     p/d either, so restarting from the first divisor changes nothing.  p must
-    be nonzero and the divisors non-monomial (a unit divides everything)."""
+    be nonzero and the divisors not units (a unit divides everything)."""
     mults = []
     for d in divisors:
         mult = 0
@@ -769,35 +759,23 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
     return _poly(a, _check_bound(bound)), _poly(b, bound)
 
 
-def _monic(num: LaurentPoly, den: LaurentPoly):
-    """(num, den) scaled so that den's leading coefficient, in lex order of
-    its variables in name order, is 1."""
-    terms = den.terms
-    c = terms[max(terms)]
-    if c != 1:
-        inv = _quo(1, c)
-        num = num * inv
-        den = den * inv
-    return num, den
-
-
 class LaurentFraction:
-    """Quotient of Laurent polynomials in canonical form.
+    """Quotient of Laurent polynomials over Z in canonical form: an
+    element of the fraction field Q(x), so a rational constant such as 1/2
+    is (1, 2).
 
-    Canonicalization: zero numerator forces denominator 1; a monomial
-    denominator (a scalar included) is divided into the numerator; otherwise
-    common monomial content is moved into the numerator, a denominator that
-    divides the numerator is divided out (``_exact_divide`` decides this
-    exactly, so a denominator left standing does not divide the numerator,
-    though no gcd is taken), and the denominator's leading coefficient, in
-    lex order of its variables in name order, is scaled to 1.  Equality is
-    decided by cross-multiplication.
+    Canonicalization: zero numerator forces denominator 1; a unit
+    denominator (``is_unit``, +-1 times a monomial) is divided into the
+    numerator; otherwise common monomial content is moved into the
+    numerator and a denominator that divides the numerator over Z is
+    divided out (``_exact_divide`` decides this exactly, so a denominator
+    left standing does not divide the numerator, though no gcd is taken).
+    Equality is decided by cross-multiplication.
 
     A power e >= 2 of a canonical (num, den) is (num^e, den^e) as it
     stands.  Per variable, least exponents add, so no common monomial
-    content appears; den^e's leading coefficient in the lex order is
-    1^e = 1; and Q[x^+-1] is a UFD, so den^e divides num^e only if den
-    divides num, which the canonical form rules out.
+    content appears, and Z[x^+-1] is a UFD, so den^e divides num^e only if
+    den divides num, which the canonical form rules out.
     """
 
     __slots__ = ("num", "den")
@@ -817,15 +795,12 @@ class LaurentFraction:
         if den is LaurentPoly.one:
             self.num, self.den = num, den
             return
-        if den.is_monomial():       # a scalar denominator included
+        if den.is_unit():
             self.num, self.den = num * den.monomial_inverse(), LaurentPoly.one
             return
         num, den = _strip_content(num, den)
         q = _exact_divide(num, den)
-        if q is not None:
-            self.num, self.den = q, LaurentPoly.one
-            return
-        self.num, self.den = _monic(num, den)
+        self.num, self.den = (num, den) if q is None else (q, LaurentPoly.one)
 
     # -- coercion helpers
 
@@ -833,10 +808,10 @@ class LaurentFraction:
     def _lift(x):
         if isinstance(x, LaurentFraction):
             return x
-        if isinstance(x, LaurentPoly):
+        if isinstance(x, (LaurentPoly, int)):
             return LaurentFraction(x)
-        if isinstance(x, (int, Fraction)):
-            return LaurentFraction(LaurentPoly.const(x))
+        if isinstance(x, Fraction):
+            return LaurentFraction(x.numerator, x.denominator)
         return None
 
     def is_zero(self) -> bool:
@@ -1107,7 +1082,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.take()
-            return ("num", Fraction(int(t.text)))
+            return ("num", int(t.text))
         if t.kind == "ident":
             self.take()
             if t.text == "sqrt" and self.peek().kind == "(":
@@ -1176,10 +1151,10 @@ def eval_expr(node, env: Mapping[str, object],
               tower: Sequence[RadicalRelation] = (), memo: dict | None = None):
     """The value of a parsed expression tree in the ring of its bindings
     (a ``LaurentPoly`` over ``LaurentPoly`` bindings); a number is a
-    constant ``LaurentPoly``.  A fractional power lifts its base to a
-    ``LaurentFraction`` for ``_frac_pow`` over the radical ``tower``
-    adjoined to ``env``, and a negative power of a non-monomial
-    ``LaurentPoly``, zero included, is refused as not polynomial.  ``memo``
+    constant ``LaurentPoly``, over Z.  A fractional power lifts its base
+    to a ``LaurentFraction`` for ``_frac_pow`` over the radical ``tower``
+    adjoined to ``env``, and a negative power of a ``LaurentPoly`` that is
+    not a unit (2 and zero included) is refused as not polynomial.  ``memo``
     maps nodes to their values under this ``env`` and tower: a node found
     there is not evaluated again, and each node evaluated is added."""
     if memo is not None and node in memo:
@@ -1197,7 +1172,7 @@ def eval_expr(node, env: Mapping[str, object],
         base, e = eval_expr(node[1], env, tower, memo), node[2]
         if e.denominator != 1:
             value = _frac_pow(LaurentFraction._lift(base), e, tower)
-        elif e < 0 and base.__class__ is LaurentPoly and not base.is_monomial():
+        elif e < 0 and base.__class__ is LaurentPoly and not base.is_unit():
             raise SchemaError(f"({poly_to_str(base)})^{e} is not polynomial")
         else:
             value = base ** e.numerator

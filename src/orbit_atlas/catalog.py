@@ -6,10 +6,10 @@ directory.  Every record carries two layers: the normalized, machine-checked
 data, and an ``as_printed`` provenance layer transcribing the upstream source
 tables verbatim, with every normalization recorded in ``notes``.
 
-A record's set polynomials are integer polynomials, which building an
-``OrbitRecord`` checks, and every membership decision goes through one
-method, ``OrbitRecord.contains``: one evaluation over Z, reduced mod p over
-F_p.
+A record's set polynomials are integer polynomials (``LaurentPoly`` is over
+Z, and building an ``OrbitRecord`` checks that no exponent is negative),
+and every membership decision goes through one method,
+``OrbitRecord.contains``: one evaluation over Z, reduced mod p over F_p.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ class OrbitRecord:
     """One orbit: its representative, its defining sets (Z(zero_set)
     intersected with V(nonzero_set)), its dimension and witness template.
 
-    Every set polynomial is in Z[X]: integer coefficients, no negative
-    exponent.  Building a record checks it, so a loaded record and a
-    ``replace`` copy alike raise ``CatalogError`` naming the polynomial.
+    Every set polynomial is in Z[X]: its coefficients are integers by type
+    (``LaurentPoly`` is over Z), and building a record checks that no
+    exponent is negative, so a loaded record and a ``replace`` copy alike
+    raise ``CatalogError`` naming the polynomial.
     Reduction Z -> F_p is then a ring map, so ``contains`` decides
     membership over every field from one evaluation over Z, and the
     finite-field kernels evaluate at points where a coordinate is 0."""
@@ -122,13 +123,9 @@ class OrbitRecord:
 
     def __post_init__(self):
         for poly in self.zero_set + self.nonzero_set:
-            for exps, c in poly.terms.items():
-                if min(exps, default=0) < 0:
-                    raise CatalogError(f"set polynomial {poly_to_str(poly)!r}"
-                                       f" has a negative exponent")
-                if c.__class__ is not int:
-                    raise CatalogError(f"set polynomial {poly_to_str(poly)!r}"
-                                       f" has the non-integer coefficient {c}")
+            if any(min(exps, default=0) < 0 for exps in poly.terms):
+                raise CatalogError(f"set polynomial {poly_to_str(poly)!r}"
+                                   f" has a negative exponent")
 
     def contains(self, env: dict, p: int | None = None) -> bool:
         """Whether the point with coordinates ``env`` (variable -> value)
@@ -275,6 +272,12 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _objects(value, what: str) -> list:
+    """``value``, a JSON list of objects, each refused by name otherwise."""
+    return [_expect(x, dict, f"{what}[{k}]")
+            for k, x in enumerate(_expect(value, list, what))]
+
+
 def load_catalog(n: int) -> Catalog:
     """Load and structurally validate the rank-n catalog, from the directory
     ``ORBIT_ATLAS_DATA`` names when it is set."""
@@ -332,16 +335,17 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
             polys[s] = parse_poly(s, allowed)
     zero = tuple(polys[s] for s in zero_strs)
     nonzero = tuple(polys[s] for s in nonzero_strs)
-    w = row["witness"]
+    w = _expect(row["witness"], dict, "witness")
     constraints = tuple(
-        WitnessConstraint(c["poly"], c["solve"]) for c in w.get("constraints", ()))
+        WitnessConstraint(c["poly"], c["solve"])
+        for c in _objects(w.get("constraints", []), "witness constraints"))
     for c in constraints:
         parse_poly(c.poly, letters)
         if c.solve not in letters:
             raise CatalogError(f"solve letter {c.solve!r} unknown")
     radicals = tuple(
         WitnessRadical(r["name"], int(r["order"]), r["radicand"])
-        for r in w.get("radicals", ()))
+        for r in _objects(w.get("radicals", []), "witness radicals"))
     for r in radicals:
         parse_poly(r.radicand, letters | {x.name for x in radicals})
     torus = tuple(_expect(w.get("torus", []), list, "witness torus"))
@@ -349,11 +353,11 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
     factors = tuple(
         ((int(f["root"][0]), int(f["root"][1])), f["param"])
-        for f in w.get("factors", ()))
+        for f in _objects(w.get("factors", []), "witness factors"))
     for (i, j), _ in factors:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
-    notes = tuple(dict(x) for x in row.get("notes", ()))
+    notes = tuple(_objects(row.get("notes", []), "notes"))
     printed = _expect(row.get("as_printed", {}), dict, "as_printed")
     for key, text in printed.items():
         _expect(text, str, f"as_printed {key}")

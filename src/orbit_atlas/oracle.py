@@ -113,8 +113,7 @@ def _root_matrix(n: int, root) -> np.ndarray:
             RootGroupFactor(root, LaurentPoly.var(_ROOT_PARAM)),))):
         for exps, coeff in poly.terms.items():
             e = dict(zip(poly.vars, exps)).get(_ROOT_PARAM, 0)
-            if (poly.used_vars() - {_ROOT_PARAM} or e not in (0, 1)
-                    or not isinstance(coeff, int)):
+            if poly.used_vars() - {_ROOT_PARAM} or e not in (0, 1):
                 raise InternalInconsistencyError(
                     f"{name} {_entry(n, row, col)} is {poly_to_str(poly)}, "
                     f"not affine in {_ROOT_PARAM} with integer coefficients")

@@ -18,7 +18,9 @@ rational (and radical) expressions in the coordinates of a general member m,
 with adjoint(word, representative) required to equal m exactly, and with
 every denominator, radicand and torus entry of the template a unit on the
 whole set (``first_non_unit``), so that the word is defined at every point of
-the set, not only on a dense open part of it.
+the set, not only on a dense open part of it.  Polynomials are over Z, so
+the only constants that count as units are +-1 (``LaurentPoly.is_unit``):
+2*x is no unit, since it vanishes in characteristic 2.
 
 Coordinate letters inside templates denote 60th powers: a general member's
 free coordinate c is replaced by c^60 (60 = lcm(2,3,4,5)), which turns every
@@ -119,7 +121,7 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
         if not val.is_poly():
             raise SchemaError(
                 f"radicand {rad.radicand!r} is not polynomial after constraints")
-        if val.num.is_monomial():       # a unit: peeling it would never end
+        if val.num.is_monomial():       # _frac_pow roots a monomial itself
             raise SchemaError(f"record {rec.id}: radicand {rad.radicand!r} of "
                               f"radical {rad.name} is a monomial")
         tower.append(RadicalRelation(rad.name, rad.order, val.num))
@@ -507,12 +509,13 @@ def forward_containment(rec: OrbitRecord, cat: Catalog) -> ForwardReport:
 
 def _unit_factor(num: LaurentPoly, menv: MemberEnv) -> bool:
     """True when num factors as sign * monomial(protected letters/radicals)
-    * product of protected polynomials."""
+    * product of protected polynomials.  The sign is +-1 (``is_unit``):
+    another constant, 2 say, vanishes in some characteristic."""
     if num.is_zero():
         return False
     p, _ = _peel(num, menv.protected_polys)
     allowed = set(menv.protected_letters) | {r.new_var for r in menv.tower}
-    return p.is_monomial() and p.used_vars() <= allowed
+    return p.is_unit() and p.used_vars() <= allowed
 
 
 def first_non_unit(rec: OrbitRecord, menv: MemberEnv, word: BorelWord) -> str:

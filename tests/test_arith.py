@@ -23,7 +23,7 @@ def rand_poly(draw_terms):
     vars_ = ("a", "b", "c")
     p = LaurentPoly()
     for exps, coeff in draw_terms:
-        p = p + LaurentPoly(vars_, {tuple(exps): Fraction(coeff)})
+        p = p + LaurentPoly(vars_, {tuple(exps): coeff})
     return p
 
 
@@ -276,12 +276,15 @@ def test_fp_is_unhashable():
         hash(a)
 
 
-@given(st.integers(-10**30, 10**30) | st.fractions(max_denominator=10**6))
+@given(st.integers(-10**30, 10**30))
 def test_a_constant_polynomial_hashes_as_its_value(c):
-    # zero included; over a display variable as over none
+    # zero included; over a display variable as over none; an integral
+    # Fraction is the same value
     for p in (LaurentPoly.const(c), LaurentPoly(("a",), {(0,): c})):
-        assert p == c and hash(p) == hash(c)
-        assert c in {p} and p in {c}
+        for value in (c, Fraction(c)):
+            assert p == value and hash(p) == hash(value)
+            assert value in {p} and p in {value}
+        assert p != Fraction(2 * c + 1, 2)
 
 
 def test_fraction_equal_values_are_unhashable():
@@ -412,8 +415,7 @@ def mixed_poly(draw, exponents=SMALL):
     reg = draw(st.sampled_from(REGISTRIES))
     terms = draw(st.dictionaries(
         st.tuples(*[exponents] * len(reg)),
-        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
-        max_size=4))
+        st.integers(-6, 6), max_size=4))
     return LaurentPoly(reg, terms)
 
 
@@ -448,8 +450,7 @@ def assert_canonical(p: LaurentPoly):
     assert isinstance(p.vars, tuple)
     for exps, c in p.terms.items():
         assert type(exps) is tuple and len(exps) == len(p.vars)
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
-        assert c != 0
+        assert type(c) is int and c != 0
 
 
 def check_ring_ops(p, d, k):
@@ -493,10 +494,10 @@ def test_kernel_matches_reference(p, d, wide_p, wide_d, k):
     assert_canonical(f.num)
     assert_canonical(f.den)
     assert ref_mul(ref(f.num), rd) == ref_mul(rp, ref(f.den))
-    if d.is_monomial() and not d.used_vars():
+    if d.is_unit():
         assert f.is_poly()
     if not f.is_poly():
-        assert f.den.terms[max(f.den.terms)] == 1
+        assert _exact_divide(f.num, f.den) is None
 
 
 def test_an_exponent_that_would_leave_its_slot_raises():
@@ -521,15 +522,14 @@ def test_an_exponent_that_would_leave_its_slot_raises():
 
 
 def test_integral_coefficients_are_ints():
-    p = LaurentPoly(("a",), {(1,): Fraction(4, 2), (0,): Fraction(1, 2)})
-    assert p.terms == {(1,): 2, (0,): Fraction(1, 2)}
-    assert type(p.terms[(1,)]) is int
+    p = LaurentPoly(("a",), {(1,): 4, (0,): -3})
     twice = p + p
-    assert twice.terms == {(1,): 4, (0,): 1}
+    assert twice.terms == {(1,): 8, (0,): -6}
     assert all(type(c) is int for c in twice.terms.values())
-    # 3/2 divided by 3 through the lex division loop: never a float
-    q = _exact_divide(V("a") * 3 + Fraction(3, 2), V("a") * 2 + 1)
-    assert q.terms == {(): Fraction(3, 2)}     # a constant uses no variable
+    # 6a + 3 divided by 2a + 1 through the lex division loop, by divmod:
+    # the quotient 3 is an int, never a float or a Fraction
+    q = _exact_divide(V("a") * 6 + 3, V("a") * 2 + 1)
+    assert q.terms == {(): 3}      # a constant uses no variable
     assert_canonical(q)
 
 
@@ -602,12 +602,11 @@ def test_a_malformed_text_is_a_schema_error(parse, text, message):
 
 
 def test_equal_constants_share_a_hash():
-    half = LaurentPoly.const(Fraction(4, 2))
-    assert half == LaurentPoly.const(2)
-    assert hash(half) == hash(LaurentPoly.const(2))
+    two = LaurentPoly.const(2)
+    assert two == Fraction(4, 2) and hash(two) == hash(Fraction(4, 2))
     # registry-independent: a constant over ("a",) equals one over ()
-    c = LaurentPoly(("a",), {(0,): Fraction(6, 3)})
-    assert c == LaurentPoly.const(2) and hash(c) == hash(LaurentPoly.const(2))
+    c = LaurentPoly(("a",), {(0,): 2})
+    assert c == two and hash(c) == hash(two)
 
 
 def test_values_lie_in_the_ring_of_the_bindings():
@@ -620,7 +619,7 @@ def test_values_lie_in_the_ring_of_the_bindings():
     # a constant returns its coefficient, the zero polynomial 0
     assert LaurentPoly.const(3).eval({}) == 3
     assert type(LaurentPoly.const(3).eval({"x": Fp(1, 7)})) is int
-    assert LaurentPoly.const(Fraction(1, 2)).eval({}) == Fraction(1, 2)
+    assert LaurentPoly.const(-2).eval({"x": Fraction(1, 2)}) == -2
     zero = LaurentPoly().eval({})
     assert type(zero) is int and zero == 0
 
@@ -678,7 +677,6 @@ def test_a_power_is_the_power_of_numerator_and_denominator(f, e):
     if e >= 0:
         plain = LaurentFraction(f.num ** e, f.den ** e)
         assert (got.num._t, got.den._t) == (plain.num._t, plain.den._t)
-    assert got.den.terms[max(got.den.terms)] == 1
     assert got.den == 1 or _exact_divide(got.num, got.den) is None
 
 
@@ -702,13 +700,13 @@ def test_inverse_divides_out_a_denominator_that_the_numerator_shared():
 
 @st.composite
 def unit(draw):
-    """A unit of the Laurent ring: one monomial with a nonzero rational
-    coefficient."""
+    """A unit of the fraction field's monomials: one monomial with a
+    nonzero rational coefficient, a quotient of two integer monomials."""
     reg = draw(st.sampled_from(REGISTRIES))
     exps = draw(st.tuples(*[SMALL] * len(reg)))
-    c = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
-    return LaurentFraction(LaurentPoly(reg, {exps: c * draw(
-        st.sampled_from((1, -1)))}))
+    num = LaurentPoly(reg, {exps: draw(st.integers(1, 6))
+                            * draw(st.sampled_from((1, -1)))})
+    return LaurentFraction(num, draw(st.integers(1, 3)))
 
 
 def _form(f: LaurentFraction):
@@ -770,3 +768,63 @@ def test_parse_poly_equals_the_fraction_evaluation(text):
 def test_parse_poly_refuses_a_negative_power_of_a_non_monomial(text):
     with pytest.raises(SchemaError, match="is not polynomial"):
         parse_poly(text)
+
+
+# ---------------------------------------------------------------------------
+# Z[x^+-1]: integer coefficients, +-monomial units, Q(x) as the fraction field
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_strategy, poly_strategy, st.integers(2, 5))
+def test_exact_divide_is_division_over_z(p, d, k):
+    assume(not d.is_zero())
+    assert _exact_divide(p * d, d) == p
+    # k*d divides p*d over Z exactly when k divides every coefficient of p
+    q = _exact_divide(p * d, k * d)
+    if all(c % k == 0 for c in p.terms.values()):
+        assert q is not None and k * q == p
+    else:
+        assert q is None
+
+
+def test_a_constant_factor_that_does_not_divide_stays_a_denominator():
+    x = V("x")
+    assert _exact_divide(x + 1, 2 * x + 2) is None
+    f = LaurentFraction(x + 1, 2 * x + 2)
+    assert f == LaurentFraction(1, 2) and not f.is_poly()
+    assert _exact_divide(2 * x + 2, x + 1) == 2
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_a_rational_lifts_to_numerator_over_denominator(r):
+    f = LaurentFraction._lift(r)
+    assert f == LaurentFraction(r.numerator) / r.denominator
+    assert (f.num, f.den) == (r.numerator, r.denominator)
+    assert f.is_poly() == (r.denominator == 1)
+
+
+def test_a_fraction_coefficient_is_refused():
+    x = V("x")
+    for build in (lambda: LaurentPoly.const(Fraction(1, 2)),
+                  lambda: LaurentPoly(("a",), {(1,): Fraction(1, 2)}),
+                  lambda: Fraction(1, 2) * x, lambda: x + Fraction(1, 2),
+                  lambda: LaurentPoly.const(Fraction(2))):
+        with pytest.raises(SchemaError, match=r"^the coefficient "
+                           r"Fraction\(\d+(, \d+)?\) is not an int$"):
+            build()
+
+
+def test_the_units_are_the_plus_or_minus_monomials():
+    x, y = V("x"), V("y")
+    for p in (x, -x * y**-2, LaurentPoly.const(-1)):
+        assert p.is_unit() and p * p.monomial_inverse() == 1
+    for p in (2 * x, LaurentPoly.const(2), x + 1, LaurentPoly()):
+        assert not p.is_unit()
+    with pytest.raises(DomainError, match="only \\+-monomials"):
+        (2 * x).monomial_inverse()
+    half_x = x / 2
+    assert type(half_x) is LaurentFraction and not half_x.is_poly()
+    assert (half_x.num, half_x.den) == (x, 2)
+    assert -x / -y == x * y**-1
+    with pytest.raises(SchemaError, match=re.escape("(2)^-1 is not polynomial")):
+        parse_poly("2^-1*a")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbit_atlas import classify as classify_mod
-from orbit_atlas.arith import Fp, LaurentPoly, parse_poly
+from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
 from orbit_atlas.catalog import (SIGNATURE_BITS, root_weight_homogeneous,
                                  x_vars)
 from orbit_atlas.classify import (classify, gather, grid_signatures, member,
@@ -196,16 +196,17 @@ def test_census_total_mismatch_is_raised(catalogs, monkeypatch):
 
 
 def test_eval_kernel_reduces_fraction_coefficients(catalogs):
-    # a rational polynomial is refused as a set polynomial; it enters only
-    # with its denominators cleared, which keeps its zero set mod 5 (2 and
-    # 3 are units there).  (1/2 - 3) X11 = -5/2 X11 clears to -5 X11, zero
-    # mod 5, and the kernel reduces the integer coefficients as ``eval``
-    # does over F_5
+    # a rational polynomial cannot be built (polynomials are over Z); it
+    # enters only with its denominators cleared, which keeps its zero set
+    # mod 5 (2 and 3 are units there).  (1/2 - 3) X11 = -5/2 X11 clears to
+    # -5 X11, zero mod 5, and the kernel reduces the integer coefficients
+    # as ``eval`` does over F_5
     x11, x12, x22 = (LaurentPoly.var(v) for v in ("X11", "X12", "X22"))
-    rational = Fraction(1, 2) * x11 * x22 + Fraction(-7, 3) * x12 ** 2 + x11
-    with pytest.raises(CatalogError, match="non-integer coefficient"):
-        dataclasses.replace(catalogs[2].by_id("x11"), zero_set=(rational,))
-    polys = [2 * (Fraction(1, 2) * x11 - 3 * x11), 6 * rational]
+    with pytest.raises(SchemaError, match=re.escape(
+            "the coefficient Fraction(1, 2) is not an int")):
+        Fraction(1, 2) * x11 * x22
+    polys = [x11 - 6 * x11, 3 * x11 * x22 - 14 * x12 ** 2 + 6 * x11]
+    rational = LaurentFraction(polys[1], 6)     # x11 x22/2 - 7 x12^2/3 + x11
     assert polys[0].terms == {(1,): -5}
     # exponents over the variables used, in name order: X11, X12, X22
     assert polys[1].terms == {(1, 0, 1): 3, (0, 2, 0): -14, (1, 0, 0): 6}
@@ -217,28 +218,29 @@ def test_eval_kernel_reduces_fraction_coefficients(catalogs):
     for vec, got in zip(vecs, sig.tolist()):
         point = {var: Fp(v, q) for var, v in zip(x_vars(2), vec)}
         want = Fp(0, q) + polys[1].eval(point)
-        want_rational = Fp(0, q) + rational.eval(point)
+        want_rational = ((Fp(0, q) + rational.num.eval(point))
+                         / rational.den.eval(point))
         assert bool(got >> 1 & 1) == (not want.is_zero())
         assert want.is_zero() == want_rational.is_zero()
 
 
-def test_eval_kernel_rejects_coefficient_undefined_mod_q(catalogs):
-    # 1/2 is undefined mod 2: the record check refuses the polynomial before
-    # any kernel sees it
-    poly = Fraction(1, 2) * LaurentPoly.var("X11")
-    with pytest.raises(CatalogError, match=re.escape(
-            "set polynomial '1/2*X11' has the non-integer coefficient 1/2")):
-        dataclasses.replace(catalogs[1].by_id("x11"), nonzero_set=(poly,))
+def test_eval_kernel_rejects_coefficient_undefined_mod_q():
+    # 1/2 is undefined mod 2: the product that would build 1/2 * X11 is
+    # refused, so no record and no kernel ever sees the polynomial
+    with pytest.raises(SchemaError, match=re.escape(
+            "the coefficient Fraction(1, 2) is not an int")):
+        Fraction(1, 2) * LaurentPoly.var("X11")
 
 
-def test_coefficient_undefined_mod_q_is_schema_error_on_both_paths(catalogs):
-    # the scalar member path and the vectorised kernel both read records,
-    # and a record holding 1/2 * X11 is refused when the copy is built
-    poly = Fraction(1, 2) * LaurentPoly.var("X11")
-    with pytest.raises(CatalogError, match=re.escape(
-            "set polynomial '1/2*X11' has the non-integer coefficient 1/2")):
-        dataclasses.replace(catalogs[1].by_id("x11"), zero_set=(poly,),
-                            nonzero_set=())
+def test_coefficient_undefined_mod_q_is_schema_error_on_both_paths():
+    # the scalar member path and the vectorised kernel both read records of
+    # LaurentPoly, and both ways to build 1/2 * X11 as one are refused
+    x11 = LaurentPoly.var("X11")
+    for build in (lambda: LaurentPoly(("X11",), {(1,): Fraction(1, 2)}),
+                  lambda: LaurentPoly.const(Fraction(1, 2)) * x11):
+        with pytest.raises(SchemaError, match=re.escape(
+                "the coefficient Fraction(1, 2) is not an int")):
+            build()
 
 
 def test_grid_values_and_the_census_refuse_a_negative_exponent(catalogs):

@@ -549,16 +549,29 @@ def _x11(edit):
     (_x11(lambda row: row["witness"].update(torus="x1")),
      "rank 2 row 'x11': witness torus: expected a list, got str"),
     (_x11(lambda row: row.update(zero_set="X22")),
-     "rank 2 row 'x11': zero_set: expected a list, got str")],
+     "rank 2 row 'x11': zero_set: expected a list, got str"),
+    (_x11(lambda row: row.update(witness=5)),
+     "rank 2 row 'x11': witness: expected an object, got int"),
+    (_x11(lambda row: row.update(notes=[5])),
+     "rank 2 row 'x11': notes[0]: expected an object, got int"),
+    (_x11(lambda row: row["witness"].update(constraints=5)),
+     "rank 2 row 'x11': witness constraints: expected a list, got int"),
+    (_x11(lambda row: row["witness"].update(radicals=[5])),
+     "rank 2 row 'x11': witness radicals[0]: expected an object, got int"),
+    (_x11(lambda row: row["witness"]["factors"].append(5)),
+     "rank 2 row 'x11': witness factors[1]: expected an object, got int")],
     ids=["top-level-list", "orbits-int", "row-int", "printed-word-int",
-         "printed-set-int", "torus-string", "zero-set-string"])
+         "printed-set-int", "torus-string", "zero-set-string", "witness-int",
+         "note-int", "constraints-int", "radical-int", "factor-int"])
 def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
                                                       capsys, edit, error):
     # before, the first five ended check-all, orbits or verify in an
     # AttributeError or a TypeError (the row's id was read outside the
     # per-row try, and the printed texts were read as strings only when a
     # command parsed them); the torus string "x1" loaded as the two entries
-    # x and 1, and the zero set "X22" was parsed letter by letter
+    # x and 1, and the zero set "X22" was parsed letter by letter.  A
+    # witness, note, constraint list, radical or factor of the wrong shape
+    # ended in an AttributeError or a TypeError that named no field
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, 2, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
@@ -576,12 +589,13 @@ def _half_in_nonzero_set(row):
 def test_a_non_integer_set_coefficient_is_refused_at_load(
         tmp_path, monkeypatch, capsys, argv):
     # before, the copy loaded: classify --mod 2 exited 2 on the coefficient
-    # 1/2 while the census ran
+    # 1/2 while the census ran; polynomials are over Z, so the parse of
+    # 2^-1 refuses it
     data = _malformed(tmp_path, 2, "x11+x22", _half_in_nonzero_set)
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(data))
     assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
-        1, "", "check failed: rank 2 row 'x11+x22': set polynomial "
-               "'1/2*X11' has the non-integer coefficient 1/2\n")
+        1, "", "check failed: rank 2 row 'x11+x22': (2)^-1 is not "
+               "polynomial\n")
 
 
 def _inhomogeneous_zero_set(row):

@@ -277,15 +277,18 @@ def _monomial(c, i, j):
 _small = st.integers(-3, 3)
 _nonzero = _small.filter(bool)
 _mono = st.builds(_monomial, _small, st.integers(-2, 2), st.integers(-2, 2))
-_unit_mono = st.builds(_monomial, _nonzero, st.integers(-2, 2),
-                       st.integers(-2, 2))
+_nonzero_mono = st.builds(_monomial, _nonzero, st.integers(-2, 2),
+                          st.integers(-2, 2))
+# the units of Z[a^+-1, b^+-1]: +-1 times a monomial
+_unit_mono = st.builds(_monomial, st.sampled_from((1, -1)),
+                       st.integers(-2, 2), st.integers(-2, 2))
 
 
 def _ring(name, p):
     """(scalar, unit) strategies of one coefficient ring.  Symbolic torus
-    entries are Laurent monomials: a LaurentPoly entry must be a unit, and
-    rational-function entries make the literal reference's dense products
-    too slow for a property test."""
+    entries are Laurent monomials: a LaurentPoly entry must be a unit of
+    Z[a^+-1, b^+-1], a +-monomial, and rational-function entries make the
+    literal reference's dense products too slow for a property test."""
     if name == "Q":
         return (st.builds(Fraction, _small, st.integers(1, 4)),
                 st.builds(Fraction, _nonzero, st.integers(1, 4)))
@@ -298,7 +301,7 @@ def _ring(name, p):
                          st.integers(-2, 2))
     return (st.builds(lambda m, u, c: LaurentFraction(m, u + c),
                       _mono, nonconst, _nonzero),
-            st.builds(LaurentFraction, _unit_mono, _unit_mono))
+            st.builds(LaurentFraction, _nonzero_mono, _nonzero_mono))
 
 
 @st.composite

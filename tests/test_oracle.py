@@ -297,9 +297,10 @@ def test_gradient_rows_equal_the_derivative_reference(catalogs):
     assert seen == 84
 
 
-def test_gradient_reads_rational_coefficients_and_points():
+def test_gradient_reads_integer_coefficients_at_rational_points():
+    # polynomials are over Z; rationals are values, here the point's
     x, y = LaurentPoly.var("X11"), LaurentPoly.var("X22")
-    poly = Fraction(1, 2) * x**2 * y - 3 * x * y + y**3
+    poly = 5 * x**2 * y - 3 * x * y + y**3
     point = {"X11": Fraction(2, 3), "X22": -2}
     want = [poly.derivative(v).eval(point) for v in ("X11", "X22", "X12")]
     assert _gradient(poly, point, ("X11", "X22", "X12")) == want

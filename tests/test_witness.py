@@ -185,6 +185,21 @@ def test_template_valid_only_on_a_dense_open_part_is_not_certified(
         "'z/(x+y)'")
 
 
+def test_a_constant_denominator_other_than_plus_or_minus_one_is_not_a_unit(
+        catalogs):
+    # x12 spans the centre of n, so U_12(1/(2*x)) fixes every element and
+    # the word still reproduces m; but 2*x vanishes everywhere in
+    # characteristic 2: only +-1 times a monomial is a unit
+    rec = catalogs[2].by_id("x11")
+    rec = dataclasses.replace(rec, witness=dataclasses.replace(
+        rec.witness, factors=rec.witness.factors + (((1, 2), "1/(2*x)"),)))
+    assert _template_verifies(rec)
+    v = classify_verdict(rec)
+    assert v.status == FAILED_AS_PRINTED and not v.certified
+    assert v.detail == ("normalized template is not a unit on the set: the "
+                        "denominator of '1/(2*x)'")
+
+
 def test_unsound_template_fails_verify_and_check_all(tmp_path, monkeypatch,
                                                      capsys, catalogs):
     cat = catalogs[2]
@@ -241,7 +256,8 @@ def test_peel_exhausts_divisors_in_list_order():
     assert _peel(c2, [shared, a1]) == (c2, [0, 0])
 
 
-MONOMIAL_COEFFS = (1, -1, 4, Fraction(9, 4), -8, 2, Fraction(1, 27))
+# integer coefficients: a quotient such as 9/4 is the fraction (9, 4)
+MONOMIAL_COEFFS = (1, -1, 4, 9, -8, 2, 27)
 FRACTIONAL_EXPONENTS = tuple(Fraction(a, b) for a, b in (
     (1, 2), (-1, 2), (3, 2), (1, 3), (-2, 3), (2, 1), (-1, 1), (1, 5)))
 
