@@ -966,142 +966,149 @@ def is_zero_elem(x) -> bool:
 # sqrt(...).
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind, self.text, self.pos = kind, text, pos
-
-
-# ASCII only: a digit or letter of another script (a superscript two, an
-# Arabic-Indic one) is an unexpected character, never a number or a name
-_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_]\w*)"
-                    r"|(?P<op>[-+*/^()])|(?P<bad>\S))", re.ASCII)
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word, i = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise SchemaError(f"unexpected character {word!r} at position {i}")
-        toks.append(_Tok(word if kind == "op" else kind, word, i))
-    toks.append(_Tok("end", "", len(text)))
-    return toks
+# One token per match, ASCII only: a number, a name, an operator, or any
+# other non-space character.  A digit or letter of another script (a
+# superscript two, an Arabic-Indic one) is such a character, never a number
+# or a name, and is refused.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_]\w*|[-+*/^()]|\S", re.ASCII)
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
+_GRAMMAR = _DIGITS | _NAME_START | frozenset("+-*/^()")
 
 
 class _Parser:
+    """Recursive descent over the token strings of one ``findall``, ended
+    by ""; a token's kind is read off its text.  Only an error message
+    needs a position: ``_pos`` finds it by scanning the text again.  A
+    character outside the grammar is refused before any other error, and
+    no rule consumes one, so a parse that succeeds read none."""
+
     def __init__(self, text: str, witness: bool):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
         self.i = 0
         self.witness = witness
 
-    def peek(self):
-        return self.toks[self.i]
+    def _pos(self, i: int) -> int:
+        """Position in the text of token i, its length for the end."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return starts[i] if i < len(starts) else len(self.text)
 
-    def take(self, kind=None):
-        t = self.toks[self.i]
-        if kind and t.kind != kind:
-            raise SchemaError(
-                f"expected {kind} at position {t.pos} in {self.text!r}, got {t.text!r}")
+    def _expected(self, kind: str):
+        raise SchemaError(f"expected {kind} at position {self._pos(self.i)} "
+                          f"in {self.text!r}, got {self.toks[self.i]!r}")
+
+    def _expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            self._expected(tok)
         self.i += 1
-        return t
+
+    def _number(self) -> int:
+        t = self.toks[self.i]
+        if t[:1] not in _DIGITS:
+            self._expected("num")
+        self.i += 1
+        return int(t)
 
     def parse(self):
-        node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise SchemaError(f"trailing input at position {t.pos} in {self.text!r}")
+        try:
+            node = self.expr()
+            if self.toks[self.i]:
+                raise SchemaError(f"trailing input at position "
+                                  f"{self._pos(self.i)} in {self.text!r}")
+        except Exception:
+            for m in _TOKEN.finditer(self.text):
+                if m.group()[0] not in _GRAMMAR:
+                    raise SchemaError(f"unexpected character {m.group()!r} "
+                                      f"at position {m.start()}") from None
+            raise
         return node
 
     def expr(self):
-        sign = 1
-        t = self.peek()
-        if t.kind in "+-":
-            self.take()
-            sign = -1 if t.kind == "-" else 1
+        toks = self.toks
+        t = toks[self.i]
+        neg = t == "-"
+        if neg or t == "+":
+            self.i += 1
         node = self.term()
-        if sign < 0:
+        if neg:
             node = ("neg", node)
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.term()
-            node = ("add", node, rhs) if op == "+" else ("sub", node, rhs)
+        t = toks[self.i]
+        while t == "+" or t == "-":
+            self.i += 1
+            node = ("add" if t == "+" else "sub", node, self.term())
+            t = toks[self.i]
         return node
 
     def term(self):
+        toks = self.toks
         node = self.power()
-        while self.peek().kind in "*/":
-            op = self.take().kind
-            if op == "/" and not self.witness:
+        t = toks[self.i]
+        while t == "*" or t == "/":
+            if t == "/" and not self.witness:
                 raise SchemaError("division is not allowed in this grammar")
-            rhs = self.power()
-            node = ("mul", node, rhs) if op == "*" else ("div", node, rhs)
+            self.i += 1
+            node = ("mul" if t == "*" else "div", node, self.power())
+            t = toks[self.i]
         return node
 
     def power(self):
         base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            e = self.exponent()
-            return ("pow", base, e)
+        if self.toks[self.i] == "^":
+            self.i += 1
+            return ("pow", base, self.exponent())
         return base
 
     def exponent(self) -> Fraction:
-        t = self.peek()
-        neg = False
-        if t.kind == "(":
-            self.take()
-            neg = self.peek().kind == "-"
-            if neg:
-                self.take()
-            a = int(self.take("num").text)
-            if self.peek().kind == "/":
+        toks = self.toks
+        paren = toks[self.i] == "("
+        if paren:
+            self.i += 1
+        neg = toks[self.i] == "-"
+        if neg:
+            self.i += 1
+        e = Fraction(self._number())
+        if paren:
+            if toks[self.i] == "/":
                 if not self.witness:
                     raise SchemaError("fractional exponents not allowed here")
-                self.take()
-                t = self.take("num")
-                b = int(t.text)
+                self.i += 1
+                b = self._number()
                 if not b:
-                    raise SchemaError(f"zero denominator in the exponent at "
-                                      f"position {t.pos} in {self.text!r}")
-            else:
-                b = 1
-            self.take(")")
-            e = Fraction(a, b)
-        else:
-            if t.kind == "-":
-                self.take()
-                neg = True
-            e = Fraction(int(self.take("num").text))
+                    raise SchemaError(
+                        f"zero denominator in the exponent at position "
+                        f"{self._pos(self.i - 1)} in {self.text!r}")
+                e /= b
+            self._expect(")")
         return -e if neg else e
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "num":
-            self.take()
-            return ("num", int(t.text))
-        if t.kind == "ident":
-            self.take()
-            if t.text == "sqrt" and self.peek().kind == "(":
+        t = self.toks[self.i]
+        c = t[:1]
+        if c in _DIGITS:
+            self.i += 1
+            return ("num", int(t))
+        if c in _NAME_START:
+            self.i += 1
+            if t == "sqrt" and self.toks[self.i] == "(":
                 if not self.witness:
                     raise SchemaError("sqrt is not allowed in this grammar")
-                self.take("(")
+                self.i += 1
                 inner = self.expr()
-                self.take(")")
+                self._expect(")")
                 return ("pow", inner, Fraction(1, 2))
-            return ("var", t.text)
-        if t.kind == "(":
-            self.take()
+            return ("var", t)
+        if t == "(":
+            self.i += 1
             node = self.expr()
-            self.take(")")
+            self._expect(")")
             return node
-        if t.kind == "-":
-            self.take()
+        if t == "-":
+            self.i += 1
             return ("neg", self.atom())
-        raise SchemaError(f"unexpected token {t.text!r} at position {t.pos}")
+        raise SchemaError(
+            f"unexpected token {t!r} at position {self._pos(self.i)}")
 
 
 def _frac_pow(base: LaurentFraction, e: Fraction,
@@ -1111,7 +1118,10 @@ def _frac_pow(base: LaurentFraction, e: Fraction,
     peeled off a non-monomial numerator or denominator (``_peel``), a
     radicand^m becoming R^(order*m*e); what is left must be a monomial whose
     exponents admit the root exactly and whose coefficient is 1, or -1 under
-    an odd root.  No other constant's root is taken."""
+    an odd root.  No other constant's root is taken.  For e = a/b, each
+    exponent x read off the monomial's packed key becomes x*a/b, whose
+    integrality one ``divmod`` decides."""
+    a, b = e.numerator, e.denominator
 
     def root(p: LaurentPoly) -> LaurentPoly:
         if p.is_zero():
@@ -1121,28 +1131,31 @@ def _frac_pow(base: LaurentFraction, e: Fraction,
             p, mults = _peel(p, [rel.radicand for rel in tower])
             for rel, mult in zip(tower, mults):
                 if mult:
-                    total = Fraction(rel.order * mult) * e
-                    if total.denominator != 1:
+                    total, r = divmod(rel.order * mult * a, b)
+                    if r:
                         raise SchemaError(
                             f"power {e} of radicand^{mult} is not integral")
-                    rads = rads * LaurentPoly.var(rel.new_var, int(total))
+                    rads = rads * LaurentPoly.var(rel.new_var, total)
         if not p.is_monomial():
             raise SchemaError(
                 "fractional power of a non-monomial; adjoin a radical variable")
-        (exps, c), = p.terms.items()
-        new = []
-        for x in exps:
-            v = Fraction(x) * e
-            if v.denominator != 1:
+        (key, c), = p._t.items()
+        new = bound = 0
+        for v in p.vars:
+            s = _SHIFT[v]
+            x = _digit(key, s)
+            y, r = divmod(x * a, b)
+            if r:
                 raise SchemaError("fractional power does not clear; exponent "
                                   f"{x}*{e} is not integral")
-            new.append(int(v))
-        if c == -1 and e.denominator % 2:
-            c = -1 if e.numerator % 2 else 1
+            new += y << s
+            bound = max(bound, abs(y))
+        if c == -1 and b % 2:
+            c = -1 if a % 2 else 1
         elif c != 1:
             raise SchemaError(f"fractional power {e} of the constant {c}; "
                               f"only 1, and -1 under an odd root, are taken")
-        return rads * LaurentPoly(p.vars, {tuple(new): c})
+        return rads * _poly({new: c}, _check_bound(bound))
 
     return LaurentFraction(root(base.num), root(base.den))
 

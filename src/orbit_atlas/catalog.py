@@ -30,7 +30,9 @@ from .lie import (MAX_RANK, NilElement, check_rank, coordinate_letters,
 SCHEMA_VERSION = 1
 
 ORBIT_COUNTS = {1: 2, 2: 5, 3: 16, 4: 61}
-SIGNATURE_BITS = 63     # pool classes an int64 signature or mask holds
+#: pool classes a slice signature holds: the bits of a nonnegative int32
+#: (every shipped pool has at most 21 classes)
+SIGNATURE_BITS = 31
 
 
 _X_VARS = {n: tuple(f"X{i}{j}" for (i, j) in pos_roots(n))
@@ -175,7 +177,7 @@ class Catalog:
     unless every class is root-weight homogeneous (a torus weight vector:
     the census, the refinement and the closure order slice by the torus,
     and the generic pullbacks drop it) and the pool fits the
-    ``SIGNATURE_BITS`` of an int64 mask."""
+    ``SIGNATURE_BITS`` of an int32 slice signature."""
 
     rank: int
     schema_version: int
@@ -272,6 +274,22 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value``, refused by name unless a JSON integer: a float, a string
+    or a bool is not coerced."""
+    if type(value) is not int:
+        raise CatalogError(f"{what}: expected an integer, got {value!r}")
+    return value
+
+
+def _root(value, what: str) -> tuple[int, int]:
+    """``value``, refused by name unless a JSON list of two integers."""
+    if (type(value) is not list or len(value) != 2
+            or any(type(x) is not int for x in value)):
+        raise CatalogError(f"{what}: expected two integers, got {value!r}")
+    return value[0], value[1]
+
+
 def _objects(value, what: str) -> list:
     """``value``, a JSON list of objects, each refused by name otherwise."""
     return [_expect(x, dict, f"{what}[{k}]")
@@ -344,16 +362,19 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         if c.solve not in letters:
             raise CatalogError(f"solve letter {c.solve!r} unknown")
     radicals = tuple(
-        WitnessRadical(r["name"], int(r["order"]), r["radicand"])
-        for r in _objects(w.get("radicals", []), "witness radicals"))
+        WitnessRadical(r["name"], _integer(
+            r["order"], f"witness radicals[{k}] order"), r["radicand"])
+        for k, r in enumerate(_objects(w.get("radicals", []),
+                                       "witness radicals")))
     for r in radicals:
         parse_poly(r.radicand, letters | {x.name for x in radicals})
     torus = tuple(_expect(w.get("torus", []), list, "witness torus"))
     if torus and len(torus) != n:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
     factors = tuple(
-        ((int(f["root"][0]), int(f["root"][1])), f["param"])
-        for f in _objects(w.get("factors", []), "witness factors"))
+        (_root(f["root"], f"witness factors[{k}] root"), f["param"])
+        for k, f in enumerate(_objects(w.get("factors", []),
+                                       "witness factors")))
     for (i, j), _ in factors:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
@@ -365,7 +386,7 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         id=rid, rank=n, representative=rep,
         zero_set=zero, nonzero_set=nonzero,
         zero_strs=zero_strs, nonzero_strs=nonzero_strs,
-        dim=int(row["dim"]),
+        dim=_integer(row["dim"], "dim"),
         witness=WitnessTemplate(constraints, radicals, torus, factors),
         as_printed=dict(printed),
         notes=notes)

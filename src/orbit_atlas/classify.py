@@ -23,7 +23,7 @@ census classifies the 2^n * q^(d-n) slice points and weights each by
 class of the catalog's polynomial pool (``Catalog.pool``, one polynomial
 per +-sign) is evaluated once over the slice grid by broadcasting
 (``grid_values``, through ``grid_signatures``), its nonzero pattern packed
-into one int64 signature per point at its pool index.  Each block's
+into one int32 signature per point at its pool index.  Each block's
 signatures are sorted once (``sorted_signatures``): the distinct ones,
 each one's first point in slice order and every point's index into them.
 Each distinct signature is matched once against every
@@ -146,18 +146,18 @@ def grid_values(poly, cols: dict, q: int):
 
 
 def grid_signatures(polys, axes: dict, q: int) -> np.ndarray:
-    """Nonzero pattern of at most 63 polynomials over the grid whose
-    coordinates run over the value arrays of ``axes`` (variable -> values,
-    one axis each, in dict order): one int64 per point in C order, bit k
-    set where polys[k] is nonzero mod q (``grid_values``: every polynomial
-    in Z[X])."""
+    """Nonzero pattern of at most 31 polynomials (``SIGNATURE_BITS``) over
+    the grid whose coordinates run over the value arrays of ``axes``
+    (variable -> values, one axis each, in dict order): one nonnegative
+    int32 per point in C order, bit k set where polys[k] is nonzero mod q
+    (``grid_values``: every polynomial in Z[X])."""
     d = len(axes)
     cols = {var: np.asarray(vals, dtype=np.int64).reshape(
                 (1,) * k + (-1,) + (1,) * (d - 1 - k))
             for k, (var, vals) in enumerate(axes.items())}
-    sig = np.zeros(tuple(len(vals) for vals in axes.values()), dtype=np.int64)
+    sig = np.zeros(tuple(len(vals) for vals in axes.values()), dtype=np.int32)
     for k, poly in enumerate(polys):
-        sig |= (grid_values(poly, cols, q) != 0).astype(np.int64) << k
+        sig |= (grid_values(poly, cols, q) != 0).astype(np.int32) << k
     return sig.ravel()
 
 
@@ -256,33 +256,27 @@ def slice_pass(cat: Catalog, q: int):
                          nonzero)
 
 
-def sorted_signatures(sig: np.ndarray, bits: int) -> tuple:
+def sorted_signatures(sig: np.ndarray) -> tuple:
     """(distinct, first, inverse) of int64 signatures that are all below
-    2^bits, as ``np.unique(sig, return_index=True, return_inverse=True)``
-    gives them, from one sort.  Each signature carries its index in the low
-    bits of the sort key, so equal signatures stay in index order, a
-    boundary mask marks the first of each, and the sorted keys become the
-    sort order in place.  ``sig`` is that key array and may be overwritten,
-    so a block of the slice pass holds no second copy of its signatures.
-    Keys that would not fit int64 are ordered by a stable argsort
-    instead."""
+    2^31 (``SIGNATURE_BITS``), as ``np.unique(sig, return_index=True,
+    return_inverse=True)`` gives them, from one sort.  Each signature
+    carries its index in the low bits of the sort key, so equal signatures
+    stay in index order, a boundary mask marks the first of each, and the
+    sorted keys become the sort order in place.  ``sig`` is that key array
+    and may be overwritten, so a block of the slice pass holds no second
+    copy of its signatures.  31 bits and the index bits of a block (at most
+    19, ``SLICE_CHUNK``) always fit the key."""
     size = len(sig)
     shift = (size - 1).bit_length()
     new = np.empty(size, dtype=bool)
     new[:1] = True
-    if bits + shift < 64:
-        low = (1 << shift) - 1
-        sig <<= shift
-        sig |= np.arange(size, dtype=np.int64)
-        sig.sort()
-        np.greater(sig[1:] ^ sig[:-1], low, out=new[1:])
-        distinct, first = sig[new] >> shift, sig[new] & low
-        order = np.bitwise_and(sig, low, out=sig)
-    else:
-        order = np.argsort(sig, kind="stable")
-        key = sig[order]
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        distinct, first = key[new], order[new]
+    low = (1 << shift) - 1
+    sig <<= shift
+    sig |= np.arange(size, dtype=np.int64)
+    sig.sort()
+    np.greater(sig[1:] ^ sig[:-1], low, out=new[1:])
+    distinct, first = sig[new] >> shift, sig[new] & low
+    order = np.bitwise_and(sig, low, out=sig)
     group = np.cumsum(new, dtype=np.int32)
     group -= 1
     inverse = np.empty(size, dtype=np.int32)
@@ -298,8 +292,10 @@ def _slice_blocks(n: int, q: int, pool: list, zero, nonzero):
     for block, prefix in enumerate(itertools.product(*map(range,
                                                            shape[:lead]))):
         values = [[v] for v in prefix] + [range(s) for s in shape[lead:]]
-        sig = grid_signatures(pool, dict(zip(x_vars(n), values)), q)
-        distinct, first, inverse = sorted_signatures(sig, len(pool))
+        # widened once for the sort key; the int32 signatures die here
+        sig = grid_signatures(pool, dict(zip(x_vars(n), values)),
+                              q).astype(np.int64)
+        distinct, first, inverse = sorted_signatures(sig)
         hits = (((distinct[:, None] & zero) == 0)
                 & ((distinct[:, None] & nonzero) == nonzero))
         count = hits.sum(axis=1)

@@ -42,16 +42,21 @@ round replaced, and the reference for it.
 
 ``word_residuals`` runs ``adjoint`` on any word built from template texts,
 the path every printed word took before a word equal in value to its
-template reused the template's residuals.  ``fraction_parse_poly`` is
-``arith.parse_poly`` through one ``LaurentFraction`` per parse-tree node
-(``fraction_eval``, the all-fraction evaluator), the reference for its
-evaluation by ``arith.eval_expr`` over ``LaurentPoly`` bindings.
+template reused the template's residuals.  ``TokenParser`` parses over
+one ``Tok`` object per token, kind and position included (``tokenize``):
+the reference for ``arith._Parser``'s one ``findall`` of token strings.
+``fraction_parse_poly`` is ``arith.parse_poly`` through ``TokenParser``
+and one ``LaurentFraction`` per parse-tree node (``fraction_eval``, the
+all-fraction evaluator), the reference for its evaluation by
+``arith.eval_expr`` over ``LaurentPoly`` bindings.
 
 ``fixed_point_normalize`` reduces radical exponents by rewriting one hot
 variable at a time until none is left, and ``fraction_power`` raises a
 ``LaurentFraction`` by square-and-multiply through its canonicalizing
 product: the references for ``arith.normalize``'s one pass down the tower
-and for ``LaurentFraction.__pow__``'s (num^e, den^e).
+and for ``LaurentFraction.__pow__``'s (num^e, den^e).  ``fraction_frac_pow``
+takes a monomial's root through ``Fraction`` exponents, the reference for
+``arith._frac_pow``'s root read off the packed key.
 
 ``serialize_catalog`` writes a catalog in the form of the shipped files,
 and ``all_certified`` says whether a ``witness.WitnessReport`` certifies
@@ -62,13 +67,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 import numpy as np
 
-from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly, _Parser,
+from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly, _peel,
                                expr_vars, inv_elem, is_zero_elem, poly_to_str,
                                validate_tower)
 from orbit_atlas.catalog import record_to_json, root_weight_homogeneous, x_vars
@@ -669,7 +675,149 @@ def word_residuals(rec, menv, torus_strs, factor_list, parsed=None):
 
 
 # ---------------------------------------------------------------------------
-# the catalog polynomial grammar
+# the expression grammar
+
+
+class Tok:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind, text, pos):
+        self.kind, self.text, self.pos = kind, text, pos
+
+
+# ASCII only: a digit or letter of another script (a superscript two, an
+# Arabic-Indic one) is an unexpected character, never a number or a name
+TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_]\w*)"
+                   r"|(?P<op>[-+*/^()])|(?P<bad>\S))", re.ASCII)
+
+
+def tokenize(text: str) -> list[Tok]:
+    toks = []
+    for m in TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, i = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise SchemaError(f"unexpected character {word!r} at position {i}")
+        toks.append(Tok(word if kind == "op" else kind, word, i))
+    toks.append(Tok("end", "", len(text)))
+    return toks
+
+
+class TokenParser:
+    """The parser over one ``Tok`` per token, each with its kind and
+    position, from ``tokenize``'s ``finditer``: the reference for
+    ``arith._Parser``, which reads the token strings of one ``findall``."""
+
+    def __init__(self, text: str, witness: bool):
+        self.text = text
+        self.toks = tokenize(text)
+        self.i = 0
+        self.witness = witness
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def take(self, kind=None):
+        t = self.toks[self.i]
+        if kind and t.kind != kind:
+            raise SchemaError(
+                f"expected {kind} at position {t.pos} in {self.text!r}, got {t.text!r}")
+        self.i += 1
+        return t
+
+    def parse(self):
+        node = self.expr()
+        t = self.peek()
+        if t.kind != "end":
+            raise SchemaError(f"trailing input at position {t.pos} in {self.text!r}")
+        return node
+
+    def expr(self):
+        sign = 1
+        t = self.peek()
+        if t.kind in "+-":
+            self.take()
+            sign = -1 if t.kind == "-" else 1
+        node = self.term()
+        if sign < 0:
+            node = ("neg", node)
+        while self.peek().kind in "+-":
+            op = self.take().kind
+            rhs = self.term()
+            node = ("add", node, rhs) if op == "+" else ("sub", node, rhs)
+        return node
+
+    def term(self):
+        node = self.power()
+        while self.peek().kind in "*/":
+            op = self.take().kind
+            if op == "/" and not self.witness:
+                raise SchemaError("division is not allowed in this grammar")
+            rhs = self.power()
+            node = ("mul", node, rhs) if op == "*" else ("div", node, rhs)
+        return node
+
+    def power(self):
+        base = self.atom()
+        if self.peek().kind == "^":
+            self.take()
+            e = self.exponent()
+            return ("pow", base, e)
+        return base
+
+    def exponent(self) -> Fraction:
+        t = self.peek()
+        neg = False
+        if t.kind == "(":
+            self.take()
+            neg = self.peek().kind == "-"
+            if neg:
+                self.take()
+            a = int(self.take("num").text)
+            if self.peek().kind == "/":
+                if not self.witness:
+                    raise SchemaError("fractional exponents not allowed here")
+                self.take()
+                t = self.take("num")
+                b = int(t.text)
+                if not b:
+                    raise SchemaError(f"zero denominator in the exponent at "
+                                      f"position {t.pos} in {self.text!r}")
+            else:
+                b = 1
+            self.take(")")
+            e = Fraction(a, b)
+        else:
+            if t.kind == "-":
+                self.take()
+                neg = True
+            e = Fraction(int(self.take("num").text))
+        return -e if neg else e
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "num":
+            self.take()
+            return ("num", int(t.text))
+        if t.kind == "ident":
+            self.take()
+            if t.text == "sqrt" and self.peek().kind == "(":
+                if not self.witness:
+                    raise SchemaError("sqrt is not allowed in this grammar")
+                self.take("(")
+                inner = self.expr()
+                self.take(")")
+                return ("pow", inner, Fraction(1, 2))
+            return ("var", t.text)
+        if t.kind == "(":
+            self.take()
+            node = self.expr()
+            self.take(")")
+            return node
+        if t.kind == "-":
+            self.take()
+            return ("neg", self.atom())
+        raise SchemaError(f"unexpected token {t.text!r} at position {t.pos}")
 
 
 def fraction_eval(node, env):
@@ -695,7 +843,7 @@ def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
     parse-tree node (``fraction_eval``), the path its ``LaurentPoly``
     evaluation replaced: a result that is not a polynomial is refused at
     the end."""
-    node = _Parser(text, witness=False).parse()
+    node = TokenParser(text, witness=False).parse()
     if allowed_vars is not None:
         bad = expr_vars(node) - set(allowed_vars)
         if bad:
@@ -758,3 +906,44 @@ def fraction_power(f: LaurentFraction, e: int) -> LaurentFraction:
         if not e:
             return out
         base = base * base
+
+
+def fraction_frac_pow(base: LaurentFraction, e: Fraction,
+                      tower=()) -> LaurentFraction:
+    """``arith._frac_pow`` with the monomial's root taken through
+    ``Fraction`` exponents and its result built by the public
+    ``LaurentPoly(vars, terms)`` constructor: the reference for the root
+    read off the packed key."""
+
+    def root(p: LaurentPoly) -> LaurentPoly:
+        if p.is_zero():
+            raise SchemaError("fractional power of zero")
+        rads = LaurentPoly.one
+        if not p.is_monomial():
+            p, mults = _peel(p, [rel.radicand for rel in tower])
+            for rel, mult in zip(tower, mults):
+                if mult:
+                    total = Fraction(rel.order * mult) * e
+                    if total.denominator != 1:
+                        raise SchemaError(
+                            f"power {e} of radicand^{mult} is not integral")
+                    rads = rads * LaurentPoly.var(rel.new_var, int(total))
+        if not p.is_monomial():
+            raise SchemaError(
+                "fractional power of a non-monomial; adjoin a radical variable")
+        (exps, c), = p.terms.items()
+        new = []
+        for x in exps:
+            v = Fraction(x) * e
+            if v.denominator != 1:
+                raise SchemaError("fractional power does not clear; exponent "
+                                  f"{x}*{e} is not integral")
+            new.append(int(v))
+        if c == -1 and e.denominator % 2:
+            c = -1 if e.numerator % 2 else 1
+        elif c != 1:
+            raise SchemaError(f"fractional power {e} of the constant {c}; "
+                              f"only 1, and -1 under an odd root, are taken")
+        return rads * LaurentPoly(p.vars, {tuple(new): c})
+
+    return LaurentFraction(root(base.num), root(base.den))

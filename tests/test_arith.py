@@ -5,16 +5,16 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbit_atlas.arith import (EXP_LIMIT, QUOTIENT_LIMIT, Fp, LaurentFraction,
                                LaurentPoly, RadicalRelation, _exact_divide,
-                               eval_expr, is_prime, kth_roots, normalize,
-                               parse_expr, parse_poly, poly_to_str,
+                               _Parser, eval_expr, is_prime, kth_roots,
+                               normalize, parse_expr, parse_poly, poly_to_str,
                                primitive_root)
 from orbit_atlas.errors import DomainError, SchemaError
-from reference import (fixed_point_normalize, fraction_parse_poly,
-                       fraction_power)
+from reference import (TokenParser, fixed_point_normalize,
+                       fraction_parse_poly, fraction_power)
 
 V = LaurentPoly.var
 
@@ -599,6 +599,43 @@ def test_a_malformed_text_is_a_schema_error(parse, text, message):
     # the exponent 1/0 is refused before it reaches Fraction
     with pytest.raises(SchemaError, match=re.escape(message)):
         parse(text)
+
+
+def _parsed(parse, text):
+    """parse(text), or the message of the ``SchemaError`` it raised."""
+    try:
+        return parse(text)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+_PARSER_TEXT = st.lists(st.sampled_from(
+    list("0123456789") + ["a", "u", "x", "Z", "q", "_", "sqrt"]
+    + list("+-*/^()") + [" ", " ", "\u00b2", "\u0663", "\u00e9"]),
+    max_size=24).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PARSER_TEXT)
+@example("(u \u00b2")              # the parser fails before the character
+@example("x/y + \u00e9")           # the division error comes first in text
+@example("u^(1/0) \u0663")
+@example("sqrt(u)^(-2/3) - (x+1)*u^2")
+@example("u^(1/2/3)")
+@example("x + u^(2/0)")
+@example("num^2")
+def test_the_parser_agrees_with_the_token_parser(text):
+    # both grammars give the token parser's tree, or its error text with
+    # the same position; a character outside the grammar is refused first
+    # wherever it stands
+    for witness in (True, False):
+        want = _parsed(lambda t: TokenParser(t, witness).parse(), text)
+        got = _parsed(lambda t: _Parser(t, witness).parse(), text)
+        assert got == want
+        if witness:
+            assert _parsed(parse_expr, text) == want
+        elif isinstance(want, str):
+            assert _parsed(parse_poly, text) == want
 
 
 def test_equal_constants_share_a_hash():

@@ -401,17 +401,37 @@ def test_a_replaced_catalog_rebuilds_its_pool(catalogs):
     assert smaller.masks == {"x11": (0b1, 0b10)}
 
 
-def test_pass_holds_63_polynomials_and_refuses_more(catalogs):
+def test_pass_holds_31_polynomials_and_refuses_32(catalogs):
     # the pass holds a full pool; the catalog refuses a larger one when it
     # builds its pool, before any kernel runs
     cat = catalogs[2]                       # a pool of X11, X22 and X12
-    assert len(_padded(cat, 60).pool) == SIGNATURE_BITS
-    assert (partition_census(2, 3, _padded(cat, 60))
+    assert len(_padded(cat, 28).pool) == SIGNATURE_BITS == 31
+    assert (partition_census(2, 3, _padded(cat, 28))
             == partition_census(2, 3, cat))
     with pytest.raises(CatalogError,
-                       match="rank 2: 64 distinct catalog polynomials, more "
-                             "than the 63 bits of a slice signature"):
-        _padded(cat, 61)
+                       match="rank 2: 32 distinct catalog polynomials, more "
+                             "than the 31 bits of a slice signature"):
+        _padded(cat, 29)
+
+
+def test_int32_signatures_hold_31_classes(catalogs):
+    # A4's 21 pool classes and 10 products of two of them fill the 31 bits
+    # of an int32 signature: every bit is its polynomial's nonzero pattern,
+    # and no signature is negative
+    pool = [p for p, _ in catalogs[4].pool]
+    polys = pool + [pool[k] * pool[k + 1] for k in range(10)]
+    assert len(polys) == SIGNATURE_BITS
+    q = 3
+    axes = {var: range(q) for var in x_vars(4)}
+    sig = grid_signatures(polys, axes, q)
+    assert sig.dtype == np.int32 and sig.min() >= 0
+    digits = np.stack(np.unravel_index(np.arange(len(sig)), (q,) * 10),
+                      axis=1)
+    cols = {var: digits[:, i] for i, var in enumerate(x_vars(4))}
+    for k, poly in enumerate(polys):
+        want = eval_poly_on_columns(poly, cols, q) != 0
+        assert want.any()
+        assert ((sig >> k & 1) == want).all(), k
 
 
 @st.composite
@@ -594,10 +614,9 @@ def test_signatures_of_a_pool_with_both_signs_match_the_reference(
 
 @st.composite
 def _signature_rows(draw):
-    """(signatures, bits, row width): rows of equal width, every value
-    below 2^bits; at 63 bits and two or more values the sort key does not
-    fit int64 and the stable argsort orders them."""
-    bits = draw(st.integers(1, 63))
+    """(signatures, row width): rows of equal width of int32 values below
+    2^bits, bits up to 31, as ``grid_signatures`` returns them."""
+    bits = draw(st.integers(1, 31))
     width = draw(st.integers(1, 40))
     rows = draw(st.integers(1, 6))
     values = st.integers(0, 2**bits - 1)
@@ -606,22 +625,23 @@ def _signature_rows(draw):
                                                max_size=4)))
     sig = draw(st.lists(values, min_size=rows * width,
                         max_size=rows * width))
-    return np.array(sig, dtype=np.int64), bits, width
+    return np.array(sig, dtype=np.int32), width
 
 
 @settings(max_examples=300, deadline=None)
 @given(_signature_rows())
-@example((np.array([5], dtype=np.int64), 3, 1))
-@example((np.full(12, 2**62 + 7, dtype=np.int64), 63, 4))
-@example((np.full(12, 6, dtype=np.int64), 3, 3))
+@example((np.array([5], dtype=np.int32), 1))
+@example((np.full(12, 2**30 + 7, dtype=np.int32), 4))
+@example((np.full(12, 6, dtype=np.int32), 3))
 def test_sorted_signatures_equal_numpy_unique(case):
     # the one sort of a block gives np.unique's distinct values, first
     # indices and inverse, and the census's per-support counts read off the
-    # inverse equal np.unique's counts of each support row
-    sig, bits, width = case
+    # inverse equal np.unique's counts of each support row; the keys are
+    # widened to int64 as the slice pass widens them
+    sig, width = case
     want, index, inv = np.unique(sig, return_index=True, return_inverse=True)
-    distinct, first, inverse = sorted_signatures(sig.copy(), bits)
-    assert distinct.tolist() == want.tolist()
+    distinct, first, inverse = sorted_signatures(sig.astype(np.int64))
+    assert distinct.dtype == np.int64 and distinct.tolist() == want.tolist()
     assert first.tolist() == index.tolist()
     assert inverse.dtype == np.int32 and inverse.tolist() == inv.tolist()
     for row, part in zip(inverse.reshape(-1, width), sig.reshape(-1, width)):

@@ -529,12 +529,16 @@ def _second_row_an_int(doc):
     return doc
 
 
-def _x11(edit):
-    """``_reshaped``'s edit that runs ``edit`` on the row of x11."""
+def _row(rid: str, edit):
+    """``_reshaped``'s edit that runs ``edit`` on the row of ``rid``."""
     def reshape(doc):
-        edit(next(row for row in doc["orbits"] if row["id"] == "x11"))
+        edit(next(row for row in doc["orbits"] if row["id"] == rid))
         return doc
     return reshape
+
+
+def _x11(edit):
+    return _row("x11", edit)
 
 
 @pytest.mark.parametrize("edit, error", [
@@ -575,6 +579,40 @@ def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, 2, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
+            1, "", f"check failed: {error}\n")
+
+
+def _first_factor_root(root):
+    return lambda row: row["witness"]["factors"][0].update(root=root)
+
+
+@pytest.mark.parametrize("n, edit, error", [
+    (2, _x11(_first_factor_root([2.9, 2.9])),
+     "rank 2 row 'x11': witness factors[0] root: expected two integers, "
+     "got [2.9, 2.9]"),
+    (2, _x11(_first_factor_root([2, 2, 7])),
+     "rank 2 row 'x11': witness factors[0] root: expected two integers, "
+     "got [2, 2, 7]"),
+    (2, _row("0", lambda row: row.update(dim=0.5)),
+     "rank 2 row '0': dim: expected an integer, got 0.5"),
+    (2, _row("0", lambda row: row.update(dim="0")),
+     "rank 2 row '0': dim: expected an integer, got '0'"),
+    (2, _row("x12", lambda row: row.update(dim=True)),
+     "rank 2 row 'x12': dim: expected an integer, got True"),
+    (3, _row("x22+x13", lambda row: row["witness"]["radicals"][0].update(
+        order=2.5)),
+     "rank 3 row 'x22+x13': witness radicals[0] order: expected an integer, "
+     "got 2.5")],
+    ids=["float-root", "three-entry-root", "float-dim", "string-dim",
+         "bool-dim", "float-order"])
+def test_a_number_that_is_not_a_json_integer_is_refused_at_load(
+        tmp_path, monkeypatch, capsys, n, edit, error):
+    # before, each loaded coerced by int(): the root [2.9, 2.9] as (2, 2),
+    # the dims 0.5, "0" and true as 0, 0 and 1, the order 2.5 as 2, and
+    # the root [2, 2, 7] lost its third entry; every command then passed
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, n, edit)))
+    for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
+        assert run(capsys, argv[0], "--type", f"A{n}", *argv[1:]) == (
             1, "", f"check failed: {error}\n")
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import witness
-from orbit_atlas.arith import (LaurentFraction, LaurentPoly, _frac_pow,
-                               _peel, parse_poly)
+from orbit_atlas.arith import (LaurentFraction, LaurentPoly, RadicalRelation,
+                               _frac_pow, _peel, parse_poly)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
                                 parse_printed_word, x_vars)
 from orbit_atlas.cli import main
@@ -26,8 +26,9 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  template_power,
                                  template_word, verify_rank,
                                  verify_witness_numeric)
-from reference import (all_certified, commutator_nil, full_word_pullbacks,
-                       nonlinear_zero, serialize_catalog, word_residuals)
+from reference import (all_certified, commutator_nil, fraction_frac_pow,
+                       full_word_pullbacks, nonlinear_zero, serialize_catalog,
+                       word_residuals)
 
 
 def test_forward_containment_all_records(catalogs):
@@ -303,6 +304,55 @@ def test_frac_pow_of_a_monomial_equals_the_peel_path(catalogs, cn, en, cd,
         else:
             got, want = _frac_pow(base, e, t), LaurentFraction(*parts)
             assert (got.num, got.den) == (want.num, want.den)
+
+
+_ROOT_TOWERS = {
+    "none": (),
+    "x22+x13": (RadicalRelation("R", 2, parse_poly("v*z - x*y")),),
+    "two": (RadicalRelation("R", 3, parse_poly("x + y")),
+            RadicalRelation("S", 5, parse_poly("R*v - z"))),
+}
+
+
+def _root_outcome(frac_pow, base, e, tower):
+    """(num, den) of frac_pow(base, e, tower) as packed maps, or the text
+    of the ``SchemaError`` it raised."""
+    try:
+        got = frac_pow(base, e, tower)
+    except SchemaError as exc:
+        return str(exc)
+    return got.num._t, got.num._b, got.den._t, got.den._b
+
+
+@st.composite
+def _root_cases(draw):
+    """A base (numerator and denominator each a monomial over the tower's
+    variables and four letters, exponents within +-120, times a power of
+    a radicand), an exponent a/b with b in 2..5, and a tower."""
+    tower = _ROOT_TOWERS[draw(st.sampled_from(sorted(_ROOT_TOWERS)))]
+    names = ("v", "x", "y", "z") + tuple(rel.new_var for rel in tower)
+    parts = []
+    for _ in range(2):
+        part = LaurentPoly(names, {
+            tuple(draw(st.lists(st.integers(-120, 120), min_size=len(names),
+                                max_size=len(names)))):
+            draw(st.sampled_from((1, -1, 1, -1, 2, -3, 4, 8)))})
+        if tower and draw(st.booleans()):
+            rel = draw(st.sampled_from(tower))
+            part = part * rel.radicand ** draw(st.integers(1, 3))
+        parts.append(part)
+    e = Fraction(draw(st.integers(-12, 12)), draw(st.integers(2, 5)))
+    return LaurentFraction(*parts), e, tower
+
+
+@settings(max_examples=300, deadline=None)
+@given(_root_cases())
+def test_frac_pow_equals_the_fraction_root(case):
+    # the root read off the packed key by divmod gives the Fraction
+    # exponents' value, or the same refusal text
+    base, e, tower = case
+    assert (_root_outcome(_frac_pow, base, e, tower)
+            == _root_outcome(fraction_frac_pow, base, e, tower))
 
 
 def test_frac_pow_keeps_the_zero_base_and_non_monomial_paths(catalogs):
