@@ -284,12 +284,28 @@ def _poly(t: dict, b: int) -> "LaurentPoly":
 
 
 def _degree_boxes(p: "LaurentPoly", q: "LaurentPoly"):
-    """(var, (least, greatest) exponent of var in p, the same in q) for
-    every variable that p or q uses, in no fixed order."""
-    pbox = {v: (min(c), max(c)) for v, c in zip(p.vars, zip(*p.terms))}
-    qbox = {v: (min(c), max(c)) for v, c in zip(q.vars, zip(*q.terms))}
-    for v in pbox.keys() | qbox.keys():
-        yield v, pbox.get(v, (0, 0)), qbox.get(v, (0, 0))
+    """(bit offset s of a slot, (least, greatest) exponent of p in that
+    slot, the same in q) for every slot that p or q uses, lowest first.
+    Read off the packed keys alone: each key is biased once, the used slots
+    are the set bits of one OR of ``y ^ _BIAS`` (a biased digit equals
+    ``_HALF`` exactly where the exponent is 0), and each used slot's digits
+    are read off the biased keys.  A polynomial with no terms reads
+    (0, 0), as one that does not use the slot does."""
+    bias = _BIAS
+    pk = [k + bias for k in p._t]
+    qk = [k + bias for k in q._t]
+    used = 0
+    for y in pk:
+        used |= y ^ bias
+    for y in qk:
+        used |= y ^ bias
+    while used:
+        s = ((used & -used).bit_length() - 1) // _WIDTH * _WIDTH
+        used &= -1 << s + _WIDTH
+        pd = [y >> s & _MASK for y in pk] or [_HALF]
+        qd = [y >> s & _MASK for y in qk] or [_HALF]
+        yield (s, (min(pd) - _HALF, max(pd) - _HALF),
+               (min(qd) - _HALF, max(qd) - _HALF))
 
 
 def _product_bound(p: "LaurentPoly", q: "LaurentPoly") -> int:
@@ -698,8 +714,7 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly):
     if len(a) == 1 < len(b):    # a non-monomial never divides a monomial
         return None
     lo = hi = bound = 0
-    for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
-        s = _SHIFT[v]
+    for s, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
         lo += nlo - dlo << s
         hi += nhi - dhi << s
         bound = max(bound, abs(nlo - dlo), abs(nhi - dhi))
@@ -745,18 +760,27 @@ def _peel(p: LaurentPoly, divisors) -> tuple[LaurentPoly, list[int]]:
 
 def _strip_content(num: LaurentPoly, den: LaurentPoly):
     """(num, den) with their common monomial content divided out (always
-    legal for Laurent polynomials): per variable, the lower of their least
-    exponents is moved to 0."""
+    legal for Laurent polynomials): per slot, the lower of their least
+    exponents is moved to 0.  When there is no content (every such lower
+    exponent is 0), the operands themselves are returned."""
     content = bound = 0
-    for v, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
+    for s, (nlo, nhi), (dlo, dhi) in _degree_boxes(num, den):
         low = min(nlo, dlo)
-        content += low << _SHIFT[v]
+        content += low << s
         bound = max(bound, max(nhi, dhi) - low)
-    a, b = num._t, den._t
-    if content:
-        a = {k - content: c for k, c in a.items()}
-        b = {k - content: c for k, c in b.items()}
-    return _poly(a, _check_bound(bound)), _poly(b, bound)
+    if not content:
+        return num, den
+    return (_poly({k - content: c for k, c in num._t.items()},
+                  _check_bound(bound)),
+            _poly({k - content: c for k, c in den._t.items()}, bound))
+
+
+def _fraction(num: LaurentPoly, den: LaurentPoly) -> "LaurentFraction":
+    """Trusted constructor: (num, den) already in canonical form.  Nothing
+    is checked."""
+    f = _new(LaurentFraction)
+    f.num, f.den = num, den
+    return f
 
 
 class LaurentFraction:
@@ -827,15 +851,14 @@ class LaurentFraction:
         if o is None:
             return NotImplemented
         if self.den is LaurentPoly.one is o.den:
-            return LaurentFraction(self.num + o.num)
+            s = self.num + o.num
+            return _fraction(s if s._t else LaurentPoly.zero, LaurentPoly.one)
         return LaurentFraction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = LaurentFraction.__new__(LaurentFraction)
-        f.num, f.den = -self.num, self.den
-        return f
+        return _fraction(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -854,7 +877,9 @@ class LaurentFraction:
         if o is None:
             return NotImplemented
         if self.den is LaurentPoly.one is o.den:
-            return LaurentFraction(self.num * o.num)
+            # nonzero factors have a nonzero product, and a zero factor
+            # gives LaurentPoly.zero
+            return _fraction(self.num * o.num, LaurentPoly.one)
         return LaurentFraction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -884,10 +909,9 @@ class LaurentFraction:
             return LaurentFraction(LaurentPoly.one)
         if e == 1:
             return self
-        f = _new(LaurentFraction)       # canonical: see the class docstring
-        f.num = self.num ** e
-        f.den = self.den if self.is_poly() else self.den ** e
-        return f
+        # canonical: see the class docstring
+        return _fraction(self.num ** e,
+                         self.den if self.is_poly() else self.den ** e)
 
     def inv(self) -> "LaurentFraction":
         if self.num.is_zero():
@@ -1060,7 +1084,12 @@ class _Parser:
             return ("pow", base, self.exponent())
         return base
 
-    def exponent(self) -> Fraction:
+    def exponent(self) -> int | Fraction:
+        """An ``int`` when the exponent is integral, ``(4/2)`` included,
+        and a ``Fraction`` only when it is fractional.  The two compare and
+        hash alike (``2 == Fraction(2)``), so a tree equals the one with
+        ``Fraction`` exponents throughout, and ``eval_expr``'s memo hashes
+        an ``int`` in C where ``Fraction.__hash__`` is Python code."""
         toks = self.toks
         paren = toks[self.i] == "("
         if paren:
@@ -1068,7 +1097,7 @@ class _Parser:
         neg = toks[self.i] == "-"
         if neg:
             self.i += 1
-        e = Fraction(self._number())
+        e = self._number()
         if paren:
             if toks[self.i] == "/":
                 if not self.witness:
@@ -1079,7 +1108,9 @@ class _Parser:
                     raise SchemaError(
                         f"zero denominator in the exponent at position "
                         f"{self._pos(self.i - 1)} in {self.text!r}")
-                e /= b
+                e = Fraction(e, b)
+                if e.denominator == 1:
+                    e = e.numerator
             self._expect(")")
         return -e if neg else e
 
@@ -1164,12 +1195,16 @@ def eval_expr(node, env: Mapping[str, object],
               tower: Sequence[RadicalRelation] = (), memo: dict | None = None):
     """The value of a parsed expression tree in the ring of its bindings
     (a ``LaurentPoly`` over ``LaurentPoly`` bindings); a number is a
-    constant ``LaurentPoly``, over Z.  A fractional power lifts its base
+    constant ``LaurentPoly``, over Z.  A power's exponent is an ``int``,
+    or a ``Fraction`` when fractional (``_Parser.exponent``; an integral
+    ``Fraction`` reads as its numerator).  A fractional power lifts its base
     to a ``LaurentFraction`` for ``_frac_pow`` over the radical ``tower``
     adjoined to ``env``, and a negative power of a ``LaurentPoly`` that is
     not a unit (2 and zero included) is refused as not polynomial.  ``memo``
     maps nodes to their values under this ``env`` and tower: a node found
-    there is not evaluated again, and each node evaluated is added."""
+    there is not evaluated again, and each node evaluated is added.  Its
+    lookups hash whole subtrees, so an ``int`` exponent, hashed in C, keeps
+    them cheap."""
     if memo is not None and node in memo:
         return memo[node]
     kind = node[0]

@@ -290,9 +290,10 @@ def _root(value, what: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
-def _objects(value, what: str) -> list:
-    """``value``, a JSON list of objects, each refused by name otherwise."""
-    return [_expect(x, dict, f"{what}[{k}]")
+def _items(value, kind: type, what: str) -> list:
+    """``value``, a JSON list whose entries are JSON of ``kind``, each
+    refused by name otherwise."""
+    return [_expect(x, kind, f"{what}[{k}]")
             for k, x in enumerate(_expect(value, list, what))]
 
 
@@ -340,14 +341,17 @@ def load_catalog(n: int) -> Catalog:
 
 def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     """One record; ``polys`` maps each set string already parsed in this
-    load to its polynomial, and gains the strings parsed here.  Building
-    the record checks that every set polynomial is in Z[X]."""
-    rep = rep_from_tokens(n, row["rep"])
-    rid = row["id"]
+    load to its polynomial, and gains the strings parsed here.  Every
+    field of the wrong JSON type is refused by name (``_expect``): the id,
+    each representative token, set polynomial, constraint, radical, torus
+    entry and factor parameter must be a string.  Building the record
+    checks that every set polynomial is in Z[X]."""
+    rep = rep_from_tokens(n, _items(row["rep"], str, "rep"))
+    rid = _expect(row["id"], str, "id")
     if orbit_id_for(rep) != rid:
         raise CatalogError(f"id {rid!r} does not match representative")
-    zero_strs = tuple(_expect(row["zero_set"], list, "zero_set"))
-    nonzero_strs = tuple(_expect(row["nonzero_set"], list, "nonzero_set"))
+    zero_strs = tuple(_items(row["zero_set"], str, "zero_set"))
+    nonzero_strs = tuple(_items(row["nonzero_set"], str, "nonzero_set"))
     for s in zero_strs + nonzero_strs:
         if s not in polys:
             polys[s] = parse_poly(s, allowed)
@@ -355,30 +359,36 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     nonzero = tuple(polys[s] for s in nonzero_strs)
     w = _expect(row["witness"], dict, "witness")
     constraints = tuple(
-        WitnessConstraint(c["poly"], c["solve"])
-        for c in _objects(w.get("constraints", []), "witness constraints"))
+        WitnessConstraint(
+            _expect(c["poly"], str, f"witness constraints[{k}] poly"),
+            _expect(c["solve"], str, f"witness constraints[{k}] solve"))
+        for k, c in enumerate(_items(w.get("constraints", []), dict,
+                                     "witness constraints")))
     for c in constraints:
         parse_poly(c.poly, letters)
         if c.solve not in letters:
             raise CatalogError(f"solve letter {c.solve!r} unknown")
     radicals = tuple(
-        WitnessRadical(r["name"], _integer(
-            r["order"], f"witness radicals[{k}] order"), r["radicand"])
-        for k, r in enumerate(_objects(w.get("radicals", []),
-                                       "witness radicals")))
+        WitnessRadical(
+            _expect(r["name"], str, f"witness radicals[{k}] name"),
+            _integer(r["order"], f"witness radicals[{k}] order"),
+            _expect(r["radicand"], str, f"witness radicals[{k}] radicand"))
+        for k, r in enumerate(_items(w.get("radicals", []), dict,
+                                     "witness radicals")))
     for r in radicals:
         parse_poly(r.radicand, letters | {x.name for x in radicals})
-    torus = tuple(_expect(w.get("torus", []), list, "witness torus"))
+    torus = tuple(_items(w.get("torus", []), str, "witness torus"))
     if torus and len(torus) != n:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
     factors = tuple(
-        (_root(f["root"], f"witness factors[{k}] root"), f["param"])
-        for k, f in enumerate(_objects(w.get("factors", []),
-                                       "witness factors")))
+        (_root(f["root"], f"witness factors[{k}] root"),
+         _expect(f["param"], str, f"witness factors[{k}] param"))
+        for k, f in enumerate(_items(w.get("factors", []), dict,
+                                     "witness factors")))
     for (i, j), _ in factors:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
-    notes = tuple(_objects(row.get("notes", []), "notes"))
+    notes = tuple(_items(row.get("notes", []), dict, "notes"))
     printed = _expect(row.get("as_printed", {}), dict, "as_printed")
     for key, text in printed.items():
         _expect(text, str, f"as_printed {key}")

@@ -54,6 +54,7 @@ from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
 from .errors import DomainError, SchemaError
 from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
                   adjoint, coordinate_letters, generic_borel_word, pos_roots)
+from .oracle import _family
 
 POWER = 60  # lcm of the radical orders 2..5
 
@@ -194,13 +195,23 @@ def template_word(rec: OrbitRecord, menv: MemberEnv,
 
 def _residuals(rec, menv, word):
     """Coordinatewise differences adjoint(word, rep) - m of a word built
-    over ``menv``, radical-reduced; empty when the word reproduces m."""
+    over ``menv``, radical-reduced; empty when the word reproduces m.
+    Without a radical tower, a coordinate got = m_root is decided by
+    got.num * m.den - m.num * got.den being zero, exact since Z[x^+-1] is
+    a domain, and the difference fraction is built only for a coordinate
+    that differs.  With a tower, every nonzero difference is reduced
+    (``reduce_radicals``) before it counts."""
     result = adjoint(word, rec.representative)
+    tower = menv.tower
     residuals = []
     for root in pos_roots(rec.rank):
-        diff = LaurentFraction._lift(result.coord(root)) - menv.target[root]
-        if not diff.is_zero():
-            diff = diff.reduce_radicals(menv.tower)
+        got = LaurentFraction._lift(result.coord(root))
+        want = menv.target[root]
+        if not tower and (got.num * want.den - want.num * got.den).is_zero():
+            continue
+        diff = got - want
+        if tower and not diff.is_zero():
+            diff = diff.reduce_radicals(tower)
         if not diff.is_zero():
             residuals.append((root, diff))
     return residuals
@@ -433,17 +444,26 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
     homogeneous, as every class of a ``Catalog`` pool is.  Such an f is a
     torus weight vector: f(t.y) = chi_f(t) f(y) for a Laurent monomial
     chi_f in t1..tn, a unit.  B = T U, so f(t.u.rep) = chi_f(t) f(u.rep),
-    and f vanishes on B.rep exactly when it vanishes on U.rep."""
+    and f vanishes on B.rep exactly when it vanishes on U.rep.
+
+    ``adjoint(u, x)`` is linear in x, so u's map is read once, one
+    ``adjoint`` per basis vector (``oracle._family``), and ``adjoint(u,
+    rep)`` is the sum of the columns of rep's support, each times its
+    coordinate."""
     reps, polys = list(reps), list(polys)
     if not reps:
         return []
     n = reps[0].rank
-    unipotent = BorelWord(n, None, generic_borel_word(n).factors)
+    roots = pos_roots(n)
+    entries = _family(BorelWord(n, None, generic_borel_word(n).factors))
     rows = []
     for rep in reps:
-        moved = adjoint(unipotent, rep)
-        env = {var: _lift(moved.coord(root))
-               for root, var in zip(pos_roots(n), x_vars(n))}
+        coeffs = [rep.coord(root) for root in roots]
+        moved = [LaurentPoly.zero] * len(roots)
+        for row, col, entry in entries:
+            if coeffs[col]:
+                moved[row] = moved[row] + entry * coeffs[col]
+        env = dict(zip(x_vars(n), moved))
         rows.append([_lift(poly.eval(env)) for poly in polys])
     return rows
 

@@ -14,7 +14,9 @@ enumeration through them is the reference for ``classify.slice_pass``.
 
 ``full_word_pullbacks`` is the generic pullback along the whole generic
 Borel word, torus included: the reference for the unipotent-only pullback
-of ``witness.generic_pullbacks``.
+of ``witness.generic_pullbacks``.  ``adjoint_pullbacks`` is that pullback
+with one ``adjoint`` per representative, the reference for its column
+sums.
 
 ``word_map`` reads one group element's map over F_q off ``adjoint`` on the
 coordinate basis (``torus_word`` names a full torus element), and
@@ -42,7 +44,9 @@ round replaced, and the reference for it.
 
 ``word_residuals`` runs ``adjoint`` on any word built from template texts,
 the path every printed word took before a word equal in value to its
-template reused the template's residuals.  ``TokenParser`` parses over
+template reused the template's residuals, and takes each coordinate's
+difference as a fraction (``difference_residuals``, the reference for the
+cross-multiplication of ``witness._residuals``).  ``TokenParser`` parses over
 one ``Tok`` object per token, kind and position included (``tokenize``):
 the reference for ``arith._Parser``'s one ``findall`` of token strings.
 ``fraction_parse_poly`` is ``arith.parse_poly`` through ``TokenParser``
@@ -50,6 +54,8 @@ and one ``LaurentFraction`` per parse-tree node (``fraction_eval``, the
 all-fraction evaluator), the reference for its evaluation by
 ``arith.eval_expr`` over ``LaurentPoly`` bindings.
 
+``degree_boxes`` decodes both polynomials into exponent tuples, the
+reference for ``arith._degree_boxes``'s boxes read off the packed keys.
 ``fixed_point_normalize`` reduces radical exponents by rewriting one hot
 variable at a time until none is left, and ``fraction_power`` raises a
 ``LaurentFraction`` by square-and-multiply through its canonicalizing
@@ -86,7 +92,7 @@ from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _bracket, adjoint,
                              generic_borel_word, nil_dim, pos_roots)
 from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
-from orbit_atlas.witness import _residuals, generic_pullbacks, template_word
+from orbit_atlas.witness import generic_pullbacks, template_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
 
@@ -374,6 +380,22 @@ def certify(cat, leq: dict, generators: dict, qs) -> dict:
 
 # ---------------------------------------------------------------------------
 # the generic pullback along the whole Borel word
+
+
+def adjoint_pullbacks(reps, polys) -> list:
+    """``witness.generic_pullbacks`` with one ``adjoint`` of the generic
+    unipotent word per representative: the reference for its sums of the
+    columns of the one symbolic map."""
+    rows = []
+    for rep in reps:
+        n = rep.rank
+        moved = adjoint(BorelWord(n, None, generic_borel_word(n).factors),
+                        rep)
+        env = {var: LaurentPoly.zero + moved.coord(root)
+               for root, var in zip(pos_roots(n), x_vars(n))}
+        rows.append([LaurentPoly.zero + poly.eval(env)
+                     for poly in polys])
+    return rows
 
 
 def full_word_pullbacks(rep: NilElement, polys) -> list:
@@ -665,13 +687,29 @@ def nonlinear_zero(rec) -> list:
 # witness words
 
 
+def difference_residuals(rec, menv, word):
+    """Coordinatewise differences adjoint(word, rep) - m of a word built
+    over ``menv``, each built as a ``LaurentFraction`` and radical-reduced
+    when nonzero; empty when the word reproduces m.  The reference for
+    ``witness._residuals``, which decides a coordinate of a radical-free
+    member by one cross-multiplication."""
+    result = adjoint(word, rec.representative)
+    residuals = []
+    for root in pos_roots(rec.rank):
+        diff = LaurentFraction._lift(result.coord(root)) - menv.target[root]
+        if not diff.is_zero():
+            diff = diff.reduce_radicals(menv.tower)
+        if not diff.is_zero():
+            residuals.append((root, diff))
+    return residuals
+
+
 def word_residuals(rec, menv, torus_strs, factor_list, parsed=None):
-    """Coordinatewise differences adjoint(word, rep) - m of the word built
-    by ``witness.template_word``, radical-reduced; empty when the word
-    reproduces m.  Every word's own residuals, the reference for a printed
-    word that reuses its template's."""
-    return _residuals(rec, menv, template_word(rec, menv, torus_strs,
-                                               factor_list, parsed))
+    """``difference_residuals`` of the word built by
+    ``witness.template_word``: every word's own residuals, the reference
+    for a printed word that reuses its template's."""
+    return difference_residuals(rec, menv, template_word(
+        rec, menv, torus_strs, factor_list, parsed))
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +891,21 @@ def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
     if not out.is_poly():
         raise SchemaError(f"{text!r} is not polynomial")
     return out.num
+
+
+# ---------------------------------------------------------------------------
+# degree boxes
+
+
+def degree_boxes(p: LaurentPoly, q: LaurentPoly):
+    """(var, (least, greatest) exponent of var in p, the same in q) for
+    every variable that p or q uses, each polynomial decoded into exponent
+    tuples through ``vars`` and ``terms``: the reference for
+    ``arith._degree_boxes``, which reads the boxes off the packed keys."""
+    pbox = {v: (min(c), max(c)) for v, c in zip(p.vars, zip(*p.terms))}
+    qbox = {v: (min(c), max(c)) for v, c in zip(q.vars, zip(*q.terms))}
+    for v in pbox.keys() | qbox.keys():
+        yield v, pbox.get(v, (0, 0)), qbox.get(v, (0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from orbit_atlas.arith import (EXP_LIMIT, QUOTIENT_LIMIT, Fp, LaurentFraction,
-                               LaurentPoly, RadicalRelation, _exact_divide,
-                               _Parser, eval_expr, is_prime, kth_roots,
+from orbit_atlas.arith import (_SHIFT, EXP_LIMIT, QUOTIENT_LIMIT, Fp,
+                               LaurentFraction, LaurentPoly, RadicalRelation,
+                               _degree_boxes, _exact_divide, _Parser,
+                               _strip_content, eval_expr, is_prime, kth_roots,
                                normalize, parse_expr, parse_poly, poly_to_str,
                                primitive_root)
 from orbit_atlas.errors import DomainError, SchemaError
-from reference import (TokenParser, fixed_point_normalize,
+from reference import (TokenParser, degree_boxes, fixed_point_normalize,
                        fraction_parse_poly, fraction_power)
 
 V = LaurentPoly.var
@@ -500,6 +501,48 @@ def test_kernel_matches_reference(p, d, wide_p, wide_d, k):
         assert _exact_divide(f.num, f.den) is None
 
 
+# names no other test uses, so each is registered when a draw first uses
+# it, after every other name of the session: a high slot
+LATE = tuple(f"late{k}" for k in range(8))
+
+
+@st.composite
+def late_poly(draw, exponents=NEAR_SLOT_WIDTH):
+    reg = tuple(draw(st.lists(st.sampled_from(("a", "b") + LATE),
+                              unique=True, max_size=4)))
+    terms = draw(st.dictionaries(st.tuples(*[exponents] * len(reg)),
+                                 st.integers(-6, 6), max_size=4))
+    return LaurentPoly(reg, terms)
+
+
+@settings(max_examples=250, deadline=None)
+@given(mixed_poly(NEAR_SLOT_WIDTH) | late_poly(),
+       mixed_poly(NEAR_SLOT_WIDTH) | late_poly())
+def test_degree_boxes_read_off_packed_keys_match_the_decoding(p, q):
+    # negative exponents, exponents near half of EXP_LIMIT and names in
+    # late, high slots: each used slot once, with its boxes, keyed by its
+    # bit offset
+    want = sorted((_SHIFT[v], pbox, qbox) for v, pbox, qbox
+                  in degree_boxes(p, q))
+    assert sorted(_degree_boxes(p, q)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_poly() | late_poly(SMALL), mixed_poly() | late_poly(SMALL))
+@example(V("x") * V("y") + 1, V("x") + V("y"))
+@example(V("x") * V("y") + V("x"), V("x") ** 2 + V("x") * V("y"))
+def test_strip_content_divides_out_the_common_monomial(p, q):
+    content = {v: min(plo, qlo)
+               for v, (plo, _), (qlo, _) in degree_boxes(p, q)}
+    monomial = LaurentPoly(tuple(content), {tuple(content.values()): 1})
+    a, b = _strip_content(p, q)
+    assert a * monomial == p and b * monomial == q
+    assert all(min(alo, blo) == 0
+               for _, (alo, _), (blo, _) in degree_boxes(a, b))
+    # no content: the very operands come back, no copy
+    assert (a is p and b is q) == (not any(content.values()))
+
+
 def test_an_exponent_that_would_leave_its_slot_raises():
     x, y = V("x", EXP_LIMIT), V("y")
     assert V("x", -EXP_LIMIT).monomial_inverse() == x
@@ -632,10 +675,38 @@ def test_the_parser_agrees_with_the_token_parser(text):
         want = _parsed(lambda t: TokenParser(t, witness).parse(), text)
         got = _parsed(lambda t: _Parser(t, witness).parse(), text)
         assert got == want
+        if not isinstance(got, str):
+            # the token parser's exponents are all Fractions; ours are ints
+            # unless fractional, and the trees still hash alike
+            assert hash(got) == hash(want)
+            assert all(type(e) is int or e.denominator != 1
+                       for e in _exponents(got))
         if witness:
             assert _parsed(parse_expr, text) == want
         elif isinstance(want, str):
             assert _parsed(parse_poly, text) == want
+
+
+def _exponents(node):
+    """Every exponent of a parse tree."""
+    if node[0] == "pow":
+        yield node[2]
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            yield from _exponents(child)
+
+
+def test_integral_exponents_parse_as_ints():
+    for text, e in (("u^2", 2), ("u^(-3)", -3), ("u^-3", -3), ("u^(4/2)", 2),
+                    ("u^(0/5)", 0), ("u^(1/2)", Fraction(1, 2)),
+                    ("u^(-2/4)", Fraction(-1, 2)), ("sqrt(u)", Fraction(1, 2))):
+        node = parse_expr(text)
+        assert node == ("pow", ("var", "u"), e)
+        assert type(node[2]) is type(e), text
+        want = TokenParser(text, True).parse()
+        assert type(want[2]) is Fraction
+        assert node == want and hash(node) == hash(want)
+    assert type(_Parser("X11^2", False).parse()[2]) is int
 
 
 def test_equal_constants_share_a_hash():

@@ -563,10 +563,45 @@ def _x11(edit):
     (_x11(lambda row: row["witness"].update(radicals=[5])),
      "rank 2 row 'x11': witness radicals[0]: expected an object, got int"),
     (_x11(lambda row: row["witness"]["factors"].append(5)),
-     "rank 2 row 'x11': witness factors[1]: expected an object, got int")],
+     "rank 2 row 'x11': witness factors[1]: expected an object, got int"),
+    (_x11(lambda row: row["witness"]["factors"][0].update(param=5)),
+     "rank 2 row 'x11': witness factors[0] param: expected a string, "
+     "got int"),
+    (_x11(lambda row: row["witness"].update(torus=[1, 2])),
+     "rank 2 row 'x11': witness torus[0]: expected a string, got int"),
+    (_x11(lambda row: row.update(zero_set=[5])),
+     "rank 2 row 'x11': zero_set[0]: expected a string, got int"),
+    (_x11(lambda row: row.update(nonzero_set=["X11", 5])),
+     "rank 2 row 'x11': nonzero_set[1]: expected a string, got int"),
+    (_x11(lambda row: row.update(rep=5)),
+     "rank 2 row 'x11': rep: expected a list, got int"),
+    (_x11(lambda row: row.update(rep=[11])),
+     "rank 2 row 'x11': rep[0]: expected a string, got int"),
+    (_x11(lambda row: row.update(id=11)),
+     "rank 2 row 11: id: expected a string, got int"),
+    (_x11(lambda row: row["witness"].update(
+        constraints=[{"poly": 5, "solve": "x"}])),
+     "rank 2 row 'x11': witness constraints[0] poly: expected a string, "
+     "got int"),
+    (_x11(lambda row: row["witness"].update(
+        constraints=[{"poly": "x - z", "solve": ["x"]}])),
+     "rank 2 row 'x11': witness constraints[0] solve: expected a string, "
+     "got list"),
+    (_x11(lambda row: row["witness"].update(
+        radicals=[{"name": 5, "order": 2, "radicand": "x + z"}])),
+     "rank 2 row 'x11': witness radicals[0] name: expected a string, "
+     "got int"),
+    (_x11(lambda row: row["witness"].update(
+        radicals=[{"name": "R", "order": 2, "radicand": 5}])),
+     "rank 2 row 'x11': witness radicals[0] radicand: expected a string, "
+     "got int")],
     ids=["top-level-list", "orbits-int", "row-int", "printed-word-int",
          "printed-set-int", "torus-string", "zero-set-string", "witness-int",
-         "note-int", "constraints-int", "radical-int", "factor-int"])
+         "note-int", "constraints-int", "radical-int", "factor-int",
+         "param-int", "torus-entry-int", "zero-set-entry-int",
+         "nonzero-set-entry-int", "rep-int", "rep-entry-int", "id-int",
+         "constraint-poly-int", "constraint-solve-list", "radical-name-int",
+         "radicand-int"])
 def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
                                                       capsys, edit, error):
     # before, the first five ended check-all, orbits or verify in an
@@ -575,7 +610,12 @@ def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
     # command parsed them); the torus string "x1" loaded as the two entries
     # x and 1, and the zero set "X22" was parsed letter by letter.  A
     # witness, note, constraint list, radical or factor of the wrong shape
-    # ended in an AttributeError or a TypeError that named no field
+    # ended in an AttributeError or a TypeError that named no field.  A
+    # factor parameter, torus entry, constraint or radical text that was
+    # not a string loaded, and verify then ended in a TypeError traceback
+    # (check-all printed FAIL witnesses, naming no field); a set entry,
+    # representative or id of the wrong type was refused with Python's
+    # error text, naming no field
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, 2, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (

@@ -26,7 +26,8 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  template_power,
                                  template_word, verify_rank,
                                  verify_witness_numeric)
-from reference import (all_certified, commutator_nil, fraction_frac_pow,
+from reference import (adjoint_pullbacks, all_certified, commutator_nil,
+                       difference_residuals, fraction_frac_pow,
                        full_word_pullbacks, nonlinear_zero, serialize_catalog,
                        word_residuals)
 
@@ -556,6 +557,51 @@ def test_unipotent_pullback_matches_full_word(catalogs, n):
                    for v in row)
         assert [len(v.terms) for v in row] == [
             len(v.terms) if v != 0 else 0 for v in full], rec.id
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_column_sum_pullbacks_equal_one_adjoint_per_representative(
+        catalogs, n):
+    cat = catalogs[n]
+    reps = [rec.representative for rec in cat.orbits]
+    polys = [poly for poly, _ in cat.pool]
+    assert generic_pullbacks(reps, polys) == adjoint_pullbacks(reps, polys)
+
+
+def _texts(residuals):
+    return [(root, repr(diff)) for root, diff in residuals]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_residuals_equal_the_difference_path(catalogs, n):
+    # the template word, the printed word when it parses and the template
+    # with its first factor parameter doubled: equal residual lists and
+    # texts, whether or not the member has a radical tower
+    differing = 0
+    for rec in catalogs[n].orbits:
+        w, menv = rec.witness, build_member_env(rec)
+        words = [(w.torus, w.factors)]
+        if w.factors:
+            (root, param), *rest = w.factors
+            words.append((w.torus, ((root, f"2*({param})"), *rest)))
+        if rec.as_printed.get("word"):
+            try:
+                words.append(parse_printed_word(rec.as_printed["word"], n))
+            except WitnessParseError:
+                pass
+        for torus, factors in words:
+            try:
+                word = template_word(rec, menv, torus or (), factors)
+            except (SchemaError, DomainError):
+                continue
+            got = witness._residuals(rec, menv, word)
+            want = difference_residuals(rec, menv, word)
+            assert _texts(got) == _texts(want), rec.id
+            assert all(a == b for (_, a), (_, b) in zip(got, want))
+            differing += bool(got)
+    # a doubled parameter leaves residuals (A1's one word has no factor)
+    assert bool(differing) == any(rec.witness.factors
+                                  for rec in catalogs[n].orbits)
 
 
 def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
