@@ -998,6 +998,11 @@ _TOKEN = re.compile(r"[0-9]+|[A-Za-z_]\w*|[-+*/^()]|\S", re.ASCII)
 _DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 _GRAMMAR = _DIGITS | _NAME_START | frozenset("+-*/^()")
+#: deepest nesting of parentheses and unary minus a text may hold: each
+#: level recurses in the parser and in every walk of the tree, so a deeper
+#: text is refused before it can exhaust the stack (shipped texts nest at
+#: most 3 deep)
+NESTING_LIMIT = 32
 
 
 class _Parser:
@@ -1012,6 +1017,7 @@ class _Parser:
         self.toks = _TOKEN.findall(text)
         self.toks.append("")
         self.i = 0
+        self.depth = 0
         self.witness = witness
 
     def _pos(self, i: int) -> int:
@@ -1034,6 +1040,18 @@ class _Parser:
             self._expected("num")
         self.i += 1
         return int(t)
+
+    def _nested(self, rule):
+        """``rule()`` one level deeper than the token just read, a '(' or
+        a unary '-', refused past ``NESTING_LIMIT`` levels."""
+        if self.depth == NESTING_LIMIT:
+            raise SchemaError(f"parentheses and unary minus nest deeper than "
+                              f"{NESTING_LIMIT} at position "
+                              f"{self._pos(self.i - 1)}")
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     def parse(self):
         try:
@@ -1126,18 +1144,18 @@ class _Parser:
                 if not self.witness:
                     raise SchemaError("sqrt is not allowed in this grammar")
                 self.i += 1
-                inner = self.expr()
+                inner = self._nested(self.expr)
                 self._expect(")")
                 return ("pow", inner, Fraction(1, 2))
             return ("var", t)
         if t == "(":
             self.i += 1
-            node = self.expr()
+            node = self._nested(self.expr)
             self._expect(")")
             return node
         if t == "-":
             self.i += 1
-            return ("neg", self.atom())
+            return ("neg", self._nested(self.atom))
         raise SchemaError(
             f"unexpected token {t!r} at position {self._pos(self.i)}")
 

@@ -290,11 +290,29 @@ def _root(value, what: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
+def _required(obj: dict, place: str, *keys: str) -> dict:
+    """``obj``, refused by name unless it holds every one of ``keys``;
+    ``place`` names obj within its row, "" for the row itself."""
+    for key in keys:
+        if key not in obj:
+            raise CatalogError(f"{place}: missing key {key!r}" if place
+                               else f"missing key {key!r}")
+    return obj
+
+
 def _items(value, kind: type, what: str) -> list:
     """``value``, a JSON list whose entries are JSON of ``kind``, each
     refused by name otherwise."""
     return [_expect(x, kind, f"{what}[{k}]")
             for k, x in enumerate(_expect(value, list, what))]
+
+
+def _entries(value, what: str, *keys: str) -> list:
+    """(its name ``what[k]``, entry) of each entry of the JSON list
+    ``value``: an object holding every one of ``keys``, refused by name
+    otherwise."""
+    return [(f"{what}[{k}]", _required(x, f"{what}[{k}]", *keys))
+            for k, x in enumerate(_items(value, dict, what))]
 
 
 def load_catalog(n: int) -> Catalog:
@@ -311,18 +329,21 @@ def load_catalog(n: int) -> Catalog:
     if version != SCHEMA_VERSION:
         raise CatalogError(f"schema_version {version!r} unsupported")
     allowed = set(x_vars(n))
-    letters = set(coordinate_letters(n))
+    # coordinate letter -> its X variable, the one of the same root
+    letters = {letter: LaurentPoly.var(var)
+               for var, letter in letter_of_var(n).items()}
     polys: dict = {}            # set string -> its one parse, shared by rows
     records = []
     seen = set()
     for k, row in enumerate(_expect(raw.get("orbits", []), list,
                                     f"rank {n} orbits")):
-        _expect(row, dict, f"rank {n} orbits[{k}]")
-        rid = row.get("id", "<missing id>")
+        where = f"rank {n} orbits[{k}]"
+        if "id" in _expect(row, dict, where):
+            where = f"rank {n} row {row['id']!r}"
         try:
             rec = _record_from_json(n, row, allowed, letters, polys)
         except Exception as exc:
-            raise CatalogError(f"rank {n} row {rid!r}: {exc}") from exc
+            raise CatalogError(f"{where}: {exc}") from exc
         if rec.id in seen:
             raise CatalogError(f"rank {n}: duplicate id {rec.id!r}")
         seen.add(rec.id)
@@ -341,11 +362,18 @@ def load_catalog(n: int) -> Catalog:
 
 def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     """One record; ``polys`` maps each set string already parsed in this
-    load to its polynomial, and gains the strings parsed here.  Every
-    field of the wrong JSON type is refused by name (``_expect``): the id,
-    each representative token, set polynomial, constraint, radical, torus
-    entry and factor parameter must be a string.  Building the record
-    checks that every set polynomial is in Z[X]."""
+    load to its polynomial, and gains the strings parsed here; ``letters``
+    maps each coordinate letter to its X variable.  A missing required key
+    is refused by name (``_required``), and so is every field of the wrong
+    JSON type (``_expect``): the id, each representative token, set
+    polynomial, constraint, radical, torus entry, factor parameter and note
+    must be a string.  A witness constraint, its letters read as their X
+    variables, must be +- one of the record's zero-set polynomials, so the
+    general member it cuts out is the set's; a radical's name must be
+    neither a coordinate letter nor an X variable, and must not repeat.
+    Building the record checks that every set polynomial is in Z[X]."""
+    _required(row, "", "id", "rep", "zero_set", "nonzero_set", "dim",
+              "witness")
     rep = rep_from_tokens(n, _items(row["rep"], str, "rep"))
     rid = _expect(row["id"], str, "id")
     if orbit_id_for(rep) != rid:
@@ -359,36 +387,48 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     nonzero = tuple(polys[s] for s in nonzero_strs)
     w = _expect(row["witness"], dict, "witness")
     constraints = tuple(
-        WitnessConstraint(
-            _expect(c["poly"], str, f"witness constraints[{k}] poly"),
-            _expect(c["solve"], str, f"witness constraints[{k}] solve"))
-        for k, c in enumerate(_items(w.get("constraints", []), dict,
-                                     "witness constraints")))
-    for c in constraints:
-        parse_poly(c.poly, letters)
+        WitnessConstraint(_expect(c["poly"], str, f"{at} poly"),
+                          _expect(c["solve"], str, f"{at} solve"))
+        for at, c in _entries(w.get("constraints", []), "witness constraints",
+                              "poly", "solve"))
+    for k, c in enumerate(constraints):
+        as_x = parse_poly(c.poly, letters).eval(letters)
+        if as_x not in zero and -as_x not in zero:
+            raise CatalogError(f"witness constraints[{k}] {c.poly!r} is not "
+                               f"a zero-set polynomial up to sign")
         if c.solve not in letters:
             raise CatalogError(f"solve letter {c.solve!r} unknown")
     radicals = tuple(
-        WitnessRadical(
-            _expect(r["name"], str, f"witness radicals[{k}] name"),
-            _integer(r["order"], f"witness radicals[{k}] order"),
-            _expect(r["radicand"], str, f"witness radicals[{k}] radicand"))
-        for k, r in enumerate(_items(w.get("radicals", []), dict,
-                                     "witness radicals")))
-    for r in radicals:
-        parse_poly(r.radicand, letters | {x.name for x in radicals})
+        WitnessRadical(_expect(r["name"], str, f"{at} name"),
+                       _integer(r["order"], f"{at} order"),
+                       _expect(r["radicand"], str, f"{at} radicand"))
+        for at, r in _entries(w.get("radicals", []), "witness radicals",
+                              "name", "order", "radicand"))
+    names = [r.name for r in radicals]
+    for k, r in enumerate(radicals):
+        clash = ("a coordinate letter" if r.name in letters
+                 else "an X variable" if r.name in allowed
+                 else "repeated" if r.name in names[:k] else "")
+        if clash:
+            raise CatalogError(f"witness radicals[{k}] name {r.name!r} is "
+                               f"{clash}")
+        parse_poly(r.radicand, {*letters, *names})
     torus = tuple(_items(w.get("torus", []), str, "witness torus"))
     if torus and len(torus) != n:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
     factors = tuple(
-        (_root(f["root"], f"witness factors[{k}] root"),
-         _expect(f["param"], str, f"witness factors[{k}] param"))
-        for k, f in enumerate(_items(w.get("factors", []), dict,
-                                     "witness factors")))
+        (_root(f["root"], f"{at} root"),
+         _expect(f["param"], str, f"{at} param"))
+        for at, f in _entries(w.get("factors", []), "witness factors",
+                              "root", "param"))
     for (i, j), _ in factors:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
-    notes = tuple(_items(row.get("notes", []), dict, "notes"))
+    notes = _entries(row.get("notes", []), "notes", "note")
+    for at, note in notes:
+        for key in ("field", "note"):
+            if key in note:
+                _expect(note[key], str, f"{at} {key}")
     printed = _expect(row.get("as_printed", {}), dict, "as_printed")
     for key, text in printed.items():
         _expect(text, str, f"as_printed {key}")
@@ -399,7 +439,7 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         dim=_integer(row["dim"], "dim"),
         witness=WitnessTemplate(constraints, radicals, torus, factors),
         as_printed=dict(printed),
-        notes=notes)
+        notes=tuple(note for _, note in notes))
     if rec.dim != nil_dim(n) - len(zero):
         raise CatalogError(f"dim {rec.dim} != {nil_dim(n)} - {len(zero)} "
                            f"zero-set generators")

@@ -636,12 +636,24 @@ def test_vars_are_the_variables_the_terms_use():
     (parse_poly, "X11 + \u0661",
      "unexpected character '\u0661' at position 6"),
     (parse_expr, "u^(1/0)",
-     "zero denominator in the exponent at position 5 in 'u^(1/0)'")])
+     "zero denominator in the exponent at position 5 in 'u^(1/0)'"),
+    (parse_expr, "(" * 33 + "u" + ")" * 33,
+     "parentheses and unary minus nest deeper than 32 at position 32"),
+    (parse_poly, "X11*" + "-" * 33 + "X11",
+     "parentheses and unary minus nest deeper than 32 at position 36"),
+    (parse_expr, "sqrt(" * 16 + "-(" * 17 + "u" + ")" * 33,
+     "parentheses and unary minus nest deeper than 32 at position 113")])
 def test_a_malformed_text_is_a_schema_error(parse, text, message):
-    # a superscript two and an Arabic-Indic one are not ASCII digits, and
-    # the exponent 1/0 is refused before it reaches Fraction
+    # a superscript two and an Arabic-Indic one are not ASCII digits, the
+    # exponent 1/0 is refused before it reaches Fraction, and a text nested
+    # past NESTING_LIMIT is refused before it can exhaust the stack
     with pytest.raises(SchemaError, match=re.escape(message)):
         parse(text)
+
+
+def test_a_text_nested_to_the_limit_parses():
+    assert parse_expr("(" * 32 + "u" + ")" * 32) == ("var", "u")
+    assert parse_poly("X11*" + "-" * 32 + "X11") == parse_poly("X11^2")
 
 
 def _parsed(parse, text):

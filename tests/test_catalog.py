@@ -16,6 +16,7 @@ from orbit_atlas.catalog import (ORBIT_COUNTS, WitnessParseError, load_catalog,
                                  x_vars)
 from orbit_atlas.errors import CatalogError, UnsupportedRankError
 from orbit_atlas.lie import coordinate_letters
+from orbit_atlas.witness import classify_verdict
 from reference import fraction_parse_poly, serialize_catalog
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
@@ -179,6 +180,19 @@ def test_a_non_integer_set_coefficient_is_refused(tmp_path, monkeypatch,
     with pytest.raises(CatalogError) as exc:
         load_catalog(2)
     assert str(exc.value) == "rank 2 row 'x11+x22': (2)^-1 is not polynomial"
+
+
+def test_a_witness_constraint_is_a_zero_set_polynomial_up_to_sign(
+        tmp_path, monkeypatch, catalogs):
+    # x22's constraint v*z - x*y is its zero-set polynomial X22*X13 -
+    # X12*X23 in coordinate letters; the negative cuts out the same member
+    doc = json.loads(serialize_catalog(catalogs[3]))
+    row = next(r for r in doc["orbits"] if r["id"] == "x22")
+    assert row["witness"]["constraints"][0]["poly"] == "v*z - x*y"
+    row["witness"]["constraints"][0]["poly"] = "x*y - v*z"
+    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert classify_verdict(load_catalog(3).by_id("x22")).certified
 
 
 def test_a_replace_copy_with_a_negative_exponent_is_refused(catalogs):

@@ -500,6 +500,10 @@ def _superscript_torus_entry(row):
     row["witness"]["torus"][0] = "u*\u00b2"
 
 
+def _deeply_nested_torus_entry(row):
+    row["witness"]["torus"][0] = "(" * 3000 + "x" + ")" * 3000
+
+
 @pytest.mark.parametrize("argv", [
     ["orbits"], ["classify", "--point", "0,1,0"],
     ["classify", "--point", "0,1,0", "--mod", "5"], ["verify"], ["hasse"],
@@ -594,14 +598,33 @@ def _x11(edit):
     (_x11(lambda row: row["witness"].update(
         radicals=[{"name": "R", "order": 2, "radicand": 5}])),
      "rank 2 row 'x11': witness radicals[0] radicand: expected a string, "
-     "got int")],
+     "got int"),
+    (_x11(lambda row: row.update(notes=[{"field": "witness"}])),
+     "rank 2 row 'x11': notes[0]: missing key 'note'"),
+    (_x11(lambda row: row.update(notes=[{"field": 5, "note": 3}])),
+     "rank 2 row 'x11': notes[0] field: expected a string, got int"),
+    (_x11(lambda row: row.update(notes=[{"field": "witness", "note": 3}])),
+     "rank 2 row 'x11': notes[0] note: expected a string, got int"),
+    (_x11(lambda row: row.pop("id")), "rank 2 orbits[2]: missing key 'id'"),
+    *((_x11(lambda row, key=key: row.pop(key)),
+       f"rank 2 row 'x11': missing key {key!r}")
+      for key in ("rep", "zero_set", "nonzero_set", "dim", "witness")),
+    (_x11(lambda row: row["witness"].update(constraints=[{"poly": "y"}])),
+     "rank 2 row 'x11': witness constraints[0]: missing key 'solve'"),
+    (_x11(lambda row: row["witness"].update(radicals=[{"name": "R"}])),
+     "rank 2 row 'x11': witness radicals[0]: missing key 'order'"),
+    (_x11(lambda row: row["witness"]["factors"][0].pop("param")),
+     "rank 2 row 'x11': witness factors[0]: missing key 'param'")],
     ids=["top-level-list", "orbits-int", "row-int", "printed-word-int",
          "printed-set-int", "torus-string", "zero-set-string", "witness-int",
          "note-int", "constraints-int", "radical-int", "factor-int",
          "param-int", "torus-entry-int", "zero-set-entry-int",
          "nonzero-set-entry-int", "rep-int", "rep-entry-int", "id-int",
          "constraint-poly-int", "constraint-solve-list", "radical-name-int",
-         "radicand-int"])
+         "radicand-int", "note-missing", "note-field-int", "note-text-int",
+         "id-missing", "rep-missing", "zero-set-missing",
+         "nonzero-set-missing", "dim-missing", "witness-missing",
+         "solve-missing", "order-missing", "param-missing"])
 def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
                                                       capsys, edit, error):
     # before, the first five ended check-all, orbits or verify in an
@@ -615,7 +638,9 @@ def test_a_malformed_catalog_shape_is_refused_at_load(tmp_path, monkeypatch,
     # not a string loaded, and verify then ended in a TypeError traceback
     # (check-all printed FAIL witnesses, naming no field); a set entry,
     # representative or id of the wrong type was refused with Python's
-    # error text, naming no field
+    # error text, naming no field.  A note without a "note" ended orbits and
+    # verify in a KeyError traceback, and one whose texts were ints loaded;
+    # a missing key was refused with Python's bare KeyError text ('dim')
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, 2, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", "A2", *argv[1:]) == (
@@ -650,6 +675,50 @@ def test_a_number_that_is_not_a_json_integer_is_refused_at_load(
     # before, each loaded coerced by int(): the root [2.9, 2.9] as (2, 2),
     # the dims 0.5, "0" and true as 0, 0 and 1, the order 2.5 as 2, and
     # the root [2, 2, 7] lost its third entry; every command then passed
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, n, edit)))
+    for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
+        assert run(capsys, argv[0], "--type", f"A{n}", *argv[1:]) == (
+            1, "", f"check failed: {error}\n")
+
+
+def _with_constraint(poly: str, solve: str):
+    return _row("x12", lambda row: row["witness"]["constraints"].append(
+        {"poly": poly, "solve": solve}))
+
+
+def _radical_named(rid: str, k: int, name: str):
+    return _row(rid, lambda row: row["witness"]["radicals"][k].update(
+        name=name))
+
+
+@pytest.mark.parametrize("n, edit, error", [
+    (4, _with_constraint("x - z", "x"),
+     "rank 4 row 'x12': witness constraints[0] 'x - z' is not a zero-set "
+     "polynomial up to sign"),
+    (4, _with_constraint("x", "x"),
+     "rank 4 row 'x12': witness constraints[0] 'x' is not a zero-set "
+     "polynomial up to sign"),
+    (4, _with_constraint("z - 1", "z"),
+     "rank 4 row 'x12': witness constraints[0] 'z - 1' is not a zero-set "
+     "polynomial up to sign"),
+    (4, _radical_named("x11+x22+x44+x34", 0, "u"),
+     "rank 4 row 'x11+x22+x44+x34': witness radicals[0] name 'u' is a "
+     "coordinate letter"),
+    (4, _radical_named("x11+x22+x44+x34", 0, "X33"),
+     "rank 4 row 'x11+x22+x44+x34': witness radicals[0] name 'X33' is an X "
+     "variable"),
+    (4, _radical_named("x11+x33+x12+x24", 1, "A"),
+     "rank 4 row 'x11+x33+x12+x24': witness radicals[1] name 'A' is "
+     "repeated")],
+    ids=["constraint-x-z", "constraint-x", "constraint-z-1", "radical-u",
+         "radical-X33", "radical-repeated"])
+def test_a_witness_of_a_special_member_is_refused_at_load(
+        tmp_path, monkeypatch, capsys, n, edit, error):
+    # before, each loaded.  All but the last certified their record's
+    # witness: the extra constraint cut x12's member down to 2 free letters
+    # for a set of dimension 3, and the radical named u made the free
+    # coordinate u a fifth root.  The repeated name failed the verdict
+    # ("radical variable A defined twice")
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, n, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", f"A{n}", *argv[1:]) == (
@@ -701,34 +770,41 @@ def test_a_weight_inhomogeneous_set_polynomial_is_refused_at_load(
     (3, "x13", _zero_exponent_denominator,
      "zero denominator in the exponent at position 5 in 'u^(1/0)'"),
     (3, "x13", _superscript_torus_entry,
-     "unexpected character '\u00b2' at position 2")])
+     "unexpected character '\u00b2' at position 2"),
+    (2, "x11", _deeply_nested_torus_entry,
+     "parentheses and unary minus nest deeper than 32 at position 32")])
 def test_a_template_that_does_not_evaluate_fails_its_record(
         tmp_path, monkeypatch, capsys, n, rid, edit, detail):
     # before, verify ended in a traceback and check-all failed the
-    # witnesses without naming the record (a ZeroDivisionError or a
-    # ValueError, for the last two)
+    # witnesses without naming the record (a ZeroDivisionError, a
+    # ValueError or a RecursionError, for the last three)
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(tmp_path, n, rid,
                                                           edit)))
     code, _, err = run(capsys, "verify", "--type", f"A{n}")
     assert (code, err) == (1, f"# FAIL witness {rid}: FailedAsPrinted "
                               f"normalized template does not evaluate: "
                               f"{detail}\n")
-    if n == 3:
-        code, out, err = run(capsys, "check-all", "--type", "A3")
+    if n < 4:
+        code, out, err = run(capsys, "check-all", "--type", f"A{n}")
         assert (code, err) == (1, "")
-        assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x13']"
+        assert out.splitlines()[-1] == (
+            f"FAIL witnesses: uncertified: ['{rid}']")
         assert out.count("FAIL") == 1
 
 
 def test_printed_text_typos_leave_every_check_standing(tmp_path, monkeypatch,
                                                        capsys):
-    # a superscript two in x13's printed word and x12's printed set, and an
-    # exponent past EXP_LIMIT in x23's: before, verify, check-all and orbits
-    # ended in a traceback or failed the witnesses on the printed word, a
-    # provenance text that no certificate rests on
+    # a superscript two in x13's printed word and x12's printed set, an
+    # exponent past EXP_LIMIT in x23's, and 3000 nested parentheses in
+    # x11's printed word and x22's printed set: before, verify, check-all
+    # and orbits ended in a traceback or failed the witnesses on the printed
+    # word, a provenance text that no certificate rests on
+    deep = "(" * 3000 + "{}" + ")" * 3000
     typos = {"x13": ("word", "T(u*\u00b2, 1, 1) U_1(u)"),
              "x12": ("set", "Z(X11*\u00b2) & V(X12)"),
-             "x23": ("set", "Z(X11^9999999) & V(X23)")}
+             "x23": ("set", "Z(X11^9999999) & V(X23)"),
+             "x11": ("word", f"T({deep.format('u')}, 1, 1)"),
+             "x22": ("set", f"Z({deep.format('X1')}) & V(X2)")}
     doc = json.loads((DATA / "a3.json").read_text(encoding="utf-8"))
     for row in doc["orbits"]:
         if row["id"] in typos:
@@ -739,14 +815,18 @@ def test_printed_text_typos_leave_every_check_standing(tmp_path, monkeypatch,
     golden = (GOLDEN / "A3" / "check-all.txt").read_text(encoding="utf-8")
     assert run(capsys, "check-all", "--type", "A3") == (0, golden, "")
     code, out, _ = run(capsys, "verify", "--type", "A3", "--format", "json")
-    x13 = next(v for v in json.loads(out)["witnesses"] if v["id"] == "x13")
-    assert (code, x13["status"], x13["as_printed"]) == (
-        0, "RepairedAndVerified", "eval-error")
+    verdicts = {v["id"]: v for v in json.loads(out)["witnesses"]}
+    assert code == 0
+    for rid in ("x13", "x11"):
+        assert (verdicts[rid]["status"], verdicts[rid]["as_printed"]) == (
+            "RepairedAndVerified", "eval-error")
     code, out, _ = run(capsys, "orbits", "--type", "A3", "--format", "json")
     statuses = {r["id"]: (r["printed_set_status"], r["printed_word_status"])
                 for r in json.loads(out)["validation"]["records"]}
     assert code == 0
     assert statuses["x12"] == statuses["x23"] == ("unparseable", "parseable")
+    assert statuses["x11"] == ("match", "unparseable")
+    assert statuses["x22"] == ("unparseable", "parseable")
     # x13's word splits into its T(...) U_1(...) skeleton, but its torus
     # entry u*² does not parse: the word is unparseable, as verify reads it
     assert statuses["x13"] == ("match", "unparseable")
@@ -779,6 +859,12 @@ def test_check_all_names_the_first_record_that_fails_the_catalog_check(
     assert code == 1
     assert out.splitlines()[0] == (
         "FAIL catalog: x12+x34: representative is not a member")
+    # on their own, the oracle and the census find a point of x12+x34 that
+    # no record matches, over their first field that holds one
+    for command, q in (("oracle", 2), ("census", 3)):
+        assert run(capsys, command, "--type", "A4") == (
+            1, "", f"check failed: point [0, 0, 0, 0, 1, 0, 1, 0, 0, 0] over "
+                   f"F_{q} matched no record\n")
 
 
 def test_a_template_that_does_not_evaluate_keeps_the_printed_layer(

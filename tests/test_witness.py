@@ -188,18 +188,31 @@ def test_template_valid_only_on_a_dense_open_part_is_not_certified(
 
 
 def test_a_constant_denominator_other_than_plus_or_minus_one_is_not_a_unit(
-        catalogs):
+        tmp_path, monkeypatch, capsys, catalogs):
     # x12 spans the centre of n, so U_12(1/(2*x)) fixes every element and
     # the word still reproduces m; but 2*x vanishes everywhere in
     # characteristic 2: only +-1 times a monomial is a unit
-    rec = catalogs[2].by_id("x11")
+    cat = catalogs[2]
+    rec = cat.by_id("x11")
     rec = dataclasses.replace(rec, witness=dataclasses.replace(
         rec.witness, factors=rec.witness.factors + (((1, 2), "1/(2*x)"),)))
     assert _template_verifies(rec)
     v = classify_verdict(rec)
+    detail = ("normalized template is not a unit on the set: the "
+              "denominator of '1/(2*x)'")
     assert v.status == FAILED_AS_PRINTED and not v.certified
-    assert v.detail == ("normalized template is not a unit on the set: the "
-                        "denominator of '1/(2*x)'")
+    assert v.detail == detail
+    orbits = tuple(rec if r.id == rec.id else r for r in cat.orbits)
+    (tmp_path / "a2.json").write_text(
+        serialize_catalog(dataclasses.replace(cat, orbits=orbits)),
+        encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert main(["verify", "--type", "A2"]) == 1
+    assert capsys.readouterr().err == (
+        f"# FAIL witness x11: FailedAsPrinted {detail}\n")
+    assert main(["check-all", "--type", "A2"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x11']"
 
 
 def test_unsound_template_fails_verify_and_check_all(tmp_path, monkeypatch,
@@ -451,6 +464,9 @@ def test_a_root_of_a_non_unit_constant_fails_the_verdict(
     assert main(["verify", "--type", "A3"]) == 1
     assert capsys.readouterr().err == (
         f"# FAIL witness x11+x33: FailedAsPrinted {detail}\n")
+    assert main(["check-all", "--type", "A3"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x11+x33']"
 
 
 def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
