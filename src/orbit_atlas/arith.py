@@ -988,6 +988,11 @@ def is_zero_elem(x) -> bool:
 # + - * ^ and parentheses.  Witness expression grammar (parse_expr, the
 # parser's ``witness`` flag) adds /, fractional exponents ^(a/b), and
 # sqrt(...).
+#
+# A chain of + and - is one node ("add", first, (op, term), ...), and a chain
+# of * and / one node ("mul", first, (op, factor), ...): each walk of a tree
+# loops over a chain's links, read left to right as the text reads, so a
+# tree's depth grows with its nesting only, never with a chain's length.
 
 
 # One token per match, ASCII only: a number, a name, an operator, or any
@@ -1070,30 +1075,27 @@ class _Parser:
     def expr(self):
         toks = self.toks
         t = toks[self.i]
-        neg = t == "-"
-        if neg or t == "+":
+        if t == "-" or t == "+":
             self.i += 1
-        node = self.term()
-        if neg:
-            node = ("neg", node)
+        chain = ["add", ("neg", self.term()) if t == "-" else self.term()]
         t = toks[self.i]
         while t == "+" or t == "-":
             self.i += 1
-            node = ("add" if t == "+" else "sub", node, self.term())
+            chain.append((t, self.term()))
             t = toks[self.i]
-        return node
+        return tuple(chain) if len(chain) > 2 else chain[1]
 
     def term(self):
         toks = self.toks
-        node = self.power()
+        chain = ["mul", self.power()]
         t = toks[self.i]
         while t == "*" or t == "/":
             if t == "/" and not self.witness:
                 raise SchemaError("division is not allowed in this grammar")
             self.i += 1
-            node = ("mul" if t == "*" else "div", node, self.power())
+            chain.append((t, self.power()))
             t = toks[self.i]
-        return node
+        return tuple(chain) if len(chain) > 2 else chain[1]
 
     def power(self):
         base = self.atom()
@@ -1220,7 +1222,8 @@ def eval_expr(node, env: Mapping[str, object],
     adjoined to ``env``, and a negative power of a ``LaurentPoly`` that is
     not a unit (2 and zero included) is refused as not polynomial.  ``memo``
     maps nodes to their values under this ``env`` and tower: a node found
-    there is not evaluated again, and each node evaluated is added.  Its
+    there is not evaluated again, and each node evaluated is added.  A
+    chain is evaluated one binary operation per link, left to right.  Its
     lookups hash whole subtrees, so an ``int`` exponent, hashed in C, keeps
     them cheap."""
     if memo is not None and node in memo:
@@ -1242,11 +1245,12 @@ def eval_expr(node, env: Mapping[str, object],
             raise SchemaError(f"({poly_to_str(base)})^{e} is not polynomial")
         else:
             value = base ** e.numerator
-    elif kind in ("add", "sub", "mul", "div"):
-        a = eval_expr(node[1], env, tower, memo)
-        b = eval_expr(node[2], env, tower, memo)
-        value = (a + b if kind == "add" else a - b if kind == "sub"
-                 else a * b if kind == "mul" else a / b)
+    elif kind == "add" or kind == "mul":
+        value = eval_expr(node[1], env, tower, memo)
+        for op, operand in node[2:]:
+            b = eval_expr(operand, env, tower, memo)
+            value = (value + b if op == "+" else value - b if op == "-"
+                     else value * b if op == "*" else value / b)
     else:
         raise SchemaError(f"bad expression node {kind!r}")
     if memo is not None:
@@ -1262,7 +1266,10 @@ def expr_vars(node) -> set[str]:
         return set()
     if kind in ("neg", "pow"):
         return expr_vars(node[1])
-    return expr_vars(node[1]) | expr_vars(node[2])
+    names = expr_vars(node[1])
+    for _, operand in node[2:]:
+        names |= expr_vars(operand)
+    return names
 
 
 def parse_expr(text: str):

@@ -266,53 +266,60 @@ def orbit_id_for(rep: NilElement) -> str:
     return "+".join(toks) if toks else "0"
 
 
-def _expect(value, kind: type, what: str):
-    """``value``, refused by name unless JSON of ``kind`` (dict, list, str)."""
-    if not isinstance(value, kind):
-        noun = {dict: "an object", list: "a list", str: "a string"}[kind]
-        raise CatalogError(f"{what}: expected {noun}, got {type(value).__name__}")
-    return value
+#: a variable name: a name token, as ``arith._TOKEN`` reads one, not "sqrt"
+_NAME = re.compile(r"(?!sqrt\Z)[A-Za-z_]\w*", re.ASCII)
+_PAIR = (int, int)
+#: The JSON shape of one catalog row, which ``_check`` walks: each key with
+#: its kind, a key ending in "?" optional.  A leaf kind is ``str``, ``int``
+#: (a JSON integer: a float, a string or a bool is not coerced) or
+#: ``_PAIR``, a root's list of two integers; ``[kind]`` is a list of that
+#: kind, a dict an object with those keys, and ``{str: kind}`` an object
+#: mapping any key to that kind.  Keys the shape does not list are ignored.
+#: A note declares "field" before "note", the order a refusal names them in.
+_ROW = {
+    "id": str, "rep": [str], "zero_set": [str], "nonzero_set": [str],
+    "dim": int,
+    "witness": {"constraints?": [{"poly": str, "solve": str}],
+                "radicals?": [{"name": str, "order": int, "radicand": str}],
+                "torus?": [str],
+                "factors?": [{"root": _PAIR, "param": str}]},
+    "as_printed?": {str: str},
+    "notes?": [{"field?": str, "note": str}],
+}
+_NOUN = {dict: "an object", list: "a list", str: "a string",
+         int: "an integer", _PAIR: "two integers"}
 
 
-def _integer(value, what: str) -> int:
-    """``value``, refused by name unless a JSON integer: a float, a string
-    or a bool is not coerced."""
-    if type(value) is not int:
-        raise CatalogError(f"{what}: expected an integer, got {value!r}")
-    return value
-
-
-def _root(value, what: str) -> tuple[int, int]:
-    """``value``, refused by name unless a JSON list of two integers."""
-    if (type(value) is not list or len(value) != 2
-            or any(type(x) is not int for x in value)):
-        raise CatalogError(f"{what}: expected two integers, got {value!r}")
-    return value[0], value[1]
-
-
-def _required(obj: dict, place: str, *keys: str) -> dict:
-    """``obj``, refused by name unless it holds every one of ``keys``;
-    ``place`` names obj within its row, "" for the row itself."""
-    for key in keys:
-        if key not in obj:
-            raise CatalogError(f"{place}: missing key {key!r}" if place
-                               else f"missing key {key!r}")
-    return obj
-
-
-def _items(value, kind: type, what: str) -> list:
-    """``value``, a JSON list whose entries are JSON of ``kind``, each
-    refused by name otherwise."""
-    return [_expect(x, kind, f"{what}[{k}]")
-            for k, x in enumerate(_expect(value, list, what))]
-
-
-def _entries(value, what: str, *keys: str) -> list:
-    """(its name ``what[k]``, entry) of each entry of the JSON list
-    ``value``: an object holding every one of ``keys``, refused by name
-    otherwise."""
-    return [(f"{what}[{k}]", _required(x, f"{what}[{k}]", *keys))
-            for k, x in enumerate(_items(value, dict, what))]
+def _check(value, shape, path: str) -> None:
+    """Refuse ``value`` unless it is JSON of ``shape`` (see ``_ROW``),
+    naming the first part that is not by its path: ``path`` names value,
+    "" for a row, and a key is added after a space, a list index in
+    brackets.  An object is refused on its first missing key before any of
+    its values is walked.  A part whose type is its leaf kind (``str`` or
+    ``int``) is not walked, so no path is built for it."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if not (type(value) is list and list(map(type, value)) == [int, int]
+            if kind == _PAIR else type(value) is kind):
+        got = repr(value) if kind in (int, _PAIR) else type(value).__name__
+        raise CatalogError(f"{path}: expected {_NOUN[kind]}, got {got}")
+    at = f"{path} " if path else ""
+    if kind is list:
+        for k, x in enumerate(value):
+            if type(x) is not shape[0]:
+                _check(x, shape[0], f"{path}[{k}]")
+    elif kind is dict and str in shape:
+        for key, x in value.items():
+            if type(x) is not shape[str]:
+                _check(x, shape[str], at + key)
+    elif kind is dict:
+        for key in shape:
+            if key[-1] != "?" and key not in value:
+                raise CatalogError(f"{path}: missing key {key!r}" if path
+                                   else f"missing key {key!r}")
+        for key, sub in shape.items():
+            key = key.rstrip("?")
+            if key in value and type(value[key]) is not sub:
+                _check(value[key], sub, at + key)
 
 
 def load_catalog(n: int) -> Catalog:
@@ -322,12 +329,14 @@ def load_catalog(n: int) -> Catalog:
         raw = json.loads(_read_text(_data_path(n)))
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"cannot read catalog for rank {n}: {exc}") from exc
-    _expect(raw, dict, f"catalog for rank {n}")
+    _check(raw, {}, f"catalog for rank {n}")
     if raw.get("type") != f"A{n}":
         raise CatalogError(f"catalog file type {raw.get('type')!r} != A{n}")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise CatalogError(f"schema_version {version!r} unsupported")
+    orbits = raw.get("orbits", [])
+    _check(orbits, [{}], f"rank {n} orbits")
     allowed = set(x_vars(n))
     # coordinate letter -> its X variable, the one of the same root
     letters = {letter: LaurentPoly.var(var)
@@ -335,11 +344,9 @@ def load_catalog(n: int) -> Catalog:
     polys: dict = {}            # set string -> its one parse, shared by rows
     records = []
     seen = set()
-    for k, row in enumerate(_expect(raw.get("orbits", []), list,
-                                    f"rank {n} orbits")):
-        where = f"rank {n} orbits[{k}]"
-        if "id" in _expect(row, dict, where):
-            where = f"rank {n} row {row['id']!r}"
+    for k, row in enumerate(orbits):
+        where = (f"rank {n} row {row['id']!r}" if "id" in row
+                 else f"rank {n} orbits[{k}]")
         try:
             rec = _record_from_json(n, row, allowed, letters, polys)
         except Exception as exc:
@@ -363,34 +370,30 @@ def load_catalog(n: int) -> Catalog:
 def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     """One record; ``polys`` maps each set string already parsed in this
     load to its polynomial, and gains the strings parsed here; ``letters``
-    maps each coordinate letter to its X variable.  A missing required key
-    is refused by name (``_required``), and so is every field of the wrong
-    JSON type (``_expect``): the id, each representative token, set
-    polynomial, constraint, radical, torus entry, factor parameter and note
-    must be a string.  A witness constraint, its letters read as their X
-    variables, must be +- one of the record's zero-set polynomials, so the
-    general member it cuts out is the set's; a radical's name must be
-    neither a coordinate letter nor an X variable, and must not repeat.
-    Building the record checks that every set polynomial is in Z[X]."""
-    _required(row, "", "id", "rep", "zero_set", "nonzero_set", "dim",
-              "witness")
-    rep = rep_from_tokens(n, _items(row["rep"], str, "rep"))
-    rid = _expect(row["id"], str, "id")
+    maps each coordinate letter to its X variable.  The row is refused
+    unless it has the JSON shape of ``_ROW``, which leaves the checks of
+    meaning.  A witness constraint, its letters read as their X variables,
+    must be +- one of the record's zero-set polynomials, so the general
+    member it cuts out is the set's; a radical's name must be a name the
+    expression grammar reads as a variable (one ASCII name token, not
+    "sqrt"), neither a coordinate letter nor an X variable, and must not
+    repeat.  Building the record checks that every set polynomial is in
+    Z[X]."""
+    _check(row, _ROW, "")
+    rep = rep_from_tokens(n, row["rep"])
+    rid = row["id"]
     if orbit_id_for(rep) != rid:
         raise CatalogError(f"id {rid!r} does not match representative")
-    zero_strs = tuple(_items(row["zero_set"], str, "zero_set"))
-    nonzero_strs = tuple(_items(row["nonzero_set"], str, "nonzero_set"))
+    zero_strs = tuple(row["zero_set"])
+    nonzero_strs = tuple(row["nonzero_set"])
     for s in zero_strs + nonzero_strs:
         if s not in polys:
             polys[s] = parse_poly(s, allowed)
     zero = tuple(polys[s] for s in zero_strs)
     nonzero = tuple(polys[s] for s in nonzero_strs)
-    w = _expect(row["witness"], dict, "witness")
-    constraints = tuple(
-        WitnessConstraint(_expect(c["poly"], str, f"{at} poly"),
-                          _expect(c["solve"], str, f"{at} solve"))
-        for at, c in _entries(w.get("constraints", []), "witness constraints",
-                              "poly", "solve"))
+    w = row["witness"]
+    constraints = tuple(WitnessConstraint(c["poly"], c["solve"])
+                        for c in w.get("constraints", []))
     for k, c in enumerate(constraints):
         as_x = parse_poly(c.poly, letters).eval(letters)
         if as_x not in zero and -as_x not in zero:
@@ -398,48 +401,34 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
                                f"a zero-set polynomial up to sign")
         if c.solve not in letters:
             raise CatalogError(f"solve letter {c.solve!r} unknown")
-    radicals = tuple(
-        WitnessRadical(_expect(r["name"], str, f"{at} name"),
-                       _integer(r["order"], f"{at} order"),
-                       _expect(r["radicand"], str, f"{at} radicand"))
-        for at, r in _entries(w.get("radicals", []), "witness radicals",
-                              "name", "order", "radicand"))
+    radicals = tuple(WitnessRadical(r["name"], r["order"], r["radicand"])
+                     for r in w.get("radicals", []))
     names = [r.name for r in radicals]
     for k, r in enumerate(radicals):
-        clash = ("a coordinate letter" if r.name in letters
+        clash = ("not a variable name" if not _NAME.fullmatch(r.name)
+                 else "a coordinate letter" if r.name in letters
                  else "an X variable" if r.name in allowed
                  else "repeated" if r.name in names[:k] else "")
         if clash:
             raise CatalogError(f"witness radicals[{k}] name {r.name!r} is "
                                f"{clash}")
         parse_poly(r.radicand, {*letters, *names})
-    torus = tuple(_items(w.get("torus", []), str, "witness torus"))
+    torus = tuple(w.get("torus", []))
     if torus and len(torus) != n:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
-    factors = tuple(
-        (_root(f["root"], f"{at} root"),
-         _expect(f["param"], str, f"{at} param"))
-        for at, f in _entries(w.get("factors", []), "witness factors",
-                              "root", "param"))
+    factors = tuple((tuple(f["root"]), f["param"])
+                    for f in w.get("factors", []))
     for (i, j), _ in factors:
         if not 1 <= i <= j <= n:
             raise CatalogError(f"factor root ({i},{j}) outside rank {n}")
-    notes = _entries(row.get("notes", []), "notes", "note")
-    for at, note in notes:
-        for key in ("field", "note"):
-            if key in note:
-                _expect(note[key], str, f"{at} {key}")
-    printed = _expect(row.get("as_printed", {}), dict, "as_printed")
-    for key, text in printed.items():
-        _expect(text, str, f"as_printed {key}")
     rec = OrbitRecord(
         id=rid, rank=n, representative=rep,
         zero_set=zero, nonzero_set=nonzero,
         zero_strs=zero_strs, nonzero_strs=nonzero_strs,
-        dim=_integer(row["dim"], "dim"),
+        dim=row["dim"],
         witness=WitnessTemplate(constraints, radicals, torus, factors),
-        as_printed=dict(printed),
-        notes=tuple(note for _, note in notes))
+        as_printed=dict(row.get("as_printed", {})),
+        notes=tuple(row.get("notes", [])))
     if rec.dim != nil_dim(n) - len(zero):
         raise CatalogError(f"dim {rec.dim} != {nil_dim(n)} - {len(zero)} "
                            f"zero-set generators")

@@ -334,15 +334,12 @@ def template_power(rec: OrbitRecord) -> int:
     import math
 
     def denoms(node):
-        kind = node[0]
-        if kind == "pow":
+        # a child is a subtree, or a chain's (op, operand) link, when a tuple
+        if node[0] == "pow":
             yield node[2].denominator
-            yield from denoms(node[1])
-        elif kind in ("neg",):
-            yield from denoms(node[1])
-        elif kind in ("add", "sub", "mul", "div"):
-            yield from denoms(node[1])
-            yield from denoms(node[2])
+        for child in node[1:]:
+            if isinstance(child, tuple):
+                yield from denoms(child)
 
     k = 1
     for s in list(rec.witness.torus) + [f for _, f in rec.witness.factors]:

@@ -48,7 +48,9 @@ template reused the template's residuals, and takes each coordinate's
 difference as a fraction (``difference_residuals``, the reference for the
 cross-multiplication of ``witness._residuals``).  ``TokenParser`` parses over
 one ``Tok`` object per token, kind and position included (``tokenize``):
-the reference for ``arith._Parser``'s one ``findall`` of token strings.
+the reference for ``arith._Parser``'s one ``findall`` of token strings,
+with ``token_vars``, its own variable walk, the reference for
+``arith.expr_vars``.
 ``fraction_parse_poly`` is ``arith.parse_poly`` through ``TokenParser``
 and one ``LaurentFraction`` per parse-tree node (``fraction_eval``, the
 all-fraction evaluator), the reference for its evaluation by
@@ -81,7 +83,7 @@ from operator import mul
 import numpy as np
 
 from orbit_atlas.arith import (Fp, LaurentFraction, LaurentPoly, _peel,
-                               expr_vars, inv_elem, is_zero_elem, poly_to_str,
+                               inv_elem, is_zero_elem, poly_to_str,
                                validate_tower)
 from orbit_atlas.catalog import record_to_json, root_weight_homogeneous, x_vars
 from orbit_atlas.classify import gather, slice_table
@@ -779,21 +781,21 @@ class TokenParser:
         node = self.term()
         if sign < 0:
             node = ("neg", node)
+        links = []
         while self.peek().kind in "+-":
             op = self.take().kind
-            rhs = self.term()
-            node = ("add", node, rhs) if op == "+" else ("sub", node, rhs)
-        return node
+            links.append((op, self.term()))
+        return ("add", node, *links) if links else node
 
     def term(self):
         node = self.power()
+        links = []
         while self.peek().kind in "*/":
             op = self.take().kind
             if op == "/" and not self.witness:
                 raise SchemaError("division is not allowed in this grammar")
-            rhs = self.power()
-            node = ("mul", node, rhs) if op == "*" else ("div", node, rhs)
-        return node
+            links.append((op, self.power()))
+        return ("mul", node, *links) if links else node
 
     def power(self):
         base = self.atom()
@@ -872,8 +874,20 @@ def fraction_eval(node, env):
         return -fraction_eval(node[1], env)
     if kind == "pow":
         return fraction_eval(node[1], env) ** int(node[2])
-    a, b = fraction_eval(node[1], env), fraction_eval(node[2], env)
-    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+    value = fraction_eval(node[1], env)
+    for op, operand in node[2:]:
+        b = fraction_eval(operand, env)
+        value = value + b if op == "+" else value - b if op == "-" else value * b
+    return value
+
+
+def token_vars(node) -> set[str]:
+    """The variables of a ``TokenParser`` tree, each child found by its
+    type: the walk ``arith.expr_vars`` is checked against."""
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(token_vars(child) for child in node[1:]
+                         if isinstance(child, tuple)))
 
 
 def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
@@ -882,11 +896,12 @@ def fraction_parse_poly(text: str, allowed_vars=None) -> LaurentPoly:
     evaluation replaced: a result that is not a polynomial is refused at
     the end."""
     node = TokenParser(text, witness=False).parse()
+    names = token_vars(node)
     if allowed_vars is not None:
-        bad = expr_vars(node) - set(allowed_vars)
+        bad = names - set(allowed_vars)
         if bad:
             raise SchemaError(f"variables {sorted(bad)} not in the allowed set")
-    env = {v: LaurentFraction(LaurentPoly.var(v)) for v in expr_vars(node)}
+    env = {v: LaurentFraction(LaurentPoly.var(v)) for v in names}
     out = fraction_eval(node, env)
     if not out.is_poly():
         raise SchemaError(f"{text!r} is not polynomial")

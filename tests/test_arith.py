@@ -10,12 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from orbit_atlas.arith import (_SHIFT, EXP_LIMIT, QUOTIENT_LIMIT, Fp,
                                LaurentFraction, LaurentPoly, RadicalRelation,
                                _degree_boxes, _exact_divide, _Parser,
-                               _strip_content, eval_expr, is_prime, kth_roots,
-                               normalize, parse_expr, parse_poly, poly_to_str,
-                               primitive_root)
+                               _strip_content, eval_expr, expr_vars, is_prime,
+                               kth_roots, normalize, parse_expr, parse_poly,
+                               poly_to_str, primitive_root)
 from orbit_atlas.errors import DomainError, SchemaError
 from reference import (TokenParser, degree_boxes, fixed_point_normalize,
-                       fraction_parse_poly, fraction_power)
+                       fraction_parse_poly, fraction_power, token_vars)
 
 V = LaurentPoly.var
 
@@ -656,6 +656,18 @@ def test_a_text_nested_to_the_limit_parses():
     assert parse_poly("X11*" + "-" * 32 + "X11") == parse_poly("X11^2")
 
 
+def test_a_chain_is_one_node_however_long():
+    # before, each operator of a chain nested the tree one level deeper,
+    # and 2000 of them exhausted the stack in the evaluator and every walk
+    assert parse_poly(" + ".join(["X11"] * 2000)) == 2000 * V("X11")
+    assert parse_poly(" - ".join(["X11"] * 2001)) == -1999 * V("X11")
+    node = parse_expr("u" + "*u" * 999 + "/u" * 999)
+    assert (len(node), node[:3], node[-1]) == (
+        2000, ("mul", ("var", "u"), ("*", ("var", "u"))), ("/", ("var", "u")))
+    assert eval_expr(node, {"u": V("u")}) == V("u")
+    assert expr_vars(node) == {"u"}
+
+
 def _parsed(parse, text):
     """parse(text), or the message of the ``SchemaError`` it raised."""
     try:
@@ -693,6 +705,7 @@ def test_the_parser_agrees_with_the_token_parser(text):
             assert hash(got) == hash(want)
             assert all(type(e) is int or e.denominator != 1
                        for e in _exponents(got))
+            assert expr_vars(got) == token_vars(want)
         if witness:
             assert _parsed(parse_expr, text) == want
         elif isinstance(want, str):

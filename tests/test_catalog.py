@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
 import re
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import catalog
 from orbit_atlas.arith import parse_poly
@@ -193,6 +196,110 @@ def test_a_witness_constraint_is_a_zero_set_polynomial_up_to_sign(
     (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
     assert classify_verdict(load_catalog(3).by_id("x22")).certified
+
+
+_NOUNS = {str: "a string", int: "an integer", list: "a list",
+          dict: "an object", "pair": "two integers"}
+
+
+def _declared(value, shape, steps=()):
+    """(steps, kind) of each part of ``value`` that ``shape`` declares,
+    value first: steps are the keys and list indices from value to the
+    part, and kind is its JSON kind, "pair" for a root."""
+    if shape == catalog._PAIR:
+        yield steps, "pair"
+        return
+    yield steps, type(shape) if isinstance(shape, (dict, list)) else shape
+    if isinstance(shape, list):
+        for k, x in enumerate(value):
+            yield from _declared(x, shape[0], steps + (k,))
+    elif isinstance(shape, dict):
+        for key, x in value.items():
+            sub = shape.get(str, shape.get(key, shape.get(f"{key}?")))
+            if sub is not None:
+                yield from _declared(x, sub, steps + (key,))
+
+
+def _is_kind(value, kind) -> bool:
+    if kind == "pair":
+        return type(value) is list and [type(x) for x in value] == [int, int]
+    return type(value) is kind
+
+
+_ROWS = [(n, k) for n in ORBIT_COUNTS for k in range(ORBIT_COUNTS[n])]
+# JSON values, near misses of each kind first: a bool or a float for an
+# integer, a pair with a float or a third entry
+_JSON = st.sampled_from([True, 1.0, "1", None, [], {}, [1, 2.0], [1, 2, 3],
+                         [1], ["x"]]) | st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 99)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ROWS), st.data())
+def test_a_value_of_the_wrong_kind_anywhere_in_a_row_is_named(
+        tmp_path_factory, row_at, data):
+    # any part of a shipped row that the declared shape names, the id
+    # excepted (it names the row), is refused by its path when it holds a
+    # JSON value of another kind
+    n, k = row_at
+    doc = json.loads((DATA_DIR / f"a{n}.json").read_text(encoding="utf-8"))
+    row = doc["orbits"][k]
+    parts = [(steps, kind) for steps, kind in _declared(row, catalog._ROW)
+             if steps and steps[0] != "id"]
+    kinds = {c for _, c in parts}
+    kind = data.draw(st.sampled_from([c for c in _NOUNS if c in kinds]))
+    steps = data.draw(st.sampled_from([s for s, c in parts if c == kind]))
+    value = data.draw(_JSON.filter(lambda v: not _is_kind(v, kind)))
+    parent = row
+    for step in steps[:-1]:
+        parent = parent[step]
+    parent[steps[-1]] = value
+    path = "".join(f"[{s}]" if type(s) is int else f" {s}" for s in steps)
+    got = repr(value) if kind in (int, "pair") else type(value).__name__
+    tmp = tmp_path_factory.getbasetemp() / "shape"
+    tmp.mkdir(exist_ok=True)
+    (tmp / f"a{n}.json").write_text(json.dumps(doc), encoding="utf-8")
+    with mock.patch.dict(os.environ, {"ORBIT_ATLAS_DATA": str(tmp)}):
+        with pytest.raises(CatalogError) as exc:
+            load_catalog(n)
+    assert str(exc.value) == (f"rank {n} row {row['id']!r}:{path}: "
+                              f"expected {_NOUNS[kind]}, got {got}")
+
+
+def _parts(value, steps=()):
+    """The steps to each part of a JSON value, value first."""
+    yield steps
+    if isinstance(value, (dict, list)):
+        for key, x in (value.items() if isinstance(value, dict)
+                       else enumerate(value)):
+            yield from _parts(x, steps + (key,))
+
+
+def test_the_shape_declares_every_part_of_every_shipped_row():
+    for n in ORBIT_COUNTS:
+        doc = json.loads((DATA_DIR / f"a{n}.json").read_text(encoding="utf-8"))
+        for row in doc["orbits"]:
+            declared = list(_declared(row, catalog._ROW))
+            # a root's two entries are parts of its pair
+            entries = {steps + (k,) for steps, kind in declared
+                       if kind == "pair" for k in (0, 1)}
+            assert set(_parts(row)) == {s for s, _ in declared} | entries
+
+
+def test_keys_the_shape_does_not_declare_are_ignored(tmp_path, monkeypatch,
+                                                     catalogs):
+    # an undeclared key in a row or in its witness is read past
+    doc = json.loads((DATA_DIR / "a3.json").read_text(encoding="utf-8"))
+    for row in doc["orbits"]:
+        row["comment"] = 5
+        row["witness"]["comment"] = [None]
+    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    assert load_catalog(3) == catalogs[3]
 
 
 def test_a_replace_copy_with_a_negative_exponent_is_refused(catalogs):

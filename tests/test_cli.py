@@ -667,14 +667,20 @@ def _first_factor_root(root):
     (3, _row("x22+x13", lambda row: row["witness"]["radicals"][0].update(
         order=2.5)),
      "rank 3 row 'x22+x13': witness radicals[0] order: expected an integer, "
-     "got 2.5")],
+     "got 2.5"),
+    (2, lambda doc: {**doc, "schema_version": True},
+     "schema_version True unsupported"),
+    (2, lambda doc: {**doc, "schema_version": 1.0},
+     "schema_version 1.0 unsupported")],
     ids=["float-root", "three-entry-root", "float-dim", "string-dim",
-         "bool-dim", "float-order"])
+         "bool-dim", "float-order", "bool-schema-version",
+         "float-schema-version"])
 def test_a_number_that_is_not_a_json_integer_is_refused_at_load(
         tmp_path, monkeypatch, capsys, n, edit, error):
     # before, each loaded coerced by int(): the root [2.9, 2.9] as (2, 2),
     # the dims 0.5, "0" and true as 0, 0 and 1, the order 2.5 as 2, and
-    # the root [2, 2, 7] lost its third entry; every command then passed
+    # the root [2, 2, 7] lost its third entry; every command then passed.
+    # A schema_version of true or 1.0 equals 1 and loaded
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, n, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", f"A{n}", *argv[1:]) == (
@@ -709,16 +715,21 @@ def _radical_named(rid: str, k: int, name: str):
      "variable"),
     (4, _radical_named("x11+x33+x12+x24", 1, "A"),
      "rank 4 row 'x11+x33+x12+x24': witness radicals[1] name 'A' is "
-     "repeated")],
+     "repeated"),
+    *((4, _radical_named("x11+x22+x44+x34", 0, name),
+       f"rank 4 row 'x11+x22+x44+x34': witness radicals[0] name {name!r} is "
+       f"not a variable name") for name in ("", "7", "sqrt", "R R"))],
     ids=["constraint-x-z", "constraint-x", "constraint-z-1", "radical-u",
-         "radical-X33", "radical-repeated"])
+         "radical-X33", "radical-repeated", "radical-empty", "radical-7",
+         "radical-sqrt", "radical-two-names"])
 def test_a_witness_of_a_special_member_is_refused_at_load(
         tmp_path, monkeypatch, capsys, n, edit, error):
-    # before, each loaded.  All but the last certified their record's
-    # witness: the extra constraint cut x12's member down to 2 free letters
-    # for a set of dimension 3, and the radical named u made the free
-    # coordinate u a fifth root.  The repeated name failed the verdict
-    # ("radical variable A defined twice")
+    # before, each loaded.  All but the repeated name certified their
+    # record's witness: the extra constraint cut x12's member down to 2
+    # free letters for a set of dimension 3, the radical named u made the
+    # free coordinate u a fifth root, and a name the grammar cannot read as
+    # a variable ("", "7", "sqrt", "R R") was never read.  The repeated
+    # name failed the verdict ("radical variable A defined twice")
     monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, n, edit)))
     for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
         assert run(capsys, argv[0], "--type", f"A{n}", *argv[1:]) == (
@@ -790,6 +801,46 @@ def test_a_template_that_does_not_evaluate_fails_its_record(
         assert out.splitlines()[-1] == (
             f"FAIL witnesses: uncertified: ['{rid}']")
         assert out.count("FAIL") == 1
+
+
+def _long_sum(text: str) -> str:
+    return " + ".join([text] * 2000)
+
+
+def test_a_long_sum_in_a_template_fails_its_record(tmp_path, monkeypatch,
+                                                   capsys):
+    # x12's first torus entry z^(1/3) added to itself 2000 times: before,
+    # verify ended in a RecursionError traceback, since each + of the chain
+    # nested one level deeper in the parse tree
+    def long_torus_entry(row):
+        row["witness"]["torus"][0] = _long_sum(row["witness"]["torus"][0])
+
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(
+        tmp_path, 2, "x12", long_torus_entry)))
+    code, _, err = run(capsys, "verify", "--type", "A2")
+    assert (code, err) == (1, "# FAIL witness x12: FailedAsPrinted "
+                              "normalized template failed\n")
+    code, out, err = run(capsys, "check-all", "--type", "A2")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x12']"
+    assert out.count("FAIL") == 1
+
+
+def test_a_long_sum_in_a_printed_set_reads_as_a_diff(tmp_path, monkeypatch,
+                                                     capsys):
+    # X2 added to itself 2000 times is 2000*X22, not X11: before, orbits
+    # ended in a RecursionError traceback
+    def long_printed_set(row):
+        row["as_printed"]["set"] = f"Z({_long_sum('X2')}) & V(X1)"
+
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(
+        tmp_path, 2, "x12", long_printed_set)))
+    code, out, _ = run(capsys, "orbits", "--type", "A2", "--format", "json")
+    statuses = {r["id"]: r["printed_set_status"]
+                for r in json.loads(out)["validation"]["records"]}
+    assert code == 0
+    assert statuses == {"0": "match", "x12": "diff", "x11": "match",
+                        "x22": "match", "x11+x22": "match"}
 
 
 def test_printed_text_typos_leave_every_check_standing(tmp_path, monkeypatch,
