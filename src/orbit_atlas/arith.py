@@ -400,6 +400,19 @@ class LaurentPoly:
     def used_vars(self) -> frozenset[str]:
         return frozenset(self.vars)
 
+    def pole_vars(self) -> frozenset[str]:
+        """The variables some term has a negative exponent of, read off the
+        packed keys in one pass: a biased digit's top bit is clear exactly
+        where the exponent is negative."""
+        neg = 0
+        for k in self._t:
+            neg |= ~(k + _BIAS) & _BIAS
+        names = []
+        while neg:              # one bit per negative slot: clear the lowest
+            names.append(_NAMES[((neg & -neg).bit_length() - 1) // _WIDTH])
+            neg &= neg - 1
+        return frozenset(names)
+
     def __eq__(self, other):
         if other.__class__ is not LaurentPoly:
             if isinstance(other, Fraction) and other.denominator == 1:

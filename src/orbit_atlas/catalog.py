@@ -377,8 +377,8 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
     member it cuts out is the set's; a radical's name must be a name the
     expression grammar reads as a variable (one ASCII name token, not
     "sqrt"), neither a coordinate letter nor an X variable, and must not
-    repeat.  Building the record checks that every set polynomial is in
-    Z[X]."""
+    repeat, and its radicand may name only letters and earlier radicals.
+    Building the record checks that every set polynomial is in Z[X]."""
     _check(row, _ROW, "")
     rep = rep_from_tokens(n, row["rep"])
     rid = row["id"]
@@ -412,7 +412,7 @@ def _record_from_json(n, row, allowed, letters, polys: dict) -> OrbitRecord:
         if clash:
             raise CatalogError(f"witness radicals[{k}] name {r.name!r} is "
                                f"{clash}")
-        parse_poly(r.radicand, {*letters, *names})
+        parse_poly(r.radicand, {*letters, *names[:k]})
     torus = tuple(w.get("torus", []))
     if torus and len(torus) != n:
         raise CatalogError(f"torus needs {n} entries, got {len(torus)}")
@@ -518,8 +518,6 @@ def parse_printed_word(text: str, rank: int):
     while pos < len(s):
         m = _PRINTED_FACTOR.match(s, pos)
         if not m:
-            if s[pos:].strip() == "":
-                break
             raise WitnessParseError(text, pos, "expected a root-group factor")
         digits = m.group(1)
         if len(digits) == 1:

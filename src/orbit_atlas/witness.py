@@ -16,9 +16,9 @@ command pulls every record back once.  The reverse inclusion is certified
 by the catalog's witness templates: a Borel word whose parameters are
 rational (and radical) expressions in the coordinates of a general member m,
 with adjoint(word, representative) required to equal m exactly, and with
-every denominator, radicand and torus entry of the template a unit on the
-whole set (``first_non_unit``), so that the word is defined at every point of
-the set, not only on a dense open part of it.  Polynomials are over Z, so
+every denominator (a monomial one too), radicand and torus entry of the
+template a unit on the whole set (``first_non_unit``), so that the word is
+defined at every point of the set, not only on a dense open part of it.  Polynomials are over Z, so
 the only constants that count as units are +-1 (``LaurentPoly.is_unit``):
 2*x is no unit, since it vanishes in characteristic 2.
 
@@ -79,12 +79,19 @@ class MemberEnv:
     free_letters: list
     solved_letters: list
     protected_polys: list           # evaluated non-monomial nonzero conditions
-    protected_letters: set
+    protected_letters: set          # unit letters and radical names
     # parse-tree node -> its value over this member (``eval_template_expr``)
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
+    """The general member of rec's set (free letters as ``power``-th powers,
+    constraint letters solved, radicals as formal variables) and the units
+    ``first_non_unit`` may assume: each radical name, whose radicand it
+    tests; each letter with a positive exponent in a monomial nonzero
+    condition (a letter the condition's value divides by is not one: the
+    value equals the condition only where that letter is nonzero); and each
+    non-monomial nonzero condition."""
     n = rec.rank
     letters = coordinate_letters(n)
     l_of_v = letter_of_var(n)
@@ -131,18 +138,13 @@ def build_member_env(rec: OrbitRecord, power: int = POWER) -> MemberEnv:
     for root, var in zip(pos_roots(n), x_vars(n)):
         target[root] = env[l_of_v[var]]
     protected_polys = []
-    protected_letters = set()
+    protected_letters = {r.new_var for r in tower}
     for p in rec.nonzero_set:
         num = at(p, {v: env[l_of_v[v]] for v in p.used_vars()}).num
         if num.is_monomial():
-            protected_letters |= num.used_vars()
+            protected_letters |= num.used_vars() - num.pole_vars()
         else:
             protected_polys.append(num)
-    for rel in tower:
-        # radicands are nonvanishing on the domain by the template contract
-        if all(q != rel.radicand and q != -rel.radicand
-               for q in protected_polys):
-            protected_polys.append(rel.radicand)
     return MemberEnv(env, tower, target, free, solved,
                      protected_polys, protected_letters)
 
@@ -302,26 +304,20 @@ def classify_verdict(rec: OrbitRecord,
     as_printed, printed_detail = _printed_layer(
         rec, menv, None if residuals is None else (word, residuals), parsed)
     repairs = rec.witness_repairs()
+    status, residual = FAILED_AS_PRINTED, []
     if residuals is None:
-        return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
-                              detail=f"normalized template does not "
-                                     f"evaluate: {error}",
-                              repairs=repairs)
-    if residuals:
-        return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
-                              residual=[(r, repr(d)) for r, d in residuals],
-                              detail="normalized template failed",
-                              repairs=repairs)
-    unsound = first_non_unit(rec, menv, word)
-    if unsound:
-        return WitnessVerdict(rec.id, FAILED_AS_PRINTED, as_printed=as_printed,
-                              detail=f"normalized template is not a unit on "
-                                     f"the set: {unsound}",
-                              repairs=repairs)
-    if repairs or as_printed not in ("verified", "absent"):
-        return WitnessVerdict(rec.id, REPAIRED, as_printed=as_printed,
-                              detail=printed_detail, repairs=repairs)
-    return WitnessVerdict(rec.id, VERIFIED_SYMBOLIC, as_printed=as_printed)
+        detail = f"normalized template does not evaluate: {error}"
+    elif residuals:
+        residual = [(r, repr(d)) for r, d in residuals]
+        detail = "normalized template failed"
+    elif unsound := first_non_unit(rec, menv, word):
+        detail = f"normalized template is not a unit on the set: {unsound}"
+    elif repairs or as_printed not in ("verified", "absent"):
+        status, detail = REPAIRED, printed_detail
+    else:
+        status, detail = VERIFIED_SYMBOLIC, ""
+    return WitnessVerdict(rec.id, status, as_printed, residual, detail,
+                          repairs)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +444,6 @@ def generic_pullbacks(reps, polys) -> list[list[LaurentPoly]]:
     rep)`` is the sum of the columns of rep's support, each times its
     coordinate."""
     reps, polys = list(reps), list(polys)
-    if not reps:
-        return []
     n = reps[0].rank
     roots = pos_roots(n)
     entries = _family(BorelWord(n, None, generic_borel_word(n).factors))
@@ -531,20 +525,29 @@ def _unit_factor(num: LaurentPoly, menv: MemberEnv) -> bool:
     if num.is_zero():
         return False
     p, _ = _peel(num, menv.protected_polys)
-    allowed = set(menv.protected_letters) | {r.new_var for r in menv.tower}
-    return p.is_unit() and p.used_vars() <= allowed
+    return p.is_unit() and p.used_vars() <= menv.protected_letters
+
+
+def _defined(value: LaurentFraction, menv: MemberEnv) -> bool:
+    """True when value has no pole on the set: its denominator is a unit,
+    and so is each letter its numerator has a negative exponent of (the
+    canonical form moves a +-monomial denominator into the numerator)."""
+    value = value.reduce_radicals(menv.tower)
+    return (_unit_factor(value.den, menv)
+            and value.num.pole_vars() <= menv.protected_letters)
 
 
 def first_non_unit(rec: OrbitRecord, menv: MemberEnv, word: BorelWord) -> str:
     """The first template expression that is not a unit on the set, "" when
-    every one is: the denominator of each solved coordinate, each radicand,
-    each torus entry and the denominator of each factor parameter, in the
-    template's order.  ``word`` is the template word built over ``menv``.
-    Without this, the word proves only that a dense open part of the set
-    lies in the orbit."""
+    every one is: the value solved for each constraint's letter and each
+    factor parameter must have no pole (``_defined``), and each radicand
+    and each torus entry must be a unit (``_unit_factor``), in the
+    template's order; no value is exempt.  ``word`` is the template word
+    built over ``menv``.  Without this, the word proves only that a dense
+    open part of the set lies in the orbit."""
     w, tower = rec.witness, menv.tower
     for letter in menv.solved_letters:
-        if not _unit_factor(menv.env[letter].reduce_radicals(tower).den, menv):
+        if not _defined(menv.env[letter], menv):
             return f"the denominator of the value solved for {letter}"
     for rad, rel in zip(w.radicals, tower):
         if not _unit_factor(rel.radicand, menv):
@@ -554,7 +557,7 @@ def first_non_unit(rec: OrbitRecord, menv: MemberEnv, word: BorelWord) -> str:
         if not (_unit_factor(t.num, menv) and _unit_factor(t.den, menv)):
             return f"torus entry {s!r}"
     for (_, s), f in zip(w.factors, word.factors):
-        if not _unit_factor(f.param.reduce_radicals(tower).den, menv):
+        if not _defined(f.param, menv):
             return f"the denominator of {s!r}"
     return ""
 

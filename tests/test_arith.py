@@ -527,6 +527,16 @@ def test_degree_boxes_read_off_packed_keys_match_the_decoding(p, q):
     assert sorted(_degree_boxes(p, q)) == want
 
 
+@settings(max_examples=250, deadline=None)
+@given(mixed_poly(NEAR_SLOT_WIDTH) | late_poly())
+@example(V("x", -1) * V("y") + V("y", -2))
+def test_pole_vars_read_off_packed_keys_match_the_decoding(p):
+    # the variables of a negative exponent in some term, exponents near half
+    # of EXP_LIMIT and names in late, high slots included
+    assert p.pole_vars() == {v for exps in p.terms
+                             for v, e in zip(p.vars, exps) if e < 0}
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_poly() | late_poly(SMALL), mixed_poly() | late_poly(SMALL))
 @example(V("x") * V("y") + 1, V("x") + V("y"))

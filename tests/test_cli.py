@@ -504,6 +504,11 @@ def _deeply_nested_torus_entry(row):
     row["witness"]["torus"][0] = "(" * 3000 + "x" + ")" * 3000
 
 
+def _order_seven_radical(row):
+    row["witness"]["radicals"].append(
+        {"name": "R", "order": 7, "radicand": "x + z"})
+
+
 @pytest.mark.parametrize("argv", [
     ["orbits"], ["classify", "--point", "0,1,0"],
     ["classify", "--point", "0,1,0", "--mod", "5"], ["verify"], ["hasse"],
@@ -736,6 +741,93 @@ def test_a_witness_of_a_special_member_is_refused_at_load(
             1, "", f"check failed: {error}\n")
 
 
+@pytest.mark.parametrize("n, edit, error", [
+    (3, _row("x22+x13", lambda row: row["witness"]["radicals"][0].update(
+        radicand="R*v + z")),
+     "rank 3 row 'x22+x13': variables ['R'] not in the allowed set"),
+    (2, _row("x11+x22", lambda row: row["rep"].append("x11")),
+     "rank 2 row 'x11+x22': repeated root x11 in representative"),
+    (2, _row("x12", lambda row: row.update(id="x11")),
+     "rank 2 row 'x11': id 'x11' does not match representative"),
+    (3, _row("x22", lambda row: row["witness"]["constraints"][0].update(
+        solve="a")),
+     "rank 3 row 'x22': solve letter 'a' unknown"),
+    (2, _row("x12", lambda row: row["witness"].update(torus=["x"])),
+     "rank 2 row 'x12': torus needs 2 entries, got 1"),
+    (2, _x11(_first_factor_root([1, 3])),
+     "rank 2 row 'x11': factor root (1,3) outside rank 2"),
+    (3, _row("x12", lambda row: row.update(rep=["x55"])),
+     "rank 3 row 'x12': bad root token 'x55' for rank 3"),
+    (2, lambda doc: {**doc, "type": "A3"},
+     "catalog file type 'A3' != A2")],
+    ids=["radicand-names-its-radical", "repeated-root", "id-of-another-rep",
+         "solve-letter-unknown", "short-torus", "root-outside-rank",
+         "root-token-outside-rank", "file-of-another-type"])
+def test_a_row_that_breaks_a_rule_of_meaning_is_refused_at_load(
+        tmp_path, monkeypatch, capsys, n, edit, error):
+    # a radicand naming its own radical loaded before, and the verdict
+    # failed late: "normalized template does not evaluate: variables ['R']
+    # not in the allowed set"; each other refusal is pinned as it stands
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_reshaped(tmp_path, n, edit)))
+    for argv in (["check-all"], ["orbits", "--format", "json"], ["verify"]):
+        assert run(capsys, argv[0], "--type", f"A{n}", *argv[1:]) == (
+            1, "", f"check failed: {error}\n")
+
+
+def test_a_missing_catalog_file_is_refused_at_load(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    for argv in (["check-all"], ["verify"]):
+        assert run(capsys, argv[0], "--type", "A2") == (
+            1, "", f"check failed: cannot read catalog for rank 2: [Errno 2] "
+                   f"No such file or directory: '{tmp_path / 'a2.json'}'\n")
+
+
+def _unused_radical_over_the_denominator(row):
+    row["witness"]["factors"].append({"root": [1, 2], "param": "1/(x+1)"})
+    row["witness"]["radicals"].append(
+        {"name": "S", "order": 2, "radicand": "x + 1"})
+
+
+def _solved_for_y(row):
+    row["witness"]["constraints"][0]["solve"] = "y"
+
+
+def _solved_for_y_with_x23_nonzero(row):
+    _solved_for_y(row)
+    row["nonzero_set"].append("X23")
+
+
+@pytest.mark.parametrize("n, rid, edit, unit", [
+    (2, "x11", _unused_radical_over_the_denominator,
+     "radicand 'x + 1' of S"),
+    (2, "x11", lambda row: row["witness"]["factors"].append(
+        {"root": [1, 2], "param": "1/z"}), "the denominator of '1/z'"),
+    (3, "x22", _solved_for_y, "the denominator of the value solved for y"),
+    (3, "x22", _solved_for_y_with_x23_nonzero,
+     "the denominator of the value solved for y")],
+    ids=["radicand-exempt", "monomial-pole", "solved-monomial-pole",
+         "pole-letter-of-a-nonzero-condition"])
+def test_a_template_with_a_pole_on_the_set_fails_its_record(
+        tmp_path, monkeypatch, capsys, n, rid, edit, unit):
+    # U_12 acts trivially on A2's nilradical, so each appended factor keeps
+    # the word's value; X11 + 1 and X12 vanish on part of x11's set, and
+    # y = v*z/x divides by X12, which vanishes on part of x22's.  Before,
+    # each certified: the radicand x + 1 was made a nonzero condition of its
+    # own, 1/z and v*z/x keep their monomial denominators in the numerator,
+    # which the unit test did not read, and the condition X23 = v*z/x made
+    # x a unit letter (verify passed; check-all failed on the set change)
+    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(_malformed(tmp_path, n, rid,
+                                                          edit)))
+    code, _, err = run(capsys, "verify", "--type", f"A{n}")
+    assert (code, err) == (1, f"# FAIL witness {rid}: FailedAsPrinted "
+                              f"normalized template is not a unit on the "
+                              f"set: {unit}\n")
+    code, out, err = run(capsys, "check-all", "--type", f"A{n}")
+    assert (code, err) == (1, "")
+    assert f"FAIL witnesses: uncertified: ['{rid}']" in out.splitlines()
+
+
 def _half_in_nonzero_set(row):
     row["nonzero_set"][0] = "2^-1*X11"
 
@@ -783,7 +875,8 @@ def test_a_weight_inhomogeneous_set_polynomial_is_refused_at_load(
     (3, "x13", _superscript_torus_entry,
      "unexpected character '\u00b2' at position 2"),
     (2, "x11", _deeply_nested_torus_entry,
-     "parentheses and unary minus nest deeper than 32 at position 32")])
+     "parentheses and unary minus nest deeper than 32 at position 32"),
+    (2, "x11", _order_seven_radical, "radical order 7 outside 2..5")])
 def test_a_template_that_does_not_evaluate_fails_its_record(
         tmp_path, monkeypatch, capsys, n, rid, edit, detail):
     # before, verify ended in a traceback and check-all failed the
@@ -991,6 +1084,28 @@ def test_check_all_names_the_dimension_that_differs(capsys, monkeypatch):
     assert code == 1
     assert ("FAIL dimensions: A2 x12: Jacobian dimension 2 != catalog dim 1\n"
             in out)
+    assert out.count("FAIL") == 1
+    code, out, err = run(capsys, "dims", "--type", "A2")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        "x12                            1        2  MISMATCH"]
+
+
+def test_census_fails_a_field_with_an_empty_record(capsys, monkeypatch):
+    real = cli.partition_census
+
+    def emptied(n, q, cat, budget):
+        counts = real(n, q, cat, budget)
+        return {**counts, "x12": 0} if q == 5 else counts
+
+    monkeypatch.setattr(cli, "partition_census", emptied)
+    code, out, err = run(capsys, "census", "--type", "A2")
+    assert code == 1
+    assert "x12,5,0" in out.splitlines()
+    assert err == "# FAIL: rank 2 q=5: 4 nonempty classes, expected 5\n"
+    code, out, _ = run(capsys, "check-all", "--type", "A2")
+    assert code == 1
+    assert "FAIL census: q=5 gave 4 != 5\n" in out
     assert out.count("FAIL") == 1
 
 
