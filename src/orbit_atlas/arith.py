@@ -1,6 +1,6 @@
 """Exact coefficient rings.
 
-Three layers, all exact:
+Four layers, all exact:
 
 * ``Fp`` -- prime-field scalars with canonical representatives in [0, p),
   equal to every int of their class mod p and so unhashable.
@@ -22,6 +22,11 @@ Three layers, all exact:
   field, compared by cross-multiplication, never by floating point.
   Rationals are values only: a ``Fraction`` lifts to a quotient of
   constants, and ``eval`` bindings and points may hold them.
+* ``Quotient`` -- the same quotients left unreduced (no content stripped,
+  no division tried), for one reader only: the witness residual check,
+  which runs ``adjoint`` over them and decides each coordinate by one
+  cross-multiplication.  ``radical_poles`` gives the monomial that clears
+  a product's negative radical exponents before ``normalize``.
 
 Formal radicals are adjoined through ``RadicalRelation`` towers: a fresh
 variable R with a rewrite rule R^k -> radicand.  ``normalize`` reduces every
@@ -694,6 +699,19 @@ def normalize(p: LaurentPoly, tower: Sequence[RadicalRelation]) -> LaurentPoly:
     return p
 
 
+def radical_poles(tower: Sequence[RadicalRelation], *polys) -> LaurentPoly:
+    """The least monomial in the tower's radical variables whose product
+    with each of polys has no negative radical exponent, read off the
+    packed keys (``LaurentPoly.one`` when none has one)."""
+    shift = LaurentPoly.one
+    for rel in tower:
+        s = _shift(rel.new_var)
+        low = min((_digit(k, s) for p in polys for k in p._t), default=0)
+        if low < 0:
+            shift = shift * LaurentPoly.var(rel.new_var, -low)
+    return shift
+
+
 # ---------------------------------------------------------------------------
 # fractions
 
@@ -948,22 +966,55 @@ class LaurentFraction:
         reduce all radical exponents below their orders."""
         if not tower:
             return self
-        num, den = self.num, self.den
-        for rel in tower:
-            s = _shift(rel.new_var)
-            low = min(_digit(k, s) for k in (*num._t, *den._t))
-            if low < 0:
-                shift = LaurentPoly.var(rel.new_var, -low)
-                num = num * shift
-                den = den * shift
-        num = normalize(num, tower)
-        den = normalize(den, tower)
-        return LaurentFraction(num, den)
+        shift = radical_poles(tower, self.num, self.den)
+        return LaurentFraction(normalize(self.num * shift, tower),
+                               normalize(self.den * shift, tower))
 
     def __repr__(self):
         if self.is_poly():
             return f"<{poly_to_str(self.num)}>"
         return f"<({poly_to_str(self.num)}) / ({poly_to_str(self.den)})>"
+
+
+class Quotient:
+    """Unreduced quotient num / den of Laurent polynomials, den nonzero:
+    the witness residual check's ring, where only a final equality is read.
+    Nothing is canonicalized, so no content is stripped and no division is
+    tried; a value has many forms, and equality is for the reader to decide
+    by cross-multiplication.  A sum over one ``den`` object adds the
+    numerators, and a ``LaurentPoly.one`` denominator is skipped in sums
+    and products."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly.one):
+        self.num, self.den = num, den
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __add__(self, other: "Quotient") -> "Quotient":
+        a, b = self.den, other.den
+        if a is b:
+            return Quotient(self.num + other.num, a)
+        if a is LaurentPoly.one:
+            return Quotient(self.num * b + other.num, b)
+        if b is LaurentPoly.one:
+            return Quotient(self.num + other.num * a, a)
+        return Quotient(self.num * b + other.num * a, a * b)
+
+    def __neg__(self) -> "Quotient":
+        return Quotient(-self.num, self.den)
+
+    def __mul__(self, other: "Quotient") -> "Quotient":
+        a, b = self.den, other.den
+        return Quotient(self.num * other.num, b if a is LaurentPoly.one
+                        else a if b is LaurentPoly.one else a * b)
+
+    def inv(self) -> "Quotient":
+        if self.num.is_zero():
+            raise DomainError("zero quotient has no inverse")
+        return Quotient(self.den, self.num)
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +1026,7 @@ def inv_elem(x):
         if x == 0:
             raise DomainError("inverse of integer 0")
         return Fraction(1, x)
-    if isinstance(x, (Fp, LaurentFraction)):
+    if isinstance(x, (Fp, LaurentFraction, Quotient)):
         return x.inv()
     if isinstance(x, LaurentPoly):
         return x.monomial_inverse()
@@ -987,7 +1038,7 @@ def inv_elem(x):
 
 
 def is_zero_elem(x) -> bool:
-    if isinstance(x, (Fp, LaurentPoly, LaurentFraction)):
+    if isinstance(x, (Fp, LaurentPoly, LaurentFraction, Quotient)):
         return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return x == 0

@@ -34,7 +34,7 @@ from .errors import (BudgetExceededError, CatalogError, DisjointnessError,
                      ExhaustionError, InternalInconsistencyError, SchemaError,
                      UnsupportedRankError)
 from .lie import NilElement, nil_dim
-from .oracle import (BFS_BUDGET, ORACLE_DEFAULT_QS, enumerate_borel_orbits,
+from .oracle import (ORACLE_BUDGET, ORACLE_DEFAULT_QS, enumerate_borel_orbits,
                      family_table, jacobian_rank_dim, refine_check,
                      stability_check)
 from .order import emit_dot, hasse, poset_json
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="orbit partition as a min-label "
                                       "fixpoint, with refinement")
-    common(p, BFS_BUDGET)
+    common(p, ORACLE_BUDGET)
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(fn=cmd_oracle)
 

@@ -4,16 +4,17 @@ Elements of the nilradical are strictly upper-triangular (n+1)x(n+1)
 matrices; the coordinate of the positive root (i, j) sits at matrix entry
 (i, j+1).  ``adjoint`` applies a Borel word as a sparse root-group update
 (one bracket step per factor, then the torus weights), for every
-coefficient ring (prime fields, rationals, Laurent polynomials and
-fractions).  It is the one path for every group action in the package: the
-finite-field maps of the oracle and the rows of its dimension certificate
-(both read off the symbolic families of ``oracle.read_families``), the
-witness words, and the generic unipotent orbit, ``adjoint`` of the
-root-group factors of ``generic_borel_word(n)``, that forward containment
-and the closure generators pull polynomials back along (the torus is left
-out there, as the catalog polynomials are torus weight vectors).  Literal
-matrix conjugation lives in the tests, as the reference they compare it
-against.
+coefficient ring (prime fields, rationals, Laurent polynomials, their
+canonical fractions and the unreduced ``arith.Quotient``s of the witness
+residual check).  It is the one path for every group action in the package:
+the finite-field maps of the oracle and the rows of its dimension
+certificate (both read off the symbolic families of
+``oracle.read_families``), the witness words, and the generic unipotent
+orbit, ``adjoint`` of the root-group factors of ``generic_borel_word(n)``,
+that forward containment and the closure generators pull polynomials back
+along (the torus is left out there, as the catalog polynomials are torus
+weight vectors).  Literal matrix conjugation lives in the tests, as the
+reference they compare it against.
 """
 
 from __future__ import annotations

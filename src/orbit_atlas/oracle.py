@@ -64,7 +64,7 @@ from .lie import (BorelWord, NilElement, RootGroupFactor, TorusElement,
 
 np = lazy_numpy()
 
-BFS_BUDGET = 2_000_000
+ORACLE_BUDGET = 2_000_000
 #: the fields of the oracle per rank, which the closure order certifies over
 ORACLE_DEFAULT_QS = {1: (2, 3, 5, 7), 2: (2, 3, 5, 7), 3: (2, 3, 5, 7),
                      4: (2, 3)}
@@ -286,7 +286,7 @@ class OrbitPartition:
         return len(self.reps)
 
 
-def enumerate_borel_orbits(n: int, q: int, budget: int = BFS_BUDGET, *,
+def enumerate_borel_orbits(n: int, q: int, budget: int = ORACLE_BUDGET, *,
                            families: Families) -> OrbitPartition:
     """Min-label fixpoint over ``_generators``, one code table each: every
     point starts labelled by its own code, and each round lowers it to the

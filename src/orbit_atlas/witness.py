@@ -37,6 +37,10 @@ memo keeps each expression's value lifted to a ``LaurentFraction``).  Every
 printed word that parses is built over the member and compared with the
 template word by value only (``_same_word``): a word equal to it reuses its
 residuals, so only a word of another value runs its own ``adjoint``.
+That ``adjoint`` runs over unreduced ``arith.Quotient``s, and each
+coordinate is decided by one cross-multiplication, radical tower or not;
+``_residuals`` says why that is sound.  Every value that reaches a verdict
+or ``first_non_unit`` stays a canonical ``LaurentFraction``.
 ``verify_witness_numeric`` (random points over F_p, every value read
 through ``eval`` over ``Fp`` bindings) is a cross-check; no verdict of
 ``verify_rank`` rests on it.
@@ -47,8 +51,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .arith import (Fp, LaurentFraction, LaurentPoly, RadicalRelation,
-                    _peel, eval_expr, kth_roots, parse_expr, parse_poly)
+from .arith import (Fp, LaurentFraction, LaurentPoly, Quotient,
+                    RadicalRelation, _peel, eval_expr, kth_roots, normalize,
+                    parse_expr, parse_poly, radical_poles)
 from .catalog import (Catalog, OrbitRecord, WitnessParseError, letter_of_var,
                       parse_printed_word, x_vars)
 from .errors import DomainError, SchemaError
@@ -198,22 +203,43 @@ def template_word(rec: OrbitRecord, menv: MemberEnv,
 def _residuals(rec, menv, word):
     """Coordinatewise differences adjoint(word, rep) - m of a word built
     over ``menv``, radical-reduced; empty when the word reproduces m.
-    Without a radical tower, a coordinate got = m_root is decided by
-    got.num * m.den - m.num * got.den being zero, exact since Z[x^+-1] is
-    a domain, and the difference fraction is built only for a coordinate
-    that differs.  With a tower, every nonzero difference is reduced
-    (``reduce_radicals``) before it counts."""
-    result = adjoint(word, rec.representative)
-    tower = menv.tower
+
+    ``adjoint`` runs once over unreduced ``arith.Quotient``s: the torus
+    entries, factor parameters and representative are lifted, so no sum or
+    product inside it strips content or tries a division.  Each coordinate
+    g is decided by N = g.num * m.den - m.num * g.den: zero when the two
+    products are equal polynomials, else times the least monomial in the
+    tower's radicals that clears N's negative radical exponents
+    (``radical_poles``) and ``normalize``d once.  Without a tower
+    Z[x^+-1] is a domain and both denominators are nonzero, so N = 0
+    exactly when g = m.  With one, a zero normal form gives N = 0 in the
+    member's ring, where each radical is a unit, and then g = m there,
+    because g.den * m.den is a product of template denominators, torus
+    entries and solved-value denominators: ``first_non_unit`` proves each
+    a unit on the set, and a verdict certifies only when it passes too.
+    Only a coordinate whose N is nonzero builds its canonical difference,
+    ``LaurentFraction(g.num, g.den) - m`` radical-reduced; a quotient
+    never leaves this function."""
+    n, tower = rec.rank, menv.tower
+    torus = word.torus and TorusElement(
+        n, tuple(Quotient(t.num, t.den) for t in word.torus.diag))
+    factors = tuple(RootGroupFactor(f.root, Quotient(f.param.num, f.param.den))
+                    for f in word.factors)
+    rep = NilElement(n, {root: Quotient(LaurentPoly.const(c))
+                         for root, c in rec.representative.coords.items()})
+    result = adjoint(BorelWord(n, torus, factors), rep).coords
+    zero = Quotient(LaurentPoly.zero)
     residuals = []
-    for root in pos_roots(rec.rank):
-        got = LaurentFraction._lift(result.coord(root))
-        want = menv.target[root]
-        if not tower and (got.num * want.den - want.num * got.den).is_zero():
+    for root in pos_roots(n):
+        got, want = result.get(root, zero), menv.target[root]
+        lhs, rhs = got.num * want.den, want.num * got.den
+        if lhs == rhs:
             continue
-        diff = got - want
-        if tower and not diff.is_zero():
-            diff = diff.reduce_radicals(tower)
+        cross = lhs - rhs
+        if normalize(cross * radical_poles(tower, cross), tower).is_zero():
+            continue
+        diff = (LaurentFraction(got.num, got.den) - want).reduce_radicals(
+            tower)
         if not diff.is_zero():
             residuals.append((root, diff))
     return residuals

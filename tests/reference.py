@@ -46,11 +46,11 @@ round replaced, and the reference for it.
 the path every printed word took before a word equal in value to its
 template reused the template's residuals, and takes each coordinate's
 difference as a fraction (``difference_residuals``, the reference for the
-cross-multiplication of ``witness._residuals``).  ``TokenParser`` parses over
-one ``Tok`` object per token, kind and position included (``tokenize``):
-the reference for ``arith._Parser``'s one ``findall`` of token strings,
-with ``token_vars``, its own variable walk, the reference for
-``arith.expr_vars``.
+unreduced-quotient ``adjoint`` and the cross-multiplication of
+``witness._residuals``).  ``TokenParser`` parses over one ``Tok`` object
+per token, kind and position included (``tokenize``): the reference for
+``arith._Parser``'s one ``findall`` of token strings, with ``token_vars``,
+its own variable walk, the reference for ``arith.expr_vars``.
 ``fraction_parse_poly`` is ``arith.parse_poly`` through ``TokenParser``
 and one ``LaurentFraction`` per parse-tree node (``fraction_eval``, the
 all-fraction evaluator), the reference for its evaluation by
@@ -692,9 +692,11 @@ def nonlinear_zero(rec) -> list:
 def difference_residuals(rec, menv, word):
     """Coordinatewise differences adjoint(word, rep) - m of a word built
     over ``menv``, each built as a ``LaurentFraction`` and radical-reduced
-    when nonzero; empty when the word reproduces m.  The reference for
-    ``witness._residuals``, which decides a coordinate of a radical-free
-    member by one cross-multiplication."""
+    when nonzero; empty when the word reproduces m.  ``adjoint`` runs over
+    the canonical fractions of the word.  The reference for
+    ``witness._residuals``, which runs ``adjoint`` over unreduced quotients
+    and decides every coordinate, radical tower or not, by one
+    cross-multiplication brought to the tower's normal form."""
     result = adjoint(word, rec.representative)
     residuals = []
     for root in pos_roots(rec.rank):

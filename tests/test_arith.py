@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from orbit_atlas.arith import (_SHIFT, EXP_LIMIT, QUOTIENT_LIMIT, Fp,
-                               LaurentFraction, LaurentPoly, RadicalRelation,
-                               _degree_boxes, _exact_divide, _Parser,
-                               _strip_content, eval_expr, expr_vars, is_prime,
-                               kth_roots, normalize, parse_expr, parse_poly,
-                               poly_to_str, primitive_root)
+                               LaurentFraction, LaurentPoly, Quotient,
+                               RadicalRelation, _degree_boxes, _exact_divide,
+                               _Parser, _strip_content, eval_expr, expr_vars,
+                               inv_elem, is_prime, is_zero_elem, kth_roots,
+                               normalize, parse_expr, parse_poly, poly_to_str,
+                               primitive_root, radical_poles)
 from orbit_atlas.errors import DomainError, SchemaError
 from reference import (TokenParser, degree_boxes, fixed_point_normalize,
                        fraction_parse_poly, fraction_power, token_vars)
@@ -971,3 +972,89 @@ def test_the_units_are_the_plus_or_minus_monomials():
     assert -x / -y == x * y**-1
     with pytest.raises(SchemaError, match=re.escape("(2)^-1 is not polynomial")):
         parse_poly("2^-1*a")
+
+
+# ---------------------------------------------------------------------------
+# unreduced quotients
+
+
+NONZERO = poly_strategy.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def quotient_pair(draw):
+    """Two quotients over small Laurent polynomials with negative
+    exponents, each denominator ``LaurentPoly.one``, one object shared by
+    both or its own, so that every shortcut of the sum and product runs."""
+    shared = draw(NONZERO)
+
+    def quotient():
+        kind = draw(st.sampled_from(("one", "shared", "own")))
+        den = (LaurentPoly.one if kind == "one" else shared
+               if kind == "shared" else draw(NONZERO))
+        return Quotient(draw(poly_strategy), den)
+
+    return quotient(), quotient()
+
+
+def _same_value(q, f):
+    """q equals the fraction f, by cross-multiplication."""
+    return q.num * f.den == f.num * q.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_pair())
+def test_quotient_arithmetic_agrees_with_the_fraction_field(pair):
+    a, b = pair
+    fa, fb = (LaurentFraction(q.num, q.den) for q in pair)
+    assert _same_value(a + b, fa + fb)
+    assert _same_value(-a, -fa)
+    assert _same_value(a * b, fa * fb)
+    assert a.is_zero() == fa.is_zero() == is_zero_elem(a)
+    if a.is_zero():
+        with pytest.raises(DomainError, match="zero quotient has no inverse"):
+            a.inv()
+        with pytest.raises(DomainError):
+            inv_elem(a)
+    else:
+        assert _same_value(a.inv(), fa.inv())
+        assert type(inv_elem(a)) is Quotient
+        assert _same_value(inv_elem(a), fa.inv())
+    # nothing is canonicalized: a shared or unit denominator stands
+    if a.den is b.den or b.den is LaurentPoly.one:
+        assert (a + b).den is a.den
+    if a.den is LaurentPoly.one:
+        assert (a * b).den is b.den
+
+
+def test_a_zero_quotient_has_no_inverse():
+    for den in (LaurentPoly.one, V("a") + 1):
+        zero = Quotient(LaurentPoly.zero, den)
+        assert zero.is_zero() and is_zero_elem(zero)
+        with pytest.raises(DomainError, match="zero quotient has no inverse"):
+            inv_elem(zero)
+
+
+def _least_exponent(p, name):
+    """The least exponent of name over p's terms, decoded (0 for a
+    polynomial that does not use it)."""
+    if name not in p.vars:
+        return 0
+    return min(exps[p.vars.index(name)] for exps in p.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower_and_poly(), st.integers(0, 3), st.integers(0, 3), poly_strategy)
+def test_radical_poles_is_the_least_clearing_monomial(drawn, i, j, q):
+    # R1 has up to i poles in the first polynomial and j in the second;
+    # q names no radical
+    tower, p = drawn
+    polys = (p * V("R1", -i), p * V("R1", -j) + q)
+    shift = radical_poles(tower, *polys)
+    (exps, c), = shift.terms.items()
+    power = dict(zip(shift.vars, exps))
+    assert c == 1 and power.keys() <= {rel.new_var for rel in tower}
+    for rel in tower:
+        low = min(_least_exponent(x, rel.new_var) for x in polys)
+        assert power.get(rel.new_var, 0) == max(0, -low)
+    assert radical_poles(tower, LaurentPoly.zero) is LaurentPoly.one

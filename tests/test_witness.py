@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_atlas import witness
-from orbit_atlas.arith import (LaurentFraction, LaurentPoly, RadicalRelation,
-                               _frac_pow, _peel, parse_poly)
+from orbit_atlas.arith import (LaurentFraction, LaurentPoly, Quotient,
+                               RadicalRelation, _frac_pow, _peel, parse_poly,
+                               radical_poles)
 from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
                                 parse_printed_word, x_vars)
 from orbit_atlas.cli import main
 from orbit_atlas.errors import (CatalogError, DomainError,
                                 InternalInconsistencyError, SchemaError)
+from orbit_atlas.lie import adjoint
 from orbit_atlas.order import closure_generators, hasse
 from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  VERIFIED_NUMERIC, VERIFIED_SYMBOLIC,
@@ -588,13 +590,11 @@ def _texts(residuals):
     return [(root, repr(diff)) for root, diff in residuals]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_residuals_equal_the_difference_path(catalogs, n):
-    # the template word, the printed word when it parses and the template
-    # with its first factor parameter doubled: equal residual lists and
-    # texts, whether or not the member has a radical tower
-    differing = 0
-    for rec in catalogs[n].orbits:
+def _shipped_words(cat):
+    """(record, member, word) for each word of cat that builds over its
+    record's member: the template word, the template with its first factor
+    parameter doubled and the printed word when it parses."""
+    for rec in cat.orbits:
         w, menv = rec.witness, build_member_env(rec)
         words = [(w.torus, w.factors)]
         if w.factors:
@@ -602,7 +602,8 @@ def test_residuals_equal_the_difference_path(catalogs, n):
             words.append((w.torus, ((root, f"2*({param})"), *rest)))
         if rec.as_printed.get("word"):
             try:
-                words.append(parse_printed_word(rec.as_printed["word"], n))
+                words.append(parse_printed_word(rec.as_printed["word"],
+                                                cat.rank))
             except WitnessParseError:
                 pass
         for torus, factors in words:
@@ -610,14 +611,67 @@ def test_residuals_equal_the_difference_path(catalogs, n):
                 word = template_word(rec, menv, torus or (), factors)
             except (SchemaError, DomainError):
                 continue
-            got = witness._residuals(rec, menv, word)
-            want = difference_residuals(rec, menv, word)
-            assert _texts(got) == _texts(want), rec.id
-            assert all(a == b for (_, a), (_, b) in zip(got, want))
-            differing += bool(got)
+            yield rec, menv, word
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_residuals_equal_the_difference_path(catalogs, n):
+    # the template word, the printed word when it parses and the template
+    # with its first factor parameter doubled: equal residual lists and
+    # texts, whether or not the member has a radical tower
+    differing = 0
+    for rec, menv, word in _shipped_words(catalogs[n]):
+        got = witness._residuals(rec, menv, word)
+        want = difference_residuals(rec, menv, word)
+        assert _texts(got) == _texts(want), rec.id
+        assert all(a == b for (_, a), (_, b) in zip(got, want))
+        differing += bool(got)
     # a doubled parameter leaves residuals (A1's one word has no factor)
     assert bool(differing) == any(rec.witness.factors
                                   for rec in catalogs[n].orbits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_residual_adjoint_over_quotients_equals_the_fraction_path(
+        catalogs, monkeypatch, n):
+    # _residuals runs its one adjoint over unreduced quotients, lifted from
+    # the word and the representative, and each coordinate equals that of
+    # adjoint over LaurentFraction as an element of the fraction field, the
+    # radicals formal; both drop exactly the zero coordinates
+    runs, clearing = [], []
+
+    def recording(word, x):
+        runs.append((word, x, adjoint(word, x)))
+        return runs[-1][2]
+
+    def poles(tower, *polys):
+        clearing.append(radical_poles(tower, *polys))
+        return clearing[-1]
+
+    monkeypatch.setattr(witness, "adjoint", recording)
+    monkeypatch.setattr(witness, "radical_poles", poles)
+    words = 0
+    for rec, menv, word in _shipped_words(catalogs[n]):
+        witness._residuals(rec, menv, word)
+        (lifted, rep, got), = runs
+        runs.clear()
+        words += 1
+        assert all(type(v) is Quotient for v in (
+            *(lifted.torus.diag if lifted.torus else ()),
+            *(f.param for f in lifted.factors), *rep.coords.values(),
+            *got.coords.values()))
+        assert [f.root for f in lifted.factors] == [
+            f.root for f in word.factors]
+        assert rep.coords.keys() == rec.representative.coords.keys()
+        want = adjoint(word, rec.representative)
+        assert got.coords.keys() == want.coords.keys(), rec.id
+        for root, g in got.coords.items():
+            w = LaurentFraction._lift(want.coords[root])
+            assert g.num * w.den == w.num * g.den, (rec.id, root)
+    assert words == {1: 3, 2: 11, 3: 42, 4: 176}[n]      # 232 in all
+    # a shipped tower word clears a negative radical exponent before its
+    # normal form is read (A1 and A2 have no tower)
+    assert any(c is not LaurentPoly.one for c in clearing) == (n >= 3)
 
 
 def test_generic_pullback_refuses_weight_inhomogeneous_polynomial(catalogs):
