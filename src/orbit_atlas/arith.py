@@ -109,8 +109,6 @@ class Fp:
             return other
         if isinstance(other, int):
             return Fp(other, self.p)
-        if isinstance(other, Fraction):
-            return Fp(other.numerator, self.p) / Fp(other.denominator, self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -144,10 +142,6 @@ class Fp:
     def __truediv__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else o * self.inv()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -493,12 +487,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -557,12 +545,6 @@ class LaurentPoly:
         if o.is_unit():
             return self * o.monomial_inverse()
         return LaurentFraction(self, o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     # -- calculus / structure
 

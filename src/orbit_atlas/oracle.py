@@ -54,7 +54,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from ._lazy import lazy_numpy
-from .arith import Fp, LaurentPoly, is_prime, poly_to_str, primitive_root
+from .arith import LaurentPoly, is_prime, poly_to_str, primitive_root
 from .catalog import Catalog, OrbitRecord, x_vars
 from .classify import assemble_table, gather, point_records
 from .errors import (BudgetExceededError, InternalInconsistencyError,
@@ -183,21 +183,11 @@ def image_codes(m: np.ndarray, q: int) -> np.ndarray:
     return assemble_table(q, d, terms)
 
 
-def _slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
-    """The torus with entry c in one simple slot and 1 elsewhere."""
-    return BorelWord(n, TorusElement(n, tuple(
-        Fp(c if k == slot else 1, q) for k in range(n))))
-
-
-def _root_word(n: int, root, c: int, q: int) -> BorelWord:
-    return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
-
-
-def _describe_word(word: BorelWord) -> str:
-    if word.factors:
-        (factor,) = word.factors
-        return f"U_{root_token(factor.root)}({factor.param.v})"
-    return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
+def _slot_name(n: int, slot: int, c: int) -> str:
+    """The name of the torus with entry c (0 < c < q) in one simple slot
+    and 1 elsewhere."""
+    entries = (str(c if k == slot else 1) for k in range(n))
+    return f"torus diag({', '.join(entries)})"
 
 
 class Families(NamedTuple):
@@ -249,7 +239,7 @@ def family_table(cat: Catalog) -> Families:
 
 
 def _generators(n: int, q: int, families: Families) -> list:
-    """(word, map over F_q) of U_root(1) for every simple root, in
+    """(name, map over F_q) of U_root(1) for every simple root, in
     ``pos_roots`` order, then of the n slot tori at g = ``primitive_root(q)``:
     (I + A) mod q and diag(g^W[:, slot] mod q), leaving out a map that is
     I mod q (it fixes every point).  ``read_families`` proves U_root(1)^c =
@@ -257,12 +247,12 @@ def _generators(n: int, q: int, families: Families) -> list:
     so these generate B(F_q)."""
     g = primitive_root(q)
     one = np.identity(nil_dim(n), dtype=np.int64)
-    gens = ([(_root_word(n, root, 1, q), (one + a) % q)
+    gens = ([(f"U_{root_token(root)}(1)", (one + a) % q)
              for root, a in zip(pos_roots(n)[:n], families.roots)]
-            + [(_slot_word(n, slot, g, q), np.diag(
+            + [(_slot_name(n, slot, g), np.diag(
                 [pow(g, int(w), q) for w in families.weights[:, slot]]))
                for slot in range(n)])
-    return [(word, m) for word, m in gens if not np.array_equal(m, one)]
+    return [(name, m) for name, m in gens if not np.array_equal(m, one)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def enumerate_borel_orbits(n: int, q: int, budget: int = ORACLE_BUDGET, *,
     class_of = gather(new, label, image)
     return OrbitPartition(n, q, class_of, reps.tolist(),
                           np.bincount(class_of).tolist(), families,
-                          tuple(_describe_word(word) for word, _ in gens))
+                          tuple(name for name, _ in gens))
 
 
 def stability_check(part: OrbitPartition) -> dict:
@@ -375,11 +365,10 @@ def stability_check(part: OrbitPartition) -> dict:
     if len(log) != q - 1:
         c = min(set(range(1, q)) - log.keys())
         raise InternalInconsistencyError(
-            f"rank {n} F_{q}: {_describe_word(_slot_word(n, 0, c, q))} is no "
-            f"power of {_describe_word(_slot_word(n, 0, g, q))}: {g} is not a "
-            f"primitive root, its powers reach {len(log)} of the {q - 1} units")
-    for word, _ in _generators(n, q, part.families):
-        name = _describe_word(word)
+            f"rank {n} F_{q}: {_slot_name(n, 0, c)} is no power of "
+            f"{_slot_name(n, 0, g)}: {g} is not a primitive root, its powers "
+            f"reach {len(log)} of the {q - 1} units")
+    for name, _ in _generators(n, q, part.families):
         if name not in part.generators:
             raise InternalInconsistencyError(
                 f"rank {n} F_{q}: stability under {name} is not certified: "

@@ -92,8 +92,8 @@ from orbit_atlas.errors import (DisjointnessError, DomainError,
                                 SchemaError, ShapeError)
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _bracket, adjoint,
-                             generic_borel_word, nil_dim, pos_roots)
-from orbit_atlas.oracle import _describe_word, _root_word, _slot_word
+                             generic_borel_word, nil_dim, pos_roots,
+                             root_token)
 from orbit_atlas.witness import generic_pullbacks, template_word
 
 REFERENCE_CHUNK = 1 << 19   # non-simple coordinate codes per slice block
@@ -419,6 +419,26 @@ def coords_mod(x: NilElement) -> list[int]:
     return [x.coords[r].v if r in x.coords else 0 for r in pos_roots(x.rank)]
 
 
+def slot_word(n: int, slot: int, c: int, q: int) -> BorelWord:
+    """The torus over F_q with entry c in one simple slot and 1 elsewhere."""
+    return BorelWord(n, TorusElement(n, tuple(
+        Fp(c if k == slot else 1, q) for k in range(n))))
+
+
+def root_word(n: int, root, c: int, q: int) -> BorelWord:
+    """U_root(c) over F_q."""
+    return BorelWord(n, None, (RootGroupFactor(root, Fp(c, q)),))
+
+
+def describe_word(word) -> str:
+    """The name of a one-factor or torus word over F_q, as the oracle names
+    its generators and the elements of its stability messages."""
+    if word.factors:
+        (factor,) = word.factors
+        return f"U_{root_token(factor.root)}({factor.param.v})"
+    return f"torus diag({', '.join(str(t.v) for t in word.torus.diag)})"
+
+
 def torus_word(n: int, diag, q: int):
     """The full torus element diag(diag) over F_q as a word."""
     return BorelWord(n, TorusElement(n, tuple(Fp(t, q) for t in diag)))
@@ -452,16 +472,16 @@ def word_identities(n: int, q: int, g: int, maps=word_map) -> int:
     the number of elements checked."""
     log = {pow(g, e, q): e for e in range(q - 1)}
     roots = pos_roots(n)
-    root_gens = [_root_word(n, root, 1, q) for root in roots]
-    slot_gens = [_slot_word(n, slot, g, q) for slot in range(n)]
+    root_gens = [root_word(n, root, 1, q) for root in roots]
+    slot_gens = [slot_word(n, slot, g, q) for slot in range(n)]
     gen_maps = [maps(word, q) for word in root_gens + slot_gens]
     root_pows = [powers(m, q, q) for m in gen_maps[:len(roots)]]
     slot_pows = [powers(m, q - 1, q) for m in gen_maps[len(roots):]]
-    words = [(_root_word(n, root, c, q), root_pows[k][c],
-              f"{_describe_word(root_gens[k])}^{c}")
+    words = [(root_word(n, root, c, q), root_pows[k][c],
+              f"{describe_word(root_gens[k])}^{c}")
              for k, root in enumerate(roots) for c in range(q)]
-    words += [(_slot_word(n, slot, c, q), slot_pows[slot][log[c]],
-               f"{_describe_word(slot_gens[slot])}^{log[c]}")
+    words += [(slot_word(n, slot, c, q), slot_pows[slot][log[c]],
+               f"{describe_word(slot_gens[slot])}^{log[c]}")
               for slot in range(n) for c in range(1, q)]
     for diag in itertools.product(range(1, q), repeat=n):
         prod = slot_pows[0][log[diag[0]]]
@@ -472,7 +492,7 @@ def word_identities(n: int, q: int, g: int, maps=word_map) -> int:
     for word, prod, name in words:
         if not np.array_equal(maps(word, q), prod):
             raise InternalInconsistencyError(
-                f"rank {n} F_{q}: {_describe_word(word)} is not {name} "
+                f"rank {n} F_{q}: {describe_word(word)} is not {name} "
                 f"over F_{q}")
     return len(words)
 
@@ -489,7 +509,7 @@ def commutator_identities(n: int, q: int, maps=word_map) -> int:
             for root, c in (((i, i), 1), ((i + 1, j), 1), ((i, i), -1),
                             ((i + 1, j), -1))))
         got = maps(word, q)
-        if not any(np.array_equal(got, maps(_root_word(n, (i, j), c, q), q))
+        if not any(np.array_equal(got, maps(root_word(n, (i, j), c, q), q))
                    for c in (1, q - 1)):
             raise InternalInconsistencyError(
                 f"rank {n} F_{q}: the commutator of U_x{i}{i}(1) and "
@@ -525,23 +545,22 @@ def broadcast_image_codes(m: np.ndarray, q: int) -> np.ndarray:
 
 
 def generator_passes(part, gens) -> list:
-    """Names of the (word, map) pairs of ``gens``, each checked by one
+    """Names of the (name, map) pairs of ``gens``, each checked by one
     whole-space pass: class_of[t] == class_of, t the map's code table
     built by broadcasting.  Raises on the first generator that moves a
     point to another class, naming it, the point and both classes."""
     n, q = part.rank, part.q
-    for word, m in gens:
+    for name, m in gens:
         codes = broadcast_image_codes(m, q)
         moved = part.class_of[codes] != part.class_of
         if moved.any():
             bad = int(np.argmax(moved))
             point = decode_points(np.array([bad]), nil_dim(n), q)[0].tolist()
             raise InternalInconsistencyError(
-                f"rank {n} F_{q}: class not stable under "
-                f"{_describe_word(word)}: point {point} in class "
-                f"{int(part.class_of[bad])} maps to class "
+                f"rank {n} F_{q}: class not stable under {name}: point "
+                f"{point} in class {int(part.class_of[bad])} maps to class "
                 f"{int(part.class_of[codes[bad]])}")
-    return [_describe_word(word) for word, _ in gens]
+    return [name for name, _ in gens]
 
 
 def broadcast_point_records(cat, q: int) -> np.ndarray:

@@ -7,8 +7,6 @@ complete; every tolerance and runtime bound is asserted, not just reported.
 import random
 import time
 
-import pytest
-
 from orbit_atlas.arith import Fp, parse_poly
 from orbit_atlas.catalog import ORBIT_COUNTS
 from orbit_atlas.classify import classify, partition_census

@@ -188,6 +188,23 @@ def test_eval_mod_p_pole_detection():
         p.eval({"a": Fp(0, 7)})
 
 
+def test_eval_at_integer_bindings_is_rational():
+    # the oracle and OrbitRecord.contains evaluate at int coordinates
+    assert (V("a") ** -2 * 3 + 1).eval({"a": 2}) == Fraction(7, 4)
+    with pytest.raises(DomainError, match="inverse of integer 0"):
+        (V("a") ** -1).eval({"a": 0})
+
+
+@pytest.mark.parametrize("text, num, den", [
+    ("2 - y", V("y") + 2, V("y") + 1), ("2 + y", V("y") * 3 + 2, V("y") + 1),
+    ("2 * y", V("y") * 2, V("y") + 1), ("2 / y", V("y") * 2 + 2, V("y"))])
+def test_a_number_left_of_a_fraction_binding_is_read(text, num, den):
+    # a number is a constant LaurentPoly, so each operation takes the
+    # witness binding's reflected operator
+    y = LaurentFraction(V("y"), V("y") + 1)
+    assert eval_expr(parse_expr(text), {"y": y}) == LaurentFraction(num, den)
+
+
 @settings(max_examples=80, deadline=None)
 @given(poly_strategy, st.integers(0, 100))
 def test_eval_commutes_with_reduction(p, seed):

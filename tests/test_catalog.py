@@ -2,14 +2,11 @@
 
 import dataclasses
 import json
-import os
 import re
 from collections import Counter
-from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbit_atlas import catalog
 from orbit_atlas.arith import parse_poly
@@ -20,9 +17,21 @@ from orbit_atlas.catalog import (ORBIT_COUNTS, WitnessParseError, load_catalog,
 from orbit_atlas.errors import CatalogError, UnsupportedRankError
 from orbit_atlas.lie import coordinate_letters
 from orbit_atlas.witness import classify_verdict
+from conftest import DATA, _row
+from malformed import table_test
 from reference import fraction_parse_poly, serialize_catalog
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "orbit_atlas" / "data"
+# the tests that check rows of the ``malformed`` tables
+test_a_negative_set_exponent_is_refused = table_test(
+    "test_a_negative_set_exponent_is_refused")
+test_catalog_count_mismatch_detected = table_test(
+    "test_catalog_count_mismatch_detected")
+test_catalog_duplicate_id_detected = table_test(
+    "test_catalog_duplicate_id_detected")
+test_catalog_parse_failure_names_offending_row = table_test(
+    "test_catalog_parse_failure_names_offending_row")
+test_a_non_integer_set_coefficient_is_refused = table_test(
+    "test_a_non_integer_set_coefficient_is_refused")
 
 
 def test_orbit_counts(catalogs):
@@ -59,7 +68,7 @@ def test_rank1_dimensions(catalogs):
 
 def test_round_trip_serialization_is_byte_identical(catalogs):
     for n, cat in catalogs.items():
-        stored = (DATA_DIR / f"a{n}.json").read_text(encoding="utf-8")
+        stored = (DATA / f"a{n}.json").read_text(encoding="utf-8")
         assert serialize_catalog(cat) == stored
 
 
@@ -126,75 +135,16 @@ def test_rank2_validation_clean(catalogs):
                    for r in report.records)
 
 
-def test_catalog_count_mismatch_detected(tmp_path, monkeypatch, catalogs):
-    doc = json.loads(serialize_catalog(catalogs[1]))
-    doc["orbits"] = doc["orbits"][:1]
-    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    with pytest.raises(CatalogError):
-        load_catalog(1)
-
-
-def test_catalog_duplicate_id_detected(tmp_path, monkeypatch, catalogs):
-    doc = json.loads(serialize_catalog(catalogs[1]))
-    doc["orbits"].append(doc["orbits"][-1])
-    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    with pytest.raises(CatalogError) as exc:
-        load_catalog(1)
-    assert "duplicate" in str(exc.value)
-
-
-def test_catalog_parse_failure_names_offending_row(tmp_path, monkeypatch,
-                                                   catalogs):
-    doc = json.loads(serialize_catalog(catalogs[1]))
-    doc["orbits"][1]["zero_set"] = ["X99 + ur"]
-    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    with pytest.raises(CatalogError) as exc:
-        load_catalog(1)
-    assert "x11" in str(exc.value)
-
-
-@pytest.mark.parametrize("field, text", [("zero_set", "X11^-2"),
-                                         ("nonzero_set", "X11^-1")])
-def test_a_negative_set_exponent_is_refused(tmp_path, monkeypatch, catalogs,
-                                            field, text):
-    # every kernel evaluates set polynomials where a coordinate may be 0
-    doc = json.loads(serialize_catalog(catalogs[1]))
-    doc["orbits"][1][field] = [text]
-    (tmp_path / "a1.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    with pytest.raises(CatalogError) as exc:
-        load_catalog(1)
-    assert str(exc.value) == (f"rank 1 row 'x11': set polynomial {text!r} "
-                              f"has a negative exponent")
-
-
-def test_a_non_integer_set_coefficient_is_refused(tmp_path, monkeypatch,
-                                                  catalogs):
-    # reduction mod p is a ring map only on Z[X]: 1/2 has no value mod 2.
-    # Polynomials are over Z, so 2^-1 is refused where it is parsed
-    doc = json.loads(serialize_catalog(catalogs[2]))
-    row = next(r for r in doc["orbits"] if r["id"] == "x11+x22")
-    row["nonzero_set"][0] = "2^-1*X11"
-    (tmp_path / "a2.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    with pytest.raises(CatalogError) as exc:
-        load_catalog(2)
-    assert str(exc.value) == "rank 2 row 'x11+x22': (2)^-1 is not polynomial"
-
-
 def test_a_witness_constraint_is_a_zero_set_polynomial_up_to_sign(
-        tmp_path, monkeypatch, catalogs):
+        catalog_copy):
     # x22's constraint v*z - x*y is its zero-set polynomial X22*X13 -
     # X12*X23 in coordinate letters; the negative cuts out the same member
-    doc = json.loads(serialize_catalog(catalogs[3]))
-    row = next(r for r in doc["orbits"] if r["id"] == "x22")
-    assert row["witness"]["constraints"][0]["poly"] == "v*z - x*y"
-    row["witness"]["constraints"][0]["poly"] = "x*y - v*z"
-    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    def negated(row):
+        (constraint,) = row["witness"]["constraints"]
+        assert constraint["poly"] == "v*z - x*y"
+        constraint["poly"] = "x*y - v*z"
+
+    catalog_copy(3, _row("x22", negated))
     assert classify_verdict(load_catalog(3).by_id("x22")).certified
 
 
@@ -238,15 +188,17 @@ _JSON = st.sampled_from([True, 1.0, "1", None, [], {}, [1, 2.0], [1, 2, 3],
     max_leaves=4)
 
 
-@settings(max_examples=200, deadline=None)
+# each example writes the same copy over the last one
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(_ROWS), st.data())
 def test_a_value_of_the_wrong_kind_anywhere_in_a_row_is_named(
-        tmp_path_factory, row_at, data):
+        catalog_copy, row_at, data):
     # any part of a shipped row that the declared shape names, the id
     # excepted (it names the row), is refused by its path when it holds a
     # JSON value of another kind
     n, k = row_at
-    doc = json.loads((DATA_DIR / f"a{n}.json").read_text(encoding="utf-8"))
+    doc = json.loads((DATA / f"a{n}.json").read_text(encoding="utf-8"))
     row = doc["orbits"][k]
     parts = [(steps, kind) for steps, kind in _declared(row, catalog._ROW)
              if steps and steps[0] != "id"]
@@ -260,12 +212,9 @@ def test_a_value_of_the_wrong_kind_anywhere_in_a_row_is_named(
     parent[steps[-1]] = value
     path = "".join(f"[{s}]" if type(s) is int else f" {s}" for s in steps)
     got = repr(value) if kind in (int, "pair") else type(value).__name__
-    tmp = tmp_path_factory.getbasetemp() / "shape"
-    tmp.mkdir(exist_ok=True)
-    (tmp / f"a{n}.json").write_text(json.dumps(doc), encoding="utf-8")
-    with mock.patch.dict(os.environ, {"ORBIT_ATLAS_DATA": str(tmp)}):
-        with pytest.raises(CatalogError) as exc:
-            load_catalog(n)
+    catalog_copy(n, lambda _: doc)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(n)
     assert str(exc.value) == (f"rank {n} row {row['id']!r}:{path}: "
                               f"expected {_NOUNS[kind]}, got {got}")
 
@@ -281,7 +230,7 @@ def _parts(value, steps=()):
 
 def test_the_shape_declares_every_part_of_every_shipped_row():
     for n in ORBIT_COUNTS:
-        doc = json.loads((DATA_DIR / f"a{n}.json").read_text(encoding="utf-8"))
+        doc = json.loads((DATA / f"a{n}.json").read_text(encoding="utf-8"))
         for row in doc["orbits"]:
             declared = list(_declared(row, catalog._ROW))
             # a root's two entries are parts of its pair
@@ -290,15 +239,15 @@ def test_the_shape_declares_every_part_of_every_shipped_row():
             assert set(_parts(row)) == {s for s, _ in declared} | entries
 
 
-def test_keys_the_shape_does_not_declare_are_ignored(tmp_path, monkeypatch,
-                                                     catalogs):
+def test_keys_the_shape_does_not_declare_are_ignored(catalog_copy, catalogs):
     # an undeclared key in a row or in its witness is read past
-    doc = json.loads((DATA_DIR / "a3.json").read_text(encoding="utf-8"))
-    for row in doc["orbits"]:
-        row["comment"] = 5
-        row["witness"]["comment"] = [None]
-    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    def commented(doc):
+        for row in doc["orbits"]:
+            row["comment"] = 5
+            row["witness"]["comment"] = [None]
+        return doc
+
+    catalog_copy(3, commented)
     assert load_catalog(3) == catalogs[3]
 
 
@@ -311,13 +260,9 @@ def test_a_replace_copy_with_a_negative_exponent_is_refused(catalogs):
     assert str(exc.value) == "set polynomial 'X11^-1' has a negative exponent"
 
 
-def test_env_override_data_dir(tmp_path, monkeypatch, catalogs):
-    for n in (1,):
-        (tmp_path / f"a{n}.json").write_text(serialize_catalog(catalogs[n]),
-                                             encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    cat = load_catalog(1)
-    assert len(cat.orbits) == 2
+def test_env_override_data_dir(catalog_copy, catalogs):
+    catalog_copy(1)
+    assert load_catalog(1) == catalogs[1]
 
 
 def test_x_vars_order(catalogs):

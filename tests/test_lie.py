@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly, parse_poly
+from orbit_atlas.arith import Fp, LaurentFraction, LaurentPoly
 from orbit_atlas.errors import ShapeError, UnsupportedRankError
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, _torus_weights, adjoint,

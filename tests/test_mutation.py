@@ -1,7 +1,7 @@
 """Standing mutation test of the shipped catalog data.
 
-Each mutant makes one edit to a copy of ``data/a<n>.json``, written under
-``tmp_path`` and loaded through ``ORBIT_ATLAS_DATA``, and must make
+Each mutant makes one edit to a copy of ``data/a<n>.json``, written by
+``catalog_copy`` and loaded through ``ORBIT_ATLAS_DATA``, and must make
 ``check-all`` exit 1 with a ``FAIL <check>`` line or a loader error.  The
 families, in the order ``mutants`` makes them for each record:
 - drop the record;
@@ -22,18 +22,15 @@ listed in ``EQUIVALENT`` with the reason; each listed one runs whatever the
 sample and must pass check-all.
 """
 
-import copy
 import json
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import orbit_atlas
+from conftest import DATA, _row
 from orbit_atlas.cli import main
 from orbit_atlas.lie import nil_dim
 
-DATA = Path(orbit_atlas.__file__).resolve().parent / "data"
 A3_STRIDE = 6
 A4_SAMPLE = (
     "x11: factor 2 param doubled", "x22: drop constraint 1",
@@ -62,7 +59,7 @@ def _doc(n: int) -> dict:
 
 def mutants(n: int) -> list:
     """(family, name, edit) of every mutant of the rank-n catalog, in a
-    fixed order; ``edit`` changes a copy of the JSON document in place."""
+    fixed order; ``edit`` changes the JSON document and returns it."""
     rows = _doc(n)["orbits"]
     pool = list(dict.fromkeys(s for row in rows
                               for s in row["zero_set"] + row["nonzero_set"]))
@@ -76,6 +73,7 @@ def mutants(n: int) -> list:
             if sets:
                 row = doc["orbits"][k]
                 row["dim"] = nil_dim(n) - len(row["zero_set"])
+            return doc
         out.append((family, f"{rid}: {what}", edit))
 
     for row in rows:
@@ -123,10 +121,10 @@ def mutants(n: int) -> list:
     return out
 
 
-def check_all(n: int, doc: dict, tmp_path, monkeypatch, capsys) -> tuple:
-    """(exit code, FAIL lines, stderr) of check-all on ``doc``."""
-    (tmp_path / f"a{n}.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+def check_all(n: int, edit, catalog_copy, capsys) -> tuple:
+    """(exit code, FAIL lines, stderr) of check-all on ``edit`` of the
+    rank-n catalog."""
+    catalog_copy(n, edit)
     code = main(["check-all", "--type", f"A{n}"])
     out = capsys.readouterr()
     fails = [line for line in out.out.splitlines() if line.startswith("FAIL ")]
@@ -149,14 +147,10 @@ def _sample(n: int) -> list:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_each_catalog_mutant_fails_check_all(n, tmp_path, monkeypatch,
-                                             capsys):
-    base = _doc(n)
+def test_each_catalog_mutant_fails_check_all(n, catalog_copy, capsys):
     survivors, stale = [], []
     for _, name, edit in _sample(n):
-        doc = copy.deepcopy(base)
-        edit(doc)
-        code, fails, err = check_all(n, doc, tmp_path, monkeypatch, capsys)
+        code, fails, err = check_all(n, edit, catalog_copy, capsys)
         if f"A{n} {name}" in EQUIVALENT:
             if code != 0:
                 stale.append(name)
@@ -185,13 +179,11 @@ def test_the_mutant_families_reach_every_kind_of_edit():
                    "printed-word verdict with one the catalog declares, so a "
                    "printed word replaced by the identity torus reads as "
                    "repaired and still certifies")
-def test_a_printed_word_replaced_by_the_identity_torus_fails(
-        tmp_path, monkeypatch, capsys):
-    base = _doc(2)
-    for k, row in enumerate(base["orbits"]):
+def test_a_printed_word_replaced_by_the_identity_torus_fails(catalog_copy,
+                                                            capsys):
+    for row in _doc(2)["orbits"]:
         if not row["as_printed"].get("word"):
             continue
-        doc = copy.deepcopy(base)
-        doc["orbits"][k]["as_printed"]["word"] = "T(1, 1)"
-        code, fails, _ = check_all(2, doc, tmp_path, monkeypatch, capsys)
+        code, fails, _ = check_all(2, _row(row["id"], lambda row: row[
+            "as_printed"].update(word="T(1, 1)")), catalog_copy, capsys)
         assert code == 1 and fails, row["id"]

@@ -1,6 +1,5 @@
 """Brute-force orbit enumeration, refinement, and the dimension certificate."""
 
-import json
 import math
 import random
 import re
@@ -23,19 +22,19 @@ from orbit_atlas.errors import (BudgetExceededError, CatalogError,
 from orbit_atlas.lie import (BorelWord, NilElement, RootGroupFactor,
                              TorusElement, adjoint, nil_dim, pos_roots)
 from orbit_atlas.oracle import (CODE_LIMIT, ORACLE_DEFAULT_QS, OrbitPartition,
-                                _bracket_rows, _describe_word, _gradient,
-                                _rank_exact,
-                                _root_word, _slot_word,
+                                _bracket_rows, _gradient, _rank_exact,
                                 enumerate_borel_orbits, image_codes,
                                 jacobian_rank_dim, refine_check,
                                 stability_check)
+from conftest import _row
 from reference import (broadcast_image_codes, broadcast_point_records,
                        commutator_identities, conjugate_nil,
                        coroot_bracket_rows, decode_points,
-                       derivative_jacobian, gauss_jordan_rank,
+                       derivative_jacobian, describe_word, gauss_jordan_rank,
                        generator_passes, inverse_matrix,
-                       nonempty_record_count, rank_mod_p, serialize_catalog,
-                       to_matrix, torus_word, word_identities, word_map)
+                       nonempty_record_count, rank_mod_p, root_word,
+                       slot_word, to_matrix, torus_word, word_identities,
+                       word_map)
 
 
 def _encode_points(digits, q):
@@ -53,12 +52,12 @@ def _reference_image_codes(m, q):
 
 
 def _all_generators(n, q):
-    """(word, map) of the slot tori at the primitive root and of U_root(1)
+    """(name, map) of the slot tori at the primitive root and of U_root(1)
     for every positive root, the non-simple ones included."""
     g0 = primitive_root(q)
-    words = [_slot_word(n, slot, g0, q) for slot in range(n)]
-    words += [_root_word(n, root, 1, q) for root in pos_roots(n)]
-    return [(word, word_map(word, q)) for word in words]
+    words = [slot_word(n, slot, g0, q) for slot in range(n)]
+    words += [root_word(n, root, 1, q) for root in pos_roots(n)]
+    return [(describe_word(word), word_map(word, q)) for word in words]
 
 
 def _reference_bfs(n, q):
@@ -98,8 +97,8 @@ def _reference_stability_check(part):
     classes.  Returns the number of elements checked."""
     n, q = part.rank, part.q
     d = nil_dim(n)
-    words = [_root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
-    words += [_slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
+    words = [root_word(n, root, c, q) for root in pos_roots(n) for c in range(q)]
+    words += [slot_word(n, slot, c, q) for slot in range(n) for c in range(1, q)]
     words += [torus_word(n, diag, q)
               for diag in product(range(1, q), repeat=n)]
     for word in words:
@@ -110,7 +109,7 @@ def _reference_stability_check(part):
             point = decode_points(np.array([bad]), d, q)[0].tolist()
             raise InternalInconsistencyError(
                 f"rank {n} F_{q}: class not stable under "
-                f"{_describe_word(word)}: point {point} in class "
+                f"{describe_word(word)}: point {point} in class "
                 f"{int(part.class_of[bad])} maps to class "
                 f"{int(part.class_of[codes[bad]])}")
     return len(words)
@@ -234,19 +233,18 @@ def test_jacobian_rank_values_at_special_records(catalogs, families):
     assert jacobian_rank_dim(catalogs[2].by_id("x11+x22"), families[2]) == 3
 
 
-def test_dims_certificate_rejects_a_dropped_zero_generator(
-        tmp_path, monkeypatch, capsys, catalogs):
+def test_dims_certificate_rejects_a_dropped_zero_generator(catalog_copy,
+                                                           capsys):
     # without X11 the zero set of x12 leaves 6 - 3 = 3 coordinates at the
     # representative, but the orbit [b, rep] has dimension 2.  The loader
     # requires dim = 6 - (generator count), so the copy also claims dim 3,
     # which the Jacobian rank alone would accept.
-    doc = json.loads(serialize_catalog(catalogs[3]))
-    row = next(r for r in doc["orbits"] if r["id"] == "x12")
-    assert row["zero_set"][0] == "X11" and row["dim"] == 2
-    del row["zero_set"][0]
-    row["dim"] = 3
-    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    def without_x11(row):
+        assert row["zero_set"][0] == "X11" and row["dim"] == 2
+        del row["zero_set"][0]
+        row["dim"] = 3
+
+    catalog_copy(3, _row("x12", without_x11))
     assert main(["dims", "--type", "A3"]) == 1
     err = capsys.readouterr().err
     assert "check failed: x12: orbit dimension 2 (rank of [b, rep]) != 3" in err
@@ -397,7 +395,7 @@ def _relabel_into_zero_class(part):
 
 
 def _fixpoint_over(monkeypatch, families, n, q, gens):
-    """The fixpoint partition over the (word, map) pairs ``gens`` in place
+    """The fixpoint partition over the (name, map) pairs ``gens`` in place
     of ``_generators``; ``stability_check`` still reads the real list."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_generators", lambda n, q, _: gens)
@@ -414,17 +412,17 @@ def _fixpoint_without(monkeypatch, families, n, q, drop):
 def test_fixpoint_generators_are_the_2n_simple_ones(families):
     # U_root(1) for every simple root, then the slot tori at the primitive
     # root, leaving out each map that is I mod q
-    assert [_describe_word(word) for word, _ in oracle._generators(
+    assert [name for name, _ in oracle._generators(
         2, 5, families[2])] == ["U_x11(1)", "U_x22(1)", "torus diag(2, 1)",
                                 "torus diag(1, 2)"]
     for n in ORACLE_DEFAULT_QS:
         for q in (2, 3, 5):
             every = _all_generators(n, q)
-            want = [(word, m) for word, m in every[n:2 * n] + every[:n]
+            want = [(name, m) for name, m in every[n:2 * n] + every[:n]
                     if not (m == np.identity(nil_dim(n))).all()]
             got = oracle._generators(n, q, families[n])
-            assert [_describe_word(w) for w, _ in got] == [
-                _describe_word(w) for w, _ in want], (n, q)
+            assert [name for name, _ in got] == [
+                name for name, _ in want], (n, q)
             for (_, m), (_, m_want) in zip(got, want):
                 assert (m == m_want).all(), (n, q)
             if q == 5:
@@ -441,7 +439,7 @@ def test_fixpoint_on_2n_generators_matches_all_generators(monkeypatch,
         assert (part.class_of == full.class_of).all(), (n, q)
         assert part.reps == full.reps and part.sizes == full.sizes, (n, q)
         assert full.generators == tuple(
-            _describe_word(word) for word, _ in _all_generators(n, q))
+            name for name, _ in _all_generators(n, q))
 
 
 def _fixpoint_at_root(monkeypatch, families, n, q, g):
@@ -502,8 +500,8 @@ def test_stability_catches_a_generator_set_without_the_slot_tori(monkeypatch,
     # U_root(1) alone gives the unipotent orbits, a finer partition that
     # every U_root(c) keeps but the torus does not; the certificate reads
     # the list of ``_generators`` itself, not the fixpoint's
-    unipotent = [(word, m) for word, m in oracle._generators(2, 5, families[2])
-                 if word.torus is None]
+    unipotent = [(name, m) for name, m in oracle._generators(2, 5, families[2])
+                 if name.startswith("U_")]
     part = _fixpoint_over(monkeypatch, families, 2, 5, unipotent)
     assert part.class_count > 5
     assert part.generators == ("U_x11(1)", "U_x22(1)")
@@ -612,7 +610,7 @@ def test_exit_round_certifies_exactly_the_generators_it_used(monkeypatch,
     # pass, and names exactly those; stability_check refuses every proper
     # subset, naming the first generator it lacks
     gens = oracle._generators(2, q, families[2])
-    names = [_describe_word(word) for word, _ in gens]
+    names = [name for name, _ in gens]
     assert len(gens) == 4
     for size in range(5):
         for used in combinations(range(4), size):
@@ -804,15 +802,14 @@ def test_read_families_proves_each_non_simple_root_a_commutator(
 
 
 def test_dims_certificate_requires_the_representative_in_its_zero_set(
-        tmp_path, monkeypatch, capsys, catalogs, families):
+        catalog_copy, capsys, families):
     # X12*X34 keeps the generator count and dim 5 of x12+x34, and the
     # Jacobian rank at the representative, but it is 1 there: the orbit is
     # not in V(zero set), so the dimension argument does not apply
-    doc = json.loads(serialize_catalog(catalogs[4]))
-    row = next(r for r in doc["orbits"] if r["id"] == "x12+x34")
-    row["zero_set"][row["zero_set"].index("X23")] = "X12*X34"
-    (tmp_path / "a4.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    def nonzero_at_the_representative(row):
+        row["zero_set"][row["zero_set"].index("X23")] = "X12*X34"
+
+    catalog_copy(4, _row("x12+x34", nonzero_at_the_representative))
     message = ("x12+x34: zero-set polynomial X12*X34 is 1 at the "
                "representative, not 0")
     with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
@@ -839,19 +836,22 @@ def test_specialised_family_maps_equal_the_word_maps(families, n, q):
         a = oracle._root_matrix(n, root)
         for c in range(q):
             assert ((ident + c * a) % q
-                    == word_map(_root_word(n, root, c, q), q)).all()
+                    == word_map(root_word(n, root, c, q), q)).all()
     weights = oracle._torus_exponents(n)
     units = range(1, q)
     for slot in range(n):
         for c in units:
             assert (np.diag([pow(c, int(w), q) for w in weights[:, slot]])
-                    == word_map(_slot_word(n, slot, c, q), q)).all()
+                    == word_map(slot_word(n, slot, c, q), q)).all()
     for diag in product(units, repeat=n):
         m = np.diag([math.prod(pow(s, int(w), q) for s, w in zip(diag, row))
                      % q for row in weights])
         assert (m == word_map(torus_word(n, diag, q), q)).all()
-    for word, m in oracle._generators(n, q, families[n]):
-        assert (m == word_map(word, q)).all()
+    simple = [root_word(n, root, 1, q) for root in pos_roots(n)[:n]]
+    slots = [slot_word(n, slot, primitive_root(q), q) for slot in range(n)]
+    words = {describe_word(word): word for word in simple + slots}
+    for name, m in oracle._generators(n, q, families[n]):
+        assert (m == word_map(words[name], q)).all()
     assert word_identities(n, q, primitive_root(q)) == (
         len(pos_roots(n)) * q + n * (q - 1) + (q - 1) ** n)
     assert commutator_identities(n, q) == len(pos_roots(n)) - n
@@ -910,11 +910,11 @@ TORUS_CORRUPTIONS = [
 def test_torus_corruption_names_the_reference_element(n, q, diag, first):
     # the word-by-word reference with one torus element's map corrupted
     # names the first element it breaks
-    name = _describe_word(torus_word(n, diag, q))
+    name = describe_word(torus_word(n, diag, q))
 
     def bumped_word_map(word, q):
         m = word_map(word, q)
-        return _bumped(m, q) if _describe_word(word) == name else m
+        return _bumped(m, q) if describe_word(word) == name else m
 
     with pytest.raises(InternalInconsistencyError, match=re.escape(
             f"rank {n} F_{q}: {first} over F_{q}")):
@@ -992,17 +992,10 @@ def test_refine_refuses_inhomogeneous_catalog_before_any_point(
             bad if r is rec else r for r in cat.orbits)), part)
 
 
-def test_oracle_command_names_a_point_of_a_catalog_hole(
-        tmp_path, monkeypatch, capsys, catalogs):
+def test_oracle_command_names_a_point_of_a_catalog_hole(catalog_copy,
+                                                        capsys):
     # x11 also demands X12 != 0, so its points with X12 = 0 match nothing
-    cat = catalogs[2]
-    x12 = parse_poly("X12", x_vars(2))
-    orbits = tuple(replace(r, nonzero_set=r.nonzero_set + (x12,),
-                           nonzero_strs=r.nonzero_strs + ("X12",))
-                   if r.id == "x11" else r for r in cat.orbits)
-    (tmp_path / "a2.json").write_text(
-        serialize_catalog(replace(cat, orbits=orbits)), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    catalog_copy(2, _row("x11", lambda row: row["nonzero_set"].append("X12")))
     assert main(["oracle", "--type", "A2", "--q", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

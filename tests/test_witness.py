@@ -2,7 +2,6 @@
 and repairs."""
 
 import dataclasses
-import json
 import re
 from fractions import Fraction
 
@@ -13,7 +12,7 @@ from orbit_atlas import witness
 from orbit_atlas.arith import (LaurentFraction, LaurentPoly, Quotient,
                                RadicalRelation, _frac_pow, _peel, parse_poly,
                                radical_poles)
-from orbit_atlas.catalog import (WitnessParseError, WitnessRadical,
+from orbit_atlas.catalog import (WitnessParseError, load_catalog,
                                 parse_printed_word, x_vars)
 from orbit_atlas.cli import main
 from orbit_atlas.errors import (CatalogError, DomainError,
@@ -30,8 +29,20 @@ from orbit_atlas.witness import (FAILED_AS_PRINTED, INCONCLUSIVE, REPAIRED,
                                  verify_witness_numeric)
 from reference import (adjoint_pullbacks, all_certified, commutator_nil,
                        difference_residuals, fraction_frac_pow,
-                       full_word_pullbacks, nonlinear_zero, serialize_catalog,
-                       word_residuals)
+                       full_word_pullbacks, nonlinear_zero, word_residuals)
+
+from conftest import _row
+from malformed import FAILING_TEMPLATES, monomial_radicand, table_test
+
+# the tests that check rows of the ``malformed`` tables
+test_a_constant_denominator_other_than_plus_or_minus_one_is_not_a_unit = table_test(
+    "test_a_constant_denominator_other_than_plus_or_minus_one_is_not_a_unit")
+test_unsound_template_fails_verify_and_check_all = table_test(
+    "test_unsound_template_fails_verify_and_check_all")
+test_monomial_radicand_fails_verify_and_check_all = table_test(
+    "test_monomial_radicand_fails_verify_and_check_all")
+test_a_root_of_a_non_unit_constant_fails_the_verdict = table_test(
+    "test_a_root_of_a_non_unit_constant_fails_the_verdict")
 
 
 def test_forward_containment_all_records(catalogs):
@@ -160,23 +171,8 @@ def test_witness_domain_soundness(catalogs):
             assert first_non_unit(rec, menv, word) == "", rec.id
 
 
-def _unsound_x11(cat):
-    # m = (x, 0, z) with x != 0: T(x*z, z) U_x22(-1/(x^2*z^2)) reproduces m
-    # wherever z != 0, but z may vanish on the set
-    rec = cat.by_id("x11")
-    return dataclasses.replace(rec, witness=dataclasses.replace(
-        rec.witness, torus=("x*z", "z"), factors=(((2, 2), "-1/(x^2*z^2)"),)))
-
-
 def test_template_valid_only_on_a_dense_open_part_is_not_certified(
         catalogs):
-    rec = _unsound_x11(catalogs[2])
-    assert _template_verifies(rec)
-    v = classify_verdict(rec)
-    assert v.status == FAILED_AS_PRINTED and not v.certified
-    assert v.as_printed == "verified" and not v.residual
-    assert v.detail == ("normalized template is not a unit on the set: "
-                        "torus entry 'x*z'")
     # U_x11(z/(x*y)) split in two factors whose denominators x + y may
     # vanish on the set, though their sum's does not
     rec = catalogs[2].by_id("x11+x22")
@@ -187,53 +183,6 @@ def test_template_valid_only_on_a_dense_open_part_is_not_certified(
     assert classify_verdict(rec).detail == (
         "normalized template is not a unit on the set: the denominator of "
         "'z/(x+y)'")
-
-
-def test_a_constant_denominator_other_than_plus_or_minus_one_is_not_a_unit(
-        tmp_path, monkeypatch, capsys, catalogs):
-    # x12 spans the centre of n, so U_12(1/(2*x)) fixes every element and
-    # the word still reproduces m; but 2*x vanishes everywhere in
-    # characteristic 2: only +-1 times a monomial is a unit
-    cat = catalogs[2]
-    rec = cat.by_id("x11")
-    rec = dataclasses.replace(rec, witness=dataclasses.replace(
-        rec.witness, factors=rec.witness.factors + (((1, 2), "1/(2*x)"),)))
-    assert _template_verifies(rec)
-    v = classify_verdict(rec)
-    detail = ("normalized template is not a unit on the set: the "
-              "denominator of '1/(2*x)'")
-    assert v.status == FAILED_AS_PRINTED and not v.certified
-    assert v.detail == detail
-    orbits = tuple(rec if r.id == rec.id else r for r in cat.orbits)
-    (tmp_path / "a2.json").write_text(
-        serialize_catalog(dataclasses.replace(cat, orbits=orbits)),
-        encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    assert main(["verify", "--type", "A2"]) == 1
-    assert capsys.readouterr().err == (
-        f"# FAIL witness x11: FailedAsPrinted {detail}\n")
-    assert main(["check-all", "--type", "A2"]) == 1
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x11']"
-
-
-def test_unsound_template_fails_verify_and_check_all(tmp_path, monkeypatch,
-                                                     capsys, catalogs):
-    cat = catalogs[2]
-    orbits = tuple(_unsound_x11(cat) if r.id == "x11" else r
-                   for r in cat.orbits)
-    doc = serialize_catalog(dataclasses.replace(cat, orbits=orbits))
-    (tmp_path / "a2.json").write_text(doc, encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    assert main(["verify", "--type", "A2", "--format", "json"]) == 1
-    verdicts = {v["id"]: v for v in json.loads(capsys.readouterr().out)[
-        "witnesses"]}
-    assert verdicts["x11"]["status"] == FAILED_AS_PRINTED
-    assert "torus entry 'x*z'" in verdicts["x11"]["detail"]
-    assert all(v["status"] == VERIFIED_SYMBOLIC
-               for rid, v in verdicts.items() if rid != "x11")
-    assert main(["check-all", "--type", "A2"]) == 1
-    assert "FAIL witnesses" in capsys.readouterr().out
 
 
 def test_fixing_root_pruning_consistency(catalogs):
@@ -388,51 +337,33 @@ def test_frac_pow_keeps_the_zero_base_and_non_monomial_paths(catalogs):
         _frac_pow(LaurentFraction(parse_poly("x + 1")), Fraction(1, 2), tower)
 
 
-def _with_monomial_radicand(rec):
-    radical = WitnessRadical("R", 2, "z")
-    return dataclasses.replace(rec, witness=dataclasses.replace(
-        rec.witness, radicals=rec.witness.radicals + (radical,)))
-
-
-def test_monomial_radicand_is_rejected(catalogs):
-    # peeling the unit z^60 off a base would never end
-    rec = _with_monomial_radicand(catalogs[2].by_id("x11+x22"))
+def test_monomial_radicand_is_rejected(catalog_copy):
+    catalog_copy(2, _row("x11+x22", monomial_radicand))
     with pytest.raises(SchemaError, match=r"x11\+x22.*radical R"):
-        build_member_env(rec)
+        build_member_env(load_catalog(2).by_id("x11+x22"))
 
 
-def test_monomial_radicand_fails_verify_and_check_all(tmp_path, monkeypatch,
-                                                      capsys, catalogs):
-    cat = catalogs[2]
-    orbits = tuple(_with_monomial_radicand(r) if r.id == "x11+x22" else r
-                   for r in cat.orbits)
-    doc = serialize_catalog(dataclasses.replace(cat, orbits=orbits))
-    assert json.loads(doc)["orbits"][-1]["witness"]["radicals"]
-    (tmp_path / "a2.json").write_text(doc, encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    # a template that does not evaluate fails its record's verdict: exit 1,
-    # the record named, as a check failure and not a usage error
-    assert main(["verify", "--type", "A2"]) == 1
-    assert capsys.readouterr().err == (
-        "# FAIL witness x11+x22: FailedAsPrinted normalized template does "
-        "not evaluate: record x11+x22: radicand 'z' of radical R is a "
-        "monomial\n")
-    assert main(["check-all", "--type", "A2"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL witnesses: uncertified: ['x11+x22']" in out
+@pytest.mark.parametrize("row", [
+    row for row in FAILING_TEMPLATES
+    if row.detail.startswith("normalized template is not a unit")],
+    ids=lambda row: row.id or row.test)
+def test_a_template_that_is_no_unit_on_the_set_still_reproduces_the_member(
+        catalog_copy, row):
+    # each failing-template row that fails by the unit rule fails by it
+    # alone: its word reproduces m, so no residual decides the verdict
+    catalog_copy(row.n, _row(row.rid, row.edit))
+    assert _template_verifies(load_catalog(row.n).by_id(row.rid))
 
 
-def test_check_all_names_a_forward_containment_failure(
-        tmp_path, monkeypatch, capsys, catalogs):
+def test_check_all_names_a_forward_containment_failure(catalog_copy, capsys):
     # x11+x22 of A3 with the extra generator X12*X23 - X22*X13, which holds
     # at the representative but not on the orbit: every verdict certifies,
     # so the witnesses line must name the forward failure itself
-    doc = json.loads(serialize_catalog(catalogs[3]))
-    row = next(r for r in doc["orbits"] if r["id"] == "x11+x22")
-    row["zero_set"].append("X12*X23 - X22*X13")
-    row["dim"] -= 1
-    (tmp_path / "a3.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
+    def extra_generator(row):
+        row["zero_set"].append("X12*X23 - X22*X13")
+        row["dim"] -= 1
+
+    catalog_copy(3, _row("x11+x22", extra_generator))
     failure = ("forward containment x11+x22: zero-set generator "
                "X12*X23 - X22*X13 has nonzero normal form")
     assert main(["verify", "--type", "A3"]) == 1
@@ -441,34 +372,6 @@ def test_check_all_names_a_forward_containment_failure(
     out = capsys.readouterr().out
     assert "PASS catalog: 16 records\n" in out
     assert out.splitlines()[-1] == f"FAIL witnesses: {failure}"
-
-
-def test_a_root_of_a_non_unit_constant_fails_the_verdict(
-        tmp_path, monkeypatch, capsys, catalogs):
-    # x11+x33 of A3 with its torus entry (w/u)^(1/2) as (4*w/u)^(1/2): the
-    # root 2 exists, but no constant other than +-1 has its root taken
-    cat = catalogs[3]
-    rec = cat.by_id("x11+x33")
-    torus = tuple(t.replace("(w/u)", "(4*w/u)") for t in rec.witness.torus)
-    assert torus != rec.witness.torus
-    bad = dataclasses.replace(rec, witness=dataclasses.replace(
-        rec.witness, torus=torus))
-    detail = ("normalized template does not evaluate: fractional power 1/2 "
-              "of the constant 4; only 1, and -1 under an odd root, are "
-              "taken")
-    v = classify_verdict(bad)
-    assert v.status == FAILED_AS_PRINTED and v.detail == detail
-    orbits = tuple(bad if r.id == rec.id else r for r in cat.orbits)
-    (tmp_path / "a3.json").write_text(
-        serialize_catalog(dataclasses.replace(cat, orbits=orbits)),
-        encoding="utf-8")
-    monkeypatch.setenv("ORBIT_ATLAS_DATA", str(tmp_path))
-    assert main(["verify", "--type", "A3"]) == 1
-    assert capsys.readouterr().err == (
-        f"# FAIL witness x11+x33: FailedAsPrinted {detail}\n")
-    assert main(["check-all", "--type", "A3"]) == 1
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "FAIL witnesses: uncertified: ['x11+x33']"
 
 
 def test_classify_verdict_builds_one_member_per_record(catalogs, monkeypatch):
